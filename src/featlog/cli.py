@@ -38,7 +38,6 @@ class RunConfig:
     fmt: str = "text"
     max_dnf_clauses: int = DEFAULT_MAX_DNF_CLAUSES
     default_sort: str | None = None
-    oracle_bound: int = 4
 
 
 def _read(source: str) -> str:
@@ -178,19 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
         )
         p.add_argument("--default-sort", default=None, metavar="NAME")
-        p.add_argument(
-            "--oracle-bound",
-            type=int,
-            default=4,
-            metavar="N",
-            help="node bound for model enumeration in diagnostic checks",
-        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.max_dnf_clauses <= 0 or args.oracle_bound <= 0:
+    if args.max_dnf_clauses <= 0:
         print("counts must be positive", file=sys.stderr)
         return 2
     cfg = RunConfig(
@@ -199,7 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         fmt=args.format,
         max_dnf_clauses=args.max_dnf_clauses,
         default_sort=args.default_sort,
-        oracle_bound=args.oracle_bound,
     )
     try:
         text = _read(cfg.source)

@@ -135,10 +135,6 @@ class Symbols:
         return ident
 
 
-def fresh_var(session: Symbols, hint: str = "v") -> VarId:
-    return session.fresh_var(hint)
-
-
 # ---------------------------------------------------------------------------
 # Paths
 
@@ -173,10 +169,6 @@ class Path:
 
 
 EPS = Path()
-
-
-def path_of(*feats: FeatId) -> Path:
-    return Path(tuple(feats))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ False, or None for unknown.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -90,130 +91,138 @@ Value = Union[FeatureTree, FeatureGraph]
 Valuation = dict[VarId, Value]
 
 
-def _reachable(root, edges: Mapping) -> list:
-    seen = [root]
-    index = {root}
-    i = 0
-    while i < len(seen):
-        u = seen[i]
-        i += 1
-        for (src, _feat), dst in edges.items():
-            if src == u and dst not in index:
-                index.add(dst)
-                seen.append(dst)
-    return seen
-
-
-def _minimize(nodes: list, labels: Mapping, edges: Mapping) -> tuple[Mapping, Mapping, dict]:
-    """Quotient by bisimilarity via partition refinement."""
-    out_feats = {n: tuple(sorted(f.name for (m, f) in edges if m == n)) for n in nodes}
-    block = {n: (labels.get(n), out_feats[n]) for n in nodes}
-    while True:
-        sig = {
-            n: (
-                block[n],
-                tuple(
-                    sorted(
-                        (f.name, block[dst])
-                        for (m, f), dst in edges.items()
-                        if m == n
-                    )
-                ),
-            )
-            for n in nodes
-        }
-        if len(set(sig.values())) == len(set(block.values())):
-            renum = {}
-            rep = {}
-            for n in nodes:
-                if block[n] not in renum:
-                    renum[block[n]] = n
-                rep[n] = renum[block[n]]
-            new_nodes = [n for n in nodes if rep[n] == n]
-            new_labels = {n: labels.get(n) for n in new_nodes}
-            new_edges = {
-                (rep[src], f): rep[dst]
-                for (src, f), dst in edges.items()
-                if rep[src] == src
-            }
-            return new_labels, new_edges, rep
-        block = sig
-
-
-def _renumber(root, labels: Mapping, edges: Mapping) -> tuple[tuple, tuple]:
-    """Depth-first canonical numbering, features in name order."""
+def _adjacency(edges: Mapping) -> dict:
+    """Per-node out-edges ``(feature, target)`` sorted by feature name."""
     adj: dict = {}
     for (src, f), dst in edges.items():
         adj.setdefault(src, []).append((f, dst))
-    for lst in adj.values():
-        lst.sort(key=lambda e: e[0].name)
-    order: list = []
-    number: dict = {}
+    for row in adj.values():
+        row.sort(key=lambda e: e[0].name)
+    return adj
 
-    def visit(u) -> None:
-        number[u] = len(order)
-        order.append(u)
-        for _f, w in adj.get(u, ()):
-            if w not in number:
-                visit(w)
 
-    visit(root)
+def _preorder(root, adj: Mapping) -> list:
+    """Nodes reachable from the root, depth-first, features in name order."""
+    order = [root]
+    seen = {root}
+    stack = [iter(adj.get(root, ()))]
+    while stack:
+        for _f, w in stack[-1]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                stack.append(iter(adj.get(w, ())))
+                break
+        else:
+            stack.pop()
+    return order
+
+
+def _number(root, labels: Mapping, adj: Mapping) -> tuple[tuple, tuple]:
+    """Canonical rows: nodes numbered in depth-first preorder."""
+    order = _preorder(root, adj)
+    index = {u: i for i, u in enumerate(order)}
     out_labels = tuple(labels.get(u) for u in order)
-    out_edges = tuple(
-        tuple((f, number[w]) for f, w in adj.get(u, ()) if w in number)
-        for u in order
-    )
+    out_edges = tuple(tuple((f, index[w]) for f, w in adj.get(u, ())) for u in order)
     return out_labels, out_edges
 
 
-def _build(root, labels: Mapping, edges: Mapping, minimize: bool) -> tuple[tuple, tuple]:
-    nodes = _reachable(root, edges)
-    labels = {n: labels.get(n) for n in nodes}
-    edges = {
-        (src, f): dst for (src, f), dst in edges.items() if src in labels
+def _quotient(nodes: list, labels: Mapping, adj: Mapping) -> tuple[dict, dict, dict]:
+    """Quotient by bisimilarity via partition refinement.
+
+    Blocks are integer ids, first one per label and feature names, then
+    split by the blocks of the successors until no block splits.  The
+    members of a block that are not re-keyed share the block's recorded
+    successor key, so a round re-keys only the predecessors of the nodes
+    that moved in the round before; a block whose members are all
+    re-keyed takes the key of the first of them.  Returns the quotient's
+    labels and adjacency over block ids, and the block of every node.
+    """
+    preds: dict = {n: [] for n in nodes}
+    for n in nodes:
+        for _f, w in adj.get(n, ()):
+            preds[w].append(n)
+    ids: dict = {}
+    block = {
+        n: ids.setdefault((labels.get(n), tuple(f.name for f, _ in adj.get(n, ()))), len(ids))
+        for n in nodes
     }
-    if minimize:
-        labels, edges, rep = _minimize(nodes, labels, edges)
-        root = rep[root]
-    return _renumber(root, labels, edges)
+    size = Counter(block.values())
+    key: dict[int, tuple] = {}
+    dirty = nodes
+    while dirty:
+        succ = [tuple(block[w] for _f, w in adj.get(n, ())) for n in dirty]
+        for b, k in Counter(block[n] for n in dirty).items():
+            if k == size[b]:
+                key.pop(b, None)
+        split: dict = {}
+        moved = []
+        for n, s in zip(dirty, succ):
+            b = block[n]
+            if key.setdefault(b, s) != s:
+                if (b, s) not in split:
+                    split[(b, s)] = c = len(size)
+                    key[c] = s
+                    size[c] = 0
+                block[n] = c = split[(b, s)]
+                size[b] -= 1
+                size[c] += 1
+                moved.append(n)
+        dirty = list(dict.fromkeys(p for n in moved for p in preds[n]))
+    q_labels: dict = {}
+    q_adj: dict = {}
+    for n in nodes:
+        b = block[n]
+        if b not in q_labels:
+            q_labels[b] = labels.get(n)
+            q_adj[b] = [(f, block[w]) for f, w in adj.get(n, ())]
+    return q_labels, q_adj, block
 
 
-def feature_tree(root, labels: Mapping, edges: Mapping) -> FeatureTree:
-    """Build a tree value from node maps; nodes unreachable from the
-    root are discarded and the rest must be totally labeled."""
-    out_labels, out_edges = _build(root, labels, edges, minimize=True)
+def _tree(root, labels: Mapping, adj: Mapping) -> FeatureTree:
+    out_labels, out_edges = _number(root, labels, adj)
     if any(lab is None for lab in out_labels):
         raise ValueError("feature trees need a sort on every node")
     return FeatureTree(out_labels, out_edges)
 
 
+def feature_tree(root, labels: Mapping, edges: Mapping) -> FeatureTree:
+    """Build a tree value from node maps; nodes unreachable from the
+    root are discarded and the rest must be totally labeled."""
+    adj = _adjacency(edges)
+    q_labels, q_adj, block = _quotient(_preorder(root, adj), labels, adj)
+    return _tree(block[root], q_labels, q_adj)
+
+
 def feature_graph(root, labels: Mapping, edges: Mapping) -> FeatureGraph:
-    out_labels, out_edges = _build(root, labels, edges, minimize=False)
-    return FeatureGraph(out_labels, out_edges)
+    return FeatureGraph(*_number(root, labels, _adjacency(edges)))
 
 
 def single_node_tree(sort: SortId) -> FeatureTree:
     return FeatureTree((sort,), ((),))
 
 
+def _reroot(v: Value, node: int) -> Value:
+    """The value rooted at one of its nodes, numbered canonically.
+
+    A sub-rooted part of a minimal value is minimal, so trees need no
+    second quotient: renumbering from the new root is enough.
+    """
+    labels = dict(enumerate(v.labels))
+    adj = dict(enumerate(v.edges))
+    return type(v)(*_number(node, labels, adj))
+
+
 def graph_canonical(g: FeatureGraph) -> FeatureGraph:
     """Canonical form under consistent node renaming (idempotent)."""
-    labels = dict(enumerate(g.labels))
-    edges = {(i, f): j for i, row in enumerate(g.edges) for f, j in row}
-    return feature_graph(0, labels, edges)
+    return _reroot(g, 0)
 
 
 def pregraph_to_graph(root: VarId, clause: SolvedClause) -> FeatureGraph:
     """The feature graph rooted at a variable of an exclusion-free clause."""
     if clause.exclusions:
         raise ValueError("feature graphs come from clauses without exclusions")
-    labels: dict = dict(clause.sorts)
-    edges: dict = dict(clause.edges)
-    return feature_graph(root, labels, edges)
-
-
-def value_nodes(v: Value) -> int:
-    return len(v.labels)
+    return feature_graph(root, clause.sorts, clause.edges)
 
 
 def root_sort(v: Value) -> Label:
@@ -222,27 +231,17 @@ def root_sort(v: Value) -> Label:
 
 def subvalue(v: Value, f: FeatId) -> Value | None:
     """The direct subvalue at a feature, re-rooted canonically."""
-    target = None
-    for g, j in v.edges[0]:
-        if g == f:
-            target = j
-            break
-    if target is None:
-        return None
-    labels = dict(enumerate(v.labels))
-    edges = {(i, g): j for i, row in enumerate(v.edges) for g, j in row}
-    if isinstance(v, FeatureTree):
-        return feature_tree(target, labels, edges)
-    return feature_graph(target, labels, edges)
+    return walk_value(v, Path((f,)))
 
 
 def walk_value(v: Value, p: Path) -> Value | None:
-    out: Value | None = v
+    """The subvalue at the end of a path: walk node indices, re-root once."""
+    node: int | None = 0
     for f in p.feats:
-        if out is None:
+        node = next((j for g, j in v.edges[node] if g == f), None)
+        if node is None:
             return None
-        out = subvalue(out, f)
-    return out
+    return v if node == 0 else _reroot(v, node)
 
 
 def tree_subtree(t: FeatureTree, p: Path) -> FeatureTree | None:
@@ -254,15 +253,7 @@ def tree_subtree(t: FeatureTree, p: Path) -> FeatureTree | None:
 
 def subvalues(v: Value) -> set[Value]:
     """All distinct sub-rooted values (for trees: the distinct subtrees)."""
-    out: set[Value] = set()
-    labels = dict(enumerate(v.labels))
-    edges = {(i, g): j for i, row in enumerate(v.edges) for g, j in row}
-    for node in range(len(v.labels)):
-        if isinstance(v, FeatureTree):
-            out.add(feature_tree(node, labels, edges))
-        else:
-            out.add(feature_graph(node, labels, edges))
-    return out
+    return {_reroot(v, node) for node in range(len(v.labels))}
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +272,8 @@ def witness_solved_clause(
     the supplied parameter trees.  Exclusions hold because the clause
     admits no edge beside them.  The result maps constrained variables
     to rational trees and passes the parameters through unchanged.
+    The whole graph is quotiented once; each variable's tree is the
+    quotient re-rooted at its node.
     """
     cv = constrained_vars(delta)
     pvars = set(delta.variables) - cv
@@ -303,9 +296,11 @@ def witness_solved_clause(
         target = ("v", y) if y in cv else ("p", y, 0)
         edges[(("v", x), f)] = target
 
+    adj = _adjacency(edges)
+    q_labels, q_adj, block = _quotient(list(labels), labels, adj)
     out: Valuation = {y: params[y] for y in pvars}
     for x in cv:
-        out[x] = feature_tree(("v", x), labels, edges)
+        out[x] = _tree(block[("v", x)], q_labels, q_adj)
     return out
 
 
@@ -478,6 +473,13 @@ def enumerate_values(
                     yield v
 
 
+# The evaluator's extra candidate sort and feature.  Uninterned, so the
+# session does not grow; fresh names always end in a number, so these
+# never collide.  The sort orders after user sorts, the feature before.
+_EXTRA_SORT = SortId("_S", -1)
+_EXTRA_FEAT = FeatId("_f", -1)
+
+
 def evaluate(
     sym: Symbols,
     kind: str,
@@ -494,11 +496,12 @@ def evaluate(
     extra sort and one extra feature; an existential returns True on a
     witness and None otherwise, a universal returns False on a
     counterexample and None otherwise.  The shared budget caps the total
-    number of candidates tried across all quantifiers.
+    number of candidates tried across all quantifiers.  The session is
+    left unchanged.
     """
     sorts, feats = _collect_symbols(phi, alpha)
-    sorts.add(sym.fresh_sort("S"))
-    feats.add(sym.fresh_feat("f"))
+    sorts.add(_EXTRA_SORT)
+    feats.add(_EXTRA_FEAT)
     remaining = [budget]
 
     def ev(psi: Formula, env: Mapping[VarId, Value]) -> bool | None:
@@ -564,47 +567,36 @@ def evaluate(
 # JSON serialization
 
 
-def value_to_json(v: Value) -> dict:
-    nodes = []
-    for i, lab in enumerate(v.labels):
-        node: dict = {"id": i}
-        if lab is not None:
-            node["sort"] = lab.name
-        nodes.append(node)
-    edges = [
-        {"src": i, "feature": f.name, "dst": j}
-        for i, row in enumerate(v.edges)
-        for f, j in row
-    ]
+def _json_pool(values: Iterable[Value]) -> tuple[list, list, dict]:
+    """One node pool for the values in turn; equal values share a block."""
+    blocks: dict[Value, int] = {}
+    nodes: list[dict] = []
+    edges: list[dict] = []
+    for value in values:
+        if value in blocks:
+            continue
+        offset = blocks[value] = len(nodes)
+        for i, lab in enumerate(value.labels):
+            node: dict = {"id": offset + i}
+            if lab is not None:
+                node["sort"] = lab.name
+            nodes.append(node)
+        edges.extend(
+            {"src": offset + i, "feature": f.name, "dst": offset + j}
+            for i, row in enumerate(value.edges)
+            for f, j in row
+        )
     edges.sort(key=lambda e: (e["src"], e["feature"], e["dst"]))
+    return nodes, edges, blocks
+
+
+def value_to_json(v: Value) -> dict:
+    nodes, edges, _ = _json_pool([v])
     return {"root": 0, "nodes": nodes, "edges": edges}
 
 
 def valuation_to_json(alpha: Mapping[VarId, Value]) -> dict:
     """One shared node pool; equal values share their block of nodes."""
-    blocks: dict[Value, int] = {}
-    nodes: list[dict] = []
-    edges: list[dict] = []
-    for name in sorted(v.name for v in alpha):
-        var = next(v for v in alpha if v.name == name)
-        value = alpha[var]
-        if value not in blocks:
-            offset = len(nodes)
-            blocks[value] = offset
-            for i, lab in enumerate(value.labels):
-                node: dict = {"id": offset + i}
-                if lab is not None:
-                    node["sort"] = lab.name
-                nodes.append(node)
-            for i, row in enumerate(value.edges):
-                for f, j in row:
-                    edges.append(
-                        {"src": offset + i, "feature": f.name, "dst": offset + j}
-                    )
-    edges.sort(key=lambda e: (e["src"], e["feature"], e["dst"]))
-    variables = {v.name: blocks[alpha[v]] for v in alpha}
-    return {
-        "nodes": nodes,
-        "edges": edges,
-        "vars": {name: variables[name] for name in sorted(variables)},
-    }
+    names = sorted(alpha, key=lambda v: v.name)
+    nodes, edges, blocks = _json_pool(alpha[v] for v in names)
+    return {"nodes": nodes, "edges": edges, "vars": {v.name: blocks[alpha[v]] for v in names}}

@@ -100,10 +100,6 @@ BC_TRUE = PrimeLeaf(TOP_PRIME)
 BC_FALSE = BcNot(BC_TRUE)
 
 
-def _complement(a: BoolComb) -> BoolComb:
-    return a.arg if isinstance(a, BcNot) else BcNot(a)
-
-
 def bc_not(a: BoolComb) -> BoolComb:
     return a.arg if isinstance(a, BcNot) else BcNot(a)
 
@@ -124,7 +120,7 @@ def _bc_nary(node, args, unit, zero) -> BoolComb:
             return zero
         if a in seen:
             continue
-        if _complement(a) in seen:
+        if bc_not(a) in seen:
             return zero
         seen.add(a)
         out.append(a)

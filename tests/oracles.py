@@ -138,6 +138,37 @@ def _pc_len(pi: PathConstraint) -> int:
     return len(pi.path.feats)
 
 
+def naive_reachable(root, edges: dict) -> set:
+    """Nodes reachable from ``root``, scanning every edge per step."""
+    seen = {root}
+    while True:
+        more = {dst for (src, _f), dst in edges.items() if src in seen} - seen
+        if not more:
+            return seen
+        seen |= more
+
+
+def naive_bisimilarity(labels: dict, edges: dict) -> set:
+    """Bisimilar node pairs of a labeled deterministic graph.
+
+    Greatest fixpoint over node pairs: start from the pairs with equal
+    labels and equal feature sets, and drop a pair while some feature
+    leads it to a dropped pair.
+    """
+    out = {n: {f: dst for (src, f), dst in edges.items() if src == n} for n in labels}
+    rel = {
+        (a, b)
+        for a in labels
+        for b in labels
+        if labels[a] == labels[b] and out[a].keys() == out[b].keys()
+    }
+    while True:
+        broken = {(a, b) for a, b in rel if any((out[a][f], out[b][f]) not in rel for f in out[a])}
+        if not broken:
+            return rel
+        rel -= broken
+
+
 def randomized_simplify(rng, basic):
     """Apply the five rules to a fixed point in random order.
 

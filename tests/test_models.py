@@ -1,5 +1,7 @@
+import contextlib
 import json
 import random
+import signal
 
 import pytest
 
@@ -20,6 +22,7 @@ from featlog import (
     graph_canonical,
     parse_formula,
     pregraph_to_graph,
+    satisfies_prime,
     simplify_epc,
     single_node_tree,
     tree_subtree,
@@ -33,6 +36,7 @@ from featlog.models import enumerate_values, root_sort, subvalue, subvalues, wal
 from featlog.solve import clause_to_formula
 
 from generators import random_tree_value, random_valuation
+from oracles import naive_bisimilarity, naive_reachable
 from test_solve import fig2_clause
 
 
@@ -59,6 +63,27 @@ def test_tree_values_are_minimized(sym):
     one = feature_tree(0, {0: A}, {(0, f): 0})
     assert two == one
     assert len(two.labels) == 1
+
+
+def test_tree_minimization_agrees_with_naive_bisimilarity(sym):
+    """Random labeled deterministic graphs, cycles included: a tree value
+    has one node per bisimilarity class reachable from its root, and two
+    roots give the same tree exactly when they are bisimilar."""
+    rng = random.Random(33)
+    sorts = [sym.sort("A"), sym.sort("B")]
+    feats = [sym.feat("f"), sym.feat("g")]
+    for _ in range(300):
+        k = rng.randint(1, 8)
+        labels = {i: rng.choice(sorts) for i in range(k)}
+        edges = {(i, f): rng.randrange(k) for i in range(k) for f in feats if rng.random() < 0.6}
+        bisimilar = naive_bisimilarity(labels, edges)
+        trees = [feature_tree(r, labels, edges) for r in range(k)]
+        for r in range(k):
+            reach = naive_reachable(r, edges)
+            classes = {frozenset(b for b in reach if (a, b) in bisimilar) for a in reach}
+            assert len(trees[r].labels) == len(classes)
+            for r2 in range(k):
+                assert (trees[r] == trees[r2]) == ((r, r2) in bisimilar)
 
 
 def test_tree_requires_total_labels(sym):
@@ -157,6 +182,15 @@ def test_evaluate_atoms(sym):
     assert evaluate(sym, "tree", {x: t}, Atomic(Excl(x, f))) is True
     bare = feature_graph(0, {0: None}, {})
     assert evaluate(sym, "graph", {x: bare}, Atomic(SortC(A, x))) is False
+
+
+def test_evaluate_leaves_the_session_unchanged(sym):
+    A = sym.sort("A")
+    phi = parse_formula(sym, "forall y. (A(y) | ~A(y))")
+    for _ in range(1000):
+        evaluate(sym, "tree", {}, phi, node_bound=1)
+    assert sym.fresh_var("v").name == "_v1"
+    assert sym.sort("A") is A
 
 
 def test_evaluate_quantifiers_three_valued(sym):
@@ -262,3 +296,62 @@ def test_json_serialization(sym):
     val2 = {x: t, y: t}
     vd2 = valuation_to_json(val2)
     assert vd2["vars"]["x"] == vd2["vars"]["y"]
+
+
+@contextlib.contextmanager
+def _wall_limit(seconds: float):
+    """Fail with TimeoutError instead of hanging past the limit."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s of wall time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _chain_value(sym, build, n):
+    """A one-sorted n-node chain; no two of its nodes are bisimilar."""
+    A, f = sym.sort("A"), sym.feat("f")
+    v = build(0, {i: A for i in range(n)}, {(i, f): i + 1 for i in range(n - 1)})
+    assert len(v.labels) == n
+    assert v.edges[n - 2] == ((f, n - 1),)
+
+
+def _chain_text(n):
+    atoms = [f"f(x{i}, x{i + 1})" for i in range(n)] + [f"A(x{i})" for i in range(n + 1)]
+    return n + 1, f"exists {', '.join(f'x{i}' for i in range(1, n + 1))}. ({' & '.join(atoms)})"
+
+
+def _marked_cycle_text(n):
+    atoms = [f"f(x{i}, x{(i + 1) % n})" for i in range(n)] + ["A(x0)"]
+    return n, f"exists {', '.join(f'x{i}' for i in range(1, n))}. ({' & '.join(atoms)})"
+
+
+def _witness_at_scale(sym, make_text, n):
+    nodes, text = make_text(n)
+    beta = simplify_epc(sym, expand_sugar(sym, parse_formula(sym, text)))
+    val = witness_prime(beta, sym.fresh_sort("D"))
+    assert satisfies_prime(val, beta)
+    assert len(val[sym.var("x0")].labels) == nodes
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda sym: _chain_value(sym, feature_graph, 5000), id="graph-chain-5000"),
+        pytest.param(lambda sym: _chain_value(sym, feature_tree, 5000), id="tree-chain-5000"),
+        pytest.param(lambda sym: _witness_at_scale(sym, _chain_text, 200), id="witness-chain-200"),
+        pytest.param(
+            lambda sym: _witness_at_scale(sym, _marked_cycle_text, 200), id="witness-marked-cycle-200"
+        ),
+    ],
+)
+def test_values_at_scale(sym, run):
+    """Deep values neither recurse nor refine in exponential time."""
+    with _wall_limit(10.0):
+        run(sym)
