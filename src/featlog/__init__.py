@@ -34,7 +34,6 @@ from .core import (
     Top,
     VarId,
     conj,
-    decompose,
     free_vars,
     substitute,
 )

@@ -12,7 +12,6 @@ is what several constructions rely on.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Union
@@ -434,10 +433,9 @@ def substitute(phi: Formula, x: VarId, y: VarId) -> Formula:
 class BasicFormula:
     """A multiset of sort, feature, and equation atoms.
 
-    Conjunction is kept as an ordered sequence but compared as a
-    multiset; duplicates are preserved until a simplification rule
-    removes them.  ``false`` is represented by the separate ``Bottom``
-    value, not by an atom.
+    Conjunction is kept as an ordered sequence; duplicates are
+    preserved until simplification removes them.  ``false`` is
+    represented by the separate ``Bottom`` value, not by an atom.
     """
 
     atoms: tuple[Union[SortC, FeatC, Eq], ...]
@@ -447,14 +445,6 @@ class BasicFormula:
             if isinstance(a, Excl):
                 raise ValueError("exclusion constraints do not occur in basic formulae")
 
-    def decompose(self) -> tuple[tuple[Eq, ...], tuple[Union[SortC, FeatC], ...]]:
-        eqs = tuple(a for a in self.atoms if isinstance(a, Eq))
-        graph = tuple(a for a in self.atoms if not isinstance(a, Eq))
-        return eqs, graph
-
-    def same_multiset(self, other: "BasicFormula") -> bool:
-        return Counter(self.atoms) == Counter(other.atoms)
-
     @cached_property
     def variables(self) -> frozenset[VarId]:
         out: set[VarId] = set()
@@ -462,7 +452,3 @@ class BasicFormula:
             out.update(atom_vars(a))
         return frozenset(out)
 
-
-def decompose(phi: BasicFormula) -> tuple[tuple[Eq, ...], tuple[Union[SortC, FeatC], ...]]:
-    """Split a basic formula into its normalizer (equations) and graph."""
-    return phi.decompose()

@@ -18,6 +18,7 @@ False, or None for unknown.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -234,14 +235,36 @@ def subvalue(v: Value, f: FeatId) -> Value | None:
     return walk_value(v, Path((f,)))
 
 
+def _walk(v: Value, p: Path) -> int | None:
+    """The node at the end of a path from the root, None off the domain."""
+    node = 0
+    for f in p.feats:
+        for g, j in v.edges[node]:
+            if g is f or g == f:
+                node = j
+                break
+        else:
+            return None
+    return node
+
+
 def walk_value(v: Value, p: Path) -> Value | None:
     """The subvalue at the end of a path: walk node indices, re-root once."""
-    node: int | None = 0
-    for f in p.feats:
-        node = next((j for g, j in v.edges[node] if g == f), None)
-        if node is None:
-            return None
+    node = _walk(v, p)
+    if node is None:
+        return None
     return v if node == 0 else _reroot(v, node)
+
+
+def _same_subvalue(a: Value, i: int, b: Value, j: int) -> bool:
+    """Whether node i of a and node j of b root the same value.
+
+    Distinct nodes of a minimal tree are distinct trees, so inside one
+    tree value the nodes are compared; otherwise both sides are re-rooted.
+    """
+    if isinstance(a, FeatureTree) and a == b:
+        return i == j
+    return (a if i == 0 else _reroot(a, i)) == (b if j == 0 else _reroot(b, j))
 
 
 def tree_subtree(t: FeatureTree, p: Path) -> FeatureTree | None:
@@ -334,15 +357,17 @@ def witness_prime(beta: PrimeFormula, default_sort: SortId) -> Valuation:
 def holds_path_constraint(alpha: Mapping[VarId, Value], pi: PathConstraint) -> bool:
     """Exact truth of a path constraint under a valuation."""
     if isinstance(pi, Reach):
-        got = walk_value(alpha[pi.src], pi.path)
-        return got is not None and got == alpha[pi.dst]
+        v = alpha[pi.src]
+        node = _walk(v, pi.path)
+        return node is not None and _same_subvalue(v, node, alpha[pi.dst], 0)
     if isinstance(pi, Agree):
-        a = walk_value(alpha[pi.lsrc], pi.lpath)
-        b = walk_value(alpha[pi.rsrc], pi.rpath)
-        return a is not None and a == b
+        a, b = alpha[pi.lsrc], alpha[pi.rsrc]
+        i, j = _walk(a, pi.lpath), _walk(b, pi.rpath)
+        return i is not None and j is not None and _same_subvalue(a, i, b, j)
     if isinstance(pi, SortAt):
-        a = walk_value(alpha[pi.src], pi.path)
-        return a is not None and root_sort(a) == pi.sort
+        v = alpha[pi.src]
+        node = _walk(v, pi.path)
+        return node is not None and v.labels[node] == pi.sort
     raise TypeError(f"not a path constraint: {pi!r}")
 
 
@@ -496,13 +521,18 @@ def evaluate(
     extra sort and one extra feature; an existential returns True on a
     witness and None otherwise, a universal returns False on a
     counterexample and None otherwise.  The shared budget caps the total
-    number of candidates tried across all quantifiers.  The session is
-    left unchanged.
+    number of candidates tried across all quantifiers.  Every quantifier
+    instance reads the same candidate list, filled lazily from one
+    enumeration.  ``sym`` is not read, and the session is left
+    unchanged; the parameter stays for callers that pass it positionally.
     """
     sorts, feats = _collect_symbols(phi, alpha)
     sorts.add(_EXTRA_SORT)
     feats.add(_EXTRA_FEAT)
     remaining = [budget]
+    # never advanced, so each copy starts from the first candidate and
+    # all copies share one lazily filled buffer
+    (candidates,) = itertools.tee(enumerate_values(kind, sorts, feats, node_bound), 1)
 
     def ev(psi: Formula, env: Mapping[VarId, Value]) -> bool | None:
         if isinstance(psi, Top):
@@ -546,7 +576,7 @@ def evaluate(
             return a == b
         if isinstance(psi, (Exists, Forall)):
             existential = isinstance(psi, Exists)
-            for v in enumerate_values(kind, sorts, feats, node_bound):
+            for v in copy.copy(candidates):
                 if remaining[0] <= 0:
                     return None
                 remaining[0] -= 1
@@ -560,7 +590,12 @@ def evaluate(
             return None
         raise ValueError(f"cannot evaluate {psi!r}")
 
-    return ev(phi, dict(alpha))
+    try:
+        return ev(phi, dict(alpha))
+    finally:
+        # ev refers to itself, so its closure outlives this call until the
+        # cyclic collector runs: release the candidates now
+        candidates = None
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .core import (
     BOTTOM,
@@ -36,7 +37,6 @@ from .core import (
     atom_vars,
     conj,
     exists_all,
-    substitute_atom,
 )
 from .paths import Agree, PathConstraint, RootedPath, SortAt, prime_closure_contains
 from .solve import SolvedFormula, basic_simplify, is_solved_formula
@@ -115,47 +115,46 @@ def is_prime_formula(beta: PrimeFormula) -> bool:
     return beta.bound <= reached
 
 
+def requantify(bound: Iterable[VarId], body: SolvedFormula) -> PrimeFormula:
+    """A prime formula equivalent to ``exists bound`` applied to ``body``.
+
+    The variables in ``bound`` may sit anywhere in the solved body.
+    Equations whose left side is quantified are dropped: that variable
+    occurs nowhere else.  A quantified variable that still represents
+    free ones is renamed to the least of them by name, whose equation is
+    dropped.  Then one breadth-first pass from the free variables keeps
+    what it reaches; the rest of the graph, with its bound variables, is
+    garbage collected, and solved-clause satisfiability guarantees the
+    dropped constraints never exclude a solution.
+    """
+    quantified = frozenset(bound)
+    if not quantified:
+        return PrimeFormula(quantified, body)
+    eqs = [eq for eq in body.normalizer if eq.lhs not in quantified]
+    rename: dict[VarId, VarId] = {}
+    for eq in eqs:
+        if eq.rhs in quantified:
+            rename[eq.rhs] = min(eq.lhs, rename.get(eq.rhs, eq.lhs))
+    normalizer = tuple(
+        Eq(eq.lhs, rename.get(eq.rhs, eq.rhs)) for eq in eqs if rename.get(eq.rhs) != eq.lhs
+    )
+    graph = tuple(_rename_atom(a, rename) for a in body.graph) if rename else body.graph
+    renamed = SolvedFormula(normalizer, graph)
+    reached = _graph_reachable(renamed, set(renamed.variables - quantified))
+    dropped = quantified - reached
+    kept = tuple(a for a in graph if dropped.isdisjoint(atom_vars(a)))
+    return PrimeFormula(quantified & reached, SolvedFormula(normalizer, kept))
+
+
 def mk_prime_exists(x: VarId, beta: PrimeFormula) -> PrimeFormula:
     """A prime formula equivalent to ``exists x`` applied to ``beta``.
 
-    Four cases, by where x sits: absent (no change), eliminated by an
-    equation (drop the equation), the target of an equation (rename x to
-    the eliminated side), or a graph variable.  In the last case the
-    parts of the graph no longer reachable from the remaining free
-    variables are garbage collected; solved-clause satisfiability
-    guarantees the dropped constraints never exclude a solution.
+    ``beta`` itself when x is not free in it; otherwise ``requantify``
+    with x added to the bound variables.
     """
     if x not in beta.free_vars:
         return beta
-    body = beta.body
-
-    for i, eq in enumerate(body.normalizer):
-        if eq.lhs == x:
-            trimmed = body.normalizer[:i] + body.normalizer[i + 1 :]
-            return PrimeFormula(beta.bound, SolvedFormula(trimmed, body.graph))
-
-    rhs_eqs = [eq for eq in body.normalizer if eq.rhs == x]
-    if rhs_eqs:
-        eq = min(rhs_eqs, key=atom_key)
-        y = eq.lhs
-        rest = tuple(e for e in body.normalizer if e is not eq)
-        new_norm = tuple(substitute_atom(e, x, y) for e in rest)
-        new_graph = tuple(substitute_atom(a, x, y) for a in body.graph)
-        return PrimeFormula(beta.bound, SolvedFormula(new_norm, new_graph))
-
-    # x occurs in the graph only: collect the unreachable region
-    quantified = set(beta.bound) | {x}
-    graph_vars: set[VarId] = set()
-    for a in body.graph:
-        graph_vars.update(atom_vars(a))
-    roots = graph_vars - quantified
-    reached = _graph_reachable(body, roots)
-    kept_bound = quantified & reached
-    dropped = quantified - reached
-    kept_graph = tuple(
-        a for a in body.graph if not (set(atom_vars(a)) & dropped)
-    )
-    return PrimeFormula(frozenset(kept_bound), SolvedFormula(body.normalizer, kept_graph))
+    return requantify(beta.bound | {x}, beta.body)
 
 
 def _rename_bound(
@@ -166,10 +165,8 @@ def _rename_bound(
         return beta
     mapping = {v: sym.fresh_var(v.name) for v in clashes}
     bound = frozenset(mapping.get(v, v) for v in beta.bound)
-    graph = list(beta.body.graph)
-    for old, new in mapping.items():
-        graph = [substitute_atom(a, old, new) for a in graph]
-    return PrimeFormula(bound, SolvedFormula(beta.body.normalizer, tuple(graph)))
+    graph = tuple(_rename_atom(a, mapping) for a in beta.body.graph)
+    return PrimeFormula(bound, SolvedFormula(beta.body.normalizer, graph))
 
 
 def prime_conj(
@@ -178,9 +175,8 @@ def prime_conj(
     """Conjunction of two primes: prime again, or ``false``.
 
     Bound variables are renamed apart, the combined bodies run through
-    basic simplification, and the surviving bound variables are
-    requantified one at a time.  Variables that landed in the normalizer
-    are requantified first, so each step starts from a valid prime.
+    basic simplification, and the bound variables of both sides are
+    requantified together over the solved result.
     """
     beta2 = _rename_bound(sym, beta2, beta.body.variables | beta.bound)
     beta = _rename_bound(sym, beta, beta2.body.variables | beta2.bound)
@@ -188,17 +184,7 @@ def prime_conj(
     solved = basic_simplify(combined)
     if isinstance(solved, Bottom):
         return BOTTOM
-    pending = sorted(beta.bound | beta2.bound)
-    norm_vars: set[VarId] = set()
-    for eq in solved.normalizer:
-        norm_vars.update((eq.lhs, eq.rhs))
-    ordered = [v for v in pending if v in norm_vars] + [
-        v for v in pending if v not in norm_vars
-    ]
-    out = PrimeFormula(frozenset(), solved)
-    for v in ordered:
-        out = mk_prime_exists(v, out)
-    return out
+    return requantify(beta.bound | beta2.bound, solved)
 
 
 def simplify_epc(sym: Symbols, phi: Formula) -> PrimeFormula | Bottom:

@@ -56,7 +56,6 @@ from .prime import (
     prime_conj,
     prime_to_formula,
 )
-from .solve import SolvedFormula
 
 DEFAULT_MAX_DNF_CLAUSES = 10000
 
@@ -209,7 +208,7 @@ def is_free(beta: PrimeFormula, rp: RootedPath) -> bool:
         return out
 
     gvars = body.variables
-    binding = body.binding if isinstance(body, SolvedFormula) else {}
+    binding = body.binding
 
     def co_reached(z: VarId) -> bool:
         # is z also the target of y.q for some admissible y distinct from x?

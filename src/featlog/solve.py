@@ -16,6 +16,12 @@ applies: every equation's left-hand variable occurs nowhere else, and
 the remaining atoms form a solved clause (no duplicates, at most one
 sort per variable, deterministic features, no edge next to a matching
 exclusion).
+
+The rules are the specification.  ``basic_simplify`` implements them by
+congruence closure over a union-find of variables (Ait-Kaci & Nasr 1986;
+Ait-Kaci, Podelski & Smolka 1994), whose fixed point is unique up to the
+variable that represents each class: after x = y the class of y
+represents x, and of two merged edges the later one in the input stays.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .core import (
     atom_key,
     atom_vars,
     conj,
-    substitute_atom,
 )
 
 ClauseAtom = Union[SortC, FeatC, Excl]
@@ -82,15 +87,6 @@ class SolvedClause:
         for a in self.atoms:
             out.update(atom_vars(a))
         return frozenset(out)
-
-    # solved clauses carry no equations
-    @property
-    def normalizer(self) -> tuple[Eq, ...]:
-        return ()
-
-    @property
-    def graph(self) -> tuple[ClauseAtom, ...]:
-        return self.atoms
 
     def __str__(self) -> str:
         return str(clause_to_formula(self))
@@ -142,96 +138,92 @@ TOP_SOLVED = SolvedFormula((), ())
 def basic_simplify(phi: BasicFormula | Bottom) -> SolvedFormula | Bottom:
     """Rewrite a basic formula to a solved formula or ``false``.
 
-    The rules are applied in a fixed strategy so results are
-    reproducible: reflexive equations first, then the least applicable
-    substitution, then the clause rules (sort clash, duplicate sort,
-    feature merge).  Any maximal strategy reaches an equivalent solved
-    form; this one pins the orientation of derived equations and the
-    retained copy of merged feature constraints.
+    One union-find pass over the atoms in input order.  An equation
+    x = y puts the class of x under the class of y.  Two edges with the
+    same feature out of one class put the class of the earlier edge's
+    target under the class of the later one's, and the later edge stays;
+    the merges this causes run as a worklist until no (class, feature)
+    key repeats.  Two different sorts on one class give ``false``.  The
+    result is emitted once, in ``atom_key`` order: ``v = rep(v)`` for
+    each variable that does not represent its class, then one sort per
+    sorted class and one edge per (class, feature), over representatives.
     """
     if isinstance(phi, Bottom):
         return BOTTOM
-    atoms: list[Atom] = list(phi.atoms)
+    # union-find over integer nodes; names key the tables because their
+    # hashes are cached, and identifiers are equal exactly when names are
+    node: dict[str, int] = {}
+    var: list[VarId] = []
+    for a in phi.atoms:
+        for v in atom_vars(a):
+            if v.name not in node:
+                node[v.name] = len(var)
+                var.append(v)
+    parent = list(range(len(var)))
+    # per class root: feature name -> (input position, target node, edge)
+    out_edges: dict[int, dict[str, tuple[int, int, FeatC]]] = {}
 
-    while True:
-        # rule 5: drop x = x
-        drop = next(
-            (i for i, a in enumerate(atoms) if isinstance(a, Eq) and a.lhs == a.rhs),
-            None,
-        )
-        if drop is not None:
-            atoms.pop(drop)
-            continue
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
-        # rule 4: substitute through the least applicable equation
-        occ: Counter[VarId] = Counter()
-        for a in atoms:
-            occ.update(atom_vars(a))
-        pick: tuple | None = None
-        pick_at = -1
-        for i, a in enumerate(atoms):
-            if isinstance(a, Eq) and occ[a.lhs] >= 2:
-                k = atom_key(a)
-                if pick is None or k < pick:
-                    pick = k
-                    pick_at = i
-        if pick is not None:
-            eq = atoms[pick_at]
-            assert isinstance(eq, Eq)
-            atoms = [
-                a if i == pick_at else substitute_atom(a, eq.lhs, eq.rhs)
-                for i, a in enumerate(atoms)
-            ]
-            continue
-
-        # rule 2: clashing sorts give false
-        sort_at: dict[VarId, int] = {}
-        dup_sort = None
-        for i, a in enumerate(atoms):
-            if isinstance(a, SortC):
-                j = sort_at.get(a.var)
-                if j is None:
-                    sort_at[a.var] = i
-                elif atoms[j].sort != a.sort:
-                    return BOTTOM
-                elif dup_sort is None:
-                    dup_sort = i
-        # rule 3: drop one duplicate sort constraint
-        if dup_sort is not None:
-            atoms.pop(dup_sort)
-            continue
-
-        # rule 1: merge feature constraints with the same source and feature
-        edge_at: dict[tuple[VarId, FeatId], int] = {}
-        merged = False
-        for i, a in enumerate(atoms):
-            if isinstance(a, FeatC):
-                key = (a.src, a.feat)
-                j = edge_at.get(key)
-                if j is None:
-                    edge_at[key] = i
+    def union(pending: list[tuple[int, int]]) -> None:
+        # put the class of the first node under the class of the second
+        while pending:
+            x, y = pending.pop()
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                continue
+            parent[rx] = ry
+            moved = out_edges.pop(rx, None)
+            if moved is None:
+                continue
+            kept = out_edges.setdefault(ry, moved)
+            if kept is moved:
+                continue
+            if len(moved) > len(kept):
+                # which edge stays depends on positions only: merge the smaller row
+                out_edges[ry] = moved
+                moved, kept = kept, moved
+            for f, edge in moved.items():
+                other = kept.get(f)
+                if other is None:
+                    kept[f] = edge
+                elif edge[0] < other[0]:
+                    pending.append((edge[1], other[1]))
                 else:
-                    first = atoms[j]
-                    assert isinstance(first, FeatC)
-                    atoms.pop(j)
-                    atoms.append(Eq(first.dst, a.dst))
-                    merged = True
-                    break
-        if merged:
-            continue
-        break
+                    kept[f] = edge
+                    pending.append((other[1], edge[1]))
 
-    # enforce "no atomic formula occurs twice"; a no-op at the fixed point
-    seen: set[Atom] = set()
-    unique: list[Atom] = []
-    for a in atoms:
-        if a not in seen:
-            seen.add(a)
-            unique.append(a)
+    for pos, a in enumerate(phi.atoms):
+        if isinstance(a, Eq):
+            union([(node[a.lhs.name], node[a.rhs.name])])
+        elif isinstance(a, FeatC):
+            row = out_edges.setdefault(find(node[a.src.name]), {})
+            dst = node[a.dst.name]
+            earlier = row.get(a.feat.name)
+            row[a.feat.name] = (pos, dst, a)
+            if earlier is not None:
+                union([(earlier[1], dst)])
 
-    normalizer = tuple(a for a in unique if isinstance(a, Eq))
-    graph = tuple(a for a in unique if not isinstance(a, Eq))
-    result = SolvedFormula(normalizer, graph)
+    sorts: dict[int, SortC] = {}
+    for a in phi.atoms:
+        if isinstance(a, SortC):
+            if sorts.setdefault(find(node[a.var.name]), a).sort.name != a.sort.name:
+                return BOTTOM
+    rep = [var[find(i)] for i in range(len(var))]
+    normalizer = sorted((Eq(v, r) for v, r in zip(var, rep) if v is not r), key=atom_key)
+    # input atoms already over representatives are kept as they are
+    graph: list[GraphAtom] = [
+        a if a.var is var[r] else SortC(a.sort, var[r]) for r, a in sorts.items()
+    ]
+    for r, row in out_edges.items():
+        for _pos, t, a in row.values():
+            src, dst = var[r], rep[t]
+            graph.append(a if a.src is src and a.dst is dst else FeatC(src, a.feat, dst))
+    graph.sort(key=atom_key)
+    result = SolvedFormula(tuple(normalizer), tuple(graph))
     assert is_solved_formula(result), "simplification did not reach a solved form"
     return result
 
@@ -287,7 +279,7 @@ def is_solved_formula(phi: BasicFormula | SolvedFormula) -> bool:
 def constrained_vars(delta: SolvedClause | SolvedFormula | Iterable[Atom]) -> set[VarId]:
     """Variables carrying a sort, an outgoing edge, or an exclusion."""
     if isinstance(delta, (SolvedClause, SolvedFormula)):
-        atoms: Iterable[Atom] = delta.graph
+        atoms: Iterable[Atom] = delta.atoms
     else:
         atoms = delta
     out: set[VarId] = set()

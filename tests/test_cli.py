@@ -123,14 +123,16 @@ def test_output_is_deterministic_across_processes(tmp_path):
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    src = str(Path(__file__).resolve().parent.parent / "src")
     path = write(
         tmp_path,
         "forall y. (f(x, y) -> exists z. (g(y, z) & A(z)))",
     )
     outs = set()
     for seed in ("0", "1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-m", "featlog", "decide", path],
             capture_output=True,

@@ -15,7 +15,6 @@ from featlog import (
     Path,
     SortC,
     Symbols,
-    decompose,
     free_vars,
     substitute,
 )
@@ -136,27 +135,6 @@ def test_substitute_free_var_property(sym):
         got = free_vars(substitute(phi, x, y))
         assert got == (fv - {x}) | {y}
         assert x not in got
-
-
-def test_decompose_examples(sym):
-    A = sym.sort("A")
-    f = sym.feat("f")
-    x, y = sym.var("x"), sym.var("y")
-    eqs, graph = decompose(BasicFormula((Eq(x, y), SortC(A, y))))
-    assert eqs == (Eq(x, y),)
-    assert graph == (SortC(A, y),)
-    assert decompose(BasicFormula(())) == ((), ())
-    dup = BasicFormula((FeatC(x, f, y), FeatC(x, f, y)))
-    eqs, graph = decompose(dup)
-    assert eqs == () and graph == (FeatC(x, f, y), FeatC(x, f, y))
-
-
-def test_decompose_reconstructs_multiset(sym):
-    rng = random.Random(1)
-    for _ in range(50):
-        basic = random_basic_formula(rng, sym)
-        eqs, graph = decompose(basic)
-        assert BasicFormula(eqs + graph).same_multiset(basic)
 
 
 def test_basic_formula_rejects_exclusions(sym):

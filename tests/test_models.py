@@ -1,25 +1,27 @@
-import contextlib
 import json
 import random
-import signal
 
 import pytest
 
 from featlog import (
+    Agree,
     Atomic,
     Eq,
     Excl,
     FeatC,
     Path,
     PrimeFormula,
+    Reach,
     SolvedClause,
     SolvedFormula,
+    SortAt,
     SortC,
     evaluate,
     expand_sugar,
     feature_graph,
     feature_tree,
     graph_canonical,
+    holds_path_constraint,
     parse_formula,
     pregraph_to_graph,
     satisfies_prime,
@@ -35,9 +37,9 @@ from featlog.core import EPS, Exists, Forall, conj
 from featlog.models import enumerate_values, root_sort, subvalue, subvalues, walk_value
 from featlog.solve import clause_to_formula
 
-from generators import random_tree_value, random_valuation
+from generators import pools, random_tree_value, random_valuation
 from oracles import naive_bisimilarity, naive_reachable
-from test_solve import fig2_clause
+from test_solve import _wall_limit, fig2_clause
 
 
 def test_subtree_identity_and_missing_edge(sym):
@@ -237,6 +239,29 @@ def test_oracle_consistency_on_labeled_graphs(sym):
         )
 
 
+def test_path_constraints_agree_with_walked_subvalues(sym):
+    """Comparing end nodes inside a tree matches comparing re-rooted values."""
+    rng = random.Random(44)
+    sorts, feats, vs = pools(sym, n_sorts=2, n_feats=2, n_vars=3)
+    agreed = 0
+    for _ in range(600):
+        alpha = random_valuation(
+            rng, sym, vs, rng.choice(["tree", "graph"]), max_nodes=4, n_sorts=1, n_feats=2
+        )
+        if rng.random() < 0.5:
+            alpha[vs[1]] = alpha[vs[0]]
+        x, y = rng.choice(vs), rng.choice(vs)
+        p, q = (Path(tuple(rng.choices(feats, k=rng.randint(0, 2)))) for _ in "pq")
+        a, b = walk_value(alpha[x], p), walk_value(alpha[y], q)
+        same = a is not None and a == b
+        agreed += same
+        assert holds_path_constraint(alpha, Agree(x, p, y, q)) == same
+        assert holds_path_constraint(alpha, Reach(x, p, y)) == (a is not None and a == alpha[y])
+        s = rng.choice(sorts)
+        assert holds_path_constraint(alpha, SortAt(s, x, p)) == (a is not None and root_sort(a) == s)
+    assert agreed > 60
+
+
 def test_graph_canonical_examples(sym):
     x, y, u = sym.var("x"), sym.var("y"), sym.var("u")
     f, g = sym.feat("f"), sym.feat("g")
@@ -298,28 +323,22 @@ def test_json_serialization(sym):
     assert vd2["vars"]["x"] == vd2["vars"]["y"]
 
 
-@contextlib.contextmanager
-def _wall_limit(seconds: float):
-    """Fail with TimeoutError instead of hanging past the limit."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"over {seconds} s of wall time")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _chain_value(sym, build, n):
     """A one-sorted n-node chain; no two of its nodes are bisimilar."""
     A, f = sym.sort("A"), sym.feat("f")
     v = build(0, {i: A for i in range(n)}, {(i, f): i + 1 for i in range(n - 1)})
     assert len(v.labels) == n
     assert v.edges[n - 2] == ((f, n - 1),)
+
+
+def _satisfies_chain(sym, n):
+    """A chain prime checked on a library-built chain tree."""
+    A, f = sym.sort("A"), sym.feat("f")
+    xs = [sym.var(f"x{i}") for i in range(n)]
+    graph = tuple(FeatC(xs[i], f, xs[i + 1]) for i in range(n - 1))
+    beta = PrimeFormula(frozenset(xs[1:]), SolvedFormula((), graph + tuple(SortC(A, x) for x in xs)))
+    tree = feature_tree(0, {i: A for i in range(n)}, {(i, f): i + 1 for i in range(n - 1)})
+    assert satisfies_prime({xs[0]: tree}, beta)
 
 
 def _chain_text(n):
@@ -349,6 +368,7 @@ def _witness_at_scale(sym, make_text, n):
         pytest.param(
             lambda sym: _witness_at_scale(sym, _marked_cycle_text, 200), id="witness-marked-cycle-200"
         ),
+        pytest.param(lambda sym: _satisfies_chain(sym, 1500), id="satisfies-chain-1500"),
     ],
 )
 def test_values_at_scale(sym, run):

@@ -28,9 +28,9 @@ from featlog import (
     witness_prime,
 )
 from featlog.core import EPS, free_vars
-from featlog.prime import from_atom, prime_to_formula
+from featlog.prime import from_atom, prime_to_formula, requantify
 
-from generators import random_prime
+from generators import random_prime, random_solved_formula
 
 
 def epc(sym, text):
@@ -67,6 +67,21 @@ def test_mk_exists_keeps_reachable_variables_bound(sym):
     got = mk_prime_exists(sym.var("x"), beta)
     assert got.bound == {sym.var("x")}
     assert is_prime_formula(got)
+
+
+def test_requantify_equals_sequential_exists(sym):
+    """Quantifying a set at once equals one variable at a time, in any order."""
+    rng = random.Random(43)
+    for _ in range(400):
+        body = random_solved_formula(rng, sym, max_atoms=rng.randint(1, 14))
+        vs = sorted(body.variables)
+        bound = rng.sample(vs, rng.randint(0, len(vs)))
+        once = requantify(bound, body)
+        assert is_prime_formula(once)
+        seq = PrimeFormula(frozenset(), body)
+        for v in bound:
+            seq = mk_prime_exists(v, seq)
+        assert canonicalize(sym, once) == canonicalize(sym, seq)
 
 
 def test_prime_conj_detects_clash(sym):

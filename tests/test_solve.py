@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 
 import pytest
 
@@ -25,7 +27,7 @@ from featlog import (
 from featlog.core import Atomic, conj
 
 from generators import random_basic_formula, random_valuation
-from oracles import simplification_rule_applies
+from oracles import randomized_simplify, simplification_rule_applies
 
 
 def fig2_clause(sym) -> SolvedClause:
@@ -174,8 +176,6 @@ def test_bottom_inputs_stay_bottom():
 
 def test_any_maximal_strategy_gives_an_equivalent_result(sym):
     """Random rule orders land on false together or on equivalent forms."""
-    from oracles import randomized_simplify, simplification_rule_applies
-
     rng = random.Random(40)
     compared = 0
     for _ in range(150):
@@ -220,3 +220,83 @@ def test_simplification_agrees_with_the_full_decision_procedure(sym):
                 sorted(basic.variables), Iff(phi_in, solved_to_formula(solved))
             )
         assert classify(sym, closed).kind == VALID
+
+
+def _structure(variables, atoms):
+    """Classes of equated variables, the sort per class, and the target
+    class per (class, feature) of a solved formula's atoms."""
+    rep = {v: v for v in variables}
+    for a in atoms:
+        if isinstance(a, Eq):
+            rep[a.lhs] = a.rhs
+    members: dict = {}
+    for v in variables:
+        members.setdefault(rep[v], set()).add(v)
+    cls = {v: frozenset(members[rep[v]]) for v in variables}
+    sorts = {cls[a.var]: a.sort for a in atoms if isinstance(a, SortC)}
+    edges = {(cls[a.src], a.feat): cls[a.dst] for a in atoms if isinstance(a, FeatC)}
+    return set(cls.values()), sorts, edges
+
+
+def test_union_find_agrees_with_random_rule_orders_on_structure(sym):
+    """Same partition, sorts per class and edge targets as the rules."""
+    rng = random.Random(42)
+    compared = 0
+    for _ in range(2000):
+        basic = random_basic_formula(
+            rng,
+            sym,
+            max_atoms=30,
+            n_vars=rng.randint(2, 14),
+            n_sorts=rng.randint(1, 3),
+            n_feats=rng.randint(1, 3),
+        )
+        fixed = basic_simplify(basic)
+        other = randomized_simplify(rng, basic)
+        if isinstance(fixed, Bottom) or other is None:
+            assert isinstance(fixed, Bottom) and other is None
+            continue
+        compared += 1
+        assert _structure(basic.variables, fixed.atoms) == _structure(basic.variables, other)
+    assert compared > 800
+
+
+@contextlib.contextmanager
+def _wall_limit(seconds: float):
+    """Fail with TimeoutError instead of hanging past the limit."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s of wall time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_simplify_at_scale(sym):
+    """10k-atom inputs: an equation chain whose edges all merge, and a
+    congruence cascade down two edge chains joined by one equation."""
+    A, f = sym.sort("A"), sym.feat("f")
+    n = 5000
+    xs = [sym.var(f"x{i}") for i in range(n + 1)]
+    ys = [sym.var(f"y{i}") for i in range(n)]
+    chain = BasicFormula(
+        tuple(a for i in range(n) for a in (Eq(xs[i], xs[i + 1]), FeatC(xs[i], f, ys[i])))
+    )
+    bs = [sym.var(f"b{i}") for i in range(n + 1)]
+    cascade = BasicFormula(
+        tuple(FeatC(xs[i], f, xs[i + 1]) for i in range(n))
+        + tuple(FeatC(bs[i], f, bs[i + 1]) for i in range(n))
+        + (SortC(A, bs[n]), Eq(xs[0], bs[0]))
+    )
+    with _wall_limit(10.0):
+        merged = basic_simplify(chain)
+        cascaded = basic_simplify(cascade)
+    assert merged.graph == (FeatC(xs[n], f, ys[n - 1]),)
+    assert len(merged.normalizer) == 2 * n - 1
+    assert cascaded.normalizer == tuple(Eq(xs[i], bs[i]) for i in sorted(range(n + 1), key=str))
+    assert SortC(A, bs[n]) in cascaded.graph and len(cascaded.graph) == n + 1
