@@ -248,6 +248,17 @@ def substitute_atom(a: Atom, x: VarId, y: VarId) -> Atom:
     return Excl(y, a.feat) if a.var == x else a
 
 
+def rename_atom(a: Atom, mapping: dict[VarId, VarId]) -> Atom:
+    """Replace every variable of ``a`` by its image under ``mapping``."""
+    if isinstance(a, SortC):
+        return SortC(a.sort, mapping.get(a.var, a.var))
+    if isinstance(a, FeatC):
+        return FeatC(mapping.get(a.src, a.src), a.feat, mapping.get(a.dst, a.dst))
+    if isinstance(a, Eq):
+        return Eq(mapping.get(a.lhs, a.lhs), mapping.get(a.rhs, a.rhs))
+    return Excl(mapping.get(a.var, a.var), a.feat)
+
+
 # ---------------------------------------------------------------------------
 # Formulae
 

@@ -18,28 +18,26 @@ from typing import Iterable
 from .core import (
     BOTTOM,
     EPS,
-    And,
     Atom,
     Atomic,
     BasicFormula,
     Bottom,
     Eq,
     Excl,
-    Exists,
     FeatC,
     FeatId,
     Formula,
     SortC,
     Symbols,
-    Top,
     VarId,
     atom_key,
     atom_vars,
     conj,
     exists_all,
+    rename_atom,
 )
 from .paths import Agree, PathConstraint, RootedPath, SortAt, prime_closure_contains
-from .solve import SolvedFormula, basic_simplify, is_solved_formula
+from .solve import SolvedFormula, basic_simplify, conjunction_atoms, is_solved_formula
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ def requantify(bound: Iterable[VarId], body: SolvedFormula) -> PrimeFormula:
     normalizer = tuple(
         Eq(eq.lhs, rename.get(eq.rhs, eq.rhs)) for eq in eqs if rename.get(eq.rhs) != eq.lhs
     )
-    graph = tuple(_rename_atom(a, rename) for a in body.graph) if rename else body.graph
+    graph = tuple(rename_atom(a, rename) for a in body.graph) if rename else body.graph
     renamed = SolvedFormula(normalizer, graph)
     reached = _graph_reachable(renamed, set(renamed.variables - quantified))
     dropped = quantified - reached
@@ -157,58 +155,68 @@ def mk_prime_exists(x: VarId, beta: PrimeFormula) -> PrimeFormula:
     return requantify(beta.bound | {x}, beta.body)
 
 
-def _rename_bound(
-    sym: Symbols, beta: PrimeFormula, avoid: frozenset[VarId]
-) -> PrimeFormula:
-    clashes = sorted(beta.bound & avoid)
-    if not clashes:
-        return beta
-    mapping = {v: sym.fresh_var(v.name) for v in clashes}
-    bound = frozenset(mapping.get(v, v) for v in beta.bound)
-    graph = tuple(_rename_atom(a, mapping) for a in beta.body.graph)
-    return PrimeFormula(bound, SolvedFormula(beta.body.normalizer, graph))
-
-
-def prime_conj(
-    sym: Symbols, beta: PrimeFormula, beta2: PrimeFormula
-) -> PrimeFormula | Bottom:
-    """Conjunction of two primes: prime again, or ``false``.
-
-    Bound variables are renamed apart, the combined bodies run through
-    basic simplification, and the bound variables of both sides are
-    requantified together over the solved result.
-    """
-    beta2 = _rename_bound(sym, beta2, beta.body.variables | beta.bound)
-    beta = _rename_bound(sym, beta, beta2.body.variables | beta2.bound)
-    combined = BasicFormula(beta.body.atoms + beta2.body.atoms)
-    solved = basic_simplify(combined)
+def _prime_of_atoms(atoms: list[Atom], bound: list[VarId]) -> PrimeFormula | Bottom:
+    """Solve the atoms once, then quantify the bound variables once."""
+    solved = basic_simplify(BasicFormula(tuple(atoms)))
     if isinstance(solved, Bottom):
         return BOTTOM
-    return requantify(beta.bound | beta2.bound, solved)
+    return requantify(bound, solved)
+
+
+def prime_conj(sym: Symbols, *primes: PrimeFormula) -> PrimeFormula | Bottom:
+    """Conjunction of primes: prime again, or ``false``.
+
+    No primes give true, and one prime is returned as it is.  Otherwise
+    bound variables are renamed apart in one pass: a bound variable gets
+    a fresh name when it occurs free in another prime or is bound in an
+    earlier one.  The bodies together run through one basic
+    simplification, and all bound variables are requantified together
+    over the solved result.
+    """
+    if len(primes) < 2:
+        return primes[0] if primes else TOP_PRIME
+    taken: set[VarId] = set()
+    for beta in primes:
+        taken |= beta.free_vars
+    atoms: list[Atom] = []
+    bound: list[VarId] = []
+    for beta in primes:
+        mapping = {v: sym.fresh_var(v.name) for v in sorted(beta.bound & taken)}
+        taken |= beta.bound
+        bound.extend(mapping.get(v, v) for v in beta.bound)
+        atoms.extend(beta.body.normalizer)
+        if mapping:
+            atoms.extend(rename_atom(a, mapping) for a in beta.body.graph)
+        else:
+            atoms.extend(beta.body.graph)
+    return _prime_of_atoms(atoms, bound)
 
 
 def simplify_epc(sym: Symbols, phi: Formula) -> PrimeFormula | Bottom:
-    """Solve a formula built from atoms, conjunction, and ``exists``."""
-    if isinstance(phi, Top):
-        return TOP_PRIME
-    if isinstance(phi, Bottom):
+    """Solve a formula built from atoms, conjunction, and ``exists``.
+
+    One walk collects the atoms and the quantified variables, and
+    rejects any other connective before anything is solved.  A
+    quantifier keeps its variable unless that variable also occurs free
+    or is bound by an earlier quantifier; only then a second walk renames
+    it to a fresh one.  The atoms are solved once and the quantified
+    variables requantified once.
+    """
+    walked = conjunction_atoms(phi, binder=lambda x: x)
+    if isinstance(walked, Bottom):
         return BOTTOM
-    if isinstance(phi, Atomic):
-        return from_atom(phi.atom)
-    if isinstance(phi, And):
-        lhs = simplify_epc(sym, phi.lhs)
-        if isinstance(lhs, Bottom):
-            return BOTTOM
-        rhs = simplify_epc(sym, phi.rhs)
-        if isinstance(rhs, Bottom):
-            return BOTTOM
-        return prime_conj(sym, lhs, rhs)
-    if isinstance(phi, Exists):
-        inner = simplify_epc(sym, phi.body)
-        if isinstance(inner, Bottom):
-            return BOTTOM
-        return mk_prime_exists(phi.var, inner)
-    raise ValueError("only atoms, conjunction, and 'exists' are allowed here")
+    atoms, bound, free = walked
+    if len(set(bound)) < len(bound) or not free.isdisjoint(bound):
+        taken = set(free)
+
+        def binder(x: VarId) -> VarId:
+            if x in taken:
+                return sym.fresh_var(x.name)
+            taken.add(x)
+            return x
+
+        atoms, bound, _ = conjunction_atoms(phi, binder)
+    return _prime_of_atoms(atoms, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +256,15 @@ def projection(beta: PrimeFormula) -> tuple[PathConstraint, ...]:
     sort constraint a sort-at-path through the access function, and
     every feature constraint an agreement between the extended source
     address and the target address.
+
+    The constraints are distinct by construction, so none is dropped:
+    the equations' left sides are distinct, so their agreements are; a
+    variable has one sort and each (source, feature) one edge, so sort
+    constraints differ in their variable and edge agreements in their
+    (source, feature); the access function is injective, so distinct
+    variables, and distinct (source, feature) pairs extended by the
+    feature, have distinct addresses; and edge agreements have a
+    non-empty left path, which no equation's agreement has.
     """
     acc = access_function(beta)
     body = beta.body
@@ -261,13 +278,7 @@ def projection(beta: PrimeFormula) -> tuple[PathConstraint, ...]:
         src = acc[a.src]
         dst = acc[a.dst]
         out.append(Agree(src.root, src.path.append(a.feat), dst.root, dst.path))
-    deduped: list[PathConstraint] = []
-    seen: set[PathConstraint] = set()
-    for pi in out:
-        if pi not in seen:
-            seen.add(pi)
-            deduped.append(pi)
-    return tuple(deduped)
+    return tuple(out)
 
 
 def prime_entails(beta: PrimeFormula, beta2: PrimeFormula) -> bool:
@@ -307,21 +318,11 @@ def canonicalize(sym: Symbols, beta: PrimeFormula) -> PrimeFormula:
             names.append(cand)
     mapping = {v: sym.var(n) for v, n in zip(ordered, names)}
     graph = tuple(
-        _rename_atom(a, mapping) for a in beta.body.graph
+        rename_atom(a, mapping) for a in beta.body.graph
     )
     normalizer = tuple(sorted(beta.body.normalizer, key=atom_key))
     graph = tuple(sorted(graph, key=atom_key))
     return PrimeFormula(frozenset(mapping.values()), SolvedFormula(normalizer, graph))
-
-
-def _rename_atom(a: Atom, mapping: dict[VarId, VarId]) -> Atom:
-    if isinstance(a, SortC):
-        return SortC(a.sort, mapping.get(a.var, a.var))
-    if isinstance(a, FeatC):
-        return FeatC(mapping.get(a.src, a.src), a.feat, mapping.get(a.dst, a.dst))
-    if isinstance(a, Eq):
-        return Eq(mapping.get(a.lhs, a.lhs), mapping.get(a.rhs, a.rhs))
-    return Excl(mapping.get(a.var, a.var), a.feat)
 
 
 def prime_to_formula(beta: PrimeFormula) -> Formula:

@@ -293,17 +293,14 @@ def eliminate_clause(
 ) -> BoolComb:
     """Eliminate ``exists x`` from a conjunction of prime literals.
 
-    The positive literals merge into a single prime (or the clause is
-    unsatisfiable); with no negatives a single quantification remains,
-    and otherwise the existential distributes over the negated literals
-    one at a time.
+    The positive literals merge into a single prime in one conjunction
+    (or the clause is unsatisfiable); with no negatives a single
+    quantification remains, and otherwise the existential distributes
+    over the negated literals one at a time.
     """
-    beta = TOP_PRIME
-    for b in positives:
-        merged = prime_conj(sym, beta, b)
-        if isinstance(merged, Bottom):
-            return BC_FALSE
-        beta = merged
+    beta = prime_conj(sym, *positives)
+    if isinstance(beta, Bottom):
+        return BC_FALSE
     if not negatives:
         return _leaf(sym, mk_prime_exists(x, beta))
     return bc_and(*[eliminate_neg(sym, x, beta, b) for b in negatives])

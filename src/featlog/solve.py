@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .core import (
     BOTTOM,
@@ -39,6 +39,7 @@ from .core import (
     Bottom,
     Eq,
     Excl,
+    Exists,
     FeatC,
     FeatId,
     Formula,
@@ -50,6 +51,7 @@ from .core import (
     atom_key,
     atom_vars,
     conj,
+    rename_atom,
 )
 
 ClauseAtom = Union[SortC, FeatC, Excl]
@@ -301,30 +303,76 @@ def parameters(delta: SolvedClause) -> set[VarId]:
 # conversions
 
 
+def conjunction_atoms(
+    phi: Formula, binder: Callable[[VarId], VarId] | None = None
+) -> tuple[list[Atom], list[VarId], set[VarId]] | Bottom:
+    """The atoms of a conjunction in left-to-right order, or ``false``.
+
+    One iterative walk over true, false, sort, feature and equation
+    atoms and conjunction, and over ``exists`` when a ``binder`` is
+    given: ``binder(x)`` returns the variable that stands for x inside
+    the quantifier's scope.  Returns the atoms, the variables the binder
+    returned in the order the quantifiers were met, and the variables
+    that occur free (left empty without a binder).  Any other node raises ValueError, also after a
+    ``false``, so rejection does not depend on the order of conjuncts.
+    """
+    atoms: list[Atom] = []
+    bound: list[VarId] = []
+    free: set[VarId] = set()
+    scope: dict[VarId, VarId] = {}
+    false = False
+    # a (variable, outer binding) pair on the stack closes a scope
+    stack: list = [phi]
+    while stack:
+        psi = stack.pop()
+        if isinstance(psi, And):
+            stack.append(psi.rhs)
+            stack.append(psi.lhs)
+        elif isinstance(psi, Atomic) and not isinstance(psi.atom, Excl):
+            a = psi.atom
+            if scope:
+                vs = atom_vars(a)
+                free.update(v for v in vs if v not in scope)
+                if any(scope.get(v, v) is not v for v in vs):
+                    a = rename_atom(a, scope)
+            elif binder is not None:
+                free.update(atom_vars(a))
+            atoms.append(a)
+        elif isinstance(psi, Top):
+            pass
+        elif isinstance(psi, Bottom):
+            false = True
+        elif isinstance(psi, Exists) and binder is not None:
+            x = psi.var
+            stack.append((x, scope.get(x)))
+            scope[x] = binder(x)
+            bound.append(scope[x])
+            stack.append(psi.body)
+        elif isinstance(psi, tuple):
+            x, outer = psi
+            if outer is None:
+                del scope[x]
+            else:
+                scope[x] = outer
+        elif binder is None:
+            raise ValueError("not a conjunction of sort, feature, and equation atoms")
+        else:
+            raise ValueError("only atoms, conjunction, and 'exists' are allowed here")
+    if false:
+        return BOTTOM
+    return atoms, bound, free
+
+
 def formula_to_basic(phi: Formula) -> BasicFormula | Bottom:
     """View a conjunction of atoms as a basic formula.
 
     Raises ValueError when the formula contains anything beyond
     true/false, sort, feature and equation atoms, and conjunction.
     """
-    if isinstance(phi, Bottom):
+    walked = conjunction_atoms(phi)
+    if isinstance(walked, Bottom):
         return BOTTOM
-    atoms: list[Atom] = []
-
-    def go(psi: Formula) -> None:
-        if isinstance(psi, Top):
-            return
-        if isinstance(psi, And):
-            go(psi.lhs)
-            go(psi.rhs)
-            return
-        if isinstance(psi, Atomic) and not isinstance(psi.atom, Excl):
-            atoms.append(psi.atom)
-            return
-        raise ValueError("not a conjunction of sort, feature, and equation atoms")
-
-    go(phi)
-    return BasicFormula(tuple(atoms))
+    return BasicFormula(tuple(walked[0]))
 
 
 def solved_to_formula(gamma: SolvedFormula) -> Formula:

@@ -3,7 +3,9 @@
 Everything here recomputes results from first principles: the closure by
 saturating the five deduction rules up to a path-length bound, freeness
 and jokers from that closure, and rule applicability by direct scanning.
-None of it shares code with the walk-based implementations under test.
+None of it shares code with the walk-based implementations under test,
+except the pairwise fold, which composes the binary prime operations
+that the one-pass ``simplify_epc`` replaces.
 """
 
 from __future__ import annotations
@@ -11,9 +13,15 @@ from __future__ import annotations
 from collections import Counter
 
 from featlog import (
+    BOTTOM,
+    TOP_PRIME,
     Agree,
+    And,
+    Atomic,
+    Bottom,
     Eq,
     Excl,
+    Exists,
     FeatC,
     PrimeFormula,
     Reach,
@@ -22,8 +30,12 @@ from featlog import (
     SolvedFormula,
     SortAt,
     SortC,
+    Top,
+    mk_prime_exists,
+    prime_conj,
 )
 from featlog.core import atom_vars
+from featlog.prime import from_atom
 from featlog.paths import PathConstraint, is_proper
 
 
@@ -257,3 +269,33 @@ def simplification_rule_applies(atoms) -> bool:
     if any(len(s) >= 2 for s in per_var.values()):
         return True  # sort clash or duplicate
     return len(edge_keys) != len(set(edge_keys))
+
+
+def fold_simplify_epc(sym, phi):
+    """Solve an existential conjunction by a recursive pairwise fold.
+
+    One binary ``prime_conj`` per conjunction and one ``mk_prime_exists``
+    per quantifier, each re-solving everything below it: quadratic in
+    the number of atoms and recursive in the depth, but each step is a
+    single, separately tested prime operation.
+    """
+    if isinstance(phi, Top):
+        return TOP_PRIME
+    if isinstance(phi, Bottom):
+        return BOTTOM
+    if isinstance(phi, Atomic):
+        return from_atom(phi.atom)
+    if isinstance(phi, And):
+        lhs = fold_simplify_epc(sym, phi.lhs)
+        if isinstance(lhs, Bottom):
+            return BOTTOM
+        rhs = fold_simplify_epc(sym, phi.rhs)
+        if isinstance(rhs, Bottom):
+            return BOTTOM
+        return prime_conj(sym, lhs, rhs)
+    if isinstance(phi, Exists):
+        inner = fold_simplify_epc(sym, phi.body)
+        if isinstance(inner, Bottom):
+            return BOTTOM
+        return mk_prime_exists(phi.var, inner)
+    raise ValueError("only atoms, conjunction, and 'exists' are allowed here")

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from featlog.cli import main
+
+from test_solve import _wall_limit
 
 
 def run(capsys, *argv):
@@ -78,6 +82,17 @@ def test_witness_unsat(tmp_path, capsys):
     assert code == 0 and out == "UNSATISFIABLE\n"
 
 
+@pytest.mark.parametrize("command", ["witness", "entail"])
+@pytest.mark.parametrize(
+    "text", ["A(x) & B(x) & (C(x) | D(x))", "(C(x) | D(x)) & A(x) & B(x)"]
+)
+def test_disjunction_is_rejected_in_any_order(tmp_path, capsys, command, text):
+    if command == "entail":
+        text = f"{text} ; A(x)"
+    code, out, err = run(capsys, command, write(tmp_path, text))
+    assert code == 2 and out == "" and "only atoms" in err
+
+
 def test_witness_respects_default_sort(tmp_path, capsys):
     path = write(tmp_path, "exists y. f(x, y)")
     code, out, _ = run(capsys, "witness", path, "--default-sort", "Dflt")
@@ -152,3 +167,45 @@ def test_pathological_nesting_is_an_input_error(tmp_path, capsys):
     path = write(tmp_path, "~" * 100000 + "A(x)")
     code, _, err = run(capsys, "decide", path)
     assert code == 2 and "nested too deeply" in err
+
+
+def _chain_entailment(n, entailed):
+    """An n-edge chain entails its existentially closed second half; an
+    extra edge at the end of that half breaks the entailment."""
+    lhs = [f"{'fgh'[i % 3]}(x{i}, x{i + 1})" for i in range(n)]
+    seg = range(n // 2, n)
+    rhs = [lhs[i] for i in seg]
+    bound = [f"x{i + 1}" for i in seg]
+    if not entailed:
+        rhs.append(f"{'fgh'[(n + 1) % 3]}(x{n}, w)")
+        bound.append("w")
+    return f"{' & '.join(reversed(lhs))} ; exists {', '.join(bound)}. ({' & '.join(rhs)})"
+
+
+def _cycle(n, marked):
+    atoms = [f"f(x{i}, x{(i + 1) % n})" for i in range(n)]
+    atoms += ["A(x0)"] if marked else [f"A(x{i})" for i in range(n)]
+    return f"exists {', '.join(f'x{i}' for i in range(1, n))}. ({' & '.join(atoms)})"
+
+
+@pytest.mark.parametrize(
+    "command, text, check",
+    [
+        pytest.param("entail", _chain_entailment(900, True), "ENTAILED", id="entail-chain-900"),
+        pytest.param(
+            "entail", _chain_entailment(900, False), "NOT-ENTAILED", id="not-entail-chain-900"
+        ),
+        pytest.param("witness", _cycle(400, marked=True), 400, id="witness-marked-cycle-400"),
+        pytest.param("witness", _cycle(256, marked=False), 1, id="witness-uniform-cycle-256"),
+    ],
+)
+def test_conjunctions_at_scale(tmp_path, capsys, command, text, check):
+    """Wide conjunctions are solved once, not once per atom."""
+    path = write(tmp_path, text)
+    with _wall_limit(10.0):
+        code, out, err = run(capsys, command, path)
+    assert code == 0, err
+    if command == "entail":
+        assert out == f"{check}\n"
+    else:
+        assert len(json.loads(out)["nodes"]) == check

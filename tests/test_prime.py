@@ -6,6 +6,7 @@ from featlog import (
     Agree,
     Bottom,
     Eq,
+    Exists,
     FeatC,
     Path,
     PrimeFormula,
@@ -27,10 +28,12 @@ from featlog import (
     simplify_epc,
     witness_prime,
 )
-from featlog.core import EPS, free_vars
+from featlog.core import EPS, conj, free_vars, rename_atom
 from featlog.prime import from_atom, prime_to_formula, requantify
+from featlog.solve import conjunction_atoms
 
-from generators import random_prime, random_solved_formula
+from generators import random_epc_formula, random_prime, random_solved_formula
+from oracles import fold_simplify_epc
 
 
 def epc(sym, text):
@@ -150,6 +153,13 @@ def test_projection_of_equation_and_top(sym):
     assert projection(TOP_PRIME) == ()
 
 
+def test_projections_are_duplicate_free(sym):
+    rng = random.Random(46)
+    for _ in range(500):
+        lam = projection(random_prime(rng, sym))
+        assert len(set(lam)) == len(lam)
+
+
 def test_projection_members_are_in_the_closure(sym):
     rng = random.Random(8)
     for _ in range(100):
@@ -187,6 +197,118 @@ def test_simplify_epc_record_description(sym):
 def test_simplify_epc_rejects_other_connectives(sym):
     with pytest.raises(ValueError):
         simplify_epc(sym, parse_formula(sym, "A(x) | B(x)"))
+
+
+@pytest.mark.parametrize(
+    "text", ["A(x) & B(x) & (C(x) | D(x))", "(C(x) | D(x)) & A(x) & B(x)"]
+)
+def test_simplify_epc_rejects_before_solving(sym, text):
+    """A clash next to a disjunction is rejected whatever the order."""
+    with pytest.raises(ValueError):
+        simplify_epc(sym, parse_formula(sym, text))
+
+
+def _least_representatives(sym, beta):
+    """The canonical form of ``beta`` once each class of equated free
+    variables is represented by its least member."""
+    if isinstance(beta, Bottom):
+        return beta
+    classes: dict = {}
+    for eq in beta.body.normalizer:
+        classes.setdefault(eq.rhs, [eq.rhs]).append(eq.lhs)
+    least = {v: min(members) for members in classes.values() for v in members}
+    normalizer = tuple(Eq(v, r) for v, r in least.items() if v != r)
+    graph = tuple(rename_atom(a, least) for a in beta.body.graph)
+    return canonicalize(sym, PrimeFormula(beta.bound, SolvedFormula(normalizer, graph)))
+
+
+def _clashing_epc(rng, sym):
+    """Existential conjunctions side by side over one variable pool, maybe
+    under one more quantifier: binders shadow free variables of other
+    conjuncts, and several quantifiers bind one name."""
+    parts = [random_epc_formula(rng, sym, max_atoms=6) for _ in range(rng.randint(1, 3))]
+    phi = conj(parts)
+    if rng.random() < 0.3:
+        phi = Exists(sym.var(f"x{rng.randrange(5)}"), phi)
+    return phi
+
+
+def test_simplify_epc_agrees_with_pairwise_fold(sym):
+    """One solve over all atoms equals the fold of binary conjunctions.
+
+    The two may pick different free variables to represent a class of
+    equated ones (union-find roots depend on the order in which atoms
+    are met, and the fold meets solved forms, not input atoms), so both
+    sides are compared with least representatives.
+    """
+    rng = random.Random(44)
+    shadowing = reusing = 0
+    for _ in range(1200):
+        phi = _clashing_epc(rng, sym)
+        _, bound, free = conjunction_atoms(phi, lambda x: x)
+        shadowing += not free.isdisjoint(bound)
+        reusing += len(set(bound)) < len(bound)
+        got = simplify_epc(sym, phi)
+        want = fold_simplify_epc(sym, phi)
+        assert isinstance(got, Bottom) or is_prime_formula(got)
+        assert _least_representatives(sym, got) == _least_representatives(sym, want)
+    assert shadowing > 300 and reusing > 300
+
+
+def test_conjunctions_are_solved_once(sym, monkeypatch):
+    """One basic simplification and one requantification per conjunction,
+    whatever its number of atoms, quantifiers or primes."""
+    import featlog.prime
+
+    calls: list = []
+    for name in ("basic_simplify", "requantify"):
+        fn = getattr(featlog.prime, name)
+        monkeypatch.setattr(
+            featlog.prime, name, lambda *a, _fn=fn, _n=name: calls.append(_n) or _fn(*a)
+        )
+    chain = " & ".join(f"f(x{i}, x{i + 1}) & A(x{i})" for i in range(150))
+    primes = [epc(sym, f"exists x{i}, x{i + 1}. ({chain})") for i in range(1, 4)]
+    assert calls == ["basic_simplify", "requantify"] * 3
+    calls.clear()
+    assert isinstance(prime_conj(sym, *primes), PrimeFormula)
+    assert calls == ["basic_simplify", "requantify"]
+
+
+def test_prime_conj_of_none_or_one(sym):
+    beta = epc(sym, "exists u. (f(x, u) & A(u))")
+    assert prime_conj(sym) == TOP_PRIME
+    assert prime_conj(sym, beta) is beta
+
+
+def _some_prime(rng, sym):
+    """Canonical primes bind q0, q1, ...; raw ones bind names of the
+    shared pool, which are free in other primes."""
+    if rng.random() < 0.5:
+        return random_prime(rng, sym, max_atoms=5)
+    while True:
+        beta = simplify_epc(sym, random_epc_formula(rng, sym, max_atoms=5))
+        if not isinstance(beta, Bottom):
+            return beta
+
+
+def test_nary_prime_conj_agrees_with_binary_fold(sym):
+    rng = random.Random(45)
+    clashes = {"earlier": 0, "later": 0}
+    for _ in range(400):
+        primes = [_some_prime(rng, sym) for _ in range(rng.randint(0, 6))]
+        for i, b1 in enumerate(primes):
+            for j, b2 in enumerate(primes):
+                if i != j and b1.bound & b2.free_vars:
+                    clashes["earlier" if i < j else "later"] += 1
+        got = prime_conj(sym, *primes)
+        want = TOP_PRIME
+        for beta in primes:
+            want = prime_conj(sym, want, beta)
+            if isinstance(want, Bottom):
+                break
+        assert isinstance(got, Bottom) or is_prime_formula(got)
+        assert _least_representatives(sym, got) == _least_representatives(sym, want)
+    assert min(clashes.values()) > 40
 
 
 def test_canonicalize_alpha_equivalence(sym):

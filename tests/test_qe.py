@@ -220,6 +220,21 @@ def test_eliminate_clause_examples(sym):
     assert got == BC_TRUE
 
 
+def test_eliminate_clause_merges_positives_once(sym, monkeypatch):
+    import featlog.qe
+
+    calls = []
+    conj = featlog.qe.prime_conj
+    monkeypatch.setattr(
+        featlog.qe, "prime_conj", lambda sym, *ps: calls.append(len(ps)) or conj(sym, *ps)
+    )
+    positives = [epc(sym, t) for t in ("f(x, y)", "A(y)", "g(y, z)", "exists u. h(z, u)")]
+    got = eliminate_clause(sym, sym.var("y"), positives, [])
+    assert calls == [4]
+    want = epc(sym, "exists y, u. (f(x, y) & A(y) & g(y, z) & h(z, u))")
+    assert got == PrimeLeaf(canonicalize(sym, want))
+
+
 def test_to_prime_dnf_examples(sym):
     b1 = PrimeLeaf(epc(sym, "A(x)"))
     b2 = PrimeLeaf(epc(sym, "B(x)"))

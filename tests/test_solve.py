@@ -136,6 +136,9 @@ def test_formula_to_basic(sym):
         formula_to_basic(parse_formula(sym, "A(x) | B(x)"))
     with pytest.raises(ValueError):
         formula_to_basic(parse_formula(sym, "undef(x, f)"))
+    assert isinstance(formula_to_basic(parse_formula(sym, "A(x) & false & true")), Bottom)
+    with pytest.raises(ValueError):
+        formula_to_basic(parse_formula(sym, "false & (A(x) | B(x))"))
 
 
 def test_simplification_is_deterministic(sym):
