@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import Bottom, Symbols, free_vars
-from .models import satisfies_prime, valuation_to_json, witness_prime
+from .models import satisfies_prime, single_node_tree, valuation_to_json, witness_prime
 from .prime import simplify_epc
 from .qe import (
     DEFAULT_MAX_DNF_CLAUSES,
@@ -138,8 +138,12 @@ def _cmd_witness(cfg: RunConfig, sym: Symbols, text: str) -> int:
         sym.sort(cfg.default_sort) if cfg.default_sort else sym.fresh_sort("Default")
     )
     val = witness_prime(beta, default_sort)
-    shown = {v: val[v] for v in beta.free_vars}
     assert satisfies_prime(val, beta)
+    # a free variable the prime dropped is unconstrained: any tree will do
+    shown = {
+        v: val[v] if v in beta.free_vars else single_node_tree(default_sort)
+        for v in free_vars(phi)
+    }
     witness = valuation_to_json(shown)
     payload = {"command": "witness", "verdict": SATISFIABLE, "witness": witness}
     _emit(cfg, payload, [json.dumps(witness, indent=2, sort_keys=True)])

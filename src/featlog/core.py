@@ -12,7 +12,7 @@ is what several constructions rely on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Union
 
@@ -23,16 +23,14 @@ RESERVED_PREFIX = "_"
 
 @dataclass(frozen=True)
 class _Ident:
-    """Interned identifier: spelling plus a per-session numeric handle.
+    """Interned identifier, compared, hashed and ordered by its spelling.
 
-    Equality and hashing use the spelling only, so values built in
-    different sessions compare the way their printed forms do.  Ordering
-    is lexicographic on the spelling, which keeps canonical forms stable
-    across sessions.
+    Values built in different sessions compare the way their printed
+    forms do, and lexicographic order on the spelling keeps canonical
+    forms stable across sessions.
     """
 
     name: str
-    num: int = field(compare=False)
 
     def __str__(self) -> str:
         return self.name
@@ -86,7 +84,7 @@ class Symbols:
         self._check(name, upper=True)
         ident = self._sorts.get(name)
         if ident is None:
-            ident = SortId(name, len(self._sorts))
+            ident = SortId(name)
             self._sorts[name] = ident
         return ident
 
@@ -94,7 +92,7 @@ class Symbols:
         self._check(name, upper=False)
         ident = self._feats.get(name)
         if ident is None:
-            ident = FeatId(name, len(self._feats))
+            ident = FeatId(name)
             self._feats[name] = ident
         return ident
 
@@ -102,7 +100,7 @@ class Symbols:
         self._check(name, upper=False)
         ident = self._vars.get(name)
         if ident is None:
-            ident = VarId(name, len(self._vars))
+            ident = VarId(name)
             self._vars[name] = ident
         return ident
 
@@ -117,19 +115,19 @@ class Symbols:
     def fresh_var(self, hint: str = "v") -> VarId:
         """A variable distinct from everything interned so far."""
         name = self._fresh_name(self._vars, hint)
-        ident = VarId(name, len(self._vars))
+        ident = VarId(name)
         self._vars[name] = ident
         return ident
 
     def fresh_sort(self, hint: str = "S") -> SortId:
         name = self._fresh_name(self._sorts, hint)
-        ident = SortId(name, len(self._sorts))
+        ident = SortId(name)
         self._sorts[name] = ident
         return ident
 
     def fresh_feat(self, hint: str = "f") -> FeatId:
         name = self._fresh_name(self._feats, hint)
-        ident = FeatId(name, len(self._feats))
+        ident = FeatId(name)
         self._feats[name] = ident
         return ident
 
@@ -294,14 +292,16 @@ class Not(Formula):
 
 @dataclass(frozen=True)
 class And(Formula):
-    lhs: Formula
-    rhs: Formula
+    """Conjunction of two or more formulae, built as ``And((a, b, ...))``."""
+
+    args: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
 class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+    """Disjunction of two or more formulae, built as ``Or((a, b, ...))``."""
+
+    args: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
@@ -350,25 +350,17 @@ class SugarSortAt(Formula):
 TOP = Top()
 BOTTOM = Bottom()
 
-_BINARY = (And, Or, Implies, Iff)
+_NARY = (And, Or)
+_BINARY = (Implies, Iff)
 _QUANT = (Exists, Forall)
 
 
 def conj(parts: Iterable[Formula]) -> Formula:
-    """Left-nested conjunction of ``parts``; empty gives ``true``."""
-    out: Formula | None = None
-    for p in parts:
-        out = p if out is None else And(out, p)
-    return TOP if out is None else out
-
-
-def conjuncts(phi: Formula) -> list[Formula]:
-    """Flatten a conjunction tree into its leaves (``true`` drops out)."""
-    if isinstance(phi, And):
-        return conjuncts(phi.lhs) + conjuncts(phi.rhs)
-    if isinstance(phi, Top):
-        return []
-    return [phi]
+    """Conjunction of ``parts``: none gives ``true``, one gives the part."""
+    args = tuple(parts)
+    if len(args) < 2:
+        return args[0] if args else TOP
+    return And(args)
 
 
 def exists_all(vs: Iterable[VarId], body: Formula) -> Formula:
@@ -394,6 +386,9 @@ def free_vars(phi: Formula) -> set[VarId]:
             out.update(v for v in atom_vars(psi.atom) if v not in bound)
         elif isinstance(psi, Not):
             go(psi.body, bound)
+        elif isinstance(psi, _NARY):
+            for arg in psi.args:
+                go(arg, bound)
         elif isinstance(psi, _BINARY):
             go(psi.lhs, bound)
             go(psi.rhs, bound)
@@ -422,6 +417,8 @@ def substitute(phi: Formula, x: VarId, y: VarId) -> Formula:
         return Atomic(substitute_atom(phi.atom, x, y))
     if isinstance(phi, Not):
         return Not(substitute(phi.body, x, y))
+    if isinstance(phi, _NARY):
+        return type(phi)(tuple(substitute(arg, x, y) for arg in phi.args))
     if isinstance(phi, _BINARY):
         return type(phi)(substitute(phi.lhs, x, y), substitute(phi.rhs, x, y))
     if isinstance(phi, SugarAgree):

@@ -50,7 +50,7 @@ from .core import (
     atom_vars,
 )
 from .paths import Agree, PathConstraint, Reach, SortAt
-from .prime import PrimeFormula, projection
+from .prime import PrimeFormula, adjacency, projection
 from .solve import SolvedClause, constrained_vars
 
 Label = Union[SortId, None]
@@ -90,16 +90,6 @@ class FeatureGraph:
 
 Value = Union[FeatureTree, FeatureGraph]
 Valuation = dict[VarId, Value]
-
-
-def _adjacency(edges: Mapping) -> dict:
-    """Per-node out-edges ``(feature, target)`` sorted by feature name."""
-    adj: dict = {}
-    for (src, f), dst in edges.items():
-        adj.setdefault(src, []).append((f, dst))
-    for row in adj.values():
-        row.sort(key=lambda e: e[0].name)
-    return adj
 
 
 def _preorder(root, adj: Mapping) -> list:
@@ -190,13 +180,13 @@ def _tree(root, labels: Mapping, adj: Mapping) -> FeatureTree:
 def feature_tree(root, labels: Mapping, edges: Mapping) -> FeatureTree:
     """Build a tree value from node maps; nodes unreachable from the
     root are discarded and the rest must be totally labeled."""
-    adj = _adjacency(edges)
+    adj = adjacency(edges)
     q_labels, q_adj, block = _quotient(_preorder(root, adj), labels, adj)
     return _tree(block[root], q_labels, q_adj)
 
 
 def feature_graph(root, labels: Mapping, edges: Mapping) -> FeatureGraph:
-    return FeatureGraph(*_number(root, labels, _adjacency(edges)))
+    return FeatureGraph(*_number(root, labels, adjacency(edges)))
 
 
 def single_node_tree(sort: SortId) -> FeatureTree:
@@ -319,7 +309,7 @@ def witness_solved_clause(
         target = ("v", y) if y in cv else ("p", y, 0)
         edges[(("v", x), f)] = target
 
-    adj = _adjacency(edges)
+    adj = adjacency(edges)
     q_labels, q_adj, block = _quotient(list(labels), labels, adj)
     out: Valuation = {y: params[y] for y in pvars}
     for x in cv:
@@ -408,7 +398,10 @@ def _collect_symbols(phi: Formula, alpha: Mapping[VarId, Value]) -> tuple[set, s
                 feats.add(a.feat)
         elif isinstance(psi, Not):
             go(psi.body)
-        elif isinstance(psi, (And, Or, Implies, Iff)):
+        elif isinstance(psi, (And, Or)):
+            for arg in psi.args:
+                go(arg)
+        elif isinstance(psi, (Implies, Iff)):
             go(psi.lhs)
             go(psi.rhs)
         elif isinstance(psi, (Exists, Forall)):
@@ -501,8 +494,8 @@ def enumerate_values(
 # The evaluator's extra candidate sort and feature.  Uninterned, so the
 # session does not grow; fresh names always end in a number, so these
 # never collide.  The sort orders after user sorts, the feature before.
-_EXTRA_SORT = SortId("_S", -1)
-_EXTRA_FEAT = FeatId("_f", -1)
+_EXTRA_SORT = SortId("_S")
+_EXTRA_FEAT = FeatId("_f")
 
 
 def evaluate(
@@ -550,24 +543,19 @@ def evaluate(
         if isinstance(psi, Not):
             r = ev(psi.body, env)
             return None if r is None else not r
-        if isinstance(psi, And):
-            a = ev(psi.lhs, env)
-            if a is False:
-                return False
-            b = ev(psi.rhs, env)
-            if b is False:
-                return False
-            return True if (a is True and b is True) else None
-        if isinstance(psi, Or):
-            a = ev(psi.lhs, env)
-            if a is True:
-                return True
-            b = ev(psi.rhs, env)
-            if b is True:
-                return True
-            return False if (a is False and b is False) else None
+        if isinstance(psi, (And, Or)):
+            # the value that decides the connective: False for &, True for |
+            decisive = isinstance(psi, Or)
+            out: bool | None = not decisive
+            for arg in psi.args:
+                r = ev(arg, env)
+                if r is decisive:
+                    return decisive
+                if r is None:
+                    out = None
+            return out
         if isinstance(psi, Implies):
-            return ev(Or(Not(psi.lhs), psi.rhs), env)
+            return ev(Or((Not(psi.lhs), psi.rhs)), env)
         if isinstance(psi, Iff):
             a = ev(psi.lhs, env)
             b = ev(psi.rhs, env)

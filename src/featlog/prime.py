@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .core import (
     BOTTOM,
@@ -25,7 +25,6 @@ from .core import (
     Eq,
     Excl,
     FeatC,
-    FeatId,
     Formula,
     SortC,
     Symbols,
@@ -74,18 +73,19 @@ def from_atom(atom: Atom) -> PrimeFormula:
     return PrimeFormula(frozenset(), SolvedFormula((), (atom,)))
 
 
-def _adjacency(body: SolvedFormula) -> dict[VarId, list[tuple[FeatId, VarId]]]:
-    adj: dict[VarId, list[tuple[FeatId, VarId]]] = {}
-    for (src, feat), dst in body.edges.items():
+def adjacency(edges: Mapping) -> dict:
+    """Per-node out-edges ``(feature, target)`` sorted by feature name."""
+    adj: dict = {}
+    for (src, feat), dst in edges.items():
         adj.setdefault(src, []).append((feat, dst))
-    for lst in adj.values():
-        lst.sort(key=lambda e: e[0].name)
+    for row in adj.values():
+        row.sort(key=lambda e: e[0].name)
     return adj
 
 
 def _graph_reachable(body: SolvedFormula, roots: set[VarId]) -> set[VarId]:
     """Roots plus everything reachable from them along feature edges."""
-    adj = _adjacency(body)
+    adj = adjacency(body.edges)
     seen = set(roots)
     queue = deque(sorted(roots))
     while queue:
@@ -233,7 +233,7 @@ def access_function(beta: PrimeFormula) -> dict[VarId, RootedPath]:
     """
     body = beta.body
     acc = {v: RootedPath(v, EPS) for v in sorted(body.variables - beta.bound)}
-    adj = _adjacency(body)
+    adj = adjacency(body.edges)
     queue = deque(sorted(body.variables - beta.bound))
     seen = set(queue)
     while queue:

@@ -50,6 +50,7 @@ from .paths import (
 from .prime import (
     PrimeFormula,
     TOP_PRIME,
+    adjacency,
     canonicalize,
     from_atom,
     mk_prime_exists,
@@ -163,11 +164,8 @@ def boolcomb_to_formula(delta: BoolComb) -> Formula:
         return prime_to_formula(delta.beta)
     if isinstance(delta, BcNot):
         return Not(boolcomb_to_formula(delta.arg))
-    parts = [boolcomb_to_formula(a) for a in delta.args]
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p) if isinstance(delta, BcAnd) else Or(out, p)
-    return out
+    node = And if isinstance(delta, BcAnd) else Or
+    return node(tuple(boolcomb_to_formula(a) for a in delta.args))
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +185,7 @@ def is_free(beta: PrimeFormula, rp: RootedPath) -> bool:
         return True
     body = beta.body
     edges = body.edges
-    adj: dict[VarId, list[VarId]] = {}
-    for (src, _), dst in edges.items():
-        adj.setdefault(src, []).append(dst)
+    adj = adjacency(edges)
 
     desc_memo: dict[VarId, set[VarId]] = {}
 
@@ -198,12 +194,12 @@ def is_free(beta: PrimeFormula, rp: RootedPath) -> bool:
         if w in desc_memo:
             return desc_memo[w]
         out: set[VarId] = set()
-        stack = list(adj.get(w, ()))
+        stack = [u for _f, u in adj.get(w, ())]
         while stack:
             u = stack.pop()
             if u not in out:
                 out.add(u)
-                stack.extend(adj.get(u, ()))
+                stack.extend(v for _f, v in adj.get(u, ()))
         desc_memo[w] = out
         return out
 
@@ -398,14 +394,9 @@ def decide(
         return PrimeLeaf(canonicalize(sym, from_atom(phi.atom)))
     if isinstance(phi, Not):
         return bc_not(decide(sym, phi.body, max_clauses))
-    if isinstance(phi, And):
-        return bc_and(
-            decide(sym, phi.lhs, max_clauses), decide(sym, phi.rhs, max_clauses)
-        )
-    if isinstance(phi, Or):
-        return bc_or(
-            decide(sym, phi.lhs, max_clauses), decide(sym, phi.rhs, max_clauses)
-        )
+    if isinstance(phi, (And, Or)):
+        combine = bc_and if isinstance(phi, And) else bc_or
+        return combine(*[decide(sym, arg, max_clauses) for arg in phi.args])
     if isinstance(phi, Implies):
         return bc_or(
             bc_not(decide(sym, phi.lhs, max_clauses)),

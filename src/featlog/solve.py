@@ -326,8 +326,7 @@ def conjunction_atoms(
     while stack:
         psi = stack.pop()
         if isinstance(psi, And):
-            stack.append(psi.rhs)
-            stack.append(psi.lhs)
+            stack.extend(reversed(psi.args))
         elif isinstance(psi, Atomic) and not isinstance(psi.atom, Excl):
             a = psi.atom
             if scope:

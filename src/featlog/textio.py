@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .core import (
     BOTTOM,
+    RESERVED_WORDS,
     EPS,
     TOP,
     And,
@@ -53,9 +54,6 @@ from .core import (
     conj,
     exists_all,
 )
-
-KEYWORDS = frozenset({"true", "false", "exists", "forall", "undef", "eps"})
-
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -116,7 +114,7 @@ def _tokenize(text: str) -> list[_Token]:
                     "identifiers starting with '_' are reserved",
                     SourceSpan(start, end),
                 )
-            if word in KEYWORDS:
+            if word in RESERVED_WORDS:
                 kind = "kw"
             elif word[0].isupper():
                 kind = "uident"
@@ -183,18 +181,21 @@ class _Parser:
         return lhs
 
     def parse_or(self) -> Formula:
-        lhs = self.parse_and()
-        while self.peek().kind == "|":
-            self.next()
-            lhs = Or(lhs, self.parse_and())
-        return lhs
+        return self.parse_chain(Or, "|", self.parse_and)
 
     def parse_and(self) -> Formula:
-        lhs = self.parse_unary()
-        while self.peek().kind == "&":
+        return self.parse_chain(And, "&", self.parse_unary)
+
+    def parse_chain(self, node, op: str, operand) -> Formula:
+        """One n-ary node for a chain of ``op``; a lone operand as it is."""
+        first = operand()
+        if self.peek().kind != op:
+            return first
+        args = [first]
+        while self.peek().kind == op:
             self.next()
-            lhs = And(lhs, self.parse_unary())
-        return lhs
+            args.append(operand())
+        return node(tuple(args))
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
@@ -354,7 +355,9 @@ def expand_sugar(sym: Symbols, phi: Formula) -> Formula:
         return exists_all([z] + linner + rinner, conj(latoms + ratoms))
     if isinstance(phi, Not):
         return Not(expand_sugar(sym, phi.body))
-    if isinstance(phi, (And, Or, Implies, Iff)):
+    if isinstance(phi, (And, Or)):
+        return type(phi)(tuple(expand_sugar(sym, arg) for arg in phi.args))
+    if isinstance(phi, (Implies, Iff)):
         return type(phi)(expand_sugar(sym, phi.lhs), expand_sugar(sym, phi.rhs))
     if isinstance(phi, (Exists, Forall)):
         return type(phi)(phi.var, expand_sugar(sym, phi.body))
@@ -395,10 +398,12 @@ def _render(phi: Formula) -> tuple[str, int]:
         return f"{phi.sort}@{phi.var}.{phi.path}", _PREC_ATOM
     if isinstance(phi, Not):
         return "~" + _child(phi.body, _PREC_NOT), _PREC_NOT
-    if isinstance(phi, And):
-        return _child(phi.lhs, _PREC_AND) + " & " + _child(phi.rhs, _PREC_AND + 1), _PREC_AND
-    if isinstance(phi, Or):
-        return _child(phi.lhs, _PREC_OR) + " | " + _child(phi.rhs, _PREC_OR + 1), _PREC_OR
+    if isinstance(phi, (And, Or)):
+        # the first argument at the connective's own precedence, the rest
+        # one level higher, so a left-nested chain prints unparenthesised
+        op, prec = (" & ", _PREC_AND) if isinstance(phi, And) else (" | ", _PREC_OR)
+        first, *rest = phi.args
+        return op.join([_child(first, prec)] + [_child(arg, prec + 1) for arg in rest]), prec
     if isinstance(phi, Implies):
         return _child(phi.lhs, _PREC_IMPLIES + 1) + " -> " + _child(phi.rhs, _PREC_IMPLIES), _PREC_IMPLIES
     if isinstance(phi, Iff):
@@ -425,7 +430,12 @@ def _child(phi: Formula, min_prec: int) -> str:
 
 
 def print_formula(phi: Formula) -> str:
-    """Deterministic text form; reparsing yields the same tree."""
+    """Deterministic text form.
+
+    Reparsing yields the same tree, except that a first argument of the
+    same connective joins its parent: ``And((And((a, b)), c))`` prints
+    as ``a & b & c``, which parses as ``And((a, b, c))``.
+    """
     return _render(phi)[0]
 
 
@@ -438,20 +448,11 @@ def canonical_formula(phi: Formula) -> Formula:
     if isinstance(phi, (And, Or)):
         node = type(phi)
         parts: list[Formula] = []
-
-        def flatten(psi: Formula) -> None:
-            if isinstance(psi, node):
-                flatten(psi.lhs)
-                flatten(psi.rhs)
-            else:
-                parts.append(canonical_formula(psi))
-
-        flatten(phi)
+        for arg in phi.args:
+            arg = canonical_formula(arg)
+            parts.extend(arg.args if isinstance(arg, node) else (arg,))
         parts.sort(key=print_formula)
-        out = parts[0]
-        for p in parts[1:]:
-            out = node(out, p)
-        return out
+        return node(tuple(parts))
     if isinstance(phi, Not):
         return Not(canonical_formula(phi.body))
     if isinstance(phi, (Implies, Iff)):

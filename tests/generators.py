@@ -159,9 +159,9 @@ def random_quantified_formula(
             return atom()
         r = rng.random()
         if r < 0.30:
-            return And(go(depth + 1), go(depth + 1))
+            return And((go(depth + 1), go(depth + 1)))
         if r < 0.45:
-            return Or(go(depth + 1), go(depth + 1))
+            return Or((go(depth + 1), go(depth + 1)))
         if r < 0.55:
             return Not(go(depth + 1))
         if r < 0.62:

@@ -274,10 +274,11 @@ def simplification_rule_applies(atoms) -> bool:
 def fold_simplify_epc(sym, phi):
     """Solve an existential conjunction by a recursive pairwise fold.
 
-    One binary ``prime_conj`` per conjunction and one ``mk_prime_exists``
-    per quantifier, each re-solving everything below it: quadratic in
-    the number of atoms and recursive in the depth, but each step is a
-    single, separately tested prime operation.
+    One binary ``prime_conj`` per conjunct after the first, folding left,
+    and one ``mk_prime_exists`` per quantifier, each re-solving
+    everything below it: quadratic in the number of atoms and recursive
+    in the depth, but each step is a single, separately tested prime
+    operation.
     """
     if isinstance(phi, Top):
         return TOP_PRIME
@@ -286,13 +287,15 @@ def fold_simplify_epc(sym, phi):
     if isinstance(phi, Atomic):
         return from_atom(phi.atom)
     if isinstance(phi, And):
-        lhs = fold_simplify_epc(sym, phi.lhs)
-        if isinstance(lhs, Bottom):
-            return BOTTOM
-        rhs = fold_simplify_epc(sym, phi.rhs)
-        if isinstance(rhs, Bottom):
-            return BOTTOM
-        return prime_conj(sym, lhs, rhs)
+        acc = fold_simplify_epc(sym, phi.args[0])
+        for arg in phi.args[1:]:
+            if isinstance(acc, Bottom):
+                return BOTTOM
+            part = fold_simplify_epc(sym, arg)
+            if isinstance(part, Bottom):
+                return BOTTOM
+            acc = prime_conj(sym, acc, part)
+        return acc
     if isinstance(phi, Exists):
         inner = fold_simplify_epc(sym, phi.body)
         if isinstance(inner, Bottom):

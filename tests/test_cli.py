@@ -77,6 +77,16 @@ def test_witness_json(tmp_path, capsys):
     assert all(set(e) == {"src", "feature", "dst"} for e in doc["edges"])
 
 
+def test_witness_shows_variables_the_prime_drops(tmp_path, capsys):
+    """y is free in the input, but the edge from the bound x to y is
+    garbage collected, so the prime does not mention y."""
+    code, out, _ = run(capsys, "witness", write(tmp_path, "exists x. f(x, y)"))
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["nodes"]) == 1 and doc["edges"] == []
+    assert doc["vars"] == {"y": 0}
+
+
 def test_witness_unsat(tmp_path, capsys):
     code, out, _ = run(capsys, "witness", write(tmp_path, "A(x) & B(x)"))
     assert code == 0 and out == "UNSATISFIABLE\n"
@@ -209,3 +219,44 @@ def test_conjunctions_at_scale(tmp_path, capsys, command, text, check):
         assert out == f"{check}\n"
     else:
         assert len(json.loads(out)["nodes"]) == check
+
+
+@pytest.mark.parametrize(
+    "command, text, check",
+    [
+        pytest.param(
+            "simplify",
+            " & ".join(f"A(x{i})" for i in range(10000)),
+            lambda out: sorted(out.rstrip("\n").split(" & "))
+            == sorted(f"A(x{i})" for i in range(10000)),
+            id="simplify-flat-10000",
+        ),
+        pytest.param(
+            "simplify",
+            " & ".join(f"x{i} = x{i + 1}" for i in range(10000)),
+            lambda out: sorted(out.rstrip("\n").split(" & "))
+            == sorted(f"x{i} = x10000" for i in range(10000)),
+            id="simplify-eq-chain-10000",
+        ),
+        pytest.param(
+            "witness",
+            f"exists x. ({' & '.join(f'f(y{i}, x)' for i in range(10000))})",
+            lambda out: json.loads(out)["vars"] == {f"y{i}": 0 for i in range(10000)}
+            and len(json.loads(out)["nodes"]) == 2,
+            id="witness-10000-edges",
+        ),
+        pytest.param(
+            "decide",
+            f"forall x. ({' | '.join(['A(x)', '~A(x)'] * 2000)})",
+            lambda out: out == "VALID\n",
+            id="decide-4000-disjuncts",
+        ),
+    ],
+)
+def test_wide_input_at_default_recursion_limit(tmp_path, capsys, command, text, check):
+    """A flat n-atom chain is one node deep, not n."""
+    path = write(tmp_path, text)
+    with _wall_limit(10.0):
+        code, out, err = run(capsys, command, path)
+    assert code == 0, err
+    assert check(out)

@@ -18,7 +18,7 @@ from featlog import (
     free_vars,
     substitute,
 )
-from featlog.core import atom_key, conj, conjuncts, exists_all
+from featlog.core import atom_key, conj, exists_all
 
 from generators import random_basic_formula
 
@@ -108,8 +108,10 @@ def test_substitute_examples(sym):
     A = sym.sort("A")
     f = sym.feat("f")
     x, y, z, u, v = (sym.var(n) for n in "xyzuv")
-    phi = And(Atomic(SortC(A, x)), Atomic(FeatC(x, f, z)))
-    assert substitute(phi, x, y) == And(Atomic(SortC(A, y)), Atomic(FeatC(y, f, z)))
+    phi = And((Atomic(SortC(A, x)), Atomic(FeatC(x, f, z)), Atomic(SortC(A, u))))
+    assert substitute(phi, x, y) == And(
+        (Atomic(SortC(A, y)), Atomic(FeatC(y, f, z)), Atomic(SortC(A, u)))
+    )
     assert substitute(Atomic(Eq(u, v)), x, y) == Atomic(Eq(u, v))
     assert substitute(Atomic(Eq(y, x)), x, y) == Atomic(Eq(y, y))
 
@@ -153,8 +155,36 @@ def test_atom_key_orders_by_kind_then_names(sym):
     assert [type(a) for a in atoms] == [Eq, SortC, FeatC]
 
 
-def test_conjuncts_flattens(sym):
-    A, B = sym.sort("A"), sym.sort("B")
-    x = sym.var("x")
-    phi = And(And(Atomic(SortC(A, x)), TOP), Atomic(SortC(B, x)))
-    assert conjuncts(phi) == [Atomic(SortC(A, x)), Atomic(SortC(B, x))]
+PUBLIC_NAMES = """
+    Agree And Atomic BOTTOM BasicFormula BcAnd BcNot BcOr BoolComb Bottom EPS Eq
+    Excl Exists FeatC FeatId FeatureGraph FeatureTree Forall Formula INVALID Iff
+    Implies Not Or ParseError Path PathConstraint PrimeFormula PrimeLeaf Reach
+    ResourceLimit RootedPath SATISFIABLE SolvedClause SolvedFormula SortAt SortC
+    SortId SourceSpan SugarAgree SugarSortAt Symbols TOP TOP_PRIME Top
+    UNSATISFIABLE VALID VarId Verdict access_function basic_simplify
+    boolcomb_to_formula canonical_formula canonicalize classify clause_to_formula
+    closure_contains conj constrained_vars decide eliminate_clause eliminate_neg
+    enumerate_values evaluate expand_sugar feature_graph feature_tree
+    formula_to_basic free_vars graph_canonical holds_path_constraint is_free
+    is_joker is_prime_formula is_solved_clause is_solved_formula mk_prime_exists
+    parameters parse_formula pregraph_to_graph prime_closure_contains prime_conj
+    prime_entails prime_to_formula print_formula projection satisfies_prime
+    simplify_epc single_node_tree solved_to_formula substitute targets
+    to_prime_dnf tree_subtree valuation_to_json value_to_json walk_path
+    witness_prime witness_solved_clause
+""".split()
+
+
+def test_public_names():
+    """The names ``featlog`` exports are a contract: a change to them
+    must show up here."""
+    import types
+
+    import featlog
+
+    got = {
+        name
+        for name, value in vars(featlog).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(got) == sorted(PUBLIC_NAMES)

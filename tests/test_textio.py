@@ -5,6 +5,7 @@ import pytest
 from featlog import (
     And,
     Atomic,
+    Or,
     Eq,
     Excl,
     Exists,
@@ -26,12 +27,13 @@ from featlog import (
 from featlog.core import EPS
 
 from generators import random_quantified_formula
+from test_solve import _wall_limit
 
 
 def test_parse_exists_conjunction(sym):
     got = parse_formula(sym, "exists x. (A(x) & B(x))")
     x = sym.var("x")
-    want = Exists(x, And(Atomic(SortC(sym.sort("A"), x)), Atomic(SortC(sym.sort("B"), x))))
+    want = Exists(x, And((Atomic(SortC(sym.sort("A"), x)), Atomic(SortC(sym.sort("B"), x)))))
     assert got == want
 
 
@@ -40,7 +42,7 @@ def test_parse_feature_functionality_shape(sym):
     x, y, z = sym.var("x"), sym.var("y"), sym.var("z")
     f = sym.feat("f")
     body = Implies(
-        And(Atomic(FeatC(x, f, y)), Atomic(FeatC(x, f, z))), Atomic(Eq(y, z))
+        And((Atomic(FeatC(x, f, y)), Atomic(FeatC(x, f, z)))), Atomic(Eq(y, z))
     )
     assert got == Forall(x, Forall(y, Forall(z, body)))
 
@@ -103,8 +105,10 @@ def test_expand_sort_at_path(sym):
     assert isinstance(phi, Exists)
     w = phi.var
     assert phi.body == And(
-        Atomic(FeatC(sym.var("x"), sym.feat("f"), w)),
-        Atomic(SortC(sym.sort("A"), w)),
+        (
+            Atomic(FeatC(sym.var("x"), sym.feat("f"), w)),
+            Atomic(SortC(sym.sort("A"), w)),
+        )
     )
 
 
@@ -112,7 +116,7 @@ def test_expand_agreement_at_empty_paths(sym):
     phi = expand_sugar(sym, parse_formula(sym, "x.eps = y.eps"))
     assert isinstance(phi, Exists)
     z = phi.var
-    assert phi.body == And(Atomic(Eq(sym.var("x"), z)), Atomic(Eq(sym.var("y"), z)))
+    assert phi.body == And((Atomic(Eq(sym.var("x"), z)), Atomic(Eq(sym.var("y"), z))))
 
 
 def test_expand_agreement_longer_paths(sym):
@@ -138,7 +142,7 @@ def test_print_examples(sym):
 
     assert print_formula(TOP) == "true"
     x, y = sym.var("x"), sym.var("y")
-    phi = And(Atomic(SortC(sym.sort("A"), x)), Atomic(FeatC(x, sym.feat("f"), y)))
+    phi = And((Atomic(SortC(sym.sort("A"), x)), Atomic(FeatC(x, sym.feat("f"), y))))
     assert print_formula(phi) == "A(x) & f(x, y)"
     u = sym.var("u")
     assert print_formula(Exists(u, Atomic(FeatC(x, sym.feat("f"), u)))) == "exists u. f(x, u)"
@@ -170,3 +174,50 @@ def test_round_trip_of_sugar_nodes(sym):
     for text in ["undef(x, f)", "A@x.f.g", "x.f = y.eps", "B@y.eps"]:
         phi = parse_formula(sym, text)
         assert parse_formula(sym, print_formula(phi)) == phi
+
+
+def test_print_nested_nary_chains(sym):
+    """The first argument prints at the connective's own precedence, the
+    others one level higher."""
+    a, b, c = (Atomic(SortC(sym.sort(n), sym.var("x"))) for n in "ABC")
+    cases = [
+        (And((And((a, b)), c)), "A(x) & B(x) & C(x)"),
+        (And((a, And((b, c)))), "A(x) & (B(x) & C(x))"),
+        (Or((Or((a, b)), c)), "A(x) | B(x) | C(x)"),
+        (Or((a, Or((b, c)))), "A(x) | (B(x) | C(x))"),
+        (Or((And((a, b)), c)), "A(x) & B(x) | C(x)"),
+        (Or((a, And((b, c)))), "A(x) | B(x) & C(x)"),
+        (And((Or((a, b)), c)), "(A(x) | B(x)) & C(x)"),
+        (And((a, Or((b, c)))), "A(x) & (B(x) | C(x))"),
+    ]
+    for phi, text in cases:
+        assert print_formula(phi) == text
+
+
+def test_parsed_chains_round_trip(sym):
+    texts = [
+        "A(x) & B(x) & C(x)",
+        "A(x) & (B(x) & C(x)) & D(x)",
+        "A(x) | B(x) & C(x) | D(x)",
+        "A(x) & (B(x) | C(x) | D(x)) & ~(A(x) & B(x))",
+        "(A(x) -> B(x)) & (C(x) <-> D(x)) | exists y. (f(x, y) & A(y) & B(y))",
+        "(exists y. f(x, y) & A(y)) & (forall y. g(x, y) | B(y) | C(y)) & D(x)",
+    ]
+    for text in texts:
+        phi = parse_formula(sym, text)
+        assert parse_formula(sym, print_formula(phi)) == phi
+    for text in texts[:4]:
+        assert print_formula(parse_formula(sym, text)) == text
+
+
+def test_wide_chains_at_default_recursion_limit(sym):
+    """A 10,000-atom chain is one node deep, so no walker recurses
+    through it."""
+    n = 5000
+    text = " | ".join(f"A(x{i}) & f(x{i}, x{i + 1})" for i in range(n))
+    flipped = " | ".join(f"f(x{i}, x{i + 1}) & A(x{i})" for i in reversed(range(n)))
+    with _wall_limit(10.0):
+        phi = expand_sugar(sym, parse_formula(sym, text))
+        assert print_formula(phi) == text
+        assert free_vars(phi) == {sym.var(f"x{i}") for i in range(n + 1)}
+        assert canonical_formula(phi) == canonical_formula(parse_formula(sym, flipped))
