@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
@@ -225,16 +226,22 @@ def subvalue(v: Value, f: FeatId) -> Value | None:
     return walk_value(v, Path((f,)))
 
 
+def _feat_name(edge: tuple[FeatId, int]) -> str:
+    return edge[0].name
+
+
 def _walk(v: Value, p: Path) -> int | None:
-    """The node at the end of a path from the root, None off the domain."""
+    """The node at the end of a path from the root, None off the domain.
+
+    Edge rows are sorted by feature name, so each step bisects its row.
+    """
     node = 0
     for f in p.feats:
-        for g, j in v.edges[node]:
-            if g is f or g == f:
-                node = j
-                break
-        else:
+        row = v.edges[node]
+        i = bisect_left(row, f.name, key=_feat_name)
+        if i == len(row) or row[i][0] != f:
             return None
+        node = row[i][1]
     return node
 
 

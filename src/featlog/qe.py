@@ -14,12 +14,18 @@ falsify a joker without disturbing beta, so when the projection of
 beta' contains one, the negation is vacuous and ``exists x beta``
 remains.  Otherwise the needed x is pinned down and the clause is
 equivalent to ``exists x beta and not exists x (beta and beta')``.
+
+Open input needs no elimination of its free variables: because sorts
+and features are unbounded, a clause of prime literals is satisfiable
+exactly when its positives are consistent and entail none of its
+negatives, so one search over the clauses of the residue decides the
+existential closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from .core import (
     And,
@@ -55,6 +61,7 @@ from .prime import (
     from_atom,
     mk_prime_exists,
     prime_conj,
+    prime_entails,
     prime_to_formula,
 )
 
@@ -67,7 +74,7 @@ UNSATISFIABLE = "UNSATISFIABLE"
 
 
 class ResourceLimit(Exception):
-    """Raised when normal-form computation exceeds the clause bound."""
+    """Raised when a normal form or a clause search exceeds the clause bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +310,21 @@ def eliminate_clause(
 
 
 def to_prime_dnf(
-    delta: BoolComb, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES
+    delta: BoolComb,
+    max_clauses: int = DEFAULT_MAX_DNF_CLAUSES,
+    var: VarId | None = None,
 ) -> list[tuple[list[PrimeFormula], list[PrimeFormula]]]:
     """Disjunctive normal form with primes as literals.
 
     Clauses containing complementary or trivially false literals are
     dropped, duplicate literals merge, and clause growth beyond the
-    configured bound raises ResourceLimit.
+    configured bound raises ResourceLimit, naming ``var`` as the
+    variable being eliminated when one is given.
     """
+    limit = f"disjunctive normal form exceeds {max_clauses} clauses"
+    if var is not None:
+        limit += f" while eliminating {var}"
+
     def cross(
         left: list[tuple[dict, dict]], right: list[tuple[dict, dict]]
     ) -> list[tuple[dict, dict]]:
@@ -325,9 +339,7 @@ def to_prime_dnf(
                     continue
                 out.append((pos, neg))
                 if len(out) > max_clauses:
-                    raise ResourceLimit(
-                        f"disjunctive normal form exceeds {max_clauses} clauses"
-                    )
+                    raise ResourceLimit(limit)
         return out
 
     def go(node: BoolComb, negate: bool) -> list[tuple[dict, dict]]:
@@ -350,9 +362,7 @@ def to_prime_dnf(
                         seen.add(key)
                         out.append(clause)
                 if len(out) > max_clauses:
-                    raise ResourceLimit(
-                        f"disjunctive normal form exceeds {max_clauses} clauses"
-                    )
+                    raise ResourceLimit(limit)
             return out
         acc = [({}, {})]
         for a in node.args:
@@ -365,10 +375,87 @@ def to_prime_dnf(
 def _eliminate_exists(
     sym: Symbols, x: VarId, delta: BoolComb, max_clauses: int
 ) -> BoolComb:
-    clauses = to_prime_dnf(delta, max_clauses)
+    clauses = to_prime_dnf(delta, max_clauses, x)
     return bc_or(
         *[eliminate_clause(sym, x, pos, neg) for pos, neg in clauses]
     )
+
+
+# ---------------------------------------------------------------------------
+# Satisfiability by clause search
+
+
+def _clause_satisfiable(
+    sym: Symbols, positives: Iterable[PrimeFormula], negatives: Iterable[PrimeFormula]
+) -> bool:
+    """Independence: a clause of prime literals is satisfiable exactly
+    when its positives are consistent and entail none of its negatives."""
+    beta = prime_conj(sym, *positives)
+    if isinstance(beta, Bottom):
+        return False
+    return not any(prime_entails(beta, b) for b in negatives)
+
+
+def satisfiable(
+    sym: Symbols, delta: BoolComb, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES
+) -> bool:
+    """Whether the existential closure of a Boolean combination of primes holds.
+
+    The clauses of the prime DNF are visited one at a time, depth first,
+    and the search stops at the first satisfiable one.  A branch keeps a
+    stack of pending ``(node, negated)`` items: a conjunctive node pushes
+    its arguments, a disjunctive node continues with its first argument
+    and leaves the others as choice points, and a complementary literal
+    or a false leaf closes the branch.  The literals asserted on a branch
+    sit on a trail, so backtracking to a choice point pops them.  Nothing
+    recurses, and starting more than ``max_clauses`` branches raises
+    ResourceLimit.
+    """
+    # a linked stack ((node, negated), rest): a choice point shares the
+    # tail it resumes from instead of copying it
+    pending: tuple | None = ((delta, False), None)
+    literals: tuple[dict, dict] = ({}, {})  # positives, negatives
+    trail: list[tuple[dict, PrimeFormula]] = []
+    choices: list[tuple[tuple, int]] = []
+    branches = 1
+    while True:
+        closed = False
+        while pending is not None:
+            (node, negated), pending = pending
+            if isinstance(node, BcNot):
+                pending = ((node.arg, not negated), pending)
+            elif isinstance(node, PrimeLeaf):
+                beta = node.beta
+                if beta.is_top():
+                    if negated:
+                        closed = True
+                        break
+                    continue
+                own, other = literals[negated], literals[not negated]
+                if beta in other:
+                    closed = True
+                    break
+                if beta not in own:
+                    own[beta] = None
+                    trail.append((own, beta))
+            elif isinstance(node, BcOr) != negated:
+                for a in reversed(node.args[1:]):
+                    choices.append((((a, negated), pending), len(trail)))
+                pending = ((node.args[0], negated), pending)
+            else:
+                for a in reversed(node.args):
+                    pending = ((a, negated), pending)
+        if not closed and _clause_satisfiable(sym, *literals):
+            return True
+        if not choices:
+            return False
+        branches += 1
+        if branches > max_clauses:
+            raise ResourceLimit(f"search exceeds {max_clauses} branches")
+        pending, mark = choices.pop()
+        while len(trail) > mark:
+            own, beta = trail.pop()
+            del own[beta]
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +518,22 @@ class Verdict:
 def classify(
     sym: Symbols, phi: Formula, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES
 ) -> Verdict:
-    """Decide validity of closed input or satisfiability of open input."""
+    """Decide validity of closed input or satisfiability of open input.
+
+    Closed input folds to a constant through quantifier elimination.
+    Open input is decided by one clause search over its quantifier-free
+    residue, which is returned as it is when satisfiable.
+    """
     from .textio import expand_sugar
 
     phi = expand_sugar(sym, phi)
-    fv = sorted(free_vars(phi))
     delta = decide(sym, phi, max_clauses)
-    if not fv:
-        if delta == BC_TRUE:
-            return Verdict(VALID)
-        if delta == BC_FALSE:
-            return Verdict(INVALID)
-        raise AssertionError("closed input did not fold to a constant")
-    closure = delta
-    for v in fv:
-        closure = _eliminate_exists(sym, v, closure, max_clauses)
-    if closure == BC_FALSE:
+    if free_vars(phi):
+        if satisfiable(sym, delta, max_clauses):
+            return Verdict(SATISFIABLE, residue=delta)
         return Verdict(UNSATISFIABLE)
-    return Verdict(SATISFIABLE, residue=delta)
+    if delta == BC_TRUE:
+        return Verdict(VALID)
+    if delta == BC_FALSE:
+        return Verdict(INVALID)
+    raise AssertionError("closed input did not fold to a constant")

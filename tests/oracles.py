@@ -5,7 +5,9 @@ saturating the five deduction rules up to a path-length bound, freeness
 and jokers from that closure, and rule applicability by direct scanning.
 None of it shares code with the walk-based implementations under test,
 except the pairwise fold, which composes the binary prime operations
-that the one-pass ``simplify_epc`` replaces.
+that the one-pass ``simplify_epc`` replaces, and the closure
+classifier, which decides open input by quantifier elimination instead
+of the clause search.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from collections import Counter
 
 from featlog import (
     BOTTOM,
+    SATISFIABLE,
     TOP_PRIME,
+    UNSATISFIABLE,
     Agree,
     And,
     Atomic,
@@ -31,12 +35,18 @@ from featlog import (
     SortAt,
     SortC,
     Top,
+    decide,
+    eliminate_clause,
+    expand_sugar,
+    free_vars,
     mk_prime_exists,
     prime_conj,
+    to_prime_dnf,
 )
 from featlog.core import atom_vars
 from featlog.prime import from_atom
 from featlog.paths import PathConstraint, is_proper
+from featlog.qe import BC_FALSE, DEFAULT_MAX_DNF_CLAUSES, bc_or
 
 
 class NaiveClosure:
@@ -302,3 +312,20 @@ def fold_simplify_epc(sym, phi):
             return BOTTOM
         return mk_prime_exists(phi.var, inner)
     raise ValueError("only atoms, conjunction, and 'exists' are allowed here")
+
+
+def closure_classify(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
+    """Satisfiability of open input by eliminating its free variables.
+
+    The existential closure is taken one free variable at a time, in
+    name order, each step a full quantifier elimination over the prime
+    DNF of the step before, until the closed residue folds to a
+    constant.  Quadratic or worse in the number of free variables, but
+    built only from the separately tested elimination steps.
+    """
+    phi = expand_sugar(sym, phi)
+    closure = decide(sym, phi, max_clauses)
+    for v in sorted(free_vars(phi)):
+        clauses = to_prime_dnf(closure, max_clauses)
+        closure = bc_or(*[eliminate_clause(sym, v, pos, neg) for pos, neg in clauses])
+    return UNSATISFIABLE if closure == BC_FALSE else SATISFIABLE

@@ -125,6 +125,24 @@ def test_resource_limit_exit_code(tmp_path, capsys):
     assert "resource limit" in err
 
 
+def test_resource_limits_name_stage_and_size(tmp_path, capsys):
+    """Open input is searched one DNF clause per branch; quantifier
+    elimination names the variable it was eliminating."""
+    path = write(tmp_path, "(A(x) | B(x)) & (A(y) | B(y)) & C(z) & D(z)")
+    assert run(capsys, "decide", path, "--max-dnf-clauses", "2") == (
+        3,
+        "",
+        "resource limit: search exceeds 2 branches\n",
+    )
+    assert run(capsys, "decide", path, "--max-dnf-clauses", "4") == (0, "UNSATISFIABLE\n", "")
+    path = write(tmp_path, "exists x0. ((A(x0) | B(x0)) & (A(x1) | B(x1)))")
+    assert run(capsys, "decide", path, "--max-dnf-clauses", "2") == (
+        3,
+        "",
+        "resource limit: disjunctive normal form exceeds 2 clauses while eliminating x0\n",
+    )
+
+
 def test_json_format(tmp_path, capsys):
     path = write(tmp_path, "A(x)")
     code, out, _ = run(capsys, "decide", path, "--format", "json")
@@ -221,6 +239,9 @@ def test_conjunctions_at_scale(tmp_path, capsys, command, text, check):
         assert len(json.loads(out)["nodes"]) == check
 
 
+FLAT_SORTS = " & ".join(f"{'ABC'[i % 3]}(x{i})" for i in range(10000))
+
+
 @pytest.mark.parametrize(
     "command, text, check",
     [
@@ -244,6 +265,18 @@ def test_conjunctions_at_scale(tmp_path, capsys, command, text, check):
             lambda out: json.loads(out)["vars"] == {f"y{i}": 0 for i in range(10000)}
             and len(json.loads(out)["nodes"]) == 2,
             id="witness-10000-edges",
+        ),
+        pytest.param(
+            "decide",
+            FLAT_SORTS,
+            lambda out: out == f"SATISFIABLE\n{FLAT_SORTS}\n",
+            id="decide-flat-10000",
+        ),
+        pytest.param(
+            "decide",
+            f"{FLAT_SORTS} & B(x0)",
+            lambda out: out == "UNSATISFIABLE\n",
+            id="decide-flat-clash-10000",
         ),
         pytest.param(
             "decide",

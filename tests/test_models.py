@@ -359,6 +359,15 @@ def _witness_at_scale(sym, make_text, n):
     assert len(val[sym.var("x0")].labels) == nodes
 
 
+def _witness_fan(sym, n):
+    """One node with n features: checking the witness walks each once."""
+    text = f"exists x. ({' & '.join(f'f{i}(y, x)' for i in range(n))})"
+    beta = simplify_epc(sym, expand_sugar(sym, parse_formula(sym, text)))
+    val = witness_prime(beta, sym.fresh_sort("D"))
+    assert satisfies_prime(val, beta)
+    assert len(val[sym.var("y")].edges[0]) == n
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -369,6 +378,7 @@ def _witness_at_scale(sym, make_text, n):
             lambda sym: _witness_at_scale(sym, _marked_cycle_text, 200), id="witness-marked-cycle-200"
         ),
         pytest.param(lambda sym: _satisfies_chain(sym, 1500), id="satisfies-chain-1500"),
+        pytest.param(lambda sym: _witness_fan(sym, 10000), id="witness-fan-10000"),
     ],
 )
 def test_values_at_scale(sym, run):

@@ -4,6 +4,8 @@ import pytest
 
 from featlog import (
     Agree,
+    And,
+    Atomic,
     Bottom,
     FeatC,
     Iff,
@@ -32,7 +34,7 @@ from featlog import (
     simplify_epc,
     to_prime_dnf,
 )
-from featlog.core import EPS, forall_all
+from featlog.core import EPS, conj, exists_all, forall_all
 from featlog.qe import (
     BC_FALSE,
     BC_TRUE,
@@ -52,11 +54,12 @@ from featlog.qe import (
 
 from generators import (
     pools,
+    random_basic_formula,
     random_epc_formula,
     random_prime,
     random_quantified_formula,
 )
-from oracles import naive_is_free, naive_is_joker
+from oracles import closure_classify, naive_is_free, naive_is_joker
 
 
 def epc(sym, text):
@@ -380,6 +383,55 @@ def test_decide_handles_shadowed_binders(sym):
     assert boolcomb_to_formula(verdict.residue) == parse_formula(sym, "A(x)")
     inner_unsat = parse_formula(sym, "A(x) & exists x. (A(x) & B(x))")
     assert classify(sym, inner_unsat).kind == UNSATISFIABLE
+
+
+def test_search_agrees_with_closure_oracle(sym):
+    """The clause search and per-variable elimination give one verdict.
+
+    The oracle's DNF may cross the clause bound where the search stops
+    at its first satisfiable clause; such inputs are skipped.
+    """
+    rng = random.Random(28)
+    compared = unsat = 0
+    while compared < 2000:
+        phi = random_quantified_formula(rng, sym, max_atoms=rng.choice((6, 12, 20)))
+        if not free_vars(phi):
+            continue
+        try:
+            want = closure_classify(sym, phi)
+        except ResourceLimit:
+            continue
+        got = classify(sym, phi).kind
+        assert got == want, phi
+        compared += 1
+        unsat += got == UNSATISFIABLE
+    assert unsat > 50
+
+
+def test_search_checks_negatives_by_entailment(sym):
+    """Clauses whose consistent positives entail a negative are closed.
+
+    ``beta & ~exists ys. beta'`` with ``beta'`` drawn from the atoms of
+    ``beta``, half the time plus one atom more: the verdict turns on
+    ``prime_entails`` exactly when beta is consistent.
+    """
+    rng = random.Random(29)
+    by_entailment = sat = 0
+    for _ in range(500):
+        atoms = [Atomic(a) for a in random_basic_formula(rng, sym, max_atoms=8, n_vars=4).atoms]
+        part = rng.sample(atoms, rng.randint(1, len(atoms)))
+        if rng.random() < 0.5:
+            extra = random_basic_formula(rng, sym, max_atoms=1, n_vars=4).atoms[0]
+            part.append(Atomic(extra))
+        vs = sorted(set().union(*(free_vars(a) for a in part)))
+        beta = conj(atoms)
+        phi = And((beta, Not(exists_all(rng.sample(vs, rng.randint(0, len(vs))), conj(part)))))
+        got = classify(sym, phi).kind
+        assert got == closure_classify(sym, phi), phi
+        consistent = not isinstance(simplify_epc(sym, beta), Bottom)
+        by_entailment += consistent and got == UNSATISFIABLE
+        sat += got == SATISFIABLE
+    assert by_entailment > 30 and sat > 30
 
 
 def test_classification_agrees_with_bounded_model_checking(sym):
