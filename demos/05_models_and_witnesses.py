@@ -1,4 +1,4 @@
-"""Feature trees, feature graphs, witnesses, and bounded evaluation.
+"""Feature trees, feature graphs, witnesses, and exact evaluation.
 
 Values are rooted, feature-deterministic graphs.  Trees carry a sort on
 every node and are identified by their unfoldings (a one-node loop and
@@ -45,17 +45,19 @@ val = witness_prime(beta, default)
 print("witness satisfies the description:", satisfies_prime(val, beta))
 print(json.dumps(valuation_to_json({v: val[v] for v in beta.free_vars}), indent=2))
 
-# Exact evaluation of quantifier-free formulae.
+# Evaluation of quantifier-free formulae.
 x = sym.var("x")
 alpha = {x: single_node_tree(A)}
 print("A(x) holds:", evaluate(sym, "tree", alpha, parse_formula(sym, "A(x)")))
 print("undef(x, f) holds:", evaluate(sym, "tree", alpha, parse_formula(sym, "undef(x, f)")))
 
-# Quantified evaluation is a bounded, sound, three-valued search:
-# True means a witness was found, False a counterexample, None unknown.
+# Quantified evaluation is exact too, through quantifier elimination:
+# None only when elimination exceeds its clause bound (ResourceLimit).
 phi = parse_formula(sym, "exists y. f(x, y)")
 rich = feature_tree(0, {0: A, 1: A}, {(0, f): 1})
-print("exists y. f(x, y) with an f edge:", evaluate(sym, "tree", {x: rich}, phi, node_bound=2))
-print("exists y. f(x, y) on a leaf:", evaluate(sym, "tree", alpha, phi, node_bound=2))
+print("exists y. f(x, y) with an f edge:", evaluate(sym, "tree", {x: rich}, phi))
+print("exists y. f(x, y) on a leaf:", evaluate(sym, "tree", alpha, phi))
 phi = parse_formula(sym, "forall y. A(y)")
-print("forall y. A(y):", evaluate(sym, "tree", {}, phi, node_bound=2))
+print("forall y. A(y):", evaluate(sym, "tree", {}, phi))
+phi = parse_formula(sym, "forall y. exists z. (f(z, y) & A(z))")
+print("forall y. exists z. (f(z, y) & A(z)):", evaluate(sym, "tree", {}, phi))

@@ -32,6 +32,13 @@ class _Ident:
 
     name: str
 
+    def __eq__(self, other: object) -> bool:
+        # identifiers of different kinds never compare equal
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 
@@ -69,6 +76,18 @@ class Symbols:
         self._feats: dict[str, FeatId] = {}
         self._vars: dict[str, VarId] = {}
         self._fresh = 0
+
+    @classmethod
+    def avoiding(cls, vs: Iterable[VarId]) -> "Symbols":
+        """A new session whose fresh variables differ from ``vs``.
+
+        The variables are interned as they are, without the spelling
+        check, since names minted by another session carry the reserved
+        prefix.
+        """
+        sym = cls()
+        sym._vars.update((v.name, v) for v in vs)
+        return sym
 
     def _check(self, name: str, upper: bool) -> None:
         if not name or not NAME_PATTERN.match(name):
@@ -379,6 +398,15 @@ def forall_all(vs: Iterable[VarId], body: Formula) -> Formula:
 
 def free_vars(phi: Formula) -> set[VarId]:
     """The variables occurring free in ``phi``."""
+    return _formula_vars(phi, free_only=True)
+
+
+def all_vars(phi: Formula) -> set[VarId]:
+    """Every variable of ``phi``, free or quantified."""
+    return _formula_vars(phi, free_only=False)
+
+
+def _formula_vars(phi: Formula, free_only: bool) -> set[VarId]:
     out: set[VarId] = set()
 
     def go(psi: Formula, bound: frozenset[VarId]) -> None:
@@ -393,7 +421,11 @@ def free_vars(phi: Formula) -> set[VarId]:
             go(psi.lhs, bound)
             go(psi.rhs, bound)
         elif isinstance(psi, _QUANT):
-            go(psi.body, bound | {psi.var})
+            if free_only:
+                go(psi.body, bound | {psi.var})
+            else:
+                out.add(psi.var)
+                go(psi.body, bound)
         elif isinstance(psi, SugarAgree):
             out.update(v for v in (psi.lhs, psi.rhs) if v not in bound)
         elif isinstance(psi, SugarSortAt):

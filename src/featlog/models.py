@@ -1,4 +1,4 @@
-"""Feature trees, feature graphs, witnesses, and a bounded evaluator.
+"""Feature trees, feature graphs, witnesses, and an exact evaluator.
 
 A feature tree is a sort-labeled, feature-deterministic rooted value;
 only the rational ones (finitely many distinct subtrees) are
@@ -10,49 +10,26 @@ structure: they are identified up to renaming only, implemented by the
 same canonical numbering without minimization, and their nodes may lack
 sort labels.
 
-Both kinds of value support exact evaluation of quantifier-free
-formulae.  Quantified formulae are approximated by enumerating small
-candidate values, which yields a sound three-valued verdict: True,
-False, or None for unknown.
+Both kinds of value support exact evaluation of every formula:
+quantifier elimination reduces it to a Boolean combination of prime
+formulae, and each prime is checked on its finite projection.  The
+answer is None only when elimination exceeds its clause bound.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
-from .core import (
-    And,
-    Atomic,
-    Bottom,
-    Eq,
-    Excl,
-    Exists,
-    FeatC,
-    FeatId,
-    Forall,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Path,
-    SortC,
-    SortId,
-    SugarAgree,
-    SugarSortAt,
-    Symbols,
-    Top,
-    VarId,
-    atom_vars,
-)
+from .core import FeatId, Formula, Path, SortId, Symbols, VarId, all_vars
 from .paths import Agree, PathConstraint, Reach, SortAt
 from .prime import PrimeFormula, adjacency, projection
+from .qe import BcAnd, BcNot, BoolComb, PrimeLeaf, ResourceLimit, decide
 from .solve import SolvedClause, constrained_vars
+from .textio import expand_sugar
 
 Label = Union[SortId, None]
 EdgeRow = tuple[tuple[FeatId, int], ...]
@@ -378,54 +355,8 @@ def satisfies_prime(alpha: Mapping[VarId, Value], beta: PrimeFormula) -> bool:
     return all(holds_path_constraint(alpha, pi) for pi in projection(beta))
 
 
-def _eval_atom(alpha: Mapping[VarId, Value], atom) -> bool:
-    if isinstance(atom, SortC):
-        return root_sort(alpha[atom.var]) == atom.sort
-    if isinstance(atom, FeatC):
-        got = subvalue(alpha[atom.src], atom.feat)
-        return got is not None and got == alpha[atom.dst]
-    if isinstance(atom, Eq):
-        return alpha[atom.lhs] == alpha[atom.rhs]
-    assert isinstance(atom, Excl)
-    return all(f != atom.feat for f, _ in alpha[atom.var].edges[0])
-
-
-def _collect_symbols(phi: Formula, alpha: Mapping[VarId, Value]) -> tuple[set, set]:
-    sorts: set[SortId] = set()
-    feats: set[FeatId] = set()
-
-    def go(psi: Formula) -> None:
-        if isinstance(psi, Atomic):
-            a = psi.atom
-            if isinstance(a, SortC):
-                sorts.add(a.sort)
-            elif isinstance(a, FeatC):
-                feats.add(a.feat)
-            elif isinstance(a, Excl):
-                feats.add(a.feat)
-        elif isinstance(psi, Not):
-            go(psi.body)
-        elif isinstance(psi, (And, Or)):
-            for arg in psi.args:
-                go(arg)
-        elif isinstance(psi, (Implies, Iff)):
-            go(psi.lhs)
-            go(psi.rhs)
-        elif isinstance(psi, (Exists, Forall)):
-            go(psi.body)
-        elif isinstance(psi, SugarSortAt):
-            sorts.add(psi.sort)
-            feats.update(psi.path.feats)
-        elif isinstance(psi, SugarAgree):
-            feats.update(psi.lpath.feats)
-            feats.update(psi.rpath.feats)
-
-    go(phi)
-    for v in alpha.values():
-        sorts.update(lab for lab in v.labels if lab is not None)
-        for row in v.edges:
-            feats.update(f for f, _ in row)
-    return sorts, feats
+# ---------------------------------------------------------------------------
+# Value enumeration
 
 
 def _shapes(k: int, feats: list[FeatId]) -> Iterator[dict]:
@@ -498,11 +429,19 @@ def enumerate_values(
                     yield v
 
 
-# The evaluator's extra candidate sort and feature.  Uninterned, so the
-# session does not grow; fresh names always end in a number, so these
-# never collide.  The sort orders after user sorts, the feature before.
-_EXTRA_SORT = SortId("_S")
-_EXTRA_FEAT = FeatId("_f")
+# ---------------------------------------------------------------------------
+# Evaluation
+
+
+def _holds(alpha: Mapping[VarId, Value], delta: BoolComb) -> bool:
+    """Exact truth of a Boolean combination of primes, short-circuiting."""
+    if isinstance(delta, PrimeLeaf):
+        return satisfies_prime(alpha, delta.beta)
+    if isinstance(delta, BcNot):
+        return not _holds(alpha, delta.arg)
+    if isinstance(delta, BcAnd):
+        return all(_holds(alpha, a) for a in delta.args)
+    return any(_holds(alpha, a) for a in delta.args)
 
 
 def evaluate(
@@ -513,84 +452,26 @@ def evaluate(
     node_bound: int = 4,
     budget: int = 20000,
 ) -> bool | None:
-    """Three-valued evaluation; None means unknown.
+    """Exact evaluation through quantifier elimination; None only when
+    elimination exceeds its clause bound.
 
-    Quantifier-free formulae (exclusions and path sugar included) are
-    decided exactly.  A quantifier enumerates candidate values up to the
-    node bound over the symbols of the formula and valuation plus one
-    extra sort and one extra feature; an existential returns True on a
-    witness and None otherwise, a universal returns False on a
-    counterexample and None otherwise.  The shared budget caps the total
-    number of candidates tried across all quantifiers.  Every quantifier
-    instance reads the same candidate list, filled lazily from one
-    enumeration.  ``sym`` is not read, and the session is left
-    unchanged; the parameter stays for callers that pass it positionally.
+    Trees, rational trees and feature graphs are elementarily equivalent
+    models of the theory, and ``decide`` is an equivalence in the
+    theory, so phi holds under alpha exactly when its quantifier-free
+    residue does, one ``satisfies_prime`` per prime leaf.  Elimination
+    runs in a private session that has interned every variable of phi
+    and alpha first, so its fresh names capture none of them and the
+    caller's session ``sym`` is left unchanged.  ``node_bound`` and
+    ``budget`` are not read; they stay for callers that pass them.
     """
-    sorts, feats = _collect_symbols(phi, alpha)
-    sorts.add(_EXTRA_SORT)
-    feats.add(_EXTRA_FEAT)
-    remaining = [budget]
-    # never advanced, so each copy starts from the first candidate and
-    # all copies share one lazily filled buffer
-    (candidates,) = itertools.tee(enumerate_values(kind, sorts, feats, node_bound), 1)
-
-    def ev(psi: Formula, env: Mapping[VarId, Value]) -> bool | None:
-        if isinstance(psi, Top):
-            return True
-        if isinstance(psi, Bottom):
-            return False
-        if isinstance(psi, Atomic):
-            return _eval_atom(env, psi.atom)
-        if isinstance(psi, SugarAgree):
-            return holds_path_constraint(
-                env, Agree(psi.lhs, psi.lpath, psi.rhs, psi.rpath)
-            )
-        if isinstance(psi, SugarSortAt):
-            return holds_path_constraint(env, SortAt(psi.sort, psi.var, psi.path))
-        if isinstance(psi, Not):
-            r = ev(psi.body, env)
-            return None if r is None else not r
-        if isinstance(psi, (And, Or)):
-            # the value that decides the connective: False for &, True for |
-            decisive = isinstance(psi, Or)
-            out: bool | None = not decisive
-            for arg in psi.args:
-                r = ev(arg, env)
-                if r is decisive:
-                    return decisive
-                if r is None:
-                    out = None
-            return out
-        if isinstance(psi, Implies):
-            return ev(Or((Not(psi.lhs), psi.rhs)), env)
-        if isinstance(psi, Iff):
-            a = ev(psi.lhs, env)
-            b = ev(psi.rhs, env)
-            if a is None or b is None:
-                return None
-            return a == b
-        if isinstance(psi, (Exists, Forall)):
-            existential = isinstance(psi, Exists)
-            for v in copy.copy(candidates):
-                if remaining[0] <= 0:
-                    return None
-                remaining[0] -= 1
-                inner = dict(env)
-                inner[psi.var] = v
-                r = ev(psi.body, inner)
-                if existential and r is True:
-                    return True
-                if not existential and r is False:
-                    return False
-            return None
-        raise ValueError(f"cannot evaluate {psi!r}")
-
+    if kind not in ("tree", "graph"):
+        raise ValueError("kind must be 'tree' or 'graph'")
+    private = Symbols.avoiding(all_vars(phi) | set(alpha))
     try:
-        return ev(phi, dict(alpha))
-    finally:
-        # ev refers to itself, so its closure outlives this call until the
-        # cyclic collector runs: release the candidates now
-        candidates = None
+        delta = decide(private, expand_sugar(private, phi))
+    except ResourceLimit:
+        return None
+    return _holds(alpha, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,12 @@ def _clause_satisfiable(
     return not any(prime_entails(beta, b) for b in negatives)
 
 
+def _is_literal(delta: BoolComb) -> bool:
+    return isinstance(delta, PrimeLeaf) or (
+        isinstance(delta, BcNot) and isinstance(delta.arg, PrimeLeaf)
+    )
+
+
 def satisfiable(
     sym: Symbols, delta: BoolComb, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES
 ) -> bool:
@@ -409,8 +415,16 @@ def satisfiable(
     or a false leaf closes the branch.  The literals asserted on a branch
     sit on a trail, so backtracking to a choice point pops them.  Nothing
     recurses, and starting more than ``max_clauses`` branches raises
-    ResourceLimit.
+    ResourceLimit.  A conjunction with an argument that is not a literal
+    first checks its literal arguments, which every clause shares, so a
+    clash among them closes the search before it branches.
     """
+    if isinstance(delta, BcAnd) and not all(map(_is_literal, delta.args)):
+        shared = [a for a in delta.args if _is_literal(a)]
+        positives = [a.beta for a in shared if isinstance(a, PrimeLeaf)]
+        negatives = [a.arg.beta for a in shared if isinstance(a, BcNot)]
+        if not _clause_satisfiable(sym, positives, negatives):
+            return False
     # a linked stack ((node, negated), rest): a choice point shares the
     # tail it resumes from instead of copying it
     pending: tuple | None = ((delta, False), None)

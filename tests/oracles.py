@@ -5,13 +5,17 @@ saturating the five deduction rules up to a path-length bound, freeness
 and jokers from that closure, and rule applicability by direct scanning.
 None of it shares code with the walk-based implementations under test,
 except the pairwise fold, which composes the binary prime operations
-that the one-pass ``simplify_epc`` replaces, and the closure
-classifier, which decides open input by quantifier elimination instead
-of the clause search.
+that the one-pass ``simplify_epc`` replaces, the closure classifier,
+which decides open input by quantifier elimination instead of the
+clause search, and the bounded evaluator, which reads values through
+the library's walks but judges quantifiers by trying small candidate
+values instead of eliminating them.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 from collections import Counter
 
 from featlog import (
@@ -27,6 +31,12 @@ from featlog import (
     Excl,
     Exists,
     FeatC,
+    FeatId,
+    Forall,
+    Iff,
+    Implies,
+    Not,
+    Or,
     PrimeFormula,
     Reach,
     RootedPath,
@@ -34,16 +44,21 @@ from featlog import (
     SolvedFormula,
     SortAt,
     SortC,
+    SortId,
+    SugarAgree,
+    SugarSortAt,
     Top,
     decide,
     eliminate_clause,
     expand_sugar,
     free_vars,
+    holds_path_constraint,
     mk_prime_exists,
     prime_conj,
     to_prime_dnf,
 )
 from featlog.core import atom_vars
+from featlog.models import enumerate_values, root_sort, subvalue
 from featlog.prime import from_atom
 from featlog.paths import PathConstraint, is_proper
 from featlog.qe import BC_FALSE, DEFAULT_MAX_DNF_CLAUSES, bc_or
@@ -329,3 +344,136 @@ def closure_classify(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
         clauses = to_prime_dnf(closure, max_clauses)
         closure = bc_or(*[eliminate_clause(sym, v, pos, neg) for pos, neg in clauses])
     return UNSATISFIABLE if closure == BC_FALSE else SATISFIABLE
+
+
+def _eval_atom(alpha, atom) -> bool:
+    if isinstance(atom, SortC):
+        return root_sort(alpha[atom.var]) == atom.sort
+    if isinstance(atom, FeatC):
+        got = subvalue(alpha[atom.src], atom.feat)
+        return got is not None and got == alpha[atom.dst]
+    if isinstance(atom, Eq):
+        return alpha[atom.lhs] == alpha[atom.rhs]
+    assert isinstance(atom, Excl)
+    return all(f != atom.feat for f, _ in alpha[atom.var].edges[0])
+
+
+def _collect_symbols(phi, alpha) -> tuple[set, set]:
+    sorts: set = set()
+    feats: set = set()
+
+    def go(psi) -> None:
+        if isinstance(psi, Atomic):
+            a = psi.atom
+            if isinstance(a, SortC):
+                sorts.add(a.sort)
+            elif isinstance(a, (FeatC, Excl)):
+                feats.add(a.feat)
+        elif isinstance(psi, Not):
+            go(psi.body)
+        elif isinstance(psi, (And, Or)):
+            for arg in psi.args:
+                go(arg)
+        elif isinstance(psi, (Implies, Iff)):
+            go(psi.lhs)
+            go(psi.rhs)
+        elif isinstance(psi, (Exists, Forall)):
+            go(psi.body)
+        elif isinstance(psi, SugarSortAt):
+            sorts.add(psi.sort)
+            feats.update(psi.path.feats)
+        elif isinstance(psi, SugarAgree):
+            feats.update(psi.lpath.feats)
+            feats.update(psi.rpath.feats)
+
+    go(phi)
+    for v in alpha.values():
+        sorts.update(lab for lab in v.labels if lab is not None)
+        for row in v.edges:
+            feats.update(f for f, _ in row)
+    return sorts, feats
+
+
+# The extra candidate sort and feature.  Fresh names always end in a
+# number, so these never collide.  The sort orders after user sorts, the
+# feature before.
+_EXTRA_SORT = SortId("_S")
+_EXTRA_FEAT = FeatId("_f")
+
+
+def bounded_evaluate(sym, kind, alpha, phi, node_bound=4, budget=20000):
+    """Sound three-valued evaluation by small candidate values.
+
+    Quantifier-free formulae (exclusions and path sugar included) are
+    decided exactly.  A quantifier enumerates candidate values up to the
+    node bound over the symbols of the formula and valuation plus one
+    extra sort and one extra feature; an existential returns True on a
+    witness and None otherwise, a universal returns False on a
+    counterexample and None otherwise.  The shared budget caps the total
+    number of candidates tried across all quantifiers.  Every quantifier
+    instance reads the same candidate list, filled lazily from one
+    enumeration.  ``sym`` is not read.
+    """
+    sorts, feats = _collect_symbols(phi, alpha)
+    sorts.add(_EXTRA_SORT)
+    feats.add(_EXTRA_FEAT)
+    remaining = [budget]
+    # never advanced, so each copy starts from the first candidate and
+    # all copies share one lazily filled buffer
+    (candidates,) = itertools.tee(enumerate_values(kind, sorts, feats, node_bound), 1)
+
+    def ev(psi, env):
+        if isinstance(psi, Top):
+            return True
+        if isinstance(psi, Bottom):
+            return False
+        if isinstance(psi, Atomic):
+            return _eval_atom(env, psi.atom)
+        if isinstance(psi, SugarAgree):
+            return holds_path_constraint(env, Agree(psi.lhs, psi.lpath, psi.rhs, psi.rpath))
+        if isinstance(psi, SugarSortAt):
+            return holds_path_constraint(env, SortAt(psi.sort, psi.var, psi.path))
+        if isinstance(psi, Not):
+            r = ev(psi.body, env)
+            return None if r is None else not r
+        if isinstance(psi, (And, Or)):
+            # the value that decides the connective: False for &, True for |
+            decisive = isinstance(psi, Or)
+            out = not decisive
+            for arg in psi.args:
+                r = ev(arg, env)
+                if r is decisive:
+                    return decisive
+                if r is None:
+                    out = None
+            return out
+        if isinstance(psi, Implies):
+            return ev(Or((Not(psi.lhs), psi.rhs)), env)
+        if isinstance(psi, Iff):
+            a = ev(psi.lhs, env)
+            b = ev(psi.rhs, env)
+            if a is None or b is None:
+                return None
+            return a == b
+        if isinstance(psi, (Exists, Forall)):
+            existential = isinstance(psi, Exists)
+            for v in copy.copy(candidates):
+                if remaining[0] <= 0:
+                    return None
+                remaining[0] -= 1
+                inner = dict(env)
+                inner[psi.var] = v
+                r = ev(psi.body, inner)
+                if existential and r is True:
+                    return True
+                if not existential and r is False:
+                    return False
+            return None
+        raise ValueError(f"cannot evaluate {psi!r}")
+
+    try:
+        return ev(phi, dict(alpha))
+    finally:
+        # ev refers to itself, so its closure outlives this call until the
+        # cyclic collector runs: release the candidates now
+        candidates = None

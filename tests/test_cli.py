@@ -128,19 +128,36 @@ def test_resource_limit_exit_code(tmp_path, capsys):
 def test_resource_limits_name_stage_and_size(tmp_path, capsys):
     """Open input is searched one DNF clause per branch; quantifier
     elimination names the variable it was eliminating."""
-    path = write(tmp_path, "(A(x) | B(x)) & (A(y) | B(y)) & C(z) & D(z)")
+    path = write(tmp_path, "(A(x) | B(x)) & (C(x) | D(x)) & E(x)")
     assert run(capsys, "decide", path, "--max-dnf-clauses", "2") == (
         3,
         "",
         "resource limit: search exceeds 2 branches\n",
     )
     assert run(capsys, "decide", path, "--max-dnf-clauses", "4") == (0, "UNSATISFIABLE\n", "")
+    # a clash among the literals every clause shares is found before
+    # the search branches
+    path = write(tmp_path, "(A(x) | B(x)) & (A(y) | B(y)) & C(z) & D(z)")
+    assert run(capsys, "decide", path, "--max-dnf-clauses", "2") == (0, "UNSATISFIABLE\n", "")
     path = write(tmp_path, "exists x0. ((A(x0) | B(x0)) & (A(x1) | B(x1)))")
     assert run(capsys, "decide", path, "--max-dnf-clauses", "2") == (
         3,
         "",
         "resource limit: disjunctive normal form exceeds 2 clauses while eliminating x0\n",
     )
+
+
+@pytest.mark.parametrize("n", [14, 20])
+@pytest.mark.parametrize("clash_first", [True, False], ids=["clash-first", "clash-last"])
+def test_shared_clash_closes_the_search_at_the_root(tmp_path, capsys, n, clash_first):
+    """2^n clauses all share the inconsistent C(y) & D(y); the search
+    finds it once instead of once per branch."""
+    choices = [f"(A(x{i}) | B(x{i}))" for i in range(n)]
+    clash = ["C(y)", "D(y)"]
+    parts = clash + choices if clash_first else choices + clash
+    path = write(tmp_path, " & ".join(parts))
+    with _wall_limit(5.0):
+        assert run(capsys, "decide", path) == (0, "UNSATISFIABLE\n", "")
 
 
 def test_json_format(tmp_path, capsys):

@@ -30,6 +30,31 @@ def test_namespaces_are_disjoint(sym):
     assert f_feat.name == f_var.name
 
 
+def test_identifier_kinds_never_compare_equal():
+    from featlog import FeatId, SortId, VarId
+
+    ids = [SortId("a"), FeatId("a"), VarId("a")]
+    for i, a in enumerate(ids):
+        for j, b in enumerate(ids):
+            assert (a == b) == (i == j)
+            assert (a != b) == (i != j)
+    assert len(set(ids)) == 3
+    assert set(ids) | {SortId("a"), VarId("a")} == set(ids)
+    assert VarId("a") == VarId("a") and hash(VarId("a")) == hash(VarId("a"))
+
+
+def test_a_session_avoiding_variables_mints_around_them(sym):
+    from featlog.core import all_vars
+
+    minted = sym.fresh_var("y")
+    phi = Exists(sym.fresh_var("y"), Atomic(FeatC(minted, sym.feat("f"), sym.var("x"))))
+    seen = all_vars(phi)
+    assert {v.name for v in seen} == {"_y1", "_y2", "x"}
+    private = Symbols.avoiding(seen)
+    assert private.fresh_var("y").name == "_y3"
+    assert private.var("x") in seen
+
+
 def test_identifier_validation(sym):
     with pytest.raises(ValueError):
         sym.var("_hidden")

@@ -38,7 +38,7 @@ from featlog.models import enumerate_values, root_sort, subvalue, subvalues, wal
 from featlog.solve import clause_to_formula
 
 from generators import pools, random_tree_value, random_valuation
-from oracles import naive_bisimilarity, naive_reachable
+from oracles import bounded_evaluate, naive_bisimilarity, naive_reachable
 from test_solve import _wall_limit, fig2_clause
 
 
@@ -103,7 +103,7 @@ def test_witness_self_loop(sym):
     t = val[x]
     assert len(t.labels) == 1 and t.labels[0] == A
     assert subvalue(t, f) == t
-    assert evaluate(sym, "tree", val, clause_to_formula(delta)) is True
+    assert bounded_evaluate(sym, "tree", val, clause_to_formula(delta)) is True
 
 
 def test_witness_single_sort(sym):
@@ -129,7 +129,7 @@ def test_witness_for_the_cyclic_example(sym):
     A0 = sym.sort("Azero")
     params = {y: single_node_tree(A0), z: single_node_tree(A0)}
     val = witness_solved_clause(clause, params, sym.fresh_sort("D"))
-    assert evaluate(sym, "tree", val, clause_to_formula(clause)) is True
+    assert bounded_evaluate(sym, "tree", val, clause_to_formula(clause)) is True
     tx = val[x]
     # no h edge at the root, C at f, A at g, B at g.h, and no f under g
     assert walk_value(tx, Path((h,))) is None
@@ -156,7 +156,7 @@ def test_witness_soundness_on_random_clauses(sym):
             )
         }
         val = witness_solved_clause(delta, params, default)
-        assert evaluate(sym, "tree", val, clause_to_formula(delta)) is True
+        assert bounded_evaluate(sym, "tree", val, clause_to_formula(delta)) is True
 
 
 def test_witness_prime_examples(sym):
@@ -188,29 +188,98 @@ def test_evaluate_atoms(sym):
 
 def test_evaluate_leaves_the_session_unchanged(sym):
     A = sym.sort("A")
-    phi = parse_formula(sym, "forall y. (A(y) | ~A(y))")
-    for _ in range(1000):
-        evaluate(sym, "tree", {}, phi, node_bound=1)
+    # sugar expansion, the conjunction under the quantifiers and their
+    # elimination all mint variables
+    text = "forall y. exists z. (z.h = y.eps & B @ z.g & undef(z, f) & ~A(z))"
+    phi = parse_formula(sym, text)
+    names = dict(sym._vars)
+    for _ in range(200):
+        for kind in ("tree", "graph"):
+            assert evaluate(sym, kind, {}, phi) is True
+    assert sym._vars == names
     assert sym.fresh_var("v").name == "_v1"
     assert sym.sort("A") is A
 
 
+def test_evaluate_does_not_capture_minted_names(sym):
+    A = sym.sort("A")
+    f = sym.feat("f")
+    v = sym.fresh_var("y")
+    assert v.name == "_y1"
+    phi = Atomic(Excl(v, f))
+    for kind in ("tree", "graph"):
+        # unseeded, the private session would spell undef's quantified
+        # variable _y1 too and read ~exists _y1. f(_y1, _y1)
+        assert evaluate(sym, kind, {v: single_node_tree(A)}, phi) is True
+    # a minted variable bound by a quantifier, with sugar below it: the
+    # private session's next fresh spelling after _y1 is _y2
+    w = sym.fresh_var("y")
+    phi = Exists(w, conj([Atomic(FeatC(v, f, w)), Atomic(Excl(w, f))]))
+    loop = feature_tree(0, {0: A}, {(0, f): 0})
+    chain = feature_tree(0, {0: A, 1: A}, {(0, f): 1})
+    for kind in ("tree", "graph"):
+        assert evaluate(sym, kind, {v: chain}, phi) is True
+        assert evaluate(sym, kind, {v: loop}, phi) is False
+
+
 def test_evaluate_quantifiers_three_valued(sym):
+    """The bounded oracle is sound and three-valued; exact evaluation
+    answers where the oracle's search stays inconclusive."""
     A, B = sym.sort("A"), sym.sort("B")
     x, y = sym.var("x"), sym.var("y")
     t = single_node_tree(A)
     # a witness exists among the small candidates
     phi = Exists(y, Atomic(Eq(x, y)))
-    assert evaluate(sym, "tree", {x: t}, phi, node_bound=2) is True
+    assert bounded_evaluate(sym, "tree", {x: t}, phi, node_bound=2) is True
+    assert evaluate(sym, "tree", {x: t}, phi) is True
     # no counterexample can prove a universal
-    assert evaluate(sym, "tree", {}, Forall(y, Atomic(SortC(A, y))), node_bound=2) is False
-    assert (
-        evaluate(sym, "tree", {x: t}, Forall(y, Exists(x, Atomic(Eq(x, y)))), node_bound=1, budget=50)
-        is None
-    )
+    phi = Forall(y, Atomic(SortC(A, y)))
+    assert bounded_evaluate(sym, "tree", {}, phi, node_bound=2) is False
+    assert evaluate(sym, "tree", {}, phi) is False
+    phi = Forall(y, Exists(x, Atomic(Eq(x, y))))
+    assert bounded_evaluate(sym, "tree", {x: t}, phi, node_bound=1, budget=50) is None
+    assert evaluate(sym, "tree", {x: t}, phi) is True
     # unsatisfiable matrix: the search is inconclusive, never positive
     phi = Exists(y, conj([Atomic(SortC(A, y)), Atomic(SortC(B, y))]))
-    assert evaluate(sym, "tree", {}, phi, node_bound=2) is None
+    assert bounded_evaluate(sym, "tree", {}, phi, node_bound=2) is None
+    assert evaluate(sym, "tree", {}, phi) is False
+
+
+def test_exact_evaluation_agrees_with_the_bounded_oracle(sym):
+    """Exact evaluation equals every definite answer of the bounded
+    search, over trees and graphs, and is never unknown on them."""
+    from featlog import free_vars
+    from generators import random_quantified_formula
+
+    rng = random.Random(32)
+    quantified = {"tree": 0, "graph": 0}
+    for i in range(1000):
+        kind = ("tree", "graph")[i % 2]
+        phi = random_quantified_formula(rng, sym, max_atoms=8, max_quants=3, n_vars=4)
+        alpha = random_valuation(rng, sym, sorted(free_vars(phi)), kind, max_nodes=2)
+        want = bounded_evaluate(sym, kind, alpha, phi, node_bound=2, budget=500)
+        if want is not None:
+            assert evaluate(sym, kind, alpha, phi) is want, (kind, phi, alpha)
+            quantified[kind] += "exists" in str(phi) or "forall" in str(phi)
+    assert quantified["tree"] > 100 and quantified["graph"] > 100
+
+
+def test_evaluate_is_unknown_only_past_the_clause_bound(sym):
+    """The k = 8 alternation ladder exceeds the normal form's clause
+    bound: evaluation gives up at once instead of searching."""
+    k = 8
+    vs = [f"x{i}" for i in range(1, k + 1)]
+    prefix = " ".join(
+        ("forall" if i % 2 == 0 else "exists") + f" {v}." for i, v in enumerate(vs)
+    )
+    links = " & ".join(
+        "(" + " | ".join([f"{f}({a}, {b})" for f in "fgh"] + [f"{a} = {b}"]) + ")"
+        for a, b in zip(vs, vs[1:])
+    )
+    phi = parse_formula(sym, f"{prefix} ({links})")
+    with _wall_limit(1.0):
+        assert evaluate(sym, "tree", {}, phi) is None
+        assert evaluate(sym, "graph", {}, phi) is None
 
 
 def test_oracle_consistency_on_labeled_graphs(sym):

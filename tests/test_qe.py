@@ -59,7 +59,7 @@ from generators import (
     random_prime,
     random_quantified_formula,
 )
-from oracles import closure_classify, naive_is_free, naive_is_joker
+from oracles import bounded_evaluate, closure_classify, naive_is_free, naive_is_joker
 
 
 def epc(sym, text):
@@ -441,7 +441,6 @@ def test_classification_agrees_with_bounded_model_checking(sym):
     intended structures, so a classification disagreeing with one would
     be wrong.  Formulae are kept tiny so the search often concludes.
     """
-    from featlog import evaluate
     from featlog.core import exists_all
 
     rng = random.Random(27)
@@ -451,13 +450,13 @@ def test_classification_agrees_with_bounded_model_checking(sym):
         phi = expand_sugar(sym, phi)
         fv = sorted(free_vars(phi))
         closed = forall_all(fv, phi)
-        brute = evaluate(sym, "tree", {}, closed, node_bound=2, budget=4000)
+        brute = bounded_evaluate(sym, "tree", {}, closed, node_bound=2, budget=4000)
         if brute is not None:
             verdict = classify(sym, closed)
             assert verdict.kind == (VALID if brute else INVALID), closed
             definite[verdict.kind] += 1
         some = exists_all(fv, phi)
-        brute = evaluate(sym, "tree", {}, some, node_bound=2, budget=4000)
+        brute = bounded_evaluate(sym, "tree", {}, some, node_bound=2, budget=4000)
         if brute is not None and fv:
             verdict = classify(sym, phi)
             want = SATISFIABLE if brute else UNSATISFIABLE

@@ -15,7 +15,6 @@ from featlog import (
     SortC,
     basic_simplify,
     constrained_vars,
-    evaluate,
     formula_to_basic,
     is_solved_clause,
     is_solved_formula,
@@ -27,7 +26,7 @@ from featlog import (
 from featlog.core import Atomic, conj
 
 from generators import random_basic_formula, random_valuation
-from oracles import randomized_simplify, simplification_rule_applies
+from oracles import bounded_evaluate, randomized_simplify, simplification_rule_applies
 
 
 def fig2_clause(sym) -> SolvedClause:
@@ -165,7 +164,7 @@ def test_simplification_properties(sym):
         phi_out = solved_to_formula(solved)
         for _ in range(5):
             alpha = random_valuation(rng, sym, basic.variables, "graph")
-            assert evaluate(sym, "graph", alpha, phi_in) == evaluate(
+            assert bounded_evaluate(sym, "graph", alpha, phi_in) == bounded_evaluate(
                 sym, "graph", alpha, phi_out
             )
     assert checked > 100
@@ -197,7 +196,7 @@ def test_any_maximal_strategy_gives_an_equivalent_result(sym):
             alpha = random_valuation(
                 rng, sym, basic.variables | {sym.var("pad0")}, "graph"
             )
-            assert evaluate(sym, "graph", alpha, phi_fixed) == evaluate(
+            assert bounded_evaluate(sym, "graph", alpha, phi_fixed) == bounded_evaluate(
                 sym, "graph", alpha, phi_other
             )
     assert compared > 60
