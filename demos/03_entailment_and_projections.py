@@ -27,7 +27,8 @@ def prime_of(text: str):
 beta = prime_of("exists u. (f(x, u) & A(u) & g(u, y))")
 print("prime:", beta)
 
-# Each body variable is addressed by a rooted path from a free variable.
+# The prime is canonical, so u is bound as q0.  Each body variable is
+# addressed by a rooted path from a free variable: q0 via x.f.
 for var, rooted in sorted(access_function(beta).items(), key=lambda kv: kv[0].name):
     print(f"  access {var.name:4} via {rooted}")
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .core import Bottom, Symbols, free_vars
 from .models import satisfies_prime, single_node_tree, valuation_to_json, witness_prime
-from .prime import simplify_epc
+from .prime import prime_entails, simplify_epc
 from .qe import (
     DEFAULT_MAX_DNF_CLAUSES,
     INVALID,
@@ -31,15 +30,6 @@ from .solve import basic_simplify, formula_to_basic, solved_to_formula
 from .textio import ParseError, expand_sugar, parse_formula, print_formula
 
 
-@dataclass
-class RunConfig:
-    command: str
-    source: str
-    fmt: str = "text"
-    max_dnf_clauses: int = DEFAULT_MAX_DNF_CLAUSES
-    default_sort: str | None = None
-
-
 def _read(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
@@ -47,15 +37,15 @@ def _read(source: str) -> str:
         return fh.read()
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if cfg.fmt == "json":
+def _emit(cfg: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if cfg.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
 
 
-def _cmd_decide(cfg: RunConfig, sym: Symbols, text: str) -> int:
+def _cmd_decide(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     phi = parse_formula(sym, text)
     verdict = classify(sym, phi, cfg.max_dnf_clauses)
     payload: dict = {"command": "decide", "verdict": verdict.kind}
@@ -68,7 +58,7 @@ def _cmd_decide(cfg: RunConfig, sym: Symbols, text: str) -> int:
     return 0
 
 
-def _cmd_simplify(cfg: RunConfig, sym: Symbols, text: str) -> int:
+def _cmd_simplify(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     phi = expand_sugar(sym, parse_formula(sym, text))
     try:
         basic = formula_to_basic(phi)
@@ -91,7 +81,7 @@ def _cmd_simplify(cfg: RunConfig, sym: Symbols, text: str) -> int:
     return 0
 
 
-def _cmd_entail(cfg: RunConfig, sym: Symbols, text: str) -> int:
+def _cmd_entail(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     parts = text.split(";")
     if len(parts) != 2:
         print("entail needs exactly two formulae separated by ';'", file=sys.stderr)
@@ -113,15 +103,13 @@ def _cmd_entail(cfg: RunConfig, sym: Symbols, text: str) -> int:
     elif isinstance(rhs, Bottom):
         entailed = False
     else:
-        from .prime import prime_entails
-
         entailed = prime_entails(lhs, rhs)
     token = "ENTAILED" if entailed else "NOT-ENTAILED"
     _emit(cfg, {"command": "entail", "entailed": entailed}, [token])
     return 0
 
 
-def _cmd_witness(cfg: RunConfig, sym: Symbols, text: str) -> int:
+def _cmd_witness(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     phi = expand_sugar(sym, parse_formula(sym, text))
     try:
         beta = simplify_epc(sym, phi)
@@ -189,21 +177,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_dnf_clauses <= 0:
         print("counts must be positive", file=sys.stderr)
         return 2
-    cfg = RunConfig(
-        command=args.command,
-        source=args.file,
-        fmt=args.format,
-        max_dnf_clauses=args.max_dnf_clauses,
-        default_sort=args.default_sort,
-    )
     try:
-        text = _read(cfg.source)
+        text = _read(args.file)
     except OSError as exc:
-        print(f"cannot read {cfg.source}: {exc}", file=sys.stderr)
+        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     sym = Symbols()
     try:
-        return _COMMANDS[cfg.command](cfg, sym, text)
+        return _COMMANDS[args.command](args, sym, text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Union
 
 NAME_PATTERN = re.compile(r"\A[A-Za-z][A-Za-z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"true", "false", "exists", "forall", "undef", "eps"})
-RESERVED_PREFIX = "_"
 
 
 @dataclass(frozen=True)
@@ -230,9 +229,6 @@ class Excl:
 
 
 Atom = Union[SortC, FeatC, Eq, Excl]
-
-_ATOM_RANK = {Eq: 0, SortC: 1, FeatC: 2, Excl: 3}
-
 
 def atom_key(a: Atom):
     """Total order on atoms: kind first, then spellings."""

@@ -6,6 +6,12 @@ free variable.  Primes are closed under conjunction (up to ``false``)
 and under existential quantification, and entailment between primes is
 decidable through finite projections, which makes them the building
 blocks of the full decision procedure.
+
+Every prime the library builds is canonical by construction: one
+requantification garbage-collects the unreachable part of the body,
+names the bound variables q0, q1, ... by their access paths and sorts
+the atoms, so primes equal up to renaming of bound variables are equal
+values.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Iterable, Mapping
 
 from .core import (
@@ -25,6 +32,7 @@ from .core import (
     Eq,
     Excl,
     FeatC,
+    FeatId,
     Formula,
     SortC,
     Symbols,
@@ -83,18 +91,25 @@ def adjacency(edges: Mapping) -> dict:
     return adj
 
 
-def _graph_reachable(body: SolvedFormula, roots: set[VarId]) -> set[VarId]:
-    """Roots plus everything reachable from them along feature edges."""
+def _bfs_tree(
+    body: SolvedFormula, roots: Iterable[VarId]
+) -> dict[VarId, tuple[VarId, FeatId] | None]:
+    """Breadth-first search from the roots along feature edges.
+
+    Roots are visited in name order and each node's features in name
+    order.  Every reached variable maps to the ``(variable, feature)``
+    it was first reached through, a root to None, in order of discovery.
+    """
     adj = adjacency(body.edges)
-    seen = set(roots)
-    queue = deque(sorted(roots))
+    tree: dict[VarId, tuple[VarId, FeatId] | None] = dict.fromkeys(sorted(roots))
+    queue = deque(tree)
     while queue:
         u = queue.popleft()
-        for _, w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
+        for feat, w in adj.get(u, ()):
+            if w not in tree:
+                tree[w] = (u, feat)
                 queue.append(w)
-    return seen
+    return tree
 
 
 def is_prime_formula(beta: PrimeFormula) -> bool:
@@ -109,46 +124,72 @@ def is_prime_formula(beta: PrimeFormula) -> bool:
         return False
     if not beta.bound <= body.variables:
         return False
-    reached = _graph_reachable(body, set(body.variables - beta.bound))
-    return beta.bound <= reached
+    return beta.bound <= _bfs_tree(body, body.variables - beta.bound).keys()
 
 
 def requantify(bound: Iterable[VarId], body: SolvedFormula) -> PrimeFormula:
-    """A prime formula equivalent to ``exists bound`` applied to ``body``.
+    """The canonical prime formula equivalent to ``exists bound`` applied to ``body``.
 
     The variables in ``bound`` may sit anywhere in the solved body.
     Equations whose left side is quantified are dropped: that variable
     occurs nowhere else.  A quantified variable that still represents
     free ones is renamed to the least of them by name, whose equation is
-    dropped.  Then one breadth-first pass from the free variables keeps
-    what it reaches; the rest of the graph, with its bound variables, is
-    garbage collected, and solved-clause satisfiability guarantees the
-    dropped constraints never exclude a solution.
+    dropped.  Then one breadth-first search from the free variables
+    (``_bfs_tree``) does two jobs.  What it does not reach is garbage
+    collected, with its bound variables; solved-clause satisfiability
+    guarantees the dropped constraints never exclude a solution.  And
+    the bound variables it reaches, ordered by access path (root name,
+    then feature names), are renamed q0, q1, ..., skipping the spelling
+    of any free variable of the result.  Both parts of the body are
+    sorted by ``atom_key``, so two primes that differ only in the names
+    of their bound variables come out equal.  The names avoid the
+    reserved ``_`` prefix, so the result stays printable and reparseable.
     """
     quantified = frozenset(bound)
-    if not quantified:
-        return PrimeFormula(quantified, body)
     eqs = [eq for eq in body.normalizer if eq.lhs not in quantified]
     rename: dict[VarId, VarId] = {}
     for eq in eqs:
         if eq.rhs in quantified:
             rename[eq.rhs] = min(eq.lhs, rename.get(eq.rhs, eq.lhs))
     normalizer = tuple(
-        Eq(eq.lhs, rename.get(eq.rhs, eq.rhs)) for eq in eqs if rename.get(eq.rhs) != eq.lhs
+        sorted(
+            (Eq(eq.lhs, rename.get(eq.rhs, eq.rhs)) for eq in eqs if rename.get(eq.rhs) != eq.lhs),
+            key=atom_key,
+        )
     )
     graph = tuple(rename_atom(a, rename) for a in body.graph) if rename else body.graph
-    renamed = SolvedFormula(normalizer, graph)
-    reached = _graph_reachable(renamed, set(renamed.variables - quantified))
-    dropped = quantified - reached
-    kept = tuple(a for a in graph if dropped.isdisjoint(atom_vars(a)))
-    return PrimeFormula(quantified & reached, SolvedFormula(normalizer, kept))
+    mapping: dict[VarId, VarId] = {}
+    if quantified:
+        renamed = SolvedFormula(normalizer, graph)
+        free = renamed.variables - quantified
+        tree = _bfs_tree(renamed, free)
+        dropped = quantified - tree.keys()
+        if dropped:
+            graph = tuple(a for a in graph if dropped.isdisjoint(atom_vars(a)))
+            free = SolvedFormula(normalizer, graph).variables - quantified
+        taken = {v.name for v in free}
+        names = (f"q{i}" for i in count() if f"q{i}" not in taken)
+        # access-path order is the preorder of the search tree, children by feature
+        children: dict[VarId, list[VarId]] = {}
+        for w, parent in tree.items():
+            if parent is not None:
+                children.setdefault(parent[0], []).append(w)
+        stack = [v for v in reversed(tree) if tree[v] is None]
+        while stack:
+            u = stack.pop()
+            if tree[u] is not None:
+                mapping[u] = VarId(next(names))
+            stack.extend(reversed(children.get(u, ())))
+        graph = tuple(rename_atom(a, mapping) for a in graph)
+    body = SolvedFormula(normalizer, tuple(sorted(graph, key=atom_key)))
+    return PrimeFormula(frozenset(mapping.values()), body)
 
 
 def mk_prime_exists(x: VarId, beta: PrimeFormula) -> PrimeFormula:
     """A prime formula equivalent to ``exists x`` applied to ``beta``.
 
     ``beta`` itself when x is not free in it; otherwise ``requantify``
-    with x added to the bound variables.
+    with x added to the bound variables, which is canonical.
     """
     if x not in beta.free_vars:
         return beta
@@ -227,25 +268,21 @@ def access_function(beta: PrimeFormula) -> dict[VarId, RootedPath]:
     """One rooted path per body variable, injectively.
 
     Free variables address themselves at the empty path.  Bound
-    variables are addressed by breadth-first search from the free
-    variables in name order, exploring features alphabetically, so the
-    chosen paths are shortest and the choice is reproducible.
+    variables are addressed by the breadth-first search ``requantify``
+    names them by, from the free variables in name order exploring
+    features alphabetically, so the chosen paths are shortest and the
+    choice is reproducible.
     """
-    body = beta.body
-    acc = {v: RootedPath(v, EPS) for v in sorted(body.variables - beta.bound)}
-    adj = adjacency(body.edges)
-    queue = deque(sorted(body.variables - beta.bound))
-    seen = set(queue)
-    while queue:
-        u = queue.popleft()
-        base = acc[u]
-        for feat, w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                acc[w] = RootedPath(base.root, base.path.append(feat))
-                queue.append(w)
-    if not beta.bound <= acc.keys():
+    tree = _bfs_tree(beta.body, beta.body.variables - beta.bound)
+    if not beta.bound <= tree.keys():
         raise ValueError("bound variable unreachable; not a prime formula")
+    acc: dict[VarId, RootedPath] = {}
+    for v, parent in tree.items():
+        if parent is None:
+            acc[v] = RootedPath(v, EPS)
+        else:
+            base = acc[parent[0]]
+            acc[v] = RootedPath(base.root, base.path.append(parent[1]))
     return acc
 
 
@@ -295,34 +332,14 @@ def prime_entails(beta: PrimeFormula, beta2: PrimeFormula) -> bool:
 
 
 def canonicalize(sym: Symbols, beta: PrimeFormula) -> PrimeFormula:
-    """Rename bound variables to a fixed scheme and sort the body.
+    """The canonical form of a prime: ``requantify`` of its own parts.
 
-    Bound variables are ordered by their access paths and renamed to
-    q0, q1, ... (skipping any spelling already used by a free variable),
-    so two primes that differ only in bound names get identical forms.
-    The scheme avoids the reserved ``_`` prefix so canonical results
-    stay printable and reparseable.
+    Bound variables are renamed q0, q1, ... in access-path order and the
+    body is sorted, so two primes that differ only in bound names get
+    identical forms.  Every prime the library builds is canonical
+    already, so this is the identity on them.  ``sym`` is not read.
     """
-    acc = access_function(beta)
-    free_names = {v.name for v in beta.free_vars}
-    ordered = sorted(
-        beta.bound,
-        key=lambda v: (acc[v].root.name, tuple(f.name for f in acc[v].path.feats)),
-    )
-    names: list[str] = []
-    i = 0
-    while len(names) < len(ordered):
-        cand = f"q{i}"
-        i += 1
-        if cand not in free_names:
-            names.append(cand)
-    mapping = {v: sym.var(n) for v, n in zip(ordered, names)}
-    graph = tuple(
-        rename_atom(a, mapping) for a in beta.body.graph
-    )
-    normalizer = tuple(sorted(beta.body.normalizer, key=atom_key))
-    graph = tuple(sorted(graph, key=atom_key))
-    return PrimeFormula(frozenset(mapping.values()), SolvedFormula(normalizer, graph))
+    return requantify(beta.bound, beta.body)
 
 
 def prime_to_formula(beta: PrimeFormula) -> Formula:

@@ -57,12 +57,12 @@ from .prime import (
     PrimeFormula,
     TOP_PRIME,
     adjacency,
-    canonicalize,
     from_atom,
     mk_prime_exists,
     prime_conj,
     prime_entails,
     prime_to_formula,
+    projection,
 )
 
 DEFAULT_MAX_DNF_CLAUSES = 10000
@@ -185,55 +185,35 @@ def is_free(beta: PrimeFormula, rp: RootedPath) -> bool:
     The rooted path x.p is unfree when some prefix p' reaches a node
     that is also reached from a different variable outside the bound
     set; such agreements survive in the closure of the prime formula and
-    pin the node down independently of x.
+    pin the node down independently of x.  One search collects every
+    such node: each admissible variable, its binding, and everything
+    reachable from the binding.
     """
     x = rp.root
     if x in beta.bound:
         return True
     body = beta.body
     edges = body.edges
-    adj = adjacency(edges)
-
-    desc_memo: dict[VarId, set[VarId]] = {}
-
-    def descendants(w: VarId) -> set[VarId]:
-        # nodes reachable along one or more edges
-        if w in desc_memo:
-            return desc_memo[w]
-        out: set[VarId] = set()
-        stack = [u for _f, u in adj.get(w, ())]
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(v for _f, v in adj.get(u, ()))
-        desc_memo[w] = out
-        return out
-
-    gvars = body.variables
     binding = body.binding
-
-    def co_reached(z: VarId) -> bool:
-        # is z also the target of y.q for some admissible y distinct from x?
-        for y in gvars:
-            if y == x or y in beta.bound:
-                continue
-            if y == z or binding.get(y) == z:
-                return True
-            if z in descendants(binding.get(y, y)):
-                return True
-        return False
-
+    adj = adjacency(edges)
+    admissible = [y for y in body.variables if y != x and y not in beta.bound]
+    reached: set[VarId] = set()
+    stack = [binding.get(y, y) for y in admissible]
+    while stack:
+        u = stack.pop()
+        if u not in reached:
+            reached.add(u)
+            stack.extend(w for _f, w in adj.get(u, ()))
+    shared = reached.union(admissible)
     # prefix eps: both x and its binding are reached at the empty path
-    for z in (x, binding.get(x)):
-        if z is not None and co_reached(z):
-            return False
+    if x in shared or binding.get(x) in shared:
+        return False
     node = binding.get(x, x)
     for f in rp.path.feats:
         node = edges.get((node, f))
         if node is None:
             return True
-        if co_reached(node):
+        if node in shared:
             return False
     return True
 
@@ -261,31 +241,12 @@ def is_joker(beta: PrimeFormula, x: VarId, pi: PathConstraint) -> bool:
 # Clause elimination
 
 
-def _leaf(sym: Symbols, beta: PrimeFormula) -> BoolComb:
-    return PrimeLeaf(canonicalize(sym, beta))
-
-
 def eliminate_neg(
     sym: Symbols, x: VarId, beta: PrimeFormula, beta2: PrimeFormula
 ) -> BoolComb:
-    """Boolean combination equivalent to ``exists x (beta and not beta2)``.
-
-    When the projection of beta2 contains an x-joker for beta the
-    negation never constrains the choice of x, leaving ``exists x
-    beta``.  Otherwise the clause splits into ``exists x beta`` minus
-    ``exists x (beta and beta2)``; an inconsistent conjunction drops the
-    subtracted part.
-    """
-    from .prime import projection
-
-    lam = sorted(projection(beta2), key=constraint_key)
-    if any(is_joker(beta, x, pi) for pi in lam):
-        return _leaf(sym, mk_prime_exists(x, beta))
-    quantified = _leaf(sym, mk_prime_exists(x, beta))
-    both = prime_conj(sym, beta, beta2)
-    if isinstance(both, Bottom):
-        return quantified
-    return bc_and(quantified, bc_not(_leaf(sym, mk_prime_exists(x, both))))
+    """Boolean combination equivalent to ``exists x (beta and not beta2)``:
+    the clause of one positive and one negative literal."""
+    return eliminate_clause(sym, x, [beta], [beta2])
 
 
 def eliminate_clause(
@@ -296,17 +257,25 @@ def eliminate_clause(
 ) -> BoolComb:
     """Eliminate ``exists x`` from a conjunction of prime literals.
 
-    The positive literals merge into a single prime in one conjunction
-    (or the clause is unsatisfiable); with no negatives a single
-    quantification remains, and otherwise the existential distributes
-    over the negated literals one at a time.
+    The positive literals merge into a single prime beta in one
+    conjunction (or the clause is unsatisfiable), and ``exists x beta``
+    is built once.  A negated beta' whose projection contains an x-joker
+    for beta never constrains the choice of x and drops out; so does one
+    inconsistent with beta.  Every other one subtracts
+    ``exists x (beta and beta')``.
     """
     beta = prime_conj(sym, *positives)
     if isinstance(beta, Bottom):
         return BC_FALSE
-    if not negatives:
-        return _leaf(sym, mk_prime_exists(x, beta))
-    return bc_and(*[eliminate_neg(sym, x, beta, b) for b in negatives])
+    subtracted: list[BoolComb] = []
+    for beta2 in negatives:
+        lam = sorted(projection(beta2), key=constraint_key)
+        if any(is_joker(beta, x, pi) for pi in lam):
+            continue
+        both = prime_conj(sym, beta, beta2)
+        if not isinstance(both, Bottom):
+            subtracted.append(bc_not(PrimeLeaf(mk_prime_exists(x, both))))
+    return bc_and(PrimeLeaf(mk_prime_exists(x, beta)), *subtracted)
 
 
 def to_prime_dnf(
@@ -415,16 +384,11 @@ def satisfiable(
     or a false leaf closes the branch.  The literals asserted on a branch
     sit on a trail, so backtracking to a choice point pops them.  Nothing
     recurses, and starting more than ``max_clauses`` branches raises
-    ResourceLimit.  A conjunction with an argument that is not a literal
-    first checks its literal arguments, which every clause shares, so a
-    clash among them closes the search before it branches.
+    ResourceLimit.  A conjunctive node with an argument that is not a
+    literal first checks its literal arguments, which every clause below
+    it shares, together with the literals on the branch, so a clash
+    among them closes the branch before it splits.
     """
-    if isinstance(delta, BcAnd) and not all(map(_is_literal, delta.args)):
-        shared = [a for a in delta.args if _is_literal(a)]
-        positives = [a.beta for a in shared if isinstance(a, PrimeLeaf)]
-        negatives = [a.arg.beta for a in shared if isinstance(a, BcNot)]
-        if not _clause_satisfiable(sym, positives, negatives):
-            return False
     # a linked stack ((node, negated), rest): a choice point shares the
     # tail it resumes from instead of copying it
     pending: tuple | None = ((delta, False), None)
@@ -457,6 +421,16 @@ def satisfiable(
                     choices.append((((a, negated), pending), len(trail)))
                 pending = ((node.args[0], negated), pending)
             else:
+                if not all(map(_is_literal, node.args)):
+                    shared = (list(literals[0]), list(literals[1]))
+                    for a in node.args:
+                        if isinstance(a, PrimeLeaf):
+                            shared[negated].append(a.beta)
+                        elif _is_literal(a):
+                            shared[not negated].append(a.arg.beta)
+                    if not _clause_satisfiable(sym, *shared):
+                        closed = True
+                        break
                 for a in reversed(node.args):
                     pending = ((a, negated), pending)
         if not closed and _clause_satisfiable(sym, *literals):
@@ -492,7 +466,7 @@ def decide(
     if isinstance(phi, Atomic):
         if isinstance(phi.atom, Excl):
             raise ValueError("expand sugar before deciding")
-        return PrimeLeaf(canonicalize(sym, from_atom(phi.atom)))
+        return PrimeLeaf(from_atom(phi.atom))
     if isinstance(phi, Not):
         return bc_not(decide(sym, phi.body, max_clauses))
     if isinstance(phi, (And, Or)):

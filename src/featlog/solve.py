@@ -134,9 +134,6 @@ class SolvedFormula:
         return str(solved_to_formula(self))
 
 
-TOP_SOLVED = SolvedFormula((), ())
-
-
 def basic_simplify(phi: BasicFormula | Bottom) -> SolvedFormula | Bottom:
     """Rewrite a basic formula to a solved formula or ``false``.
 

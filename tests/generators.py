@@ -218,5 +218,7 @@ def random_tree_value(
 
 
 def random_valuation(rng: random.Random, sym: Symbols, variables, kind: str, **kwargs):
+    """One random value per variable, drawn in name order, so a seed gives
+    the same valuation in every process whatever container is passed."""
     make = random_tree_value if kind == "tree" else random_graph_value
-    return {v: make(rng, sym, **kwargs) for v in variables}
+    return {v: make(rng, sym, **kwargs) for v in sorted(variables)}

@@ -2,14 +2,15 @@
 
 Everything here recomputes results from first principles: the closure by
 saturating the five deduction rules up to a path-length bound, freeness
-and jokers from that closure, and rule applicability by direct scanning.
-None of it shares code with the walk-based implementations under test,
-except the pairwise fold, which composes the binary prime operations
-that the one-pass ``simplify_epc`` replaces, the closure classifier,
-which decides open input by quantifier elimination instead of the
-clause search, and the bounded evaluator, which reads values through
-the library's walks but judges quantifiers by trying small candidate
-values instead of eliminating them.
+and jokers from that closure, rule applicability by direct scanning,
+and canonical primes by garbage collection and renaming in two separate
+searches.  None of it shares code with the walk-based implementations
+under test, except the pairwise fold, which composes the binary prime
+operations that the one-pass ``simplify_epc`` replaces, the closure
+classifier, which decides open input by quantifier elimination instead
+of the clause search, and the bounded evaluator, which reads values
+through the library's walks but judges quantifiers by trying small
+candidate values instead of eliminating them.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from featlog import (
     SugarAgree,
     SugarSortAt,
     Top,
+    VarId,
     decide,
     eliminate_clause,
     expand_sugar,
@@ -57,7 +59,7 @@ from featlog import (
     prime_conj,
     to_prime_dnf,
 )
-from featlog.core import atom_vars
+from featlog.core import atom_key, atom_vars, rename_atom
 from featlog.models import enumerate_values, root_sort, subvalue
 from featlog.prime import from_atom
 from featlog.paths import PathConstraint, is_proper
@@ -327,6 +329,58 @@ def fold_simplify_epc(sym, phi):
             return BOTTOM
         return mk_prime_exists(phi.var, inner)
     raise ValueError("only atoms, conjunction, and 'exists' are allowed here")
+
+
+def two_pass_requantify(bound, body):
+    """The canonical prime ``exists bound body``, built in two passes.
+
+    First a requantification that only garbage-collects: equations with
+    a quantified left side go, a quantified representative is renamed to
+    the least variable it represents, and what a search from the free
+    variables cannot reach is dropped.  Then a separate canonical
+    renaming: a second search assigns each bound variable its access
+    path, and the bound variables, sorted by path, become q0, q1, ...
+    (skipping free spellings) before both parts of the body are sorted.
+    """
+    quantified = frozenset(bound)
+    eqs = [eq for eq in body.normalizer if eq.lhs not in quantified]
+    rename = {}
+    for eq in eqs:
+        if eq.rhs in quantified:
+            rename[eq.rhs] = min(eq.lhs, rename.get(eq.rhs, eq.lhs))
+    normalizer = [
+        Eq(eq.lhs, rename.get(eq.rhs, eq.rhs)) for eq in eqs if rename.get(eq.rhs) != eq.lhs
+    ]
+    graph = [rename_atom(a, rename) for a in body.graph]
+
+    def paths(atoms, roots):
+        # shortest access paths, roots and features in name order
+        out_edges = {}
+        for a in atoms:
+            if isinstance(a, FeatC):
+                out_edges.setdefault(a.src, []).append((a.feat.name, a.dst))
+        found = {v: (v.name, ()) for v in sorted(roots)}
+        queue = list(found)
+        for u in queue:
+            for feat, w in sorted(out_edges.get(u, ())):
+                if w not in found:
+                    found[w] = (found[u][0], found[u][1] + (feat,))
+                    queue.append(w)
+        return found
+
+    every = {v for a in normalizer + graph for v in atom_vars(a)}
+    reached = paths(graph, every - quantified)
+    kept = [a for a in graph if all(v in reached for v in atom_vars(a) if v in quantified)]
+    free = {v for a in normalizer + kept for v in atom_vars(a)} - quantified
+    acc = paths(kept, free)
+    ordered = sorted(quantified & acc.keys(), key=lambda v: acc[v])
+    names = (f"q{i}" for i in itertools.count() if VarId(f"q{i}") not in free)
+    mapping = {v: VarId(next(names)) for v in ordered}
+    graph = sorted((rename_atom(a, mapping) for a in kept), key=atom_key)
+    return PrimeFormula(
+        frozenset(mapping.values()),
+        SolvedFormula(tuple(sorted(normalizer, key=atom_key)), tuple(graph)),
+    )
 
 
 def closure_classify(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):

@@ -160,6 +160,16 @@ def test_shared_clash_closes_the_search_at_the_root(tmp_path, capsys, n, clash_f
         assert run(capsys, "decide", path) == (0, "UNSATISFIABLE\n", "")
 
 
+@pytest.mark.parametrize("n", [14, 20])
+def test_shared_clash_closes_a_nested_branch(tmp_path, capsys, n):
+    """Both disjuncts are inconsistent; the clash C(y) & D(y) shared by
+    every clause of the first one closes its branch before it splits."""
+    choices = " & ".join(f"(A(x{i}) | B(x{i}))" for i in range(n))
+    path = write(tmp_path, f"X(w) & ((C(y) & D(y) & {choices}) | (E(z) & F(z)))")
+    with _wall_limit(5.0):
+        assert run(capsys, "decide", path) == (0, "UNSATISFIABLE\n", "")
+
+
 def test_json_format(tmp_path, capsys):
     path = write(tmp_path, "A(x)")
     code, out, _ = run(capsys, "decide", path, "--format", "json")

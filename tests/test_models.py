@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -40,6 +44,9 @@ from featlog.solve import clause_to_formula
 from generators import pools, random_tree_value, random_valuation
 from oracles import bounded_evaluate, naive_bisimilarity, naive_reachable
 from test_solve import _wall_limit, fig2_clause
+
+TESTS = str(FilePath(__file__).resolve().parent)
+SRC = str(FilePath(TESTS).parent / "src")
 
 
 def test_subtree_identity_and_missing_edge(sym):
@@ -454,3 +461,26 @@ def test_values_at_scale(sym, run):
     """Deep values neither recurse nor refine in exponential time."""
     with _wall_limit(10.0):
         run(sym)
+
+
+def test_seeded_valuation_is_the_same_in_every_process():
+    """A valuation drawn from a seed does not depend on string hashing."""
+    code = (
+        "import json, random\n"
+        "from featlog import Symbols, valuation_to_json\n"
+        "from generators import random_valuation\n"
+        "sym = Symbols()\n"
+        "variables = {sym.var(f'x{i}') for i in range(8)}\n"
+        "for kind in ('tree', 'graph'):\n"
+        "    alpha = random_valuation(random.Random(7), sym, variables, kind)\n"
+        "    print(json.dumps(valuation_to_json(alpha), sort_keys=True))\n"
+    )
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join((SRC, TESTS)))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

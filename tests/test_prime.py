@@ -4,6 +4,7 @@ import pytest
 
 from featlog import (
     Agree,
+    BasicFormula,
     Bottom,
     Eq,
     Exists,
@@ -15,6 +16,7 @@ from featlog import (
     SortC,
     TOP_PRIME,
     access_function,
+    basic_simplify,
     canonicalize,
     expand_sugar,
     is_prime_formula,
@@ -32,8 +34,13 @@ from featlog.core import EPS, conj, free_vars, rename_atom
 from featlog.prime import from_atom, prime_to_formula, requantify
 from featlog.solve import conjunction_atoms
 
-from generators import random_epc_formula, random_prime, random_solved_formula
-from oracles import fold_simplify_epc
+from generators import (
+    random_basic_formula,
+    random_epc_formula,
+    random_prime,
+    random_solved_formula,
+)
+from oracles import fold_simplify_epc, two_pass_requantify
 
 
 def epc(sym, text):
@@ -68,7 +75,8 @@ def test_mk_exists_renames_equation_targets(sym):
 def test_mk_exists_keeps_reachable_variables_bound(sym):
     beta = epc(sym, "f(y, x)")
     got = mk_prime_exists(sym.var("x"), beta)
-    assert got.bound == {sym.var("x")}
+    q0, y = sym.var("q0"), sym.var("y")
+    assert got == PrimeFormula(frozenset({q0}), SolvedFormula((), (FeatC(y, sym.feat("f"), q0),)))
     assert is_prime_formula(got)
 
 
@@ -85,6 +93,33 @@ def test_requantify_equals_sequential_exists(sym):
         for v in bound:
             seq = mk_prime_exists(v, seq)
         assert canonicalize(sym, once) == canonicalize(sym, seq)
+
+
+def test_requantify_agrees_with_two_pass_oracle(sym):
+    """One search garbage-collects and names the bound variables exactly
+    as separate garbage collection and canonical renaming do."""
+    rng = random.Random(46)
+    respell = {sym.var("x0"): sym.var("q0"), sym.var("x1"): sym.var("q2")}
+    pairs = targets = collected = skipped = 0
+    while pairs < 2000:
+        basic = random_basic_formula(rng, sym, max_atoms=rng.randint(1, 14))
+        if rng.random() < 0.3:
+            # free variables spelled like canonical names are skipped
+            basic = BasicFormula(tuple(rename_atom(a, respell) for a in basic.atoms))
+        body = basic_simplify(basic)
+        if isinstance(body, Bottom):
+            continue
+        pairs += 1
+        vs = sorted(body.variables)
+        bound = frozenset(rng.sample(vs, rng.randint(0, len(vs))))
+        got = requantify(bound, body)
+        assert got == two_pass_requantify(bound, body)
+        assert is_prime_formula(got)
+        assert requantify(got.bound, got.body) == got
+        targets += any(eq.rhs in bound for eq in body.normalizer)
+        collected += len(got.body.graph) < len(body.graph)
+        skipped += bool(got.bound) and any(v.name[0] == "q" for v in got.free_vars)
+    assert targets > 300 and collected > 300 and skipped > 40
 
 
 def test_prime_conj_detects_clash(sym):
@@ -283,12 +318,13 @@ def test_prime_conj_of_none_or_one(sym):
 def _some_prime(rng, sym):
     """Canonical primes bind q0, q1, ...; raw ones bind names of the
     shared pool, which are free in other primes."""
+    beta = random_prime(rng, sym, max_atoms=5)
     if rng.random() < 0.5:
-        return random_prime(rng, sym, max_atoms=5)
-    while True:
-        beta = simplify_epc(sym, random_epc_formula(rng, sym, max_atoms=5))
-        if not isinstance(beta, Bottom):
-            return beta
+        return beta
+    pool = [v for v in (sym.var(f"x{i}") for i in range(5)) if v not in beta.free_vars]
+    mapping = dict(zip(sorted(beta.bound), pool))
+    graph = tuple(rename_atom(a, mapping) for a in beta.body.graph)
+    return PrimeFormula(frozenset(mapping.values()), SolvedFormula(beta.body.normalizer, graph))
 
 
 def test_nary_prime_conj_agrees_with_binary_fold(sym):
