@@ -333,13 +333,19 @@ class Iff(Formula):
 
 @dataclass(frozen=True)
 class Exists(Formula):
-    var: VarId
+    """Existential block over one or more variables, built as
+    ``Exists((x, y, ...), body)``; it means ``exists x. exists y. ... body``."""
+
+    vars: tuple[VarId, ...]
     body: Formula
 
 
 @dataclass(frozen=True)
 class Forall(Formula):
-    var: VarId
+    """Universal block over one or more variables, built as
+    ``Forall((x, y, ...), body)``; it means ``forall x. forall y. ... body``."""
+
+    vars: tuple[VarId, ...]
     body: Formula
 
 
@@ -379,17 +385,15 @@ def conj(parts: Iterable[Formula]) -> Formula:
 
 
 def exists_all(vs: Iterable[VarId], body: Formula) -> Formula:
-    out = body
-    for v in reversed(list(vs)):
-        out = Exists(v, out)
-    return out
+    """One existential block over ``vs``; none gives the body itself."""
+    vs = tuple(vs)
+    return Exists(vs, body) if vs else body
 
 
 def forall_all(vs: Iterable[VarId], body: Formula) -> Formula:
-    out = body
-    for v in reversed(list(vs)):
-        out = Forall(v, out)
-    return out
+    """One universal block over ``vs``; none gives the body itself."""
+    vs = tuple(vs)
+    return Forall(vs, body) if vs else body
 
 
 def free_vars(phi: Formula) -> set[VarId]:
@@ -418,9 +422,9 @@ def _formula_vars(phi: Formula, free_only: bool) -> set[VarId]:
             go(psi.rhs, bound)
         elif isinstance(psi, _QUANT):
             if free_only:
-                go(psi.body, bound | {psi.var})
+                go(psi.body, bound.union(psi.vars))
             else:
-                out.add(psi.var)
+                out.update(psi.vars)
                 go(psi.body, bound)
         elif isinstance(psi, SugarAgree):
             out.update(v for v in (psi.lhs, psi.rhs) if v not in bound)

@@ -90,15 +90,6 @@ def constraint_vars(pi: PathConstraint) -> set[VarId]:
     return {pi.src}
 
 
-def constraint_key(pi: PathConstraint):
-    path_names = lambda p: tuple(f.name for f in p.feats)  # noqa: E731
-    if isinstance(pi, Agree):
-        return (0, pi.lsrc.name, path_names(pi.lpath), pi.rsrc.name, path_names(pi.rpath))
-    if isinstance(pi, SortAt):
-        return (1, pi.src.name, path_names(pi.path), pi.sort.name)
-    return (2, pi.src.name, path_names(pi.path), pi.dst.name)
-
-
 def _binding(gamma: Gamma, x: VarId) -> VarId | None:
     if isinstance(gamma, SolvedFormula):
         return gamma.binding.get(x)

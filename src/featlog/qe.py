@@ -49,7 +49,6 @@ from .paths import (
     PathConstraint,
     RootedPath,
     SortAt,
-    constraint_key,
     is_proper,
     prime_closure_contains,
 )
@@ -64,6 +63,7 @@ from .prime import (
     prime_to_formula,
     projection,
 )
+from .textio import expand_sugar
 
 DEFAULT_MAX_DNF_CLAUSES = 10000
 
@@ -269,8 +269,7 @@ def eliminate_clause(
         return BC_FALSE
     subtracted: list[BoolComb] = []
     for beta2 in negatives:
-        lam = sorted(projection(beta2), key=constraint_key)
-        if any(is_joker(beta, x, pi) for pi in lam):
+        if any(is_joker(beta, x, pi) for pi in projection(beta2)):
             continue
         both = prime_conj(sym, beta, beta2)
         if not isinstance(both, Bottom):
@@ -481,12 +480,14 @@ def decide(
         lhs = decide(sym, phi.lhs, max_clauses)
         rhs = decide(sym, phi.rhs, max_clauses)
         return bc_or(bc_and(lhs, rhs), bc_and(bc_not(lhs), bc_not(rhs)))
-    if isinstance(phi, Exists):
-        inner = decide(sym, phi.body, max_clauses)
-        return _eliminate_exists(sym, phi.var, inner, max_clauses)
-    if isinstance(phi, Forall):
-        inner = decide(sym, phi.body, max_clauses)
-        return bc_not(_eliminate_exists(sym, phi.var, bc_not(inner), max_clauses))
+    if isinstance(phi, (Exists, Forall)):
+        # innermost variable first, and forall as not exists not
+        universal = isinstance(phi, Forall)
+        delta = decide(sym, phi.body, max_clauses)
+        delta = bc_not(delta) if universal else delta
+        for x in reversed(phi.vars):
+            delta = _eliminate_exists(sym, x, delta, max_clauses)
+        return bc_not(delta) if universal else delta
     raise ValueError(f"cannot decide formula node {phi!r}; expand sugar first")
 
 
@@ -512,8 +513,6 @@ def classify(
     Open input is decided by one clause search over its quantifier-free
     residue, which is returned as it is when satisfiable.
     """
-    from .textio import expand_sugar
-
     phi = expand_sugar(sym, phi)
     delta = decide(sym, phi, max_clauses)
     if free_vars(phi):

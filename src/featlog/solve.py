@@ -258,10 +258,7 @@ def is_solved_clause(atoms: Iterable[ClauseAtom] | SolvedClause) -> bool:
 
 def is_solved_formula(phi: BasicFormula | SolvedFormula) -> bool:
     """Equations eliminate their left-hand sides and the graph is solved."""
-    if isinstance(phi, SolvedFormula):
-        atoms = phi.atoms
-    else:
-        atoms = phi.atoms
+    atoms = phi.atoms
     occ: Counter[VarId] = Counter()
     for a in atoms:
         occ.update(atom_vars(a))
@@ -339,10 +336,10 @@ def conjunction_atoms(
         elif isinstance(psi, Bottom):
             false = True
         elif isinstance(psi, Exists) and binder is not None:
-            x = psi.var
-            stack.append((x, scope.get(x)))
-            scope[x] = binder(x)
-            bound.append(scope[x])
+            for x in psi.vars:
+                stack.append((x, scope.get(x)))
+                scope[x] = binder(x)
+                bound.append(scope[x])
             stack.append(psi.body)
         elif isinstance(psi, tuple):
             x, outer = psi

@@ -209,11 +209,7 @@ class _Parser:
                 self.next()
                 names.append(self.parse_var())
             self.expect(".", "'.' after quantified variables")
-            body = self.parse_iff()
-            node = Exists if tok.text == "exists" else Forall
-            for v in reversed(names):
-                body = node(v, body)
-            return body
+            return _block(Exists if tok.text == "exists" else Forall, names, self.parse_iff())
         return self.parse_primary()
 
     def parse_var(self) -> VarId:
@@ -306,6 +302,14 @@ class _Parser:
         raise self.fail("expected a formula")
 
 
+def _block(node, vs, body: Formula) -> Formula:
+    """One quantifier node over ``vs``, merged with a block of the same
+    kind that is its whole body."""
+    if isinstance(body, node):
+        return node((*vs, *body.vars), body.body)
+    return node(tuple(vs), body)
+
+
 def parse_formula(sym: Symbols, text: str) -> Formula:
     """Parse one formula; raises ParseError with a source span on failure."""
     return _Parser(sym, text).parse()
@@ -342,7 +346,7 @@ def expand_sugar(sym: Symbols, phi: Formula) -> Formula:
     if isinstance(phi, Atomic):
         if isinstance(phi.atom, Excl):
             w = sym.fresh_var("y")
-            return Not(Exists(w, Atomic(FeatC(phi.atom.var, phi.atom.feat, w))))
+            return Not(Exists((w,), Atomic(FeatC(phi.atom.var, phi.atom.feat, w))))
         return phi
     if isinstance(phi, SugarSortAt):
         w = sym.fresh_var("y")
@@ -360,7 +364,7 @@ def expand_sugar(sym: Symbols, phi: Formula) -> Formula:
     if isinstance(phi, (Implies, Iff)):
         return type(phi)(expand_sugar(sym, phi.lhs), expand_sugar(sym, phi.rhs))
     if isinstance(phi, (Exists, Forall)):
-        return type(phi)(phi.var, expand_sugar(sym, phi.body))
+        return type(phi)(phi.vars, expand_sugar(sym, phi.body))
     raise ValueError(f"unknown formula node {phi!r}")
 
 
@@ -410,15 +414,10 @@ def _render(phi: Formula) -> tuple[str, int]:
         return _child(phi.lhs, _PREC_IFF + 1) + " <-> " + _child(phi.rhs, _PREC_IFF), _PREC_IFF
     if isinstance(phi, (Exists, Forall)):
         word = "exists" if isinstance(phi, Exists) else "forall"
-        names = [phi.var]
-        body = phi.body
-        while isinstance(body, type(phi)):
-            names.append(body.var)
-            body = body.body
-        body_str, _ = _render(body)
-        if isinstance(body, (And, Or, Implies, Iff)):
+        body_str, _ = _render(phi.body)
+        if isinstance(phi.body, (And, Or, Implies, Iff)):
             body_str = f"({body_str})"
-        return f"{word} {', '.join(v.name for v in names)}. {body_str}", 0
+        return f"{word} {', '.join(v.name for v in phi.vars)}. {body_str}", 0
     raise ValueError(f"unknown formula node {phi!r}")
 
 
@@ -434,7 +433,10 @@ def print_formula(phi: Formula) -> str:
 
     Reparsing yields the same tree, except that a first argument of the
     same connective joins its parent: ``And((And((a, b)), c))`` prints
-    as ``a & b & c``, which parses as ``And((a, b, c))``.
+    as ``a & b & c``, which parses as ``And((a, b, c))``.  Likewise a
+    quantifier block prints its own variables and a block of the same
+    kind as its body joins it: ``Exists((x,), Exists((y,), b))`` prints
+    as ``exists x. exists y. b``, which parses as ``Exists((x, y), b)``.
     """
     return _render(phi)[0]
 
@@ -443,7 +445,9 @@ def canonical_formula(phi: Formula) -> Formula:
     """Reorder conjunction and disjunction chains into a fixed form.
 
     Used to compare formulae modulo associativity and commutativity of
-    the two lattice connectives; everything else is untouched.
+    the two lattice connectives; a quantifier block whose body is a
+    block of the same kind merges with it, and everything else is
+    untouched.
     """
     if isinstance(phi, (And, Or)):
         node = type(phi)
@@ -458,5 +462,5 @@ def canonical_formula(phi: Formula) -> Formula:
     if isinstance(phi, (Implies, Iff)):
         return type(phi)(canonical_formula(phi.lhs), canonical_formula(phi.rhs))
     if isinstance(phi, (Exists, Forall)):
-        return type(phi)(phi.var, canonical_formula(phi.body))
+        return _block(type(phi), phi.vars, canonical_formula(phi.body))
     return phi

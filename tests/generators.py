@@ -171,7 +171,7 @@ def random_quantified_formula(
         if quants_left[0] > 0:
             quants_left[0] -= 1
             node = Exists if rng.random() < 0.6 else Forall
-            return node(rng.choice(vs), go(depth + 1))
+            return node((rng.choice(vs),), go(depth + 1))
         return atom()
 
     return go(0)

@@ -327,7 +327,9 @@ def fold_simplify_epc(sym, phi):
         inner = fold_simplify_epc(sym, phi.body)
         if isinstance(inner, Bottom):
             return BOTTOM
-        return mk_prime_exists(phi.var, inner)
+        for x in reversed(phi.vars):
+            inner = mk_prime_exists(x, inner)
+        return inner
     raise ValueError("only atoms, conjunction, and 'exists' are allowed here")
 
 
@@ -510,20 +512,27 @@ def bounded_evaluate(sym, kind, alpha, phi, node_bound=4, budget=20000):
                 return None
             return a == b
         if isinstance(psi, (Exists, Forall)):
-            existential = isinstance(psi, Exists)
-            for v in copy.copy(candidates):
-                if remaining[0] <= 0:
-                    return None
-                remaining[0] -= 1
-                inner = dict(env)
-                inner[psi.var] = v
-                r = ev(psi.body, inner)
-                if existential and r is True:
-                    return True
-                if not existential and r is False:
-                    return False
-            return None
+            return block(psi, 0, env)
         raise ValueError(f"cannot evaluate {psi!r}")
+
+    def block(psi, i, env):
+        """The block from its i-th variable on, as the nested chain of
+        one-variable quantifiers it abbreviates."""
+        if i == len(psi.vars):
+            return ev(psi.body, env)
+        existential = isinstance(psi, Exists)
+        for v in copy.copy(candidates):
+            if remaining[0] <= 0:
+                return None
+            remaining[0] -= 1
+            inner = dict(env)
+            inner[psi.vars[i]] = v
+            r = block(psi, i + 1, inner)
+            if existential and r is True:
+                return True
+            if not existential and r is False:
+                return False
+        return None
 
     try:
         return ev(phi, dict(alpha))

@@ -258,7 +258,7 @@ def test_criterion_6_witness_soundness(sym):
             satisfiable += 1
             # strip the existential prefix down to the matrix
             matrix = phi
-            while hasattr(matrix, "var"):
+            while hasattr(matrix, "vars"):
                 matrix = matrix.body
             solved = basic_simplify(formula_to_basic(matrix))
             assert not isinstance(solved, Bottom)

@@ -267,6 +267,11 @@ def test_conjunctions_at_scale(tmp_path, capsys, command, text, check):
 
 
 FLAT_SORTS = " & ".join(f"{'ABC'[i % 3]}(x{i})" for i in range(10000))
+FAN_BLOCK = (
+    f"exists {', '.join(f'x{i}' for i in range(1, 10001))}. "
+    f"({' & '.join(f'f{i}(y, x{i})' for i in range(1, 10001))})"
+)
+TAUTOLOGY_BLOCK = f"forall {', '.join(f'x{i}' for i in range(1, 5001))}. (A(x1) | ~A(x1))"
 
 
 @pytest.mark.parametrize(
@@ -311,10 +316,36 @@ FLAT_SORTS = " & ".join(f"{'ABC'[i % 3]}(x{i})" for i in range(10000))
             lambda out: out == "VALID\n",
             id="decide-4000-disjuncts",
         ),
+        pytest.param(
+            "witness",
+            FAN_BLOCK,
+            lambda out: json.loads(out)["vars"] == {"y": 0}
+            and len(json.loads(out)["edges"]) == 10000,
+            id="witness-10000-variable-block",
+        ),
+        pytest.param(
+            "entail",
+            f"{FAN_BLOCK} ; exists z. f5000(y, z)",
+            lambda out: out == "ENTAILED\n",
+            id="entail-10000-variable-block",
+        ),
+        pytest.param(
+            "decide",
+            TAUTOLOGY_BLOCK,
+            lambda out: out == "VALID\n",
+            id="decide-5000-variable-forall",
+        ),
+        pytest.param(
+            "simplify",
+            TAUTOLOGY_BLOCK,
+            lambda out: out == "true\n",
+            id="simplify-5000-variable-forall",
+        ),
     ],
 )
 def test_wide_input_at_default_recursion_limit(tmp_path, capsys, command, text, check):
-    """A flat n-atom chain is one node deep, not n."""
+    """A flat n-atom chain and an n-variable quantifier prefix are one
+    node deep, not n."""
     path = write(tmp_path, text)
     with _wall_limit(10.0):
         code, out, err = run(capsys, command, path)

@@ -47,7 +47,7 @@ def test_a_session_avoiding_variables_mints_around_them(sym):
     from featlog.core import all_vars
 
     minted = sym.fresh_var("y")
-    phi = Exists(sym.fresh_var("y"), Atomic(FeatC(minted, sym.feat("f"), sym.var("x"))))
+    phi = Exists((sym.fresh_var("y"),), Atomic(FeatC(minted, sym.feat("f"), sym.var("x"))))
     seen = all_vars(phi)
     assert {v.name for v in seen} == {"_y1", "_y2", "x"}
     private = Symbols.avoiding(seen)
@@ -106,7 +106,7 @@ def test_free_vars_closed_formula():
 def test_free_vars_bound_occurrence(sym):
     x, y = sym.var("x"), sym.var("y")
     f = sym.feat("f")
-    assert free_vars(Exists(y, Atomic(FeatC(x, f, y)))) == {x}
+    assert free_vars(Exists((y,), Atomic(FeatC(x, f, y)))) == {x}
 
 
 def test_free_vars_record_description(sym):
@@ -144,7 +144,7 @@ def test_substitute_examples(sym):
 def test_substitute_rejects_quantifiers(sym):
     x, y = sym.var("x"), sym.var("y")
     with pytest.raises(ValueError):
-        substitute(Exists(x, TOP), x, y)
+        substitute(Exists((x,), TOP), x, y)
 
 
 def test_substitute_free_var_property(sym):

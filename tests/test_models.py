@@ -221,7 +221,7 @@ def test_evaluate_does_not_capture_minted_names(sym):
     # a minted variable bound by a quantifier, with sugar below it: the
     # private session's next fresh spelling after _y1 is _y2
     w = sym.fresh_var("y")
-    phi = Exists(w, conj([Atomic(FeatC(v, f, w)), Atomic(Excl(w, f))]))
+    phi = Exists((w,), conj([Atomic(FeatC(v, f, w)), Atomic(Excl(w, f))]))
     loop = feature_tree(0, {0: A}, {(0, f): 0})
     chain = feature_tree(0, {0: A, 1: A}, {(0, f): 1})
     for kind in ("tree", "graph"):
@@ -236,18 +236,18 @@ def test_evaluate_quantifiers_three_valued(sym):
     x, y = sym.var("x"), sym.var("y")
     t = single_node_tree(A)
     # a witness exists among the small candidates
-    phi = Exists(y, Atomic(Eq(x, y)))
+    phi = Exists((y,), Atomic(Eq(x, y)))
     assert bounded_evaluate(sym, "tree", {x: t}, phi, node_bound=2) is True
     assert evaluate(sym, "tree", {x: t}, phi) is True
     # no counterexample can prove a universal
-    phi = Forall(y, Atomic(SortC(A, y)))
+    phi = Forall((y,), Atomic(SortC(A, y)))
     assert bounded_evaluate(sym, "tree", {}, phi, node_bound=2) is False
     assert evaluate(sym, "tree", {}, phi) is False
-    phi = Forall(y, Exists(x, Atomic(Eq(x, y))))
+    phi = Forall((y,), Exists((x,), Atomic(Eq(x, y))))
     assert bounded_evaluate(sym, "tree", {x: t}, phi, node_bound=1, budget=50) is None
     assert evaluate(sym, "tree", {x: t}, phi) is True
     # unsatisfiable matrix: the search is inconclusive, never positive
-    phi = Exists(y, conj([Atomic(SortC(A, y)), Atomic(SortC(B, y))]))
+    phi = Exists((y,), conj([Atomic(SortC(A, y)), Atomic(SortC(B, y))]))
     assert bounded_evaluate(sym, "tree", {}, phi, node_bound=2) is None
     assert evaluate(sym, "tree", {}, phi) is False
 

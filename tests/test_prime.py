@@ -264,7 +264,7 @@ def _clashing_epc(rng, sym):
     parts = [random_epc_formula(rng, sym, max_atoms=6) for _ in range(rng.randint(1, 3))]
     phi = conj(parts)
     if rng.random() < 0.3:
-        phi = Exists(sym.var(f"x{rng.randrange(5)}"), phi)
+        phi = Exists((sym.var(f"x{rng.randrange(5)}"),), phi)
     return phi
 
 

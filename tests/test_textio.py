@@ -33,7 +33,7 @@ from test_solve import _wall_limit
 def test_parse_exists_conjunction(sym):
     got = parse_formula(sym, "exists x. (A(x) & B(x))")
     x = sym.var("x")
-    want = Exists(x, And((Atomic(SortC(sym.sort("A"), x)), Atomic(SortC(sym.sort("B"), x)))))
+    want = Exists((x,), And((Atomic(SortC(sym.sort("A"), x)), Atomic(SortC(sym.sort("B"), x)))))
     assert got == want
 
 
@@ -44,7 +44,7 @@ def test_parse_feature_functionality_shape(sym):
     body = Implies(
         And((Atomic(FeatC(x, f, y)), Atomic(FeatC(x, f, z)))), Atomic(Eq(y, z))
     )
-    assert got == Forall(x, Forall(y, Forall(z, body)))
+    assert got == Forall((x, y, z), body)
 
 
 def test_parse_undef_is_a_distinguished_node(sym):
@@ -96,14 +96,15 @@ def test_expand_exclusion(sym):
     assert isinstance(phi, Not)
     assert isinstance(phi.body, Exists)
     inner = phi.body
-    assert inner.body == Atomic(FeatC(sym.var("x"), sym.feat("f"), inner.var))
-    assert inner.var.name.startswith("_")
+    (w,) = inner.vars
+    assert inner.body == Atomic(FeatC(sym.var("x"), sym.feat("f"), w))
+    assert w.name.startswith("_")
 
 
 def test_expand_sort_at_path(sym):
     phi = expand_sugar(sym, parse_formula(sym, "A@x.f"))
     assert isinstance(phi, Exists)
-    w = phi.var
+    (w,) = phi.vars
     assert phi.body == And(
         (
             Atomic(FeatC(sym.var("x"), sym.feat("f"), w)),
@@ -115,7 +116,7 @@ def test_expand_sort_at_path(sym):
 def test_expand_agreement_at_empty_paths(sym):
     phi = expand_sugar(sym, parse_formula(sym, "x.eps = y.eps"))
     assert isinstance(phi, Exists)
-    z = phi.var
+    (z,) = phi.vars
     assert phi.body == And((Atomic(Eq(sym.var("x"), z)), Atomic(Eq(sym.var("y"), z))))
 
 
@@ -125,7 +126,7 @@ def test_expand_agreement_longer_paths(sym):
     # expansion only introduces reserved names
     def bound_names(psi):
         if isinstance(psi, Exists):
-            return [psi.var.name] + bound_names(psi.body)
+            return [v.name for v in psi.vars] + bound_names(psi.body)
         return []
 
     assert all(n.startswith("_") for n in bound_names(phi))
@@ -145,7 +146,7 @@ def test_print_examples(sym):
     phi = And((Atomic(SortC(sym.sort("A"), x)), Atomic(FeatC(x, sym.feat("f"), y))))
     assert print_formula(phi) == "A(x) & f(x, y)"
     u = sym.var("u")
-    assert print_formula(Exists(u, Atomic(FeatC(x, sym.feat("f"), u)))) == "exists u. f(x, u)"
+    assert print_formula(Exists((u,), Atomic(FeatC(x, sym.feat("f"), u)))) == "exists u. f(x, u)"
 
 
 def test_print_respects_precedence(sym):
@@ -160,6 +161,20 @@ def test_print_respects_precedence(sym):
     for text in texts:
         phi = parse_formula(sym, text)
         assert parse_formula(sym, print_formula(phi)) == phi
+
+
+def test_nested_blocks_print_apart_and_reparse_merged(sym):
+    """A block prints its own variables; the parser merges a block of
+    the same kind that is the whole body of another."""
+    x, y = sym.var("x"), sym.var("y")
+    b = Atomic(FeatC(x, sym.feat("f"), y))
+    nested = Exists((x,), Exists((y,), b))
+    assert print_formula(nested) == "exists x. exists y. f(x, y)"
+    assert parse_formula(sym, print_formula(nested)) == Exists((x, y), b)
+    assert canonical_formula(nested) == Exists((x, y), b)
+    mixed = Exists((x,), Forall((y,), b))
+    assert print_formula(mixed) == "exists x. forall y. f(x, y)"
+    assert parse_formula(sym, print_formula(mixed)) == mixed
 
 
 def test_round_trip_on_random_formulae(sym):
@@ -220,4 +235,16 @@ def test_wide_chains_at_default_recursion_limit(sym):
         phi = expand_sugar(sym, parse_formula(sym, text))
         assert print_formula(phi) == text
         assert free_vars(phi) == {sym.var(f"x{i}") for i in range(n + 1)}
+        assert canonical_formula(phi) == canonical_formula(parse_formula(sym, flipped))
+    # a 10,000-variable prefix is one block, not 10,000 nested nodes
+    m = 10000
+    names = ", ".join(f"x{i}" for i in range(1, m + 1))
+    edges = [f"f(y, x{i})" for i in range(1, m + 1)]
+    block = f"exists {names}. ({' & '.join(edges)})"
+    flipped = f"exists {names}. ({' & '.join(reversed(edges))})"
+    with _wall_limit(10.0):
+        phi = expand_sugar(sym, parse_formula(sym, block))
+        assert isinstance(phi, Exists) and len(phi.vars) == m
+        assert print_formula(phi) == block
+        assert free_vars(phi) == {sym.var("y")}
         assert canonical_formula(phi) == canonical_formula(parse_formula(sym, flipped))
