@@ -325,7 +325,7 @@ def witness_prime(beta: PrimeFormula, default_sort: SortId) -> Valuation:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Truth of path constraints and primes
 
 
 def holds_path_constraint(alpha: Mapping[VarId, Value], pi: PathConstraint) -> bool:

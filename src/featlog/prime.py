@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .core import (
     BOTTOM,
@@ -57,6 +57,15 @@ class PrimeFormula:
     @cached_property
     def free_vars(self) -> frozenset[VarId]:
         return self.body.variables - self.bound
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.bound, self.body))
+
+    def __hash__(self) -> int:
+        # computed once: primes key the literal tables of every normal
+        # form and search, which look each one up many times
+        return self._hash
 
     def is_top(self) -> bool:
         return not self.bound and self.body.is_top()
@@ -185,15 +194,17 @@ def requantify(bound: Iterable[VarId], body: SolvedFormula) -> PrimeFormula:
     return PrimeFormula(frozenset(mapping.values()), body)
 
 
-def mk_prime_exists(x: VarId, beta: PrimeFormula) -> PrimeFormula:
-    """A prime formula equivalent to ``exists x`` applied to ``beta``.
+def mk_prime_exists(xs: Collection[VarId], beta: PrimeFormula) -> PrimeFormula:
+    """A prime formula equivalent to ``exists xs`` applied to ``beta``.
 
-    ``beta`` itself when x is not free in it; otherwise ``requantify``
-    with x added to the bound variables, which is canonical.
+    ``beta`` itself when no variable of the block is free in it;
+    otherwise one ``requantify`` with those variables added to the bound
+    ones, which is canonical.
     """
-    if x not in beta.free_vars:
+    hit = beta.free_vars.intersection(xs)
+    if not hit:
         return beta
-    return requantify(beta.bound | {x}, beta.body)
+    return requantify(beta.bound | hit, beta.body)
 
 
 def _prime_of_atoms(atoms: list[Atom], bound: list[VarId]) -> PrimeFormula | Bottom:

@@ -2,18 +2,20 @@
 
 Every formula reduces to a Boolean combination of prime formulae with
 the same free variables.  Atoms are already prime; connectives map
-structurally; a universal quantifier becomes a negated existential; and
-an existential quantifier is pushed through a disjunctive normal form
-whose literals are primes, then eliminated clause by clause.
+structurally; a universal block becomes a negated existential one; and
+an existential block ``exists X`` is pushed through one disjunctive
+normal form whose literals are primes, then eliminated clause by
+clause, the whole block at once.
 
-The elimination of ``exists x`` from a clause ``beta and not beta'``
-hinges on jokers: proper path constraints outside the closure of beta
-whose x-rooted path is free, meaning no prefix of it provably coincides
-with a path rooted elsewhere.  A quantified x can always be moved to
-falsify a joker without disturbing beta, so when the projection of
-beta' contains one, the negation is vacuous and ``exists x beta``
-remains.  Otherwise the needed x is pinned down and the clause is
-equivalent to ``exists x beta and not exists x (beta and beta')``.
+The elimination of ``exists X`` from a clause ``beta and not beta'``
+hinges on X-jokers: proper path constraints outside the closure of beta
+with a free path rooted in X, meaning no prefix of it provably
+coincides with a path rooted outside X.  The quantified variables can
+always be moved to falsify a joker without disturbing beta, so when the
+projection of beta' contains one, the negation is vacuous and
+``exists X beta`` remains.  Otherwise what beta' asks of X is pinned
+down and the clause is equivalent to
+``exists X beta and not exists X (beta and beta')``.
 
 Open input needs no elimination of its free variables: because sorts
 and features are unbounded, a clause of prime literals is satisfiable
@@ -25,7 +27,7 @@ existential closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Collection, Iterable, Sequence, Union
 
 from .core import (
     And,
@@ -179,24 +181,25 @@ def boolcomb_to_formula(delta: BoolComb) -> Formula:
 # Freeness and jokers
 
 
-def is_free(beta: PrimeFormula, rp: RootedPath) -> bool:
+def is_free(beta: PrimeFormula, xs: Collection[VarId], rp: RootedPath) -> bool:
     """Whether no realized prefix of the rooted path is provably shared.
 
-    The rooted path x.p is unfree when some prefix p' reaches a node
-    that is also reached from a different variable outside the bound
-    set; such agreements survive in the closure of the prime formula and
-    pin the node down independently of x.  One search collects every
-    such node: each admissible variable, its binding, and everything
-    reachable from the binding.
+    The rooted path x.p, x in the block xs, is unfree when some prefix
+    p' reaches a node that is also reached from a variable outside both
+    the block and the bound set; such agreements survive in the closure
+    of the prime formula and pin the node down independently of the
+    block.  One search collects every such node: each admissible
+    variable, its binding, and everything reachable from the binding.
     """
     x = rp.root
     if x in beta.bound:
         return True
+    block = frozenset(xs)
     body = beta.body
     edges = body.edges
     binding = body.binding
     adj = adjacency(edges)
-    admissible = [y for y in body.variables if y != x and y not in beta.bound]
+    admissible = [y for y in body.variables if y not in block and y not in beta.bound]
     reached: set[VarId] = set()
     stack = [binding.get(y, y) for y in admissible]
     while stack:
@@ -218,23 +221,24 @@ def is_free(beta: PrimeFormula, rp: RootedPath) -> bool:
     return True
 
 
-def is_joker(beta: PrimeFormula, x: VarId, pi: PathConstraint) -> bool:
-    """Whether the constraint lies outside the closure on a free x-path.
+def is_joker(beta: PrimeFormula, xs: Collection[VarId], pi: PathConstraint) -> bool:
+    """Whether the constraint lies outside the closure on a free path
+    rooted in the block xs.
 
-    Jokers are exactly the proper constraints a quantified x can always
-    escape: their x-rooted side can be rerouted without touching the
-    rest of the formula.
+    Jokers are exactly the proper constraints a quantified block can
+    always escape: their side rooted in the block can be rerouted
+    without touching the rest of the formula.
     """
     if not is_proper(pi):
         raise ValueError("jokers are defined for proper path constraints")
     if prime_closure_contains(beta, pi):
         return False
     if isinstance(pi, SortAt):
-        return pi.src == x and is_free(beta, RootedPath(x, pi.path))
+        return pi.src in xs and is_free(beta, xs, RootedPath(pi.src, pi.path))
     assert isinstance(pi, Agree)
-    if pi.lsrc == x and is_free(beta, RootedPath(x, pi.lpath)):
+    if pi.lsrc in xs and is_free(beta, xs, RootedPath(pi.lsrc, pi.lpath)):
         return True
-    return pi.rsrc == x and is_free(beta, RootedPath(x, pi.rpath))
+    return pi.rsrc in xs and is_free(beta, xs, RootedPath(pi.rsrc, pi.rpath))
 
 
 # ---------------------------------------------------------------------------
@@ -242,70 +246,88 @@ def is_joker(beta: PrimeFormula, x: VarId, pi: PathConstraint) -> bool:
 
 
 def eliminate_neg(
-    sym: Symbols, x: VarId, beta: PrimeFormula, beta2: PrimeFormula
+    sym: Symbols, xs: Collection[VarId], beta: PrimeFormula, beta2: PrimeFormula
 ) -> BoolComb:
-    """Boolean combination equivalent to ``exists x (beta and not beta2)``:
+    """Boolean combination equivalent to ``exists xs (beta and not beta2)``:
     the clause of one positive and one negative literal."""
-    return eliminate_clause(sym, x, [beta], [beta2])
+    return eliminate_clause(sym, xs, [beta], [beta2])
 
 
 def eliminate_clause(
     sym: Symbols,
-    x: VarId,
+    xs: Collection[VarId],
     positives: list[PrimeFormula],
     negatives: list[PrimeFormula],
 ) -> BoolComb:
-    """Eliminate ``exists x`` from a conjunction of prime literals.
+    """Eliminate the block ``exists xs`` from a conjunction of prime literals.
 
     The positive literals merge into a single prime beta in one
-    conjunction (or the clause is unsatisfiable), and ``exists x beta``
-    is built once.  A negated beta' whose projection contains an x-joker
-    for beta never constrains the choice of x and drops out; so does one
-    inconsistent with beta.  Every other one subtracts
-    ``exists x (beta and beta')``.
+    conjunction (or the clause is unsatisfiable), and ``exists xs beta``
+    is built once, by one requantification.  A negated beta' whose
+    projection contains a joker for the block never constrains the
+    choice of its variables and drops out; so does one inconsistent
+    with beta.  Every other one subtracts ``exists xs (beta and beta')``,
+    again one requantification.
     """
+    block = frozenset(xs)
     beta = prime_conj(sym, *positives)
     if isinstance(beta, Bottom):
         return BC_FALSE
     subtracted: list[BoolComb] = []
     for beta2 in negatives:
-        if any(is_joker(beta, x, pi) for pi in projection(beta2)):
+        if any(is_joker(beta, block, pi) for pi in projection(beta2)):
             continue
         both = prime_conj(sym, beta, beta2)
         if not isinstance(both, Bottom):
-            subtracted.append(bc_not(PrimeLeaf(mk_prime_exists(x, both))))
-    return bc_and(PrimeLeaf(mk_prime_exists(x, beta)), *subtracted)
+            subtracted.append(bc_not(PrimeLeaf(mk_prime_exists(block, both))))
+    return bc_and(PrimeLeaf(mk_prime_exists(block, beta)), *subtracted)
 
 
 def to_prime_dnf(
     delta: BoolComb,
     max_clauses: int = DEFAULT_MAX_DNF_CLAUSES,
-    var: VarId | None = None,
+    xs: Sequence[VarId] = (),
 ) -> list[tuple[list[PrimeFormula], list[PrimeFormula]]]:
     """Disjunctive normal form with primes as literals.
 
     Clauses containing complementary or trivially false literals are
     dropped, duplicate literals merge, and clause growth beyond the
-    configured bound raises ResourceLimit, naming ``var`` as the
-    variable being eliminated when one is given.
+    configured bound raises ResourceLimit, naming the block ``xs`` being
+    eliminated, in prefix order, when one is given.  A conjunction
+    costs time linear in its width: a conjunct with a single clause
+    extends the accumulated clauses in place, checking only its own
+    literals against them.
     """
     limit = f"disjunctive normal form exceeds {max_clauses} clauses"
-    if var is not None:
-        limit += f" while eliminating {var}"
+    if xs:
+        limit += f" while eliminating {', '.join(map(str, xs))}"
+
+    def clash(pos: dict, neg: dict, rp: dict, rn: dict) -> bool:
+        # each clause is free of complementary literals on its own; a
+        # view iterates the smaller side
+        return not (
+            rp.keys().isdisjoint(neg.keys()) and rn.keys().isdisjoint(pos.keys())
+        )
 
     def cross(
         left: list[tuple[dict, dict]], right: list[tuple[dict, dict]]
     ) -> list[tuple[dict, dict]]:
+        if len(right) == 1:
+            # the accumulator owns its clauses: extend them in place
+            rp, rn = right[0]
+            out = [(lp, ln) for lp, ln in left if not clash(lp, ln, rp, rn)]
+            if len(out) > max_clauses:
+                raise ResourceLimit(limit)
+            for lp, ln in out:
+                lp.update(rp)
+                ln.update(rn)
+            return out
         out = []
         for lp, ln in left:
             for rp, rn in right:
-                pos = dict(lp)
-                pos.update(rp)
-                neg = dict(ln)
-                neg.update(rn)
-                if set(pos) & set(neg):
+                if clash(lp, ln, rp, rn):
                     continue
-                out.append((pos, neg))
+                out.append(({**lp, **rp}, {**ln, **rn}))
                 if len(out) > max_clauses:
                     raise ResourceLimit(limit)
         return out
@@ -341,11 +363,12 @@ def to_prime_dnf(
 
 
 def _eliminate_exists(
-    sym: Symbols, x: VarId, delta: BoolComb, max_clauses: int
+    sym: Symbols, xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int
 ) -> BoolComb:
-    clauses = to_prime_dnf(delta, max_clauses, x)
+    clauses = to_prime_dnf(delta, max_clauses, xs)
+    block = frozenset(xs)
     return bc_or(
-        *[eliminate_clause(sym, x, pos, neg) for pos, neg in clauses]
+        *[eliminate_clause(sym, block, pos, neg) for pos, neg in clauses]
     )
 
 
@@ -481,12 +504,11 @@ def decide(
         rhs = decide(sym, phi.rhs, max_clauses)
         return bc_or(bc_and(lhs, rhs), bc_and(bc_not(lhs), bc_not(rhs)))
     if isinstance(phi, (Exists, Forall)):
-        # innermost variable first, and forall as not exists not
+        # the whole block at once, and forall as not exists not
         universal = isinstance(phi, Forall)
         delta = decide(sym, phi.body, max_clauses)
         delta = bc_not(delta) if universal else delta
-        for x in reversed(phi.vars):
-            delta = _eliminate_exists(sym, x, delta, max_clauses)
+        delta = _eliminate_exists(sym, phi.vars, delta, max_clauses)
         return bc_not(delta) if universal else delta
     raise ValueError(f"cannot decide formula node {phi!r}; expand sugar first")
 

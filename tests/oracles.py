@@ -8,7 +8,9 @@ searches.  None of it shares code with the walk-based implementations
 under test, except the pairwise fold, which composes the binary prime
 operations that the one-pass ``simplify_epc`` replaces, the closure
 classifier, which decides open input by quantifier elimination instead
-of the clause search, and the bounded evaluator, which reads values
+of the clause search, the block splitter, which makes the library
+eliminate a quantifier block one variable at a time instead of at
+once, and the bounded evaluator, which reads values
 through the library's walks but judges quantifiers by trying small
 candidate values instead of eliminating them.
 """
@@ -137,8 +139,9 @@ def _pc_vars(pi: PathConstraint) -> set:
     return {pi.src}
 
 
-def naive_is_free(beta: PrimeFormula, rp: RootedPath) -> bool:
-    """Freeness from the saturated closure.
+def naive_is_free(beta: PrimeFormula, xs, rp: RootedPath) -> bool:
+    """Freeness for the block xs, whose variables include the root, from
+    the saturated closure.
 
     Complete because a shortest witness path never revisits a node: the
     bound covers every co-reaching path that can exist.
@@ -153,22 +156,22 @@ def naive_is_free(beta: PrimeFormula, rp: RootedPath) -> bool:
         pref = tuple(rp.path.feats[:k])
         for z in clos.by_source.get((x, pref), ()):
             for y in clos.by_target.get(z, ()):
-                if y != x and y not in beta.bound:
+                if y not in xs and y not in beta.bound:
                     return False
     return True
 
 
-def naive_is_joker(beta: PrimeFormula, x, pi: PathConstraint) -> bool:
+def naive_is_joker(beta: PrimeFormula, xs, pi: PathConstraint) -> bool:
     if not is_proper(pi):
         raise ValueError(pi)
     max_len = len(beta.body.variables) + _pc_len(pi) + 2
     if naive_prime_contains(beta, pi, max_len):
         return False
     if isinstance(pi, SortAt):
-        return pi.src == x and naive_is_free(beta, RootedPath(x, pi.path))
-    if pi.lsrc == x and naive_is_free(beta, RootedPath(x, pi.lpath)):
+        return pi.src in xs and naive_is_free(beta, xs, RootedPath(pi.src, pi.path))
+    if pi.lsrc in xs and naive_is_free(beta, xs, RootedPath(pi.lsrc, pi.lpath)):
         return True
-    return pi.rsrc == x and naive_is_free(beta, RootedPath(x, pi.rpath))
+    return pi.rsrc in xs and naive_is_free(beta, xs, RootedPath(pi.rsrc, pi.rpath))
 
 
 def _pc_len(pi: PathConstraint) -> int:
@@ -328,7 +331,7 @@ def fold_simplify_epc(sym, phi):
         if isinstance(inner, Bottom):
             return BOTTOM
         for x in reversed(phi.vars):
-            inner = mk_prime_exists(x, inner)
+            inner = mk_prime_exists((x,), inner)
         return inner
     raise ValueError("only atoms, conjunction, and 'exists' are allowed here")
 
@@ -385,6 +388,28 @@ def two_pass_requantify(bound, body):
     )
 
 
+def split_blocks(phi):
+    """The formula with every quantifier block written as the nested
+    one-variable blocks it abbreviates.
+
+    ``Exists((x, y), body)`` becomes ``Exists((x,), Exists((y,), body))``;
+    the constructors keep the nesting, so ``decide`` eliminates the
+    variables one at a time, innermost first.
+    """
+    if isinstance(phi, Not):
+        return Not(split_blocks(phi.body))
+    if isinstance(phi, (And, Or)):
+        return type(phi)(tuple(split_blocks(arg) for arg in phi.args))
+    if isinstance(phi, (Implies, Iff)):
+        return type(phi)(split_blocks(phi.lhs), split_blocks(phi.rhs))
+    if isinstance(phi, (Exists, Forall)):
+        out = split_blocks(phi.body)
+        for x in reversed(phi.vars):
+            out = type(phi)((x,), out)
+        return out
+    return phi
+
+
 def closure_classify(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
     """Satisfiability of open input by eliminating its free variables.
 
@@ -398,7 +423,7 @@ def closure_classify(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
     closure = decide(sym, phi, max_clauses)
     for v in sorted(free_vars(phi)):
         clauses = to_prime_dnf(closure, max_clauses)
-        closure = bc_or(*[eliminate_clause(sym, v, pos, neg) for pos, neg in clauses])
+        closure = bc_or(*[eliminate_clause(sym, (v,), pos, neg) for pos, neg in clauses])
     return UNSATISFIABLE if closure == BC_FALSE else SATISFIABLE
 
 

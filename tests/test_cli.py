@@ -145,6 +145,13 @@ def test_resource_limits_name_stage_and_size(tmp_path, capsys):
         "",
         "resource limit: disjunctive normal form exceeds 2 clauses while eliminating x0\n",
     )
+    # a block is eliminated at once and named in prefix order
+    path = write(tmp_path, "exists x0, x1. ((A(x0) | B(x0)) & (A(x1) | B(x1)))")
+    assert run(capsys, "decide", path, "--max-dnf-clauses", "2") == (
+        3,
+        "",
+        "resource limit: disjunctive normal form exceeds 2 clauses while eliminating x0, x1\n",
+    )
 
 
 @pytest.mark.parametrize("n", [14, 20])
@@ -272,6 +279,16 @@ FAN_BLOCK = (
     f"({' & '.join(f'f{i}(y, x{i})' for i in range(1, 10001))})"
 )
 TAUTOLOGY_BLOCK = f"forall {', '.join(f'x{i}' for i in range(1, 5001))}. (A(x1) | ~A(x1))"
+CHAIN_BLOCK = (
+    f"exists {', '.join(f'x{i}' for i in range(1, 10001))}. "
+    f"({' & '.join(f'f(x{i - 1}, x{i})' for i in range(1, 10001))})"
+)
+
+
+def _is_chain_prime(text):
+    """``exists q0, ..., q9999.`` over the 10,000 edges of a chain from x0."""
+    prefix, body = text.split(". ", 1)
+    return len(prefix.split(", ")) == 10000 and body.count("f(") == 10000
 
 
 @pytest.mark.parametrize(
@@ -340,6 +357,19 @@ TAUTOLOGY_BLOCK = f"forall {', '.join(f'x{i}' for i in range(1, 5001))}. (A(x1) 
             TAUTOLOGY_BLOCK,
             lambda out: out == "true\n",
             id="simplify-5000-variable-forall",
+        ),
+        pytest.param(
+            "decide",
+            CHAIN_BLOCK,
+            lambda out: out.startswith("SATISFIABLE\n")
+            and _is_chain_prime(out.removeprefix("SATISFIABLE\n")),
+            id="decide-10000-variable-chain",
+        ),
+        pytest.param(
+            "simplify",
+            CHAIN_BLOCK,
+            lambda out: _is_chain_prime(out),
+            id="simplify-10000-variable-chain",
         ),
     ],
 )

@@ -37,7 +37,7 @@ from featlog import (
     witness_prime,
     witness_solved_clause,
 )
-from featlog.core import EPS, Exists, Forall, conj
+from featlog.core import EPS, Exists, Forall, conj, exists_all, forall_all
 from featlog.models import enumerate_values, root_sort, subvalue, subvalues, walk_value
 from featlog.solve import clause_to_formula
 
@@ -259,16 +259,30 @@ def test_exact_evaluation_agrees_with_the_bounded_oracle(sym):
     from generators import random_quantified_formula
 
     rng = random.Random(32)
+    # each formula also goes under a block of two or more of its free
+    # variables, drawn apart so the formulae stay the same
+    blocks = random.Random(33)
     quantified = {"tree": 0, "graph": 0}
+    blocked = 0
     for i in range(1000):
         kind = ("tree", "graph")[i % 2]
         phi = random_quantified_formula(rng, sym, max_atoms=8, max_quants=3, n_vars=4)
-        alpha = random_valuation(rng, sym, sorted(free_vars(phi)), kind, max_nodes=2)
+        fv = sorted(free_vars(phi))
+        alpha = random_valuation(rng, sym, fv, kind, max_nodes=2)
         want = bounded_evaluate(sym, kind, alpha, phi, node_bound=2, budget=500)
         if want is not None:
             assert evaluate(sym, kind, alpha, phi) is want, (kind, phi, alpha)
             quantified[kind] += "exists" in str(phi) or "forall" in str(phi)
+        if len(fv) < 2:
+            continue
+        xs = blocks.sample(fv, blocks.randint(2, len(fv)))
+        psi = blocks.choice((exists_all, forall_all))(xs, phi)
+        want = bounded_evaluate(sym, kind, alpha, psi, node_bound=2, budget=500)
+        if want is not None:
+            assert evaluate(sym, kind, alpha, psi) is want, (kind, psi, alpha)
+            blocked += 1
     assert quantified["tree"] > 100 and quantified["graph"] > 100
+    assert blocked > 100
 
 
 def test_evaluate_is_unknown_only_past_the_clause_bound(sym):

@@ -50,7 +50,7 @@ def epc(sym, text):
 def test_mk_exists_drops_an_eliminating_equation(sym):
     x, y = sym.var("x"), sym.var("y")
     beta = PrimeFormula(frozenset(), SolvedFormula((Eq(x, y),), ()))
-    assert mk_prime_exists(x, beta) == TOP_PRIME
+    assert mk_prime_exists((x,), beta) == TOP_PRIME
 
 
 def test_mk_exists_garbage_collects(sym):
@@ -58,23 +58,23 @@ def test_mk_exists_garbage_collects(sym):
     f = sym.feat("f")
     x, y, z = sym.var("x"), sym.var("y"), sym.var("z")
     beta = PrimeFormula(frozenset(), SolvedFormula((), (FeatC(x, f, y), SortC(A, y))))
-    got = mk_prime_exists(x, beta)
+    got = mk_prime_exists((x,), beta)
     assert got == PrimeFormula(frozenset(), SolvedFormula((), (SortC(A, y),)))
     # absent variable leaves the formula alone
-    assert mk_prime_exists(z, got) == got
+    assert mk_prime_exists((z,), got) == got
 
 
 def test_mk_exists_renames_equation_targets(sym):
     A = sym.sort("A")
     x, y = sym.var("x"), sym.var("y")
     beta = PrimeFormula(frozenset(), SolvedFormula((Eq(y, x),), (SortC(A, x),)))
-    got = mk_prime_exists(x, beta)
+    got = mk_prime_exists((x,), beta)
     assert got == PrimeFormula(frozenset(), SolvedFormula((), (SortC(A, y),)))
 
 
 def test_mk_exists_keeps_reachable_variables_bound(sym):
     beta = epc(sym, "f(y, x)")
-    got = mk_prime_exists(sym.var("x"), beta)
+    got = mk_prime_exists((sym.var("x"),), beta)
     q0, y = sym.var("q0"), sym.var("y")
     assert got == PrimeFormula(frozenset({q0}), SolvedFormula((), (FeatC(y, sym.feat("f"), q0),)))
     assert is_prime_formula(got)
@@ -91,8 +91,9 @@ def test_requantify_equals_sequential_exists(sym):
         assert is_prime_formula(once)
         seq = PrimeFormula(frozenset(), body)
         for v in bound:
-            seq = mk_prime_exists(v, seq)
+            seq = mk_prime_exists((v,), seq)
         assert canonicalize(sym, once) == canonicalize(sym, seq)
+        assert mk_prime_exists(bound, PrimeFormula(frozenset(), body)) == once
 
 
 def test_requantify_agrees_with_two_pass_oracle(sym):
@@ -377,7 +378,7 @@ def test_operation_outputs_are_valid_primes(sym):
         beta = random_prime(rng, sym)
         assert is_prime_formula(beta)
         x = rng.choice(sorted(beta.body.variables | {sym.var("zz")}))
-        after = mk_prime_exists(x, beta)
+        after = mk_prime_exists((x,), beta)
         assert is_prime_formula(after)
         assert x not in after.free_vars
         assert after.free_vars <= beta.free_vars

@@ -35,6 +35,7 @@ from featlog import (
     to_prime_dnf,
 )
 from featlog.core import EPS, conj, exists_all, forall_all
+from featlog.prime import from_atom
 from featlog.qe import (
     BC_FALSE,
     BC_TRUE,
@@ -59,7 +60,14 @@ from generators import (
     random_prime,
     random_quantified_formula,
 )
-from oracles import bounded_evaluate, closure_classify, naive_is_free, naive_is_joker
+from oracles import (
+    bounded_evaluate,
+    closure_classify,
+    naive_is_free,
+    naive_is_joker,
+    split_blocks,
+)
+from test_solve import _wall_limit
 
 
 def epc(sym, text):
@@ -74,20 +82,21 @@ def test_is_free_examples(sym):
     x, y = sym.var("x"), sym.var("y")
     f, g = sym.feat("f"), sym.feat("g")
     beta = epc(sym, "f(x, y)")
-    assert not is_free(beta, RootedPath(y, Path((g,))))
-    assert is_free(beta, RootedPath(x, Path((g,))))
+    assert not is_free(beta, (y,), RootedPath(y, Path((g,))))
+    assert is_free(beta, (x,), RootedPath(x, Path((g,))))
     z = sym.var("zfree")
-    assert is_free(beta, RootedPath(z, Path((f, g))))
-    assert is_free(beta, RootedPath(z, EPS))
+    assert is_free(beta, (z,), RootedPath(z, Path((f, g))))
+    assert is_free(beta, (z,), RootedPath(z, EPS))
 
 
 def test_variables_in_the_normalizer_are_never_free_roots(sym):
     beta = epc(sym, "x = y & A(y)")
     x = sym.var("x")
-    assert not is_free(beta, RootedPath(x, EPS))
+    assert not is_free(beta, (x,), RootedPath(x, EPS))
 
 
 def test_is_free_agrees_with_naive_oracle(sym):
+    """Blocks of one to three variables, the root among them."""
     rng = random.Random(20)
     _, feats, vs = pools(sym)
     extra = sym.var("outside")
@@ -95,9 +104,11 @@ def test_is_free_agrees_with_naive_oracle(sym):
         beta = random_prime(rng, sym, max_atoms=6)
         for _ in range(8):
             root = rng.choice(vs + [extra])
+            others = [v for v in vs if v != root]
+            xs = (root, *rng.sample(others, rng.randint(0, 2)))
             p = Path(tuple(rng.choice(feats) for _ in range(rng.randint(0, 3))))
             rp = RootedPath(root, p)
-            assert is_free(beta, rp) == naive_is_free(beta, rp)
+            assert is_free(beta, xs, rp) == naive_is_free(beta, xs, rp)
 
 
 # --------------------------------------------------------------------------
@@ -109,9 +120,9 @@ def test_is_joker_examples(sym):
     f, g = sym.feat("f"), sym.feat("g")
     x = sym.var("x")
     beta = epc(sym, "f(x, y) & A(y)")
-    assert is_joker(beta, x, SortAt(B, x, Path((g,))))
-    assert not is_joker(beta, x, SortAt(A, x, Path((f,))))  # already entailed
-    assert not is_joker(beta, x, SortAt(B, x, Path((f,))))  # f lands on y
+    assert is_joker(beta, (x,), SortAt(B, x, Path((g,))))
+    assert not is_joker(beta, (x,), SortAt(A, x, Path((f,))))  # already entailed
+    assert not is_joker(beta, (x,), SortAt(B, x, Path((f,))))  # f lands on y
 
 
 def test_is_joker_rejects_reach_constraints(sym):
@@ -119,16 +130,17 @@ def test_is_joker_rejects_reach_constraints(sym):
     from featlog import Reach
 
     with pytest.raises(ValueError):
-        is_joker(TOP_PRIME, x, Reach(x, EPS, x))
+        is_joker(TOP_PRIME, (x,), Reach(x, EPS, x))
 
 
 def test_is_joker_agrees_with_naive_oracle(sym):
+    """Blocks of one to three variables."""
     rng = random.Random(21)
     sorts, feats, vs = pools(sym)
     jokers = 0
     for _ in range(250):
         beta = random_prime(rng, sym, max_atoms=6)
-        x = rng.choice(vs)
+        xs = tuple(rng.sample(vs, rng.randint(1, 3)))
         for _ in range(6):
             if rng.random() < 0.5:
                 pi = SortAt(
@@ -143,10 +155,29 @@ def test_is_joker_agrees_with_naive_oracle(sym):
                     rng.choice(vs),
                     Path(tuple(rng.choice(feats) for _ in range(rng.randint(0, 2)))),
                 )
-            got = is_joker(beta, x, pi)
-            assert got == naive_is_joker(beta, x, pi)
+            got = is_joker(beta, xs, pi)
+            assert got == naive_is_joker(beta, xs, pi)
             jokers += got
     assert jokers > 100
+
+
+def test_jokers_for_a_block(sym):
+    """A path rooted in the block is free when only variables of the
+    block reach it: A(y) is a joker for f(x, y) once x is quantified
+    together with y, so the negation drops out."""
+    A = sym.sort("A")
+    x, y = sym.var("x"), sym.var("y")
+    beta = epc(sym, "f(x, y)")
+    assert not is_free(beta, (y,), RootedPath(y, EPS))
+    assert is_free(beta, (x, y), RootedPath(y, EPS))
+    assert not is_joker(beta, (y,), SortAt(A, y, EPS))
+    assert is_joker(beta, (x, y), SortAt(A, y, EPS))
+    beta2 = epc(sym, "A(y)")
+    assert eliminate_clause(sym, (y,), [beta], [beta2]) == bc_and(
+        PrimeLeaf(epc(sym, "exists y. f(x, y)")),
+        bc_not(PrimeLeaf(epc(sym, "exists y. (f(x, y) & A(y))"))),
+    )
+    assert eliminate_clause(sym, (x, y), [beta], [beta2]) == BC_TRUE
 
 
 def test_joker_insensitivity_to_updates(sym):
@@ -180,7 +211,7 @@ def test_joker_insensitivity_to_updates(sym):
                 rng.choice(roots),
                 Path(tuple(rng.choice(feats) for _ in range(rng.randint(0, 2)))),
             )
-            if is_joker(beta, x, pi):
+            if is_joker(beta, (x,), pi):
                 continue
             assert holds_path_constraint(alpha, pi) == holds_path_constraint(
                 alpha2, pi
@@ -195,7 +226,7 @@ def test_joker_insensitivity_to_updates(sym):
 
 def test_eliminate_neg_joker_case(sym):
     x = sym.var("x")
-    got = eliminate_neg(sym, x, TOP_PRIME, epc(sym, "A(x)"))
+    got = eliminate_neg(sym, (x,), TOP_PRIME, epc(sym, "A(x)"))
     assert got == BC_TRUE
 
 
@@ -203,23 +234,23 @@ def test_eliminate_neg_no_joker_case(sym):
     x, y = sym.var("x"), sym.var("y")
     beta = epc(sym, "A(y)")
     beta2 = epc(sym, "B(y)")
-    got = eliminate_neg(sym, x, beta, beta2)
+    got = eliminate_neg(sym, (x,), beta, beta2)
     assert got == PrimeLeaf(canonicalize(sym, beta))
 
 
 def test_eliminate_neg_against_top_is_false(sym):
     x = sym.var("x")
     beta = epc(sym, "A(y)")
-    assert eliminate_neg(sym, x, beta, TOP_PRIME) == BC_FALSE
+    assert eliminate_neg(sym, (x,), beta, TOP_PRIME) == BC_FALSE
 
 
 def test_eliminate_clause_examples(sym):
     x, y = sym.var("x"), sym.var("y")
-    got = eliminate_clause(sym, x, [epc(sym, "f(x, y)")], [])
+    got = eliminate_clause(sym, (x,), [epc(sym, "f(x, y)")], [])
     assert got == BC_TRUE
-    got = eliminate_clause(sym, x, [epc(sym, "A(x)"), epc(sym, "B(x)")], [epc(sym, "C(y)")])
+    got = eliminate_clause(sym, (x,), [epc(sym, "A(x)"), epc(sym, "B(x)")], [epc(sym, "C(y)")])
     assert got == BC_FALSE
-    got = eliminate_clause(sym, x, [], [epc(sym, "A(x)")])
+    got = eliminate_clause(sym, (x,), [], [epc(sym, "A(x)")])
     assert got == BC_TRUE
 
 
@@ -232,7 +263,7 @@ def test_eliminate_clause_merges_positives_once(sym, monkeypatch):
         featlog.qe, "prime_conj", lambda sym, *ps: calls.append(len(ps)) or conj(sym, *ps)
     )
     positives = [epc(sym, t) for t in ("f(x, y)", "A(y)", "g(y, z)", "exists u. h(z, u)")]
-    got = eliminate_clause(sym, sym.var("y"), positives, [])
+    got = eliminate_clause(sym, (sym.var("y"),), positives, [])
     assert calls == [4]
     want = epc(sym, "exists y, u. (f(x, y) & A(y) & g(y, z) & h(z, u))")
     assert got == PrimeLeaf(canonicalize(sym, want))
@@ -259,6 +290,19 @@ def test_to_prime_dnf_resource_limit(sym):
     delta = bc_and(*[bc_or(l, BcNot(l2)) for l in leaves for l2 in leaves if l != l2])
     with pytest.raises(ResourceLimit):
         to_prime_dnf(delta, max_clauses=10)
+
+
+def test_to_prime_dnf_is_linear_in_conjunction_width(sym):
+    """A 20,000-literal conjunction, half of it negated, is one clause;
+    each conjunct extends it in place instead of copying it.  Linear
+    work takes a few hundredths of a second, a copy per conjunct several
+    seconds."""
+    A = sym.sort("A")
+    leaves = [PrimeLeaf(from_atom(SortC(A, sym.var(f"x{i}")))) for i in range(20000)]
+    delta = bc_and(*[bc_not(leaf) if i % 2 else leaf for i, leaf in enumerate(leaves)])
+    with _wall_limit(2.0):
+        got = to_prime_dnf(delta)
+    assert got == [([l.beta for l in leaves[0::2]], [l.beta for l in leaves[1::2]])]
 
 
 def test_smart_constructors_fold(sym):
@@ -406,6 +450,35 @@ def test_search_agrees_with_closure_oracle(sym):
         compared += 1
         unsat += got == UNSATISFIABLE
     assert unsat > 50
+
+
+def test_block_elimination_agrees_with_nested_one_variable_blocks(sym):
+    """Eliminating a block at once and one variable at a time give one
+    verdict, and the same residue on open input.
+
+    Each random formula goes under an ``exists``/``forall`` block of two
+    or more of its free variables, and ``split_blocks`` writes every
+    block as nested one-variable blocks.  Inputs on which either side
+    crosses the clause bound are skipped.
+    """
+    rng = random.Random(30)
+    compared = closed = 0
+    while compared < 2000:
+        phi = random_quantified_formula(rng, sym, max_atoms=rng.choice((6, 12)))
+        fv = sorted(free_vars(phi))
+        if len(fv) < 2:
+            continue
+        block = rng.sample(fv, rng.randint(2, len(fv)))
+        phi = rng.choice((exists_all, forall_all))(block, phi)
+        try:
+            want = classify(sym, split_blocks(phi))
+            got = classify(sym, phi)
+        except ResourceLimit:
+            continue
+        assert got == want, phi
+        compared += 1
+        closed += got.kind in (VALID, INVALID)
+    assert closed > 200
 
 
 def test_search_checks_negatives_by_entailment(sym):
