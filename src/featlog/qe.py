@@ -3,9 +3,15 @@
 Every formula reduces to a Boolean combination of prime formulae with
 the same free variables.  Atoms are already prime; connectives map
 structurally; a universal block becomes a negated existential one; and
-an existential block ``exists X`` is pushed through one disjunctive
-normal form whose literals are primes, then eliminated clause by
-clause, the whole block at once.
+an existential block ``exists X`` is eliminated the whole block at
+once.  It is miniscoped first: a part with no variable of X free is
+left alone, ``exists X`` distributes over a disjunction, and the
+conjuncts of a conjunction that miss X move outside it.  What remains
+is pushed through one disjunctive normal form whose literals are
+primes and eliminated clause by clause.  The clauses of one block share
+their work through two tables that die with the block: the merged
+positives and their requantification per set of positives, and what
+each negative subtracts per pair of merged positives and negative.
 
 The elimination of ``exists X`` from a clause ``beta and not beta'``
 hinges on X-jokers: proper path constraints outside the closure of beta
@@ -27,6 +33,7 @@ existential closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Iterable, Sequence, Union
 
 from .core import (
@@ -87,20 +94,37 @@ class ResourceLimit(Exception):
 class PrimeLeaf:
     beta: PrimeFormula
 
+    @property
+    def free_vars(self) -> frozenset[VarId]:
+        return self.beta.free_vars
+
 
 @dataclass(frozen=True)
 class BcNot:
     arg: "BoolComb"
+
+    @property
+    def free_vars(self) -> frozenset[VarId]:
+        return self.arg.free_vars
 
 
 @dataclass(frozen=True)
 class BcAnd:
     args: tuple["BoolComb", ...]
 
+    @cached_property
+    def free_vars(self) -> frozenset[VarId]:
+        # computed once: block elimination asks every node it visits
+        return frozenset().union(*(a.free_vars for a in self.args))
+
 
 @dataclass(frozen=True)
 class BcOr:
     args: tuple["BoolComb", ...]
+
+    @cached_property
+    def free_vars(self) -> frozenset[VarId]:
+        return frozenset().union(*(a.free_vars for a in self.args))
 
 
 BoolComb = Union[PrimeLeaf, BcNot, BcAnd, BcOr]
@@ -146,17 +170,6 @@ def bc_and(*args: BoolComb) -> BoolComb:
 
 def bc_or(*args: BoolComb) -> BoolComb:
     return _bc_nary(BcOr, args, BC_FALSE, BC_TRUE)
-
-
-def bc_free_vars(delta: BoolComb) -> set[VarId]:
-    if isinstance(delta, PrimeLeaf):
-        return set(delta.beta.free_vars)
-    if isinstance(delta, BcNot):
-        return bc_free_vars(delta.arg)
-    out: set[VarId] = set()
-    for a in delta.args:
-        out |= bc_free_vars(a)
-    return out
 
 
 def bc_quantifier_free(delta: BoolComb) -> bool:
@@ -269,18 +282,47 @@ def eliminate_clause(
     with beta.  Every other one subtracts ``exists xs (beta and beta')``,
     again one requantification.
     """
-    block = frozenset(xs)
-    beta = prime_conj(sym, *positives)
-    if isinstance(beta, Bottom):
-        return BC_FALSE
-    subtracted: list[BoolComb] = []
-    for beta2 in negatives:
-        if any(is_joker(beta, block, pi) for pi in projection(beta2)):
-            continue
-        both = prime_conj(sym, beta, beta2)
-        if not isinstance(both, Bottom):
-            subtracted.append(bc_not(PrimeLeaf(mk_prime_exists(block, both))))
-    return bc_and(PrimeLeaf(mk_prime_exists(block, beta)), *subtracted)
+    return _clause_eliminator(sym, frozenset(xs))(positives, negatives)
+
+
+def _clause_eliminator(sym: Symbols, block: frozenset[VarId]):
+    """``eliminate_clause`` for one block, remembering what it solved.
+
+    Clauses of one normal form share positives and negatives, so the
+    merged positives and their requantification are kept per set of
+    positives, and the literal each negative subtracts (or None) per
+    pair of merged positives and negative.  The tables live as long as
+    the returned function.
+    """
+    solved: dict[frozenset, tuple[PrimeFormula, BoolComb] | None] = {}
+    subtracted: dict[tuple[PrimeFormula, PrimeFormula], BoolComb | None] = {}
+
+    def eliminate(positives: list[PrimeFormula], negatives: list[PrimeFormula]) -> BoolComb:
+        key = frozenset(positives)
+        if key not in solved:
+            beta = prime_conj(sym, *positives)
+            solved[key] = (
+                None
+                if isinstance(beta, Bottom)
+                else (beta, PrimeLeaf(mk_prime_exists(block, beta)))
+            )
+        if solved[key] is None:
+            return BC_FALSE
+        beta, exists_beta = solved[key]
+        literals = [exists_beta]
+        for beta2 in negatives:
+            pair = (beta, beta2)
+            if pair not in subtracted:
+                subtracted[pair] = None
+                if not any(is_joker(beta, block, pi) for pi in projection(beta2)):
+                    both = prime_conj(sym, beta, beta2)
+                    if not isinstance(both, Bottom):
+                        subtracted[pair] = bc_not(PrimeLeaf(mk_prime_exists(block, both)))
+            if subtracted[pair] is not None:
+                literals.append(subtracted[pair])
+        return bc_and(*literals)
+
+    return eliminate
 
 
 def to_prime_dnf(
@@ -293,14 +335,17 @@ def to_prime_dnf(
     Clauses containing complementary or trivially false literals are
     dropped, duplicate literals merge, and clause growth beyond the
     configured bound raises ResourceLimit, naming the block ``xs`` being
-    eliminated, in prefix order, when one is given.  A conjunction
+    eliminated, in prefix order, when one is given: its first eight
+    variables, then how many more there are.  A conjunction
     costs time linear in its width: a conjunct with a single clause
     extends the accumulated clauses in place, checking only its own
     literals against them.
     """
     limit = f"disjunctive normal form exceeds {max_clauses} clauses"
     if xs:
-        limit += f" while eliminating {', '.join(map(str, xs))}"
+        limit += f" while eliminating {', '.join(map(str, xs[:8]))}"
+        if len(xs) > 8:
+            limit += f" and {len(xs) - 8} more"
 
     def clash(pos: dict, neg: dict, rp: dict, rn: dict) -> bool:
         # each clause is free of complementary literals on its own; a
@@ -365,11 +410,39 @@ def to_prime_dnf(
 def _eliminate_exists(
     sym: Symbols, xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int
 ) -> BoolComb:
-    clauses = to_prime_dnf(delta, max_clauses, xs)
+    """Boolean combination equivalent to ``exists xs delta``.
+
+    The block is miniscoped first, in one walk with a negation flag: a
+    part with no block variable free is kept as it is, a disjunction
+    eliminates the block from each disjunct, and a conjunction keeps
+    its arguments with no block variable outside the block.  What is
+    left goes through one prime DNF and one clause elimination per
+    clause, all clauses sharing one memoizing clause eliminator.
+    """
     block = frozenset(xs)
-    return bc_or(
-        *[eliminate_clause(sym, block, pos, neg) for pos, neg in clauses]
-    )
+    eliminate = _clause_eliminator(sym, block)
+
+    def go(node: BoolComb, negate: bool) -> BoolComb:
+        if block.isdisjoint(node.free_vars):
+            return bc_not(node) if negate else node
+        if isinstance(node, BcNot):
+            return go(node.arg, not negate)
+        if isinstance(node, PrimeLeaf):
+            return normal_form(node, negate)
+        if isinstance(node, BcOr) != negate:
+            return bc_or(*[go(a, negate) for a in node.args])
+        inside = [a for a in node.args if not block.isdisjoint(a.free_vars)]
+        if len(inside) == len(node.args):
+            return normal_form(node, negate)
+        outside = [a for a in node.args if block.isdisjoint(a.free_vars)]
+        rest = inside[0] if len(inside) == 1 else type(node)(tuple(inside))
+        return bc_and(*[bc_not(a) if negate else a for a in outside], go(rest, negate))
+
+    def normal_form(node: BoolComb, negate: bool) -> BoolComb:
+        clauses = to_prime_dnf(bc_not(node) if negate else node, max_clauses, xs)
+        return bc_or(*[eliminate(pos, neg) for pos, neg in clauses])
+
+    return go(delta, False)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ from featlog.core import atom_key, atom_vars, rename_atom
 from featlog.models import enumerate_values, root_sort, subvalue
 from featlog.prime import from_atom
 from featlog.paths import PathConstraint, is_proper
-from featlog.qe import BC_FALSE, DEFAULT_MAX_DNF_CLAUSES, bc_or
+from featlog.qe import BC_FALSE, DEFAULT_MAX_DNF_CLAUSES, bc_and, bc_not, bc_or
 
 
 class NaiveClosure:
@@ -408,6 +408,39 @@ def split_blocks(phi):
             out = type(phi)((x,), out)
         return out
     return phi
+
+
+def unscoped_decide(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
+    """``decide`` with every block eliminated from its whole matrix.
+
+    A block ``exists X`` puts the entire matrix through one prime DNF
+    and one ``eliminate_clause`` per clause, with no miniscoping and
+    nothing shared between clauses; ``forall X`` is ``not exists X not``.
+    Expects sugar-expanded input, as ``decide`` does, and hands it the
+    quantifier-free leaves.
+    """
+    if isinstance(phi, Not):
+        return bc_not(unscoped_decide(sym, phi.body, max_clauses))
+    if isinstance(phi, (And, Or)):
+        combine = bc_and if isinstance(phi, And) else bc_or
+        return combine(*[unscoped_decide(sym, arg, max_clauses) for arg in phi.args])
+    if isinstance(phi, Implies):
+        return bc_or(
+            bc_not(unscoped_decide(sym, phi.lhs, max_clauses)),
+            unscoped_decide(sym, phi.rhs, max_clauses),
+        )
+    if isinstance(phi, Iff):
+        lhs = unscoped_decide(sym, phi.lhs, max_clauses)
+        rhs = unscoped_decide(sym, phi.rhs, max_clauses)
+        return bc_or(bc_and(lhs, rhs), bc_and(bc_not(lhs), bc_not(rhs)))
+    if isinstance(phi, (Exists, Forall)):
+        universal = isinstance(phi, Forall)
+        delta = unscoped_decide(sym, phi.body, max_clauses)
+        delta = bc_not(delta) if universal else delta
+        clauses = to_prime_dnf(delta, max_clauses, phi.vars)
+        delta = bc_or(*[eliminate_clause(sym, phi.vars, pos, neg) for pos, neg in clauses])
+        return bc_not(delta) if universal else delta
+    return decide(sym, phi, max_clauses)
 
 
 def closure_classify(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):

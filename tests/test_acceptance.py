@@ -40,7 +40,7 @@ from featlog import (
     witness_prime,
 )
 from featlog.core import EPS, Atomic, conj, exists_all, forall_all
-from featlog.qe import INVALID, SATISFIABLE, UNSATISFIABLE, VALID, bc_free_vars, bc_quantifier_free
+from featlog.qe import INVALID, SATISFIABLE, UNSATISFIABLE, VALID, bc_quantifier_free
 from featlog.solve import clause_to_formula, constrained_vars, parameters
 
 from generators import (
@@ -284,7 +284,7 @@ def test_criterion_7_quantifier_elimination_contracts(sym):
             )
             delta = decide(sym, phi)
             assert bc_quantifier_free(delta)
-            assert bc_free_vars(delta) <= free_vars(phi)
+            assert delta.free_vars <= free_vars(phi)
             back = boolcomb_to_formula(delta)
             closed = forall_all(sorted(free_vars(phi)), Iff(phi, back))
             assert classify(sym, closed).kind == VALID

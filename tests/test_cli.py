@@ -118,7 +118,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_resource_limit_exit_code(tmp_path, capsys):
-    clauses = " & ".join(f"(A(x{i}) | B(x{i}))" for i in range(12))
+    # every disjunction mentions the block, so none leaves it
+    clauses = " & ".join(f"(A(x0) | B(x{i}))" for i in range(1, 13))
     path = write(tmp_path, f"exists x0. ({clauses})")
     code, _, err = run(capsys, "decide", path, "--max-dnf-clauses", "5")
     assert code == 3
@@ -139,19 +140,41 @@ def test_resource_limits_name_stage_and_size(tmp_path, capsys):
     # the search branches
     path = write(tmp_path, "(A(x) | B(x)) & (A(y) | B(y)) & C(z) & D(z)")
     assert run(capsys, "decide", path, "--max-dnf-clauses", "2") == (0, "UNSATISFIABLE\n", "")
-    path = write(tmp_path, "exists x0. ((A(x0) | B(x0)) & (A(x1) | B(x1)))")
+    # a disjunction that mentions the block enters the normal form
+    path = write(tmp_path, "exists x0. ((A(x0) | B(x1)) & (C(x0) | D(x1)))")
     assert run(capsys, "decide", path, "--max-dnf-clauses", "2") == (
         3,
         "",
         "resource limit: disjunctive normal form exceeds 2 clauses while eliminating x0\n",
     )
     # a block is eliminated at once and named in prefix order
-    path = write(tmp_path, "exists x0, x1. ((A(x0) | B(x0)) & (A(x1) | B(x1)))")
+    path = write(tmp_path, "exists x0, x1. ((A(x0) | B(x1)) & (C(x0) | D(x1)))")
     assert run(capsys, "decide", path, "--max-dnf-clauses", "2") == (
         3,
         "",
         "resource limit: disjunctive normal form exceeds 2 clauses while eliminating x0, x1\n",
     )
+
+
+@pytest.mark.parametrize(
+    "n, named",
+    [
+        (8, "x1, x2, x3, x4, x5, x6, x7, x8"),
+        (9, "x1, x2, x3, x4, x5, x6, x7, x8 and 1 more"),
+        (10000, "x1, x2, x3, x4, x5, x6, x7, x8 and 9992 more"),
+    ],
+)
+def test_resource_limits_name_a_wide_block_by_its_first_variables(tmp_path, capsys, n, named):
+    """A block of more than eight variables is named by its first eight,
+    in prefix order, and how many more there are."""
+    block = ", ".join(f"x{i}" for i in range(1, n + 1))
+    edges = " & ".join(f"f{i}(y, x{i})" for i in range(1, n + 1))
+    path = write(tmp_path, f"exists {block}. ({edges} & (A(y) | B(x1)) & (C(y) | D(x1)))")
+    with _wall_limit(10.0):
+        code, out, err = run(capsys, "decide", path, "--max-dnf-clauses", "2")
+    assert (code, out) == (3, "")
+    assert err == f"resource limit: disjunctive normal form exceeds 2 clauses while eliminating {named}\n"
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("n", [14, 20])

@@ -286,18 +286,12 @@ def test_exact_evaluation_agrees_with_the_bounded_oracle(sym):
 
 
 def test_evaluate_is_unknown_only_past_the_clause_bound(sym):
-    """The k = 8 alternation ladder exceeds the normal form's clause
-    bound: evaluation gives up at once instead of searching."""
-    k = 8
-    vs = [f"x{i}" for i in range(1, k + 1)]
-    prefix = " ".join(
-        ("forall" if i % 2 == 0 else "exists") + f" {v}." for i, v in enumerate(vs)
-    )
-    links = " & ".join(
-        "(" + " | ".join([f"{f}({a}, {b})" for f in "fgh"] + [f"{a} = {b}"]) + ")"
-        for a, b in zip(vs, vs[1:])
-    )
-    phi = parse_formula(sym, f"{prefix} ({links})")
+    """Eliminating x from fourteen disjunctions that all mention it
+    exceeds the normal form's clause bound (2^14 clauses): evaluation
+    gives up at once instead of searching."""
+    ys = [f"y{i}" for i in range(1, 15)]
+    links = " & ".join(f"(A(x) | f(x, {y}))" for y in ys)
+    phi = parse_formula(sym, f"forall {', '.join(ys)}. exists x. ({links})")
     with _wall_limit(1.0):
         assert evaluate(sym, "tree", {}, phi) is None
         assert evaluate(sym, "graph", {}, phi) is None

@@ -1,4 +1,6 @@
+import pathlib
 import random
+import runpy
 
 import pytest
 
@@ -47,10 +49,10 @@ from featlog.qe import (
     UNSATISFIABLE,
     VALID,
     bc_and,
-    bc_free_vars,
     bc_not,
     bc_or,
     bc_quantifier_free,
+    satisfiable,
 )
 
 from generators import (
@@ -59,6 +61,7 @@ from generators import (
     random_epc_formula,
     random_prime,
     random_quantified_formula,
+    random_valuation,
 )
 from oracles import (
     bounded_evaluate,
@@ -66,6 +69,7 @@ from oracles import (
     naive_is_free,
     naive_is_joker,
     split_blocks,
+    unscoped_decide,
 )
 from test_solve import _wall_limit
 
@@ -344,7 +348,7 @@ def test_decide_output_shape(sym):
         phi = expand_sugar(sym, random_quantified_formula(rng, sym))
         delta = decide(sym, phi)
         assert bc_quantifier_free(delta)
-        assert bc_free_vars(delta) <= free_vars(phi)
+        assert delta.free_vars <= free_vars(phi)
 
 
 SEMANTIC_GOLDENS = [
@@ -454,15 +458,20 @@ def test_search_agrees_with_closure_oracle(sym):
 
 def test_block_elimination_agrees_with_nested_one_variable_blocks(sym):
     """Eliminating a block at once and one variable at a time give one
-    verdict, and the same residue on open input.
+    verdict, and residues that agree under bounded evaluation.
 
     Each random formula goes under an ``exists``/``forall`` block of two
     or more of its free variables, and ``split_blocks`` writes every
-    block as nested one-variable blocks.  Inputs on which either side
-    crosses the clause bound are skipped.
+    block as nested one-variable blocks.  Miniscoping may write the
+    residue of open input differently on the two sides, so two residues
+    that differ are evaluated at eight seeded tree valuations of the
+    free variables, and must agree wherever the bounded evaluator gives a
+    definite answer for both.  Inputs on which either side crosses the
+    clause bound are skipped.
     """
     rng = random.Random(30)
-    compared = closed = 0
+    values = random.Random(33)
+    compared = closed = evaluated = 0
     while compared < 2000:
         phi = random_quantified_formula(rng, sym, max_atoms=rng.choice((6, 12)))
         fv = sorted(free_vars(phi))
@@ -475,10 +484,81 @@ def test_block_elimination_agrees_with_nested_one_variable_blocks(sym):
             got = classify(sym, phi)
         except ResourceLimit:
             continue
-        assert got == want, phi
+        assert got.kind == want.kind, phi
         compared += 1
         closed += got.kind in (VALID, INVALID)
-    assert closed > 200
+        if got.residue == want.residue:
+            continue
+        residues = [boolcomb_to_formula(v.residue) for v in (got, want)]
+        for _ in range(8):
+            alpha = random_valuation(values, sym, fv, "tree", max_nodes=2)
+            answers = [
+                bounded_evaluate(sym, "tree", alpha, r, node_bound=2, budget=500)
+                for r in residues
+            ]
+            if None not in answers:
+                assert answers[0] == answers[1], phi
+                evaluated += 1
+    assert closed > 200 and evaluated > 30
+
+
+def test_miniscoping_agrees_with_whole_matrix_elimination(sym):
+    """Miniscoped, memoized elimination and the whole-matrix elimination
+    of ``unscoped_decide`` give one verdict.
+
+    Half the inputs go under an ``exists``/``forall`` block of some of
+    their free variables.  Inputs on which either side crosses the
+    clause bound are skipped.
+    """
+    rng = random.Random(34)
+    compared = closed = 0
+    for i in range(2000):
+        phi = random_quantified_formula(rng, sym, max_atoms=rng.choice((6, 12)))
+        fv = sorted(free_vars(phi))
+        if i % 2 and fv:
+            block = rng.sample(fv, rng.randint(1, len(fv)))
+            phi = rng.choice((exists_all, forall_all))(block, phi)
+        phi = expand_sugar(sym, phi)
+        try:
+            got = classify(sym, phi).kind
+            delta = unscoped_decide(sym, phi)
+            if free_vars(phi):
+                want = SATISFIABLE if satisfiable(sym, delta) else UNSATISFIABLE
+            else:
+                want = {BC_TRUE: VALID, BC_FALSE: INVALID}[delta]
+        except ResourceLimit:
+            continue
+        assert got == want, phi
+        compared += 1
+        closed += want in (VALID, INVALID)
+    assert compared > 1900 and closed > 300
+
+
+# the benchmark's input generators, read from this checkout's bench/
+WORKLOADS = runpy.run_path(
+    str(pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+)
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["invalid", "valid"])
+@pytest.mark.parametrize("k", [8, 10, 12, 100])
+def test_alternation_ladder_at_scale(sym, k, negate):
+    """forall x1 exists x2 ... over k - 1 links has 4^(k-1) DNF clauses
+    as one matrix; miniscoped, each block sees only the link it meets."""
+    op = WORKLOADS["alternation_ladder"](WORKLOADS["Names"](random.Random(0)), k, negate)
+    with _wall_limit(1.0):
+        assert classify(sym, parse_formula(sym, op.text)).kind == op.expect
+
+
+def test_qe_mix_iff_sentence_solves_each_clause_prime_once(sym):
+    """The qe-mix iff sentence of size 32 at seed 201 distributes its
+    matrix into clauses that share positives and negatives; it exits on
+    the clause bound without miniscoping and takes seconds without the
+    memo tables."""
+    op = WORKLOADS["qe_mix"](201)[534]
+    assert (op.family, op.size, op.expect) == ("iff", 32, INVALID)
+    with _wall_limit(2.0):
+        assert classify(sym, parse_formula(sym, op.text)).kind == INVALID
 
 
 def test_search_checks_negatives_by_entailment(sym):
