@@ -24,14 +24,17 @@ print("parsed: ", print_formula(phi))
 # Printing is deterministic and reparses to the same tree.
 assert parse_formula(sym, print_formula(phi)) == phi
 
-# Sugar: exclusions, sort-at-path, and path agreement.
+# Sugar: exclusions, sort-at-path, and path agreement.  The variables an
+# expansion introduces are bound by it and spelled with the reserved "_"
+# prefix; each expansion numbers them from 1, and the session is not
+# touched.
 for sweet in [
     "undef(x, f)",          # f is undefined on x
     "Engineer@x.father",    # the value at x.father has sort Engineer
     "x.father.age = x.husband.age",  # the two paths agree
 ]:
     parsed = parse_formula(sym, sweet)
-    expanded = expand_sugar(sym, parsed)
+    expanded = expand_sugar(parsed)
     print(f"{sweet!r:40} expands to {print_formula(expanded)}")
 
 # Parse errors carry byte spans into the input.

@@ -21,7 +21,7 @@ sym = Symbols()
 
 
 def prime_of(text: str):
-    return simplify_epc(sym, expand_sugar(sym, parse_formula(sym, text)))
+    return simplify_epc(expand_sugar(parse_formula(sym, text)))
 
 
 beta = prime_of("exists u. (f(x, u) & A(u) & g(u, y))")

@@ -18,7 +18,7 @@ sym = Symbols()
 
 
 def show(text: str) -> None:
-    verdict = classify(sym, parse_formula(sym, text))
+    verdict = classify(parse_formula(sym, text))
     line = f"{text:68} : {verdict.kind}"
     if verdict.residue is not None and verdict.kind == "SATISFIABLE":
         line += f"   residue: {print_formula(boolcomb_to_formula(verdict.residue))}"

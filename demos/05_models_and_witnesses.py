@@ -39,7 +39,7 @@ print("two-node cycle denotes the same tree:", two_node == loop)
 
 # Witness a cyclic description.
 text = "exists y. (f(x, y) & g(y, x) & A(x) & B(y))"
-beta = simplify_epc(sym, expand_sugar(sym, parse_formula(sym, text)))
+beta = simplify_epc(expand_sugar(parse_formula(sym, text)))
 default = sym.fresh_sort("Dflt")
 val = witness_prime(beta, default)
 print("witness satisfies the description:", satisfies_prime(val, beta))

@@ -13,9 +13,9 @@ import argparse
 import json
 import sys
 
-from .core import Bottom, Symbols, free_vars
+from .core import Bottom, Formula, Symbols, free_vars
 from .models import satisfies_prime, single_node_tree, valuation_to_json, witness_prime
-from .prime import prime_entails, simplify_epc
+from .prime import PrimeFormula, prime_entails, simplify_epc
 from .qe import (
     DEFAULT_MAX_DNF_CLAUSES,
     INVALID,
@@ -47,7 +47,7 @@ def _emit(cfg: argparse.Namespace, payload: dict, text_lines: list[str]) -> None
 
 def _cmd_decide(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     phi = parse_formula(sym, text)
-    verdict = classify(sym, phi, cfg.max_dnf_clauses)
+    verdict = classify(phi, cfg.max_dnf_clauses)
     payload: dict = {"command": "decide", "verdict": verdict.kind}
     lines = [verdict.kind]
     if verdict.kind == SATISFIABLE and verdict.residue is not None:
@@ -59,7 +59,7 @@ def _cmd_decide(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
 
 
 def _cmd_simplify(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
-    phi = expand_sugar(sym, parse_formula(sym, text))
+    phi = expand_sugar(parse_formula(sym, text))
     try:
         basic = formula_to_basic(phi)
     except ValueError:
@@ -69,7 +69,7 @@ def _cmd_simplify(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
         out = "false" if isinstance(solved, Bottom) else print_formula(solved_to_formula(solved))
         _emit(cfg, {"command": "simplify", "result": out}, [out])
         return 0
-    verdict = classify(sym, phi, cfg.max_dnf_clauses)
+    verdict = classify(phi, cfg.max_dnf_clauses)
     if verdict.kind in (VALID, INVALID):
         out = "true" if verdict.kind == VALID else "false"
     elif verdict.kind == UNSATISFIABLE:
@@ -81,6 +81,20 @@ def _cmd_simplify(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     return 0
 
 
+def _solve_epc(
+    command: str, sym: Symbols, text: str
+) -> tuple[Formula, PrimeFormula | Bottom] | None:
+    """Parse, expand and solve one existential conjunction: the expanded
+    formula and its prime, or false; None once the input is reported as
+    not being one."""
+    phi = expand_sugar(parse_formula(sym, text))
+    try:
+        return phi, simplify_epc(phi)
+    except ValueError:
+        print(f"{command} inputs must use only atoms, '&', and 'exists'", file=sys.stderr)
+        return None
+
+
 def _cmd_entail(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     parts = text.split(";")
     if len(parts) != 2:
@@ -88,15 +102,10 @@ def _cmd_entail(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
         return 2
     primes = []
     for part in parts:
-        phi = expand_sugar(sym, parse_formula(sym, part))
-        try:
-            primes.append(simplify_epc(sym, phi))
-        except ValueError:
-            print(
-                "entail inputs must use only atoms, '&', and 'exists'",
-                file=sys.stderr,
-            )
+        solved = _solve_epc("entail", sym, part)
+        if solved is None:
             return 2
+        primes.append(solved[1])
     lhs, rhs = primes
     if isinstance(lhs, Bottom):
         entailed = True
@@ -110,15 +119,10 @@ def _cmd_entail(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
 
 
 def _cmd_witness(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
-    phi = expand_sugar(sym, parse_formula(sym, text))
-    try:
-        beta = simplify_epc(sym, phi)
-    except ValueError:
-        print(
-            "witness inputs must use only atoms, '&', and 'exists'",
-            file=sys.stderr,
-        )
+    solved = _solve_epc("witness", sym, text)
+    if solved is None:
         return 2
+    phi, beta = solved
     if isinstance(beta, Bottom):
         _emit(cfg, {"command": "witness", "verdict": UNSATISFIABLE}, [UNSATISFIABLE])
         return 0

@@ -4,9 +4,9 @@ The signature has two alphabets of predicate symbols: sorts (unary,
 spelled with a leading upper-case letter) and features (binary, spelled
 lower-case).  Variables are spelled lower-case as well; the three
 namespaces are disjoint, so the same spelling may serve as both a
-feature and a variable without clash.  Both alphabets are unbounded: a
-session can always mint identifiers that were never seen before, which
-is what several constructions rely on.
+feature and a variable without clash.  Both alphabets are unbounded:
+there is always a sort and a feature that a given formula does not
+mention, which the decision procedure relies on.
 """
 
 from __future__ import annotations
@@ -63,10 +63,13 @@ class VarId(_Ident):
 class Symbols:
     """Interning session for sorts, features, and variables.
 
-    Fresh identifiers carry the reserved ``_`` prefix, which the concrete
-    syntax rejects and the programmatic constructors refuse, so generated
-    names can never collide with user-supplied ones.  The session is the
-    only mutable object in the library; confine it to one thread or
+    The session is the parser's symbol table: nothing after parsing
+    reads or writes it, so one session may serve any number of
+    decisions without growing beyond the spellings it has parsed.  The
+    one name it mints is ``fresh_sort``'s, carrying the reserved ``_``
+    prefix, which the concrete syntax rejects and the programmatic
+    constructors refuse, so it never collides with a user-supplied
+    sort.  The session is mutable; confine it to one thread or
     synchronize access externally.
     """
 
@@ -75,18 +78,6 @@ class Symbols:
         self._feats: dict[str, FeatId] = {}
         self._vars: dict[str, VarId] = {}
         self._fresh = 0
-
-    @classmethod
-    def avoiding(cls, vs: Iterable[VarId]) -> "Symbols":
-        """A new session whose fresh variables differ from ``vs``.
-
-        The variables are interned as they are, without the spelling
-        check, since names minted by another session carry the reserved
-        prefix.
-        """
-        sym = cls()
-        sym._vars.update((v.name, v) for v in vs)
-        return sym
 
     def _check(self, name: str, upper: bool) -> None:
         if not name or not NAME_PATTERN.match(name):
@@ -122,32 +113,15 @@ class Symbols:
             self._vars[name] = ident
         return ident
 
-    def _fresh_name(self, table: dict, hint: str) -> str:
-        hint = hint.lstrip("_") or "v"
+    def fresh_sort(self, hint: str = "S") -> SortId:
+        """A sort distinct from every sort interned so far."""
+        hint = hint.lstrip("_") or "S"
         while True:
             self._fresh += 1
             name = f"_{hint}{self._fresh}"
-            if name not in table:
-                return name
-
-    def fresh_var(self, hint: str = "v") -> VarId:
-        """A variable distinct from everything interned so far."""
-        name = self._fresh_name(self._vars, hint)
-        ident = VarId(name)
-        self._vars[name] = ident
-        return ident
-
-    def fresh_sort(self, hint: str = "S") -> SortId:
-        name = self._fresh_name(self._sorts, hint)
-        ident = SortId(name)
-        self._sorts[name] = ident
-        return ident
-
-    def fresh_feat(self, hint: str = "f") -> FeatId:
-        name = self._fresh_name(self._feats, hint)
-        ident = FeatId(name)
-        self._feats[name] = ident
-        return ident
+            if name not in self._sorts:
+                ident = self._sorts[name] = SortId(name)
+                return ident
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +223,6 @@ def atom_vars(a: Atom) -> tuple[VarId, ...]:
     if isinstance(a, FeatC):
         return (a.src, a.dst)
     return (a.var,)
-
-
-def substitute_atom(a: Atom, x: VarId, y: VarId) -> Atom:
-    if isinstance(a, Eq):
-        return Eq(y if a.lhs == x else a.lhs, y if a.rhs == x else a.rhs)
-    if isinstance(a, SortC):
-        return SortC(a.sort, y) if a.var == x else a
-    if isinstance(a, FeatC):
-        return FeatC(y if a.src == x else a.src, a.feat, y if a.dst == x else a.dst)
-    return Excl(y, a.feat) if a.var == x else a
 
 
 def rename_atom(a: Atom, mapping: dict[VarId, VarId]) -> Atom:
@@ -398,15 +362,6 @@ def forall_all(vs: Iterable[VarId], body: Formula) -> Formula:
 
 def free_vars(phi: Formula) -> set[VarId]:
     """The variables occurring free in ``phi``."""
-    return _formula_vars(phi, free_only=True)
-
-
-def all_vars(phi: Formula) -> set[VarId]:
-    """Every variable of ``phi``, free or quantified."""
-    return _formula_vars(phi, free_only=False)
-
-
-def _formula_vars(phi: Formula, free_only: bool) -> set[VarId]:
     out: set[VarId] = set()
 
     def go(psi: Formula, bound: frozenset[VarId]) -> None:
@@ -421,11 +376,7 @@ def _formula_vars(phi: Formula, free_only: bool) -> set[VarId]:
             go(psi.lhs, bound)
             go(psi.rhs, bound)
         elif isinstance(psi, _QUANT):
-            if free_only:
-                go(psi.body, bound.union(psi.vars))
-            else:
-                out.update(psi.vars)
-                go(psi.body, bound)
+            go(psi.body, bound.union(psi.vars))
         elif isinstance(psi, SugarAgree):
             out.update(v for v in (psi.lhs, psi.rhs) if v not in bound)
         elif isinstance(psi, SugarSortAt):
@@ -446,7 +397,7 @@ def substitute(phi: Formula, x: VarId, y: VarId) -> Formula:
     if isinstance(phi, (Top, Bottom)):
         return phi
     if isinstance(phi, Atomic):
-        return Atomic(substitute_atom(phi.atom, x, y))
+        return Atomic(rename_atom(phi.atom, {x: y}))
     if isinstance(phi, Not):
         return Not(substitute(phi.body, x, y))
     if isinstance(phi, _NARY):

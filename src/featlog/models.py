@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
-from .core import FeatId, Formula, Path, SortId, Symbols, VarId, all_vars
+from .core import FeatId, Formula, Path, SortId, Symbols, VarId
 from .paths import Agree, PathConstraint, Reach, SortAt
 from .prime import PrimeFormula, adjacency, projection
 from .qe import BcAnd, BcNot, BoolComb, PrimeLeaf, ResourceLimit, decide
@@ -458,17 +458,16 @@ def evaluate(
     Trees, rational trees and feature graphs are elementarily equivalent
     models of the theory, and ``decide`` is an equivalence in the
     theory, so phi holds under alpha exactly when its quantifier-free
-    residue does, one ``satisfies_prime`` per prime leaf.  Elimination
-    runs in a private session that has interned every variable of phi
-    and alpha first, so its fresh names capture none of them and the
-    caller's session ``sym`` is left unchanged.  ``node_bound`` and
-    ``budget`` are not read; they stay for callers that pass them.
+    residue does, one ``satisfies_prime`` per prime leaf.  The names
+    that sugar expansion and elimination introduce are bound where they
+    are made, so they capture no variable of phi or alpha.  ``sym``,
+    ``node_bound`` and ``budget`` are not read; they stay for callers
+    that pass them.
     """
     if kind not in ("tree", "graph"):
         raise ValueError("kind must be 'tree' or 'graph'")
-    private = Symbols.avoiding(all_vars(phi) | set(alpha))
     try:
-        delta = decide(private, expand_sugar(private, phi))
+        delta = decide(expand_sugar(phi))
     except ResourceLimit:
         return None
     return _holds(alpha, delta)

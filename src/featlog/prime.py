@@ -35,7 +35,6 @@ from .core import (
     FeatId,
     Formula,
     SortC,
-    Symbols,
     VarId,
     atom_key,
     atom_vars,
@@ -215,13 +214,34 @@ def _prime_of_atoms(atoms: list[Atom], bound: list[VarId]) -> PrimeFormula | Bot
     return requantify(bound, solved)
 
 
-def prime_conj(sym: Symbols, *primes: PrimeFormula) -> PrimeFormula | Bottom:
+def _renamer(taken: set[VarId]):
+    """A function from a variable to a transient name not in ``taken``,
+    which the name then joins.
+
+    Transient names contain a ``'``, which neither a parsed name nor a
+    minted ``_`` name can, and they are numbered per renamer.  They are
+    only ever given to bound variables, which ``requantify`` renames, so
+    none leaves the prime it was made for.
+    """
+    numbers = count(1)
+
+    def fresh(x: VarId) -> VarId:
+        while True:
+            v = VarId(f"{x.name}'{next(numbers)}")
+            if v not in taken:
+                taken.add(v)
+                return v
+
+    return fresh
+
+
+def prime_conj(*primes: PrimeFormula) -> PrimeFormula | Bottom:
     """Conjunction of primes: prime again, or ``false``.
 
     No primes give true, and one prime is returned as it is.  Otherwise
     bound variables are renamed apart in one pass: a bound variable gets
-    a fresh name when it occurs free in another prime or is bound in an
-    earlier one.  The bodies together run through one basic
+    a transient name when it occurs free in another prime or is bound in
+    an earlier one.  The bodies together run through one basic
     simplification, and all bound variables are requantified together
     over the solved result.
     """
@@ -230,10 +250,11 @@ def prime_conj(sym: Symbols, *primes: PrimeFormula) -> PrimeFormula | Bottom:
     taken: set[VarId] = set()
     for beta in primes:
         taken |= beta.free_vars
+    fresh = _renamer(taken)
     atoms: list[Atom] = []
     bound: list[VarId] = []
     for beta in primes:
-        mapping = {v: sym.fresh_var(v.name) for v in sorted(beta.bound & taken)}
+        mapping = {v: fresh(v) for v in sorted(beta.bound & taken)}
         taken |= beta.bound
         bound.extend(mapping.get(v, v) for v in beta.bound)
         atoms.extend(beta.body.normalizer)
@@ -244,15 +265,15 @@ def prime_conj(sym: Symbols, *primes: PrimeFormula) -> PrimeFormula | Bottom:
     return _prime_of_atoms(atoms, bound)
 
 
-def simplify_epc(sym: Symbols, phi: Formula) -> PrimeFormula | Bottom:
+def simplify_epc(phi: Formula) -> PrimeFormula | Bottom:
     """Solve a formula built from atoms, conjunction, and ``exists``.
 
     One walk collects the atoms and the quantified variables, and
     rejects any other connective before anything is solved.  A
     quantifier keeps its variable unless that variable also occurs free
     or is bound by an earlier quantifier; only then a second walk renames
-    it to a fresh one.  The atoms are solved once and the quantified
-    variables requantified once.
+    it to a transient name, as ``prime_conj`` does.  The atoms are
+    solved once and the quantified variables requantified once.
     """
     walked = conjunction_atoms(phi, binder=lambda x: x)
     if isinstance(walked, Bottom):
@@ -260,10 +281,11 @@ def simplify_epc(sym: Symbols, phi: Formula) -> PrimeFormula | Bottom:
     atoms, bound, free = walked
     if len(set(bound)) < len(bound) or not free.isdisjoint(bound):
         taken = set(free)
+        fresh = _renamer(taken)
 
         def binder(x: VarId) -> VarId:
             if x in taken:
-                return sym.fresh_var(x.name)
+                return fresh(x)
             taken.add(x)
             return x
 
@@ -342,13 +364,13 @@ def prime_entails(beta: PrimeFormula, beta2: PrimeFormula) -> bool:
 # Canonical forms
 
 
-def canonicalize(sym: Symbols, beta: PrimeFormula) -> PrimeFormula:
+def canonicalize(beta: PrimeFormula) -> PrimeFormula:
     """The canonical form of a prime: ``requantify`` of its own parts.
 
     Bound variables are renamed q0, q1, ... in access-path order and the
     body is sorted, so two primes that differ only in bound names get
     identical forms.  Every prime the library builds is canonical
-    already, so this is the identity on them.  ``sym`` is not read.
+    already, so this is the identity on them.
     """
     return requantify(beta.bound, beta.body)
 

@@ -48,7 +48,6 @@ from .core import (
     Implies,
     Not,
     Or,
-    Symbols,
     Top,
     VarId,
     free_vars,
@@ -117,6 +116,15 @@ class BcAnd:
         # computed once: block elimination asks every node it visits
         return frozenset().union(*(a.free_vars for a in self.args))
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((BcAnd, self.args))
+
+    def __hash__(self) -> int:
+        # computed once: combinations share their arguments, and a
+        # generated hash would rehash the whole unfolded DAG per lookup
+        return self._hash
+
 
 @dataclass(frozen=True)
 class BcOr:
@@ -125,6 +133,13 @@ class BcOr:
     @cached_property
     def free_vars(self) -> frozenset[VarId]:
         return frozenset().union(*(a.free_vars for a in self.args))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((BcOr, self.args))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 BoolComb = Union[PrimeLeaf, BcNot, BcAnd, BcOr]
@@ -258,16 +273,13 @@ def is_joker(beta: PrimeFormula, xs: Collection[VarId], pi: PathConstraint) -> b
 # Clause elimination
 
 
-def eliminate_neg(
-    sym: Symbols, xs: Collection[VarId], beta: PrimeFormula, beta2: PrimeFormula
-) -> BoolComb:
+def eliminate_neg(xs: Collection[VarId], beta: PrimeFormula, beta2: PrimeFormula) -> BoolComb:
     """Boolean combination equivalent to ``exists xs (beta and not beta2)``:
     the clause of one positive and one negative literal."""
-    return eliminate_clause(sym, xs, [beta], [beta2])
+    return eliminate_clause(xs, [beta], [beta2])
 
 
 def eliminate_clause(
-    sym: Symbols,
     xs: Collection[VarId],
     positives: list[PrimeFormula],
     negatives: list[PrimeFormula],
@@ -282,10 +294,10 @@ def eliminate_clause(
     with beta.  Every other one subtracts ``exists xs (beta and beta')``,
     again one requantification.
     """
-    return _clause_eliminator(sym, frozenset(xs))(positives, negatives)
+    return _clause_eliminator(frozenset(xs))(positives, negatives)
 
 
-def _clause_eliminator(sym: Symbols, block: frozenset[VarId]):
+def _clause_eliminator(block: frozenset[VarId]):
     """``eliminate_clause`` for one block, remembering what it solved.
 
     Clauses of one normal form share positives and negatives, so the
@@ -300,7 +312,7 @@ def _clause_eliminator(sym: Symbols, block: frozenset[VarId]):
     def eliminate(positives: list[PrimeFormula], negatives: list[PrimeFormula]) -> BoolComb:
         key = frozenset(positives)
         if key not in solved:
-            beta = prime_conj(sym, *positives)
+            beta = prime_conj(*positives)
             solved[key] = (
                 None
                 if isinstance(beta, Bottom)
@@ -315,7 +327,7 @@ def _clause_eliminator(sym: Symbols, block: frozenset[VarId]):
             if pair not in subtracted:
                 subtracted[pair] = None
                 if not any(is_joker(beta, block, pi) for pi in projection(beta2)):
-                    both = prime_conj(sym, beta, beta2)
+                    both = prime_conj(beta, beta2)
                     if not isinstance(both, Bottom):
                         subtracted[pair] = bc_not(PrimeLeaf(mk_prime_exists(block, both)))
             if subtracted[pair] is not None:
@@ -407,9 +419,7 @@ def to_prime_dnf(
     return [(list(pos), list(neg)) for pos, neg in go(delta, False)]
 
 
-def _eliminate_exists(
-    sym: Symbols, xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int
-) -> BoolComb:
+def _eliminate_exists(xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int) -> BoolComb:
     """Boolean combination equivalent to ``exists xs delta``.
 
     The block is miniscoped first, in one walk with a negation flag: a
@@ -420,7 +430,7 @@ def _eliminate_exists(
     clause, all clauses sharing one memoizing clause eliminator.
     """
     block = frozenset(xs)
-    eliminate = _clause_eliminator(sym, block)
+    eliminate = _clause_eliminator(block)
 
     def go(node: BoolComb, negate: bool) -> BoolComb:
         if block.isdisjoint(node.free_vars):
@@ -450,11 +460,11 @@ def _eliminate_exists(
 
 
 def _clause_satisfiable(
-    sym: Symbols, positives: Iterable[PrimeFormula], negatives: Iterable[PrimeFormula]
+    positives: Iterable[PrimeFormula], negatives: Iterable[PrimeFormula]
 ) -> bool:
     """Independence: a clause of prime literals is satisfiable exactly
     when its positives are consistent and entail none of its negatives."""
-    beta = prime_conj(sym, *positives)
+    beta = prime_conj(*positives)
     if isinstance(beta, Bottom):
         return False
     return not any(prime_entails(beta, b) for b in negatives)
@@ -466,9 +476,7 @@ def _is_literal(delta: BoolComb) -> bool:
     )
 
 
-def satisfiable(
-    sym: Symbols, delta: BoolComb, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES
-) -> bool:
+def satisfiable(delta: BoolComb, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> bool:
     """Whether the existential closure of a Boolean combination of primes holds.
 
     The clauses of the prime DNF are visited one at a time, depth first,
@@ -523,12 +531,12 @@ def satisfiable(
                             shared[negated].append(a.beta)
                         elif _is_literal(a):
                             shared[not negated].append(a.arg.beta)
-                    if not _clause_satisfiable(sym, *shared):
+                    if not _clause_satisfiable(*shared):
                         closed = True
                         break
                 for a in reversed(node.args):
                     pending = ((a, negated), pending)
-        if not closed and _clause_satisfiable(sym, *literals):
+        if not closed and _clause_satisfiable(*literals):
             return True
         if not choices:
             return False
@@ -545,9 +553,7 @@ def satisfiable(
 # The decision procedure
 
 
-def decide(
-    sym: Symbols, phi: Formula, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES
-) -> BoolComb:
+def decide(phi: Formula, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> BoolComb:
     """Quantifier-free Boolean combination of primes equivalent to phi.
 
     Expects sugar-expanded input.  The result mentions no variable
@@ -563,25 +569,22 @@ def decide(
             raise ValueError("expand sugar before deciding")
         return PrimeLeaf(from_atom(phi.atom))
     if isinstance(phi, Not):
-        return bc_not(decide(sym, phi.body, max_clauses))
+        return bc_not(decide(phi.body, max_clauses))
     if isinstance(phi, (And, Or)):
         combine = bc_and if isinstance(phi, And) else bc_or
-        return combine(*[decide(sym, arg, max_clauses) for arg in phi.args])
+        return combine(*[decide(arg, max_clauses) for arg in phi.args])
     if isinstance(phi, Implies):
-        return bc_or(
-            bc_not(decide(sym, phi.lhs, max_clauses)),
-            decide(sym, phi.rhs, max_clauses),
-        )
+        return bc_or(bc_not(decide(phi.lhs, max_clauses)), decide(phi.rhs, max_clauses))
     if isinstance(phi, Iff):
-        lhs = decide(sym, phi.lhs, max_clauses)
-        rhs = decide(sym, phi.rhs, max_clauses)
+        lhs = decide(phi.lhs, max_clauses)
+        rhs = decide(phi.rhs, max_clauses)
         return bc_or(bc_and(lhs, rhs), bc_and(bc_not(lhs), bc_not(rhs)))
     if isinstance(phi, (Exists, Forall)):
         # the whole block at once, and forall as not exists not
         universal = isinstance(phi, Forall)
-        delta = decide(sym, phi.body, max_clauses)
+        delta = decide(phi.body, max_clauses)
         delta = bc_not(delta) if universal else delta
-        delta = _eliminate_exists(sym, phi.vars, delta, max_clauses)
+        delta = _eliminate_exists(phi.vars, delta, max_clauses)
         return bc_not(delta) if universal else delta
     raise ValueError(f"cannot decide formula node {phi!r}; expand sugar first")
 
@@ -599,19 +602,17 @@ class Verdict:
     residue: BoolComb | None = None
 
 
-def classify(
-    sym: Symbols, phi: Formula, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES
-) -> Verdict:
+def classify(phi: Formula, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> Verdict:
     """Decide validity of closed input or satisfiability of open input.
 
     Closed input folds to a constant through quantifier elimination.
     Open input is decided by one clause search over its quantifier-free
     residue, which is returned as it is when satisfiable.
     """
-    phi = expand_sugar(sym, phi)
-    delta = decide(sym, phi, max_clauses)
+    phi = expand_sugar(phi)
+    delta = decide(phi, max_clauses)
     if free_vars(phi):
-        if satisfiable(sym, delta, max_clauses):
+        if satisfiable(delta, max_clauses):
             return Verdict(SATISFIABLE, residue=delta)
         return Verdict(UNSATISFIABLE)
     if delta == BC_TRUE:

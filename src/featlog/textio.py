@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count
 
 from .core import (
     BOTTOM,
@@ -319,53 +320,67 @@ def parse_formula(sym: Symbols, text: str) -> Formula:
 # Sugar expansion
 
 
-def _reach_chain(sym: Symbols, x: VarId, p: Path, z: VarId) -> tuple[list[VarId], list[Formula]]:
-    """Atoms stating that ``p`` leads from x to z, with fresh inner nodes.
-
-    The empty path degenerates to the equation x = z.
-    """
-    if not p.feats:
-        return [], [Atomic(Eq(x, z))]
-    inner = [sym.fresh_var("z") for _ in p.feats[:-1]]
-    nodes = [x] + inner + [z]
-    atoms = [
-        Atomic(FeatC(nodes[i], f, nodes[i + 1])) for i, f in enumerate(p.feats)
-    ]
-    return inner, atoms
-
-
-def expand_sugar(sym: Symbols, phi: Formula) -> Formula:
+def expand_sugar(phi: Formula) -> Formula:
     """Rewrite exclusion and path sugar into core atoms and quantifiers.
 
     The result contains only true/false, sort, feature and equation
-    atoms, connectives, and quantifiers.  All introduced variables are
-    fresh ``_``-prefixed names, so expansion is idempotent.
+    atoms, connectives, and quantifiers.  The variables a sugar node
+    introduces are bound by its own expansion and spelled with the
+    reserved ``_`` prefix, numbered per call (``_y1``, ``_z2``, ...),
+    skipping a spelling the node itself mentions.  Such a binder may
+    shadow an unrelated outer variable of the same spelling, which is
+    harmless: the expansion's body mentions only the node's own
+    variables and binders.
     """
-    if isinstance(phi, (Top, Bottom)):
-        return phi
-    if isinstance(phi, Atomic):
-        if isinstance(phi.atom, Excl):
-            w = sym.fresh_var("y")
-            return Not(Exists((w,), Atomic(FeatC(phi.atom.var, phi.atom.feat, w))))
-        return phi
-    if isinstance(phi, SugarSortAt):
-        w = sym.fresh_var("y")
-        inner, atoms = _reach_chain(sym, phi.var, phi.path, w)
-        return exists_all(inner + [w], conj(atoms + [Atomic(SortC(phi.sort, w))]))
-    if isinstance(phi, SugarAgree):
-        z = sym.fresh_var("z")
-        linner, latoms = _reach_chain(sym, phi.lhs, phi.lpath, z)
-        rinner, ratoms = _reach_chain(sym, phi.rhs, phi.rpath, z)
-        return exists_all([z] + linner + rinner, conj(latoms + ratoms))
-    if isinstance(phi, Not):
-        return Not(expand_sugar(sym, phi.body))
-    if isinstance(phi, (And, Or)):
-        return type(phi)(tuple(expand_sugar(sym, arg) for arg in phi.args))
-    if isinstance(phi, (Implies, Iff)):
-        return type(phi)(expand_sugar(sym, phi.lhs), expand_sugar(sym, phi.rhs))
-    if isinstance(phi, (Exists, Forall)):
-        return type(phi)(phi.vars, expand_sugar(sym, phi.body))
-    raise ValueError(f"unknown formula node {phi!r}")
+    numbers = count(1)
+
+    def fresh(hint: str, mentioned: tuple[VarId, ...]) -> VarId:
+        while True:
+            v = VarId(f"_{hint}{next(numbers)}")
+            if v not in mentioned:
+                return v
+
+    def chain(x: VarId, p: Path, z: VarId, mentioned) -> tuple[list[VarId], list[Formula]]:
+        # atoms stating that p leads from x to z, with fresh inner nodes;
+        # the empty path degenerates to the equation x = z
+        if not p.feats:
+            return [], [Atomic(Eq(x, z))]
+        inner = [fresh("z", mentioned) for _ in p.feats[:-1]]
+        nodes = [x] + inner + [z]
+        atoms = [Atomic(FeatC(nodes[i], f, nodes[i + 1])) for i, f in enumerate(p.feats)]
+        return inner, atoms
+
+    def go(phi: Formula) -> Formula:
+        if isinstance(phi, (Top, Bottom)):
+            return phi
+        if isinstance(phi, Atomic):
+            if isinstance(phi.atom, Excl):
+                x = phi.atom.var
+                w = fresh("y", (x,))
+                return Not(Exists((w,), Atomic(FeatC(x, phi.atom.feat, w))))
+            return phi
+        if isinstance(phi, SugarSortAt):
+            mentioned = (phi.var,)
+            w = fresh("y", mentioned)
+            inner, atoms = chain(phi.var, phi.path, w, mentioned)
+            return exists_all(inner + [w], conj(atoms + [Atomic(SortC(phi.sort, w))]))
+        if isinstance(phi, SugarAgree):
+            mentioned = (phi.lhs, phi.rhs)
+            z = fresh("z", mentioned)
+            linner, latoms = chain(phi.lhs, phi.lpath, z, mentioned)
+            rinner, ratoms = chain(phi.rhs, phi.rpath, z, mentioned)
+            return exists_all([z] + linner + rinner, conj(latoms + ratoms))
+        if isinstance(phi, Not):
+            return Not(go(phi.body))
+        if isinstance(phi, (And, Or)):
+            return type(phi)(tuple(go(arg) for arg in phi.args))
+        if isinstance(phi, (Implies, Iff)):
+            return type(phi)(go(phi.lhs), go(phi.rhs))
+        if isinstance(phi, (Exists, Forall)):
+            return type(phi)(phi.vars, go(phi.body))
+        raise ValueError(f"unknown formula node {phi!r}")
+
+    return go(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,9 @@ def random_epc_formula(
 
 def random_prime(rng: random.Random, sym: Symbols, **kwargs) -> PrimeFormula:
     while True:
-        beta = simplify_epc(sym, random_epc_formula(rng, sym, **kwargs))
+        beta = simplify_epc(random_epc_formula(rng, sym, **kwargs))
         if not isinstance(beta, Bottom):
-            return canonicalize(sym, beta)
+            return canonicalize(beta)
 
 
 def random_quantified_formula(

@@ -301,7 +301,7 @@ def simplification_rule_applies(atoms) -> bool:
     return len(edge_keys) != len(set(edge_keys))
 
 
-def fold_simplify_epc(sym, phi):
+def fold_simplify_epc(phi):
     """Solve an existential conjunction by a recursive pairwise fold.
 
     One binary ``prime_conj`` per conjunct after the first, folding left,
@@ -317,17 +317,17 @@ def fold_simplify_epc(sym, phi):
     if isinstance(phi, Atomic):
         return from_atom(phi.atom)
     if isinstance(phi, And):
-        acc = fold_simplify_epc(sym, phi.args[0])
+        acc = fold_simplify_epc(phi.args[0])
         for arg in phi.args[1:]:
             if isinstance(acc, Bottom):
                 return BOTTOM
-            part = fold_simplify_epc(sym, arg)
+            part = fold_simplify_epc(arg)
             if isinstance(part, Bottom):
                 return BOTTOM
-            acc = prime_conj(sym, acc, part)
+            acc = prime_conj(acc, part)
         return acc
     if isinstance(phi, Exists):
-        inner = fold_simplify_epc(sym, phi.body)
+        inner = fold_simplify_epc(phi.body)
         if isinstance(inner, Bottom):
             return BOTTOM
         for x in reversed(phi.vars):
@@ -410,7 +410,7 @@ def split_blocks(phi):
     return phi
 
 
-def unscoped_decide(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
+def unscoped_decide(phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
     """``decide`` with every block eliminated from its whole matrix.
 
     A block ``exists X`` puts the entire matrix through one prime DNF
@@ -420,30 +420,30 @@ def unscoped_decide(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
     quantifier-free leaves.
     """
     if isinstance(phi, Not):
-        return bc_not(unscoped_decide(sym, phi.body, max_clauses))
+        return bc_not(unscoped_decide(phi.body, max_clauses))
     if isinstance(phi, (And, Or)):
         combine = bc_and if isinstance(phi, And) else bc_or
-        return combine(*[unscoped_decide(sym, arg, max_clauses) for arg in phi.args])
+        return combine(*[unscoped_decide(arg, max_clauses) for arg in phi.args])
     if isinstance(phi, Implies):
         return bc_or(
-            bc_not(unscoped_decide(sym, phi.lhs, max_clauses)),
-            unscoped_decide(sym, phi.rhs, max_clauses),
+            bc_not(unscoped_decide(phi.lhs, max_clauses)),
+            unscoped_decide(phi.rhs, max_clauses),
         )
     if isinstance(phi, Iff):
-        lhs = unscoped_decide(sym, phi.lhs, max_clauses)
-        rhs = unscoped_decide(sym, phi.rhs, max_clauses)
+        lhs = unscoped_decide(phi.lhs, max_clauses)
+        rhs = unscoped_decide(phi.rhs, max_clauses)
         return bc_or(bc_and(lhs, rhs), bc_and(bc_not(lhs), bc_not(rhs)))
     if isinstance(phi, (Exists, Forall)):
         universal = isinstance(phi, Forall)
-        delta = unscoped_decide(sym, phi.body, max_clauses)
+        delta = unscoped_decide(phi.body, max_clauses)
         delta = bc_not(delta) if universal else delta
         clauses = to_prime_dnf(delta, max_clauses, phi.vars)
-        delta = bc_or(*[eliminate_clause(sym, phi.vars, pos, neg) for pos, neg in clauses])
+        delta = bc_or(*[eliminate_clause(phi.vars, pos, neg) for pos, neg in clauses])
         return bc_not(delta) if universal else delta
-    return decide(sym, phi, max_clauses)
+    return decide(phi, max_clauses)
 
 
-def closure_classify(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
+def closure_classify(phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
     """Satisfiability of open input by eliminating its free variables.
 
     The existential closure is taken one free variable at a time, in
@@ -452,11 +452,11 @@ def closure_classify(sym, phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
     constant.  Quadratic or worse in the number of free variables, but
     built only from the separately tested elimination steps.
     """
-    phi = expand_sugar(sym, phi)
-    closure = decide(sym, phi, max_clauses)
+    phi = expand_sugar(phi)
+    closure = decide(phi, max_clauses)
     for v in sorted(free_vars(phi)):
         clauses = to_prime_dnf(closure, max_clauses)
-        closure = bc_or(*[eliminate_clause(sym, (v,), pos, neg) for pos, neg in clauses])
+        closure = bc_or(*[eliminate_clause((v,), pos, neg) for pos, neg in clauses])
     return UNSATISFIABLE if closure == BC_FALSE else SATISFIABLE
 
 

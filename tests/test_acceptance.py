@@ -94,11 +94,11 @@ def test_criterion_1_golden_closed_formulae(sym):
                 valid_texts.append(f"forall x. ({a}(x) & {b}(x) -> false)")
         for text in valid_texts:
             phi = parse_formula(sym, text)
-            assert classify(sym, phi).kind == VALID, text
-            assert classify(sym, Not(phi)).kind == INVALID, text
+            assert classify(phi).kind == VALID, text
+            assert classify(Not(phi)).kind == INVALID, text
         clash = parse_formula(sym, "exists x. (A(x) & B(x))")
-        assert classify(sym, clash).kind == INVALID
-        assert classify(sym, Not(clash)).kind == VALID
+        assert classify(clash).kind == INVALID
+        assert classify(Not(clash)).kind == VALID
         assert time.monotonic() - start < 1.0
 
 
@@ -133,7 +133,7 @@ def test_criterion_2_solved_clause_satisfiability_at_scale(sym):
             phi = forall_all(
                 params, exists_all(cv, conj(Atomic(a) for a in delta.atoms))
             )
-            verdict = classify(sym, expand_sugar(sym, phi))
+            verdict = classify(expand_sugar(phi))
             assert verdict.kind == VALID, clause_to_formula(delta)
         assert with_excl > 50 and with_cycle > 50
         assert time.monotonic() - start < 60.0
@@ -222,14 +222,14 @@ def test_criterion_5_entailment_properties(sym):
         transitive_chains = 0
         for _ in range(100):
             b3 = random_prime(rng, sym, max_atoms=4)
-            mid = prime_conj(sym, b3, random_prime(rng, sym, max_atoms=3))
+            mid = prime_conj(b3, random_prime(rng, sym, max_atoms=3))
             if isinstance(mid, Bottom):
                 continue
-            b2 = canonicalize(sym, mid)
-            top = prime_conj(sym, b2, random_prime(rng, sym, max_atoms=3))
+            b2 = canonicalize(mid)
+            top = prime_conj(b2, random_prime(rng, sym, max_atoms=3))
             if isinstance(top, Bottom):
                 continue
-            b1 = canonicalize(sym, top)
+            b1 = canonicalize(top)
             assert prime_entails(b1, b2) and prime_entails(b2, b3)
             assert prime_entails(b1, b3)
             transitive_chains += 1
@@ -252,7 +252,7 @@ def test_criterion_6_witness_soundness(sym):
         satisfiable = 0
         for _ in range(200):
             phi = random_epc_formula(rng, sym)
-            verdict = classify(sym, phi)
+            verdict = classify(phi)
             if verdict.kind in (INVALID, UNSATISFIABLE):
                 continue
             satisfiable += 1
@@ -268,7 +268,7 @@ def test_criterion_6_witness_soundness(sym):
                 alpha.setdefault(v, single_node_tree(default))
             assert bounded_evaluate(sym, "tree", alpha, matrix) is True
             # and the quantified solved form is witnessed as well
-            beta = simplify_epc(sym, phi)
+            beta = simplify_epc(phi)
             assert isinstance(beta, PrimeFormula)
             assert satisfies_prime(witness_prime(beta, default), beta)
         assert satisfiable > 100
@@ -279,15 +279,14 @@ def test_criterion_7_quantifier_elimination_contracts(sym):
         start = time.monotonic()
         rng = random.Random(107)
         for _ in range(100):
-            phi = expand_sugar(
-                sym, random_quantified_formula(rng, sym, max_atoms=10, max_quants=3)
+            phi = expand_sugar(random_quantified_formula(rng, sym, max_atoms=10, max_quants=3)
             )
-            delta = decide(sym, phi)
+            delta = decide(phi)
             assert bc_quantifier_free(delta)
             assert delta.free_vars <= free_vars(phi)
             back = boolcomb_to_formula(delta)
             closed = forall_all(sorted(free_vars(phi)), Iff(phi, back))
-            assert classify(sym, closed).kind == VALID
+            assert classify(closed).kind == VALID
         assert time.monotonic() - start < 120.0
 
 
@@ -299,7 +298,7 @@ def test_criterion_8_negative_soundness_spot_check(sym):
         while found < 50 and attempts < 1000:
             attempts += 1
             phi = random_epc_formula(rng, sym, max_atoms=8, quantify_all=True)
-            if classify(sym, phi).kind != INVALID:
+            if classify(phi).kind != INVALID:
                 continue
             found += 1
             result = bounded_evaluate(sym, "tree", {}, phi, node_bound=4, budget=2000)

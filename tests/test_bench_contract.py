@@ -1,11 +1,14 @@
 """The benchmark harness's own tests, run against this checkout.
 
-The harness traces featlog functions by module and name and swaps CLI
-commands, so renaming or removing one of those names breaks a traced
-bench run; running its self-tests here makes such a change fail the
-test suite instead.
+The harness traces featlog functions by module and name, swaps CLI
+commands, and calls the CLI and ``featlog.evaluate`` with fixed
+signatures, so renaming or removing one of those names, or changing one
+of those signatures, breaks a bench run; running the harness here makes
+such a change fail the test suite instead of showing up only as failed
+operations in a bench record.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +28,37 @@ def test_bench_selftest_passes():
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+# The first operation of each command in each workload, run by the
+# harness's own Runner; prints {workload: {command: status}}.
+_RUN_ONE_OF_EACH = """
+import json, run
+from workloads import WORKLOADS
+
+runner = run.Runner(run.load_featlog())
+statuses = {}
+for name, make in WORKLOADS.items():
+    picked = {}
+    for op in make(1):
+        picked.setdefault(op.command, op)
+    statuses[name] = {command: runner.run(op)[0] for command, op in picked.items()}
+print(json.dumps(statuses))
+"""
+
+
+def test_bench_commands_run_against_this_checkout():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_ONE_OF_EACH],
+        cwd=ROOT / "bench",
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    statuses = json.loads(done.stdout.splitlines()[-1])
+    for name, by_command in statuses.items():
+        assert set(by_command) == {"decide", "simplify", "entail", "witness", "evaluate"}, name
+        assert set(by_command.values()) == {"ok"}, (name, by_command)

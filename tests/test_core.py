@@ -12,10 +12,18 @@ from featlog import (
     Excl,
     Exists,
     FeatC,
+    FeatId,
+    Forall,
+    Not,
+    Or,
     Path,
     SortC,
+    SugarAgree,
     Symbols,
+    VarId,
+    expand_sugar,
     free_vars,
+    parse_formula,
     substitute,
 )
 from featlog.core import atom_key, conj, exists_all
@@ -43,18 +51,6 @@ def test_identifier_kinds_never_compare_equal():
     assert VarId("a") == VarId("a") and hash(VarId("a")) == hash(VarId("a"))
 
 
-def test_a_session_avoiding_variables_mints_around_them(sym):
-    from featlog.core import all_vars
-
-    minted = sym.fresh_var("y")
-    phi = Exists((sym.fresh_var("y"),), Atomic(FeatC(minted, sym.feat("f"), sym.var("x"))))
-    seen = all_vars(phi)
-    assert {v.name for v in seen} == {"_y1", "_y2", "x"}
-    private = Symbols.avoiding(seen)
-    assert private.fresh_var("y").name == "_y3"
-    assert private.var("x") in seen
-
-
 def test_identifier_validation(sym):
     with pytest.raises(ValueError):
         sym.var("_hidden")
@@ -73,18 +69,40 @@ def test_interning_is_stable(sym):
     assert sym.sort("A") == sym.sort("A")
 
 
+def _binders(phi):
+    """The variables of every quantifier block, outermost first."""
+    if isinstance(phi, (Exists, Forall)):
+        return list(phi.vars) + _binders(phi.body)
+    if isinstance(phi, Not):
+        return _binders(phi.body)
+    if isinstance(phi, (And, Or)):
+        return [v for arg in phi.args for v in _binders(arg)]
+    return []
+
+
 def test_fresh_vars_are_distinct_and_reserved(sym):
-    a = sym.fresh_var("y")
-    b = sym.fresh_var("y")
-    assert a != b
-    assert a.name.startswith("_") and b.name.startswith("_")
-    assert a.name == "_y1"
+    """Sugar expansion's variables are reserved, distinct, and numbered
+    per call, so expanding twice gives the same names."""
+    phi = parse_formula(sym, "undef(x, f) & B @ x.g.h & x.f = y.g | A @ y.eps")
+    names = dict(sym._vars)
+    got = expand_sugar(phi)
+    minted = [v.name for v in _binders(got)]
+    assert minted == ["_y1", "_z3", "_y2", "_z4", "_y5"]
+    assert expand_sugar(phi) == got
+    assert sym._vars == names
 
 
-def test_fresh_never_collides_with_interned(sym):
-    taken = {sym.var(f"v{i}").name for i in range(10)}
-    for _ in range(50):
-        assert sym.fresh_var("v").name not in taken
+def test_minted_names_skip_the_variables_of_their_sugar():
+    """A minted name never equals a variable of the sugar node it
+    expands, even one spelled like a minted name."""
+    f, g = FeatId("f"), FeatId("g")
+    y1, y2, z1, z2 = (VarId(n) for n in ("_y1", "_y2", "_z1", "_z2"))
+    assert expand_sugar(Atomic(Excl(y1, f))) == Not(Exists((y2,), Atomic(FeatC(y1, f, y2))))
+    # the meet skips both roots, and the inner node of the path takes
+    # the next number
+    got = expand_sugar(SugarAgree(z2, Path((f, g)), z1, EPS))
+    assert _binders(got) == [VarId("_z3"), VarId("_z4")]
+    assert free_vars(got) == {z1, z2}
 
 
 def test_path_concatenation_and_prefixes(sym):

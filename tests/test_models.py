@@ -20,6 +20,8 @@ from featlog import (
     SolvedFormula,
     SortAt,
     SortC,
+    SugarAgree,
+    VarId,
     evaluate,
     expand_sugar,
     feature_graph,
@@ -196,37 +198,49 @@ def test_evaluate_atoms(sym):
 def test_evaluate_leaves_the_session_unchanged(sym):
     A = sym.sort("A")
     # sugar expansion, the conjunction under the quantifiers and their
-    # elimination all mint variables
+    # elimination all introduce variables
     text = "forall y. exists z. (z.h = y.eps & B @ z.g & undef(z, f) & ~A(z))"
     phi = parse_formula(sym, text)
-    names = dict(sym._vars)
+    tables = (dict(sym._sorts), dict(sym._feats), dict(sym._vars))
     for _ in range(200):
         for kind in ("tree", "graph"):
             assert evaluate(sym, kind, {}, phi) is True
-    assert sym._vars == names
-    assert sym.fresh_var("v").name == "_v1"
+    assert (sym._sorts, sym._feats, sym._vars) == tables
     assert sym.sort("A") is A
 
 
 def test_evaluate_does_not_capture_minted_names(sym):
-    A = sym.sort("A")
-    f = sym.feat("f")
-    v = sym.fresh_var("y")
-    assert v.name == "_y1"
-    phi = Atomic(Excl(v, f))
-    for kind in ("tree", "graph"):
-        # unseeded, the private session would spell undef's quantified
-        # variable _y1 too and read ~exists _y1. f(_y1, _y1)
-        assert evaluate(sym, kind, {v: single_node_tree(A)}, phi) is True
-    # a minted variable bound by a quantifier, with sugar below it: the
-    # private session's next fresh spelling after _y1 is _y2
-    w = sym.fresh_var("y")
-    phi = Exists((w,), conj([Atomic(FeatC(v, f, w)), Atomic(Excl(w, f))]))
+    """Free variables spelled like the names sugar expansion mints are
+    never captured by the expansion's binders."""
+    A, f = sym.sort("A"), sym.feat("f")
+    x = sym.var("x")
+    y1, y2, z1 = VarId("_y1"), VarId("_y2"), VarId("_z1")
+    leaf = single_node_tree(A)
     loop = feature_tree(0, {0: A}, {(0, f): 0})
     chain = feature_tree(0, {0: A, 1: A}, {(0, f): 1})
-    for kind in ("tree", "graph"):
-        assert evaluate(sym, kind, {v: chain}, phi) is True
-        assert evaluate(sym, kind, {v: loop}, phi) is False
+    excl = Atomic(Excl(y1, f))
+    # a minted spelling bound by a quantifier, with sugar below it whose
+    # own binder is _y1 again, shadowing the free _y1 it does not mention
+    bound = Exists((y2,), conj([Atomic(FeatC(y1, f, y2)), Atomic(Excl(y2, f))]))
+    # the right-hand root is spelled like the meet would be: x.f = _z1
+    agree = SugarAgree(x, Path((f,)), z1, EPS)
+    cases = [
+        ({y1: leaf}, excl, True),
+        ({y1: loop}, excl, False),
+        ({y1: chain}, bound, True),
+        ({y1: loop}, bound, False),
+        ({x: chain, z1: leaf}, agree, True),
+        ({x: chain, z1: loop}, agree, False),
+        ({x: loop, z1: loop}, agree, True),
+    ]
+    definite = 0
+    for alpha, phi, want in cases:
+        assert evaluate(sym, "tree", alpha, phi) is want
+        oracle = bounded_evaluate(sym, "tree", alpha, phi, node_bound=2)
+        assert oracle in (want, None)
+        definite += oracle is not None
+    # only the loop under the quantifier has no small counterexample
+    assert definite == len(cases) - 1
 
 
 def test_evaluate_quantifiers_three_valued(sym):
@@ -437,7 +451,7 @@ def _marked_cycle_text(n):
 
 def _witness_at_scale(sym, make_text, n):
     nodes, text = make_text(n)
-    beta = simplify_epc(sym, expand_sugar(sym, parse_formula(sym, text)))
+    beta = simplify_epc(expand_sugar(parse_formula(sym, text)))
     val = witness_prime(beta, sym.fresh_sort("D"))
     assert satisfies_prime(val, beta)
     assert len(val[sym.var("x0")].labels) == nodes
@@ -446,7 +460,7 @@ def _witness_at_scale(sym, make_text, n):
 def _witness_fan(sym, n):
     """One node with n features: checking the witness walks each once."""
     text = f"exists x. ({' & '.join(f'f{i}(y, x)' for i in range(n))})"
-    beta = simplify_epc(sym, expand_sugar(sym, parse_formula(sym, text)))
+    beta = simplify_epc(expand_sugar(parse_formula(sym, text)))
     val = witness_prime(beta, sym.fresh_sort("D"))
     assert satisfies_prime(val, beta)
     assert len(val[sym.var("y")].edges[0]) == n

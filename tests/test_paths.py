@@ -67,10 +67,7 @@ def test_prime_closure_examples(sym):
     A = sym.sort("A")
     f = sym.feat("f")
     x, u = sym.var("x"), sym.var("u")
-    beta = simplify_epc(
-        sym,
-        exists_all([u], conj([Atomic(FeatC(x, f, u)), Atomic(SortC(A, u))])),
-    )
+    beta = simplify_epc(exists_all([u], conj([Atomic(FeatC(x, f, u)), Atomic(SortC(A, u))])))
     assert isinstance(beta, PrimeFormula)
     assert prime_closure_contains(beta, SortAt(A, x, Path((f,))))
     assert not prime_closure_contains(beta, Reach(x, Path((f,)), u))

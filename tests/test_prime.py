@@ -44,7 +44,7 @@ from oracles import fold_simplify_epc, two_pass_requantify
 
 
 def epc(sym, text):
-    return simplify_epc(sym, expand_sugar(sym, parse_formula(sym, text)))
+    return simplify_epc(expand_sugar(parse_formula(sym, text)))
 
 
 def test_mk_exists_drops_an_eliminating_equation(sym):
@@ -92,7 +92,7 @@ def test_requantify_equals_sequential_exists(sym):
         seq = PrimeFormula(frozenset(), body)
         for v in bound:
             seq = mk_prime_exists((v,), seq)
-        assert canonicalize(sym, once) == canonicalize(sym, seq)
+        assert canonicalize(once) == canonicalize(seq)
         assert mk_prime_exists(bound, PrimeFormula(frozenset(), body)) == once
 
 
@@ -124,11 +124,11 @@ def test_requantify_agrees_with_two_pass_oracle(sym):
 
 
 def test_prime_conj_detects_clash(sym):
-    assert isinstance(prime_conj(sym, epc(sym, "A(x)"), epc(sym, "B(x)")), Bottom)
+    assert isinstance(prime_conj(epc(sym, "A(x)"), epc(sym, "B(x)")), Bottom)
 
 
 def test_prime_conj_merges_features(sym):
-    got = prime_conj(sym, epc(sym, "f(x, y)"), epc(sym, "f(x, z)"))
+    got = prime_conj(epc(sym, "f(x, y)"), epc(sym, "f(x, z)"))
     x, y, z = sym.var("x"), sym.var("y"), sym.var("z")
     f = sym.feat("f")
     assert got == PrimeFormula(frozenset(), SolvedFormula((Eq(y, z),), (FeatC(x, f, z),)))
@@ -136,14 +136,14 @@ def test_prime_conj_merges_features(sym):
 
 def test_prime_conj_top_is_neutral(sym):
     beta = epc(sym, "exists u. (f(x, u) & A(u))")
-    got = prime_conj(sym, beta, TOP_PRIME)
-    assert canonicalize(sym, got) == canonicalize(sym, beta)
+    got = prime_conj(beta, TOP_PRIME)
+    assert canonicalize(got) == canonicalize(beta)
 
 
 def test_prime_conj_renames_bound_apart(sym):
     left = epc(sym, "exists u. f(x, u)")
     right = epc(sym, "exists u. g(y, u)")
-    got = prime_conj(sym, left, right)
+    got = prime_conj(left, right)
     assert isinstance(got, PrimeFormula)
     assert is_prime_formula(got)
     assert len(got.bound) == 2
@@ -232,7 +232,7 @@ def test_simplify_epc_record_description(sym):
 
 def test_simplify_epc_rejects_other_connectives(sym):
     with pytest.raises(ValueError):
-        simplify_epc(sym, parse_formula(sym, "A(x) | B(x)"))
+        simplify_epc(parse_formula(sym, "A(x) | B(x)"))
 
 
 @pytest.mark.parametrize(
@@ -241,7 +241,7 @@ def test_simplify_epc_rejects_other_connectives(sym):
 def test_simplify_epc_rejects_before_solving(sym, text):
     """A clash next to a disjunction is rejected whatever the order."""
     with pytest.raises(ValueError):
-        simplify_epc(sym, parse_formula(sym, text))
+        simplify_epc(parse_formula(sym, text))
 
 
 def _least_representatives(sym, beta):
@@ -255,7 +255,14 @@ def _least_representatives(sym, beta):
     least = {v: min(members) for members in classes.values() for v in members}
     normalizer = tuple(Eq(v, r) for v, r in least.items() if v != r)
     graph = tuple(rename_atom(a, least) for a in beta.body.graph)
-    return canonicalize(sym, PrimeFormula(beta.bound, SolvedFormula(normalizer, graph)))
+    return canonicalize(PrimeFormula(beta.bound, SolvedFormula(normalizer, graph)))
+
+
+def _transient_names(beta):
+    """The names of a prime that contain the ``'`` of renaming apart."""
+    if isinstance(beta, Bottom):
+        return set()
+    return {v.name for v in beta.body.variables | beta.bound if "'" in v.name}
 
 
 def _clashing_epc(rng, sym):
@@ -284,9 +291,10 @@ def test_simplify_epc_agrees_with_pairwise_fold(sym):
         _, bound, free = conjunction_atoms(phi, lambda x: x)
         shadowing += not free.isdisjoint(bound)
         reusing += len(set(bound)) < len(bound)
-        got = simplify_epc(sym, phi)
-        want = fold_simplify_epc(sym, phi)
+        got = simplify_epc(phi)
+        want = fold_simplify_epc(phi)
         assert isinstance(got, Bottom) or is_prime_formula(got)
+        assert not _transient_names(got)
         assert _least_representatives(sym, got) == _least_representatives(sym, want)
     assert shadowing > 300 and reusing > 300
 
@@ -306,14 +314,14 @@ def test_conjunctions_are_solved_once(sym, monkeypatch):
     primes = [epc(sym, f"exists x{i}, x{i + 1}. ({chain})") for i in range(1, 4)]
     assert calls == ["basic_simplify", "requantify"] * 3
     calls.clear()
-    assert isinstance(prime_conj(sym, *primes), PrimeFormula)
+    assert isinstance(prime_conj(*primes), PrimeFormula)
     assert calls == ["basic_simplify", "requantify"]
 
 
 def test_prime_conj_of_none_or_one(sym):
     beta = epc(sym, "exists u. (f(x, u) & A(u))")
-    assert prime_conj(sym) == TOP_PRIME
-    assert prime_conj(sym, beta) is beta
+    assert prime_conj() == TOP_PRIME
+    assert prime_conj(beta) is beta
 
 
 def _some_prime(rng, sym):
@@ -337,13 +345,15 @@ def test_nary_prime_conj_agrees_with_binary_fold(sym):
             for j, b2 in enumerate(primes):
                 if i != j and b1.bound & b2.free_vars:
                     clashes["earlier" if i < j else "later"] += 1
-        got = prime_conj(sym, *primes)
+        got = prime_conj(*primes)
         want = TOP_PRIME
         for beta in primes:
-            want = prime_conj(sym, want, beta)
+            want = prime_conj(want, beta)
             if isinstance(want, Bottom):
                 break
         assert isinstance(got, Bottom) or is_prime_formula(got)
+        # renaming apart is transient: requantify names every bound variable
+        assert not _transient_names(got)
         assert _least_representatives(sym, got) == _least_representatives(sym, want)
     assert min(clashes.values()) > 40
 
@@ -351,22 +361,22 @@ def test_nary_prime_conj_agrees_with_binary_fold(sym):
 def test_canonicalize_alpha_equivalence(sym):
     b1 = epc(sym, "exists u. f(x, u)")
     b2 = epc(sym, "exists w. f(x, w)")
-    assert canonicalize(sym, b1) == canonicalize(sym, b2)
+    assert canonicalize(b1) == canonicalize(b2)
 
 
 def test_canonicalize_idempotent_on_randoms(sym):
     rng = random.Random(9)
     for _ in range(100):
         beta = random_prime(rng, sym)
-        assert canonicalize(sym, beta) == beta  # generator canonicalizes
-        assert canonicalize(sym, canonicalize(sym, beta)) == canonicalize(sym, beta)
-    assert canonicalize(sym, TOP_PRIME) == TOP_PRIME
+        assert canonicalize(beta) == beta  # generator canonicalizes
+        assert canonicalize(canonicalize(beta)) == canonicalize(beta)
+    assert canonicalize(TOP_PRIME) == TOP_PRIME
 
 
 def test_canonical_names_avoid_free_variables(sym):
     # a free variable already called q0 must not be captured
     beta = epc(sym, "exists u. (f(q0, u) & g(u, x))")
-    got = canonicalize(sym, beta)
+    got = canonicalize(beta)
     assert sym.var("q0") in got.free_vars
     assert sym.var("q0") not in got.bound
     assert is_prime_formula(got)
@@ -383,7 +393,7 @@ def test_operation_outputs_are_valid_primes(sym):
         assert x not in after.free_vars
         assert after.free_vars <= beta.free_vars
         other = random_prime(rng, sym, max_atoms=4)
-        both = prime_conj(sym, beta, other)
+        both = prime_conj(beta, other)
         if not isinstance(both, Bottom):
             assert is_prime_formula(both)
             assert both.free_vars <= beta.free_vars | other.free_vars
@@ -404,16 +414,16 @@ def test_entailment_is_a_preorder(sym):
         beta = random_prime(rng, sym)
         assert prime_entails(beta, beta)
         extra = random_prime(rng, sym, max_atoms=3)
-        stronger = prime_conj(sym, beta, extra)
+        stronger = prime_conj(beta, extra)
         if isinstance(stronger, Bottom):
             continue
-        stronger = canonicalize(sym, stronger)
+        stronger = canonicalize(stronger)
         assert prime_entails(stronger, beta)
         more = random_prime(rng, sym, max_atoms=3)
-        strongest = prime_conj(sym, stronger, more)
+        strongest = prime_conj(stronger, more)
         if isinstance(strongest, Bottom):
             continue
-        strongest = canonicalize(sym, strongest)
+        strongest = canonicalize(strongest)
         # transitivity along the chain
         assert prime_entails(strongest, stronger)
         assert prime_entails(strongest, beta)
@@ -465,8 +475,8 @@ def test_prime_to_formula_round_trips_through_epc(sym):
     rng = random.Random(14)
     for _ in range(50):
         beta = random_prime(rng, sym)
-        again = simplify_epc(sym, prime_to_formula(beta))
-        assert canonicalize(sym, again) == beta
+        again = simplify_epc(prime_to_formula(beta))
+        assert canonicalize(again) == beta
 
 
 def test_from_atom_trivial_equation(sym):
@@ -491,12 +501,12 @@ def test_entailment_agrees_with_the_decision_procedure(sym):
         b1 = random_prime(rng, sym, max_atoms=5)
         b2 = random_prime(rng, sym, max_atoms=4)
         if rng.random() < 0.5:
-            merged = prime_conj(sym, b1, b2)
+            merged = prime_conj(b1, b2)
             if not isinstance(merged, Bottom):
-                b1 = canonicalize(sym, merged)  # bias toward entailment
+                b1 = canonicalize(merged)  # bias toward entailment
         got = prime_entails(b1, b2)
         phi = Implies(prime_to_formula(b1), prime_to_formula(b2))
         closed = forall_all(sorted(free_vars(phi)), phi)
-        assert classify(sym, closed).kind == (VALID if got else "INVALID")
+        assert classify(closed).kind == (VALID if got else "INVALID")
         agreements[got] += 1
     assert agreements[True] > 20 and agreements[False] > 20

@@ -27,6 +27,7 @@ from featlog import (
     decide,
     eliminate_clause,
     eliminate_neg,
+    evaluate,
     expand_sugar,
     free_vars,
     is_free,
@@ -75,7 +76,7 @@ from test_solve import _wall_limit
 
 
 def epc(sym, text):
-    return simplify_epc(sym, expand_sugar(sym, parse_formula(sym, text)))
+    return simplify_epc(expand_sugar(parse_formula(sym, text)))
 
 
 # --------------------------------------------------------------------------
@@ -177,11 +178,11 @@ def test_jokers_for_a_block(sym):
     assert not is_joker(beta, (y,), SortAt(A, y, EPS))
     assert is_joker(beta, (x, y), SortAt(A, y, EPS))
     beta2 = epc(sym, "A(y)")
-    assert eliminate_clause(sym, (y,), [beta], [beta2]) == bc_and(
+    assert eliminate_clause((y,), [beta], [beta2]) == bc_and(
         PrimeLeaf(epc(sym, "exists y. f(x, y)")),
         bc_not(PrimeLeaf(epc(sym, "exists y. (f(x, y) & A(y))"))),
     )
-    assert eliminate_clause(sym, (x, y), [beta], [beta2]) == BC_TRUE
+    assert eliminate_clause((x, y), [beta], [beta2]) == BC_TRUE
 
 
 def test_joker_insensitivity_to_updates(sym):
@@ -230,7 +231,7 @@ def test_joker_insensitivity_to_updates(sym):
 
 def test_eliminate_neg_joker_case(sym):
     x = sym.var("x")
-    got = eliminate_neg(sym, (x,), TOP_PRIME, epc(sym, "A(x)"))
+    got = eliminate_neg((x,), TOP_PRIME, epc(sym, "A(x)"))
     assert got == BC_TRUE
 
 
@@ -238,23 +239,23 @@ def test_eliminate_neg_no_joker_case(sym):
     x, y = sym.var("x"), sym.var("y")
     beta = epc(sym, "A(y)")
     beta2 = epc(sym, "B(y)")
-    got = eliminate_neg(sym, (x,), beta, beta2)
-    assert got == PrimeLeaf(canonicalize(sym, beta))
+    got = eliminate_neg((x,), beta, beta2)
+    assert got == PrimeLeaf(canonicalize(beta))
 
 
 def test_eliminate_neg_against_top_is_false(sym):
     x = sym.var("x")
     beta = epc(sym, "A(y)")
-    assert eliminate_neg(sym, (x,), beta, TOP_PRIME) == BC_FALSE
+    assert eliminate_neg((x,), beta, TOP_PRIME) == BC_FALSE
 
 
 def test_eliminate_clause_examples(sym):
     x, y = sym.var("x"), sym.var("y")
-    got = eliminate_clause(sym, (x,), [epc(sym, "f(x, y)")], [])
+    got = eliminate_clause((x,), [epc(sym, "f(x, y)")], [])
     assert got == BC_TRUE
-    got = eliminate_clause(sym, (x,), [epc(sym, "A(x)"), epc(sym, "B(x)")], [epc(sym, "C(y)")])
+    got = eliminate_clause((x,), [epc(sym, "A(x)"), epc(sym, "B(x)")], [epc(sym, "C(y)")])
     assert got == BC_FALSE
-    got = eliminate_clause(sym, (x,), [], [epc(sym, "A(x)")])
+    got = eliminate_clause((x,), [], [epc(sym, "A(x)")])
     assert got == BC_TRUE
 
 
@@ -264,13 +265,13 @@ def test_eliminate_clause_merges_positives_once(sym, monkeypatch):
     calls = []
     conj = featlog.qe.prime_conj
     monkeypatch.setattr(
-        featlog.qe, "prime_conj", lambda sym, *ps: calls.append(len(ps)) or conj(sym, *ps)
+        featlog.qe, "prime_conj", lambda *ps: calls.append(len(ps)) or conj(*ps)
     )
     positives = [epc(sym, t) for t in ("f(x, y)", "A(y)", "g(y, z)", "exists u. h(z, u)")]
-    got = eliminate_clause(sym, (sym.var("y"),), positives, [])
+    got = eliminate_clause((sym.var("y"),), positives, [])
     assert calls == [4]
     want = epc(sym, "exists y, u. (f(x, y) & A(y) & g(y, z) & h(z, u))")
-    assert got == PrimeLeaf(canonicalize(sym, want))
+    assert got == PrimeLeaf(canonicalize(want))
 
 
 def test_to_prime_dnf_examples(sym):
@@ -336,17 +337,17 @@ def golden_valid(sym):
 
 def test_decide_golden_formulae(sym):
     for text in golden_valid(sym):
-        phi = expand_sugar(sym, parse_formula(sym, text))
-        assert decide(sym, phi) == BC_TRUE, text
-    phi = expand_sugar(sym, parse_formula(sym, "exists x. (A(x) & B(x))"))
-    assert decide(sym, phi) == BC_FALSE
+        phi = expand_sugar(parse_formula(sym, text))
+        assert decide(phi) == BC_TRUE, text
+    phi = expand_sugar(parse_formula(sym, "exists x. (A(x) & B(x))"))
+    assert decide(phi) == BC_FALSE
 
 
 def test_decide_output_shape(sym):
     rng = random.Random(23)
     for _ in range(100):
-        phi = expand_sugar(sym, random_quantified_formula(rng, sym))
-        delta = decide(sym, phi)
+        phi = expand_sugar(random_quantified_formula(rng, sym))
+        delta = decide(phi)
         assert bc_quantifier_free(delta)
         assert delta.free_vars <= free_vars(phi)
 
@@ -381,19 +382,19 @@ SEMANTIC_GOLDENS = [
 
 def test_semantic_goldens(sym):
     for text, want in SEMANTIC_GOLDENS:
-        assert classify(sym, parse_formula(sym, text)).kind == want, text
+        assert classify(parse_formula(sym, text)).kind == want, text
 
 
 def test_classify_examples(sym):
-    assert classify(sym, parse_formula(sym, "true")).kind == VALID
-    assert classify(sym, parse_formula(sym, "A(x) & B(x)")).kind == UNSATISFIABLE
-    verdict = classify(sym, parse_formula(sym, "A(x)"))
+    assert classify(parse_formula(sym, "true")).kind == VALID
+    assert classify(parse_formula(sym, "A(x) & B(x)")).kind == UNSATISFIABLE
+    verdict = classify(parse_formula(sym, "A(x)"))
     assert verdict.kind == SATISFIABLE
     assert boolcomb_to_formula(verdict.residue) == parse_formula(sym, "A(x)")
 
 
 def test_classify_handles_sugar(sym):
-    assert classify(sym, parse_formula(sym, "undef(x, f) & f(x, y)")).kind == UNSATISFIABLE
+    assert classify(parse_formula(sym, "undef(x, f) & f(x, y)")).kind == UNSATISFIABLE
 
 
 def test_closed_inputs_always_fold(sym):
@@ -403,9 +404,9 @@ def test_closed_inputs_always_fold(sym):
         phi = random_quantified_formula(rng, sym, max_atoms=6, max_quants=3)
         fv = sorted(free_vars(phi))
         closed = forall_all(fv, phi)
-        verdict = classify(sym, closed)
+        verdict = classify(closed)
         assert verdict.kind in (VALID, INVALID)
-        flipped = classify(sym, Not(closed))
+        flipped = classify(Not(closed))
         assert (verdict.kind == VALID) == (flipped.kind == INVALID)
         folded += 1
     assert folded == 150
@@ -414,23 +415,23 @@ def test_closed_inputs_always_fold(sym):
 def test_decide_equivalence_via_classify(sym):
     rng = random.Random(25)
     for _ in range(60):
-        phi = expand_sugar(sym, random_quantified_formula(rng, sym))
-        delta = decide(sym, phi)
+        phi = expand_sugar(random_quantified_formula(rng, sym))
+        delta = decide(phi)
         back = boolcomb_to_formula(delta)
         equal = forall_all(sorted(free_vars(phi)), Iff(phi, back))
-        assert classify(sym, equal).kind == VALID
+        assert classify(equal).kind == VALID
 
 
 def test_decide_handles_shadowed_binders(sym):
     from featlog import Exists
 
     phi = parse_formula(sym, "A(x) & exists x. B(x)")
-    verdict = classify(sym, phi)
+    verdict = classify(phi)
     assert verdict.kind == SATISFIABLE
     # the inner binder is resolved before the outer variable matters
     assert boolcomb_to_formula(verdict.residue) == parse_formula(sym, "A(x)")
     inner_unsat = parse_formula(sym, "A(x) & exists x. (A(x) & B(x))")
-    assert classify(sym, inner_unsat).kind == UNSATISFIABLE
+    assert classify(inner_unsat).kind == UNSATISFIABLE
 
 
 def test_search_agrees_with_closure_oracle(sym):
@@ -446,10 +447,10 @@ def test_search_agrees_with_closure_oracle(sym):
         if not free_vars(phi):
             continue
         try:
-            want = closure_classify(sym, phi)
+            want = closure_classify(phi)
         except ResourceLimit:
             continue
-        got = classify(sym, phi).kind
+        got = classify(phi).kind
         assert got == want, phi
         compared += 1
         unsat += got == UNSATISFIABLE
@@ -480,8 +481,8 @@ def test_block_elimination_agrees_with_nested_one_variable_blocks(sym):
         block = rng.sample(fv, rng.randint(2, len(fv)))
         phi = rng.choice((exists_all, forall_all))(block, phi)
         try:
-            want = classify(sym, split_blocks(phi))
-            got = classify(sym, phi)
+            want = classify(split_blocks(phi))
+            got = classify(phi)
         except ResourceLimit:
             continue
         assert got.kind == want.kind, phi
@@ -518,12 +519,12 @@ def test_miniscoping_agrees_with_whole_matrix_elimination(sym):
         if i % 2 and fv:
             block = rng.sample(fv, rng.randint(1, len(fv)))
             phi = rng.choice((exists_all, forall_all))(block, phi)
-        phi = expand_sugar(sym, phi)
+        phi = expand_sugar(phi)
         try:
-            got = classify(sym, phi).kind
-            delta = unscoped_decide(sym, phi)
+            got = classify(phi).kind
+            delta = unscoped_decide(phi)
             if free_vars(phi):
-                want = SATISFIABLE if satisfiable(sym, delta) else UNSATISFIABLE
+                want = SATISFIABLE if satisfiable(delta) else UNSATISFIABLE
             else:
                 want = {BC_TRUE: VALID, BC_FALSE: INVALID}[delta]
         except ResourceLimit:
@@ -547,7 +548,7 @@ def test_alternation_ladder_at_scale(sym, k, negate):
     as one matrix; miniscoped, each block sees only the link it meets."""
     op = WORKLOADS["alternation_ladder"](WORKLOADS["Names"](random.Random(0)), k, negate)
     with _wall_limit(1.0):
-        assert classify(sym, parse_formula(sym, op.text)).kind == op.expect
+        assert classify(parse_formula(sym, op.text)).kind == op.expect
 
 
 def test_qe_mix_iff_sentence_solves_each_clause_prime_once(sym):
@@ -558,7 +559,7 @@ def test_qe_mix_iff_sentence_solves_each_clause_prime_once(sym):
     op = WORKLOADS["qe_mix"](201)[534]
     assert (op.family, op.size, op.expect) == ("iff", 32, INVALID)
     with _wall_limit(2.0):
-        assert classify(sym, parse_formula(sym, op.text)).kind == INVALID
+        assert classify(parse_formula(sym, op.text)).kind == INVALID
 
 
 def test_search_checks_negatives_by_entailment(sym):
@@ -579,9 +580,9 @@ def test_search_checks_negatives_by_entailment(sym):
         vs = sorted(set().union(*(free_vars(a) for a in part)))
         beta = conj(atoms)
         phi = And((beta, Not(exists_all(rng.sample(vs, rng.randint(0, len(vs))), conj(part)))))
-        got = classify(sym, phi).kind
-        assert got == closure_classify(sym, phi), phi
-        consistent = not isinstance(simplify_epc(sym, beta), Bottom)
+        got = classify(phi).kind
+        assert got == closure_classify(phi), phi
+        consistent = not isinstance(simplify_epc(beta), Bottom)
         by_entailment += consistent and got == UNSATISFIABLE
         sat += got == SATISFIABLE
     assert by_entailment > 30 and sat > 30
@@ -600,18 +601,18 @@ def test_classification_agrees_with_bounded_model_checking(sym):
     definite = {VALID: 0, INVALID: 0, SATISFIABLE: 0, UNSATISFIABLE: 0}
     for _ in range(120):
         phi = random_quantified_formula(rng, sym, max_atoms=3, max_quants=2, n_vars=3)
-        phi = expand_sugar(sym, phi)
+        phi = expand_sugar(phi)
         fv = sorted(free_vars(phi))
         closed = forall_all(fv, phi)
         brute = bounded_evaluate(sym, "tree", {}, closed, node_bound=2, budget=4000)
         if brute is not None:
-            verdict = classify(sym, closed)
+            verdict = classify(closed)
             assert verdict.kind == (VALID if brute else INVALID), closed
             definite[verdict.kind] += 1
         some = exists_all(fv, phi)
         brute = bounded_evaluate(sym, "tree", {}, some, node_bound=2, budget=4000)
         if brute is not None and fv:
-            verdict = classify(sym, phi)
+            verdict = classify(phi)
             want = SATISFIABLE if brute else UNSATISFIABLE
             assert verdict.kind == want, phi
             definite[verdict.kind] += 1
@@ -630,8 +631,8 @@ def test_satisfiable_existentials_have_witnesses(sym):
     seen_sat = 0
     for _ in range(100):
         phi = random_epc_formula(rng, sym, quantify_all=True)
-        verdict = classify(sym, phi)
-        beta = simplify_epc(sym, expand_sugar(sym, phi))
+        verdict = classify(phi)
+        beta = simplify_epc(expand_sugar(phi))
         if verdict.kind == VALID:
             assert isinstance(beta, PrimeFormula)
             alpha = witness_prime(beta, default)
@@ -641,3 +642,46 @@ def test_satisfiable_existentials_have_witnesses(sym):
             assert verdict.kind == INVALID
             assert isinstance(beta, Bottom)
     assert seen_sat > 20
+
+
+def test_a_long_lived_session_keeps_only_parsed_names(sym):
+    """Parsing is the only step that interns: deciding, expanding,
+    solving, conjoining and evaluating the same inputs over and over
+    leaves the session's tables as the parser left them."""
+    texts = [
+        "forall x. exists y. (f(x, y) <-> A @ y.g)",
+        "exists y. (x.f = y.g & undef(y, h)) | ~B(x)",
+        "forall y. exists z. (z.h = y.eps & B @ z.g & undef(z, f) & ~A(z))",
+        "forall x. (x.f.g = x.h <-> exists y. (f(x, y) & undef(y, g)))",
+    ]
+    # conjunctions whose binders shadow free variables and each other
+    epcs = [
+        "exists u. (f(x, u) & A(u)) & exists u. g(x, u) & u = x",
+        "exists u. (h(u, x) & exists u. f(u, x)) & x.g = u.f",
+    ]
+    phis = [parse_formula(sym, t) for t in texts]
+    conjunctions = [parse_formula(sym, t) for t in epcs]
+    tables = (dict(sym._sorts), dict(sym._feats), dict(sym._vars))
+    for _ in range(20):
+        for phi in phis:
+            verdict = classify(phi)
+            if not free_vars(phi):
+                assert evaluate(sym, "tree", {}, phi) is (verdict.kind == VALID)
+        primes = [simplify_epc(expand_sugar(phi)) for phi in conjunctions]
+        assert all(isinstance(beta, PrimeFormula) for beta in primes)
+        assert isinstance(prime_conj(*primes, *primes), PrimeFormula)
+    assert (sym._sorts, sym._feats, sym._vars) == tables
+
+
+def test_nested_iff_chain_decides_in_polynomial_time(sym):
+    """``(...((A(x0) <-> A(x1)) <-> A(x2)) ... <-> A(x24))``: each level
+    uses both sides twice, so the combination is a DAG whose unfolding
+    has 2^24 leaves.  A node's hash is computed once, so building and
+    searching it never unfolds it."""
+    text = "A(x0)"
+    for i in range(1, 25):
+        text = f"({text}) <-> A(x{i})"
+    phi = parse_formula(sym, text)
+    with _wall_limit(1.0):
+        delta = decide(phi)
+        assert satisfiable(delta)

@@ -92,7 +92,7 @@ def test_comments_and_whitespace(sym):
 
 
 def test_expand_exclusion(sym):
-    phi = expand_sugar(sym, parse_formula(sym, "undef(x, f)"))
+    phi = expand_sugar(parse_formula(sym, "undef(x, f)"))
     assert isinstance(phi, Not)
     assert isinstance(phi.body, Exists)
     inner = phi.body
@@ -102,7 +102,7 @@ def test_expand_exclusion(sym):
 
 
 def test_expand_sort_at_path(sym):
-    phi = expand_sugar(sym, parse_formula(sym, "A@x.f"))
+    phi = expand_sugar(parse_formula(sym, "A@x.f"))
     assert isinstance(phi, Exists)
     (w,) = phi.vars
     assert phi.body == And(
@@ -114,14 +114,14 @@ def test_expand_sort_at_path(sym):
 
 
 def test_expand_agreement_at_empty_paths(sym):
-    phi = expand_sugar(sym, parse_formula(sym, "x.eps = y.eps"))
+    phi = expand_sugar(parse_formula(sym, "x.eps = y.eps"))
     assert isinstance(phi, Exists)
     (z,) = phi.vars
     assert phi.body == And((Atomic(Eq(sym.var("x"), z)), Atomic(Eq(sym.var("y"), z))))
 
 
 def test_expand_agreement_longer_paths(sym):
-    phi = expand_sugar(sym, parse_formula(sym, "x.f.g = y.h"))
+    phi = expand_sugar(parse_formula(sym, "x.f.g = y.h"))
     assert free_vars(phi) == {sym.var("x"), sym.var("y")}
     # expansion only introduces reserved names
     def bound_names(psi):
@@ -134,8 +134,8 @@ def test_expand_agreement_longer_paths(sym):
 
 def test_expand_is_idempotent(sym):
     phi = parse_formula(sym, "undef(x, f) | A@y.g & x.f = y.eps")
-    once = expand_sugar(sym, phi)
-    assert expand_sugar(sym, once) == once
+    once = expand_sugar(phi)
+    assert expand_sugar(once) == once
 
 
 def test_print_examples(sym):
@@ -232,7 +232,7 @@ def test_wide_chains_at_default_recursion_limit(sym):
     text = " | ".join(f"A(x{i}) & f(x{i}, x{i + 1})" for i in range(n))
     flipped = " | ".join(f"f(x{i}, x{i + 1}) & A(x{i})" for i in reversed(range(n)))
     with _wall_limit(10.0):
-        phi = expand_sugar(sym, parse_formula(sym, text))
+        phi = expand_sugar(parse_formula(sym, text))
         assert print_formula(phi) == text
         assert free_vars(phi) == {sym.var(f"x{i}") for i in range(n + 1)}
         assert canonical_formula(phi) == canonical_formula(parse_formula(sym, flipped))
@@ -243,7 +243,7 @@ def test_wide_chains_at_default_recursion_limit(sym):
     block = f"exists {names}. ({' & '.join(edges)})"
     flipped = f"exists {names}. ({' & '.join(reversed(edges))})"
     with _wall_limit(10.0):
-        phi = expand_sugar(sym, parse_formula(sym, block))
+        phi = expand_sugar(parse_formula(sym, block))
         assert isinstance(phi, Exists) and len(phi.vars) == m
         assert print_formula(phi) == block
         assert free_vars(phi) == {sym.var("y")}
