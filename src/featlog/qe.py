@@ -8,10 +8,15 @@ once.  It is miniscoped first: a part with no variable of X free is
 left alone, ``exists X`` distributes over a disjunction, and the
 conjuncts of a conjunction that miss X move outside it.  What remains
 is pushed through one disjunctive normal form whose literals are
-primes and eliminated clause by clause.  The clauses of one block share
-their work through two tables that die with the block: the merged
-positives and their requantification per set of positives, and what
-each negative subtracts per pair of merged positives and negative.
+primes and eliminated clause by clause.  The normal form numbers the
+distinct primes it meets, so its clauses are sets of small integers: a
+conjunction merges its single-clause arguments in one pass before it
+distributes over the others, and each distinct set is turned back into
+primes once, so equal primes come back as one object.  The clauses of
+one block share their work through two tables that die with the block:
+the merged positives and their requantification per set of positives,
+and what each negative subtracts per pair of merged positives and
+negative.
 
 The elimination of ``exists X`` from a clause ``beta and not beta'``
 hinges on X-jokers: proper path constraints outside the closure of beta
@@ -162,9 +167,10 @@ def _bc_nary(node, args, unit, zero) -> BoolComb:
     out: list[BoolComb] = []
     seen: set[BoolComb] = set()
     for a in flat:
-        if a == unit:
+        # identity and type first: most arguments are neither constant
+        if a is unit or (type(a) is type(unit) and a == unit):
             continue
-        if a == zero:
+        if a is zero or (type(a) is type(zero) and a == zero):
             return zero
         if a in seen:
             continue
@@ -303,21 +309,25 @@ def _clause_eliminator(block: frozenset[VarId]):
     Clauses of one normal form share positives and negatives, so the
     merged positives and their requantification are kept per set of
     positives, and the literal each negative subtracts (or None) per
-    pair of merged positives and negative.  The tables live as long as
-    the returned function.
+    pair of merged positives and negative.  Sets of positives that merge
+    to equal primes share one entry, so later lookups of that prime and
+    of its requantification succeed on identity.  The tables live as
+    long as the returned function.
     """
     solved: dict[frozenset, tuple[PrimeFormula, BoolComb] | None] = {}
+    merged: dict[PrimeFormula, tuple[PrimeFormula, BoolComb]] = {}
     subtracted: dict[tuple[PrimeFormula, PrimeFormula], BoolComb | None] = {}
 
     def eliminate(positives: list[PrimeFormula], negatives: list[PrimeFormula]) -> BoolComb:
         key = frozenset(positives)
         if key not in solved:
             beta = prime_conj(*positives)
-            solved[key] = (
-                None
-                if isinstance(beta, Bottom)
-                else (beta, PrimeLeaf(mk_prime_exists(block, beta)))
-            )
+            if isinstance(beta, Bottom):
+                solved[key] = None
+            else:
+                if beta not in merged:
+                    merged[beta] = (beta, PrimeLeaf(mk_prime_exists(block, beta)))
+                solved[key] = merged[beta]
         if solved[key] is None:
             return BC_FALSE
         beta, exists_beta = solved[key]
@@ -348,75 +358,82 @@ def to_prime_dnf(
     dropped, duplicate literals merge, and clause growth beyond the
     configured bound raises ResourceLimit, naming the block ``xs`` being
     eliminated, in prefix order, when one is given: its first eight
-    variables, then how many more there are.  A conjunction
-    costs time linear in its width: a conjunct with a single clause
-    extends the accumulated clauses in place, checking only its own
-    literals against them.
+    variables, then how many more there are.
+
+    Each distinct prime gets a small integer id the first time the walk
+    meets it, so a clause is a pair of frozensets of ids, positives and
+    negatives: a clash is a test for disjointness and the pair itself
+    is the key that merges duplicate clauses.  A conjunction merges the
+    clauses of all its single-clause arguments into one base clause in
+    one pass, linear in its width, and only then crosses that clause
+    with its other arguments.  Each distinct id set is decoded once, to
+    the list of its primes in the order the walk met them, so equal
+    primes come back as one object and clauses may share their lists.
     """
     limit = f"disjunctive normal form exceeds {max_clauses} clauses"
     if xs:
         limit += f" while eliminating {', '.join(map(str, xs[:8]))}"
         if len(xs) > 8:
             limit += f" and {len(xs) - 8} more"
+    ids: dict[PrimeFormula, int] = {}
+    primes: list[PrimeFormula] = []
+    empty: frozenset[int] = frozenset()
 
-    def clash(pos: dict, neg: dict, rp: dict, rn: dict) -> bool:
-        # each clause is free of complementary literals on its own; a
-        # view iterates the smaller side
-        return not (
-            rp.keys().isdisjoint(neg.keys()) and rn.keys().isdisjoint(pos.keys())
-        )
-
-    def cross(
-        left: list[tuple[dict, dict]], right: list[tuple[dict, dict]]
-    ) -> list[tuple[dict, dict]]:
-        if len(right) == 1:
-            # the accumulator owns its clauses: extend them in place
-            rp, rn = right[0]
-            out = [(lp, ln) for lp, ln in left if not clash(lp, ln, rp, rn)]
-            if len(out) > max_clauses:
-                raise ResourceLimit(limit)
-            for lp, ln in out:
-                lp.update(rp)
-                ln.update(rn)
-            return out
-        out = []
-        for lp, ln in left:
-            for rp, rn in right:
-                if clash(lp, ln, rp, rn):
-                    continue
-                out.append(({**lp, **rp}, {**ln, **rn}))
-                if len(out) > max_clauses:
-                    raise ResourceLimit(limit)
-        return out
-
-    def go(node: BoolComb, negate: bool) -> list[tuple[dict, dict]]:
+    def go(node: BoolComb, negate: bool) -> list[tuple[frozenset[int], frozenset[int]]]:
         if isinstance(node, PrimeLeaf):
-            if node.beta.is_top():
-                return [] if negate else [({}, {})]
-            if negate:
-                return [({}, {node.beta: None})]
-            return [({node.beta: None}, {})]
+            beta = node.beta
+            if beta.is_top():
+                return [] if negate else [(empty, empty)]
+            i = ids.get(beta)
+            if i is None:
+                i = ids[beta] = len(primes)
+                primes.append(beta)
+            return [(empty, frozenset((i,)))] if negate else [(frozenset((i,)), empty)]
         if isinstance(node, BcNot):
             return go(node.arg, not negate)
-        distribute = isinstance(node, BcOr) != negate
-        if distribute:
-            out: list[tuple[dict, dict]] = []
+        if isinstance(node, BcOr) != negate:
+            out: list[tuple[frozenset[int], frozenset[int]]] = []
             seen: set = set()
             for a in node.args:
                 for clause in go(a, negate):
-                    key = (frozenset(clause[0]), frozenset(clause[1]))
-                    if key not in seen:
-                        seen.add(key)
+                    if clause not in seen:
+                        seen.add(clause)
                         out.append(clause)
                 if len(out) > max_clauses:
                     raise ResourceLimit(limit)
             return out
-        acc = [({}, {})]
+        pos: set[int] = set()
+        neg: set[int] = set()
+        factors = []
         for a in node.args:
-            acc = cross(acc, go(a, negate))
+            clauses = go(a, negate)
+            if len(clauses) == 1:
+                pos.update(clauses[0][0])
+                neg.update(clauses[0][1])
+            else:
+                factors.append(clauses)
+        if not pos.isdisjoint(neg):
+            return []
+        acc = [(frozenset(pos), frozenset(neg))]
+        for right in factors:
+            out = []
+            for lp, ln in acc:
+                for rp, rn in right:
+                    if ln.isdisjoint(rp) and lp.isdisjoint(rn):
+                        out.append((lp | rp, ln | rn))
+                        if len(out) > max_clauses:
+                            raise ResourceLimit(limit)
+            acc = out
         return acc
 
-    return [(list(pos), list(neg)) for pos, neg in go(delta, False)]
+    decoded: dict[frozenset[int], list[PrimeFormula]] = {}
+
+    def decode(s: frozenset[int]) -> list[PrimeFormula]:
+        if s not in decoded:
+            decoded[s] = [primes[i] for i in sorted(s)]
+        return decoded[s]
+
+    return [(decode(pos), decode(neg)) for pos, neg in go(delta, False)]
 
 
 def _eliminate_exists(xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int) -> BoolComb:

@@ -10,9 +10,11 @@ operations that the one-pass ``simplify_epc`` replaces, the closure
 classifier, which decides open input by quantifier elimination instead
 of the clause search, the block splitter, which makes the library
 eliminate a quantifier block one variable at a time instead of at
-once, and the bounded evaluator, which reads values
+once, the bounded evaluator, which reads values
 through the library's walks but judges quantifiers by trying small
-candidate values instead of eliminating them.
+candidate values instead of eliminating them, and the dict-keyed normal
+form, which builds the library's prime DNF with clauses keyed by the
+primes themselves instead of by integer ids.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import copy
 import itertools
 from collections import Counter
+from typing import Sequence
 
 from featlog import (
     BOTTOM,
@@ -65,7 +68,18 @@ from featlog.core import atom_key, atom_vars, rename_atom
 from featlog.models import enumerate_values, root_sort, subvalue
 from featlog.prime import from_atom
 from featlog.paths import PathConstraint, is_proper
-from featlog.qe import BC_FALSE, DEFAULT_MAX_DNF_CLAUSES, bc_and, bc_not, bc_or
+from featlog.qe import (
+    BC_FALSE,
+    DEFAULT_MAX_DNF_CLAUSES,
+    BcNot,
+    BcOr,
+    BoolComb,
+    PrimeLeaf,
+    ResourceLimit,
+    bc_and,
+    bc_not,
+    bc_or,
+)
 
 
 class NaiveClosure:
@@ -386,6 +400,88 @@ def two_pass_requantify(bound, body):
         frozenset(mapping.values()),
         SolvedFormula(tuple(sorted(normalizer, key=atom_key)), tuple(graph)),
     )
+
+
+def dict_prime_dnf(
+    delta: BoolComb,
+    max_clauses: int = DEFAULT_MAX_DNF_CLAUSES,
+    xs: Sequence[VarId] = (),
+) -> list[tuple[list[PrimeFormula], list[PrimeFormula]]]:
+    """Disjunctive normal form with primes as literals.
+
+    Clauses containing complementary or trivially false literals are
+    dropped, duplicate literals merge, and clause growth beyond the
+    configured bound raises ResourceLimit, naming the block ``xs`` being
+    eliminated, in prefix order, when one is given: its first eight
+    variables, then how many more there are.  A conjunction
+    costs time linear in its width: a conjunct with a single clause
+    extends the accumulated clauses in place, checking only its own
+    literals against them.
+    """
+    limit = f"disjunctive normal form exceeds {max_clauses} clauses"
+    if xs:
+        limit += f" while eliminating {', '.join(map(str, xs[:8]))}"
+        if len(xs) > 8:
+            limit += f" and {len(xs) - 8} more"
+
+    def clash(pos: dict, neg: dict, rp: dict, rn: dict) -> bool:
+        # each clause is free of complementary literals on its own; a
+        # view iterates the smaller side
+        return not (
+            rp.keys().isdisjoint(neg.keys()) and rn.keys().isdisjoint(pos.keys())
+        )
+
+    def cross(
+        left: list[tuple[dict, dict]], right: list[tuple[dict, dict]]
+    ) -> list[tuple[dict, dict]]:
+        if len(right) == 1:
+            # the accumulator owns its clauses: extend them in place
+            rp, rn = right[0]
+            out = [(lp, ln) for lp, ln in left if not clash(lp, ln, rp, rn)]
+            if len(out) > max_clauses:
+                raise ResourceLimit(limit)
+            for lp, ln in out:
+                lp.update(rp)
+                ln.update(rn)
+            return out
+        out = []
+        for lp, ln in left:
+            for rp, rn in right:
+                if clash(lp, ln, rp, rn):
+                    continue
+                out.append(({**lp, **rp}, {**ln, **rn}))
+                if len(out) > max_clauses:
+                    raise ResourceLimit(limit)
+        return out
+
+    def go(node: BoolComb, negate: bool) -> list[tuple[dict, dict]]:
+        if isinstance(node, PrimeLeaf):
+            if node.beta.is_top():
+                return [] if negate else [({}, {})]
+            if negate:
+                return [({}, {node.beta: None})]
+            return [({node.beta: None}, {})]
+        if isinstance(node, BcNot):
+            return go(node.arg, not negate)
+        distribute = isinstance(node, BcOr) != negate
+        if distribute:
+            out: list[tuple[dict, dict]] = []
+            seen: set = set()
+            for a in node.args:
+                for clause in go(a, negate):
+                    key = (frozenset(clause[0]), frozenset(clause[1]))
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(clause)
+                if len(out) > max_clauses:
+                    raise ResourceLimit(limit)
+            return out
+        acc = [({}, {})]
+        for a in node.args:
+            acc = cross(acc, go(a, negate))
+        return acc
+
+    return [(list(pos), list(neg)) for pos, neg in go(delta, False)]
 
 
 def split_blocks(phi):

@@ -42,6 +42,7 @@ from featlog.prime import from_atom
 from featlog.qe import (
     BC_FALSE,
     BC_TRUE,
+    DEFAULT_MAX_DNF_CLAUSES,
     BcAnd,
     BcNot,
     BcOr,
@@ -67,6 +68,7 @@ from generators import (
 from oracles import (
     bounded_evaluate,
     closure_classify,
+    dict_prime_dnf,
     naive_is_free,
     naive_is_joker,
     split_blocks,
@@ -298,16 +300,108 @@ def test_to_prime_dnf_resource_limit(sym):
 
 
 def test_to_prime_dnf_is_linear_in_conjunction_width(sym):
-    """A 20,000-literal conjunction, half of it negated, is one clause;
-    each conjunct extends it in place instead of copying it.  Linear
-    work takes a few hundredths of a second, a copy per conjunct several
-    seconds."""
+    """Conjunctions of 20,000 and 160,000 literals, half of them negated,
+    are one clause, merged from their single-clause conjuncts in one
+    pass.  Linear work takes under half a second at 160,000 literals; a
+    copy per conjunct, or a clause kept as a bitset over the primes,
+    takes seconds."""
     A = sym.sort("A")
-    leaves = [PrimeLeaf(from_atom(SortC(A, sym.var(f"x{i}")))) for i in range(20000)]
-    delta = bc_and(*[bc_not(leaf) if i % 2 else leaf for i, leaf in enumerate(leaves)])
-    with _wall_limit(2.0):
-        got = to_prime_dnf(delta)
-    assert got == [([l.beta for l in leaves[0::2]], [l.beta for l in leaves[1::2]])]
+    for width in (20000, 160000):
+        leaves = [PrimeLeaf(from_atom(SortC(A, sym.var(f"x{i}")))) for i in range(width)]
+        delta = bc_and(*[bc_not(leaf) if i % 2 else leaf for i, leaf in enumerate(leaves)])
+        with _wall_limit(2.0):
+            got = to_prime_dnf(delta)
+        assert got == [([l.beta for l in leaves[0::2]], [l.beta for l in leaves[1::2]])]
+
+
+def test_to_prime_dnf_is_linear_in_disjunction_width(sym):
+    """``B(x) & (A1(x) | ... | A40000(x))`` has 40,000 clauses: the base
+    clause crossed with each disjunct is one union of small id sets."""
+    x = sym.var("x")
+    base = PrimeLeaf(from_atom(SortC(sym.sort("B"), x)))
+    leaves = [PrimeLeaf(from_atom(SortC(sym.sort(f"A{i}"), x))) for i in range(1, 40001)]
+    delta = bc_and(base, bc_or(*leaves))
+    with _wall_limit(3.0):
+        got = to_prime_dnf(delta, max_clauses=50000)
+    assert got == [([base.beta, leaf.beta], []) for leaf in leaves]
+
+
+def test_to_prime_dnf_returns_the_first_equal_prime_met(sym):
+    """Equal primes built apart come back as one object, the one the
+    walk met first, in the order the walk first met them."""
+    texts = ("A(x)", "f(x, y)", "exists u. g(y, u)", "B(y)")
+    one = [PrimeLeaf(epc(sym, t)) for t in texts]
+    two = [PrimeLeaf(epc(sym, t)) for t in texts]
+    assert all(a == b and a.beta is not b.beta for a, b in zip(one, two))
+    delta = bc_or(
+        bc_and(one[0], bc_not(one[1]), bc_or(two[2], one[3])),
+        bc_and(two[0], bc_not(two[3]), one[2]),
+        bc_and(bc_not(two[1]), two[2], two[3]),
+    )
+    first = [one[0].beta, one[1].beta, two[2].beta, one[3].beta]
+    got = to_prime_dnf(delta)
+    assert [(set(p), set(n)) for p, n in got] == [
+        (set(p), set(n)) for p, n in dict_prime_dnf(delta)
+    ]
+    for pos, neg in got:
+        assert pos == [b for b in first if b in pos]
+        assert neg == [b for b in first if b in neg]
+        assert all(any(lit is b for b in first) for lit in pos + neg)
+
+
+def _random_combination(rng, pool, depth):
+    """A random ``bc_and``/``bc_or``/``bc_not`` tree whose leaves pick a
+    random copy of a random prime of the pool."""
+    if depth == 0 or rng.random() < 0.1:
+        leaf = PrimeLeaf(rng.choice(rng.choice(pool)))
+        return bc_not(leaf) if rng.random() < 0.4 else leaf
+    if rng.random() < 0.1:
+        return bc_not(_random_combination(rng, pool, depth - 1))
+    combine = bc_and if rng.random() < 0.5 else bc_or
+    return combine(*[_random_combination(rng, pool, depth - 1) for _ in range(rng.randint(2, 3))])
+
+
+def test_to_prime_dnf_agrees_with_dict_oracle(sym):
+    """Integer-id clauses give the prime-keyed normal form's clauses in
+    its order, and never trip the bound where it answers.
+
+    Inputs are 1,000 ``decide`` residues, of random formulae or of the
+    equivalence of two, each negated or not, and 1,000 random
+    combinations over pools whose equal primes were built apart (the
+    same seed three times), so that they are distinct objects.
+    """
+    rng = random.Random(131)
+
+    def formula():
+        return random_quantified_formula(rng, sym, max_atoms=rng.choice((6, 12, 20)))
+
+    inputs = []
+    while len(inputs) < 1000:
+        phi = formula() if rng.random() < 0.5 else Iff(formula(), formula())
+        try:
+            delta = decide(expand_sugar(phi))
+        except ResourceLimit:
+            continue
+        inputs.append(bc_not(delta) if rng.random() < 0.5 else delta)
+    pools = [
+        [[random_prime(random.Random(s), sym) for _ in range(3)] + [TOP_PRIME] for s in seeds]
+        for seeds in (range(1000 * p, 1000 * p + 16) for p in range(10))
+    ]
+    copies = pools[0][0]
+    assert copies[0] == copies[1] and copies[0] is not copies[1]
+    for i in range(1000):
+        inputs.append(_random_combination(rng, pools[i % 10], rng.randint(3, 7)))
+    for max_clauses, tripped in ((8, 150), (64, 5), (DEFAULT_MAX_DNF_CLAUSES, 0)):
+        answered = 0
+        for delta in inputs:
+            try:
+                want = dict_prime_dnf(delta, max_clauses)
+            except ResourceLimit:
+                continue
+            got = to_prime_dnf(delta, max_clauses)
+            assert [(set(p), set(n)) for p, n in got] == [(set(p), set(n)) for p, n in want]
+            answered += 1
+        assert len(inputs) - tripped >= answered > 1500
 
 
 def test_smart_constructors_fold(sym):
@@ -560,6 +654,49 @@ def test_qe_mix_iff_sentence_solves_each_clause_prime_once(sym):
     assert (op.family, op.size, op.expect) == ("iff", 32, INVALID)
     with _wall_limit(2.0):
         assert classify(parse_formula(sym, op.text)).kind == INVALID
+
+
+def test_qe_mix_iff_sentence_compares_equal_primes_once_per_leaf(sym, monkeypatch):
+    """The qe-mix iff sentence of size 20 at seed 201 meets equal primes
+    built apart in each of its normal forms.  A prime is compared with
+    the ones met before it only when it gets its id, so inside
+    ``to_prime_dnf`` ``PrimeFormula.__eq__`` runs at most once per prime
+    leaf visited (147 here), not once per pair of clauses (148,501 with
+    clauses keyed by the primes themselves)."""
+    import featlog.qe
+
+    op = WORKLOADS["qe_mix"](201)[485]
+    assert (op.family, op.size, op.expect) == ("iff", 20, VALID)
+    counts = {"inside": False, "eq": 0, "leaves": 0}
+
+    def leaves(node):
+        if isinstance(node, PrimeLeaf):
+            return 1
+        if isinstance(node, BcNot):
+            return leaves(node.arg)
+        return sum(leaves(a) for a in node.args)
+
+    eq = PrimeFormula.__eq__
+
+    def counting_eq(self, other):
+        counts["eq"] += counts["inside"]
+        return eq(self, other)
+
+    dnf = featlog.qe.to_prime_dnf
+
+    def counting_dnf(delta, *args):
+        counts["leaves"] += leaves(delta)
+        counts["inside"] = True
+        try:
+            return dnf(delta, *args)
+        finally:
+            counts["inside"] = False
+
+    monkeypatch.setattr(PrimeFormula, "__eq__", counting_eq)
+    monkeypatch.setattr(featlog.qe, "to_prime_dnf", counting_dnf)
+    assert classify(parse_formula(sym, op.text)).kind == VALID
+    assert counts["leaves"] == 147
+    assert counts["eq"] <= counts["leaves"]
 
 
 def test_search_checks_negatives_by_entailment(sym):
