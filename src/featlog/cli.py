@@ -10,6 +10,7 @@ validation error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -176,8 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main, not on import; parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.max_dnf_clauses <= 0:
         print("counts must be positive", file=sys.stderr)
         return 2

@@ -12,8 +12,9 @@ sort labels.
 
 Both kinds of value support exact evaluation of every formula:
 quantifier elimination reduces it to a Boolean combination of prime
-formulae, and each prime is checked on its finite projection.  The
-answer is None only when elimination exceeds its clause bound.
+formulae, and each prime is checked on its finite projection, in one
+walk of its body.  The answer is None only when elimination exceeds
+its clause bound.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .core import FeatId, Formula, Path, SortId, Symbols, VarId
 from .paths import Agree, PathConstraint, Reach, SortAt
-from .prime import PrimeFormula, adjacency, projection
+from .prime import PrimeFormula, adjacency, positions
 from .qe import BcAnd, BcNot, BoolComb, PrimeLeaf, ResourceLimit, decide
 from .solve import SolvedClause, constrained_vars
 from .textio import expand_sugar
@@ -207,18 +208,25 @@ def _feat_name(edge: tuple[FeatId, int]) -> str:
     return edge[0].name
 
 
-def _walk(v: Value, p: Path) -> int | None:
-    """The node at the end of a path from the root, None off the domain.
+def _step(v: Value, node: int, f: FeatId) -> int | None:
+    """The node one feature from a node, None off the domain.
 
-    Edge rows are sorted by feature name, so each step bisects its row.
+    Edge rows are sorted by feature name, so the step bisects the row.
     """
-    node = 0
+    row = v.edges[node]
+    i = bisect_left(row, f.name, key=_feat_name)
+    if i == len(row) or row[i][0] != f:
+        return None
+    return row[i][1]
+
+
+def _walk(v: Value, p: Path) -> int | None:
+    """The node at the end of a path from the root, None off the domain."""
+    node: int | None = 0
     for f in p.feats:
-        row = v.edges[node]
-        i = bisect_left(row, f.name, key=_feat_name)
-        if i == len(row) or row[i][0] != f:
+        if node is None:
             return None
-        node = row[i][1]
+        node = _step(v, node, f)
     return node
 
 
@@ -233,9 +241,12 @@ def walk_value(v: Value, p: Path) -> Value | None:
 def _same_subvalue(a: Value, i: int, b: Value, j: int) -> bool:
     """Whether node i of a and node j of b root the same value.
 
-    Distinct nodes of a minimal tree are distinct trees, so inside one
-    tree value the nodes are compared; otherwise both sides are re-rooted.
+    A node of a value roots the same value as itself.  Distinct nodes of
+    a minimal tree are distinct trees, so inside one tree value the
+    nodes are compared; otherwise both sides are re-rooted.
     """
+    if a is b and i == j:
+        return True
     if isinstance(a, FeatureTree) and a == b:
         return i == j
     return (a if i == 0 else _reroot(a, i)) == (b if j == 0 else _reroot(b, j))
@@ -350,9 +361,30 @@ def satisfies_prime(alpha: Mapping[VarId, Value], beta: PrimeFormula) -> bool:
 
     A prime formula is equivalent to its projection, a finite
     conjunction of proper path constraints over free variables only, so
-    no quantifier enumeration is needed.
+    no quantifier enumeration is needed.  The projection is checked in
+    one walk of the body: each variable gets the value and node its
+    access path leads to (``positions``), a free variable the root of
+    its value, and then each equation, sort and edge is one comparison.
     """
-    return all(holds_path_constraint(alpha, pi) for pi in projection(beta))
+
+    def step(at: tuple[Value, int], f: FeatId) -> tuple[Value, int] | None:
+        node = _step(at[0], at[1], f)
+        return None if node is None else (at[0], node)
+
+    pos = positions(beta, lambda v: (alpha[v], 0), step)
+    if pos is None:
+        return False
+    body = beta.body
+
+    def edge_holds(u: VarId, f: FeatId, w: VarId) -> bool:
+        at = step(pos[u], f)
+        return at is not None and _same_subvalue(*at, *pos[w])
+
+    return (
+        all(_same_subvalue(*pos[eq.lhs], *pos[eq.rhs]) for eq in body.normalizer)
+        and all(pos[v][0].labels[pos[v][1]] == sort for v, sort in body.sorts.items())
+        and all(edge_holds(u, f, w) for (u, f), w in body.edges.items())
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping, TypeVar
 
 from .core import (
     BOTTOM,
@@ -42,7 +42,7 @@ from .core import (
     exists_all,
     rename_atom,
 )
-from .paths import Agree, PathConstraint, RootedPath, SortAt, prime_closure_contains
+from .paths import Agree, PathConstraint, RootedPath, SortAt
 from .solve import SolvedFormula, basic_simplify, conjunction_atoms, is_solved_formula
 
 
@@ -297,6 +297,35 @@ def simplify_epc(phi: Formula) -> PrimeFormula | Bottom:
 # Access functions, projections, entailment
 
 
+Position = TypeVar("Position")
+
+
+def positions(
+    beta: PrimeFormula,
+    start: Callable[[VarId], Position | None],
+    step: Callable[[Position, FeatId], Position | None],
+) -> dict[VarId, Position] | None:
+    """One position per body variable, found along the access paths.
+
+    The variables are visited in the breadth-first order of
+    ``_bfs_tree`` from the free ones, as ``requantify`` names them.  A
+    free variable is at ``start(v)`` and a bound one at
+    ``step(position of its parent, feature)``, so every shared prefix
+    of the access paths is walked once.  None as soon as either gives
+    None, which stands for a position that does not exist.
+    """
+    tree = _bfs_tree(beta.body, beta.free_vars)
+    if not beta.bound <= tree.keys():
+        raise ValueError("bound variable unreachable; not a prime formula")
+    pos: dict[VarId, Position] = {}
+    for v, parent in tree.items():
+        at = start(v) if parent is None else step(pos[parent[0]], parent[1])
+        if at is None:
+            return None
+        pos[v] = at
+    return pos
+
+
 def access_function(beta: PrimeFormula) -> dict[VarId, RootedPath]:
     """One rooted path per body variable, injectively.
 
@@ -306,16 +335,12 @@ def access_function(beta: PrimeFormula) -> dict[VarId, RootedPath]:
     features alphabetically, so the chosen paths are shortest and the
     choice is reproducible.
     """
-    tree = _bfs_tree(beta.body, beta.body.variables - beta.bound)
-    if not beta.bound <= tree.keys():
-        raise ValueError("bound variable unreachable; not a prime formula")
-    acc: dict[VarId, RootedPath] = {}
-    for v, parent in tree.items():
-        if parent is None:
-            acc[v] = RootedPath(v, EPS)
-        else:
-            base = acc[parent[0]]
-            acc[v] = RootedPath(base.root, base.path.append(parent[1]))
+    acc = positions(
+        beta,
+        lambda v: RootedPath(v, EPS),
+        lambda at, feat: RootedPath(at.root, at.path.append(feat)),
+    )
+    assert acc is not None
     return acc
 
 
@@ -355,9 +380,29 @@ def prime_entails(beta: PrimeFormula, beta2: PrimeFormula) -> bool:
     """Whether every model of ``beta`` satisfies ``beta2``.
 
     Holds exactly when the projection of the right-hand side lies inside
-    the closure of the left-hand side.
+    the closure of the left-hand side, checked in one walk of the left
+    body: each variable of the right-hand side gets the variable of the
+    left body its access path leads to (``positions``).  A free variable
+    starts at its binding; one that is bound on the left has no
+    position, since the closure of a prime holds no constraint rooted
+    at a bound variable.  Then each equation, sort and edge of the
+    right-hand side is one lookup.
     """
-    return all(prime_closure_contains(beta, pi) for pi in projection(beta2))
+    body = beta.body
+    binding, edges, sorts = body.binding, body.edges, body.sorts
+    pos = positions(
+        beta2,
+        lambda v: None if v in beta.bound else binding.get(v, v),
+        lambda u, feat: edges.get((u, feat)),
+    )
+    if pos is None:
+        return False
+    body2 = beta2.body
+    return (
+        all(pos[eq.lhs] == pos[eq.rhs] for eq in body2.normalizer)
+        and all(sorts.get(pos[v]) == sort for v, sort in body2.sorts.items())
+        and all(edges.get((pos[u], feat)) == pos[w] for (u, feat), w in body2.edges.items())
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ of the clause search, the block splitter, which makes the library
 eliminate a quantifier block one variable at a time instead of at
 once, the bounded evaluator, which reads values
 through the library's walks but judges quantifiers by trying small
-candidate values instead of eliminating them, and the dict-keyed normal
+candidate values instead of eliminating them, the dict-keyed normal
 form, which builds the library's prime DNF with clauses keyed by the
-primes themselves instead of by integer ids.
+primes themselves instead of by integer ids, and the projection checks,
+which decide entailment and satisfaction of primes by walking every
+constraint of a projection from its root through the library's closure
+membership and value walks, instead of walking the body once.
 """
 
 from __future__ import annotations
@@ -61,7 +64,9 @@ from featlog import (
     free_vars,
     holds_path_constraint,
     mk_prime_exists,
+    prime_closure_contains,
     prime_conj,
+    projection,
     to_prime_dnf,
 )
 from featlog.core import atom_key, atom_vars, rename_atom
@@ -192,6 +197,18 @@ def _pc_len(pi: PathConstraint) -> int:
     if isinstance(pi, Agree):
         return max(len(pi.lpath.feats), len(pi.rpath.feats))
     return len(pi.path.feats)
+
+
+def projection_entails(beta: PrimeFormula, beta2: PrimeFormula) -> bool:
+    """Entailment as containment of the projection of ``beta2`` in the
+    closure of ``beta``, each constraint walked from its root."""
+    return all(prime_closure_contains(beta, pi) for pi in projection(beta2))
+
+
+def projection_satisfies(alpha, beta: PrimeFormula) -> bool:
+    """Satisfaction as the truth of every constraint of the projection,
+    each walked from the root of its value."""
+    return all(holds_path_constraint(alpha, pi) for pi in projection(beta))
 
 
 def naive_reachable(root, edges: dict) -> set:

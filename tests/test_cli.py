@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from featlog.cli import main
+from featlog.cli import build_parser, main
 
 from test_solve import _wall_limit
 
@@ -267,6 +271,11 @@ def _chain_entailment(n, entailed):
     return f"{' & '.join(reversed(lhs))} ; exists {', '.join(bound)}. ({' & '.join(rhs)})"
 
 
+def _sorted_chain(n):
+    atoms = [f"f(x{i}, x{i + 1})" for i in range(n - 1)] + [f"A(x{i})" for i in range(n)]
+    return f"exists {', '.join(f'x{i}' for i in range(1, n))}. ({' & '.join(atoms)})"
+
+
 def _cycle(n, marked):
     atoms = [f"f(x{i}, x{(i + 1) % n})" for i in range(n)]
     atoms += ["A(x0)"] if marked else [f"A(x{i})" for i in range(n)]
@@ -282,10 +291,28 @@ def _cycle(n, marked):
         ),
         pytest.param("witness", _cycle(400, marked=True), 400, id="witness-marked-cycle-400"),
         pytest.param("witness", _cycle(256, marked=False), 1, id="witness-uniform-cycle-256"),
+        pytest.param(
+            "entail",
+            f"{_sorted_chain(8000)} ; {_sorted_chain(8000)}",
+            "ENTAILED",
+            id="entail-sorted-chain-8000",
+        ),
+        pytest.param(
+            "entail",
+            f"{_sorted_chain(7999)} ; {_sorted_chain(8000)}",
+            "NOT-ENTAILED",
+            id="not-entail-sorted-chain-8000",
+        ),
+        # a chain witness gives each bound variable its own tree, n * n / 2
+        # nodes in all, so the chain is witnessed at 1,000 nodes
+        pytest.param("witness", _sorted_chain(1000), 1000, id="witness-sorted-chain-1000"),
+        pytest.param("witness", _cycle(8000, marked=False), 1, id="witness-uniform-cycle-8000"),
     ],
 )
 def test_conjunctions_at_scale(tmp_path, capsys, command, text, check):
-    """Wide conjunctions are solved once, not once per atom."""
+    """Wide conjunctions are solved once, not once per atom, and the
+    prime of an entailment or a witness is checked in one walk of its
+    body."""
     path = write(tmp_path, text)
     with _wall_limit(10.0):
         code, out, err = run(capsys, command, path)
@@ -294,6 +321,53 @@ def test_conjunctions_at_scale(tmp_path, capsys, command, text, check):
         assert out == f"{check}\n"
     else:
         assert len(json.loads(out)["nodes"]) == check
+
+
+def test_a_default_call_after_a_json_call_prints_text(tmp_path, capsys):
+    path = write(tmp_path, "forall x. (A(x) | ~A(x))")
+    assert run(capsys, "decide", "--format", "json", path) == (
+        0,
+        json.dumps({"command": "decide", "verdict": "VALID"}, indent=2, sort_keys=True) + "\n",
+        "",
+    )
+    assert run(capsys, "decide", path) == (0, "VALID\n", "")
+
+
+def test_a_bad_argument_after_a_good_call_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "A(x)")
+    assert run(capsys, "decide", path)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", path, "--max-dnf-clauses", "many"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: featlog decide")
+    assert "invalid int value: 'many'" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["witness", "--help"]], ids=["top", "witness"])
+def test_help_matches_a_freshly_built_parser(capsys, argv):
+    outputs = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        assert exc.value.code == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.startswith("usage: featlog")
+
+
+def test_module_entry_point_reads_standard_input():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "featlog", "decide", "-"],
+        input="forall x. (A(x) | ~A(x))",
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "VALID\n", "")
 
 
 FLAT_SORTS = " & ".join(f"{'ABC'[i % 3]}(x{i})" for i in range(10000))

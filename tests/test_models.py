@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path as FilePath
 
 import pytest
@@ -13,6 +14,8 @@ from featlog import (
     Eq,
     Excl,
     FeatC,
+    FeatureGraph,
+    FeatureTree,
     Path,
     PrimeFormula,
     Reach,
@@ -43,8 +46,8 @@ from featlog.core import EPS, Exists, Forall, conj, exists_all, forall_all
 from featlog.models import enumerate_values, root_sort, subvalue, subvalues, walk_value
 from featlog.solve import clause_to_formula
 
-from generators import pools, random_tree_value, random_valuation
-from oracles import bounded_evaluate, naive_bisimilarity, naive_reachable
+from generators import pools, random_prime, random_tree_value, random_valuation
+from oracles import bounded_evaluate, naive_bisimilarity, naive_reachable, projection_satisfies
 from test_solve import _wall_limit, fig2_clause
 
 TESTS = str(FilePath(__file__).resolve().parent)
@@ -335,6 +338,41 @@ def test_oracle_consistency_on_labeled_graphs(sym):
         assert evaluate(sym, "graph", graph_val, phi) == evaluate(
             sym, "tree", tree_val, phi
         )
+
+
+def _as_graph(t: FeatureTree) -> FeatureGraph:
+    edges = {(i, f): j for i, row in enumerate(t.edges) for f, j in row}
+    return feature_graph(0, dict(enumerate(t.labels)), edges)
+
+
+def test_one_walk_satisfaction_agrees_with_the_projection(sym):
+    """``satisfies_prime`` against the truth of every projection member,
+    on witnesses, witnesses read as graphs, witnesses with one value
+    redrawn, and random tree and graph valuations, some with one value
+    shared by every variable."""
+    rng = random.Random(142)
+    default = sym.fresh_sort("D")
+    seen = Counter()
+    for _ in range(300):
+        beta = random_prime(rng, sym, max_atoms=rng.randint(1, 10), n_vars=rng.randint(2, 7))
+        witness = witness_prime(beta, default)
+        free = sorted(beta.free_vars)
+        valuations = [witness, {v: _as_graph(witness[v]) for v in free}]
+        for v in free[:2]:
+            valuations.append({**witness, v: random_tree_value(rng, sym, n_sorts=2, n_feats=2)})
+        for kind in ("tree", "graph"):
+            for sorts in (1, 3):
+                valuations.append(random_valuation(rng, sym, free, kind, n_sorts=sorts))
+            # one shared value, so that paths of distinct variables meet
+            shared = random_valuation(rng, sym, free[:1], kind, max_nodes=4, n_sorts=1, n_feats=2)
+            valuations.append(dict.fromkeys(free, *shared.values()))
+        for alpha in valuations:
+            got = satisfies_prime(alpha, beta)
+            assert got == projection_satisfies(alpha, beta), (str(beta), alpha)
+            kind = "graph" if any(isinstance(a, FeatureGraph) for a in alpha.values()) else "tree"
+            seen[kind, got] += 1
+    assert sum(seen.values()) >= 2000
+    assert min(seen.values()) > 100, seen
 
 
 def test_path_constraints_agree_with_walked_subvalues(sym):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,10 +16,12 @@ from featlog import (
     SortAt,
     SortC,
     TOP_PRIME,
+    VarId,
     access_function,
     basic_simplify,
     canonicalize,
     expand_sugar,
+    feature_tree,
     is_prime_formula,
     mk_prime_exists,
     parse_formula,
@@ -40,7 +43,8 @@ from generators import (
     random_prime,
     random_solved_formula,
 )
-from oracles import fold_simplify_epc, two_pass_requantify
+from oracles import fold_simplify_epc, projection_entails, two_pass_requantify
+from test_solve import _wall_limit
 
 
 def epc(sym, text):
@@ -510,3 +514,103 @@ def test_entailment_agrees_with_the_decision_procedure(sym):
         assert classify(closed).kind == (VALID if got else "INVALID")
         agreements[got] += 1
     assert agreements[True] > 20 and agreements[False] > 20
+
+
+def _free_renamed(beta, mapping):
+    """``beta`` with its free variables renamed by ``mapping``.
+
+    Its bound variables move to transient names first, so a new free
+    name may spell one of them, such as ``q0``.
+    """
+    apart = {v: VarId(f"{v.name}'") for v in beta.bound}
+    rename = {**mapping, **apart}
+    body = SolvedFormula(
+        tuple(rename_atom(a, rename) for a in beta.body.normalizer),
+        tuple(rename_atom(a, rename) for a in beta.body.graph),
+    )
+    return requantify(apart.values(), body)
+
+
+def _part_of(rng, beta):
+    """A prime made of some atoms of ``beta``, with some of its bound
+    variables left free under their ``q`` names."""
+    keep = [a for a in beta.body.atoms if rng.random() < 0.6]
+    body = basic_simplify(BasicFormula(tuple(keep)))
+    bound = [v for v in sorted(beta.bound) if rng.random() < 0.3]
+    return requantify(bound, body)
+
+
+def test_one_walk_entailment_agrees_with_the_projection(sym):
+    """``prime_entails`` against containment of the projection in the
+    closure, on pairs that include free names equal to bound ones."""
+    rng = random.Random(141)
+    seen = Counter()
+    for _ in range(400):
+        b1 = random_prime(rng, sym, max_atoms=rng.randint(1, 10), n_vars=rng.randint(2, 7))
+        b2 = random_prime(rng, sym, max_atoms=rng.randint(1, 6), n_vars=rng.randint(2, 7))
+        pairs = [(b1, b2), (b2, b1), (b1, b1), (b1, TOP_PRIME), (TOP_PRIME, b2)]
+        lefts = [b1]
+        merged = prime_conj(b1, b2)
+        if not isinstance(merged, Bottom):
+            lefts.append(merged)
+            pairs += [(merged, b2), (merged, b1)]
+        free = sorted(b2.free_vars)
+        for lhs in lefts:
+            pairs += [(lhs, _part_of(rng, lhs)) for _ in range(2)]
+            names = [VarId(f"q{i}") for i in rng.sample(range(len(free) + 1), len(free))]
+            pairs.append((lhs, _free_renamed(b2, dict(zip(free, names)))))
+        for lhs, rhs in pairs:
+            got = prime_entails(lhs, rhs)
+            assert got == projection_entails(lhs, rhs), (str(lhs), str(rhs))
+            seen["pairs"] += 1
+            seen[got] += 1
+            seen["collisions"] += bool(rhs.free_vars & lhs.bound)
+            seen["eliminated"] += bool(lhs.body.normalizer and rhs.body.normalizer)
+            seen["top"] += lhs.is_top() or rhs.is_top()
+    assert seen["pairs"] >= 2000
+    assert seen[True] > 500 and seen[False] > 500
+    assert seen["collisions"] > 250 and seen["eliminated"] > 100 and seen["top"] > 300
+
+
+def _sorted_ring_prime(sym, n, closed):
+    """n one-sorted nodes joined by f from x0, and back to x0 when
+    ``closed``; free only at x0."""
+    A, f = sym.sort("A"), sym.feat("f")
+    xs = [sym.var(f"x{i}") for i in range(n)]
+    edges = tuple(FeatC(xs[i], f, xs[(i + 1) % n]) for i in range(n if closed else n - 1))
+    return requantify(xs[1:], SolvedFormula((), edges + tuple(SortC(A, x) for x in xs)))
+
+
+def _chain_tree(sym, n):
+    A, f = sym.sort("A"), sym.feat("f")
+    return feature_tree(0, {i: A for i in range(n)}, {(i, f): i + 1 for i in range(n - 1)})
+
+
+@pytest.mark.parametrize("shape", ["chain", "uniform-cycle"])
+def test_prime_checks_walk_the_body_once(sym, shape):
+    """Entailment and satisfaction of an 8,000-node prime take one walk
+    of its body, not one walk per path constraint.
+
+    The chain's value is built directly: ``witness_prime`` gives every
+    bound variable of a chain its own tree, n * n / 2 nodes in all.
+    """
+    n = 8000
+    if shape == "chain":
+        beta = _sorted_ring_prime(sym, n, closed=False)
+        alpha = {sym.var("x0"): _chain_tree(sym, n)}
+        short = {sym.var("x0"): _chain_tree(sym, n - 1)}
+    else:
+        beta = _sorted_ring_prime(sym, n, closed=True)
+        alpha = witness_prime(beta, sym.fresh_sort("D"))
+        short = {sym.var("x0"): _chain_tree(sym, n)}
+    last = max(beta.bound, key=lambda v: int(v.name[1:]))
+    unsorted = tuple(a for a in beta.body.graph if a != SortC(sym.sort("A"), last))
+    weaker = requantify(beta.bound, SolvedFormula((), unsorted))
+    with _wall_limit(1.0):
+        assert prime_entails(beta, beta)
+    with _wall_limit(1.0):
+        assert prime_entails(beta, weaker) and not prime_entails(weaker, beta)
+    with _wall_limit(1.0):
+        assert satisfies_prime(alpha, beta)
+    with _wall_limit(1.0):
+        assert not satisfies_prime(short, beta)
