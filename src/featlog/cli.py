@@ -2,9 +2,9 @@
 
 Each subcommand reads one input (a file path, or ``-`` for standard
 input) holding a single formula; ``entail`` expects two formulae
-separated by ``;``.  Verdicts are printed as fixed upper-case tokens so
-scripts can match on them.  Exit codes: 0 verdict produced, 2 parse or
-validation error, 3 resource limit.
+separated by a ``;`` outside ``#`` comments.  Verdicts are printed as
+fixed upper-case tokens so scripts can match on them.  Exit codes: 0
+verdict produced, 2 parse or validation error, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .core import Bottom, Formula, Symbols, free_vars
@@ -96,8 +97,19 @@ def _solve_epc(
         return None
 
 
+# a ';' separates the formulae of an entailment, except inside a comment
+_SEPARATOR_RE = re.compile(r"#[^\n]*|;")
+
+
+def _split_formulae(text: str) -> list[str]:
+    """The parts of ``text`` between its separators."""
+    cuts = [m.start() for m in _SEPARATOR_RE.finditer(text) if m.group() == ";"]
+    bounds = [-1, *cuts, len(text)]
+    return [text[a + 1 : b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _cmd_entail(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
-    parts = text.split(";")
+    parts = _split_formulae(text)
     if len(parts) != 2:
         print("entail needs exactly two formulae separated by ';'", file=sys.stderr)
         return 2

@@ -65,11 +65,14 @@ class Symbols:
 
     The session is the parser's symbol table: nothing after parsing
     reads or writes it, so one session may serve any number of
-    decisions without growing beyond the spellings it has parsed.  The
-    one name it mints is ``fresh_sort``'s, carrying the reserved ``_``
+    decisions without growing beyond the spellings it has parsed.  A
+    spelling is checked once, when it enters its table; a lookup of a
+    spelling already there is one dictionary access.  The one name the
+    session mints is ``fresh_sort``'s, carrying the reserved ``_``
     prefix, which the concrete syntax rejects and the programmatic
     constructors refuse, so it never collides with a user-supplied
-    sort.  The session is mutable; confine it to one thread or
+    sort; minted sorts stay out of the table, so ``sort`` refuses their
+    spelling too.  The session is mutable; confine it to one thread or
     synchronize access externally.
     """
 
@@ -90,38 +93,30 @@ class Symbols:
             raise ValueError(f"feature and variable names start lower-case: {name!r}")
 
     def sort(self, name: str) -> SortId:
-        self._check(name, upper=True)
         ident = self._sorts.get(name)
         if ident is None:
-            ident = SortId(name)
-            self._sorts[name] = ident
+            self._check(name, upper=True)
+            ident = self._sorts[name] = SortId(name)
         return ident
 
     def feat(self, name: str) -> FeatId:
-        self._check(name, upper=False)
         ident = self._feats.get(name)
         if ident is None:
-            ident = FeatId(name)
-            self._feats[name] = ident
+            self._check(name, upper=False)
+            ident = self._feats[name] = FeatId(name)
         return ident
 
     def var(self, name: str) -> VarId:
-        self._check(name, upper=False)
         ident = self._vars.get(name)
         if ident is None:
-            ident = VarId(name)
-            self._vars[name] = ident
+            self._check(name, upper=False)
+            ident = self._vars[name] = VarId(name)
         return ident
 
     def fresh_sort(self, hint: str = "S") -> SortId:
-        """A sort distinct from every sort interned so far."""
-        hint = hint.lstrip("_") or "S"
-        while True:
-            self._fresh += 1
-            name = f"_{hint}{self._fresh}"
-            if name not in self._sorts:
-                ident = self._sorts[name] = SortId(name)
-                return ident
+        """A sort distinct from every sort interned or minted so far."""
+        self._fresh += 1
+        return SortId(f"_{hint.lstrip('_') or 'S'}{self._fresh}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import count
+from string import ascii_letters
 
 from .core import (
     BOTTOM,
@@ -58,7 +59,8 @@ from .core import (
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Byte offsets (start, end) into the input text."""
+    """Character offsets (start, end) into the input text, counted in
+    code points, not in bytes of its UTF-8 encoding."""
 
     start: int
     end: int
@@ -71,113 +73,94 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'uident', 'lident', 'kw', punctuation text, or 'eof'
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
-
-
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<iff><->)
-      | (?P<imp>->)
-      | (?P<punct>[()~&|=@.,])
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+# One alternative per lexeme class.  The matches of ``findall`` tile the
+# text: every character is whitespace or the start of a match.  Skipped
+# text is its own alternative, not a prefix of every token, which keeps
+# the scan linear; a prefix such as ``(?:\s+|#[^\n]*)*`` backtracks
+# exponentially.
+_LEXEME_RE = re.compile(
+    r"""\s+ | \#[^\n]*               # whitespace or a comment, skipped
+      | <-> | -> | [()~&|=@.,]         # punctuation, its own kind
+      | [A-Za-z_][A-Za-z0-9_]*         # identifier
+      | \S                             # anything else, an error
     """,
     re.VERBOSE,
 )
 
+# the kind of a lexeme that is a kind of its own: punctuation and keywords
+_OWN_KIND = {w: w for w in ("<->", "->", *"()~&|=@.,", *RESERVED_WORDS)}
+# the kind of any other identifier, by its first letter
+_IDENT_KIND = {c: "uident" if c.isupper() else "lident" for c in ascii_letters}
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
+
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The tokens of ``text`` as parallel lists of kind, text and start,
+    ending with an ``eof`` token at the end of the text."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
     pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for lexeme in _LEXEME_RE.findall(text):
+        kind = _OWN_KIND.get(lexeme) or _IDENT_KIND.get(lexeme[0])
+        if kind is not None:
+            kinds.append(kind)
+            texts.append(lexeme)
+            starts.append(pos)
+        elif lexeme[0] == "_":
             raise ParseError(
-                f"unexpected character {text[pos]!r}", SourceSpan(pos, pos + 1)
+                "identifiers starting with '_' are reserved",
+                SourceSpan(pos, pos + len(lexeme)),
             )
-        start, end = m.span()
-        if m.lastgroup == "ws":
-            pos = end
-            continue
-        if m.lastgroup == "ident":
-            word = m.group("ident")
-            if word.startswith("_"):
-                raise ParseError(
-                    "identifiers starting with '_' are reserved",
-                    SourceSpan(start, end),
-                )
-            if word in RESERVED_WORDS:
-                kind = "kw"
-            elif word[0].isupper():
-                kind = "uident"
-            else:
-                kind = "lident"
-            toks.append(_Token(kind, word, start, end))
-        elif m.lastgroup == "iff":
-            toks.append(_Token("<->", "<->", start, end))
-        elif m.lastgroup == "imp":
-            toks.append(_Token("->", "->", start, end))
-        else:
-            toks.append(_Token(m.group("punct"), m.group("punct"), start, end))
-        pos = end
-    toks.append(_Token("eof", "", n, n))
-    return toks
+        elif lexeme[0] != "#" and not lexeme[0].isspace():
+            raise ParseError(f"unexpected character {lexeme!r}", SourceSpan(pos, pos + 1))
+        pos += len(lexeme)
+    kinds.append("eof")
+    texts.append("")
+    starts.append(pos)
+    return kinds, texts, starts
 
 
 class _Parser:
+    """Recursive descent over the token lists; ``pos`` never passes the
+    ``eof`` token, whose kind no rule consumes."""
+
     def __init__(self, sym: Symbols, text: str):
         self.sym = sym
-        self.toks = _tokenize(text)
+        self.kinds, self.texts, self.starts = _scan(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
-
-    def next(self) -> _Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.next()
+    def take(self, kind: str, what: str) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.fail(f"expected {what}, found {self.texts[pos] or 'end of input'!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().span)
+        """An error at the next token."""
+        start = self.starts[self.pos]
+        return ParseError(message, SourceSpan(start, start + len(self.texts[self.pos])))
 
     # precedence climbing: iff < implies < or < and < not/quantifier < atom
 
     def parse(self) -> Formula:
         phi = self.parse_iff()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r} after formula", tok.span)
+        if self.kinds[self.pos] != "eof":
+            raise self.fail(f"unexpected {self.texts[self.pos]!r} after formula")
         return phi
 
     def parse_iff(self) -> Formula:
         lhs = self.parse_implies()
-        if self.peek().kind == "<->":
-            self.next()
+        if self.kinds[self.pos] == "<->":
+            self.pos += 1
             return Iff(lhs, self.parse_iff())
         return lhs
 
     def parse_implies(self) -> Formula:
         lhs = self.parse_or()
-        if self.peek().kind == "->":
-            self.next()
+        if self.kinds[self.pos] == "->":
+            self.pos += 1
             return Implies(lhs, self.parse_implies())
         return lhs
 
@@ -190,116 +173,112 @@ class _Parser:
     def parse_chain(self, node, op: str, operand) -> Formula:
         """One n-ary node for a chain of ``op``; a lone operand as it is."""
         first = operand()
-        if self.peek().kind != op:
+        kinds = self.kinds
+        if kinds[self.pos] != op:
             return first
         args = [first]
-        while self.peek().kind == op:
-            self.next()
+        while kinds[self.pos] == op:
+            self.pos += 1
             args.append(operand())
         return node(tuple(args))
 
     def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
+        kind = self.kinds[self.pos]
+        if kind == "~":
+            self.pos += 1
             return Not(self.parse_unary())
-        if tok.kind == "kw" and tok.text in ("exists", "forall"):
-            self.next()
+        if kind == "exists" or kind == "forall":
+            self.pos += 1
             names = [self.parse_var()]
-            while self.peek().kind == ",":
-                self.next()
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
                 names.append(self.parse_var())
-            self.expect(".", "'.' after quantified variables")
-            return _block(Exists if tok.text == "exists" else Forall, names, self.parse_iff())
+            self.take(".", "'.' after quantified variables")
+            return _block(Exists if kind == "exists" else Forall, names, self.parse_iff())
         return self.parse_primary()
 
     def parse_var(self) -> VarId:
-        tok = self.expect("lident", "a variable")
-        return self.sym.var(tok.text)
+        return self.sym.var(self.take("lident", "a variable"))
 
     def parse_feat(self) -> FeatId:
-        tok = self.expect("lident", "a feature")
-        return self.sym.feat(tok.text)
+        return self.sym.feat(self.take("lident", "a feature"))
 
     def parse_path(self) -> Path:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text == "eps":
-            self.next()
-            if self.peek().kind == ".":
+        if self.kinds[self.pos] == "eps":
+            self.pos += 1
+            if self.kinds[self.pos] == ".":
                 raise self.fail("'eps' stands alone as a path")
             return EPS
         feats = [self.parse_feat()]
-        while self.peek().kind == ".":
-            self.next()
+        while self.kinds[self.pos] == ".":
+            self.pos += 1
             feats.append(self.parse_feat())
         return Path(tuple(feats))
 
     def parse_primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "(":
+            self.pos = pos + 1
             phi = self.parse_iff()
-            self.expect(")", "')'")
+            self.take(")", "')'")
             return phi
-        if tok.kind == "kw" and tok.text == "true":
-            self.next()
-            return TOP
-        if tok.kind == "kw" and tok.text == "false":
-            self.next()
-            return BOTTOM
-        if tok.kind == "kw" and tok.text == "undef":
-            self.next()
-            self.expect("(", "'(' after undef")
-            v = self.parse_var()
-            self.expect(",", "','")
-            f = self.parse_feat()
-            self.expect(")", "')'")
-            return Atomic(Excl(v, f))
-        if tok.kind == "uident":
-            self.next()
-            sort = self.sym.sort(tok.text)
-            nxt = self.peek()
-            if nxt.kind == "(":
-                self.next()
+        if kind == "uident":
+            sort = self.sym.sort(self.texts[pos])
+            nxt = self.kinds[pos + 1]
+            if nxt == "(":
+                self.pos = pos + 2
                 v = self.parse_var()
-                self.expect(")", "')'")
+                self.take(")", "')'")
                 return Atomic(SortC(sort, v))
-            if nxt.kind == "@":
-                self.next()
+            if nxt == "@":
+                self.pos = pos + 2
                 v = self.parse_var()
-                self.expect(".", "'.' before the path")
-                p = self.parse_path()
-                return SugarSortAt(sort, v, p)
+                self.take(".", "'.' before the path")
+                return SugarSortAt(sort, v, self.parse_path())
+            self.pos = pos + 1
             raise self.fail("expected '(' or '@' after a sort name")
-        if tok.kind == "lident":
-            self.next()
-            nxt = self.peek()
-            if nxt.kind == "(":
-                feat = self.sym.feat(tok.text)
-                self.next()
+        if kind == "lident":
+            name = self.texts[pos]
+            nxt = self.kinds[pos + 1]
+            self.pos = pos + 2
+            if nxt == "(":
+                feat = self.sym.feat(name)
                 a = self.parse_var()
-                self.expect(",", "','")
+                self.take(",", "','")
                 b = self.parse_var()
-                self.expect(")", "')'")
+                self.take(")", "')'")
                 return Atomic(FeatC(a, feat, b))
-            if nxt.kind == "=":
-                self.next()
+            if nxt == "=":
                 rhs = self.parse_var()
-                if self.peek().kind == ".":
+                if self.kinds[self.pos] == ".":
                     raise self.fail(
                         "equations relate plain variables; "
                         "write x.eps = y.p for path agreement"
                     )
-                return Atomic(Eq(self.sym.var(tok.text), rhs))
-            if nxt.kind == ".":
-                self.next()
+                return Atomic(Eq(self.sym.var(name), rhs))
+            if nxt == ".":
                 lpath = self.parse_path()
-                self.expect("=", "'=' in a path agreement")
+                self.take("=", "'=' in a path agreement")
                 rhs = self.parse_var()
-                self.expect(".", "'.' before the right-hand path")
-                rpath = self.parse_path()
-                return SugarAgree(self.sym.var(tok.text), lpath, rhs, rpath)
+                self.take(".", "'.' before the right-hand path")
+                return SugarAgree(self.sym.var(name), lpath, rhs, self.parse_path())
+            self.pos = pos + 1
             raise self.fail("expected '(', '=' or '.' after an identifier")
+        if kind == "true":
+            self.pos = pos + 1
+            return TOP
+        if kind == "false":
+            self.pos = pos + 1
+            return BOTTOM
+        if kind == "undef":
+            self.pos = pos + 1
+            self.take("(", "'(' after undef")
+            v = self.parse_var()
+            self.take(",", "','")
+            f = self.parse_feat()
+            self.take(")", "')'")
+            return Atomic(Excl(v, f))
         raise self.fail("expected a formula")
 
 

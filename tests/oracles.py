@@ -17,19 +17,26 @@ form, which builds the library's prime DNF with clauses keyed by the
 primes themselves instead of by integer ids, and the projection checks,
 which decide entailment and satisfaction of primes by walking every
 constraint of a projection from its root through the library's closure
-membership and value walks, instead of walking the body once.
+membership and value walks, instead of walking the body once.  The
+reference parser matches one token at a time, whitespace and comments
+as separate matches, into token records, and builds its formulae with
+the library's constructors and interns its names in the library's
+``Symbols``.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import re
 from collections import Counter
+from dataclasses import dataclass
 from typing import Sequence
 
 from featlog import (
     BOTTOM,
     SATISFIABLE,
+    TOP,
     TOP_PRIME,
     UNSATISFIABLE,
     Agree,
@@ -46,6 +53,8 @@ from featlog import (
     Implies,
     Not,
     Or,
+    ParseError,
+    Path,
     PrimeFormula,
     Reach,
     RootedPath,
@@ -54,8 +63,10 @@ from featlog import (
     SortAt,
     SortC,
     SortId,
+    SourceSpan,
     SugarAgree,
     SugarSortAt,
+    Symbols,
     Top,
     VarId,
     decide,
@@ -69,7 +80,7 @@ from featlog import (
     projection,
     to_prime_dnf,
 )
-from featlog.core import atom_key, atom_vars, rename_atom
+from featlog.core import EPS, RESERVED_WORDS, atom_key, atom_vars, rename_atom
 from featlog.models import enumerate_values, root_sort, subvalue
 from featlog.prime import from_atom
 from featlog.paths import PathConstraint, is_proper
@@ -711,3 +722,250 @@ def bounded_evaluate(sym, kind, alpha, phi, node_bound=4, budget=20000):
         # ev refers to itself, so its closure outlives this call until the
         # cyclic collector runs: release the candidates now
         candidates = None
+
+
+# ---------------------------------------------------------------------------
+# Reference parser
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'uident', 'lident', 'kw', punctuation text, or 'eof'
+    text: str
+    start: int
+    end: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end)
+
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+|\#[^\n]*)
+      | (?P<iff><->)
+      | (?P<imp>->)
+      | (?P<punct>[()~&|=@.,])
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
+
+
+def _tokenize(text: str) -> list[_Token]:
+    toks: list[_Token] = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", SourceSpan(pos, pos + 1)
+            )
+        start, end = m.span()
+        if m.lastgroup == "ws":
+            pos = end
+            continue
+        if m.lastgroup == "ident":
+            word = m.group("ident")
+            if word.startswith("_"):
+                raise ParseError(
+                    "identifiers starting with '_' are reserved",
+                    SourceSpan(start, end),
+                )
+            if word in RESERVED_WORDS:
+                kind = "kw"
+            elif word[0].isupper():
+                kind = "uident"
+            else:
+                kind = "lident"
+            toks.append(_Token(kind, word, start, end))
+        elif m.lastgroup == "iff":
+            toks.append(_Token("<->", "<->", start, end))
+        elif m.lastgroup == "imp":
+            toks.append(_Token("->", "->", start, end))
+        else:
+            toks.append(_Token(m.group("punct"), m.group("punct"), start, end))
+        pos = end
+    toks.append(_Token("eof", "", n, n))
+    return toks
+
+
+def _reference_block(node, vs, body):
+    if isinstance(body, node):
+        return node((*vs, *body.vars), body.body)
+    return node(tuple(vs), body)
+
+
+class _ReferenceParser:
+    def __init__(self, sym: Symbols, text: str):
+        self.sym = sym
+        self.toks = _tokenize(text)
+        self.pos = 0
+
+    def peek(self, ahead: int = 0) -> _Token:
+        i = min(self.pos + ahead, len(self.toks) - 1)
+        return self.toks[i]
+
+    def next(self) -> _Token:
+        tok = self.toks[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
+        return self.next()
+
+    def fail(self, message: str) -> ParseError:
+        return ParseError(message, self.peek().span)
+
+    def parse(self):
+        phi = self.parse_iff()
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected {tok.text!r} after formula", tok.span)
+        return phi
+
+    def parse_iff(self):
+        lhs = self.parse_implies()
+        if self.peek().kind == "<->":
+            self.next()
+            return Iff(lhs, self.parse_iff())
+        return lhs
+
+    def parse_implies(self):
+        lhs = self.parse_or()
+        if self.peek().kind == "->":
+            self.next()
+            return Implies(lhs, self.parse_implies())
+        return lhs
+
+    def parse_or(self):
+        return self.parse_chain(Or, "|", self.parse_and)
+
+    def parse_and(self):
+        return self.parse_chain(And, "&", self.parse_unary)
+
+    def parse_chain(self, node, op: str, operand):
+        first = operand()
+        if self.peek().kind != op:
+            return first
+        args = [first]
+        while self.peek().kind == op:
+            self.next()
+            args.append(operand())
+        return node(tuple(args))
+
+    def parse_unary(self):
+        tok = self.peek()
+        if tok.kind == "~":
+            self.next()
+            return Not(self.parse_unary())
+        if tok.kind == "kw" and tok.text in ("exists", "forall"):
+            self.next()
+            names = [self.parse_var()]
+            while self.peek().kind == ",":
+                self.next()
+                names.append(self.parse_var())
+            self.expect(".", "'.' after quantified variables")
+            node = Exists if tok.text == "exists" else Forall
+            return _reference_block(node, names, self.parse_iff())
+        return self.parse_primary()
+
+    def parse_var(self) -> VarId:
+        tok = self.expect("lident", "a variable")
+        return self.sym.var(tok.text)
+
+    def parse_feat(self) -> FeatId:
+        tok = self.expect("lident", "a feature")
+        return self.sym.feat(tok.text)
+
+    def parse_path(self) -> Path:
+        tok = self.peek()
+        if tok.kind == "kw" and tok.text == "eps":
+            self.next()
+            if self.peek().kind == ".":
+                raise self.fail("'eps' stands alone as a path")
+            return EPS
+        feats = [self.parse_feat()]
+        while self.peek().kind == ".":
+            self.next()
+            feats.append(self.parse_feat())
+        return Path(tuple(feats))
+
+    def parse_primary(self):
+        tok = self.peek()
+        if tok.kind == "(":
+            self.next()
+            phi = self.parse_iff()
+            self.expect(")", "')'")
+            return phi
+        if tok.kind == "kw" and tok.text == "true":
+            self.next()
+            return TOP
+        if tok.kind == "kw" and tok.text == "false":
+            self.next()
+            return BOTTOM
+        if tok.kind == "kw" and tok.text == "undef":
+            self.next()
+            self.expect("(", "'(' after undef")
+            v = self.parse_var()
+            self.expect(",", "','")
+            f = self.parse_feat()
+            self.expect(")", "')'")
+            return Atomic(Excl(v, f))
+        if tok.kind == "uident":
+            self.next()
+            sort = self.sym.sort(tok.text)
+            nxt = self.peek()
+            if nxt.kind == "(":
+                self.next()
+                v = self.parse_var()
+                self.expect(")", "')'")
+                return Atomic(SortC(sort, v))
+            if nxt.kind == "@":
+                self.next()
+                v = self.parse_var()
+                self.expect(".", "'.' before the path")
+                p = self.parse_path()
+                return SugarSortAt(sort, v, p)
+            raise self.fail("expected '(' or '@' after a sort name")
+        if tok.kind == "lident":
+            self.next()
+            nxt = self.peek()
+            if nxt.kind == "(":
+                feat = self.sym.feat(tok.text)
+                self.next()
+                a = self.parse_var()
+                self.expect(",", "','")
+                b = self.parse_var()
+                self.expect(")", "')'")
+                return Atomic(FeatC(a, feat, b))
+            if nxt.kind == "=":
+                self.next()
+                rhs = self.parse_var()
+                if self.peek().kind == ".":
+                    raise self.fail(
+                        "equations relate plain variables; "
+                        "write x.eps = y.p for path agreement"
+                    )
+                return Atomic(Eq(self.sym.var(tok.text), rhs))
+            if nxt.kind == ".":
+                self.next()
+                lpath = self.parse_path()
+                self.expect("=", "'=' in a path agreement")
+                rhs = self.parse_var()
+                self.expect(".", "'.' before the right-hand path")
+                rpath = self.parse_path()
+                return SugarAgree(self.sym.var(tok.text), lpath, rhs, rpath)
+            raise self.fail("expected '(', '=' or '.' after an identifier")
+        raise self.fail("expected a formula")
+
+
+def reference_parse(sym: Symbols, text: str):
+    """``parse_formula`` as a token-record tokenizer, matching one token
+    at a time after skipping whitespace as its own match, and a
+    recursive-descent parser over those records."""
+    return _ReferenceParser(sym, text).parse()

@@ -71,6 +71,18 @@ def test_entail_arity_error(tmp_path, capsys):
     assert code == 2 and err
 
 
+def test_entail_splits_outside_comments(tmp_path, capsys):
+    """A ';' inside a comment is part of the comment; each part keeps
+    its own text, so spans count from the part's start."""
+    path = write(tmp_path, "A(x) & B(x) # both; see below\n; A(x)\n")
+    code, out, err = run(capsys, "entail", path)
+    assert (code, out, err) == (0, "ENTAILED\n", "")
+    code, _, err = run(capsys, "entail", write(tmp_path, "A(x) # a;b\n; B(x) &"))
+    assert (code, err) == (2, "parse error: expected a formula at 7..7\n")
+    code, _, err = run(capsys, "entail", write(tmp_path, "A(x) ; B(x) ; C(x) # ;"))
+    assert (code, err) == (2, "entail needs exactly two formulae separated by ';'\n")
+
+
 def test_witness_json(tmp_path, capsys):
     path = write(tmp_path, "exists y. (f(x, y) & A(y))")
     code, out, _ = run(capsys, "witness", path)

@@ -69,6 +69,17 @@ def test_interning_is_stable(sym):
     assert sym.sort("A") == sym.sort("A")
 
 
+def test_minted_sorts_stay_reserved():
+    """A name is checked when it enters the session, and a minted sort
+    never enters it, so ``sort`` refuses the spelling ``fresh_sort``
+    gave out."""
+    sym = Symbols()
+    assert sym.fresh_sort("Default").name == "_Default1"
+    with pytest.raises(ValueError):
+        sym.sort("_Default1")
+    assert sym.fresh_sort("Default").name == "_Default2"
+
+
 def _binders(phi):
     """The variables of every quantifier block, outermost first."""
     if isinstance(phi, (Exists, Forall)):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from featlog import (
     SortC,
     SugarAgree,
     SugarSortAt,
+    Symbols,
     canonical_formula,
     expand_sugar,
     free_vars,
@@ -27,6 +29,7 @@ from featlog import (
 from featlog.core import EPS
 
 from generators import random_quantified_formula
+from oracles import reference_parse
 from test_solve import _wall_limit
 
 
@@ -89,6 +92,90 @@ def test_parse_errors_carry_spans(sym):
 def test_comments_and_whitespace(sym):
     text = "# a comment\n  A(x) &  # trailing\n  B(x)\n"
     assert parse_formula(sym, text) == parse_formula(sym, "A(x) & B(x)")
+
+
+def test_spans_count_characters_not_bytes(sym):
+    text = "# caf\u00e9\nA(x) &"
+    assert len(text) == 13 and len(text.encode("utf-8")) == 14
+    with pytest.raises(ParseError) as err:
+        parse_formula(sym, text)
+    assert str(err.value) == "expected a formula at 13..13"
+
+
+def test_scanning_is_linear_in_skipped_text(sym):
+    """Whitespace and comments are skipped in one match each, so long
+    runs of them cost linear time and a comment's text is never read
+    as tokens."""
+    atom = parse_formula(sym, "A(x)")
+    with _wall_limit(5.0):
+        assert parse_formula(sym, "A(x)" + " " * 10**6) == atom
+        assert parse_formula(sym, "A(x) #" + " y" * 500_000) == atom
+        assert parse_formula(sym, "#" + " y" * 500_000 + "\nA(x)") == atom
+    n = 100_000
+    text = "  \n\t &  \n ".join(f"A(x{i})" for i in range(n)) + " \n" * 1000
+    with _wall_limit(10.0):
+        phi = parse_formula(sym, text)
+    assert isinstance(phi, And) and len(phi.args) == n
+    assert phi.args[-1] == parse_formula(sym, f"A(x{n - 1})")
+
+
+# printed forms with every construct the random formulae lack
+_SUGAR_TEXTS = [
+    "undef(x, f) | A@y.g & x.f = y.eps",
+    "x.f.g = y.h -> true <-> ~false",
+    "exists x, y. forall z. (B@x.eps & undef(z, g)) | x = y",
+    "(A(x) <-> B(x)) <-> (C(x) -> D(x) -> A(y))",
+]
+
+# what a mutation inserts or substitutes
+_MUTATIONS = [
+    "_", "#", ";", "\n", "   ", "\u00e9", "\u00a0", "\t", "_x", "# note\n",
+    "(", ")", "~", "&", "|", "=", "@", ".", ",", "->", "<->", "<", "-", ">",
+    "x", "A", "f", "9", "eps", "exists", "true", "undef",
+]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """``text`` with one to three characters deleted, inserted or
+    substituted."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        how = rng.random()
+        if how < 0.3 and text:
+            i = min(i, len(text) - 1)
+            text = text[:i] + text[i + 1 :]
+        elif how < 0.65:
+            text = text[:i] + rng.choice(_MUTATIONS) + text[i:]
+        else:
+            text = text[:i] + rng.choice(_MUTATIONS) + text[i + 1 :]
+    return text
+
+
+def test_parser_agrees_with_the_reference_parser(sym):
+    """The same tree, or the same error message and span, as the
+    token-record parser on random formulae and on mutated copies."""
+    rng = random.Random(15)
+    texts = list(_SUGAR_TEXTS)
+    while len(texts) < 500:
+        texts.append(print_formula(random_quantified_formula(rng, sym)))
+    texts += [_mutate(rng, text) for text in texts for _ in range(4)]
+    outcomes: Counter = Counter()
+    for text in texts:
+        try:
+            want = reference_parse(Symbols(), text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_formula(Symbols(), text)
+            assert (err.value.message, err.value.span) == (exc.message, exc.span), text
+            unexpected = exc.message.startswith("unexpected character")
+            outcomes["unexpected character" if unexpected else exc.message] += 1
+        else:
+            assert parse_formula(Symbols(), text) == want, text
+            outcomes["parsed"] += 1
+    assert len(texts) >= 2000
+    assert outcomes["parsed"] >= 700
+    assert outcomes["unexpected character"] >= 50
+    assert outcomes["identifiers starting with '_' are reserved"] >= 50
 
 
 def test_expand_exclusion(sym):
