@@ -96,7 +96,6 @@ from .qe import (
     decide,
     eliminate_clause,
     eliminate_neg,
-    is_free,
     is_joker,
     to_prime_dnf,
 )

@@ -102,10 +102,12 @@ _SEPARATOR_RE = re.compile(r"#[^\n]*|;")
 
 
 def _split_formulae(text: str) -> list[str]:
-    """The parts of ``text`` between its separators."""
+    """The parts of ``text`` between its separators, each after as many
+    blanks as it has characters before it, so its spans count from the
+    start of ``text``."""
     cuts = [m.start() for m in _SEPARATOR_RE.finditer(text) if m.group() == ";"]
     bounds = [-1, *cuts, len(text)]
-    return [text[a + 1 : b] for a, b in zip(bounds, bounds[1:])]
+    return [" " * (a + 1) + text[a + 1 : b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _cmd_entail(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:

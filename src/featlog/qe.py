@@ -26,7 +26,10 @@ always be moved to falsify a joker without disturbing beta, so when the
 projection of beta' contains one, the negation is vacuous and
 ``exists X beta`` remains.  Otherwise what beta' asks of X is pinned
 down and the clause is equivalent to
-``exists X beta and not exists X (beta and beta')``.
+``exists X beta and not exists X (beta and beta')``.  The projection is
+never built: one walk of beta' (``positions``) places each of its
+variables on beta's body, with whether its access path is free, so each
+equation, sort and edge of beta' is one test.
 
 Open input needs no elimination of its free variables: because sorts
 and features are unbounded, a clause of prime literals is satisfiable
@@ -38,7 +41,7 @@ existential closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Collection, Iterable, Sequence, Union
 
 from .core import (
@@ -57,24 +60,17 @@ from .core import (
     VarId,
     free_vars,
 )
-from .paths import (
-    Agree,
-    PathConstraint,
-    RootedPath,
-    SortAt,
-    is_proper,
-    prime_closure_contains,
-)
+from .paths import PathConstraint, SortAt, is_proper
 from .prime import (
     PrimeFormula,
     TOP_PRIME,
     adjacency,
     from_atom,
     mk_prime_exists,
+    positions,
     prime_conj,
     prime_entails,
     prime_to_formula,
-    projection,
 )
 from .textio import expand_sugar
 
@@ -212,47 +208,54 @@ def boolcomb_to_formula(delta: BoolComb) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Freeness and jokers
+# Jokers
 
 
-def is_free(beta: PrimeFormula, xs: Collection[VarId], rp: RootedPath) -> bool:
-    """Whether no realized prefix of the rooted path is provably shared.
+def _placer(beta: PrimeFormula, block: frozenset[VarId]):
+    """``start`` and ``step`` for ``positions``, placing a rooted path at
+    (the node of beta's body it reaches or None, whether it is free).
 
-    The rooted path x.p, x in the block xs, is unfree when some prefix
-    p' reaches a node that is also reached from a variable outside both
-    the block and the bound set; such agreements survive in the closure
-    of the prime formula and pin the node down independently of the
-    block.  One search collects every such node: each admissible
-    variable, its binding, and everything reachable from the binding.
+    The pinned nodes are where the variables outside both the block and
+    the bound set start, at their bindings, and all they reach.  A root
+    outside the body, or bound by beta, is a node of its own; any other
+    root starts at its binding.  A path rooted in the block is free until
+    it meets a pinned node, so one that steps off the body stays as it was.
     """
-    x = rp.root
-    if x in beta.bound:
-        return True
-    block = frozenset(xs)
     body = beta.body
-    edges = body.edges
-    binding = body.binding
-    adj = adjacency(edges)
-    admissible = [y for y in body.variables if y not in block and y not in beta.bound]
-    reached: set[VarId] = set()
-    stack = [binding.get(y, y) for y in admissible]
+    binding, edges, adj = body.binding, body.edges, adjacency(body.edges)
+    pinned: set[VarId] = set()
+    stack = [binding.get(y, y) for y in body.variables - block - beta.bound]
     while stack:
         u = stack.pop()
-        if u not in reached:
-            reached.add(u)
+        if u not in pinned:
+            pinned.add(u)
             stack.extend(w for _f, w in adj.get(u, ()))
-    shared = reached.union(admissible)
-    # prefix eps: both x and its binding are reached at the empty path
-    if x in shared or binding.get(x) in shared:
-        return False
-    node = binding.get(x, x)
-    for f in rp.path.feats:
-        node = edges.get((node, f))
-        if node is None:
-            return True
-        if node in shared:
-            return False
-    return True
+
+    def start(v: VarId) -> tuple:
+        node = (v,) if v in beta.bound or v not in body.variables else binding.get(v, v)
+        return node, v in block and node not in pinned
+
+    def step(place: tuple, feat) -> tuple:
+        node = edges.get((place[0], feat))
+        return node, place[1] and node not in pinned
+
+    return start, step
+
+
+def _agree_joker(lhs: tuple, rhs: tuple) -> bool:
+    # outside the closure, where the sides miss each other, and free on a side
+    return (lhs[0] is None or lhs[0] != rhs[0]) and (lhs[1] or rhs[1])
+
+
+def _has_joker(beta: PrimeFormula, placer, beta2: PrimeFormula) -> bool:
+    """Whether the projection of beta2 holds a joker, in one walk of its body."""
+    pos = positions(beta2, *placer)
+    body2, step, sorts = beta2.body, placer[1], beta.body.sorts
+    return (
+        any(_agree_joker(pos[eq.lhs], pos[eq.rhs]) for eq in body2.normalizer)
+        or any(pos[v][1] and sorts.get(pos[v][0]) != s for v, s in body2.sorts.items())
+        or any(_agree_joker(step(pos[u], f), pos[w]) for (u, f), w in body2.edges.items())
+    )
 
 
 def is_joker(beta: PrimeFormula, xs: Collection[VarId], pi: PathConstraint) -> bool:
@@ -261,18 +264,17 @@ def is_joker(beta: PrimeFormula, xs: Collection[VarId], pi: PathConstraint) -> b
 
     Jokers are exactly the proper constraints a quantified block can
     always escape: their side rooted in the block can be rerouted
-    without touching the rest of the formula.
+    without touching the rest of the formula.  A side is placed by
+    folding the placer's step over its path.
     """
     if not is_proper(pi):
         raise ValueError("jokers are defined for proper path constraints")
-    if prime_closure_contains(beta, pi):
-        return False
+    start, step = _placer(beta, frozenset(xs))
     if isinstance(pi, SortAt):
-        return pi.src in xs and is_free(beta, xs, RootedPath(pi.src, pi.path))
-    assert isinstance(pi, Agree)
-    if pi.lsrc in xs and is_free(beta, xs, RootedPath(pi.lsrc, pi.lpath)):
-        return True
-    return pi.rsrc in xs and is_free(beta, xs, RootedPath(pi.rsrc, pi.rpath))
+        node, free = reduce(step, pi.path.feats, start(pi.src))
+        return free and beta.body.sorts.get(node) != pi.sort
+    lhs = reduce(step, pi.lpath.feats, start(pi.lsrc))
+    return _agree_joker(lhs, reduce(step, pi.rpath.feats, start(pi.rsrc)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +309,15 @@ def _clause_eliminator(block: frozenset[VarId]):
     """``eliminate_clause`` for one block, remembering what it solved.
 
     Clauses of one normal form share positives and negatives, so the
-    merged positives and their requantification are kept per set of
+    merged positives, requantification and placer are kept per set of
     positives, and the literal each negative subtracts (or None) per
     pair of merged positives and negative.  Sets of positives that merge
     to equal primes share one entry, so later lookups of that prime and
     of its requantification succeed on identity.  The tables live as
     long as the returned function.
     """
-    solved: dict[frozenset, tuple[PrimeFormula, BoolComb] | None] = {}
-    merged: dict[PrimeFormula, tuple[PrimeFormula, BoolComb]] = {}
+    solved: dict[frozenset, tuple | None] = {}
+    merged: dict[PrimeFormula, tuple] = {}
     subtracted: dict[tuple[PrimeFormula, PrimeFormula], BoolComb | None] = {}
 
     def eliminate(positives: list[PrimeFormula], negatives: list[PrimeFormula]) -> BoolComb:
@@ -326,17 +328,18 @@ def _clause_eliminator(block: frozenset[VarId]):
                 solved[key] = None
             else:
                 if beta not in merged:
-                    merged[beta] = (beta, PrimeLeaf(mk_prime_exists(block, beta)))
+                    exists_beta = PrimeLeaf(mk_prime_exists(block, beta))
+                    merged[beta] = (beta, exists_beta, _placer(beta, block))
                 solved[key] = merged[beta]
         if solved[key] is None:
             return BC_FALSE
-        beta, exists_beta = solved[key]
+        beta, exists_beta, placer = solved[key]
         literals = [exists_beta]
         for beta2 in negatives:
             pair = (beta, beta2)
             if pair not in subtracted:
                 subtracted[pair] = None
-                if not any(is_joker(beta, block, pi) for pi in projection(beta2)):
+                if not _has_joker(beta, placer, beta2):
                     both = prime_conj(beta, beta2)
                     if not isinstance(both, Bottom):
                         subtracted[pair] = bc_not(PrimeLeaf(mk_prime_exists(block, both)))

@@ -120,6 +120,21 @@ def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
     return kinds, texts, starts
 
 
+_PREC_IFF = 1
+_PREC_IMPLIES = 2
+_PREC_OR = 3
+_PREC_AND = 4
+_PREC_NOT = 5
+_PREC_ATOM = 6
+
+_BINARY = {
+    "<->": (Iff, _PREC_IFF),
+    "->": (Implies, _PREC_IMPLIES),
+    "|": (Or, _PREC_OR),
+    "&": (And, _PREC_AND),
+}
+
+
 class _Parser:
     """Recursive descent over the token lists; ``pos`` never passes the
     ``eof`` token, whose kind no rule consumes."""
@@ -142,45 +157,32 @@ class _Parser:
         start = self.starts[self.pos]
         return ParseError(message, SourceSpan(start, start + len(self.texts[self.pos])))
 
-    # precedence climbing: iff < implies < or < and < not/quantifier < atom
-
     def parse(self) -> Formula:
-        phi = self.parse_iff()
+        phi = self.parse_binary(_PREC_IFF)
         if self.kinds[self.pos] != "eof":
             raise self.fail(f"unexpected {self.texts[self.pos]!r} after formula")
         return phi
 
-    def parse_iff(self) -> Formula:
-        lhs = self.parse_implies()
-        if self.kinds[self.pos] == "<->":
-            self.pos += 1
-            return Iff(lhs, self.parse_iff())
-        return lhs
-
-    def parse_implies(self) -> Formula:
-        lhs = self.parse_or()
-        if self.kinds[self.pos] == "->":
-            self.pos += 1
-            return Implies(lhs, self.parse_implies())
-        return lhs
-
-    def parse_or(self) -> Formula:
-        return self.parse_chain(Or, "|", self.parse_and)
-
-    def parse_and(self) -> Formula:
-        return self.parse_chain(And, "&", self.parse_unary)
-
-    def parse_chain(self, node, op: str, operand) -> Formula:
-        """One n-ary node for a chain of ``op``; a lone operand as it is."""
-        first = operand()
+    def parse_binary(self, least: int) -> Formula:
+        """Precedence climbing over connectives at least as tight as
+        ``least``: a chain of ``&`` or ``|`` is one n-ary node of tighter
+        operands, and ``->`` and ``<->`` associate to the right."""
+        lhs = self.parse_unary()
         kinds = self.kinds
-        if kinds[self.pos] != op:
-            return first
-        args = [first]
-        while kinds[self.pos] == op:
-            self.pos += 1
-            args.append(operand())
-        return node(tuple(args))
+        while True:
+            op = kinds[self.pos]
+            node, prec = _BINARY.get(op, (None, 0))
+            if prec < least:
+                return lhs
+            if node is Implies or node is Iff:
+                self.pos += 1
+                lhs = node(lhs, self.parse_binary(prec))
+                continue
+            args = [lhs]
+            while kinds[self.pos] == op:
+                self.pos += 1
+                args.append(self.parse_unary() if node is And else self.parse_binary(prec + 1))
+            lhs = node(tuple(args))
 
     def parse_unary(self) -> Formula:
         kind = self.kinds[self.pos]
@@ -194,7 +196,8 @@ class _Parser:
                 self.pos += 1
                 names.append(self.parse_var())
             self.take(".", "'.' after quantified variables")
-            return _block(Exists if kind == "exists" else Forall, names, self.parse_iff())
+            body = self.parse_binary(_PREC_IFF)
+            return _block(Exists if kind == "exists" else Forall, names, body)
         return self.parse_primary()
 
     def parse_var(self) -> VarId:
@@ -220,7 +223,7 @@ class _Parser:
         kind = self.kinds[pos]
         if kind == "(":
             self.pos = pos + 1
-            phi = self.parse_iff()
+            phi = self.parse_binary(_PREC_IFF)
             self.take(")", "')'")
             return phi
         if kind == "uident":
@@ -364,14 +367,6 @@ def expand_sugar(phi: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Printing
-
-_PREC_IFF = 1
-_PREC_IMPLIES = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_NOT = 5
-_PREC_ATOM = 6
-
 
 def _atom_str(atom) -> str:
     if isinstance(atom, SortC):

@@ -2,7 +2,8 @@
 
 Everything here recomputes results from first principles: the closure by
 saturating the five deduction rules up to a path-length bound, freeness
-and jokers from that closure, rule applicability by direct scanning,
+and jokers from that closure, one constraint of a projection at a time,
+rule applicability by direct scanning,
 and canonical primes by garbage collection and renaming in two separate
 searches.  None of it shares code with the walk-based implementations
 under test, except the pairwise fold, which composes the binary prime
@@ -202,6 +203,12 @@ def naive_is_joker(beta: PrimeFormula, xs, pi: PathConstraint) -> bool:
     if pi.lsrc in xs and naive_is_free(beta, xs, RootedPath(pi.lsrc, pi.lpath)):
         return True
     return pi.rsrc in xs and naive_is_free(beta, xs, RootedPath(pi.rsrc, pi.rpath))
+
+
+def projection_has_joker(beta: PrimeFormula, xs, beta2: PrimeFormula) -> bool:
+    """Whether some constraint of the projection of ``beta2`` is a joker
+    for the block xs, each judged from the saturated closure."""
+    return any(naive_is_joker(beta, xs, pi) for pi in projection(beta2))
 
 
 def _pc_len(pi: PathConstraint) -> int:

@@ -72,13 +72,13 @@ def test_entail_arity_error(tmp_path, capsys):
 
 
 def test_entail_splits_outside_comments(tmp_path, capsys):
-    """A ';' inside a comment is part of the comment; each part keeps
-    its own text, so spans count from the part's start."""
+    """A ';' inside a comment is part of the comment; a parse error in
+    either part has its span counted from the start of the input."""
     path = write(tmp_path, "A(x) & B(x) # both; see below\n; A(x)\n")
     code, out, err = run(capsys, "entail", path)
     assert (code, out, err) == (0, "ENTAILED\n", "")
     code, _, err = run(capsys, "entail", write(tmp_path, "A(x) # a;b\n; B(x) &"))
-    assert (code, err) == (2, "parse error: expected a formula at 7..7\n")
+    assert (code, err) == (2, "parse error: expected a formula at 19..19\n")
     code, _, err = run(capsys, "entail", write(tmp_path, "A(x) ; B(x) ; C(x) # ;"))
     assert (code, err) == (2, "entail needs exactly two formulae separated by ';'\n")
 
@@ -262,6 +262,43 @@ def test_output_is_deterministic_across_processes(tmp_path):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "decide", "/nonexistent/path.fl")
     assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "text, atoms",
+    [
+        pytest.param("(" * 300 + "A(x)" + ")" * 300, 1, id="300-parentheses"),
+        pytest.param(
+            " & (".join(f"A(x{i})" for i in range(240)) + ")" * 239, 240, id="240-deep-and"
+        ),
+    ],
+)
+def test_nesting_at_default_recursion_limit(tmp_path, capsys, text, atoms):
+    """The parser spends three frames per parenthesis level, so real
+    nesting a few hundred levels deep still decides."""
+    code, out, err = run(capsys, "decide", write(tmp_path, text))
+    assert code == 0, err
+    verdict, residue = out.splitlines()
+    assert verdict == "SATISFIABLE" and residue.count("A(x") == atoms
+
+
+def test_chain_negative_decides_in_linear_time(tmp_path, capsys):
+    """The joker check places the negative's n-node chain on the
+    positive's in one walk; the path from x1 is pinned by y, so the
+    negative is subtracted."""
+    n = 4000
+    xs = ", ".join(f"x{i}" for i in range(1, n + 1))
+    zs = ", ".join(f"z{i}" for i in range(1, n + 1))
+    pos = ["f(y, x1)"] + [f"f(x{i}, x{i + 1})" for i in range(1, n)]
+    neg = ["f(x1, z1)"] + [f"f(z{i}, z{i + 1})" for i in range(1, n)] + [f"A(z{n})"]
+    text = f"exists {xs}. ({' & '.join(pos)} & ~(exists {zs}. ({' & '.join(neg)})))"
+    path = write(tmp_path, text)
+    with _wall_limit(5.0):
+        code, out, err = run(capsys, "decide", path)
+    assert code == 0, err
+    verdict, residue = out.splitlines()
+    assert verdict == "SATISFIABLE"
+    assert residue.count("~(exists") == 1 and f"A(q{n})" in residue
 
 
 def test_pathological_nesting_is_an_input_error(tmp_path, capsys):

@@ -219,7 +219,7 @@ PUBLIC_NAMES = """
     boolcomb_to_formula canonical_formula canonicalize classify clause_to_formula
     closure_contains conj constrained_vars decide eliminate_clause eliminate_neg
     enumerate_values evaluate expand_sugar feature_graph feature_tree
-    formula_to_basic free_vars graph_canonical holds_path_constraint is_free
+    formula_to_basic free_vars graph_canonical holds_path_constraint
     is_joker is_prime_formula is_solved_clause is_solved_formula mk_prime_exists
     parameters parse_formula pregraph_to_graph prime_closure_contains prime_conj
     prime_entails prime_to_formula print_formula projection satisfies_prime

@@ -1,6 +1,7 @@
 import pathlib
 import random
 import runpy
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from featlog import (
     And,
     Atomic,
     Bottom,
+    Eq,
     FeatC,
     Iff,
     Not,
@@ -16,7 +18,6 @@ from featlog import (
     PrimeFormula,
     PrimeLeaf,
     ResourceLimit,
-    RootedPath,
     SolvedFormula,
     SortAt,
     SortC,
@@ -30,8 +31,8 @@ from featlog import (
     evaluate,
     expand_sugar,
     free_vars,
-    is_free,
     is_joker,
+    mk_prime_exists,
     parse_formula,
     prime_conj,
     simplify_epc,
@@ -69,8 +70,8 @@ from oracles import (
     bounded_evaluate,
     closure_classify,
     dict_prime_dnf,
-    naive_is_free,
     naive_is_joker,
+    projection_has_joker,
     split_blocks,
     unscoped_decide,
 )
@@ -82,54 +83,45 @@ def epc(sym, text):
 
 
 # --------------------------------------------------------------------------
-# freeness
-
-
-def test_is_free_examples(sym):
-    x, y = sym.var("x"), sym.var("y")
-    f, g = sym.feat("f"), sym.feat("g")
-    beta = epc(sym, "f(x, y)")
-    assert not is_free(beta, (y,), RootedPath(y, Path((g,))))
-    assert is_free(beta, (x,), RootedPath(x, Path((g,))))
-    z = sym.var("zfree")
-    assert is_free(beta, (z,), RootedPath(z, Path((f, g))))
-    assert is_free(beta, (z,), RootedPath(z, EPS))
-
-
-def test_variables_in_the_normalizer_are_never_free_roots(sym):
-    beta = epc(sym, "x = y & A(y)")
-    x = sym.var("x")
-    assert not is_free(beta, (x,), RootedPath(x, EPS))
-
-
-def test_is_free_agrees_with_naive_oracle(sym):
-    """Blocks of one to three variables, the root among them."""
-    rng = random.Random(20)
-    _, feats, vs = pools(sym)
-    extra = sym.var("outside")
-    for _ in range(300):
-        beta = random_prime(rng, sym, max_atoms=6)
-        for _ in range(8):
-            root = rng.choice(vs + [extra])
-            others = [v for v in vs if v != root]
-            xs = (root, *rng.sample(others, rng.randint(0, 2)))
-            p = Path(tuple(rng.choice(feats) for _ in range(rng.randint(0, 3))))
-            rp = RootedPath(root, p)
-            assert is_free(beta, xs, rp) == naive_is_free(beta, xs, rp)
-
-
-# --------------------------------------------------------------------------
 # jokers
 
 
 def test_is_joker_examples(sym):
     A, B = sym.sort("A"), sym.sort("B")
     f, g = sym.feat("f"), sym.feat("g")
-    x = sym.var("x")
+    x, y = sym.var("x"), sym.var("y")
     beta = epc(sym, "f(x, y) & A(y)")
     assert is_joker(beta, (x,), SortAt(B, x, Path((g,))))
     assert not is_joker(beta, (x,), SortAt(A, x, Path((f,))))  # already entailed
     assert not is_joker(beta, (x,), SortAt(B, x, Path((f,))))  # f lands on y
+    # x reaches y, so every path from y is pinned while x is outside the block
+    assert not is_joker(beta, (y,), SortAt(B, y, Path((g,))))
+    # a root outside the body is a node of its own, free in the block
+    z = sym.var("zfree")
+    assert is_joker(beta, (z,), SortAt(B, z, Path((f, g))))
+    assert is_joker(beta, (z,), SortAt(B, z, EPS))
+    assert not is_joker(beta, (z,), Agree(z, EPS, z, EPS))
+    assert is_joker(beta, (z,), Agree(z, EPS, x, EPS))
+    assert not is_joker(beta, (x,), Agree(z, EPS, y, EPS))  # z is not in the block
+    # so is a root spelled like a bound q0 of beta: another variable
+    beta = epc(sym, "exists x. (f(y, x) & A(x) & f(x, x))")
+    q0 = sym.var("q0")
+    assert q0 in beta.bound
+    assert not is_joker(beta, (q0,), Agree(q0, EPS, q0, EPS))
+    assert is_joker(beta, (q0,), SortAt(A, q0, EPS))
+    assert is_joker(beta, (q0,), Agree(q0, Path((f,)), q0, EPS))
+    assert not is_joker(beta, (y,), SortAt(A, q0, EPS))  # q0 is not in the block
+
+
+def test_variables_in_the_normalizer_are_never_free_roots(sym):
+    """An eliminated root starts at its binding, which a variable
+    outside the block pins."""
+    A, B = sym.sort("A"), sym.sort("B")
+    x = sym.var("x")
+    beta = epc(sym, "x = y & A(y)")
+    assert not is_joker(beta, (x,), SortAt(B, x, EPS))
+    assert not is_joker(beta, (x,), SortAt(A, x, EPS))  # x = y and A(y)
+    assert is_joker(beta, (x, sym.var("y")), SortAt(B, x, EPS))
 
 
 def test_is_joker_rejects_reach_constraints(sym):
@@ -141,31 +133,75 @@ def test_is_joker_rejects_reach_constraints(sym):
 
 
 def test_is_joker_agrees_with_naive_oracle(sym):
-    """Blocks of one to three variables."""
+    """Blocks of one to three variables.  Roots include a variable
+    outside every prime and q0, which the primes may bind; paths reach
+    three features, past the end of most bodies."""
     rng = random.Random(21)
     sorts, feats, vs = pools(sym)
+    roots = vs + [sym.var("outside"), sym.var("q0")]
     jokers = 0
     for _ in range(250):
         beta = random_prime(rng, sym, max_atoms=6)
-        xs = tuple(rng.sample(vs, rng.randint(1, 3)))
+        xs = tuple(rng.sample(roots, rng.randint(1, 3)))
         for _ in range(6):
             if rng.random() < 0.5:
                 pi = SortAt(
                     rng.choice(sorts),
-                    rng.choice(vs),
-                    Path(tuple(rng.choice(feats) for _ in range(rng.randint(0, 2)))),
+                    rng.choice(roots),
+                    Path(tuple(rng.choice(feats) for _ in range(rng.randint(0, 3)))),
                 )
             else:
                 pi = Agree(
-                    rng.choice(vs),
-                    Path(tuple(rng.choice(feats) for _ in range(rng.randint(0, 2)))),
-                    rng.choice(vs),
-                    Path(tuple(rng.choice(feats) for _ in range(rng.randint(0, 2)))),
+                    rng.choice(roots),
+                    Path(tuple(rng.choice(feats) for _ in range(rng.randint(0, 3)))),
+                    rng.choice(roots),
+                    Path(tuple(rng.choice(feats) for _ in range(rng.randint(0, 3)))),
                 )
             got = is_joker(beta, xs, pi)
             assert got == naive_is_joker(beta, xs, pi)
             jokers += got
     assert jokers > 100
+
+
+def test_clause_joker_check_agrees_with_projection_oracle(sym):
+    """Clause elimination decides jokers in one walk of the negative's
+    body; the oracle judges every constraint of its projection from the
+    saturated closure.  Blocks draw from a variable outside every prime
+    and from q0.  Some negatives get a free variable q0, which the
+    positive may bind; others extend the positive's body and quantify
+    half its free variables, so their paths run through it."""
+    rng = random.Random(24)
+    sorts, feats, vs = pools(sym)
+    outside, q0 = sym.var("outside"), sym.var("q0")
+    counts = Counter()
+    for _ in range(1500):
+        beta = random_prime(rng, sym, max_atoms=6)
+        beta2 = random_prime(rng, sym, max_atoms=6)
+        r = rng.random()
+        if r < 0.4:
+            v, f = rng.choice(vs), rng.choice(feats)
+            atom = rng.choice([FeatC(q0, f, v), FeatC(v, f, q0), Eq(v, q0), SortC(sorts[0], q0)])
+            beta2 = prime_conj(beta2, from_atom(atom))
+        elif r < 0.8:
+            beta2 = prime_conj(beta, beta2)
+            if not isinstance(beta2, Bottom):
+                free = sorted(beta2.free_vars)
+                beta2 = mk_prime_exists(rng.sample(free, len(free) // 2), beta2)
+        if isinstance(beta2, Bottom):
+            continue
+        xs = tuple(rng.sample(vs + [outside, q0], rng.randint(1, 3)))
+        exists_beta = PrimeLeaf(mk_prime_exists(xs, beta))
+        both = prime_conj(beta, beta2)
+        if isinstance(both, Bottom):
+            continue
+        joker = projection_has_joker(beta, xs, beta2)
+        want = exists_beta if joker else bc_and(
+            exists_beta, bc_not(PrimeLeaf(mk_prime_exists(xs, both)))
+        )
+        assert eliminate_neg(xs, beta, beta2) == want
+        counts["joker" if joker else "subtracted"] += 1
+        counts["q0 twice"] += q0 in beta.bound and q0 in beta2.free_vars
+    assert min(counts.values()) > 20, counts
 
 
 def test_jokers_for_a_block(sym):
@@ -175,8 +211,6 @@ def test_jokers_for_a_block(sym):
     A = sym.sort("A")
     x, y = sym.var("x"), sym.var("y")
     beta = epc(sym, "f(x, y)")
-    assert not is_free(beta, (y,), RootedPath(y, EPS))
-    assert is_free(beta, (x, y), RootedPath(y, EPS))
     assert not is_joker(beta, (y,), SortAt(A, y, EPS))
     assert is_joker(beta, (x, y), SortAt(A, y, EPS))
     beta2 = epc(sym, "A(y)")
