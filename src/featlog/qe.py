@@ -18,6 +18,15 @@ the merged positives and their requantification per set of positives,
 and what each negative subtracts per pair of merged positives and
 negative.
 
+Boolean combinations are canonical up to the order of arguments: every
+negation, conjunction and disjunction is found in one unique table by
+its kind and its argument, or the set of its arguments, so combinations
+equal up to argument order are one object and equality is identity.
+The two sides of ``forall fv (phi <-> phi')``, with phi' a reordered
+phi, thus meet as one node and the equivalence folds to true before the
+outermost block is put in normal form.  The table holds its nodes
+weakly, so it keeps only the combinations something still refers to.
+
 The elimination of ``exists X`` from a clause ``beta and not beta'``
 hinges on X-jokers: proper path constraints outside the closure of beta
 with a free path rooted in X, meaning no prefix of it provably
@@ -40,6 +49,7 @@ existential closure.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Collection, Iterable, Sequence, Union
@@ -98,66 +108,105 @@ class PrimeLeaf:
     def free_vars(self) -> frozenset[VarId]:
         return self.beta.free_vars
 
+    def __hash__(self) -> int:
+        # the prime's cached hash: leaves are hashed each time the unique
+        # table or a set of arguments looks one up
+        return hash(self.beta)
 
-@dataclass(frozen=True)
+
+# Every BcNot, BcAnd and BcOr, however it is built, comes from this
+# table, which maps its key to a weak reference.  The reference's
+# callback removes the entry when the node dies, so the table never
+# holds a combination nothing else refers to.
+_UNIQUE: dict = {}
+
+
+def _forget(key, ref) -> None:
+    # only its own entry: a key whose node died may map to a newer node
+    # by the time a collection runs the callback
+    if _UNIQUE.get(key) is ref:
+        del _UNIQUE[key]
+
+
+def _unique(cls, key, field: str, value):
+    ref = _UNIQUE.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        object.__setattr__(node, field, value)
+        _UNIQUE[key] = weakref.ref(node, lambda ref, key=key: _forget(key, ref))
+    return node
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class BcNot:
     arg: "BoolComb"
+
+    def __new__(cls, arg: "BoolComb") -> "BcNot":
+        return _unique(cls, (cls, arg), "arg", arg)
 
     @property
     def free_vars(self) -> frozenset[VarId]:
         return self.arg.free_vars
 
 
-@dataclass(frozen=True)
-class BcAnd:
+@dataclass(frozen=True, init=False, eq=False)
+class _BcNary:
+    """A conjunction or disjunction, found in the table by the set of its
+    arguments.  It keeps the argument order it was first built with,
+    which is the order it prints in."""
+
     args: tuple["BoolComb", ...]
+
+    def __new__(cls, args: Iterable["BoolComb"]):
+        args = tuple(args)
+        return _unique(cls, (cls, frozenset(args)), "args", args)
 
     @cached_property
     def free_vars(self) -> frozenset[VarId]:
         # computed once: block elimination asks every node it visits
         return frozenset().union(*(a.free_vars for a in self.args))
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((BcAnd, self.args))
 
-    def __hash__(self) -> int:
-        # computed once: combinations share their arguments, and a
-        # generated hash would rehash the whole unfolded DAG per lookup
-        return self._hash
+class BcAnd(_BcNary):
+    pass
 
 
-@dataclass(frozen=True)
-class BcOr:
-    args: tuple["BoolComb", ...]
-
-    @cached_property
-    def free_vars(self) -> frozenset[VarId]:
-        return frozenset().union(*(a.free_vars for a in self.args))
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((BcOr, self.args))
-
-    def __hash__(self) -> int:
-        return self._hash
+class BcOr(_BcNary):
+    pass
 
 
 BoolComb = Union[PrimeLeaf, BcNot, BcAnd, BcOr]
 
 BC_TRUE = PrimeLeaf(TOP_PRIME)
-BC_FALSE = BcNot(BC_TRUE)
+BC_FALSE = BcNot(BC_TRUE)  # the table's entry for the negated top leaf
 
 
 def bc_not(a: BoolComb) -> BoolComb:
+    """Negation, folding a double one.  The node comes from the unique
+    table, so ``bc_not(BC_TRUE)`` is ``BC_FALSE`` itself and the
+    negations of one combination are one object."""
     return a.arg if isinstance(a, BcNot) else BcNot(a)
 
 
 def _bc_nary(node, args, unit, zero) -> BoolComb:
+    """The n-ary ``node`` of args: arguments of the same kind are
+    flattened into it, units and repeats dropped, and a zero or a pair of
+    complements gives zero.  What is left is looked up in the unique
+    table by its set, so the result is canonical up to argument order
+    and compares by identity; a new node keeps the order of ``args``.
+
+    A complement is a negation whose argument is also an argument, as
+    given or after flattening, so ``d | ~d`` is true also when d is a
+    disjunction that flattening dissolves.  The test looks up the
+    arguments themselves and builds no negation.
+    """
     flat: list[BoolComb] = []
+    dissolved: set[BoolComb] = set()
     for a in args:
         if isinstance(a, node):
             flat.extend(a.args)
+            dissolved.add(a)
         else:
             flat.append(a)
     out: list[BoolComb] = []
@@ -168,12 +217,12 @@ def _bc_nary(node, args, unit, zero) -> BoolComb:
             continue
         if a is zero or (type(a) is type(zero) and a == zero):
             return zero
-        if a in seen:
-            continue
-        if bc_not(a) in seen:
+        if a not in seen:
+            seen.add(a)
+            out.append(a)
+    for a in out:
+        if type(a) is BcNot and (a.arg in seen or a.arg in dissolved):
             return zero
-        seen.add(a)
-        out.append(a)
     if not out:
         return unit
     if len(out) == 1:
@@ -310,15 +359,15 @@ def _clause_eliminator(block: frozenset[VarId]):
 
     Clauses of one normal form share positives and negatives, so the
     merged positives, requantification and placer are kept per set of
-    positives, and the literal each negative subtracts (or None) per
-    pair of merged positives and negative.  Sets of positives that merge
-    to equal primes share one entry, so later lookups of that prime and
-    of its requantification succeed on identity.  The tables live as
-    long as the returned function.
+    positives, and the literal each negative subtracts (true when it
+    drops out) per pair of merged positives and negative.  Sets of
+    positives that merge to equal primes share one entry, so later
+    lookups of that prime and of its requantification succeed on
+    identity.  The tables live as long as the returned function.
     """
     solved: dict[frozenset, tuple | None] = {}
     merged: dict[PrimeFormula, tuple] = {}
-    subtracted: dict[tuple[PrimeFormula, PrimeFormula], BoolComb | None] = {}
+    subtracted: dict[tuple[PrimeFormula, PrimeFormula], BoolComb] = {}
 
     def eliminate(positives: list[PrimeFormula], negatives: list[PrimeFormula]) -> BoolComb:
         key = frozenset(positives)
@@ -331,20 +380,22 @@ def _clause_eliminator(block: frozenset[VarId]):
                     exists_beta = PrimeLeaf(mk_prime_exists(block, beta))
                     merged[beta] = (beta, exists_beta, _placer(beta, block))
                 solved[key] = merged[beta]
-        if solved[key] is None:
+        entry = solved[key]
+        if entry is None:
             return BC_FALSE
-        beta, exists_beta, placer = solved[key]
+        beta, exists_beta, placer = entry
         literals = [exists_beta]
         for beta2 in negatives:
             pair = (beta, beta2)
-            if pair not in subtracted:
-                subtracted[pair] = None
+            literal = subtracted.get(pair)
+            if literal is None:
+                literal = BC_TRUE  # a joker, or a clash with beta: it drops out
                 if not _has_joker(beta, placer, beta2):
                     both = prime_conj(beta, beta2)
                     if not isinstance(both, Bottom):
-                        subtracted[pair] = bc_not(PrimeLeaf(mk_prime_exists(block, both)))
-            if subtracted[pair] is not None:
-                literals.append(subtracted[pair])
+                        literal = bc_not(PrimeLeaf(mk_prime_exists(block, both)))
+                subtracted[pair] = literal
+            literals.append(literal)
         return bc_and(*literals)
 
     return eliminate

@@ -259,6 +259,31 @@ def test_output_is_deterministic_across_processes(tmp_path):
     assert len(outs) == 1
 
 
+def test_residue_is_byte_identical_across_hash_seeds(tmp_path):
+    """The residue's conjunctions and disjunctions are found in the unique
+    table by the set of their arguments, and one is built in two orders
+    here; each prints in the order it was first built, never in set or
+    hash order."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = write(
+        tmp_path,
+        "exists u. ((A(x) & B(y) & f(x, u)) | (C(z) & D(x)) | (E(u) & g(u, y)))"
+        " & (D(x) & C(z) | E(y) | ~A(z)) & ~(B(x) & C(y) & D(z))",
+    )
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "featlog", "decide", path],
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0] == b"SATISFIABLE\n(C(z) & D(x) | E(y) | ~A(z)) & ~(B(x) & C(y) & D(z))\n"
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "decide", "/nonexistent/path.fl")
     assert code == 2 and "cannot read" in err

@@ -449,6 +449,31 @@ def test_smart_constructors_fold(sym):
     assert bc_and(a, a) == a
 
 
+def test_combinations_are_unique_up_to_argument_order(sym):
+    """Nodes equal up to the order of their arguments are one object,
+    which keeps the order it was first built with."""
+    a = PrimeLeaf(epc(sym, "A(x)"))
+    b = PrimeLeaf(epc(sym, "B(y)"))
+    c = PrimeLeaf(epc(sym, "C(z)"))
+    assert bc_not(BC_TRUE) is BC_FALSE
+    assert bc_not(PrimeLeaf(TOP_PRIME)) is BC_FALSE
+    ab = bc_and(a, b)
+    assert bc_and(b, a) is ab
+    assert BcAnd((b, a)) is ab
+    assert bc_not(ab) is bc_not(bc_and(b, a))
+    assert bc_or(bc_and(a, b), bc_not(bc_and(b, a))) is BC_TRUE
+    assert bc_and(bc_or(a, b), bc_not(bc_or(b, a))) is BC_FALSE
+    # the complement is found before the disjunction is flattened into its
+    # disjuncts, and inside an argument that flattening dissolves
+    assert bc_or(bc_or(a, b), c, bc_not(bc_or(b, a))) is BC_TRUE
+    assert bc_or(bc_or(a, b), bc_or(c, bc_not(bc_or(b, a)))) is BC_TRUE
+    assert bc_and(ab, bc_and(c, a)) is bc_and(a, b, c)
+    assert bc_and(b, a) != bc_and(a, c)
+    assert boolcomb_to_formula(bc_and(b, a)) == And(
+        (boolcomb_to_formula(a), boolcomb_to_formula(b))
+    )
+
+
 # --------------------------------------------------------------------------
 # decide and classify
 
@@ -690,13 +715,30 @@ def test_qe_mix_iff_sentence_solves_each_clause_prime_once(sym):
         assert classify(parse_formula(sym, op.text)).kind == INVALID
 
 
+@pytest.mark.parametrize("index, size", [(10, 32), (430, 22)])
+def test_qe_mix_iff_sentence_folds_sides_equal_up_to_order(sym, index, size):
+    """Two qe-mix iff sentences at seed 201, ``forall fv (phi <-> phi')``
+    with phi' a reordered copy of phi.  Once its inner blocks are
+    eliminated, the two sides are one node, since combinations are unique
+    up to argument order, and the equivalence folds to true before the
+    outermost block is put in normal form.  Compared as argument tuples,
+    the sides stay apart and that normal form exceeds the clause bound."""
+    op = WORKLOADS["qe_mix"](201)[index]
+    assert (op.family, op.size, op.expect) == ("iff", size, VALID)
+    with _wall_limit(1.0):
+        assert classify(parse_formula(sym, op.text)).kind == VALID
+
+
 def test_qe_mix_iff_sentence_compares_equal_primes_once_per_leaf(sym, monkeypatch):
     """The qe-mix iff sentence of size 20 at seed 201 meets equal primes
     built apart in each of its normal forms.  A prime is compared with
     the ones met before it only when it gets its id, so inside
     ``to_prime_dnf`` ``PrimeFormula.__eq__`` runs at most once per prime
-    leaf visited (147 here), not once per pair of clauses (148,501 with
-    clauses keyed by the primes themselves)."""
+    leaf visited, not once per pair of clauses (148,501 with clauses
+    keyed by the primes themselves).  24 leaves are visited: the sides of
+    the outermost equivalence are one node, so it folds before the
+    outermost block builds a normal form (147 leaves when the sides
+    compared as argument tuples)."""
     import featlog.qe
 
     op = WORKLOADS["qe_mix"](201)[485]
@@ -729,7 +771,7 @@ def test_qe_mix_iff_sentence_compares_equal_primes_once_per_leaf(sym, monkeypatc
     monkeypatch.setattr(PrimeFormula, "__eq__", counting_eq)
     monkeypatch.setattr(featlog.qe, "to_prime_dnf", counting_dnf)
     assert classify(parse_formula(sym, op.text)).kind == VALID
-    assert counts["leaves"] == 147
+    assert counts["leaves"] == 24
     assert counts["eq"] <= counts["leaves"]
 
 
@@ -847,8 +889,9 @@ def test_a_long_lived_session_keeps_only_parsed_names(sym):
 def test_nested_iff_chain_decides_in_polynomial_time(sym):
     """``(...((A(x0) <-> A(x1)) <-> A(x2)) ... <-> A(x24))``: each level
     uses both sides twice, so the combination is a DAG whose unfolding
-    has 2^24 leaves.  A node's hash is computed once, so building and
-    searching it never unfolds it."""
+    has 2^24 leaves.  A node hashes by identity, since equal combinations
+    are one object, so building and searching it never unfolds it, and
+    neither does comparing it with a second decision of the same chain."""
     text = "A(x0)"
     for i in range(1, 25):
         text = f"({text}) <-> A(x{i})"
@@ -856,3 +899,30 @@ def test_nested_iff_chain_decides_in_polynomial_time(sym):
     with _wall_limit(1.0):
         delta = decide(phi)
         assert satisfiable(delta)
+        again = decide(phi)
+        assert again == delta
+        assert again is delta
+
+
+def test_unique_table_holds_only_live_combinations(sym):
+    """10,000 classifications in one process, each of a different random
+    formula, leave the unique table as the first 100 left it: it holds a
+    combination only while something else refers to it."""
+    import gc
+
+    from featlog.qe import _UNIQUE
+
+    rng = random.Random(41)
+    phis = [random_quantified_formula(rng, sym, max_atoms=4) for _ in range(10000)]
+    sizes = []
+    for i, phi in enumerate(phis):
+        classify(phi)
+        if i + 1 in (100, len(phis)):
+            gc.collect()
+            sizes.append(len(_UNIQUE))
+    assert sizes[0] == sizes[1]
+    kept = [classify(phi) for phi in phis[:100]]
+    assert len(_UNIQUE) > sizes[0] + 20
+    del kept
+    gc.collect()
+    assert len(_UNIQUE) == sizes[0]
