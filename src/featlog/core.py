@@ -13,51 +13,81 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 NAME_PATTERN = re.compile(r"\A[A-Za-z][A-Za-z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"true", "false", "exists", "forall", "undef", "eps"})
 
 
-@dataclass(frozen=True)
-class _Ident:
-    """Interned identifier, compared, hashed and ordered by its spelling.
+class _Ident(tuple):
+    """Interned identifier: the pair (kind, spelling).
 
-    Values built in different sessions compare the way their printed
-    forms do, and lexicographic order on the spelling keeps canonical
-    forms stable across sessions.
+    Equality, hashing and ordering are the tuple's own, so they run in C.
+    Identifiers of different kinds never compare equal, values built in
+    different sessions compare the way their printed forms do, and within
+    a kind lexicographic order on the spelling keeps canonical forms
+    stable across sessions.
     """
 
-    name: str
+    __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        # identifiers of different kinds never compare equal
-        return type(other) is type(self) and other.name == self.name
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (cls.__name__, name))
 
-    def __hash__(self) -> int:
-        return hash(self.name)
+    def __getnewargs__(self) -> tuple[str]:
+        # pickle and copy rebuild the identifier from its spelling
+        return (self[1],)
+
+    name = property(itemgetter(1))
 
     def __str__(self) -> str:
-        return self.name
+        return self[1]
 
-    def __lt__(self, other: "_Ident") -> bool:
-        return self.name < other.name
-
-    def __le__(self, other: "_Ident") -> bool:
-        return self.name <= other.name
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(name={self[1]!r})"
 
 
 class SortId(_Ident):
     """Name of a sort (unary predicate)."""
 
+    __slots__ = ()
+
 
 class FeatId(_Ident):
     """Name of a feature (binary predicate)."""
 
+    __slots__ = ()
+
 
 class VarId(_Ident):
     """Name of a first-order variable."""
+
+    __slots__ = ()
+
+
+class cached_field:
+    """A method computed on first access and stored in the instance dict.
+
+    A non-data descriptor: once the value is in ``__dict__`` it shadows
+    the descriptor, so later reads are plain attribute lookups.  The
+    value is written into ``__dict__`` directly, which frozen dataclasses
+    allow, and without the lock ``functools.cached_property`` takes on
+    Python 3.11; two threads may both compute it, and one value wins.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.attr = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attr] = self.func(instance)
+        return value
 
 
 class Symbols:
@@ -431,7 +461,7 @@ class BasicFormula:
             if isinstance(a, Excl):
                 raise ValueError("exclusion constraints do not occur in basic formulae")
 
-    @cached_property
+    @cached_field
     def variables(self) -> frozenset[VarId]:
         out: set[VarId] = set()
         for a in self.atoms:

@@ -23,6 +23,7 @@ import itertools
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .core import FeatId, Formula, Path, SortId, Symbols, VarId
@@ -204,17 +205,13 @@ def subvalue(v: Value, f: FeatId) -> Value | None:
     return walk_value(v, Path((f,)))
 
 
-def _feat_name(edge: tuple[FeatId, int]) -> str:
-    return edge[0].name
-
-
 def _step(v: Value, node: int, f: FeatId) -> int | None:
     """The node one feature from a node, None off the domain.
 
     Edge rows are sorted by feature name, so the step bisects the row.
     """
     row = v.edges[node]
-    i = bisect_left(row, f.name, key=_feat_name)
+    i = bisect_left(row, f, key=itemgetter(0))
     if i == len(row) or row[i][0] != f:
         return None
     return row[i][1]
@@ -539,6 +536,6 @@ def value_to_json(v: Value) -> dict:
 
 def valuation_to_json(alpha: Mapping[VarId, Value]) -> dict:
     """One shared node pool; equal values share their block of nodes."""
-    names = sorted(alpha, key=lambda v: v.name)
+    names = sorted(alpha)
     nodes, edges, blocks = _json_pool(alpha[v] for v in names)
     return {"nodes": nodes, "edges": edges, "vars": {v.name: blocks[alpha[v]] for v in names}}

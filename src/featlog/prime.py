@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, TypeVar
 
 from .core import (
@@ -38,6 +38,7 @@ from .core import (
     VarId,
     atom_key,
     atom_vars,
+    cached_field,
     conj,
     exists_all,
     rename_atom,
@@ -53,11 +54,11 @@ class PrimeFormula:
     bound: frozenset[VarId]
     body: SolvedFormula
 
-    @cached_property
+    @cached_field
     def free_vars(self) -> frozenset[VarId]:
         return self.body.variables - self.bound
 
-    @cached_property
+    @cached_field
     def _hash(self) -> int:
         return hash((self.bound, self.body))
 
@@ -95,7 +96,7 @@ def adjacency(edges: Mapping) -> dict:
     for (src, feat), dst in edges.items():
         adj.setdefault(src, []).append((feat, dst))
     for row in adj.values():
-        row.sort(key=lambda e: e[0].name)
+        row.sort(key=itemgetter(0))
     return adj
 
 

@@ -8,8 +8,11 @@ once.  It is miniscoped first: a part with no variable of X free is
 left alone, ``exists X`` distributes over a disjunction, and the
 conjuncts of a conjunction that miss X move outside it.  What remains
 is pushed through one disjunctive normal form whose literals are
-primes and eliminated clause by clause.  The normal form numbers the
-distinct primes it meets, so its clauses are sets of small integers: a
+primes, built whole so that the clause bound applies to all of it, and
+eliminated clause by clause, shortest clause first: a clause with fewer
+literals is weaker, so likelier true, and the block is true as soon as
+one clause eliminates to true.  The normal form numbers the distinct
+primes it meets, so its clauses are sets of small integers: a
 conjunction merges its single-clause arguments in one pass before it
 distributes over the others, and each distinct set is turned back into
 primes once, so equal primes come back as one object.  The clauses of
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Collection, Iterable, Sequence, Union
 
 from .core import (
@@ -68,6 +71,7 @@ from .core import (
     Or,
     Top,
     VarId,
+    cached_field,
     free_vars,
 )
 from .paths import PathConstraint, SortAt, is_proper
@@ -162,7 +166,7 @@ class _BcNary:
         args = tuple(args)
         return _unique(cls, (cls, frozenset(args)), "args", args)
 
-    @cached_property
+    @cached_field
     def free_vars(self) -> frozenset[VarId]:
         # computed once: block elimination asks every node it visits
         return frozenset().union(*(a.free_vars for a in self.args))
@@ -497,8 +501,11 @@ def _eliminate_exists(xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int) 
     part with no block variable free is kept as it is, a disjunction
     eliminates the block from each disjunct, and a conjunction keeps
     its arguments with no block variable outside the block.  What is
-    left goes through one prime DNF and one clause elimination per
-    clause, all clauses sharing one memoizing clause eliminator.
+    left goes through one prime DNF, built whole, and its clauses are
+    eliminated shortest first through one memoizing clause eliminator.
+    The first clause that eliminates to true makes the block true, and
+    the clauses not yet eliminated are skipped; when none does, the
+    results are joined in DNF order.
     """
     block = frozenset(xs)
     eliminate = _clause_eliminator(block)
@@ -521,7 +528,14 @@ def _eliminate_exists(xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int) 
 
     def normal_form(node: BoolComb, negate: bool) -> BoolComb:
         clauses = to_prime_dnf(bc_not(node) if negate else node, max_clauses, xs)
-        return bc_or(*[eliminate(pos, neg) for pos, neg in clauses])
+        out: list[BoolComb] = [BC_FALSE] * len(clauses)
+        # shortest first: fewer literals make a weaker clause, likelier true
+        sizes = [len(pos) + len(neg) for pos, neg in clauses]
+        for i in sorted(range(len(clauses)), key=sizes.__getitem__):
+            out[i] = eliminate(*clauses[i])
+            if out[i] is BC_TRUE:
+                return BC_TRUE
+        return bc_or(*out)
 
     return go(delta, False)
 

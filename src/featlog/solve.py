@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from .core import (
@@ -50,6 +49,7 @@ from .core import (
     And,
     atom_key,
     atom_vars,
+    cached_field,
     conj,
     rename_atom,
 )
@@ -71,19 +71,19 @@ class SolvedClause:
             raise ValueError("atoms do not form a solved clause")
         return clause
 
-    @cached_property
+    @cached_field
     def edges(self) -> dict[tuple[VarId, FeatId], VarId]:
         return {(a.src, a.feat): a.dst for a in self.atoms if isinstance(a, FeatC)}
 
-    @cached_property
+    @cached_field
     def sorts(self) -> dict[VarId, SortId]:
         return {a.var: a.sort for a in self.atoms if isinstance(a, SortC)}
 
-    @cached_property
+    @cached_field
     def exclusions(self) -> frozenset[tuple[VarId, FeatId]]:
         return frozenset((a.var, a.feat) for a in self.atoms if isinstance(a, Excl))
 
-    @cached_property
+    @cached_field
     def variables(self) -> frozenset[VarId]:
         out: set[VarId] = set()
         for a in self.atoms:
@@ -105,19 +105,19 @@ class SolvedFormula:
     def atoms(self) -> tuple[Atom, ...]:
         return self.normalizer + self.graph
 
-    @cached_property
+    @cached_field
     def binding(self) -> dict[VarId, VarId]:
         return {eq.lhs: eq.rhs for eq in self.normalizer}
 
-    @cached_property
+    @cached_field
     def edges(self) -> dict[tuple[VarId, FeatId], VarId]:
         return {(a.src, a.feat): a.dst for a in self.graph if isinstance(a, FeatC)}
 
-    @cached_property
+    @cached_field
     def sorts(self) -> dict[VarId, SortId]:
         return {a.var: a.sort for a in self.graph if isinstance(a, SortC)}
 
-    @cached_property
+    @cached_field
     def variables(self) -> frozenset[VarId]:
         out: set[VarId] = set()
         for a in self.atoms:
@@ -149,18 +149,17 @@ def basic_simplify(phi: BasicFormula | Bottom) -> SolvedFormula | Bottom:
     """
     if isinstance(phi, Bottom):
         return BOTTOM
-    # union-find over integer nodes; names key the tables because their
-    # hashes are cached, and identifiers are equal exactly when names are
-    node: dict[str, int] = {}
+    # union-find over integer nodes
+    node: dict[VarId, int] = {}
     var: list[VarId] = []
     for a in phi.atoms:
         for v in atom_vars(a):
-            if v.name not in node:
-                node[v.name] = len(var)
+            if v not in node:
+                node[v] = len(var)
                 var.append(v)
     parent = list(range(len(var)))
-    # per class root: feature name -> (input position, target node, edge)
-    out_edges: dict[int, dict[str, tuple[int, int, FeatC]]] = {}
+    # per class root: feature -> (input position, target node, edge)
+    out_edges: dict[int, dict[FeatId, tuple[int, int, FeatC]]] = {}
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -197,19 +196,19 @@ def basic_simplify(phi: BasicFormula | Bottom) -> SolvedFormula | Bottom:
 
     for pos, a in enumerate(phi.atoms):
         if isinstance(a, Eq):
-            union([(node[a.lhs.name], node[a.rhs.name])])
+            union([(node[a.lhs], node[a.rhs])])
         elif isinstance(a, FeatC):
-            row = out_edges.setdefault(find(node[a.src.name]), {})
-            dst = node[a.dst.name]
-            earlier = row.get(a.feat.name)
-            row[a.feat.name] = (pos, dst, a)
+            row = out_edges.setdefault(find(node[a.src]), {})
+            dst = node[a.dst]
+            earlier = row.get(a.feat)
+            row[a.feat] = (pos, dst, a)
             if earlier is not None:
                 union([(earlier[1], dst)])
 
     sorts: dict[int, SortC] = {}
     for a in phi.atoms:
         if isinstance(a, SortC):
-            if sorts.setdefault(find(node[a.var.name]), a).sort.name != a.sort.name:
+            if sorts.setdefault(find(node[a.var]), a).sort != a.sort:
                 return BOTTOM
     rep = [var[find(i)] for i in range(len(var))]
     normalizer = sorted((Eq(v, r) for v, r in zip(var, rep) if v is not r), key=atom_key)

@@ -51,6 +51,69 @@ def test_identifier_kinds_never_compare_equal():
     assert VarId("a") == VarId("a") and hash(VarId("a")) == hash(VarId("a"))
 
 
+def test_identifiers_print_as_their_spelling():
+    from featlog import FeatId, SortId, VarId
+
+    for kind, spelling in ((SortId, "A"), (FeatId, "f"), (VarId, "x")):
+        ident = kind(spelling)
+        assert ident.name == str(ident) == f"{ident}" == spelling
+        assert repr(ident) == f"{kind.__name__}(name={spelling!r})"
+
+
+def test_identifiers_survive_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    from featlog import FeatId, SortId, VarId
+
+    ids = [SortId("A"), FeatId("f"), VarId("x"), VarId("f")]
+    for ident in ids:
+        for back in (pickle.loads(pickle.dumps(ident)), copy.deepcopy(ident)):
+            assert type(back) is type(ident) and back == ident and back.name == ident.name
+    atom = FeatC(VarId("x"), FeatId("f"), VarId("y"))
+    assert pickle.loads(pickle.dumps(atom)) == copy.deepcopy(atom) == atom
+
+
+def test_identifiers_sort_by_spelling_within_a_kind():
+    from featlog import SortId, VarId
+
+    spellings = ["x10", "x2", "a", "x1", "b_", "B"]
+    assert [v.name for v in sorted(map(VarId, spellings))] == sorted(spellings)
+    assert min(map(SortId, ["C", "A", "B"])) == SortId("A")
+    assert VarId("a") < VarId("b") <= VarId("b")
+
+
+def test_cached_fields_are_computed_once_into_the_instance_dict(sym):
+    from featlog.core import cached_field
+    from featlog.prime import from_atom
+    from featlog.qe import PrimeLeaf, bc_and
+
+    class Counted:
+        runs = 0
+
+        @cached_field
+        def value(self):
+            Counted.runs += 1
+            return [Counted.runs]
+
+    first, second = Counted(), Counted()
+    assert first.value is first.value and first.__dict__["value"] == [1]
+    assert second.value == [2] and Counted.runs == 2
+    assert isinstance(Counted.value, cached_field)
+
+    # frozen dataclasses: the value lands in __dict__ past the frozen __setattr__
+    beta = from_atom(FeatC(sym.var("x"), sym.feat("f"), sym.var("y")))
+    assert "free_vars" not in beta.__dict__
+    assert beta.free_vars == {sym.var("x"), sym.var("y")}
+    assert beta.__dict__["free_vars"] is beta.free_vars
+    assert hash(beta) == beta.__dict__["_hash"]
+    body = beta.body
+    assert body.edges is body.edges and "edges" in body.__dict__
+    node = bc_and(PrimeLeaf(beta), PrimeLeaf(from_atom(SortC(sym.sort("A"), sym.var("z")))))
+    assert node.free_vars == {sym.var("x"), sym.var("y"), sym.var("z")}
+    assert node.__dict__["free_vars"] is node.free_vars
+
+
 def test_identifier_validation(sym):
     with pytest.raises(ValueError):
         sym.var("_hidden")

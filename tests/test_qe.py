@@ -715,6 +715,60 @@ def test_qe_mix_iff_sentence_solves_each_clause_prime_once(sym):
         assert classify(parse_formula(sym, op.text)).kind == INVALID
 
 
+def _counting_eliminator(monkeypatch, log):
+    """Make every clause eliminator append its clauses and results to log."""
+    import featlog.qe
+
+    make = featlog.qe._clause_eliminator
+
+    def counting(block):
+        eliminate = make(block)
+
+        def logged(positives, negatives):
+            result = eliminate(positives, negatives)
+            log.append((positives, negatives, result))
+            return result
+
+        return logged
+
+    monkeypatch.setattr(featlog.qe, "_clause_eliminator", counting)
+
+
+def test_qe_mix_iff_sentence_stops_at_its_first_true_clause(sym, monkeypatch):
+    """The same sentence builds two normal forms of 6,920 clauses.  Only
+    one clause in each is true, and it has one positive and one negative
+    literal; eliminating shortest first and stopping there makes 41
+    clause eliminations where all of them make 13,876."""
+    log = []
+    _counting_eliminator(monkeypatch, log)
+    op = WORKLOADS["qe_mix"](201)[534]
+    assert classify(parse_formula(sym, op.text)).kind == INVALID
+    assert 0 < len(log) <= 100
+
+
+def test_block_elimination_stops_at_its_shortest_true_clause(sym, monkeypatch):
+    """``exists x ((A(x) & f(x, y) | C(x)) & (B(x) & g(x, y) | C(x)))``
+    distributes into four clauses, and the only true one, ``C(x)``, is
+    the shortest and the last in normal-form order.  It is eliminated
+    first, and nothing else is."""
+    import featlog.qe
+
+    def leaf(text):
+        return PrimeLeaf(from_atom(parse_formula(sym, text).atom))
+
+    delta = bc_and(
+        bc_or(bc_and(leaf("A(x)"), leaf("f(x, y)")), leaf("C(x)")),
+        bc_or(bc_and(leaf("B(x)"), leaf("g(x, y)")), leaf("C(x)")),
+    )
+    clauses = to_prime_dnf(delta)
+    assert [len(pos) + len(neg) for pos, neg in clauses] == [4, 3, 3, 1]
+    log = []
+    _counting_eliminator(monkeypatch, log)
+    x = sym.var("x")
+    assert featlog.qe._eliminate_exists((x,), delta, DEFAULT_MAX_DNF_CLAUSES) is BC_TRUE
+    assert log == [(clauses[-1][0], [], BC_TRUE)]
+
+
 @pytest.mark.parametrize("index, size", [(10, 32), (430, 22)])
 def test_qe_mix_iff_sentence_folds_sides_equal_up_to_order(sym, index, size):
     """Two qe-mix iff sentences at seed 201, ``forall fv (phi <-> phi')``
