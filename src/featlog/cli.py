@@ -16,7 +16,7 @@ import re
 import sys
 
 from .core import Bottom, Formula, Symbols, free_vars
-from .models import satisfies_prime, single_node_tree, valuation_to_json, witness_prime
+from .models import pool_satisfies, witness_pool, witness_to_json, witness_to_json_text
 from .prime import PrimeFormula, prime_entails, simplify_epc
 from .qe import (
     DEFAULT_MAX_DNF_CLAUSES,
@@ -144,16 +144,16 @@ def _cmd_witness(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     default_sort = (
         sym.sort(cfg.default_sort) if cfg.default_sort else sym.fresh_sort("Default")
     )
-    val = witness_prime(beta, default_sort)
-    assert satisfies_prime(val, beta)
+    pool = witness_pool(beta, default_sort)
+    if not pool_satisfies(pool, beta):
+        raise AssertionError("the witness does not satisfy its prime")
     # a free variable the prime dropped is unconstrained: any tree will do
-    shown = {
-        v: val[v] if v in beta.free_vars else single_node_tree(default_sort)
-        for v in free_vars(phi)
-    }
-    witness = valuation_to_json(shown)
-    payload = {"command": "witness", "verdict": SATISFIABLE, "witness": witness}
-    _emit(cfg, payload, [json.dumps(witness, indent=2, sort_keys=True)])
+    roots = {v: pool.node[v] if v in beta.free_vars else pool.leaf for v in free_vars(phi)}
+    if cfg.format == "json":
+        witness = witness_to_json(pool, roots)
+        _emit(cfg, {"command": "witness", "verdict": SATISFIABLE, "witness": witness}, [])
+    else:
+        print(witness_to_json_text(pool, roots))
     return 0
 
 

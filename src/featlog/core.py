@@ -230,14 +230,15 @@ class Excl:
 Atom = Union[SortC, FeatC, Eq, Excl]
 
 def atom_key(a: Atom):
-    """Total order on atoms: kind first, then spellings."""
+    """Total order on atoms: kind first, then identifiers, which order by
+    spelling within one kind and compare in C."""
     if isinstance(a, Eq):
-        return (0, a.lhs.name, a.rhs.name)
+        return (0, a.lhs, a.rhs)
     if isinstance(a, SortC):
-        return (1, a.var.name, a.sort.name)
+        return (1, a.var, a.sort)
     if isinstance(a, FeatC):
-        return (2, a.src.name, a.feat.name, a.dst.name)
-    return (3, a.var.name, a.feat.name)
+        return (2, a.src, a.feat, a.dst)
+    return (3, a.var, a.feat)
 
 
 def atom_vars(a: Atom) -> tuple[VarId, ...]:

@@ -3,12 +3,17 @@
 A feature tree is a sort-labeled, feature-deterministic rooted value;
 only the rational ones (finitely many distinct subtrees) are
 representable here, as finite rooted graphs.  Two representations
-denote the same tree exactly when their roots are bisimilar, so tree
-values are minimized and canonically numbered on construction and
-equality is plain structural equality.  Feature graphs keep their node
-structure: they are identified up to renaming only, implemented by the
-same canonical numbering without minimization, and their nodes may lack
-sort labels.
+denote the same tree exactly when their roots are bisimilar, so a
+standalone tree value is minimized and canonically numbered when it is
+built, and equality is plain structural equality.  Feature graphs keep
+their node structure: they are identified up to renaming only,
+implemented by the same canonical numbering without minimization, and
+their nodes may lack sort labels.
+
+A witness is one minimal graph with a node per variable
+(``WitnessPool``): equal values share a node, and no standalone tree is
+numbered unless a caller asks for one (``witness_prime``).  Its JSON is
+written straight from the pool.
 
 Both kinds of value support exact evaluation of every formula:
 quantifier elimination reduces it to a Boolean combination of prime
@@ -20,15 +25,16 @@ its clause bound.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .core import FeatId, Formula, Path, SortId, Symbols, VarId
 from .paths import Agree, PathConstraint, Reach, SortAt
-from .prime import PrimeFormula, adjacency, positions
+from .prime import Position, PrimeFormula, adjacency, positions
 from .qe import BcAnd, BcNot, BoolComb, PrimeLeaf, ResourceLimit, decide
 from .solve import SolvedClause, constrained_vars
 from .textio import expand_sugar
@@ -101,7 +107,7 @@ def _number(root, labels: Mapping, adj: Mapping) -> tuple[tuple, tuple]:
 def _quotient(nodes: list, labels: Mapping, adj: Mapping) -> tuple[dict, dict, dict]:
     """Quotient by bisimilarity via partition refinement.
 
-    Blocks are integer ids, first one per label and feature names, then
+    Blocks are integer ids, first one per label and features, then
     split by the blocks of the successors until no block splits.  The
     members of a block that are not re-keyed share the block's recorded
     successor key, so a round re-keys only the predecessors of the nodes
@@ -115,7 +121,7 @@ def _quotient(nodes: list, labels: Mapping, adj: Mapping) -> tuple[dict, dict, d
             preds[w].append(n)
     ids: dict = {}
     block = {
-        n: ids.setdefault((labels.get(n), tuple(f.name for f, _ in adj.get(n, ()))), len(ids))
+        n: ids.setdefault((labels.get(n), tuple(f for f, _ in adj.get(n, ()))), len(ids))
         for n in nodes
     }
     size = Counter(block.values())
@@ -265,6 +271,73 @@ def subvalues(v: Value) -> set[Value]:
 # Witness construction
 
 
+class WitnessPool:
+    """A valuation as one minimal graph plus one node per variable.
+
+    ``labels`` and ``adj`` are the quotient's sorts and out-edges over
+    block ids, edge rows sorted by feature name.  The pool is minimal, so
+    two variables have equal tree values exactly when they sit at the
+    same node.  ``leaf`` is the node of the default one-node tree.  A
+    plain class: a dataclass would add about a millisecond to
+    ``import featlog``.
+    """
+
+    __slots__ = ("labels", "adj", "node", "leaf")
+
+    def __init__(
+        self,
+        labels: dict[int, SortId],
+        adj: dict[int, list[tuple[FeatId, int]]],
+        node: dict[VarId, int],
+        leaf: int,
+    ) -> None:
+        self.labels = labels
+        self.adj = adj
+        self.node = node
+        self.leaf = leaf
+
+
+# the graph node of the default one-node tree; no variable or grafted
+# parameter node is a 1-tuple
+_LEAF = ("leaf",)
+
+
+def _clause_graph(
+    delta: SolvedClause, params: Mapping[VarId, FeatureTree], default_sort: SortId
+) -> tuple[dict, dict]:
+    """The graph of a solved clause with parameter trees grafted on.
+
+    Every other variable of the clause is a node labeled by its sort or
+    the default; node i of parameter y's tree is the node ``(y, i)``,
+    and an edge to y goes to the root of y's tree.  Exclusions hold
+    because the clause admits no edge beside them.
+    """
+    labels: dict = {
+        x: delta.sorts.get(x, default_sort) for x in delta.variables if x not in params
+    }
+    edges: dict = {}
+    for y, tree in params.items():
+        for i, lab in enumerate(tree.labels):
+            labels[(y, i)] = lab
+        for i, row in enumerate(tree.edges):
+            for f, j in row:
+                edges[((y, i), f)] = (y, j)
+    for (x, f), y in delta.edges.items():
+        edges[(x, f)] = (y, 0) if y in params else y
+    return labels, edges
+
+
+def _trees(labels: Mapping, adj: Mapping, node: Mapping) -> dict:
+    """The standalone tree at each variable's node, one per node."""
+    trees: dict = {}
+    out: dict = {}
+    for v, b in node.items():
+        if b not in trees:
+            trees[b] = _tree(b, labels, adj)
+        out[v] = trees[b]
+    return out
+
+
 def witness_solved_clause(
     delta: SolvedClause,
     params: Mapping[VarId, FeatureTree],
@@ -274,62 +347,57 @@ def witness_solved_clause(
 
     Every constrained variable becomes a node labeled by its sort (or
     the default), edges follow the clause, and parameter positions graft
-    the supplied parameter trees.  Exclusions hold because the clause
-    admits no edge beside them.  The result maps constrained variables
-    to rational trees and passes the parameters through unchanged.
-    The whole graph is quotiented once; each variable's tree is the
-    quotient re-rooted at its node.
+    the supplied parameter trees (``_clause_graph``).  The result maps
+    constrained variables to rational trees and passes the parameters
+    through unchanged.  The whole graph is quotiented once; each
+    variable's tree is the quotient renumbered from its node.
     """
     cv = constrained_vars(delta)
     pvars = set(delta.variables) - cv
     missing = sorted(v.name for v in pvars if v not in params)
     if missing:
         raise ValueError(f"no parameter trees for: {', '.join(missing)}")
-
-    labels: dict = {}
-    edges: dict = {}
-    for x in cv:
-        labels[("v", x)] = delta.sorts.get(x, default_sort)
-    for y in pvars:
-        tree = params[y]
-        for i, lab in enumerate(tree.labels):
-            labels[("p", y, i)] = lab
-        for i, row in enumerate(tree.edges):
-            for f, j in row:
-                edges[(("p", y, i), f)] = ("p", y, j)
-    for (x, f), y in delta.edges.items():
-        target = ("v", y) if y in cv else ("p", y, 0)
-        edges[(("v", x), f)] = target
-
-    adj = adjacency(edges)
-    q_labels, q_adj, block = _quotient(list(labels), labels, adj)
-    out: Valuation = {y: params[y] for y in pvars}
-    for x in cv:
-        out[x] = _tree(block[("v", x)], q_labels, q_adj)
+    given = {y: params[y] for y in pvars}
+    labels, edges = _clause_graph(delta, given, default_sort)
+    q_labels, q_adj, block = _quotient(list(labels), labels, adjacency(edges))
+    out: Valuation = dict(given)
+    out.update(_trees(q_labels, q_adj, {x: block[x] for x in cv}))
     return out
 
 
-def witness_prime(beta: PrimeFormula, default_sort: SortId) -> Valuation:
-    """Trees satisfying a prime formula.
+def witness_pool(beta: PrimeFormula, default_sort: SortId) -> WitnessPool:
+    """One minimal pool satisfying a prime formula.
 
-    The graph of the body is witnessed as a solved clause with default
-    one-node trees at the unconstrained positions, then the equations
-    copy values onto their eliminated left-hand sides.  Bound variables
-    receive values too; their part of the witness is determined by the
-    free part anyway, and callers evaluating the body need them.
+    The graph of the body is witnessed as a solved clause whose
+    unconstrained variables, and the right-hand sides of the normalizer
+    outside it, are default leaves; one more default leaf gives the pool
+    its ``leaf``.  The graph is quotiented once, so equal values share
+    one node, and each equation's left-hand side takes the node of its
+    right-hand side.  Bound variables get nodes too.
     """
     body = beta.body
-    clause = SolvedClause(body.graph)
-    cv = constrained_vars(clause)
-    pvars = set(clause.variables) - cv
-    params = {y: single_node_tree(default_sort) for y in pvars}
-    val = witness_solved_clause(clause, params, default_sort)
+    labels, edges = _clause_graph(SolvedClause(body.graph), {}, default_sort)
     for eq in body.normalizer:
-        if eq.rhs not in val:
-            val[eq.rhs] = single_node_tree(default_sort)
+        labels.setdefault(eq.rhs, default_sort)
+    labels[_LEAF] = default_sort
+    q_labels, q_adj, node = _quotient(list(labels), labels, adjacency(edges))
+    leaf = node.pop(_LEAF)
     for eq in body.normalizer:
-        val[eq.lhs] = val[eq.rhs]
-    return val
+        node[eq.lhs] = node[eq.rhs]
+    return WitnessPool(q_labels, q_adj, node, leaf)
+
+
+def witness_prime(beta: PrimeFormula, default_sort: SortId) -> Valuation:
+    """Trees satisfying a prime formula: the trees of ``witness_pool``.
+
+    Bound variables receive values too; their part of the witness is
+    determined by the free part anyway, and callers evaluating the body
+    need them.  Each tree is numbered on its own, so on a chain the
+    trees hold quadratically many nodes in all; ``witness_pool`` is
+    linear.
+    """
+    pool = witness_pool(beta, default_sort)
+    return _trees(pool.labels, pool.adj, pool.node)
 
 
 # ---------------------------------------------------------------------------
@@ -353,34 +421,71 @@ def holds_path_constraint(alpha: Mapping[VarId, Value], pi: PathConstraint) -> b
     raise TypeError(f"not a path constraint: {pi!r}")
 
 
-def satisfies_prime(alpha: Mapping[VarId, Value], beta: PrimeFormula) -> bool:
-    """Exact satisfaction of a prime formula on its free variables.
+def _walk_prime(
+    beta: PrimeFormula,
+    start: Callable[[VarId], Position],
+    step: Callable[[Position, FeatId], Position | None],
+    label: Callable[[Position], Label],
+    same: Callable[[Position, Position], bool],
+) -> bool:
+    """Whether a prime holds where ``start`` puts its free variables.
 
     A prime formula is equivalent to its projection, a finite
     conjunction of proper path constraints over free variables only, so
     no quantifier enumeration is needed.  The projection is checked in
-    one walk of the body: each variable gets the value and node its
-    access path leads to (``positions``), a free variable the root of
-    its value, and then each equation, sort and edge is one comparison.
+    one walk of the body: each variable gets the position its access
+    path leads to (``positions``), and then each equation, sort and edge
+    is one comparison.
     """
-
-    def step(at: tuple[Value, int], f: FeatId) -> tuple[Value, int] | None:
-        node = _step(at[0], at[1], f)
-        return None if node is None else (at[0], node)
-
-    pos = positions(beta, lambda v: (alpha[v], 0), step)
+    pos = positions(beta, start, step)
     if pos is None:
         return False
     body = beta.body
 
     def edge_holds(u: VarId, f: FeatId, w: VarId) -> bool:
         at = step(pos[u], f)
-        return at is not None and _same_subvalue(*at, *pos[w])
+        return at is not None and same(at, pos[w])
 
     return (
-        all(_same_subvalue(*pos[eq.lhs], *pos[eq.rhs]) for eq in body.normalizer)
-        and all(pos[v][0].labels[pos[v][1]] == sort for v, sort in body.sorts.items())
+        all(same(pos[eq.lhs], pos[eq.rhs]) for eq in body.normalizer)
+        and all(label(pos[v]) == sort for v, sort in body.sorts.items())
         and all(edge_holds(u, f, w) for (u, f), w in body.edges.items())
+    )
+
+
+def satisfies_prime(alpha: Mapping[VarId, Value], beta: PrimeFormula) -> bool:
+    """Exact satisfaction of a prime formula on its free variables.
+
+    Positions are (value, node) pairs, a free variable at the root of its
+    value (``_walk_prime``).
+    """
+
+    def step(at: tuple[Value, int], f: FeatId) -> tuple[Value, int] | None:
+        node = _step(at[0], at[1], f)
+        return None if node is None else (at[0], node)
+
+    return _walk_prime(
+        beta,
+        lambda v: (alpha[v], 0),
+        step,
+        lambda at: at[0].labels[at[1]],
+        lambda a, b: _same_subvalue(*a, *b),
+    )
+
+
+def pool_satisfies(pool: WitnessPool, beta: PrimeFormula) -> bool:
+    """Exact satisfaction of a prime formula by the pool's valuation.
+
+    Positions are pool nodes, a free variable at its own node
+    (``_walk_prime``); in one minimal pool, equal nodes are equal values.
+    """
+    steps = {(b, f): w for b, row in pool.adj.items() for f, w in row}
+    return _walk_prime(
+        beta,
+        pool.node.__getitem__,
+        lambda b, f: steps.get((b, f)),
+        pool.labels.__getitem__,
+        operator.eq,
     )
 
 
@@ -504,38 +609,115 @@ def evaluate(
 
 # ---------------------------------------------------------------------------
 # JSON serialization
+#
+# A valuation is written as one node pool in three rows: the sort of
+# each node (None for an unlabeled graph node), the edges as
+# (src, feature, dst) in that order, and the node of each variable.
 
 
 def _json_pool(values: Iterable[Value]) -> tuple[list, list, dict]:
-    """One node pool for the values in turn; equal values share a block."""
+    """The rows of the values in turn; equal values share a block."""
     blocks: dict[Value, int] = {}
-    nodes: list[dict] = []
-    edges: list[dict] = []
+    sorts: list[Label] = []
+    edges: list[tuple[int, FeatId, int]] = []
     for value in values:
         if value in blocks:
             continue
-        offset = blocks[value] = len(nodes)
-        for i, lab in enumerate(value.labels):
-            node: dict = {"id": offset + i}
-            if lab is not None:
-                node["sort"] = lab.name
-            nodes.append(node)
+        offset = blocks[value] = len(sorts)
+        sorts.extend(value.labels)
         edges.extend(
-            {"src": offset + i, "feature": f.name, "dst": offset + j}
-            for i, row in enumerate(value.edges)
-            for f, j in row
+            (offset + i, f, offset + j) for i, row in enumerate(value.edges) for f, j in row
         )
-    edges.sort(key=lambda e: (e["src"], e["feature"], e["dst"]))
-    return nodes, edges, blocks
+    edges.sort()
+    return sorts, edges, blocks
+
+
+def _json_rows(sorts: list[Label], edges: list) -> tuple[list, list]:
+    """The ``nodes`` and ``edges`` documents of two rows."""
+    nodes = [
+        {"id": i} if lab is None else {"id": i, "sort": lab.name} for i, lab in enumerate(sorts)
+    ]
+    return nodes, [{"src": s, "feature": f.name, "dst": d} for s, f, d in edges]
 
 
 def value_to_json(v: Value) -> dict:
-    nodes, edges, _ = _json_pool([v])
+    nodes, edges = _json_rows(*_json_pool([v])[:2])
     return {"root": 0, "nodes": nodes, "edges": edges}
 
 
 def valuation_to_json(alpha: Mapping[VarId, Value]) -> dict:
     """One shared node pool; equal values share their block of nodes."""
     names = sorted(alpha)
-    nodes, edges, blocks = _json_pool(alpha[v] for v in names)
-    return {"nodes": nodes, "edges": edges, "vars": {v.name: blocks[alpha[v]] for v in names}}
+    sorts, edges, blocks = _json_pool(alpha[v] for v in names)
+    nodes, edge_docs = _json_rows(sorts, edges)
+    return {"nodes": nodes, "edges": edge_docs, "vars": {v.name: blocks[alpha[v]] for v in names}}
+
+
+def _witness_rows(pool: WitnessPool, roots: Mapping[VarId, int]) -> tuple[list, list, dict]:
+    """The rows ``valuation_to_json`` gives the trees at the roots.
+
+    For each variable in name order, a node not seen before opens a
+    block, numbered in the depth-first preorder of ``_number``; equal
+    nodes are equal trees and share the block.  Edges come out in
+    (src, feature, dst) order, because sources are numbered in turn and
+    each row is sorted by feature.
+    """
+    labels, adj = pool.labels, pool.adj
+    offsets: dict[int, int] = {}
+    sorts: list[SortId] = []
+    edges: list[tuple[int, FeatId, int]] = []
+    where: dict[str, int] = {}
+    for v in sorted(roots):
+        root = roots[v]
+        if root not in offsets:
+            offset = offsets[root] = len(sorts)
+            order = _preorder(root, adj)
+            index = {u: offset + i for i, u in enumerate(order)}
+            for u in order:
+                sorts.append(labels[u])
+                src = index[u]
+                edges.extend((src, f, index[w]) for f, w in adj.get(u, ()))
+        where[v.name] = offsets[root]
+    return sorts, edges, where
+
+
+def witness_to_json(pool: WitnessPool, roots: Mapping[VarId, int]) -> dict:
+    """``valuation_to_json`` of the trees at the given pool nodes, built
+    without a standalone tree."""
+    sorts, edges, where = _witness_rows(pool, roots)
+    nodes, edge_docs = _json_rows(sorts, edges)
+    return {"nodes": nodes, "edges": edge_docs, "vars": where}
+
+
+def _json_items(items: list[str], brackets: str) -> str:
+    """A top-level list or map of ``indent=2`` layout: its items one per
+    line, or the empty brackets."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n  {brackets[1]}"
+
+
+def witness_to_json_text(pool: WitnessPool, roots: Mapping[VarId, int]) -> str:
+    """``json.dumps(witness_to_json(pool, roots), indent=2, sort_keys=True)``,
+    written straight from the rows in that fixed layout.
+
+    Names go through ``json.dumps``, so they are escaped as there.
+    """
+    from json import dumps  # not on import: ``import featlog`` does not load json
+
+    sorts, edges, where = _witness_rows(pool, roots)
+    feat = {f: dumps(f.name) for f in {e[1] for e in edges}}
+    sort = {s: dumps(s.name) for s in set(sorts)}
+    edge_items = [
+        f'    {{\n      "dst": {d},\n      "feature": {feat[f]},\n      "src": {s}\n    }}'
+        for s, f, d in edges
+    ]
+    node_items = [
+        f'    {{\n      "id": {i},\n      "sort": {sort[s]}\n    }}' for i, s in enumerate(sorts)
+    ]
+    var_items = [f"    {dumps(name)}: {at}" for name, at in where.items()]
+    return (
+        f'{{\n  "edges": {_json_items(edge_items, "[]")},'
+        f'\n  "nodes": {_json_items(node_items, "[]")},'
+        f'\n  "vars": {_json_items(var_items, "{}")}\n}}'
+    )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from string import ascii_letters
 
 from .core import (
@@ -77,12 +77,13 @@ class ParseError(Exception):
 # text: every character is whitespace or the start of a match.  Skipped
 # text is its own alternative, not a prefix of every token, which keeps
 # the scan linear; a prefix such as ``(?:\s+|#[^\n]*)*`` backtracks
-# exponentially.
+# exponentially.  Only a token is captured, so ``findall`` gives the
+# empty string for skipped text and no match carries its position.
 _LEXEME_RE = re.compile(
-    r"""\s+ | \#[^\n]*               # whitespace or a comment, skipped
-      | <-> | -> | [()~&|=@.,]         # punctuation, its own kind
-      | [A-Za-z_][A-Za-z0-9_]*         # identifier
-      | \S                             # anything else, an error
+    r"""\s+ | \#[^\n]*            # whitespace or a comment, skipped
+      | ( <-> | -> | [()~&|=@.,]  # punctuation, its own kind
+        | [A-Za-z_][A-Za-z0-9_]*  # identifier
+        | \S )                    # anything else, an error
     """,
     re.VERBOSE,
 )
@@ -93,31 +94,30 @@ _OWN_KIND = {w: w for w in ("<->", "->", *"()~&|=@.,", *RESERVED_WORDS)}
 _IDENT_KIND = {c: "uident" if c.isupper() else "lident" for c in ascii_letters}
 
 
-def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
-    """The tokens of ``text`` as parallel lists of kind, text and start,
-    ending with an ``eof`` token at the end of the text."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    pos = 0
-    for lexeme in _LEXEME_RE.findall(text):
-        kind = _OWN_KIND.get(lexeme) or _IDENT_KIND.get(lexeme[0])
-        if kind is not None:
-            kinds.append(kind)
-            texts.append(lexeme)
-            starts.append(pos)
-        elif lexeme[0] == "_":
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """The tokens of ``text`` as parallel lists of kind and text, ending
+    with an ``eof`` token."""
+    texts = list(filter(None, _LEXEME_RE.findall(text)))
+    kinds = [_OWN_KIND.get(t) or _IDENT_KIND.get(t[0]) for t in texts]
+    if not all(kinds):
+        i = kinds.index(None)
+        lexeme, start = texts[i], _token_start(text, i)
+        if lexeme[0] == "_":
             raise ParseError(
                 "identifiers starting with '_' are reserved",
-                SourceSpan(pos, pos + len(lexeme)),
+                SourceSpan(start, start + len(lexeme)),
             )
-        elif lexeme[0] != "#" and not lexeme[0].isspace():
-            raise ParseError(f"unexpected character {lexeme!r}", SourceSpan(pos, pos + 1))
-        pos += len(lexeme)
+        raise ParseError(f"unexpected character {lexeme!r}", SourceSpan(start, start + 1))
     kinds.append("eof")
     texts.append("")
-    starts.append(pos)
-    return kinds, texts, starts
+    return kinds, texts
+
+
+def _token_start(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts, and for the ``eof`` token the
+    end of the text.  Positions are found again only for an error."""
+    starts = (m.start() for m in _LEXEME_RE.finditer(text) if m.group(1))
+    return next(islice(starts, i, None), len(text))
 
 
 _PREC_IFF = 1
@@ -141,7 +141,8 @@ class _Parser:
 
     def __init__(self, sym: Symbols, text: str):
         self.sym = sym
-        self.kinds, self.texts, self.starts = _scan(text)
+        self.text = text
+        self.kinds, self.texts = _scan(text)
         self.pos = 0
 
     def take(self, kind: str, what: str) -> str:
@@ -154,7 +155,7 @@ class _Parser:
 
     def fail(self, message: str) -> ParseError:
         """An error at the next token."""
-        start = self.starts[self.pos]
+        start = _token_start(self.text, self.pos)
         return ParseError(message, SourceSpan(start, start + len(self.texts[self.pos])))
 
     def parse(self) -> Formula:

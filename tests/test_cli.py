@@ -2,11 +2,22 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from featlog import (
+    Symbols,
+    expand_sugar,
+    parse_formula,
+    simplify_epc,
+    single_node_tree,
+    valuation_to_json,
+    witness_prime,
+)
 from featlog.cli import build_parser, main
+from featlog.core import free_vars
 
 from test_solve import _wall_limit
 
@@ -127,6 +138,87 @@ def test_witness_respects_default_sort(tmp_path, capsys):
     assert any(n.get("sort") == "Dflt" for n in doc["nodes"])
 
 
+def _trees_witness(text, default_sort=None):
+    """What ``witness`` prints when every free variable gets a standalone
+    tree from ``witness_prime``, written by ``json.dumps``."""
+    sym = Symbols()
+    phi = expand_sugar(parse_formula(sym, text))
+    beta = simplify_epc(phi)
+    default = sym.sort(default_sort) if default_sort else sym.fresh_sort("Default")
+    val = witness_prime(beta, default)
+    shown = {
+        v: val[v] if v in beta.free_vars else single_node_tree(default) for v in free_vars(phi)
+    }
+    return json.dumps(valuation_to_json(shown), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "text, default_sort, blocks",
+    [
+        pytest.param("true", None, [], id="true"),
+        pytest.param("exists x. f(x, y) & A(z)", None, [1, 1], id="dropped-variable"),
+        pytest.param("exists y. (f(x, y) & g(z, y))", "Dflt", [2, 2], id="default-sort"),
+        pytest.param(
+            "exists u, v. (f(x, u) & A(u) & f(y, v) & A(v) & A(x) & A(y) & B(z))",
+            None,
+            [2, 1],
+            id="equal-values-share-a-block",
+        ),
+        pytest.param(
+            "exists u. (f(x, u) & g(u, x) & A(x) & B(u) & h(y, x))", None, [2, 3], id="cycle"
+        ),
+    ],
+)
+def test_witness_is_written_as_json_dumps_writes_the_trees(
+    tmp_path, capsys, text, default_sort, blocks
+):
+    """The witness is written straight from its pool, byte for byte as
+    ``json.dumps`` writes the per-variable trees; ``blocks`` are the node
+    counts of the blocks the free variables open, in name order."""
+    path = write(tmp_path, text)
+    flags = ["--default-sort", default_sort] if default_sort else []
+    expected = _trees_witness(text, default_sort)
+    assert run(capsys, "witness", path, *flags) == (0, expected + "\n", "")
+    code, out, err = run(capsys, "witness", path, "--format", "json", *flags)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(
+        {"command": "witness", "verdict": "SATISFIABLE", "witness": json.loads(expected)},
+        indent=2,
+        sort_keys=True,
+    ) + "\n"
+    witness = json.loads(expected)
+    starts = sorted(set(witness["vars"].values()))
+    assert [b - a for a, b in zip(starts, [*starts[1:], len(witness["nodes"])])] == blocks
+    if default_sort:
+        assert any(n.get("sort") == default_sort for n in witness["nodes"])
+
+
+def _chain_prefix(n):
+    xs = ", ".join(f"x{i}" for i in range(1, n + 1))
+    atoms = ["f(y, x1)"] + [f"f(x{i}, x{i + 1})" for i in range(1, n)]
+    return f"exists {xs}. ({' & '.join(atoms)})"
+
+
+def test_witness_time_grows_linearly_on_a_chain_prefix(tmp_path, capsys):
+    """The witness of an n-variable chain prefix is one pool of n + 1
+    nodes, checked in one walk and written from the pool: four times the
+    chain takes about four times as long, where a tree per variable took
+    sixteen times."""
+    best = {}
+    for n in (2000, 8000):
+        path = write(tmp_path, _chain_prefix(n))
+        times = []
+        for _ in range(3):
+            with _wall_limit(10.0):
+                start = time.perf_counter()
+                code, out, err = run(capsys, "witness", path)
+                times.append(time.perf_counter() - start)
+            assert code == 0, err
+            assert len(json.loads(out)["nodes"]) == n + 1
+        best[n] = min(times)
+    assert best[8000] < 8 * best[2000], best
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "decide", write(tmp_path, "A(x"))
     assert code == 2
@@ -242,21 +334,30 @@ def test_output_is_deterministic_across_processes(tmp_path):
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parent.parent / "src")
-    path = write(
-        tmp_path,
-        "forall y. (f(x, y) -> exists z. (g(y, z) & A(z)))",
-    )
-    outs = set()
-    for seed in ("0", "1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "featlog", "decide", path],
-            capture_output=True,
-            env=env,
-            check=True,
-        )
-        outs.add(proc.stdout)
-    assert len(outs) == 1
+    inputs = {
+        "decide": "forall y. (f(x, y) -> exists z. (g(y, z) & A(z)))",
+        # x and y share one block of the witness pool, z and w have blocks
+        # of their own, and the pool numbers its blocks in set order
+        "witness": "exists u, v, t. (f(x, u) & A(u) & f(y, v) & A(v) & A(x) & A(y)"
+        " & g(z, x) & g(w, t) & h(t, w) & B(t) & C(w) & B(z))",
+    }
+    for command, text in inputs.items():
+        path = tmp_path / f"{command}.fl"
+        path.write_text(text, encoding="utf-8")
+        outs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "featlog", command, str(path)],
+                capture_output=True,
+                env=env,
+                check=True,
+            )
+            outs.add(proc.stdout)
+        assert len(outs) == 1, command
+    witness = json.loads(outs.pop())
+    assert witness["vars"]["x"] == witness["vars"]["y"]
+    assert len(set(witness["vars"].values())) == 3
 
 
 def test_residue_is_byte_identical_across_hash_seeds(tmp_path):
@@ -377,9 +478,10 @@ def _cycle(n, marked):
             "NOT-ENTAILED",
             id="not-entail-sorted-chain-8000",
         ),
-        # a chain witness gives each bound variable its own tree, n * n / 2
-        # nodes in all, so the chain is witnessed at 1,000 nodes
+        # a chain witness is one pool of n nodes, checked in one walk, and
+        # only the free variable's tree is written
         pytest.param("witness", _sorted_chain(1000), 1000, id="witness-sorted-chain-1000"),
+        pytest.param("witness", _sorted_chain(8000), 8000, id="witness-sorted-chain-8000"),
         pytest.param("witness", _cycle(8000, marked=False), 1, id="witness-uniform-cycle-8000"),
     ],
 )

@@ -43,7 +43,17 @@ from featlog import (
     witness_solved_clause,
 )
 from featlog.core import EPS, Exists, Forall, conj, exists_all, forall_all
-from featlog.models import enumerate_values, root_sort, subvalue, subvalues, walk_value
+from featlog.models import (
+    enumerate_values,
+    pool_satisfies,
+    root_sort,
+    subvalue,
+    subvalues,
+    walk_value,
+    witness_pool,
+    witness_to_json,
+    witness_to_json_text,
+)
 from featlog.solve import clause_to_formula
 
 from generators import pools, random_prime, random_tree_value, random_valuation
@@ -373,6 +383,52 @@ def test_one_walk_satisfaction_agrees_with_the_projection(sym):
             seen[kind, got] += 1
     assert sum(seen.values()) >= 2000
     assert min(seen.values()) > 100, seen
+
+
+def test_pool_walk_agrees_with_the_tree_walk(sym):
+    """``pool_satisfies`` compares pool nodes where ``satisfies_prime``
+    compares trees: on the pool of one prime and its trees, both give
+    the same answer for the prime itself and for random other primes."""
+    rng = random.Random(143)
+    default = sym.fresh_sort("D")
+    seen = Counter()
+    for _ in range(300):
+        beta = random_prime(rng, sym, max_atoms=rng.randint(1, 10), n_vars=rng.randint(2, 7))
+        pool = witness_pool(beta, default)
+        trees = witness_prime(beta, default)
+        assert trees.keys() == pool.node.keys()
+        assert pool_satisfies(pool, beta)
+        for _ in range(3):
+            other = random_prime(rng, sym, max_atoms=rng.randint(1, 6), n_vars=rng.randint(2, 7))
+            if other.free_vars <= pool.node.keys():
+                got = pool_satisfies(pool, other)
+                assert got == satisfies_prime(trees, other), (str(beta), str(other))
+                seen[got] += 1
+    assert min(seen[True], seen[False]) > 50, seen
+
+
+def test_witness_text_is_json_dumps_of_the_trees(sym):
+    """Written straight from the pool, a witness is byte for byte
+    ``json.dumps(valuation_to_json(trees), indent=2, sort_keys=True)``
+    of standalone trees from ``witness_prime``, also when a shown
+    variable is one the prime drops and when values are equal."""
+    rng = random.Random(144)
+    default = sym.fresh_sort("D")
+    dropped = sym.var("y")
+    shared = 0
+    for _ in range(300):
+        beta = random_prime(rng, sym, max_atoms=rng.randint(1, 12), n_vars=rng.randint(1, 7))
+        pool = witness_pool(beta, default)
+        trees = witness_prime(beta, default)
+        shown = beta.free_vars | {dropped}
+        roots = {v: pool.node[v] if v in beta.free_vars else pool.leaf for v in shown}
+        leaf = single_node_tree(default)
+        values = {v: trees[v] if v in beta.free_vars else leaf for v in shown}
+        doc = valuation_to_json(values)
+        assert witness_to_json(pool, roots) == doc
+        assert witness_to_json_text(pool, roots) == json.dumps(doc, indent=2, sort_keys=True)
+        shared += len(set(roots.values())) < len(roots)
+    assert shared > 30, shared
 
 
 def test_path_constraints_agree_with_walked_subvalues(sym):
