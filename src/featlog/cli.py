@@ -180,14 +180,28 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in helps.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="input file, or - for standard input")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument(
+            "--format",
+            choices=("text", "json"),
+            default="text",
+            help="print the result as text lines or as one JSON object (default: text)",
+        )
         p.add_argument(
             "--max-dnf-clauses",
             type=int,
             default=DEFAULT_MAX_DNF_CLAUSES,
             metavar="N",
+            help="bound on the clauses of a normal form a quantifier block has to build "
+            "and on the branches of the open-input search; past it, exit 3 "
+            f"(default: {DEFAULT_MAX_DNF_CLAUSES})",
         )
-        p.add_argument("--default-sort", default=None, metavar="NAME")
+        p.add_argument(
+            "--default-sort",
+            default=None,
+            metavar="NAME",
+            help="sort of the witness nodes the input leaves unsorted "
+            "(default: a fresh internal sort)",
+        )
     return parser
 
 

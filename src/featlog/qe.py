@@ -7,19 +7,22 @@ an existential block ``exists X`` is eliminated the whole block at
 once.  It is miniscoped first: a part with no variable of X free is
 left alone, ``exists X`` distributes over a disjunction, and the
 conjuncts of a conjunction that miss X move outside it.  What remains
-is pushed through one disjunctive normal form whose literals are
-primes, built whole so that the clause bound applies to all of it, and
+is put in a disjunctive normal form whose literals are primes and
 eliminated clause by clause, shortest clause first: a clause with fewer
 literals is weaker, so likelier true, and the block is true as soon as
-one clause eliminates to true.  The normal form numbers the distinct
-primes it meets, so its clauses are sets of small integers: a
-conjunction merges its single-clause arguments in one pass before it
-distributes over the others, and each distinct set is turned back into
-primes once, so equal primes come back as one object.  The clauses of
-one block share their work through two tables that die with the block:
-the merged positives and their requantification per set of positives,
-and what each negative subtracts per pair of merged positives and
-negative.
+one clause eliminates to true.  A clause that holds a literal with no
+block variable free never eliminates to true, so the block-only
+clauses, those without such a literal, are built and eliminated first;
+the whole normal form is built only when none of them is true, and the
+clause bound applies to each normal form built.  The normal form
+numbers the distinct primes it meets, so its clauses are sets of small
+integers: a conjunction merges its single-clause arguments in one pass
+before it distributes over the others, and each distinct set is turned
+back into primes once, so equal primes come back as one object.  The
+clauses of one block share their work through two tables that die with
+the block: the merged positives and their requantification per set of
+positives, and what each negative subtracts per pair of merged
+positives and negative.
 
 Boolean combinations are canonical up to the order of arguments: every
 negation, conjunction and disjunction is found in one unique table by
@@ -97,7 +100,10 @@ UNSATISFIABLE = "UNSATISFIABLE"
 
 
 class ResourceLimit(Exception):
-    """Raised when a normal form or a clause search exceeds the clause bound."""
+    """Raised when a normal form a block has to build, or a clause search,
+    exceeds the clause bound.  A block with a true block-only clause
+    answers without building its whole normal form, so only the
+    block-only clauses count against the bound there."""
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +434,26 @@ def to_prime_dnf(
     the list of its primes in the order the walk met them, so equal
     primes come back as one object and clauses may share their lists.
     """
+    return _prime_dnf(delta, max_clauses, xs)
+
+
+def _prime_dnf(
+    delta: BoolComb,
+    max_clauses: int,
+    xs: Sequence[VarId],
+    block: frozenset[VarId] | None = None,
+) -> list[tuple[list[PrimeFormula], list[PrimeFormula]]]:
+    """``to_prime_dnf``, or with a ``block`` only its block-only clauses.
+
+    A literal with no variable of the block free then contributes no
+    clause: a disjunction drops it and a conjunction that holds it
+    yields none, before it crosses its other arguments, so no product
+    grows past the whole walk's.  What is left are exactly the clauses
+    of the whole normal form that hold no such literal, in the same
+    order.  The walk meets their primes in the same relative order as
+    the whole walk does, so each clause lists its primes in the same
+    order too.
+    """
     limit = f"disjunctive normal form exceeds {max_clauses} clauses"
     if xs:
         limit += f" while eliminating {', '.join(map(str, xs[:8]))}"
@@ -442,6 +468,8 @@ def to_prime_dnf(
             beta = node.beta
             if beta.is_top():
                 return [] if negate else [(empty, empty)]
+            if block is not None and block.isdisjoint(beta.free_vars):
+                return []
             i = ids.get(beta)
             if i is None:
                 i = ids[beta] = len(primes)
@@ -470,7 +498,7 @@ def to_prime_dnf(
                 neg.update(clauses[0][1])
             else:
                 factors.append(clauses)
-        if not pos.isdisjoint(neg):
+        if not pos.isdisjoint(neg) or (block is not None and [] in factors):
             return []
         acc = [(frozenset(pos), frozenset(neg))]
         for right in factors:
@@ -494,6 +522,23 @@ def to_prime_dnf(
     return [(decode(pos), decode(neg)) for pos, neg in go(delta, False)]
 
 
+def _has_block_free_literal(node: BoolComb, block: frozenset[VarId]) -> bool:
+    """Whether a prime of node has no block variable free.  It decides only
+    whether the block-only clauses are tried first, never the result."""
+    while isinstance(node, BcNot):
+        node = node.arg
+    if isinstance(node, PrimeLeaf):
+        return block.isdisjoint(node.beta.free_vars)
+    for a in node.args:
+        # most arguments are leaves: test them here, without a call
+        if isinstance(a, PrimeLeaf):
+            if block.isdisjoint(a.beta.free_vars):
+                return True
+        elif _has_block_free_literal(a, block):
+            return True
+    return False
+
+
 def _eliminate_exists(xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int) -> BoolComb:
     """Boolean combination equivalent to ``exists xs delta``.
 
@@ -501,11 +546,21 @@ def _eliminate_exists(xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int) 
     part with no block variable free is kept as it is, a disjunction
     eliminates the block from each disjunct, and a conjunction keeps
     its arguments with no block variable outside the block.  What is
-    left goes through one prime DNF, built whole, and its clauses are
-    eliminated shortest first through one memoizing clause eliminator.
-    The first clause that eliminates to true makes the block true, and
-    the clauses not yet eliminated are skipped; when none does, the
-    results are joined in DNF order.
+    left is put in prime DNF, and its clauses are eliminated shortest
+    first through one memoizing clause eliminator.  The first clause
+    that eliminates to true makes the block true, and the clauses not
+    yet eliminated are skipped; when none does, the results are joined
+    in DNF order.
+
+    Only a block-only clause, one whose literals all have a block
+    variable free, can eliminate to true.  A positive literal gamma with
+    none is entailed by the clause's ``exists xs beta`` and is not
+    valid; a negative one is never a joker, and it clashes with no beta
+    whose ``exists xs beta`` is true, since gamma is satisfiable and the
+    block can be extended.  So when some literal has no block variable
+    free, the block-only clauses are built and eliminated first, and the
+    whole DNF is built only when none of them is true.  The eliminator's
+    tables then answer the clauses already tried.
     """
     block = frozenset(xs)
     eliminate = _clause_eliminator(block)
@@ -526,12 +581,24 @@ def _eliminate_exists(xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int) 
         rest = inside[0] if len(inside) == 1 else type(node)(tuple(inside))
         return bc_and(*[bc_not(a) if negate else a for a in outside], go(rest, negate))
 
-    def normal_form(node: BoolComb, negate: bool) -> BoolComb:
-        clauses = to_prime_dnf(bc_not(node) if negate else node, max_clauses, xs)
-        out: list[BoolComb] = [BC_FALSE] * len(clauses)
-        # shortest first: fewer literals make a weaker clause, likelier true
+    def shortest_first(clauses: list) -> list[int]:
+        # fewer literals make a weaker clause, likelier true
         sizes = [len(pos) + len(neg) for pos, neg in clauses]
-        for i in sorted(range(len(clauses)), key=sizes.__getitem__):
+        return sorted(range(len(clauses)), key=sizes.__getitem__)
+
+    def normal_form(node: BoolComb, negate: bool) -> BoolComb:
+        node = bc_not(node) if negate else node
+        if _has_block_free_literal(node, block):
+            # only a clause without a block-free literal can be true, so
+            # those are tried first; their results are dropped, so the
+            # whole normal form's clauses build their combinations in the
+            # order they always did
+            clauses = _prime_dnf(node, max_clauses, xs, block)
+            if any(eliminate(*clauses[i]) is BC_TRUE for i in shortest_first(clauses)):
+                return BC_TRUE
+        clauses = to_prime_dnf(node, max_clauses, xs)
+        out: list[BoolComb] = [BC_FALSE] * len(clauses)
+        for i in shortest_first(clauses):
             out[i] = eliminate(*clauses[i])
             if out[i] is BC_TRUE:
                 return BC_TRUE

@@ -11,14 +11,17 @@ operations that the one-pass ``simplify_epc`` replaces, the closure
 classifier, which decides open input by quantifier elimination instead
 of the clause search, the block splitter, which makes the library
 eliminate a quantifier block one variable at a time instead of at
-once, the bounded evaluator, which reads values
-through the library's walks but judges quantifiers by trying small
-candidate values instead of eliminating them, the dict-keyed normal
-form, which builds the library's prime DNF with clauses keyed by the
-primes themselves instead of by integer ids, and the projection checks,
-which decide entailment and satisfaction of primes by walking every
-constraint of a projection from its root through the library's closure
-membership and value walks, instead of walking the body once.  The
+once, the eager decider, which miniscopes each block and eliminates it
+through the library's clause eliminator but builds the block's whole
+normal form before eliminating any clause, the bounded evaluator,
+which reads values through the library's walks but judges quantifiers
+by trying small candidate values instead of eliminating them, the
+dict-keyed normal form, which builds the library's prime DNF with
+clauses keyed by the primes themselves instead of by integer ids, and
+the projection checks, which decide entailment and satisfaction of
+primes by walking every constraint of a projection from its root
+through the library's closure membership and value walks, instead of
+walking the body once.  The
 reference parser matches one token at a time, whitespace and comments
 as separate matches, into token records, and builds its formulae with
 the library's constructors and interns its names in the library's
@@ -87,12 +90,14 @@ from featlog.prime import from_atom
 from featlog.paths import PathConstraint, is_proper
 from featlog.qe import (
     BC_FALSE,
+    BC_TRUE,
     DEFAULT_MAX_DNF_CLAUSES,
     BcNot,
     BcOr,
     BoolComb,
     PrimeLeaf,
     ResourceLimit,
+    _clause_eliminator,
     bc_and,
     bc_not,
     bc_or,
@@ -572,6 +577,71 @@ def unscoped_decide(phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
         delta = bc_or(*[eliminate_clause(phi.vars, pos, neg) for pos, neg in clauses])
         return bc_not(delta) if universal else delta
     return decide(phi, max_clauses)
+
+
+def eager_decide(phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
+    """``decide`` with each block's whole normal form built first.
+
+    A block is miniscoped as ``decide`` does it, and what is left goes
+    through one ``to_prime_dnf``, built whole, so the clause bound
+    applies to all of it.  Its clauses are then eliminated shortest
+    first through one clause eliminator per block; the first that
+    eliminates to true makes the block true, and otherwise the results
+    are joined in normal-form order.  Expects sugar-expanded input.
+    """
+    if isinstance(phi, Not):
+        return bc_not(eager_decide(phi.body, max_clauses))
+    if isinstance(phi, (And, Or)):
+        combine = bc_and if isinstance(phi, And) else bc_or
+        return combine(*[eager_decide(arg, max_clauses) for arg in phi.args])
+    if isinstance(phi, Implies):
+        return bc_or(
+            bc_not(eager_decide(phi.lhs, max_clauses)), eager_decide(phi.rhs, max_clauses)
+        )
+    if isinstance(phi, Iff):
+        lhs = eager_decide(phi.lhs, max_clauses)
+        rhs = eager_decide(phi.rhs, max_clauses)
+        return bc_or(bc_and(lhs, rhs), bc_and(bc_not(lhs), bc_not(rhs)))
+    if isinstance(phi, (Exists, Forall)):
+        universal = isinstance(phi, Forall)
+        delta = eager_decide(phi.body, max_clauses)
+        delta = bc_not(delta) if universal else delta
+        delta = _eager_eliminate_exists(phi.vars, delta, max_clauses)
+        return bc_not(delta) if universal else delta
+    return decide(phi, max_clauses)
+
+
+def _eager_eliminate_exists(xs, delta: BoolComb, max_clauses: int) -> BoolComb:
+    block = frozenset(xs)
+    eliminate = _clause_eliminator(block)
+
+    def go(node: BoolComb, negate: bool) -> BoolComb:
+        if block.isdisjoint(node.free_vars):
+            return bc_not(node) if negate else node
+        if isinstance(node, BcNot):
+            return go(node.arg, not negate)
+        if isinstance(node, PrimeLeaf):
+            return normal_form(node, negate)
+        if isinstance(node, BcOr) != negate:
+            return bc_or(*[go(a, negate) for a in node.args])
+        inside = [a for a in node.args if not block.isdisjoint(a.free_vars)]
+        if len(inside) == len(node.args):
+            return normal_form(node, negate)
+        outside = [a for a in node.args if block.isdisjoint(a.free_vars)]
+        rest = inside[0] if len(inside) == 1 else type(node)(tuple(inside))
+        return bc_and(*[bc_not(a) if negate else a for a in outside], go(rest, negate))
+
+    def normal_form(node: BoolComb, negate: bool) -> BoolComb:
+        clauses = to_prime_dnf(bc_not(node) if negate else node, max_clauses, xs)
+        out: list[BoolComb] = [BC_FALSE] * len(clauses)
+        sizes = [len(pos) + len(neg) for pos, neg in clauses]
+        for i in sorted(range(len(clauses)), key=sizes.__getitem__):
+            out[i] = eliminate(*clauses[i])
+            if out[i] is BC_TRUE:
+                return BC_TRUE
+        return bc_or(*out)
+
+    return go(delta, False)
 
 
 def closure_classify(phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):

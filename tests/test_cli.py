@@ -226,12 +226,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_resource_limit_exit_code(tmp_path, capsys):
-    # every disjunction mentions the block, so none leaves it
-    clauses = " & ".join(f"(A(x0) | B(x{i}))" for i in range(1, 13))
+    # every disjunction mentions the block, so none leaves it, and the
+    # one clause without a B literal, the edges from x0, is not true, so
+    # the whole normal form of 4,096 clauses has to be built
+    clauses = " & ".join(f"(f(x0, x{i}) | B(x{i}))" for i in range(1, 13))
     path = write(tmp_path, f"exists x0. ({clauses})")
     code, _, err = run(capsys, "decide", path, "--max-dnf-clauses", "5")
     assert code == 3
     assert "resource limit" in err
+
+
+def test_true_block_only_clause_answers_under_the_clause_bound(tmp_path, capsys):
+    """The whole normal form has 4,096 clauses, but the one clause whose
+    literals all mention the block, ``A(x0)``, eliminates to true, so the
+    block is true before the clauses with a B literal are built."""
+    clauses = " & ".join(f"(A(x0) | B(x{i}))" for i in range(1, 13))
+    path = write(tmp_path, f"exists x0. ({clauses})")
+    assert run(capsys, "decide", path, "--max-dnf-clauses", "5") == (0, "SATISFIABLE\ntrue\n", "")
 
 
 def test_resource_limits_name_stage_and_size(tmp_path, capsys):

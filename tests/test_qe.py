@@ -38,8 +38,9 @@ from featlog import (
     simplify_epc,
     to_prime_dnf,
 )
-from featlog.core import EPS, conj, exists_all, forall_all
+from featlog.core import EPS, Exists, Forall, conj, exists_all, forall_all
 from featlog.prime import from_atom
+from featlog.textio import print_formula
 from featlog.qe import (
     BC_FALSE,
     BC_TRUE,
@@ -70,6 +71,7 @@ from oracles import (
     bounded_evaluate,
     closure_classify,
     dict_prime_dnf,
+    eager_decide,
     naive_is_joker,
     projection_has_joker,
     split_blocks,
@@ -735,15 +737,38 @@ def _counting_eliminator(monkeypatch, log):
 
 
 def test_qe_mix_iff_sentence_stops_at_its_first_true_clause(sym, monkeypatch):
-    """The same sentence builds two normal forms of 6,920 clauses.  Only
+    """The same sentence has two normal forms of 6,920 clauses.  Only
     one clause in each is true, and it has one positive and one negative
     literal; eliminating shortest first and stopping there makes 41
-    clause eliminations where all of them make 13,876."""
+    clause eliminations where all of them make 13,876, and trying the
+    block-only clauses first makes 38."""
     log = []
     _counting_eliminator(monkeypatch, log)
     op = WORKLOADS["qe_mix"](201)[534]
     assert classify(parse_formula(sym, op.text)).kind == INVALID
     assert 0 < len(log) <= 100
+
+
+def test_qe_mix_iff_sentence_builds_only_block_only_clauses(sym, monkeypatch):
+    """The true clauses of the qe-mix iff sentence of size 32 at seed 201
+    have only literals with a block variable free, so each block builds
+    those clauses first and is true before its whole normal form is
+    built: under 100 clauses in all, where building each normal form
+    whole made 13,876."""
+    import featlog.qe
+
+    built = []
+    dnf = featlog.qe._prime_dnf
+
+    def counting_dnf(*args):
+        clauses = dnf(*args)
+        built.append(len(clauses))
+        return clauses
+
+    monkeypatch.setattr(featlog.qe, "_prime_dnf", counting_dnf)
+    op = WORKLOADS["qe_mix"](201)[534]
+    assert classify(parse_formula(sym, op.text)).kind == INVALID
+    assert 0 < sum(built) < 100
 
 
 def test_block_elimination_stops_at_its_shortest_true_clause(sym, monkeypatch):
@@ -769,6 +794,96 @@ def test_block_elimination_stops_at_its_shortest_true_clause(sym, monkeypatch):
     assert log == [(clauses[-1][0], [], BC_TRUE)]
 
 
+def test_block_only_clauses_never_trip_the_bound_first(sym):
+    """``~(~B(y) | ~A(x))`` is the one clause ``B(y) & A(x)``, which every
+    clause of the first disjunction clashes with, so the whole normal
+    form is empty and never holds more than three clauses.  Its
+    block-only clauses drop ``B(y)``, which has no x free, and with it
+    ``A(x)``; the conjunction then yields none before it crosses the two
+    disjunctions, whose nine products would pass a bound of 4."""
+    first = " | ".join(f"(~A(x) & C{i}(x))" for i in range(3))
+    second = " | ".join(f"D{i}(x)" for i in range(3))
+    phi = parse_formula(sym, f"exists x. (({first}) & ({second}) & ~(~B(y) | ~A(x)))")
+    assert classify(phi, 4).kind == UNSATISFIABLE
+
+
+def _random_block(rng, sym, body):
+    """``exists`` or ``forall`` over a nonempty random part of body's free
+    variables, sugar expanded; None when body is closed."""
+    vs = sorted(free_vars(body))
+    if not vs:
+        return None
+    block = tuple(rng.sample(vs, rng.randint(1, len(vs))))
+    return expand_sugar((Exists if rng.random() < 0.5 else Forall)(block, body))
+
+
+def test_decide_agrees_with_eager_normal_forms(sym):
+    """Building a block's block-only clauses first changes no answer.
+
+    Random formulae under a random ``exists`` or ``forall`` block are
+    decided with each block's whole normal form built first, as the
+    oracle does.  Where the oracle answers, ``decide`` answers too, with
+    the same combination, which prints the same when each is built
+    alone.  Where the bound stops the oracle, a true block-only clause
+    can still answer.
+    """
+    rng = random.Random(2020)
+    for max_clauses in (8, 64, DEFAULT_MAX_DNF_CLAUSES):
+        answered = gained = 0
+        for _ in range(1000):
+            body = random_quantified_formula(rng, sym, max_atoms=rng.choice((6, 12, 20)))
+            phi = _random_block(rng, sym, body)
+            if phi is None:
+                continue
+            try:
+                text = print_formula(boolcomb_to_formula(eager_decide(phi, max_clauses)))
+            except ResourceLimit:
+                try:
+                    decide(phi, max_clauses)
+                    gained += 1
+                except ResourceLimit:
+                    pass
+                continue
+            got = decide(phi, max_clauses)
+            assert print_formula(boolcomb_to_formula(got)) == text, phi
+            # the same object: combinations are unique and compare by identity
+            assert got == eager_decide(phi, max_clauses), phi
+            answered += 1
+        assert answered > 900, max_clauses
+        if max_clauses == 8:
+            assert gained > 0
+
+
+def test_clauses_with_block_free_literals_never_eliminate_to_true(sym):
+    """A positive literal with no block variable free is entailed by the
+    requantified clause and is not valid; a negative one is never a
+    joker and never clashes with a positive part whose requantification
+    is true.  So a clause holding either never eliminates to true, and
+    only the clauses without one need to be tried for a true block."""
+    rng = random.Random(2021)
+    checked = true_block_only = 0
+    for _ in range(2000):
+        body = random_quantified_formula(rng, sym, max_atoms=rng.choice((6, 12, 20)))
+        phi = _random_block(rng, sym, body)
+        if phi is None:
+            continue
+        try:
+            delta = decide(phi.body)
+            delta = bc_not(delta) if isinstance(phi, Forall) else delta
+            clauses = to_prime_dnf(delta, 64)
+        except ResourceLimit:
+            continue
+        xs = phi.vars
+        for pos, neg in clauses:
+            result = eliminate_clause(xs, pos, neg)
+            if any(set(xs).isdisjoint(beta.free_vars) for beta in pos + neg):
+                assert result is not BC_TRUE, (xs, pos, neg)
+                checked += 1
+            else:
+                true_block_only += result is BC_TRUE
+    assert checked > 800 and true_block_only > 1000
+
+
 @pytest.mark.parametrize("index, size", [(10, 32), (430, 22)])
 def test_qe_mix_iff_sentence_folds_sides_equal_up_to_order(sym, index, size):
     """Two qe-mix iff sentences at seed 201, ``forall fv (phi <-> phi')``
@@ -786,13 +901,15 @@ def test_qe_mix_iff_sentence_folds_sides_equal_up_to_order(sym, index, size):
 def test_qe_mix_iff_sentence_compares_equal_primes_once_per_leaf(sym, monkeypatch):
     """The qe-mix iff sentence of size 20 at seed 201 meets equal primes
     built apart in each of its normal forms.  A prime is compared with
-    the ones met before it only when it gets its id, so inside
-    ``to_prime_dnf`` ``PrimeFormula.__eq__`` runs at most once per prime
+    the ones met before it only when it gets its id, so inside the
+    normal-form walk ``PrimeFormula.__eq__`` runs at most once per prime
     leaf visited, not once per pair of clauses (148,501 with clauses
-    keyed by the primes themselves).  24 leaves are visited: the sides of
+    keyed by the primes themselves).  48 leaves are visited: each of the
+    two inner blocks is walked twice over its 12 leaves, once for its one
+    block-only clause, which is not true, and once whole.  The sides of
     the outermost equivalence are one node, so it folds before the
-    outermost block builds a normal form (147 leaves when the sides
-    compared as argument tuples)."""
+    outermost block builds a normal form (147 leaves in one walk when
+    the sides compared as argument tuples)."""
     import featlog.qe
 
     op = WORKLOADS["qe_mix"](201)[485]
@@ -812,7 +929,7 @@ def test_qe_mix_iff_sentence_compares_equal_primes_once_per_leaf(sym, monkeypatc
         counts["eq"] += counts["inside"]
         return eq(self, other)
 
-    dnf = featlog.qe.to_prime_dnf
+    dnf = featlog.qe._prime_dnf
 
     def counting_dnf(delta, *args):
         counts["leaves"] += leaves(delta)
@@ -823,9 +940,9 @@ def test_qe_mix_iff_sentence_compares_equal_primes_once_per_leaf(sym, monkeypatc
             counts["inside"] = False
 
     monkeypatch.setattr(PrimeFormula, "__eq__", counting_eq)
-    monkeypatch.setattr(featlog.qe, "to_prime_dnf", counting_dnf)
+    monkeypatch.setattr(featlog.qe, "_prime_dnf", counting_dnf)
     assert classify(parse_formula(sym, op.text)).kind == VALID
-    assert counts["leaves"] == 24
+    assert counts["leaves"] == 48
     assert counts["eq"] <= counts["leaves"]
 
 
