@@ -24,6 +24,14 @@ the block: the merged positives and their requantification per set of
 positives, and what each negative subtracts per pair of merged
 positives and negative.
 
+``decide`` names bound variables by the depth of their binder and their
+place in its block, so blocks equal up to the names of their bound
+variables have one matrix, and each distinct pair of block and matrix
+is eliminated once per call.  In ``forall fv (phi <-> phi')`` every
+inner block of phi' is then the same elimination as one of phi.  The
+blocks of the input's leading chain of negations and blocks, which no
+other block can repeat, keep their names.
+
 Boolean combinations are canonical up to the order of arguments: every
 negation, conjunction and disjunction is found in one unique table by
 its kind and its argument, or the set of its arguments, so combinations
@@ -57,7 +65,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Collection, Iterable, Sequence, Union
 
 from .core import (
@@ -76,6 +84,7 @@ from .core import (
     VarId,
     cached_field,
     free_vars,
+    rename_atom,
 )
 from .paths import PathConstraint, SortAt, is_proper
 from .prime import (
@@ -539,8 +548,13 @@ def _has_block_free_literal(node: BoolComb, block: frozenset[VarId]) -> bool:
     return False
 
 
-def _eliminate_exists(xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int) -> BoolComb:
+def _eliminate_exists(
+    xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int, names: Sequence[VarId] = ()
+) -> BoolComb:
     """Boolean combination equivalent to ``exists xs delta``.
+
+    ``names``, when given, are the block's variables as the input spells
+    them, for a ``ResourceLimit`` message; ``xs`` is what is eliminated.
 
     The block is miniscoped first, in one walk with a negation flag: a
     part with no block variable free is kept as it is, a disjunction
@@ -563,6 +577,7 @@ def _eliminate_exists(xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int) 
     tables then answer the clauses already tried.
     """
     block = frozenset(xs)
+    names = names or xs
     eliminate = _clause_eliminator(block)
 
     def go(node: BoolComb, negate: bool) -> BoolComb:
@@ -593,10 +608,10 @@ def _eliminate_exists(xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int) 
             # those are tried first; their results are dropped, so the
             # whole normal form's clauses build their combinations in the
             # order they always did
-            clauses = _prime_dnf(node, max_clauses, xs, block)
+            clauses = _prime_dnf(node, max_clauses, names, block)
             if any(eliminate(*clauses[i]) is BC_TRUE for i in shortest_first(clauses)):
                 return BC_TRUE
-        clauses = to_prime_dnf(node, max_clauses, xs)
+        clauses = to_prime_dnf(node, max_clauses, names)
         out: list[BoolComb] = [BC_FALSE] * len(clauses)
         for i in shortest_first(clauses):
             out[i] = eliminate(*clauses[i])
@@ -705,40 +720,94 @@ def satisfiable(delta: BoolComb, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> 
 # The decision procedure
 
 
+@lru_cache(maxsize=256)
+def _binder_names(depth: int, width: int) -> tuple[VarId, ...]:
+    """The names ``decide`` gives the variables of a block of ``width``
+    under ``depth`` enclosing blocks.  Kept for the most recent shapes, so
+    a call does not spell its names anew."""
+    return tuple(VarId(f"${depth}.{i}") for i in range(width))
+
+
 def decide(phi: Formula, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> BoolComb:
     """Quantifier-free Boolean combination of primes equivalent to phi.
 
     Expects sugar-expanded input.  The result mentions no variable
     beyond the free variables of phi, and for closed phi it folds to a
     constant, true or its negation.
+
+    Bound variables are named by the depth of their binder (de Bruijn
+    levels): variable i of a block under d enclosing blocks is ``$d.i``,
+    and an atom is renamed as it becomes a prime leaf.  No parsed name,
+    sugar name (``_y1``), transient name (``x'1``) or requantified name
+    (``qN``) starts with ``$``, so the names capture nothing, and they
+    are never interned in a ``Symbols`` session.  Blocks equal up to the
+    names of their bound variables thus meet the same matrix object, and
+    each distinct pair of block and matrix is eliminated once per call;
+    the result mentions no block variable, so the memo is exact.  The
+    blocks in the chain of negations and blocks that starts at phi keep
+    their names: no block lies beside that chain, so none can repeat one
+    of them, and a sentence in prenex form renames nothing.  A
+    ``ResourceLimit`` still names the block's variables as phi spells
+    them.
     """
-    if isinstance(phi, Top):
-        return BC_TRUE
-    if isinstance(phi, Bottom):
-        return BC_FALSE
-    if isinstance(phi, Atomic):
-        if isinstance(phi.atom, Excl):
-            raise ValueError("expand sugar before deciding")
-        return PrimeLeaf(from_atom(phi.atom))
-    if isinstance(phi, Not):
-        return bc_not(decide(phi.body, max_clauses))
-    if isinstance(phi, (And, Or)):
-        combine = bc_and if isinstance(phi, And) else bc_or
-        return combine(*[decide(arg, max_clauses) for arg in phi.args])
-    if isinstance(phi, Implies):
-        return bc_or(bc_not(decide(phi.lhs, max_clauses)), decide(phi.rhs, max_clauses))
-    if isinstance(phi, Iff):
-        lhs = decide(phi.lhs, max_clauses)
-        rhs = decide(phi.rhs, max_clauses)
-        return bc_or(bc_and(lhs, rhs), bc_and(bc_not(lhs), bc_not(rhs)))
-    if isinstance(phi, (Exists, Forall)):
-        # the whole block at once, and forall as not exists not
-        universal = isinstance(phi, Forall)
-        delta = decide(phi.body, max_clauses)
-        delta = bc_not(delta) if universal else delta
-        delta = _eliminate_exists(phi.vars, delta, max_clauses)
-        return bc_not(delta) if universal else delta
-    raise ValueError(f"cannot decide formula node {phi!r}; expand sugar first")
+    names: dict[VarId, VarId] = {}  # each renamed variable in scope to its name
+    depth = 0
+    prefix = True  # in the chain of negations and blocks that starts at phi
+    eliminated: dict[tuple[tuple[VarId, ...], BoolComb], BoolComb] = {}
+
+    def go(phi: Formula) -> BoolComb:
+        nonlocal names, depth, prefix
+        # the commonest nodes first: atoms, then conjunctions and disjunctions
+        if isinstance(phi, Atomic):
+            if isinstance(phi.atom, Excl):
+                raise ValueError("expand sugar before deciding")
+            return PrimeLeaf(from_atom(rename_atom(phi.atom, names) if names else phi.atom))
+        if isinstance(phi, (And, Or)):
+            prefix = False
+            combine = bc_and if isinstance(phi, And) else bc_or
+            return combine(*[go(arg) for arg in phi.args])
+        if isinstance(phi, Not):
+            return bc_not(go(phi.body))
+        if isinstance(phi, (Exists, Forall)):
+            # the whole block at once, and forall as not exists not
+            universal = isinstance(phi, Forall)
+            outer = names
+            if prefix:
+                # no block lies beside the chain from phi down, so none
+                # repeats a block in it, and its variables keep their names
+                block = phi.vars
+            else:
+                block = _binder_names(depth, len(phi.vars))
+                names = outer | dict(zip(phi.vars, block))
+            depth += 1
+            delta = go(phi.body)
+            names = outer
+            depth -= 1
+            delta = bc_not(delta) if universal else delta
+            key = (block, delta)
+            result = eliminated.get(key)
+            if result is None:
+                result = eliminated[key] = _eliminate_exists(block, delta, max_clauses, phi.vars)
+            return bc_not(result) if universal else result
+        prefix = False
+        if isinstance(phi, Implies):
+            return bc_or(bc_not(go(phi.lhs)), go(phi.rhs))
+        if isinstance(phi, Iff):
+            lhs = go(phi.lhs)
+            rhs = go(phi.rhs)
+            return bc_or(bc_and(lhs, rhs), bc_and(bc_not(lhs), bc_not(rhs)))
+        if isinstance(phi, Top):
+            return BC_TRUE
+        if isinstance(phi, Bottom):
+            return BC_FALSE
+        raise ValueError(f"cannot decide formula node {phi!r}; expand sugar first")
+
+    try:
+        return go(phi)
+    finally:
+        # go refers to itself: deleting it breaks the cycle, so the memo
+        # and what it holds die with the call, not at a later collection
+        del go
 
 
 @dataclass(frozen=True)

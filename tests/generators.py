@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import count
 
 from featlog import (
     And,
@@ -21,6 +22,8 @@ from featlog import (
     Or,
     Path,
     PrimeFormula,
+    Top,
+    VarId,
     SolvedClause,
     SolvedFormula,
     SortC,
@@ -28,10 +31,11 @@ from featlog import (
     basic_simplify,
     canonicalize,
     feature_graph,
+    free_vars,
     feature_tree,
     simplify_epc,
 )
-from featlog.core import conj, exists_all
+from featlog.core import conj, exists_all, rename_atom
 
 
 def pools(sym: Symbols, n_sorts: int = 3, n_feats: int = 3, n_vars: int = 6):
@@ -175,6 +179,38 @@ def random_quantified_formula(
         return atom()
 
     return go(0)
+
+
+def alpha_variant(rng: random.Random, phi: Formula) -> Formula:
+    """phi with every binder renamed apart and the arguments of every
+    ``&`` and ``|`` shuffled: equivalent to phi, and equal to it up to
+    bound names and argument order.
+
+    Binders get fresh names ``w0, w1, ...`` that are not free in phi.
+    Expects sugar-expanded input.
+    """
+    used = {v.name for v in free_vars(phi)}
+    fresh = (f"w{i}" for i in count() if f"w{i}" not in used)
+
+    def go(psi: Formula, env: dict) -> Formula:
+        if isinstance(psi, Atomic):
+            return Atomic(rename_atom(psi.atom, env))
+        if isinstance(psi, (Exists, Forall)):
+            vs = tuple(VarId(next(fresh)) for _ in psi.vars)
+            return type(psi)(vs, go(psi.body, {**env, **dict(zip(psi.vars, vs))}))
+        if isinstance(psi, Not):
+            return Not(go(psi.body, env))
+        if isinstance(psi, (And, Or)):
+            args = [go(arg, env) for arg in psi.args]
+            rng.shuffle(args)
+            return type(psi)(tuple(args))
+        if isinstance(psi, (Implies, Iff)):
+            return type(psi)(go(psi.lhs, env), go(psi.rhs, env))
+        if isinstance(psi, (Top, Bottom)):
+            return psi
+        raise ValueError(f"expand sugar first: {psi!r}")
+
+    return go(phi, {})
 
 
 def random_graph_value(

@@ -276,6 +276,28 @@ def test_resource_limits_name_stage_and_size(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, named",
+    [
+        ("forall x0. exists x0. ((A(x0) | B(x1) | C(x1)) & (C(x0) | D(x1) | A(x1)))", "x0"),
+        ("forall x0. (B(x0) -> exists x0. ((A(x0) | B(x1) | C(x1)) & (C(x0) | D(x1))))", "x0"),
+        ("forall x1. (A(x1) | exists x0, x1. ((A(x0) | B(x1)) & (C(x0) | D(x1))))", "x0, x1"),
+        ("forall y. (A(y) -> exists x0. ((A(x0) | B(y)) & (C(x0) | D(y))))", "x0"),
+    ],
+)
+def test_resource_limits_name_nested_blocks_as_the_input_does(tmp_path, capsys, text, named):
+    """``decide`` names the variables of a block off the input's leading
+    chain of blocks by the block's depth, but a block that exceeds the
+    bound is named as the input spells it, also when it shadows an outer
+    binder."""
+    path = write(tmp_path, text)
+    assert run(capsys, "decide", path, "--max-dnf-clauses", "2") == (
+        3,
+        "",
+        f"resource limit: disjunctive normal form exceeds 2 clauses while eliminating {named}\n",
+    )
+
+
+@pytest.mark.parametrize(
     "n, named",
     [
         (8, "x1, x2, x3, x4, x5, x6, x7, x8"),
