@@ -39,9 +39,27 @@ def _read(source: str) -> str:
         return fh.read()
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of a payload built
+    from maps with string keys, lists and scalars.
+
+    The standard library indents through closures that call each other,
+    a reference cycle on every call; this recursion is a plain function.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+    elif isinstance(value, list) and value:
+        items = [_json_text(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + inner + f",{inner}".join(items) + indent + brackets[1]
+
+
 def _emit(cfg: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if cfg.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         for line in text_lines:
             print(line)

@@ -409,7 +409,11 @@ def free_vars(phi: Formula) -> set[VarId]:
             if psi.var not in bound:
                 out.add(psi.var)
 
-    go(phi, frozenset())
+    try:
+        go(phi, frozenset())
+    finally:
+        # go refers to itself: deleting it breaks the cycle
+        del go
     return out
 
 

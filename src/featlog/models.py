@@ -521,7 +521,11 @@ def _shapes(k: int, feats: list[FeatId]) -> Iterator[dict]:
             yield from rec(node, slot + 1, created + 1, edges)
             del edges[(node, feats[slot])]
 
-    yield from rec(0, 0, 1, {})
+    try:
+        yield from rec(0, 0, 1, {})
+    finally:
+        # rec refers to itself: deleting it breaks the cycle
+        del rec
 
 
 def enumerate_values(

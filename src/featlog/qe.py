@@ -528,7 +528,12 @@ def _prime_dnf(
             decoded[s] = [primes[i] for i in sorted(s)]
         return decoded[s]
 
-    return [(decode(pos), decode(neg)) for pos, neg in go(delta, False)]
+    try:
+        return [(decode(pos), decode(neg)) for pos, neg in go(delta, False)]
+    finally:
+        # go refers to itself: deleting it breaks the cycle, so the id
+        # table and the primes die with the call
+        del go
 
 
 def _has_block_free_literal(node: BoolComb, block: frozenset[VarId]) -> bool:
@@ -619,7 +624,12 @@ def _eliminate_exists(
                 return BC_TRUE
         return bc_or(*out)
 
-    return go(delta, False)
+    try:
+        return go(delta, False)
+    finally:
+        # go refers to itself: deleting it breaks the cycle, so the
+        # eliminator's tables die with the call
+        del go
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,11 @@ def expand_sugar(phi: Formula) -> Formula:
             return type(phi)(phi.vars, go(phi.body))
         raise ValueError(f"unknown formula node {phi!r}")
 
-    return go(phi)
+    try:
+        return go(phi)
+    finally:
+        # go refers to itself: deleting it breaks the cycle
+        del go
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -9,8 +10,14 @@ import pytest
 
 from featlog import (
     Symbols,
+    classify,
+    enumerate_values,
+    evaluate,
     expand_sugar,
+    mk_prime_exists,
     parse_formula,
+    prime_conj,
+    prime_entails,
     simplify_epc,
     single_node_tree,
     valuation_to_json,
@@ -342,11 +349,22 @@ def test_shared_clash_closes_a_nested_branch(tmp_path, capsys, n):
 
 
 def test_json_format(tmp_path, capsys):
+    """One object per answer, laid out as ``json.dumps`` with ``indent=2``
+    and sorted keys lays it out."""
     path = write(tmp_path, "A(x)")
     code, out, _ = run(capsys, "decide", path, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc == {"command": "decide", "verdict": "SATISFIABLE", "residue": "A(x)"}
+    for command, text in [
+        ("decide", "A(x)"),
+        ("simplify", "f(x,y) & f(x,z)"),
+        ("entail", "A(x) ; B(x)"),
+        ("witness", "A(x) & B(x)"),
+    ]:
+        code, out, _ = run(capsys, command, write(tmp_path, text), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_output_is_deterministic(tmp_path, capsys):
@@ -687,3 +705,66 @@ def test_wide_input_at_default_recursion_limit(tmp_path, capsys, command, text, 
         code, out, err = run(capsys, command, path)
     assert code == 0, err
     assert check(out)
+
+
+def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    """Everything a call allocates is freed by reference counting when it
+    returns: a recursive inner function deletes itself first, so with the
+    collector off a collection after each call finds nothing."""
+    sym = Symbols()
+
+    def formula(text):
+        return expand_sugar(parse_formula(sym, text))
+
+    def cli(command, text, *options, expect=0):
+        def call():
+            code, _, err = run(capsys, command, write(tmp_path, text), *options)
+            assert code == expect, err
+        return call
+
+    x, A, f = sym.var("x"), sym.sort("A"), sym.feat("f")
+    beta = simplify_epc(formula("exists y. (f(x, y) & A(y))"))
+    beta2 = simplify_epc(formula("exists z. f(x, z)"))
+    loop = simplify_epc(formula("f(x, x)"))
+    calls = {
+        "decide closed": cli(
+            "decide", "forall x. ((exists y. (f(x, y) & A(y))) -> (exists z. (A(z) & f(x, z))))"
+        ),
+        "decide closed, block-only clauses": cli(
+            "decide", "forall x. exists y. ((f(x, y) | A(x)) & (B(y) | ~A(x)))"
+        ),
+        "decide open": cli("decide", "(exists y. (f(x, y) & A(y))) | B(x)"),
+        "decide resource limit": cli(
+            "decide",
+            "exists y. ((A(y) | B(y)) & (f(x, y) | g(y, x)))",
+            "--max-dnf-clauses",
+            "1",
+            expect=3,
+        ),
+        "decide parse error": cli("decide", "A(x) &", expect=2),
+        "simplify solved": cli("simplify", "x.f = y.g"),
+        "simplify residue": cli("simplify", "A(x) | exists y. f(x, y)"),
+        "entail": cli("entail", "exists y. (f(x, y) & A(y)) ; exists z. f(x, z)"),
+        "witness": cli("witness", "exists y. (f(x, y) & A(y))"),
+        "witness json": cli("witness", "exists y. (f(x, y) & A(y))", "--format", "json"),
+        "classify": lambda: classify(formula("forall x. exists y. (f(x, y) | A(x))")),
+        "simplify_epc": lambda: simplify_epc(formula("exists y, z. (f(x, y) & f(x, z))")),
+        "prime_conj": lambda: prime_conj(beta, beta2, loop),
+        "mk_prime_exists": lambda: mk_prime_exists([x], beta),
+        "prime_entails": lambda: prime_entails(beta, beta2),
+        "evaluate": lambda: evaluate(
+            sym, "tree", {x: single_node_tree(A)}, formula("(exists y. f(x, y)) | A(x)")
+        ),
+        "witness_prime": lambda: witness_prime(beta, A),
+        "enumerate_values": lambda: list(enumerate_values("tree", [A], [f], 2)),
+    }
+    for call in calls.values():
+        call()  # first calls fill caches that outlive them
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()

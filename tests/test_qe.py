@@ -1292,7 +1292,9 @@ def test_nested_iff_chain_decides_in_polynomial_time(sym):
 def test_unique_table_holds_only_live_combinations(sym):
     """10,000 classifications in one process, each of a different random
     formula, leave the unique table as the first 100 left it: it holds a
-    combination only while something else refers to it."""
+    combination only while something else refers to it.  The collector is
+    off throughout, so each call's combinations must die by reference
+    counting as it returns."""
     import gc
 
     from featlog.qe import _UNIQUE
@@ -1300,14 +1302,16 @@ def test_unique_table_holds_only_live_combinations(sym):
     rng = random.Random(41)
     phis = [random_quantified_formula(rng, sym, max_atoms=4) for _ in range(10000)]
     sizes = []
-    for i, phi in enumerate(phis):
-        classify(phi)
-        if i + 1 in (100, len(phis)):
-            gc.collect()
-            sizes.append(len(_UNIQUE))
-    assert sizes[0] == sizes[1]
-    kept = [classify(phi) for phi in phis[:100]]
-    assert len(_UNIQUE) > sizes[0] + 20
-    del kept
-    gc.collect()
-    assert len(_UNIQUE) == sizes[0]
+    gc.disable()
+    try:
+        for i, phi in enumerate(phis):
+            classify(phi)
+            if i + 1 in (100, len(phis)):
+                sizes.append(len(_UNIQUE))
+        assert sizes[0] == sizes[1]
+        kept = [classify(phi) for phi in phis[:100]]
+        assert len(_UNIQUE) > sizes[0] + 20
+        del kept
+        assert len(_UNIQUE) == sizes[0]
+    finally:
+        gc.enable()
