@@ -12,7 +12,7 @@ mention, which the decision procedure relies on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from keyword import iskeyword
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
@@ -71,9 +71,10 @@ class cached_field:
 
     A non-data descriptor: once the value is in ``__dict__`` it shadows
     the descriptor, so later reads are plain attribute lookups.  The
-    value is written into ``__dict__`` directly, which frozen dataclasses
-    allow, and without the lock ``functools.cached_property`` takes on
-    Python 3.11; two threads may both compute it, and one value wins.
+    value is written into ``__dict__`` directly, past the frozen
+    ``__setattr__`` of a ``Record``, and without the lock
+    ``functools.cached_property`` takes on Python 3.11; two threads may
+    both compute it, and one value wins.
     """
 
     def __init__(self, func) -> None:
@@ -88,6 +89,74 @@ class cached_field:
             return self
         value = instance.__dict__[self.attr] = self.func(instance)
         return value
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass declares its fields as annotated class attributes, after
+    those of its base; an annotated attribute given a value is that
+    field's default.  When the subclass is created, its ``__init__``,
+    ``__eq__`` and ``__hash__`` are compiled from one generated source,
+    except those its body defines itself.  ``__init__`` takes the fields
+    positionally or by keyword and stores them with
+    ``object.__setattr__``: assigning or deleting an attribute raises
+    ``AttributeError``.  Equality asks for the same class and
+    equal fields, and the hash is that of the tuple of fields.  A class
+    with its own ``__new__`` builds its instances itself: it gets none of
+    the generated methods and keeps identity equality.  Pickling and
+    copying go through the constructor, so values cached in the instance
+    dict are computed afresh.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__annotations__)
+        for name in own:
+            # the names are spliced into source; "_" names are the source's own
+            if not name.isidentifier() or iskeyword(name) or name[0] == "_" or name == "self":
+                raise TypeError(f"{cls.__name__}: {name!r} cannot name a field")
+        fields = cls._fields = cls._fields + own
+        if cls.__new__ is not object.__new__:
+            return
+        given = [name for name in fields if any(name in vars(k) for k in cls.__mro__)]
+        if given != list(fields[len(fields) - len(given):]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows a default")
+        params = "".join(f", {name}" for name in fields)
+        stores = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+        mine = "".join(f"self.{name}," for name in fields)
+        theirs = "".join(f"other.{name}," for name in fields)
+        source = (
+            f"def __init__(self{params}):\n{stores or '    pass'}\n"
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({mine}))\n"
+        )
+        namespace = {"_set": object.__setattr__}
+        exec(source, namespace)
+        namespace["__init__"].__defaults__ = tuple(getattr(cls, name) for name in given)
+        for name in ("__init__", "__eq__", "__hash__"):
+            if name not in vars(cls):
+                method = namespace[name]
+                method.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, method)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class Symbols:
@@ -153,8 +222,7 @@ class Symbols:
 # Paths
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A finite word over the feature alphabet; the empty word is eps."""
 
     feats: tuple[FeatId, ...] = ()
@@ -189,16 +257,14 @@ EPS = Path()
 # Atoms
 
 
-@dataclass(frozen=True)
-class SortC:
+class SortC(Record):
     """Sort constraint: the value of ``var`` has sort ``sort``."""
 
     sort: SortId
     var: VarId
 
 
-@dataclass(frozen=True)
-class FeatC:
+class FeatC(Record):
     """Feature constraint: ``feat`` maps the value of ``src`` to ``dst``."""
 
     src: VarId
@@ -206,16 +272,14 @@ class FeatC:
     dst: VarId
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Record):
     """Directed equation.  Eq(x, y) and Eq(y, x) are distinct values."""
 
     lhs: VarId
     rhs: VarId
 
 
-@dataclass(frozen=True)
-class Excl:
+class Excl(Record):
     """Exclusion constraint: ``feat`` is undefined on the value of ``var``.
 
     Exclusions never occur inside basic formulae; they appear in solved
@@ -266,7 +330,7 @@ def rename_atom(a: Atom, mapping: dict[VarId, VarId]) -> Atom:
 # Formulae
 
 
-class Formula:
+class Formula(Record):
     """Base class of the abstract syntax tree."""
 
     def __str__(self) -> str:
@@ -275,53 +339,44 @@ class Formula:
         return textio.print_formula(self)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Atomic(Formula):
     atom: Atom
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
     """Conjunction of two or more formulae, built as ``And((a, b, ...))``."""
 
     args: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
 class Or(Formula):
     """Disjunction of two or more formulae, built as ``Or((a, b, ...))``."""
 
     args: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
     """Existential block over one or more variables, built as
     ``Exists((x, y, ...), body)``; it means ``exists x. exists y. ... body``."""
@@ -330,7 +385,6 @@ class Exists(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
     """Universal block over one or more variables, built as
     ``Forall((x, y, ...), body)``; it means ``forall x. forall y. ... body``."""
@@ -339,7 +393,6 @@ class Forall(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
 class SugarAgree(Formula):
     """Path agreement sugar: the paths from two roots meet in one value."""
 
@@ -349,7 +402,6 @@ class SugarAgree(Formula):
     rpath: Path
 
 
-@dataclass(frozen=True)
 class SugarSortAt(Formula):
     """Sort-at-path sugar: the value reached along ``path`` has ``sort``."""
 
@@ -450,8 +502,7 @@ def substitute(phi: Formula, x: VarId, y: VarId) -> Formula:
 # Basic formulae
 
 
-@dataclass(frozen=True)
-class BasicFormula:
+class BasicFormula(Record):
     """A multiset of sort, feature, and equation atoms.
 
     Conjunction is kept as an ordered sequence; duplicates are
@@ -461,10 +512,11 @@ class BasicFormula:
 
     atoms: tuple[Union[SortC, FeatC, Eq], ...]
 
-    def __post_init__(self) -> None:
-        for a in self.atoms:
+    def __init__(self, atoms: tuple[Union[SortC, FeatC, Eq], ...]) -> None:
+        for a in atoms:
             if isinstance(a, Excl):
                 raise ValueError("exclusion constraints do not occur in basic formulae")
+        object.__setattr__(self, "atoms", atoms)
 
     @cached_field
     def variables(self) -> frozenset[VarId]:

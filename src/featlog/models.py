@@ -28,11 +28,10 @@ import itertools
 import operator
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .core import FeatId, Formula, Path, SortId, Symbols, VarId
+from .core import FeatId, Formula, Path, Record, SortId, Symbols, VarId
 from .paths import Agree, PathConstraint, Reach, SortAt
 from .prime import Position, PrimeFormula, adjacency, positions
 from .qe import BcAnd, BcNot, BoolComb, PrimeLeaf, ResourceLimit, decide
@@ -43,8 +42,7 @@ Label = Union[SortId, None]
 EdgeRow = tuple[tuple[FeatId, int], ...]
 
 
-@dataclass(frozen=True)
-class FeatureTree:
+class FeatureTree(Record):
     """Canonical minimal representation of a rational feature tree.
 
     Node 0 is the root; every node carries a sort and the per-node edge
@@ -56,8 +54,7 @@ class FeatureTree:
     edges: tuple[EdgeRow, ...]
 
 
-@dataclass(frozen=True)
-class FeatureGraph:
+class FeatureGraph(Record):
     """Canonical representative of a feature graph (labels optional).
 
     The identification up to renaming is load-bearing.  Were rooted
@@ -278,8 +275,8 @@ class WitnessPool:
     block ids, edge rows sorted by feature name.  The pool is minimal, so
     two variables have equal tree values exactly when they sit at the
     same node.  ``leaf`` is the node of the default one-node tree.  A
-    plain class: a dataclass would add about a millisecond to
-    ``import featlog``.
+    plain class, not a ``Record``: its tables are dictionaries, which
+    have no hash.
     """
 
     __slots__ = ("labels", "adj", "node", "leaf")

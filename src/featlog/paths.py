@@ -15,10 +15,9 @@ at the start and then follows feature edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .core import Path, SortId, VarId
+from .core import Path, Record, SortId, VarId
 from .solve import SolvedClause, SolvedFormula
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -27,8 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Gamma = Union[SolvedFormula, SolvedClause]
 
 
-@dataclass(frozen=True)
-class RootedPath:
+class RootedPath(Record):
     """A variable together with a path starting from it."""
 
     root: VarId
@@ -38,8 +36,7 @@ class RootedPath:
         return f"{self.root}.{self.path}"
 
 
-@dataclass(frozen=True)
-class Reach:
+class Reach(Record):
     """x p y: the path p leads from the value of x to the value of y."""
 
     src: VarId
@@ -50,8 +47,7 @@ class Reach:
         return f"{self.src}.{self.path} -> {self.dst}"
 
 
-@dataclass(frozen=True)
-class Agree:
+class Agree(Record):
     """x p # y q: the two paths are defined and meet in the same value."""
 
     lsrc: VarId
@@ -63,8 +59,7 @@ class Agree:
         return f"{self.lsrc}.{self.lpath} = {self.rsrc}.{self.rpath}"
 
 
-@dataclass(frozen=True)
-class SortAt:
+class SortAt(Record):
     """A x p: the path p is defined on x and its target has sort A."""
 
     sort: SortId

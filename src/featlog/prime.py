@@ -17,7 +17,6 @@ values.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, TypeVar
@@ -34,6 +33,7 @@ from .core import (
     FeatC,
     FeatId,
     Formula,
+    Record,
     SortC,
     VarId,
     atom_key,
@@ -47,8 +47,7 @@ from .paths import Agree, PathConstraint, RootedPath, SortAt
 from .solve import SolvedFormula, basic_simplify, conjunction_atoms, is_solved_formula
 
 
-@dataclass(frozen=True)
-class PrimeFormula:
+class PrimeFormula(Record):
     """Bound variables plus a solved body."""
 
     bound: frozenset[VarId]

@@ -64,7 +64,6 @@ existential closure.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Collection, Iterable, Sequence, Union
 
@@ -80,6 +79,7 @@ from .core import (
     Implies,
     Not,
     Or,
+    Record,
     Top,
     VarId,
     cached_field,
@@ -119,8 +119,7 @@ class ResourceLimit(Exception):
 # Boolean combinations of primes
 
 
-@dataclass(frozen=True)
-class PrimeLeaf:
+class PrimeLeaf(Record):
     beta: PrimeFormula
 
     @property
@@ -134,7 +133,8 @@ class PrimeLeaf:
 
 
 # Every BcNot, BcAnd and BcOr, however it is built, comes from this
-# table, which maps its key to a weak reference.  The reference's
+# table (a pickle or a copy too: ``Record`` rebuilds it through its
+# constructor), which maps its key to a weak reference.  The reference's
 # callback removes the entry when the node dies, so the table never
 # holds a combination nothing else refers to.
 _UNIQUE: dict = {}
@@ -157,8 +157,7 @@ def _unique(cls, key, field: str, value):
     return node
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class BcNot:
+class BcNot(Record):
     arg: "BoolComb"
 
     def __new__(cls, arg: "BoolComb") -> "BcNot":
@@ -169,8 +168,7 @@ class BcNot:
         return self.arg.free_vars
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class _BcNary:
+class _BcNary(Record):
     """A conjunction or disjunction, found in the table by the set of its
     arguments.  It keeps the argument order it was first built with,
     which is the order it prints in."""
@@ -820,8 +818,7 @@ def decide(phi: Formula, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> BoolComb
         del go
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of classification.
 
     VALID and INVALID apply to closed formulae only; SATISFIABLE and

@@ -27,7 +27,6 @@ represents x, and of two merged edges the later one in the input stays.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .core import (
@@ -42,6 +41,7 @@ from .core import (
     FeatC,
     FeatId,
     Formula,
+    Record,
     SortC,
     SortId,
     Top,
@@ -58,8 +58,7 @@ ClauseAtom = Union[SortC, FeatC, Excl]
 GraphAtom = Union[SortC, FeatC]
 
 
-@dataclass(frozen=True)
-class SolvedClause:
+class SolvedClause(Record):
     """Duplicate-free sort/feature/exclusion atoms with deterministic edges."""
 
     atoms: tuple[ClauseAtom, ...]
@@ -94,8 +93,7 @@ class SolvedClause:
         return str(clause_to_formula(self))
 
 
-@dataclass(frozen=True)
-class SolvedFormula:
+class SolvedFormula(Record):
     """Equations that eliminate their left-hand sides, plus a solved graph."""
 
     normalizer: tuple[Eq, ...]

@@ -23,9 +23,7 @@ UTF-8.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import count, islice
-from string import ascii_letters
 
 from .core import (
     BOTTOM,
@@ -47,6 +45,7 @@ from .core import (
     Not,
     Or,
     Path,
+    Record,
     SortC,
     SugarAgree,
     SugarSortAt,
@@ -57,8 +56,8 @@ from .core import (
     exists_all,
 )
 
-@dataclass(frozen=True)
-class SourceSpan:
+
+class SourceSpan(Record):
     """Character offsets (start, end) into the input text, counted in
     code points, not in bytes of its UTF-8 encoding."""
 
@@ -91,7 +90,10 @@ _LEXEME_RE = re.compile(
 # the kind of a lexeme that is a kind of its own: punctuation and keywords
 _OWN_KIND = {w: w for w in ("<->", "->", *"()~&|=@.,", *RESERVED_WORDS)}
 # the kind of any other identifier, by its first letter
-_IDENT_KIND = {c: "uident" if c.isupper() else "lident" for c in ascii_letters}
+_IDENT_KIND = {
+    c: "uident" if c.isupper() else "lident"
+    for c in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+}
 
 
 def _scan(text: str) -> tuple[list[str], list[str]]:

@@ -74,6 +74,57 @@ def test_identifiers_survive_pickle_and_deepcopy():
     assert pickle.loads(pickle.dumps(atom)) == copy.deepcopy(atom) == atom
 
 
+def test_prime_hash_is_recomputed_after_pickle():
+    """A loaded prime hashes as a fresh equal prime does, even under
+    another hash seed: its cached hash is not carried along."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    import featlog
+    from featlog.prime import from_atom
+
+    beta = from_atom(FeatC(VarId("x"), FeatId("f"), VarId("y")))
+    hash(beta)  # fills the cache
+    code = (
+        "import pickle, sys; from featlog import FeatC, FeatId, VarId; "
+        "from featlog.prime import from_atom; "
+        "loaded = pickle.loads(sys.stdin.buffer.read()); "
+        "fresh = from_atom(FeatC(VarId('x'), FeatId('f'), VarId('y'))); "
+        "print(loaded == fresh, len({loaded, fresh}))"
+    )
+    src = os.path.dirname(os.path.dirname(featlog.__file__))
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            input=pickle.dumps(beta),
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            check=True,
+        ).stdout
+        assert out.split() == [b"True", b"1"]
+
+
+def test_combinations_and_verdicts_survive_pickle_and_deepcopy(sym):
+    """Pickling and copying rebuild a combination through its
+    constructor, so the copy is the unique-table node itself."""
+    import copy
+    import pickle
+
+    from featlog import BcAnd, BcNot, BcOr, classify
+
+    verdict = classify(parse_formula(sym, "A(x) | ~f(x, y)"))
+    residue = verdict.residue
+    assert isinstance(residue, BcOr) and isinstance(residue.args[1], BcNot)
+    conj_node = BcAnd(residue.args)
+    for node in (residue, residue.args[1], conj_node):
+        assert pickle.loads(pickle.dumps(node)) is node
+        assert copy.deepcopy(node) is node
+    for back in (pickle.loads(pickle.dumps(verdict)), copy.deepcopy(verdict)):
+        assert back == verdict and back.residue is residue
+
+
 def test_identifiers_sort_by_spelling_within_a_kind():
     from featlog import SortId, VarId
 
@@ -101,7 +152,7 @@ def test_cached_fields_are_computed_once_into_the_instance_dict(sym):
     assert second.value == [2] and Counted.runs == 2
     assert isinstance(Counted.value, cached_field)
 
-    # frozen dataclasses: the value lands in __dict__ past the frozen __setattr__
+    # records: the value lands in __dict__ past the frozen __setattr__
     beta = from_atom(FeatC(sym.var("x"), sym.feat("f"), sym.var("y")))
     assert "free_vars" not in beta.__dict__
     assert beta.free_vars == {sym.var("x"), sym.var("y")}
@@ -261,6 +312,63 @@ def test_basic_formula_rejects_exclusions(sym):
     f = sym.feat("f")
     with pytest.raises(ValueError):
         BasicFormula((Excl(x, f),))
+    with pytest.raises(ValueError):
+        BasicFormula(atoms=(SortC(sym.sort("A"), x), Excl(x, f)))
+    assert BasicFormula(atoms=(SortC(sym.sort("A"), x),)).variables == {x}
+
+
+def test_records_are_frozen_values(sym):
+    """Value classes are frozen, compare by class and fields, hash by
+    fields, take their fields positionally or by keyword, and print as
+    ``Class(field=value, ...)``."""
+    from featlog import SortId, Verdict, VALID
+
+    x, y, f = VarId("x"), VarId("y"), FeatId("f")
+    atom = FeatC(x, f, y)
+    with pytest.raises(AttributeError):
+        atom.src = y
+    with pytest.raises(AttributeError):
+        del atom.src
+    with pytest.raises(AttributeError):
+        atom.extra = 1
+    assert atom == FeatC(src=x, feat=f, dst=y) == FeatC(x, dst=y, feat=f)
+    assert atom != FeatC(x, f, x) and atom != Eq(x, y)
+    assert hash(atom) == hash(FeatC(x, f, y)) and len({atom, FeatC(x, f, y)}) == 1
+    body = Atomic(atom)
+    assert Exists((y,), body) != Forall((y,), body)
+    assert And((body, TOP)) != Or((body, TOP))
+    assert TOP == type(TOP)() and hash(TOP) == hash(type(TOP)())
+    assert Path() == EPS and Path().feats == ()
+    assert Verdict(VALID) == Verdict(VALID, None) == Verdict(kind=VALID, residue=None)
+    for args, kwargs in (((x, f), {}), ((x, f, y, y), {}), ((x, f), {"dst": y, "other": y})):
+        with pytest.raises(TypeError):
+            FeatC(*args, **kwargs)
+    with pytest.raises(TypeError):
+        Path(feats=(), extra=())
+    assert repr(atom) == "FeatC(src=VarId(name='x'), feat=FeatId(name='f'), dst=VarId(name='y'))"
+    assert repr(Verdict(VALID)) == "Verdict(kind='VALID', residue=None)"
+    assert repr(TOP) == "Top()" and repr(EPS) == "Path(feats=())"
+    assert repr(SortC(SortId("A"), x)) == "SortC(sort=SortId(name='A'), var=VarId(name='x'))"
+
+
+def test_record_fields_are_checked():
+    """Field names are spliced into generated source, so a name that is
+    not a plain identifier is refused; so is a field without a default
+    after one with a default."""
+    from featlog.core import Record
+
+    for name in ("class", "None", "self", "_x"):
+        with pytest.raises(TypeError):
+            type("Bad", (Record,), {"__annotations__": {name: int}})
+    with pytest.raises(TypeError):
+        type("Bad", (Record,), {"__annotations__": {"a": int, "b": int}, "a": 0})
+
+    class Pair(Record):
+        a: int
+        b: int = 2
+
+    assert Pair(1) == Pair(1, 2) == Pair(a=1) and Pair(1) != Pair(1, 3)
+    assert repr(Pair(1)).endswith(".Pair(a=1, b=2)")
 
 
 def test_atom_key_orders_by_kind_then_names(sym):
@@ -305,3 +413,31 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(got) == sorted(PUBLIC_NAMES)
+
+
+def test_import_loads_no_dataclasses():
+    """``import featlog`` builds its value classes without ``dataclasses``
+    (and so without ``inspect``) and reads no ``string`` table, yet loads
+    every submodule it exports from."""
+    import os
+    import subprocess
+    import sys
+
+    import featlog
+
+    code = (
+        "import featlog, sys; "
+        "print([m for m in ('dataclasses', 'inspect', 'string') if m in sys.modules]); "
+        "print(sorted(m for m in sys.modules if m.startswith('featlog.')))"
+    )
+    src = os.path.dirname(os.path.dirname(featlog.__file__))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out[0] == "[]"
+    submodules = ["core", "models", "paths", "prime", "qe", "solve", "textio"]
+    assert out[1] == str([f"featlog.{m}" for m in submodules])
