@@ -79,7 +79,8 @@ def _cmd_decide(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
 
 
 def _cmd_simplify(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
-    phi = expand_sugar(parse_formula(sym, text))
+    # a conjunction of atoms holds no sugar; anything else classify expands
+    phi = parse_formula(sym, text)
     try:
         basic = formula_to_basic(phi)
     except ValueError:

@@ -29,11 +29,11 @@ import operator
 from bisect import bisect_left
 from collections import Counter
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .core import FeatId, Formula, Path, Record, SortId, Symbols, VarId
 from .paths import Agree, PathConstraint, Reach, SortAt
-from .prime import Position, PrimeFormula, adjacency, positions
+from .prime import PrimeFormula, adjacency, holds_at
 from .qe import BcAnd, BcNot, BoolComb, PrimeLeaf, ResourceLimit, decide
 from .solve import SolvedClause, constrained_vars
 from .textio import expand_sugar
@@ -418,54 +418,22 @@ def holds_path_constraint(alpha: Mapping[VarId, Value], pi: PathConstraint) -> b
     raise TypeError(f"not a path constraint: {pi!r}")
 
 
-def _walk_prime(
-    beta: PrimeFormula,
-    start: Callable[[VarId], Position],
-    step: Callable[[Position, FeatId], Position | None],
-    label: Callable[[Position], Label],
-    same: Callable[[Position, Position], bool],
-) -> bool:
-    """Whether a prime holds where ``start`` puts its free variables.
-
-    A prime formula is equivalent to its projection, a finite
-    conjunction of proper path constraints over free variables only, so
-    no quantifier enumeration is needed.  The projection is checked in
-    one walk of the body: each variable gets the position its access
-    path leads to (``positions``), and then each equation, sort and edge
-    is one comparison.
-    """
-    pos = positions(beta, start, step)
-    if pos is None:
-        return False
-    body = beta.body
-
-    def edge_holds(u: VarId, f: FeatId, w: VarId) -> bool:
-        at = step(pos[u], f)
-        return at is not None and same(at, pos[w])
-
-    return (
-        all(same(pos[eq.lhs], pos[eq.rhs]) for eq in body.normalizer)
-        and all(label(pos[v]) == sort for v, sort in body.sorts.items())
-        and all(edge_holds(u, f, w) for (u, f), w in body.edges.items())
-    )
-
-
 def satisfies_prime(alpha: Mapping[VarId, Value], beta: PrimeFormula) -> bool:
     """Exact satisfaction of a prime formula on its free variables.
 
     Positions are (value, node) pairs, a free variable at the root of its
-    value (``_walk_prime``).
+    value (``holds_at``).
     """
 
     def step(at: tuple[Value, int], f: FeatId) -> tuple[Value, int] | None:
         node = _step(at[0], at[1], f)
         return None if node is None else (at[0], node)
 
-    return _walk_prime(
+    return holds_at(
         beta,
         lambda v: (alpha[v], 0),
         step,
-        lambda at: at[0].labels[at[1]],
+        lambda at, sort: at[0].labels[at[1]] == sort,
         lambda a, b: _same_subvalue(*a, *b),
     )
 
@@ -474,14 +442,14 @@ def pool_satisfies(pool: WitnessPool, beta: PrimeFormula) -> bool:
     """Exact satisfaction of a prime formula by the pool's valuation.
 
     Positions are pool nodes, a free variable at its own node
-    (``_walk_prime``); in one minimal pool, equal nodes are equal values.
+    (``holds_at``); in one minimal pool, equal nodes are equal values.
     """
     steps = {(b, f): w for b, row in pool.adj.items() for f, w in row}
-    return _walk_prime(
+    return holds_at(
         beta,
         pool.node.__getitem__,
         lambda b, f: steps.get((b, f)),
-        pool.labels.__getitem__,
+        lambda b, sort: pool.labels[b] == sort,
         operator.eq,
     )
 

@@ -16,6 +16,7 @@ values.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from itertools import count
 from operator import itemgetter
@@ -35,6 +36,7 @@ from .core import (
     Formula,
     Record,
     SortC,
+    SortId,
     VarId,
     atom_key,
     atom_vars,
@@ -326,6 +328,39 @@ def positions(
     return pos
 
 
+def holds_at(
+    beta: PrimeFormula,
+    start: Callable[[VarId], Position | None],
+    step: Callable[[Position, FeatId], Position | None],
+    has_sort: Callable[[Position, SortId], bool],
+    same: Callable[[Position, Position], bool],
+) -> bool:
+    """Whether a prime holds where ``start`` puts its free variables.
+
+    A prime is equivalent to its projection, a finite conjunction of
+    proper path constraints over its free variables, so no quantifier
+    is enumerated.  The projection is checked in one walk of the body:
+    each variable gets the position its access path leads to
+    (``positions``), and then each equation, sort and edge, in that
+    order, is one test of ``same`` or ``has_sort``.  False when a
+    position does not exist.
+    """
+    pos = positions(beta, start, step)
+    if pos is None:
+        return False
+    body = beta.body
+
+    def edge_holds(u: VarId, feat: FeatId, w: VarId) -> bool:
+        at = step(pos[u], feat)
+        return at is not None and same(at, pos[w])
+
+    return (
+        all(same(pos[eq.lhs], pos[eq.rhs]) for eq in body.normalizer)
+        and all(has_sort(pos[v], sort) for v, sort in body.sorts.items())
+        and all(edge_holds(u, feat, w) for (u, feat), w in body.edges.items())
+    )
+
+
 def access_function(beta: PrimeFormula) -> dict[VarId, RootedPath]:
     """One rooted path per body variable, injectively.
 
@@ -380,28 +415,19 @@ def prime_entails(beta: PrimeFormula, beta2: PrimeFormula) -> bool:
     """Whether every model of ``beta`` satisfies ``beta2``.
 
     Holds exactly when the projection of the right-hand side lies inside
-    the closure of the left-hand side, checked in one walk of the left
-    body: each variable of the right-hand side gets the variable of the
-    left body its access path leads to (``positions``).  A free variable
-    starts at its binding; one that is bound on the left has no
-    position, since the closure of a prime holds no constraint rooted
-    at a bound variable.  Then each equation, sort and edge of the
-    right-hand side is one lookup.
+    the closure of the left-hand side: ``beta2`` holds at the variables
+    of the left body (``holds_at``).  A free variable starts at its
+    binding; one that is bound on the left has no position, since the
+    closure of a prime holds no constraint rooted at a bound variable.
     """
     body = beta.body
     binding, edges, sorts = body.binding, body.edges, body.sorts
-    pos = positions(
+    return holds_at(
         beta2,
         lambda v: None if v in beta.bound else binding.get(v, v),
         lambda u, feat: edges.get((u, feat)),
-    )
-    if pos is None:
-        return False
-    body2 = beta2.body
-    return (
-        all(pos[eq.lhs] == pos[eq.rhs] for eq in body2.normalizer)
-        and all(sorts.get(pos[v]) == sort for v, sort in body2.sorts.items())
-        and all(edges.get((pos[u], feat)) == pos[w] for (u, feat), w in body2.edges.items())
+        lambda u, sort: sorts.get(u) == sort,
+        operator.eq,
     )
 
 

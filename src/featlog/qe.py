@@ -50,9 +50,9 @@ projection of beta' contains one, the negation is vacuous and
 ``exists X beta`` remains.  Otherwise what beta' asks of X is pinned
 down and the clause is equivalent to
 ``exists X beta and not exists X (beta and beta')``.  The projection is
-never built: one walk of beta' (``positions``) places each of its
-variables on beta's body, with whether its access path is free, so each
-equation, sort and edge of beta' is one test.
+never built: ``holds_at`` places each variable of beta' on beta's body,
+with whether its access path is free, so each equation, sort and edge
+of beta' is one test.
 
 Open input needs no elimination of its free variables: because sorts
 and features are unbounded, a clause of prime literals is satisfiable
@@ -92,8 +92,8 @@ from .prime import (
     TOP_PRIME,
     adjacency,
     from_atom,
+    holds_at,
     mk_prime_exists,
-    positions,
     prime_conj,
     prime_entails,
     prime_to_formula,
@@ -278,7 +278,7 @@ def boolcomb_to_formula(delta: BoolComb) -> Formula:
 
 
 def _placer(beta: PrimeFormula, block: frozenset[VarId]):
-    """``start`` and ``step`` for ``positions``, placing a rooted path at
+    """``start`` and ``step`` for ``holds_at``, placing a rooted path at
     (the node of beta's body it reaches or None, whether it is free).
 
     The pinned nodes are where the variables outside both the block and
@@ -314,13 +314,16 @@ def _agree_joker(lhs: tuple, rhs: tuple) -> bool:
 
 
 def _has_joker(beta: PrimeFormula, placer, beta2: PrimeFormula) -> bool:
-    """Whether the projection of beta2 holds a joker, in one walk of its body."""
-    pos = positions(beta2, *placer)
-    body2, step, sorts = beta2.body, placer[1], beta.body.sorts
-    return (
-        any(_agree_joker(pos[eq.lhs], pos[eq.rhs]) for eq in body2.normalizer)
-        or any(pos[v][1] and sorts.get(pos[v][0]) != s for v, s in body2.sorts.items())
-        or any(_agree_joker(step(pos[u], f), pos[w]) for (u, f), w in body2.edges.items())
+    """Whether the projection of beta2 holds a joker: whether beta2 fails
+    to hold at the places of the placer (``holds_at``), where a sort
+    holds at a place that is not free or has that sort, and two places
+    agree unless ``_agree_joker`` says otherwise."""
+    sorts = beta.body.sorts
+    return not holds_at(
+        beta2,
+        *placer,
+        lambda place, sort: not place[1] or sorts.get(place[0]) == sort,
+        lambda lhs, rhs: not _agree_joker(lhs, rhs),
     )
 
 
@@ -378,25 +381,20 @@ def _clause_eliminator(block: frozenset[VarId]):
     merged positives, requantification and placer are kept per set of
     positives, and the literal each negative subtracts (true when it
     drops out) per pair of merged positives and negative.  Sets of
-    positives that merge to equal primes share one entry, so later
-    lookups of that prime and of its requantification succeed on
-    identity.  The tables live as long as the returned function.
+    positives that merge to equal primes find one another's pairs
+    through the primes' cached hashes.  The tables live as long as the
+    returned function.
     """
     solved: dict[frozenset, tuple | None] = {}
-    merged: dict[PrimeFormula, tuple] = {}
     subtracted: dict[tuple[PrimeFormula, PrimeFormula], BoolComb] = {}
 
     def eliminate(positives: list[PrimeFormula], negatives: list[PrimeFormula]) -> BoolComb:
         key = frozenset(positives)
         if key not in solved:
             beta = prime_conj(*positives)
-            if isinstance(beta, Bottom):
-                solved[key] = None
-            else:
-                if beta not in merged:
-                    exists_beta = PrimeLeaf(mk_prime_exists(block, beta))
-                    merged[beta] = (beta, exists_beta, _placer(beta, block))
-                solved[key] = merged[beta]
+            solved[key] = None if isinstance(beta, Bottom) else (
+                beta, PrimeLeaf(mk_prime_exists(block, beta)), _placer(beta, block)
+            )
         entry = solved[key]
         if entry is None:
             return BC_FALSE

@@ -36,6 +36,7 @@ from featlog import (
     simplify_epc,
 )
 from featlog.core import conj, exists_all, rename_atom
+from featlog.prime import requantify
 
 
 def pools(sym: Symbols, n_sorts: int = 3, n_feats: int = 3, n_vars: int = 6):
@@ -136,6 +137,59 @@ def random_prime(rng: random.Random, sym: Symbols, **kwargs) -> PrimeFormula:
         beta = simplify_epc(random_epc_formula(rng, sym, **kwargs))
         if not isinstance(beta, Bottom):
             return canonicalize(beta)
+
+
+def random_model_prime(
+    rng: random.Random, sym: Symbols, cycles: bool = True
+) -> tuple[PrimeFormula, dict, dict, dict]:
+    """A prime of 50 to 100 atoms, most often, read off a random labeled
+    graph: the prime, the graph's labels and edges, and the node of each
+    variable.  Rooting the graph at the nodes of the free variables
+    satisfies the prime.
+
+    The graph has 30 to 50 nodes, node i being variable x{i}.  Every
+    node after the first hangs below an earlier one, and up to 15 more
+    edges add sharing, and cycles when ``cycles`` allows edges back to
+    earlier nodes.  About half the nodes carry a sort.  A few aliases
+    a{j} stand for random nodes through an equation and replace them in
+    some edges.  The aliases, x0 and three other nodes stay free; the
+    rest is bound.  Never ``false``.
+    """
+    n_nodes, n_extra = rng.randint(30, 50), rng.randint(0, 15)
+    sorts, feats, vs = pools(sym, n_vars=n_nodes)
+    labels = {i: rng.choice(sorts) if rng.random() < 0.5 else None for i in range(n_nodes)}
+    edges: dict = {}
+    open_feats = {i: list(feats) for i in range(n_nodes)}
+
+    def add_edge(src: int, dst: int) -> None:
+        if open_feats[src]:
+            f = open_feats[src].pop(rng.randrange(len(open_feats[src])))
+            edges[(src, f)] = dst
+
+    for i in range(1, n_nodes):
+        add_edge(rng.choice([j for j in range(i) if open_feats[j]]), i)
+    for _ in range(n_extra):
+        src, dst = rng.randrange(n_nodes), rng.randrange(n_nodes)
+        if cycles or src < dst:
+            add_edge(src, dst)
+    free_nodes = [0, *rng.sample(range(1, n_nodes), 3)]
+    aliases = {
+        sym.var(f"a{j}"): rng.choice(free_nodes) if rng.random() < 0.5 else rng.randrange(n_nodes)
+        for j in range(rng.randint(1, 4))
+    }
+    names: dict[int, list[VarId]] = {i: [v] for i, v in enumerate(vs)}
+    atoms: list = []
+    for a, i in aliases.items():
+        names[i].append(a)
+        atoms.append(Eq(a, vs[i]))
+    atoms += [SortC(s, vs[i]) for i, s in labels.items() if s is not None]
+    atoms += [
+        FeatC(rng.choice(names[src]), f, rng.choice(names[dst])) for (src, f), dst in edges.items()
+    ]
+    rng.shuffle(atoms)
+    free = {vs[i] for i in free_nodes} | aliases.keys()
+    beta = requantify(set(vs) - free, basic_simplify(BasicFormula(tuple(atoms))))
+    return beta, labels, edges, {**{v: i for i, v in enumerate(vs)}, **aliases}
 
 
 def random_quantified_formula(

@@ -56,7 +56,7 @@ from featlog.models import (
 )
 from featlog.solve import clause_to_formula
 
-from generators import pools, random_prime, random_tree_value, random_valuation
+from generators import pools, random_model_prime, random_prime, random_tree_value, random_valuation
 from oracles import bounded_evaluate, naive_bisimilarity, naive_reachable, projection_satisfies
 from test_solve import _wall_limit, fig2_clause
 
@@ -383,6 +383,49 @@ def test_one_walk_satisfaction_agrees_with_the_projection(sym):
             seen[kind, got] += 1
     assert sum(seen.values()) >= 2000
     assert min(seen.values()) > 100, seen
+
+
+def test_one_walk_satisfaction_agrees_with_the_projection_on_large_primes(sym):
+    """``satisfies_prime`` against the projection on primes of 50 to 100
+    atoms read off random graphs: under that graph, with one node's sort
+    changed, one edge removed or one edge retargeted, with one value
+    swapped for another variable's or redrawn, and under the prime's
+    witness trees and their graphs."""
+    rng = random.Random(145)
+    sorts = pools(sym)[0]
+    default = sym.fresh_sort("D")
+    seen = Counter()
+    for _ in range(40):
+        beta, labels, edges, node = random_model_prime(rng, sym)
+        free = sorted(beta.free_vars)
+
+        def rooted(labels, edges):
+            return {v: feature_graph(node[v], labels, edges) for v in free}
+
+        model = rooted(labels, edges)
+        sorted_node = rng.choice([i for i, s in labels.items() if s is not None])
+        other_sort = rng.choice([s for s in sorts if s != labels[sorted_node]])
+        resorted = {**labels, sorted_node: other_sort}
+        edge = rng.choice(list(edges))
+        witness = witness_prime(beta, default)
+        v, w = rng.choice(free), rng.choice(free)
+        valuations = [
+            model,
+            rooted(resorted, edges),
+            rooted(labels, {e: dst for e, dst in edges.items() if e != edge}),
+            rooted(labels, {**edges, edge: rng.randrange(len(labels))}),
+            {**model, v: model[w]},
+            {**model, v: random_valuation(rng, sym, [v], "graph", max_nodes=6)[v]},
+            witness,
+            {x: _as_graph(witness[x]) for x in free},
+        ]
+        for alpha in valuations:
+            got = satisfies_prime(alpha, beta)
+            assert got == projection_satisfies(alpha, beta), (str(beta), alpha)
+            seen[got] += 1
+        seen["large"] += 50 <= len(beta.body.atoms) <= 100
+    assert seen[True] > 100 and seen[False] > 100, seen
+    assert seen["large"] > 30, seen
 
 
 def test_pool_walk_agrees_with_the_tree_walk(sym):

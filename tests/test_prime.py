@@ -38,8 +38,10 @@ from featlog.prime import from_atom, prime_to_formula, requantify
 from featlog.solve import conjunction_atoms
 
 from generators import (
+    pools,
     random_basic_formula,
     random_epc_formula,
+    random_model_prime,
     random_prime,
     random_solved_formula,
 )
@@ -570,6 +572,79 @@ def test_one_walk_entailment_agrees_with_the_projection(sym):
     assert seen["pairs"] >= 2000
     assert seen[True] > 500 and seen[False] > 500
     assert seen["collisions"] > 250 and seen["eliminated"] > 100 and seen["top"] > 300
+
+
+def _weakened(rng, beta, extra=()):
+    """``beta`` with some atoms dropped and ``extra`` atoms added, its
+    bound variables bound again; None when that is false."""
+    keep = [a for a in beta.body.atoms if rng.random() < 0.8] + list(extra)
+    body = basic_simplify(BasicFormula(tuple(keep)))
+    return None if isinstance(body, Bottom) else requantify(beta.bound, body)
+
+
+def test_one_walk_entailment_agrees_with_the_projection_on_large_primes(sym):
+    """``prime_entails`` against the projection on primes of 50 to 100
+    atoms read off random graphs, each against itself, weakened, cut
+    down with bound variables left free, given one more atom, renamed
+    onto its own bound names, and against a prime of another graph and
+    the conjunction of both.  The added atom may name a new variable."""
+    rng = random.Random(144)
+    sorts, feats, _ = pools(sym)
+    new = sym.var("new")
+    seen = Counter()
+    for _ in range(40):
+        b1, b2 = (random_model_prime(rng, sym)[0] for _ in range(2))
+        free = sorted(b1.free_vars)
+        vs = sorted(b1.body.variables)
+        v, w = rng.choice(vs), rng.choice([new, rng.choice(vs)])
+        extra = rng.choice([SortC(rng.choice(sorts), v), FeatC(v, rng.choice(feats), w), Eq(w, v)])
+        names = [VarId(f"q{i}") for i in rng.sample(range(len(free) + 1), len(free))]
+        rhss = [
+            b1,
+            mk_prime_exists(rng.sample(free, 2), b1),
+            _weakened(rng, b1),
+            _weakened(rng, b1, [extra]),
+            _part_of(rng, b1),
+            _free_renamed(_weakened(rng, b1), dict(zip(free, names))),
+            b2,
+        ]
+        pairs = [(b1, rhs) for rhs in rhss]
+        both = prime_conj(b1, b2)
+        if not isinstance(both, Bottom):
+            pairs += [(both, b1), (both, b2), (both, _weakened(rng, both))]
+        for lhs, rhs in pairs:
+            if rhs is None:
+                continue
+            got = prime_entails(lhs, rhs)
+            assert got == projection_entails(lhs, rhs), (str(lhs), str(rhs))
+            seen[got] += 1
+            seen["large"] += 50 <= len(lhs.body.atoms) <= 100
+    assert seen[True] > 100 and seen[False] > 100, seen
+    assert seen["large"] > 0.8 * (seen[True] + seen[False]), seen
+
+
+def test_only_holds_at_and_access_function_walk_positions():
+    """``holds_at`` is the one check of a prime at positions: a call of
+    ``positions`` anywhere else in the library, or an import of it, would
+    be a second copy of that check."""
+    import ast
+    import pathlib
+
+    import featlog
+
+    uses = []
+    for path in sorted(pathlib.Path(featlog.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            scope = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                called = "positions" in (getattr(func, "id", None), getattr(func, "attr", None))
+                imported = isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "positions" for alias in node.names
+                )
+                if called or imported:
+                    uses.append((path.name, scope))
+    assert sorted(uses) == [("prime.py", "access_function"), ("prime.py", "holds_at")]
 
 
 def _sorted_ring_prime(sym, n, closed):

@@ -2,6 +2,7 @@ import pathlib
 import random
 import runpy
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from featlog import (
     Agree,
     And,
     Atomic,
+    BasicFormula,
     Bottom,
     Eq,
     FeatC,
@@ -22,6 +24,7 @@ from featlog import (
     SortAt,
     SortC,
     TOP_PRIME,
+    basic_simplify,
     boolcomb_to_formula,
     canonicalize,
     classify,
@@ -39,7 +42,7 @@ from featlog import (
     to_prime_dnf,
 )
 from featlog.core import EPS, Exists, Forall, Implies, Or, conj, exists_all, forall_all
-from featlog.prime import from_atom
+from featlog.prime import from_atom, requantify
 from featlog.textio import print_formula
 from featlog.qe import (
     BC_FALSE,
@@ -55,6 +58,8 @@ from featlog.qe import (
     bc_and,
     bc_not,
     bc_or,
+    _has_joker,
+    _placer,
     bc_quantifier_free,
     satisfiable,
 )
@@ -64,6 +69,7 @@ from generators import (
     pools,
     random_basic_formula,
     random_epc_formula,
+    random_model_prime,
     random_prime,
     random_quantified_formula,
     random_valuation,
@@ -205,6 +211,45 @@ def test_clause_joker_check_agrees_with_projection_oracle(sym):
         counts["joker" if joker else "subtracted"] += 1
         counts["q0 twice"] += q0 in beta.bound and q0 in beta2.free_vars
     assert min(counts.values()) > 20, counts
+
+
+def test_joker_walk_agrees_with_projection_oracle_on_large_primes(sym):
+    """``_has_joker`` called directly against the projection oracle, on
+    positives of 50 to 100 atoms read off random acyclic graphs: the
+    oracle saturates every path of the positive, which cycles make
+    exponential.  Negatives are primes of another graph, cycles
+    allowed, and weakened positives given three random atoms, which may
+    lead off the positive to a new bound variable or name the free
+    variable outside, which is in the block; with many of them the
+    positive conjoins to false, a pair clause elimination drops before
+    it looks for a joker.  The block holds any number of the positive's
+    free variables: paths that the others reach are not free."""
+    rng = random.Random(146)
+    sorts, feats, _ = pools(sym)
+    q0, outside, new = sym.var("q0"), sym.var("outside"), sym.var("new")
+    seen = Counter()
+    for _ in range(50):
+        beta = random_model_prime(rng, sym, cycles=False)[0]
+        vs = sorted(beta.body.variables) + [new, outside]
+        negatives = [random_model_prime(rng, sym)[0]]
+        for _ in range(2):
+            keep = [a for a in beta.body.atoms if rng.random() < 0.5]
+            for _ in range(3):
+                v, w, s, f = rng.choice(vs), rng.choice(vs), rng.choice(sorts), rng.choice(feats)
+                keep.append(rng.choice([SortC(s, v), FeatC(v, f, w), Eq(v, w), Eq(outside, v)]))
+            body = basic_simplify(BasicFormula(tuple(keep)))
+            if not isinstance(body, Bottom):
+                negatives.append(requantify(beta.bound | {new}, body))
+        free = sorted(beta.free_vars)
+        xs = rng.sample(free, rng.randint(0, len(free))) + [q0, outside]
+        placer = _placer(beta, frozenset(xs))
+        for beta2 in negatives:
+            got = _has_joker(beta, placer, beta2)
+            assert got == projection_has_joker(beta, xs, beta2), (str(beta), xs, str(beta2))
+            seen[got, isinstance(prime_conj(beta, beta2), Bottom)] += 1
+        seen["large"] += 50 <= len(beta.body.atoms) <= 100
+    assert min(seen[key] for key in product((True, False), repeat=2)) > 10, seen
+    assert seen["large"] > 40, seen
 
 
 def test_jokers_for_a_block(sym):
