@@ -8,7 +8,8 @@ decidable through finite projections, which makes them the building
 blocks of the full decision procedure.
 
 Every prime the library builds is canonical by construction: one
-requantification garbage-collects the unreachable part of the body,
+build (``solve.solve_atoms``) solves the atoms and quantifies the bound
+variables together, garbage-collects the unreachable part of the body,
 names the bound variables q0, q1, ... by their access paths and sorts
 the atoms, so primes equal up to renaming of bound variables are equal
 values.
@@ -17,17 +18,15 @@ values.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from itertools import count
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, TypeVar
+from typing import Callable, Collection, Iterable, Mapping, Sequence, TypeVar
 
 from .core import (
     BOTTOM,
     EPS,
     Atom,
     Atomic,
-    BasicFormula,
     Bottom,
     Eq,
     Excl,
@@ -39,14 +38,19 @@ from .core import (
     SortId,
     VarId,
     atom_key,
-    atom_vars,
     cached_field,
     conj,
     exists_all,
     rename_atom,
 )
 from .paths import Agree, PathConstraint, RootedPath, SortAt
-from .solve import SolvedFormula, basic_simplify, conjunction_atoms, is_solved_formula
+from .solve import (
+    SolvedFormula,
+    conjunction_atoms,
+    is_solved_formula,
+    search_tree,
+    solve_atoms,
+)
 
 
 class PrimeFormula(Record):
@@ -101,119 +105,42 @@ def adjacency(edges: Mapping) -> dict:
     return adj
 
 
-def _bfs_tree(
-    body: SolvedFormula, roots: Iterable[VarId]
-) -> dict[VarId, tuple[VarId, FeatId] | None]:
-    """Breadth-first search from the roots along feature edges.
-
-    Roots are visited in name order and each node's features in name
-    order.  Every reached variable maps to the ``(variable, feature)``
-    it was first reached through, a root to None, in order of discovery.
-    """
-    adj = adjacency(body.edges)
-    tree: dict[VarId, tuple[VarId, FeatId] | None] = dict.fromkeys(sorted(roots))
-    queue = deque(tree)
-    while queue:
-        u = queue.popleft()
-        for feat, w in adj.get(u, ()):
-            if w not in tree:
-                tree[w] = (u, feat)
-                queue.append(w)
-    return tree
-
-
 def is_prime_formula(beta: PrimeFormula) -> bool:
     """Validate the three defining conditions."""
     body = beta.body
     if not is_solved_formula(body):
         return False
-    norm_vars: set[VarId] = set()
-    for eq in body.normalizer:
-        norm_vars.update((eq.lhs, eq.rhs))
-    if beta.bound & norm_vars:
+    norm_vars = {v for eq in body.normalizer for v in (eq.lhs, eq.rhs)}
+    if beta.bound & norm_vars or not beta.bound <= body.variables:
         return False
-    if not beta.bound <= body.variables:
-        return False
-    return beta.bound <= _bfs_tree(body, body.variables - beta.bound).keys()
+    tree = search_tree(adjacency(body.edges), sorted(body.variables - beta.bound))
+    return beta.bound <= tree.keys()
 
 
 def requantify(bound: Iterable[VarId], body: SolvedFormula) -> PrimeFormula:
-    """The canonical prime formula equivalent to ``exists bound`` applied to ``body``.
-
-    The variables in ``bound`` may sit anywhere in the solved body.
-    Equations whose left side is quantified are dropped: that variable
-    occurs nowhere else.  A quantified variable that still represents
-    free ones is renamed to the least of them by name, whose equation is
-    dropped.  Then one breadth-first search from the free variables
-    (``_bfs_tree``) does two jobs.  What it does not reach is garbage
-    collected, with its bound variables; solved-clause satisfiability
-    guarantees the dropped constraints never exclude a solution.  And
-    the bound variables it reaches, ordered by access path (root name,
-    then feature names), are renamed q0, q1, ..., skipping the spelling
-    of any free variable of the result.  Both parts of the body are
-    sorted by ``atom_key``, so two primes that differ only in the names
-    of their bound variables come out equal.  The names avoid the
-    reserved ``_`` prefix, so the result stays printable and reparseable.
-    """
-    quantified = frozenset(bound)
-    eqs = [eq for eq in body.normalizer if eq.lhs not in quantified]
-    rename: dict[VarId, VarId] = {}
-    for eq in eqs:
-        if eq.rhs in quantified:
-            rename[eq.rhs] = min(eq.lhs, rename.get(eq.rhs, eq.lhs))
-    normalizer = tuple(
-        sorted(
-            (Eq(eq.lhs, rename.get(eq.rhs, eq.rhs)) for eq in eqs if rename.get(eq.rhs) != eq.lhs),
-            key=atom_key,
-        )
-    )
-    graph = tuple(rename_atom(a, rename) for a in body.graph) if rename else body.graph
-    mapping: dict[VarId, VarId] = {}
-    if quantified:
-        renamed = SolvedFormula(normalizer, graph)
-        free = renamed.variables - quantified
-        tree = _bfs_tree(renamed, free)
-        dropped = quantified - tree.keys()
-        if dropped:
-            graph = tuple(a for a in graph if dropped.isdisjoint(atom_vars(a)))
-            free = SolvedFormula(normalizer, graph).variables - quantified
-        taken = {v.name for v in free}
-        names = (f"q{i}" for i in count() if f"q{i}" not in taken)
-        # access-path order is the preorder of the search tree, children by feature
-        children: dict[VarId, list[VarId]] = {}
-        for w, parent in tree.items():
-            if parent is not None:
-                children.setdefault(parent[0], []).append(w)
-        stack = [v for v in reversed(tree) if tree[v] is None]
-        while stack:
-            u = stack.pop()
-            if tree[u] is not None:
-                mapping[u] = VarId(next(names))
-            stack.extend(reversed(children.get(u, ())))
-        graph = tuple(rename_atom(a, mapping) for a in graph)
-    body = SolvedFormula(normalizer, tuple(sorted(graph, key=atom_key)))
-    return PrimeFormula(frozenset(mapping.values()), body)
+    """The canonical prime formula equivalent to ``exists bound`` applied
+    to ``body``, the variables of ``bound`` anywhere in it: one build,
+    since a solved body re-solves to the same classes."""
+    return _prime_of_atoms(body.atoms, bound)
 
 
 def mk_prime_exists(xs: Collection[VarId], beta: PrimeFormula) -> PrimeFormula:
     """A prime formula equivalent to ``exists xs`` applied to ``beta``.
 
     ``beta`` itself when no variable of the block is free in it;
-    otherwise one ``requantify`` with those variables added to the bound
-    ones, which is canonical.
+    otherwise one build of the body with those variables added to the
+    bound ones, which is canonical.
     """
     hit = beta.free_vars.intersection(xs)
     if not hit:
         return beta
-    return requantify(beta.bound | hit, beta.body)
+    return _prime_of_atoms(beta.body.atoms, beta.bound | hit)
 
 
-def _prime_of_atoms(atoms: list[Atom], bound: list[VarId]) -> PrimeFormula | Bottom:
-    """Solve the atoms once, then quantify the bound variables once."""
-    solved = basic_simplify(BasicFormula(tuple(atoms)))
-    if isinstance(solved, Bottom):
-        return BOTTOM
-    return requantify(bound, solved)
+def _prime_of_atoms(atoms: Sequence[Atom], bound: Iterable[VarId]) -> PrimeFormula | Bottom:
+    """Solve the atoms and quantify the bound variables in one build."""
+    built = solve_atoms(atoms, bound)
+    return BOTTOM if isinstance(built, Bottom) else PrimeFormula(*built)
 
 
 def _renamer(taken: set[VarId]):
@@ -222,7 +149,7 @@ def _renamer(taken: set[VarId]):
 
     Transient names contain a ``'``, which neither a parsed name nor a
     minted ``_`` name can, and they are numbered per renamer.  They are
-    only ever given to bound variables, which ``requantify`` renames, so
+    only ever given to bound variables, which the build renames, so
     none leaves the prime it was made for.
     """
     numbers = count(1)
@@ -237,34 +164,34 @@ def _renamer(taken: set[VarId]):
     return fresh
 
 
-def prime_conj(*primes: PrimeFormula) -> PrimeFormula | Bottom:
-    """Conjunction of primes: prime again, or ``false``.
-
-    No primes give true, and one prime is returned as it is.  Otherwise
-    bound variables are renamed apart in one pass: a bound variable gets
-    a transient name when it occurs free in another prime or is bound in
-    an earlier one.  The bodies together run through one basic
-    simplification, and all bound variables are requantified together
-    over the solved result.
-    """
-    if len(primes) < 2:
-        return primes[0] if primes else TOP_PRIME
-    taken: set[VarId] = set()
-    for beta in primes:
-        taken |= beta.free_vars
+def exists_conj(xs: Collection[VarId], primes: Sequence[PrimeFormula]) -> PrimeFormula | Bottom:
+    """The canonical prime of ``exists xs`` over the conjunction of the
+    primes, or ``false``: bound variables are renamed apart in one pass,
+    a bound variable getting a transient name when it occurs free in
+    another prime or is bound in an earlier one, and one build solves
+    the bodies and quantifies the bound variables and those of ``xs``."""
+    taken = set().union(*(beta.free_vars for beta in primes))
+    bound = [x for x in xs if x in taken]
     fresh = _renamer(taken)
     atoms: list[Atom] = []
-    bound: list[VarId] = []
     for beta in primes:
         mapping = {v: fresh(v) for v in sorted(beta.bound & taken)}
         taken |= beta.bound
         bound.extend(mapping.get(v, v) for v in beta.bound)
-        atoms.extend(beta.body.normalizer)
-        if mapping:
-            atoms.extend(rename_atom(a, mapping) for a in beta.body.graph)
-        else:
-            atoms.extend(beta.body.graph)
+        atoms += beta.body.normalizer
+        atoms += (rename_atom(a, mapping) for a in beta.body.graph) if mapping else beta.body.graph
     return _prime_of_atoms(atoms, bound)
+
+
+def prime_conj(*primes: PrimeFormula) -> PrimeFormula | Bottom:
+    """Conjunction of primes: prime again, or ``false``.
+
+    No primes give true, and one prime is returned as it is.  Otherwise
+    one build of ``exists_conj`` with nothing further quantified.
+    """
+    if len(primes) < 2:
+        return primes[0] if primes else TOP_PRIME
+    return exists_conj((), primes)
 
 
 def simplify_epc(phi: Formula) -> PrimeFormula | Bottom:
@@ -274,8 +201,8 @@ def simplify_epc(phi: Formula) -> PrimeFormula | Bottom:
     rejects any other connective before anything is solved.  A
     quantifier keeps its variable unless that variable also occurs free
     or is bound by an earlier quantifier; only then a second walk renames
-    it to a transient name, as ``prime_conj`` does.  The atoms are
-    solved once and the quantified variables requantified once.
+    it to a transient name, as ``prime_conj`` does.  One build solves
+    the atoms and quantifies the quantified variables together.
     """
     walked = conjunction_atoms(phi, binder=lambda x: x)
     if isinstance(walked, Bottom):
@@ -310,13 +237,14 @@ def positions(
     """One position per body variable, found along the access paths.
 
     The variables are visited in the breadth-first order of
-    ``_bfs_tree`` from the free ones, as ``requantify`` names them.  A
+    ``search_tree`` from the free ones in name order, features in name
+    order, the search by whose preorder the prime builder names them.  A
     free variable is at ``start(v)`` and a bound one at
     ``step(position of its parent, feature)``, so every shared prefix
     of the access paths is walked once.  None as soon as either gives
     None, which stands for a position that does not exist.
     """
-    tree = _bfs_tree(beta.body, beta.free_vars)
+    tree = search_tree(adjacency(beta.body.edges), sorted(beta.free_vars))
     if not beta.bound <= tree.keys():
         raise ValueError("bound variable unreachable; not a prime formula")
     pos: dict[VarId, Position] = {}
@@ -365,10 +293,10 @@ def access_function(beta: PrimeFormula) -> dict[VarId, RootedPath]:
     """One rooted path per body variable, injectively.
 
     Free variables address themselves at the empty path.  Bound
-    variables are addressed by the breadth-first search ``requantify``
-    names them by, from the free variables in name order exploring
-    features alphabetically, so the chosen paths are shortest and the
-    choice is reproducible.
+    variables are addressed by the breadth-first search the prime
+    builder names them by, from the free variables in name order
+    exploring features alphabetically, so the chosen paths are shortest
+    and the choice is reproducible.
     """
     acc = positions(
         beta,

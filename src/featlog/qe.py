@@ -20,9 +20,9 @@ integers: a conjunction merges its single-clause arguments in one pass
 before it distributes over the others, and each distinct set is turned
 back into primes once, so equal primes come back as one object.  The
 clauses of one block share their work through two tables that die with
-the block: the merged positives and their requantification per set of
-positives, and what each negative subtracts per pair of merged
-positives and negative.
+the block: the merged positives and their one requantification per set
+of positives, and what each negative subtracts, one build, per pair of
+merged positives and negative.
 
 ``decide`` names bound variables by the depth of their binder and their
 place in its block, so blocks equal up to the names of their bound
@@ -91,6 +91,7 @@ from .prime import (
     PrimeFormula,
     TOP_PRIME,
     adjacency,
+    exists_conj,
     from_atom,
     holds_at,
     mk_prime_exists,
@@ -98,6 +99,7 @@ from .prime import (
     prime_entails,
     prime_to_formula,
 )
+from .solve import search_tree
 from .textio import expand_sugar
 
 DEFAULT_MAX_DNF_CLAUSES = 10000
@@ -288,14 +290,9 @@ def _placer(beta: PrimeFormula, block: frozenset[VarId]):
     it meets a pinned node, so one that steps off the body stays as it was.
     """
     body = beta.body
-    binding, edges, adj = body.binding, body.edges, adjacency(body.edges)
-    pinned: set[VarId] = set()
-    stack = [binding.get(y, y) for y in body.variables - block - beta.bound]
-    while stack:
-        u = stack.pop()
-        if u not in pinned:
-            pinned.add(u)
-            stack.extend(w for _f, w in adj.get(u, ()))
+    binding, edges = body.binding, body.edges
+    roots = {binding.get(y, y) for y in body.variables - block - beta.bound}
+    pinned = search_tree(adjacency(edges), roots).keys()
 
     def start(v: VarId) -> tuple:
         node = (v,) if v in beta.bound or v not in body.variables else binding.get(v, v)
@@ -369,7 +366,7 @@ def eliminate_clause(
     projection contains a joker for the block never constrains the
     choice of its variables and drops out; so does one inconsistent
     with beta.  Every other one subtracts ``exists xs (beta and beta')``,
-    again one requantification.
+    which one build (``exists_conj``) conjoins and quantifies together.
     """
     return _clause_eliminator(frozenset(xs))(positives, negatives)
 
@@ -379,22 +376,22 @@ def _clause_eliminator(block: frozenset[VarId]):
 
     Clauses of one normal form share positives and negatives, so the
     merged positives, requantification and placer are kept per set of
-    positives, and the literal each negative subtracts (true when it
-    drops out) per pair of merged positives and negative.  Sets of
-    positives that merge to equal primes find one another's pairs
-    through the primes' cached hashes.  The tables live as long as the
-    returned function.
+    positives, the placer made when a negative first needs it, and the
+    literal each negative subtracts (true when it drops out) per pair of
+    merged positives and negative.  Sets of positives that merge to
+    equal primes find one another's pairs through the primes' cached
+    hashes.  The tables live as long as the returned function.
     """
-    solved: dict[frozenset, tuple | None] = {}
+    solved: dict[frozenset, list | None] = {}
     subtracted: dict[tuple[PrimeFormula, PrimeFormula], BoolComb] = {}
 
     def eliminate(positives: list[PrimeFormula], negatives: list[PrimeFormula]) -> BoolComb:
         key = frozenset(positives)
         if key not in solved:
             beta = prime_conj(*positives)
-            solved[key] = None if isinstance(beta, Bottom) else (
-                beta, PrimeLeaf(mk_prime_exists(block, beta)), _placer(beta, block)
-            )
+            solved[key] = None if isinstance(beta, Bottom) else [
+                beta, PrimeLeaf(mk_prime_exists(block, beta)), None
+            ]
         entry = solved[key]
         if entry is None:
             return BC_FALSE
@@ -404,11 +401,13 @@ def _clause_eliminator(block: frozenset[VarId]):
             pair = (beta, beta2)
             literal = subtracted.get(pair)
             if literal is None:
+                if placer is None:
+                    placer = entry[2] = _placer(beta, block)
                 literal = BC_TRUE  # a joker, or a clash with beta: it drops out
                 if not _has_joker(beta, placer, beta2):
-                    both = prime_conj(beta, beta2)
+                    both = exists_conj(block, (beta, beta2))
                     if not isinstance(both, Bottom):
-                        literal = bc_not(PrimeLeaf(mk_prime_exists(block, both)))
+                        literal = bc_not(PrimeLeaf(both))
                 subtracted[pair] = literal
             literals.append(literal)
         return bc_and(*literals)

@@ -17,17 +17,19 @@ the remaining atoms form a solved clause (no duplicates, at most one
 sort per variable, deterministic features, no edge next to a matching
 exclusion).
 
-The rules are the specification.  ``basic_simplify`` implements them by
-congruence closure over a union-find of variables (Ait-Kaci & Nasr 1986;
-Ait-Kaci, Podelski & Smolka 1994), whose fixed point is unique up to the
-variable that represents each class: after x = y the class of y
-represents x, and of two merged edges the later one in the input stays.
+The rules are the specification.  ``solve_atoms``, the one builder of
+solved forms and primes, implements them by congruence closure over a
+union-find of variables (Ait-Kaci & Nasr 1986; Ait-Kaci, Podelski &
+Smolka 1994), whose fixed point is unique up to the variable that
+represents each class: after x = y the class of y represents x, and of
+two merged edges the later one in the input stays.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Callable, Iterable, Union
+from itertools import count, filterfalse
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .core import (
     BOTTOM,
@@ -84,10 +86,7 @@ class SolvedClause(Record):
 
     @cached_field
     def variables(self) -> frozenset[VarId]:
-        out: set[VarId] = set()
-        for a in self.atoms:
-            out.update(atom_vars(a))
-        return frozenset(out)
+        return frozenset([v for a in self.atoms for v in atom_vars(a)])
 
     def __str__(self) -> str:
         return str(clause_to_formula(self))
@@ -117,10 +116,7 @@ class SolvedFormula(Record):
 
     @cached_field
     def variables(self) -> frozenset[VarId]:
-        out: set[VarId] = set()
-        for a in self.atoms:
-            out.update(atom_vars(a))
-        return frozenset(out)
+        return frozenset([v for a in self.atoms for v in atom_vars(a)])
 
     def graph_clause(self) -> SolvedClause:
         return SolvedClause(self.graph)
@@ -133,29 +129,35 @@ class SolvedFormula(Record):
 
 
 def basic_simplify(phi: BasicFormula | Bottom) -> SolvedFormula | Bottom:
-    """Rewrite a basic formula to a solved formula or ``false``.
+    """Rewrite a basic formula to a solved formula or ``false``: the
+    build of ``solve_atoms`` with nothing quantified."""
+    if isinstance(phi, Bottom):
+        return BOTTOM
+    built = solve_atoms(phi.atoms)
+    return built if isinstance(built, Bottom) else built[1]
+
+
+def solve_atoms(
+    atoms: Sequence[Atom], bound: Iterable[VarId] = ()
+) -> tuple[frozenset[VarId], SolvedFormula] | Bottom:
+    """The canonical prime of ``exists bound`` over the atoms, as its
+    bound names and solved body, or ``false``: one build.
 
     One union-find pass over the atoms in input order.  An equation
     x = y puts the class of x under the class of y.  Two edges with the
     same feature out of one class put the class of the earlier edge's
     target under the class of the later one's, and the later edge stays;
     the merges this causes run as a worklist until no (class, feature)
-    key repeats.  Two different sorts on one class give ``false``.  The
-    result is emitted once, in ``atom_key`` order: ``v = rep(v)`` for
-    each variable that does not represent its class, then one sort per
-    sorted class and one edge per (class, feature), over representatives.
+    key repeats.  Two different sorts on one class give ``false``.  Each
+    class is named by its representative unless ``_name_classes`` says
+    otherwise, and the result is emitted once, in ``atom_key`` order:
+    ``v = name(v)`` for each free variable that does not name its class,
+    then one sort per sorted class and one edge per (class, feature).
     """
-    if isinstance(phi, Bottom):
-        return BOTTOM
-    # union-find over integer nodes
+    # union-find over integer nodes, numbered as the variables are met
     node: dict[VarId, int] = {}
-    var: list[VarId] = []
-    for a in phi.atoms:
-        for v in atom_vars(a):
-            if v not in node:
-                node[v] = len(var)
-                var.append(v)
-    parent = list(range(len(var)))
+    at = node.setdefault
+    parent = list(range(2 * len(atoms)))
     # per class root: feature -> (input position, target node, edge)
     out_edges: dict[int, dict[FeatId, tuple[int, int, FeatC]]] = {}
 
@@ -192,98 +194,164 @@ def basic_simplify(phi: BasicFormula | Bottom) -> SolvedFormula | Bottom:
                     kept[f] = edge
                     pending.append((other[1], edge[1]))
 
-    for pos, a in enumerate(phi.atoms):
-        if isinstance(a, Eq):
-            union([(node[a.lhs], node[a.rhs])])
-        elif isinstance(a, FeatC):
-            row = out_edges.setdefault(find(node[a.src]), {})
-            dst = node[a.dst]
+    sort_atoms: list[SortC] = []
+    for pos, a in enumerate(atoms):
+        if isinstance(a, FeatC):
+            row = out_edges.setdefault(find(at(a.src, len(node))), {})
+            dst = at(a.dst, len(node))
             earlier = row.get(a.feat)
             row[a.feat] = (pos, dst, a)
             if earlier is not None:
                 union([(earlier[1], dst)])
+        elif isinstance(a, SortC):
+            at(a.var, len(node))
+            sort_atoms.append(a)
+        elif isinstance(a, Eq):
+            union([(at(a.lhs, len(node)), at(a.rhs, len(node)))])
+        else:
+            raise ValueError("only sort, feature and equation atoms are solved")
 
     sorts: dict[int, SortC] = {}
-    for a in phi.atoms:
-        if isinstance(a, SortC):
-            if sorts.setdefault(find(node[a.var]), a).sort != a.sort:
-                return BOTTOM
-    rep = [var[find(i)] for i in range(len(var))]
-    normalizer = sorted((Eq(v, r) for v, r in zip(var, rep) if v is not r), key=atom_key)
-    # input atoms already over representatives are kept as they are
+    for a in sort_atoms:
+        if sorts.setdefault(find(node[a.var]), a).sort != a.sort:
+            return BOTTOM
+    var = list(node)
+    root = [find(i) for i in range(len(var))]
+    # name of each class root; None for a bound class that is dropped
+    name: list[VarId | None] = var[:]
+    hidden = {node[v] for v in bound if v in node}
+    names = _name_classes(var, node, root, hidden, name, out_edges, sorts)
+    lhs = [name[r] for r in root]
+    for i in hidden:
+        lhs[i] = var[i]  # a quantified variable keeps no equation
+    normalizer = sorted((Eq(v, c) for v, c in zip(var, lhs) if v is not c), key=attrgetter("lhs"))
+    # input atoms already over their names are kept as they are
     graph: list[GraphAtom] = [
-        a if a.var is var[r] else SortC(a.sort, var[r]) for r, a in sorts.items()
+        a if a.var is name[r] else SortC(a.sort, name[r]) for r, a in sorts.items() if name[r]
     ]
+    edges: list[FeatC] = []
     for r, row in out_edges.items():
-        for _pos, t, a in row.values():
-            src, dst = var[r], rep[t]
-            graph.append(a if a.src is src and a.dst is dst else FeatC(src, a.feat, dst))
-    graph.sort(key=atom_key)
+        src = name[r]
+        if src is not None:
+            for _pos, t, a in row.values():
+                dst = name[root[t]]
+                edges.append(a if a.src is src and a.dst is dst else FeatC(src, a.feat, dst))
+    # names are unique per class and edges per (class, feature), so
+    # these keys order the atoms as atom_key does
+    graph.sort(key=_SORT_KEY)
+    graph += sorted(edges, key=_EDGE_KEY)
     result = SolvedFormula(tuple(normalizer), tuple(graph))
     assert is_solved_formula(result), "simplification did not reach a solved form"
-    return result
+    return frozenset(names), result
+
+
+def _name_classes(var, node, root, hidden, name, out_edges, sorts) -> list[VarId]:
+    """Name the classes of ``solve_atoms`` that a quantified node (in
+    ``hidden``) represents, into ``name``; return the bound names.
+
+    Such a class is named by its least free member.  A class without one
+    stays bound if the search from the free classes (``search_tree``, in
+    name order) reaches it, and is dropped (None) with its sorts and
+    edges otherwise: solved-clause satisfiability guarantees they never
+    exclude a solution.  The reached ones are named q0, q1, ... in the
+    preorder of the search tree, which is access-path order, skipping
+    any spelling of a free variable of the result.
+    """
+    if not any(root[i] == i for i in hidden):
+        return []
+    for i, r in enumerate(root):
+        if r in hidden and i not in hidden and (name[r] is var[r] or var[i] < name[r]):
+            name[r] = var[i]
+    closed = {r for r in hidden if root[r] == r and name[r] is var[r]}
+    if not closed:
+        return []
+    starts = sorted((name[i], i) for i, r in enumerate(root) if r == i and i not in closed)
+    adj = {r: [(f, root[row[f][1]]) for f in sorted(row)] for r, row in out_edges.items()}
+    tree = search_tree(adj, [r for _, r in starts])
+    children: dict[int, list[int]] = {}
+    for w, up in tree.items():
+        if up is not None:
+            children.setdefault(up[0], []).append(w)
+
+    def taken(q: VarId) -> bool:
+        # whether the result mentions a free variable spelled q: in an
+        # equation, when its class has two free members, or naming a
+        # class with a sort or a kept edge
+        i = node.get(q)
+        if i is None or i in hidden:
+            return False
+        r, kept = root[i], (w for u in tree for _, w in adj.get(u, ()))
+        members = sum(root[j] == r and j not in hidden for j in range(len(var)))
+        return members > 1 or r in sorts or r in out_edges or r in kept
+
+    spell = filterfalse(taken, map(VarId, map("q{}".format, count())))
+    names: list[VarId] = []
+    stack = [r for _, r in reversed(starts)]
+    while stack:
+        u = stack.pop()
+        if u in closed:
+            name[u] = next(spell)
+            names.append(name[u])
+        stack.extend(reversed(children.get(u, ())))
+    for r in closed - tree.keys():
+        name[r] = None
+    return names
+
+
+def search_tree(adj: Mapping, roots: Iterable) -> dict:
+    """Breadth-first search from the roots, in the order given, along the
+    out-edges ``(feature, target)`` of ``adj``, in the order listed: every
+    reached node maps to the ``(node, feature)`` it was first reached
+    through, a root to None, in order of discovery."""
+    tree: dict = dict.fromkeys(roots)
+    queue = list(tree)
+    for u in queue:  # the queue grows while it is read
+        for feat, w in adj.get(u, ()):
+            if w not in tree:
+                tree[w] = (u, feat)
+                queue.append(w)
+    return tree
+
+
+_SORT_KEY = attrgetter("var")
+_EDGE_KEY = attrgetter("src", "feat")
+_GRAPH_KEYS = {SortC: _SORT_KEY, FeatC: _EDGE_KEY}
+_CLAUSE_KEYS = {**_GRAPH_KEYS, Excl: attrgetter("var", "feat")}
+
+
+def _keys_distinct(atoms: Iterable, keys: dict) -> bool:
+    """Whether ``keys`` keys each atom by its class and no key repeats."""
+    try:
+        found = [keys[a.__class__](a) for a in atoms]
+    except KeyError:
+        return False
+    return len(set(found)) == len(found)
 
 
 def is_solved_clause(atoms: Iterable[ClauseAtom] | SolvedClause) -> bool:
-    """Check the four solved-clause conditions on a multiset of atoms."""
+    """Check the four solved-clause conditions on a multiset of atoms:
+    sort, feature and exclusion atoms, no two with one key, a sort's
+    being its variable and an edge's or exclusion's (variable, feature)."""
     if isinstance(atoms, SolvedClause):
         atoms = atoms.atoms
-    atoms = tuple(atoms)
-    seen: set[Atom] = set()
-    sorts: dict[VarId, SortId] = {}
-    edges: dict[tuple[VarId, FeatId], VarId] = {}
-    excls: set[tuple[VarId, FeatId]] = set()
-    for a in atoms:
-        if a in seen:
-            return False
-        seen.add(a)
-        if isinstance(a, SortC):
-            if sorts.get(a.var, a.sort) != a.sort:
-                return False
-            sorts[a.var] = a.sort
-        elif isinstance(a, FeatC):
-            key = (a.src, a.feat)
-            if edges.get(key, a.dst) != a.dst:
-                return False
-            edges[key] = a.dst
-        elif isinstance(a, Excl):
-            excls.add((a.var, a.feat))
-        else:
-            return False
-    return not (excls & set(edges))
+    return _keys_distinct(atoms, _CLAUSE_KEYS)
 
 
 def is_solved_formula(phi: BasicFormula | SolvedFormula) -> bool:
-    """Equations eliminate their left-hand sides and the graph is solved."""
-    atoms = phi.atoms
-    occ: Counter[VarId] = Counter()
-    for a in atoms:
-        occ.update(atom_vars(a))
-    eqs = [a for a in atoms if isinstance(a, Eq)]
-    graph = [a for a in atoms if not isinstance(a, Eq)]
-    for eq in eqs:
-        if eq.lhs == eq.rhs or occ[eq.lhs] != 1:
-            return False
-    if any(isinstance(a, Excl) for a in graph):
-        return False
-    return is_solved_clause(graph)
+    """Each equation's left-hand side occurs once, and the other atoms
+    are sorts and edges that form a solved clause."""
+    eqs = [a for a in phi.atoms if isinstance(a, Eq)]
+    graph = [a for a in phi.atoms if not isinstance(a, Eq)]
+    lhs = {a.lhs for a in eqs}
+    rest = [a.rhs for a in eqs] + [v for a in graph for v in atom_vars(a)]
+    return len(lhs) == len(eqs) and lhs.isdisjoint(rest) and _keys_distinct(graph, _GRAPH_KEYS)
 
 
 def constrained_vars(delta: SolvedClause | SolvedFormula | Iterable[Atom]) -> set[VarId]:
     """Variables carrying a sort, an outgoing edge, or an exclusion."""
     if isinstance(delta, (SolvedClause, SolvedFormula)):
-        atoms: Iterable[Atom] = delta.atoms
-    else:
-        atoms = delta
-    out: set[VarId] = set()
-    for a in atoms:
-        if isinstance(a, SortC):
-            out.add(a.var)
-        elif isinstance(a, FeatC):
-            out.add(a.src)
-        elif isinstance(a, Excl):
-            out.add(a.var)
-    return out
+        delta = delta.atoms
+    return {a.src if isinstance(a, FeatC) else a.var for a in delta if not isinstance(a, Eq)}
 
 
 def parameters(delta: SolvedClause) -> set[VarId]:

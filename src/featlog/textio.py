@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from itertools import count, islice
+from operator import is_
 
 from .core import (
     BOTTOM,
@@ -355,14 +356,18 @@ def expand_sugar(phi: Formula) -> Formula:
             linner, latoms = chain(phi.lhs, phi.lpath, z, mentioned)
             rinner, ratoms = chain(phi.rhs, phi.rpath, z, mentioned)
             return exists_all([z] + linner + rinner, conj(latoms + ratoms))
-        if isinstance(phi, Not):
-            return Not(go(phi.body))
+        # a node with no sugar below it is returned as it is
+        if isinstance(phi, (Not, Exists, Forall)):
+            body = go(phi.body)
+            if body is phi.body:
+                return phi
+            return Not(body) if isinstance(phi, Not) else type(phi)(phi.vars, body)
         if isinstance(phi, (And, Or)):
-            return type(phi)(tuple(go(arg) for arg in phi.args))
+            args = tuple(map(go, phi.args))
+            return phi if all(map(is_, args, phi.args)) else type(phi)(args)
         if isinstance(phi, (Implies, Iff)):
-            return type(phi)(go(phi.lhs), go(phi.rhs))
-        if isinstance(phi, (Exists, Forall)):
-            return type(phi)(phi.vars, go(phi.body))
+            lhs, rhs = go(phi.lhs), go(phi.rhs)
+            return phi if lhs is phi.lhs and rhs is phi.rhs else type(phi)(lhs, rhs)
         raise ValueError(f"unknown formula node {phi!r}")
 
     try:

@@ -6,7 +6,9 @@ and jokers from that closure, one constraint of a projection at a time,
 rule applicability by direct scanning,
 and canonical primes by garbage collection and renaming in two separate
 searches.  None of it shares code with the walk-based implementations
-under test, except the pairwise fold, which composes the binary prime
+under test, except the union-find solver, which solves with nothing
+quantified as the one-pass builder does and leaves quantification to
+the two searches, the pairwise fold, which composes the binary prime
 operations that the one-pass ``simplify_epc`` replaces, the closure
 classifier, which decides open input by quantifier elimination instead
 of the clause search, the block splitter, which makes the library
@@ -46,6 +48,7 @@ from featlog import (
     Agree,
     And,
     Atomic,
+    BasicFormula,
     Bottom,
     Eq,
     Excl,
@@ -440,6 +443,124 @@ def two_pass_requantify(bound, body):
         frozenset(mapping.values()),
         SolvedFormula(tuple(sorted(normalizer, key=atom_key)), tuple(graph)),
     )
+
+
+def union_find_simplify(phi):
+    """Rewrite a basic formula to a solved formula or ``false``, with
+    nothing quantified: the first of the two passes that the one-pass
+    builder replaces.
+
+    One union-find pass over the atoms in input order.  An equation
+    x = y puts the class of x under the class of y.  Two edges with the
+    same feature out of one class put the class of the earlier edge's
+    target under the class of the later one's, and the later edge stays;
+    the merges this causes run as a worklist until no (class, feature)
+    key repeats.  Two different sorts on one class give ``false``.  The
+    result is emitted once, in ``atom_key`` order: ``v = rep(v)`` for
+    each variable that does not represent its class, then one sort per
+    sorted class and one edge per (class, feature), over representatives.
+    """
+    if isinstance(phi, Bottom):
+        return BOTTOM
+    # union-find over integer nodes
+    node = {}
+    var = []
+    for a in phi.atoms:
+        for v in atom_vars(a):
+            if v not in node:
+                node[v] = len(var)
+                var.append(v)
+    parent = list(range(len(var)))
+    # per class root: feature -> (input position, target node, edge)
+    out_edges = {}
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    def union(pending):
+        # put the class of the first node under the class of the second
+        while pending:
+            x, y = pending.pop()
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                continue
+            parent[rx] = ry
+            moved = out_edges.pop(rx, None)
+            if moved is None:
+                continue
+            kept = out_edges.setdefault(ry, moved)
+            if kept is moved:
+                continue
+            if len(moved) > len(kept):
+                # which edge stays depends on positions only: merge the smaller row
+                out_edges[ry] = moved
+                moved, kept = kept, moved
+            for f, edge in moved.items():
+                other = kept.get(f)
+                if other is None:
+                    kept[f] = edge
+                elif edge[0] < other[0]:
+                    pending.append((edge[1], other[1]))
+                else:
+                    kept[f] = edge
+                    pending.append((other[1], edge[1]))
+
+    for pos, a in enumerate(phi.atoms):
+        if isinstance(a, Eq):
+            union([(node[a.lhs], node[a.rhs])])
+        elif isinstance(a, FeatC):
+            row = out_edges.setdefault(find(node[a.src]), {})
+            dst = node[a.dst]
+            earlier = row.get(a.feat)
+            row[a.feat] = (pos, dst, a)
+            if earlier is not None:
+                union([(earlier[1], dst)])
+
+    sorts = {}
+    for a in phi.atoms:
+        if isinstance(a, SortC):
+            if sorts.setdefault(find(node[a.var]), a).sort != a.sort:
+                return BOTTOM
+    rep = [var[find(i)] for i in range(len(var))]
+    normalizer = sorted((Eq(v, r) for v, r in zip(var, rep) if v is not r), key=atom_key)
+    # input atoms already over representatives are kept as they are
+    graph = [
+        a if a.var is var[r] else SortC(a.sort, var[r]) for r, a in sorts.items()
+    ]
+    for r, row in out_edges.items():
+        for _pos, t, a in row.values():
+            src, dst = var[r], rep[t]
+            graph.append(a if a.src is src and a.dst is dst else FeatC(src, a.feat, dst))
+    graph.sort(key=atom_key)
+    return SolvedFormula(tuple(normalizer), tuple(graph))
+
+
+def two_pass_prime(atoms, bound):
+    """``exists bound`` over a conjunction of atoms as a prime, or
+    ``false``: ``union_find_simplify``, then ``two_pass_requantify``."""
+    solved = union_find_simplify(BasicFormula(tuple(atoms)))
+    if isinstance(solved, Bottom):
+        return BOTTOM
+    return two_pass_requantify(bound, solved)
+
+
+def two_pass_exists_conj(xs, primes):
+    """``exists xs`` over a conjunction of primes, in two passes.
+
+    Every bound variable is renamed apart, to its name with a ``'`` and
+    the prime's position; no free name has a ``'``.  The bound names
+    never reach the result, so this renaming and the library's, which
+    renames only clashing names, give equal primes.
+    """
+    atoms, bound = [], []
+    for i, beta in enumerate(primes):
+        apart = {v: VarId(f"{v.name}'{i}") for v in beta.bound}
+        bound.extend(apart.values())
+        atoms.extend(rename_atom(a, apart) for a in beta.body.atoms)
+    free = set().union(*(beta.free_vars for beta in primes))
+    return two_pass_prime(atoms, bound + [x for x in xs if x in free])
 
 
 def dict_prime_dnf(

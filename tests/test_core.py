@@ -28,7 +28,7 @@ from featlog import (
 )
 from featlog.core import atom_key, conj, exists_all
 
-from generators import random_basic_formula
+from generators import random_basic_formula, random_quantified_formula
 
 
 def test_namespaces_are_disjoint(sym):
@@ -215,6 +215,21 @@ def test_fresh_vars_are_distinct_and_reserved(sym):
     assert minted == ["_y1", "_z3", "_y2", "_z4", "_y5"]
     assert expand_sugar(phi) == got
     assert sym._vars == names
+
+
+def test_expansion_keeps_nodes_without_sugar(sym):
+    """A node with no sugar below it comes back as the same object, and
+    one above sugar is rebuilt around the expansion."""
+    rng = random.Random(2502)
+    for _ in range(200):
+        phi = random_quantified_formula(rng, sym, max_atoms=30)
+        assert expand_sugar(phi) is phi
+    left = parse_formula(sym, "forall x. (f(x, y) -> ~A(y))")
+    phi = And((left, Or((Not(Atomic(Excl(sym.var("y"), sym.feat("g")))), left))))
+    got = expand_sugar(phi)
+    assert got.args[0] is left and got.args[1].args[1] is left
+    y, g, y1 = sym.var("y"), sym.feat("g"), VarId("_y1")
+    assert got.args[1].args[0] == Not(Not(Exists((y1,), Atomic(FeatC(y, g, y1)))))
 
 
 def test_minted_names_skip_the_variables_of_their_sugar():

@@ -5,6 +5,7 @@ import pytest
 
 from featlog import (
     Agree,
+    Atomic,
     BasicFormula,
     Bottom,
     Eq,
@@ -33,8 +34,8 @@ from featlog import (
     simplify_epc,
     witness_prime,
 )
-from featlog.core import EPS, conj, free_vars, rename_atom
-from featlog.prime import from_atom, prime_to_formula, requantify
+from featlog.core import EPS, conj, exists_all, free_vars, rename_atom
+from featlog.prime import exists_conj, from_atom, prime_to_formula, requantify
 from featlog.solve import conjunction_atoms
 
 from generators import (
@@ -45,7 +46,14 @@ from generators import (
     random_prime,
     random_solved_formula,
 )
-from oracles import fold_simplify_epc, projection_entails, two_pass_requantify
+from oracles import (
+    fold_simplify_epc,
+    projection_entails,
+    two_pass_exists_conj,
+    two_pass_prime,
+    two_pass_requantify,
+    union_find_simplify,
+)
 from test_solve import _wall_limit
 
 
@@ -127,6 +135,94 @@ def test_requantify_agrees_with_two_pass_oracle(sym):
         collected += len(got.body.graph) < len(body.graph)
         skipped += bool(got.bound) and any(v.name[0] == "q" for v in got.free_vars)
     assert targets > 300 and collected > 300 and skipped > 40
+
+
+def _wide_atoms(rng, sym):
+    """1-200 atoms over about as many variables, a fifth spelled like
+    canonical names: edges with any target make cycles, and the sorts of
+    a quarter of the variables mostly agree with one sort per variable,
+    so about half the lists clash."""
+    n = rng.randint(1, 200)
+    sorts, _, _ = pools(sym, rng.randint(1, 4), 0, 0)
+    feats = [sym.feat(f"f{i}") for i in range(rng.randint(1, 8))]
+    k = rng.randint(n // 3 + 1, n + 1)
+    vs = [sym.var(f"q{i}" if rng.random() < 0.2 else f"x{i}") for i in range(k)]
+    home = {v: rng.choice(sorts) for v in rng.sample(vs, (k + 3) // 4)}
+    atoms = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.7:
+            atoms.append(FeatC(rng.choice(vs), rng.choice(feats), rng.choice(vs)))
+        elif r < 0.9:
+            v = rng.choice(list(home))
+            atoms.append(SortC(home[v] if rng.random() < 0.98 else rng.choice(sorts), v))
+        else:
+            atoms.append(Eq(rng.choice(vs), rng.choice(vs)))
+    return atoms
+
+
+def _some_free(rng, vs):
+    """Few, half or most of ``vs``."""
+    k = rng.choice([rng.randint(1, 3), len(vs) // 2, len(vs) - rng.randint(0, 3)])
+    return rng.sample(vs, max(0, min(k, len(vs))))
+
+
+def test_bound_names_skip_free_spellings_of_the_result(sym):
+    """A bound variable is named q0, q1, ... skipping the spelling of a
+    free variable the result mentions, in an equation on either side,
+    and only such a variable."""
+    cases = {
+        "exists u. (x = q0 & g(y, u))": "exists q1. (x = q0 & g(y, q1))",
+        "exists u. (q0 = x & g(y, u))": "exists q1. (q0 = x & g(y, q1))",
+        "exists u. (A(q0) & g(y, u))": "exists q1. (A(q0) & g(y, q1))",
+        "exists u, v. (f(u, q0) & g(y, v))": "exists q0. g(y, q0)",
+        "exists u, v. (f(u, q0) & g(y, v) & h(y, q0))": "exists q1. (g(y, q1) & h(y, q0))",
+    }
+    for text, want in cases.items():
+        assert str(epc(sym, text)) == want
+
+
+def test_one_build_agrees_with_the_two_passes(sym):
+    """Every prime operation builds what solving and then requantifying
+    built: ``basic_simplify`` equals the union-find pass of the oracles;
+    ``simplify_epc``, ``mk_prime_exists`` and ``prime_conj`` equal it
+    followed by ``two_pass_requantify``; and ``exists_conj``, which
+    subtracts a negative in clause elimination, equals ``prime_conj``
+    followed by a second requantification."""
+    rng = random.Random(2501)
+    primes: list = []
+    seen = Counter()
+    for _ in range(300):
+        atoms = _wide_atoms(rng, sym)
+        basic = BasicFormula(tuple(atoms))
+        solved = basic_simplify(basic)
+        assert solved == union_find_simplify(basic)
+        vs = sorted(basic.variables)
+        bound = [v for v in vs if v not in set(_some_free(rng, vs))]
+        beta = simplify_epc(exists_all(bound, conj(Atomic(a) for a in atoms)))
+        assert beta == two_pass_prime(atoms, bound)
+        seen["bottom"] += isinstance(beta, Bottom)
+        if isinstance(beta, Bottom):
+            continue
+        assert is_prime_formula(beta)
+        seen["collected"] += len(beta.body.graph) < len(solved.graph)
+        seen["skipped"] += any(v.name[0] == "q" for v in beta.free_vars) and bool(beta.bound)
+        xs = _some_free(rng, sorted(beta.free_vars))
+        hit = beta.bound | beta.free_vars.intersection(xs)
+        assert mk_prime_exists(xs, beta) == two_pass_requantify(hit, beta.body)
+        for others in (primes[-1:], primes[-2:]):
+            group = [beta, *others]
+            both = prime_conj(*group)
+            assert both == two_pass_exists_conj((), group)
+            seen["conj_bottom"] += isinstance(both, Bottom)
+            if isinstance(both, Bottom):
+                continue
+            ys = _some_free(rng, sorted(both.free_vars))
+            hit = both.bound | both.free_vars.intersection(ys)
+            assert exists_conj(ys, group) == two_pass_requantify(hit, both.body)
+            assert exists_conj(ys, group) == two_pass_exists_conj(ys, group)
+        primes.append(beta)
+    assert min(seen.values()) > 40, seen
 
 
 def test_prime_conj_detects_clash(sym):
@@ -306,22 +402,19 @@ def test_simplify_epc_agrees_with_pairwise_fold(sym):
 
 
 def test_conjunctions_are_solved_once(sym, monkeypatch):
-    """One basic simplification and one requantification per conjunction,
+    """One build, solving and quantifying together, per conjunction,
     whatever its number of atoms, quantifiers or primes."""
     import featlog.prime
 
     calls: list = []
-    for name in ("basic_simplify", "requantify"):
-        fn = getattr(featlog.prime, name)
-        monkeypatch.setattr(
-            featlog.prime, name, lambda *a, _fn=fn, _n=name: calls.append(_n) or _fn(*a)
-        )
+    fn = featlog.prime.solve_atoms
+    monkeypatch.setattr(featlog.prime, "solve_atoms", lambda *a: calls.append(len(a[0])) or fn(*a))
     chain = " & ".join(f"f(x{i}, x{i + 1}) & A(x{i})" for i in range(150))
     primes = [epc(sym, f"exists x{i}, x{i + 1}. ({chain})") for i in range(1, 4)]
-    assert calls == ["basic_simplify", "requantify"] * 3
+    assert calls == [300] * 3
     calls.clear()
     assert isinstance(prime_conj(*primes), PrimeFormula)
-    assert calls == ["basic_simplify", "requantify"]
+    assert calls == [sum(len(beta.body.atoms) for beta in primes)]
 
 
 def test_prime_conj_of_none_or_one(sym):
