@@ -8,6 +8,7 @@ normalizer (equations whose left sides are eliminated) and a graph.
 
 from featlog import (
     Bottom,
+    SolvedClause,
     Symbols,
     basic_simplify,
     constrained_vars,
@@ -49,6 +50,6 @@ solve("f(x, y) & g(y, x) & A(x) & B(y)")
 # the remaining variables are parameters.
 basic = formula_to_basic(parse_formula(sym, "f(x, y) & A(x) & g(x, z)"))
 solved = basic_simplify(basic)
-clause = solved.graph_clause()
+clause = SolvedClause(solved.graph)
 print("constrained:", sorted(v.name for v in constrained_vars(clause)))
 print("parameters: ", sorted(v.name for v in parameters(clause)))

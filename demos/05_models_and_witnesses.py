@@ -16,13 +16,13 @@ from featlog import (
     expand_sugar,
     feature_tree,
     parse_formula,
-    satisfies_prime,
+    pool_satisfies,
     simplify_epc,
     single_node_tree,
     tree_subtree,
-    valuation_to_json,
     value_to_json,
-    witness_prime,
+    witness_pool,
+    witness_to_json,
 )
 
 sym = Symbols()
@@ -37,13 +37,15 @@ print("subtree at f.f.f is the same value:", tree_subtree(loop, Path((f, f, f)))
 two_node = feature_tree(0, {0: A, 1: A}, {(0, f): 1, (1, f): 0})
 print("two-node cycle denotes the same tree:", two_node == loop)
 
-# Witness a cyclic description.
+# Witness a cyclic description: one minimal graph with a node per
+# variable, checked and written without a standalone tree per variable.
 text = "exists y. (f(x, y) & g(y, x) & A(x) & B(y))"
 beta = simplify_epc(expand_sugar(parse_formula(sym, text)))
 default = sym.fresh_sort("Dflt")
-val = witness_prime(beta, default)
-print("witness satisfies the description:", satisfies_prime(val, beta))
-print(json.dumps(valuation_to_json({v: val[v] for v in beta.free_vars}), indent=2))
+pool = witness_pool(beta, default)
+print("witness satisfies the description:", pool_satisfies(pool, beta))
+roots = {v: pool.node[v] for v in beta.free_vars}
+print(json.dumps(witness_to_json(pool, roots), indent=2))
 
 # Evaluation of quantifier-free formulae.
 x = sym.var("x")

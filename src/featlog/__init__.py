@@ -35,25 +35,24 @@ from .core import (
     VarId,
     conj,
     free_vars,
-    substitute,
 )
 from .models import (
     FeatureGraph,
     FeatureTree,
+    WitnessPool,
     enumerate_values,
     evaluate,
     feature_graph,
     feature_tree,
-    graph_canonical,
-    holds_path_constraint,
-    pregraph_to_graph,
+    pool_satisfies,
     satisfies_prime,
     single_node_tree,
     tree_subtree,
     valuation_to_json,
     value_to_json,
+    witness_pool,
     witness_prime,
-    witness_solved_clause,
+    witness_to_json,
 )
 from .paths import (
     Agree,
@@ -71,7 +70,6 @@ from .prime import (
     TOP_PRIME,
     access_function,
     canonicalize,
-    is_prime_formula,
     mk_prime_exists,
     prime_conj,
     prime_entails,
@@ -114,7 +112,6 @@ from .solve import (
 from .textio import (
     ParseError,
     SourceSpan,
-    canonical_formula,
     expand_sugar,
     parse_formula,
     print_formula,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from keyword import iskeyword
 from operator import itemgetter
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 NAME_PATTERN = re.compile(r"\A[A-Za-z][A-Za-z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"true", "false", "exists", "forall", "undef", "eps"})
@@ -230,19 +230,8 @@ class Path(Record):
     def __len__(self) -> int:
         return len(self.feats)
 
-    def __add__(self, other: "Path") -> "Path":
-        return Path(self.feats + other.feats)
-
     def append(self, f: FeatId) -> "Path":
         return Path(self.feats + (f,))
-
-    def is_prefix_of(self, other: "Path") -> bool:
-        return self.feats == other.feats[: len(self.feats)]
-
-    def prefixes(self) -> Iterator["Path"]:
-        """All prefixes from eps up to the path itself."""
-        for i in range(len(self.feats) + 1):
-            yield Path(self.feats[:i])
 
     def __str__(self) -> str:
         if not self.feats:
@@ -432,12 +421,6 @@ def exists_all(vs: Iterable[VarId], body: Formula) -> Formula:
     return Exists(vs, body) if vs else body
 
 
-def forall_all(vs: Iterable[VarId], body: Formula) -> Formula:
-    """One universal block over ``vs``; none gives the body itself."""
-    vs = tuple(vs)
-    return Forall(vs, body) if vs else body
-
-
 def free_vars(phi: Formula) -> set[VarId]:
     """The variables occurring free in ``phi``."""
     out: set[VarId] = set()
@@ -467,35 +450,6 @@ def free_vars(phi: Formula) -> set[VarId]:
         # go refers to itself: deleting it breaks the cycle
         del go
     return out
-
-
-def substitute(phi: Formula, x: VarId, y: VarId) -> Formula:
-    """Replace every occurrence of ``x`` by ``y``.
-
-    Only defined on quantifier-free formulae; the callers that need
-    substitution never apply it under a binder, which keeps capture out
-    of the picture entirely.
-    """
-    if isinstance(phi, (Top, Bottom)):
-        return phi
-    if isinstance(phi, Atomic):
-        return Atomic(rename_atom(phi.atom, {x: y}))
-    if isinstance(phi, Not):
-        return Not(substitute(phi.body, x, y))
-    if isinstance(phi, _NARY):
-        return type(phi)(tuple(substitute(arg, x, y) for arg in phi.args))
-    if isinstance(phi, _BINARY):
-        return type(phi)(substitute(phi.lhs, x, y), substitute(phi.rhs, x, y))
-    if isinstance(phi, SugarAgree):
-        return SugarAgree(
-            y if phi.lhs == x else phi.lhs,
-            phi.lpath,
-            y if phi.rhs == x else phi.rhs,
-            phi.rpath,
-        )
-    if isinstance(phi, SugarSortAt):
-        return SugarSortAt(phi.sort, y if phi.var == x else phi.var, phi.path)
-    raise ValueError("substitution is only defined on quantifier-free formulae")
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ implemented by the same canonical numbering without minimization, and
 their nodes may lack sort labels.
 
 A witness is one minimal graph with a node per variable
-(``WitnessPool``): equal values share a node, and no standalone tree is
-numbered unless a caller asks for one (``witness_prime``).  Its JSON is
-written straight from the pool.
+(``witness_pool``): equal values share a node.  ``pool_satisfies``
+checks a prime on the pool and ``witness_to_json`` writes its JSON
+straight from it, so no standalone tree is numbered; ``witness_prime``
+numbers one tree per variable, quadratically many nodes on a chain.
 
 Both kinds of value support exact evaluation of every formula:
 quantifier elimination reduces it to a Boolean combination of prime
@@ -32,10 +33,9 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .core import FeatId, Formula, Path, Record, SortId, Symbols, VarId
-from .paths import Agree, PathConstraint, Reach, SortAt
 from .prime import PrimeFormula, adjacency, holds_at
 from .qe import BcAnd, BcNot, BoolComb, PrimeLeaf, ResourceLimit, decide
-from .solve import SolvedClause, constrained_vars
+from .solve import SolvedClause
 from .textio import expand_sugar
 
 Label = Union[SortId, None]
@@ -187,27 +187,6 @@ def _reroot(v: Value, node: int) -> Value:
     return type(v)(*_number(node, labels, adj))
 
 
-def graph_canonical(g: FeatureGraph) -> FeatureGraph:
-    """Canonical form under consistent node renaming (idempotent)."""
-    return _reroot(g, 0)
-
-
-def pregraph_to_graph(root: VarId, clause: SolvedClause) -> FeatureGraph:
-    """The feature graph rooted at a variable of an exclusion-free clause."""
-    if clause.exclusions:
-        raise ValueError("feature graphs come from clauses without exclusions")
-    return feature_graph(root, clause.sorts, clause.edges)
-
-
-def root_sort(v: Value) -> Label:
-    return v.labels[0]
-
-
-def subvalue(v: Value, f: FeatId) -> Value | None:
-    """The direct subvalue at a feature, re-rooted canonically."""
-    return walk_value(v, Path((f,)))
-
-
 def _step(v: Value, node: int, f: FeatId) -> int | None:
     """The node one feature from a node, None off the domain.
 
@@ -259,11 +238,6 @@ def tree_subtree(t: FeatureTree, p: Path) -> FeatureTree | None:
     return out
 
 
-def subvalues(v: Value) -> set[Value]:
-    """All distinct sub-rooted values (for trees: the distinct subtrees)."""
-    return {_reroot(v, node) for node in range(len(v.labels))}
-
-
 # ---------------------------------------------------------------------------
 # Witness construction
 
@@ -294,34 +268,8 @@ class WitnessPool:
         self.leaf = leaf
 
 
-# the graph node of the default one-node tree; no variable or grafted
-# parameter node is a 1-tuple
+# the graph node of the default one-node tree; no variable is a 1-tuple
 _LEAF = ("leaf",)
-
-
-def _clause_graph(
-    delta: SolvedClause, params: Mapping[VarId, FeatureTree], default_sort: SortId
-) -> tuple[dict, dict]:
-    """The graph of a solved clause with parameter trees grafted on.
-
-    Every other variable of the clause is a node labeled by its sort or
-    the default; node i of parameter y's tree is the node ``(y, i)``,
-    and an edge to y goes to the root of y's tree.  Exclusions hold
-    because the clause admits no edge beside them.
-    """
-    labels: dict = {
-        x: delta.sorts.get(x, default_sort) for x in delta.variables if x not in params
-    }
-    edges: dict = {}
-    for y, tree in params.items():
-        for i, lab in enumerate(tree.labels):
-            labels[(y, i)] = lab
-        for i, row in enumerate(tree.edges):
-            for f, j in row:
-                edges[((y, i), f)] = (y, j)
-    for (x, f), y in delta.edges.items():
-        edges[(x, f)] = (y, 0) if y in params else y
-    return labels, edges
 
 
 def _trees(labels: Mapping, adj: Mapping, node: Mapping) -> dict:
@@ -335,49 +283,23 @@ def _trees(labels: Mapping, adj: Mapping, node: Mapping) -> dict:
     return out
 
 
-def witness_solved_clause(
-    delta: SolvedClause,
-    params: Mapping[VarId, FeatureTree],
-    default_sort: SortId,
-) -> Valuation:
-    """Trees satisfying a solved clause, for given parameter trees.
-
-    Every constrained variable becomes a node labeled by its sort (or
-    the default), edges follow the clause, and parameter positions graft
-    the supplied parameter trees (``_clause_graph``).  The result maps
-    constrained variables to rational trees and passes the parameters
-    through unchanged.  The whole graph is quotiented once; each
-    variable's tree is the quotient renumbered from its node.
-    """
-    cv = constrained_vars(delta)
-    pvars = set(delta.variables) - cv
-    missing = sorted(v.name for v in pvars if v not in params)
-    if missing:
-        raise ValueError(f"no parameter trees for: {', '.join(missing)}")
-    given = {y: params[y] for y in pvars}
-    labels, edges = _clause_graph(delta, given, default_sort)
-    q_labels, q_adj, block = _quotient(list(labels), labels, adjacency(edges))
-    out: Valuation = dict(given)
-    out.update(_trees(q_labels, q_adj, {x: block[x] for x in cv}))
-    return out
-
-
 def witness_pool(beta: PrimeFormula, default_sort: SortId) -> WitnessPool:
     """One minimal pool satisfying a prime formula.
 
-    The graph of the body is witnessed as a solved clause whose
-    unconstrained variables, and the right-hand sides of the normalizer
-    outside it, are default leaves; one more default leaf gives the pool
-    its ``leaf``.  The graph is quotiented once, so equal values share
-    one node, and each equation's left-hand side takes the node of its
-    right-hand side.  Bound variables get nodes too.
+    Every variable of the body's graph is a node labeled by its sort or
+    the default, with the graph's edges; the right-hand sides of the
+    normalizer outside it are default leaves, and one more default leaf
+    gives the pool its ``leaf``.  The graph is quotiented once, so equal
+    values share one node, and each equation's left-hand side takes the
+    node of its right-hand side.  Bound variables get nodes too.
     """
     body = beta.body
-    labels, edges = _clause_graph(SolvedClause(body.graph), {}, default_sort)
+    graph = SolvedClause(body.graph)
+    labels = {x: graph.sorts.get(x, default_sort) for x in graph.variables}
     for eq in body.normalizer:
         labels.setdefault(eq.rhs, default_sort)
     labels[_LEAF] = default_sort
-    q_labels, q_adj, node = _quotient(list(labels), labels, adjacency(edges))
+    q_labels, q_adj, node = _quotient(list(labels), labels, adjacency(graph.edges))
     leaf = node.pop(_LEAF)
     for eq in body.normalizer:
         node[eq.lhs] = node[eq.rhs]
@@ -390,32 +312,16 @@ def witness_prime(beta: PrimeFormula, default_sort: SortId) -> Valuation:
     Bound variables receive values too; their part of the witness is
     determined by the free part anyway, and callers evaluating the body
     need them.  Each tree is numbered on its own, so on a chain the
-    trees hold quadratically many nodes in all; ``witness_pool`` is
-    linear.
+    trees hold quadratically many nodes in all.  The linear witness is
+    the pool itself: ``witness_pool`` builds it, ``pool_satisfies``
+    checks a prime on it and ``witness_to_json`` writes it.
     """
     pool = witness_pool(beta, default_sort)
     return _trees(pool.labels, pool.adj, pool.node)
 
 
 # ---------------------------------------------------------------------------
-# Truth of path constraints and primes
-
-
-def holds_path_constraint(alpha: Mapping[VarId, Value], pi: PathConstraint) -> bool:
-    """Exact truth of a path constraint under a valuation."""
-    if isinstance(pi, Reach):
-        v = alpha[pi.src]
-        node = _walk(v, pi.path)
-        return node is not None and _same_subvalue(v, node, alpha[pi.dst], 0)
-    if isinstance(pi, Agree):
-        a, b = alpha[pi.lsrc], alpha[pi.rsrc]
-        i, j = _walk(a, pi.lpath), _walk(b, pi.rpath)
-        return i is not None and j is not None and _same_subvalue(a, i, b, j)
-    if isinstance(pi, SortAt):
-        v = alpha[pi.src]
-        node = _walk(v, pi.path)
-        return node is not None and v.labels[node] == pi.sort
-    raise TypeError(f"not a path constraint: {pi!r}")
+# Truth of primes
 
 
 def satisfies_prime(alpha: Mapping[VarId, Value], beta: PrimeFormula) -> bool:
@@ -537,14 +443,32 @@ def enumerate_values(
 
 
 def _holds(alpha: Mapping[VarId, Value], delta: BoolComb) -> bool:
-    """Exact truth of a Boolean combination of primes, short-circuiting."""
-    if isinstance(delta, PrimeLeaf):
-        return satisfies_prime(alpha, delta.beta)
-    if isinstance(delta, BcNot):
-        return not _holds(alpha, delta.arg)
-    if isinstance(delta, BcAnd):
-        return all(_holds(alpha, a) for a in delta.args)
-    return any(_holds(alpha, a) for a in delta.args)
+    """Exact truth of a Boolean combination of primes, short-circuiting.
+
+    A residue shares its subcombinations, so its unfolding as a tree can
+    be exponential in its size: each node is judged once per call.
+    """
+    known: dict[BoolComb, bool] = {}
+
+    def holds(node: BoolComb) -> bool:
+        got = known.get(node)
+        if got is None:
+            if isinstance(node, PrimeLeaf):
+                got = satisfies_prime(alpha, node.beta)
+            elif isinstance(node, BcNot):
+                got = not holds(node.arg)
+            elif isinstance(node, BcAnd):
+                got = all(map(holds, node.args))
+            else:
+                got = any(map(holds, node.args))
+            known[node] = got
+        return got
+
+    try:
+        return holds(delta)
+    finally:
+        # holds refers to itself: deleting it breaks the cycle
+        del holds
 
 
 def evaluate(

@@ -44,13 +44,7 @@ from .core import (
     rename_atom,
 )
 from .paths import Agree, PathConstraint, RootedPath, SortAt
-from .solve import (
-    SolvedFormula,
-    conjunction_atoms,
-    is_solved_formula,
-    search_tree,
-    solve_atoms,
-)
+from .solve import SolvedFormula, conjunction_atoms, search_tree, solve_atoms
 
 
 class PrimeFormula(Record):
@@ -103,25 +97,6 @@ def adjacency(edges: Mapping) -> dict:
     for row in adj.values():
         row.sort(key=itemgetter(0))
     return adj
-
-
-def is_prime_formula(beta: PrimeFormula) -> bool:
-    """Validate the three defining conditions."""
-    body = beta.body
-    if not is_solved_formula(body):
-        return False
-    norm_vars = {v for eq in body.normalizer for v in (eq.lhs, eq.rhs)}
-    if beta.bound & norm_vars or not beta.bound <= body.variables:
-        return False
-    tree = search_tree(adjacency(body.edges), sorted(body.variables - beta.bound))
-    return beta.bound <= tree.keys()
-
-
-def requantify(bound: Iterable[VarId], body: SolvedFormula) -> PrimeFormula:
-    """The canonical prime formula equivalent to ``exists bound`` applied
-    to ``body``, the variables of ``bound`` anywhere in it: one build,
-    since a solved body re-solves to the same classes."""
-    return _prime_of_atoms(body.atoms, bound)
 
 
 def mk_prime_exists(xs: Collection[VarId], beta: PrimeFormula) -> PrimeFormula:
@@ -364,14 +339,16 @@ def prime_entails(beta: PrimeFormula, beta2: PrimeFormula) -> bool:
 
 
 def canonicalize(beta: PrimeFormula) -> PrimeFormula:
-    """The canonical form of a prime: ``requantify`` of its own parts.
+    """The canonical form of a prime: one build of its own body with its
+    bound variables quantified.
 
     Bound variables are renamed q0, q1, ... in access-path order and the
     body is sorted, so two primes that differ only in bound names get
-    identical forms.  Every prime the library builds is canonical
-    already, so this is the identity on them.
+    identical forms.  A solved body re-solves to the same classes, and
+    every prime the library builds is canonical already, so this is the
+    identity on them.
     """
-    return requantify(beta.bound, beta.body)
+    return _prime_of_atoms(beta.body.atoms, beta.bound)
 
 
 def prime_to_formula(beta: PrimeFormula) -> Formula:

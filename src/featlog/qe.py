@@ -257,15 +257,6 @@ def bc_or(*args: BoolComb) -> BoolComb:
     return _bc_nary(BcOr, args, BC_FALSE, BC_TRUE)
 
 
-def bc_quantifier_free(delta: BoolComb) -> bool:
-    """True: quantifiers occur only inside prime leaves."""
-    if isinstance(delta, PrimeLeaf):
-        return True
-    if isinstance(delta, BcNot):
-        return bc_quantifier_free(delta.arg)
-    return all(bc_quantifier_free(a) for a in delta.args)
-
-
 def boolcomb_to_formula(delta: BoolComb) -> Formula:
     if isinstance(delta, PrimeLeaf):
         return prime_to_formula(delta.beta)

@@ -118,9 +118,6 @@ class SolvedFormula(Record):
     def variables(self) -> frozenset[VarId]:
         return frozenset([v for a in self.atoms for v in atom_vars(a)])
 
-    def graph_clause(self) -> SolvedClause:
-        return SolvedClause(self.graph)
-
     def is_top(self) -> bool:
         return not self.normalizer and not self.graph
 

@@ -441,27 +441,3 @@ def print_formula(phi: Formula) -> str:
     """
     return _render(phi)[0]
 
-
-def canonical_formula(phi: Formula) -> Formula:
-    """Reorder conjunction and disjunction chains into a fixed form.
-
-    Used to compare formulae modulo associativity and commutativity of
-    the two lattice connectives; a quantifier block whose body is a
-    block of the same kind merges with it, and everything else is
-    untouched.
-    """
-    if isinstance(phi, (And, Or)):
-        node = type(phi)
-        parts: list[Formula] = []
-        for arg in phi.args:
-            arg = canonical_formula(arg)
-            parts.extend(arg.args if isinstance(arg, node) else (arg,))
-        parts.sort(key=print_formula)
-        return node(tuple(parts))
-    if isinstance(phi, Not):
-        return Not(canonical_formula(phi.body))
-    if isinstance(phi, (Implies, Iff)):
-        return type(phi)(canonical_formula(phi.lhs), canonical_formula(phi.rhs))
-    if isinstance(phi, (Exists, Forall)):
-        return _block(type(phi), phi.vars, canonical_formula(phi.body))
-    return phi

@@ -36,7 +36,20 @@ from featlog import (
     simplify_epc,
 )
 from featlog.core import conj, exists_all, rename_atom
-from featlog.prime import requantify
+from featlog.prime import _prime_of_atoms
+
+
+def forall_all(vs, body: Formula) -> Formula:
+    """One universal block over ``vs``; none gives the body itself."""
+    vs = tuple(vs)
+    return Forall(vs, body) if vs else body
+
+
+def requantify(bound, body: SolvedFormula) -> PrimeFormula | Bottom:
+    """The canonical prime of ``exists bound`` over a solved body, the
+    variables of ``bound`` anywhere in it: one build of its atoms, since
+    a solved body re-solves to the same classes."""
+    return _prime_of_atoms(body.atoms, bound)
 
 
 def pools(sym: Symbols, n_sorts: int = 3, n_feats: int = 3, n_vars: int = 6):

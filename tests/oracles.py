@@ -23,7 +23,10 @@ clauses keyed by the primes themselves instead of by integer ids, and
 the projection checks, which decide entailment and satisfaction of
 primes by walking every constraint of a projection from its root
 through the library's closure membership and value walks, instead of
-walking the body once.  The
+walking the body once.  The prime validator, the witness of a solved
+clause with parameter trees grafted on, the quantifier-free check on
+Boolean combinations and the canonical order of ``&`` and ``|`` chains
+build on the library's search, tree builder and printer.  The
 reference parser matches one token at a time, whitespace and comments
 as separate matches, into token records, and builds its formulae with
 the library's constructors and interns its names in the library's
@@ -76,21 +79,25 @@ from featlog import (
     Symbols,
     Top,
     VarId,
+    constrained_vars,
     decide,
     eliminate_clause,
     expand_sugar,
+    feature_tree,
     free_vars,
-    holds_path_constraint,
+    is_solved_formula,
     mk_prime_exists,
     prime_closure_contains,
     prime_conj,
+    print_formula,
     projection,
     to_prime_dnf,
 )
 from featlog.core import EPS, RESERVED_WORDS, atom_key, atom_vars, rename_atom
-from featlog.models import enumerate_values, root_sort, subvalue
-from featlog.prime import from_atom
+from featlog.models import _same_subvalue, _walk, enumerate_values, walk_value
+from featlog.prime import adjacency, from_atom
 from featlog.paths import PathConstraint, is_proper
+from featlog.solve import search_tree
 from featlog.qe import (
     BC_FALSE,
     BC_TRUE,
@@ -223,6 +230,64 @@ def _pc_len(pi: PathConstraint) -> int:
     if isinstance(pi, Agree):
         return max(len(pi.lpath.feats), len(pi.rpath.feats))
     return len(pi.path.feats)
+
+
+def is_prime_formula(beta: PrimeFormula) -> bool:
+    """Validate the three defining conditions."""
+    body = beta.body
+    if not is_solved_formula(body):
+        return False
+    norm_vars = {v for eq in body.normalizer for v in (eq.lhs, eq.rhs)}
+    if beta.bound & norm_vars or not beta.bound <= body.variables:
+        return False
+    tree = search_tree(adjacency(body.edges), sorted(body.variables - beta.bound))
+    return beta.bound <= tree.keys()
+
+
+def holds_path_constraint(alpha, pi: PathConstraint) -> bool:
+    """Exact truth of a path constraint under a valuation, each path
+    walked from the root of its value."""
+    if isinstance(pi, Reach):
+        v = alpha[pi.src]
+        node = _walk(v, pi.path)
+        return node is not None and _same_subvalue(v, node, alpha[pi.dst], 0)
+    if isinstance(pi, Agree):
+        a, b = alpha[pi.lsrc], alpha[pi.rsrc]
+        i, j = _walk(a, pi.lpath), _walk(b, pi.rpath)
+        return i is not None and j is not None and _same_subvalue(a, i, b, j)
+    if isinstance(pi, SortAt):
+        v = alpha[pi.src]
+        node = _walk(v, pi.path)
+        return node is not None and v.labels[node] == pi.sort
+    raise TypeError(f"not a path constraint: {pi!r}")
+
+
+def witness_solved_clause(delta: SolvedClause, params, default_sort: SortId) -> dict:
+    """Trees satisfying a solved clause, for given parameter trees.
+
+    Every constrained variable becomes a node labeled by its sort (or
+    the default) and edges follow the clause.  Node i of parameter y's
+    tree is the node ``(y, i)``, and an edge to y goes to the root of
+    y's tree.  Exclusions hold because the clause admits no edge beside
+    them.  Each constrained variable's tree is built from its own node
+    by ``feature_tree``; the parameters pass through unchanged.
+    """
+    cv = constrained_vars(delta)
+    pvars = set(delta.variables) - cv
+    missing = sorted(v.name for v in pvars if v not in params)
+    if missing:
+        raise ValueError(f"no parameter trees for: {', '.join(missing)}")
+    labels: dict = {x: delta.sorts.get(x, default_sort) for x in cv}
+    edges: dict = {}
+    for y in pvars:
+        tree = params[y]
+        labels.update(((y, i), lab) for i, lab in enumerate(tree.labels))
+        edges.update((((y, i), f), (y, j)) for i, row in enumerate(tree.edges) for f, j in row)
+    for (x, f), y in delta.edges.items():
+        edges[(x, f)] = (y, 0) if y in pvars else y
+    out = {y: params[y] for y in pvars}
+    out.update((x, feature_tree(x, labels, edges)) for x in cv)
+    return out
 
 
 def projection_entails(beta: PrimeFormula, beta2: PrimeFormula) -> bool:
@@ -563,6 +628,15 @@ def two_pass_exists_conj(xs, primes):
     return two_pass_prime(atoms, bound + [x for x in xs if x in free])
 
 
+def bc_quantifier_free(delta: BoolComb) -> bool:
+    """True: quantifiers occur only inside prime leaves."""
+    if isinstance(delta, PrimeLeaf):
+        return True
+    if isinstance(delta, BcNot):
+        return bc_quantifier_free(delta.arg)
+    return all(bc_quantifier_free(a) for a in delta.args)
+
+
 def dict_prime_dnf(
     delta: BoolComb,
     max_clauses: int = DEFAULT_MAX_DNF_CLAUSES,
@@ -784,9 +858,9 @@ def closure_classify(phi, max_clauses=DEFAULT_MAX_DNF_CLAUSES):
 
 def _eval_atom(alpha, atom) -> bool:
     if isinstance(atom, SortC):
-        return root_sort(alpha[atom.var]) == atom.sort
+        return alpha[atom.var].labels[0] == atom.sort
     if isinstance(atom, FeatC):
-        got = subvalue(alpha[atom.src], atom.feat)
+        got = walk_value(alpha[atom.src], Path((atom.feat,)))
         return got is not None and got == alpha[atom.dst]
     if isinstance(atom, Eq):
         return alpha[atom.lhs] == alpha[atom.rhs]
@@ -1167,3 +1241,28 @@ def reference_parse(sym: Symbols, text: str):
     at a time after skipping whitespace as its own match, and a
     recursive-descent parser over those records."""
     return _ReferenceParser(sym, text).parse()
+
+
+def canonical_formula(phi):
+    """Reorder conjunction and disjunction chains into a fixed form.
+
+    Used to compare formulae modulo associativity and commutativity of
+    the two lattice connectives; a quantifier block whose body is a
+    block of the same kind merges with it, and everything else is
+    untouched.
+    """
+    if isinstance(phi, (And, Or)):
+        node = type(phi)
+        parts = []
+        for arg in phi.args:
+            arg = canonical_formula(arg)
+            parts.extend(arg.args if isinstance(arg, node) else (arg,))
+        parts.sort(key=print_formula)
+        return node(tuple(parts))
+    if isinstance(phi, Not):
+        return Not(canonical_formula(phi.body))
+    if isinstance(phi, (Implies, Iff)):
+        return type(phi)(canonical_formula(phi.lhs), canonical_formula(phi.rhs))
+    if isinstance(phi, (Exists, Forall)):
+        return _reference_block(type(phi), phi.vars, canonical_formula(phi.body))
+    return phi

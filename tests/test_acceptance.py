@@ -39,11 +39,12 @@ from featlog import (
     targets,
     witness_prime,
 )
-from featlog.core import EPS, Atomic, conj, exists_all, forall_all
-from featlog.qe import INVALID, SATISFIABLE, UNSATISFIABLE, VALID, bc_quantifier_free
+from featlog.core import EPS, Atomic, conj, exists_all
+from featlog.qe import INVALID, SATISFIABLE, UNSATISFIABLE, VALID
 from featlog.solve import clause_to_formula, constrained_vars, parameters
 
 from generators import (
+    forall_all,
     random_basic_formula,
     random_epc_formula,
     random_prime,
@@ -52,7 +53,12 @@ from generators import (
     random_solved_formula,
     random_valuation,
 )
-from oracles import NaiveClosure, bounded_evaluate, simplification_rule_applies
+from oracles import (
+    NaiveClosure,
+    bc_quantifier_free,
+    bounded_evaluate,
+    simplification_rule_applies,
+)
 
 
 @contextmanager

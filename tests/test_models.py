@@ -29,10 +29,7 @@ from featlog import (
     expand_sugar,
     feature_graph,
     feature_tree,
-    graph_canonical,
-    holds_path_constraint,
     parse_formula,
-    pregraph_to_graph,
     satisfies_prime,
     simplify_epc,
     single_node_tree,
@@ -40,15 +37,11 @@ from featlog import (
     valuation_to_json,
     value_to_json,
     witness_prime,
-    witness_solved_clause,
 )
-from featlog.core import EPS, Exists, Forall, conj, exists_all, forall_all
+from featlog.core import EPS, Exists, Forall, conj, exists_all
 from featlog.models import (
     enumerate_values,
     pool_satisfies,
-    root_sort,
-    subvalue,
-    subvalues,
     walk_value,
     witness_pool,
     witness_to_json,
@@ -56,8 +49,22 @@ from featlog.models import (
 )
 from featlog.solve import clause_to_formula
 
-from generators import pools, random_model_prime, random_prime, random_tree_value, random_valuation
-from oracles import bounded_evaluate, naive_bisimilarity, naive_reachable, projection_satisfies
+from generators import (
+    forall_all,
+    pools,
+    random_model_prime,
+    random_prime,
+    random_tree_value,
+    random_valuation,
+)
+from oracles import (
+    bounded_evaluate,
+    holds_path_constraint,
+    naive_bisimilarity,
+    naive_reachable,
+    projection_satisfies,
+    witness_solved_clause,
+)
 from test_solve import _wall_limit, fig2_clause
 
 TESTS = str(FilePath(__file__).resolve().parent)
@@ -124,7 +131,7 @@ def test_witness_self_loop(sym):
     val = witness_solved_clause(delta, {}, sym.fresh_sort("D"))
     t = val[x]
     assert len(t.labels) == 1 and t.labels[0] == A
-    assert subvalue(t, f) == t
+    assert walk_value(t, Path((f,))) == t
     assert bounded_evaluate(sym, "tree", val, clause_to_formula(delta)) is True
 
 
@@ -155,9 +162,9 @@ def test_witness_for_the_cyclic_example(sym):
     tx = val[x]
     # no h edge at the root, C at f, A at g, B at g.h, and no f under g
     assert walk_value(tx, Path((h,))) is None
-    assert root_sort(walk_value(tx, Path((f,)))) == sym.sort("C")
-    assert root_sort(walk_value(tx, Path((g,)))) == sym.sort("A")
-    assert root_sort(walk_value(tx, Path((g, h)))) == sym.sort("B")
+    assert walk_value(tx, Path((f,))).labels[0] == sym.sort("C")
+    assert walk_value(tx, Path((g,))).labels[0] == sym.sort("A")
+    assert walk_value(tx, Path((g, h))).labels[0] == sym.sort("B")
     assert walk_value(tx, Path((g, f))) is None
     # the f.h cycle returns to the value of x
     assert walk_value(tx, Path((f, h))) == tx
@@ -322,6 +329,32 @@ def test_evaluate_is_unknown_only_past_the_clause_bound(sym):
     with _wall_limit(1.0):
         assert evaluate(sym, "tree", {}, phi) is None
         assert evaluate(sym, "graph", {}, phi) is None
+
+
+def test_evaluate_judges_each_node_of_a_shared_residue_once(sym):
+    """``decide`` returns the nested chain ``((A(x0) <-> A(x1)) <-> ...)
+    <-> A(xn)`` as a DAG whose two sides share each level, so its tree
+    unfolding doubles per level; at n = 30 only a walk that judges each
+    node once answers in time."""
+    n = 30
+    A, B = sym.sort("A"), sym.sort("B")
+    xs = [sym.var(f"x{i}") for i in range(n + 1)]
+    text = "A(x0)"
+    for i in range(1, n + 1):
+        text = f"({text}) <-> A(x{i})"
+    phi = parse_formula(sym, text)
+    rng = random.Random(2601)
+    answers = Counter()
+    for _ in range(6):
+        sorts = [rng.choice((A, B)) for _ in xs]
+        want = sorts[0] == A
+        for s in sorts[1:]:
+            want = want == (s == A)
+        alpha = {x: single_node_tree(s) for x, s in zip(xs, sorts)}
+        with _wall_limit(1.0):
+            assert evaluate(sym, "tree", alpha, phi) is want
+        answers[want] += 1
+    assert answers[True] and answers[False]
 
 
 def test_oracle_consistency_on_labeled_graphs(sym):
@@ -493,21 +526,24 @@ def test_path_constraints_agree_with_walked_subvalues(sym):
         assert holds_path_constraint(alpha, Agree(x, p, y, q)) == same
         assert holds_path_constraint(alpha, Reach(x, p, y)) == (a is not None and a == alpha[y])
         s = rng.choice(sorts)
-        assert holds_path_constraint(alpha, SortAt(s, x, p)) == (a is not None and root_sort(a) == s)
+        assert holds_path_constraint(alpha, SortAt(s, x, p)) == (a is not None and a.labels[0] == s)
     assert agreed > 60
 
 
 def test_graph_canonical_examples(sym):
     x, y, u = sym.var("x"), sym.var("y"), sym.var("u")
     f, g = sym.feat("f"), sym.feat("g")
-    g1 = pregraph_to_graph(x, SolvedClause.from_atoms([FeatC(x, f, y), FeatC(y, g, x)]))
-    g2 = pregraph_to_graph(u, SolvedClause.from_atoms([FeatC(u, f, x), FeatC(x, g, u)]))
+    c1 = SolvedClause.from_atoms([FeatC(x, f, y), FeatC(y, g, x)])
+    c2 = SolvedClause.from_atoms([FeatC(u, f, x), FeatC(x, g, u)])
+    g1 = feature_graph(x, c1.sorts, c1.edges)
+    g2 = feature_graph(u, c2.sorts, c2.edges)
     assert g1 == g2
     A = sym.sort("A")
     unlabeled = feature_graph(0, {0: None}, {})
     labeled = feature_graph(0, {0: A}, {})
     assert unlabeled != labeled
-    assert graph_canonical(g1) == g1
+    # renumbering a canonical graph from its own root changes nothing
+    assert _as_graph(g1) == g1
 
 
 def test_graphs_are_not_minimized(sym):
@@ -520,10 +556,16 @@ def test_graphs_are_not_minimized(sym):
 
 
 def test_rationality_subtree_count(sym):
+    """Distinct nodes of a minimal tree root distinct subtrees."""
+
+    def subtrees(t):
+        edges = {(i, f): j for i, row in enumerate(t.edges) for f, j in row}
+        return {feature_tree(i, dict(enumerate(t.labels)), edges) for i in range(len(t.labels))}
+
     rng = random.Random(32)
     for _ in range(60):
         t = random_tree_value(rng, sym, max_nodes=4)
-        assert len(subvalues(t)) == len(t.labels)
+        assert len(subtrees(t)) == len(t.labels)
 
 
 def test_enumerate_values_small_alphabet(sym):

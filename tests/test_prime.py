@@ -23,7 +23,6 @@ from featlog import (
     canonicalize,
     expand_sugar,
     feature_tree,
-    is_prime_formula,
     mk_prime_exists,
     parse_formula,
     prime_closure_contains,
@@ -35,7 +34,7 @@ from featlog import (
     witness_prime,
 )
 from featlog.core import EPS, conj, exists_all, free_vars, rename_atom
-from featlog.prime import exists_conj, from_atom, prime_to_formula, requantify
+from featlog.prime import exists_conj, from_atom, prime_to_formula
 from featlog.solve import conjunction_atoms
 
 from generators import (
@@ -45,9 +44,11 @@ from generators import (
     random_model_prime,
     random_prime,
     random_solved_formula,
+    requantify,
 )
 from oracles import (
     fold_simplify_epc,
+    is_prime_formula,
     projection_entails,
     two_pass_exists_conj,
     two_pass_prime,
@@ -591,7 +592,7 @@ def test_entailment_agrees_with_the_decision_procedure(sym):
     implication.
     """
     from featlog import Implies, classify
-    from featlog.core import forall_all
+    from generators import forall_all
     from featlog.qe import VALID
 
     rng = random.Random(15)

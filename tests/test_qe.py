@@ -41,8 +41,8 @@ from featlog import (
     simplify_epc,
     to_prime_dnf,
 )
-from featlog.core import EPS, Exists, Forall, Implies, Or, conj, exists_all, forall_all
-from featlog.prime import from_atom, requantify
+from featlog.core import EPS, Exists, Forall, Implies, Or, conj, exists_all
+from featlog.prime import from_atom
 from featlog.textio import print_formula
 from featlog.qe import (
     BC_FALSE,
@@ -60,12 +60,12 @@ from featlog.qe import (
     bc_or,
     _has_joker,
     _placer,
-    bc_quantifier_free,
     satisfiable,
 )
 
 from generators import (
     alpha_variant,
+    forall_all,
     pools,
     random_basic_formula,
     random_epc_formula,
@@ -73,8 +73,10 @@ from generators import (
     random_prime,
     random_quantified_formula,
     random_valuation,
+    requantify,
 )
 from oracles import (
+    bc_quantifier_free,
     bounded_evaluate,
     closure_classify,
     dict_prime_dnf,
@@ -271,7 +273,8 @@ def test_jokers_for_a_block(sym):
 
 def test_joker_insensitivity_to_updates(sym):
     """Non-jokers keep their truth value across x-updates preserving beta."""
-    from featlog import holds_path_constraint, satisfies_prime, witness_prime
+    from featlog import satisfies_prime, witness_prime
+    from oracles import holds_path_constraint
     from featlog.models import enumerate_values
 
     rng = random.Random(22)

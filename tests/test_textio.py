@@ -20,7 +20,6 @@ from featlog import (
     SugarAgree,
     SugarSortAt,
     Symbols,
-    canonical_formula,
     expand_sugar,
     free_vars,
     parse_formula,
@@ -29,7 +28,7 @@ from featlog import (
 from featlog.core import EPS
 
 from generators import random_quantified_formula
-from oracles import reference_parse
+from oracles import canonical_formula, reference_parse
 from test_solve import _wall_limit
 
 
