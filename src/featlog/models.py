@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, Mapping, Union
 from .core import FeatId, Formula, Path, Record, SortId, Symbols, VarId
 from .prime import PrimeFormula, adjacency, holds_at
 from .qe import BcAnd, BcNot, BoolComb, PrimeLeaf, ResourceLimit, decide
-from .solve import SolvedClause
 from .textio import expand_sugar
 
 Label = Union[SortId, None]
@@ -286,20 +285,18 @@ def _trees(labels: Mapping, adj: Mapping, node: Mapping) -> dict:
 def witness_pool(beta: PrimeFormula, default_sort: SortId) -> WitnessPool:
     """One minimal pool satisfying a prime formula.
 
-    Every variable of the body's graph is a node labeled by its sort or
-    the default, with the graph's edges; the right-hand sides of the
-    normalizer outside it are default leaves, and one more default leaf
-    gives the pool its ``leaf``.  The graph is quotiented once, so equal
-    values share one node, and each equation's left-hand side takes the
-    node of its right-hand side.  Bound variables get nodes too.
+    Every variable of the body that the normalizer does not bind is a
+    node labeled by its sort or the default, with the graph's edges, so
+    a right-hand side outside the graph is a default leaf; one more
+    default leaf gives the pool its ``leaf``.  The graph is quotiented
+    once, so equal values share one node, and each equation's left-hand
+    side takes the node of its right-hand side.  Bound variables get
+    nodes too.
     """
     body = beta.body
-    graph = SolvedClause(body.graph)
-    labels = {x: graph.sorts.get(x, default_sort) for x in graph.variables}
-    for eq in body.normalizer:
-        labels.setdefault(eq.rhs, default_sort)
+    labels = {x: body.sorts.get(x, default_sort) for x in body.variables if x not in body.binding}
     labels[_LEAF] = default_sort
-    q_labels, q_adj, node = _quotient(list(labels), labels, adjacency(graph.edges))
+    q_labels, q_adj, node = _quotient(list(labels), labels, adjacency(body.edges))
     leaf = node.pop(_LEAF)
     for eq in body.normalizer:
         node[eq.lhs] = node[eq.rhs]

@@ -8,21 +8,23 @@ once.  It is miniscoped first: a part with no variable of X free is
 left alone, ``exists X`` distributes over a disjunction, and the
 conjuncts of a conjunction that miss X move outside it.  What remains
 is put in a disjunctive normal form whose literals are primes and
-eliminated clause by clause, shortest clause first: a clause with fewer
+eliminated clause by clause, in two passes.  A clause that holds a
+literal with no block variable free never eliminates to true, so the
+first pass builds only the block-only clauses, those without such a
+literal, and eliminates them shortest first: a clause with fewer
 literals is weaker, so likelier true, and the block is true as soon as
-one clause eliminates to true.  A clause that holds a literal with no
-block variable free never eliminates to true, so the block-only
-clauses, those without such a literal, are built and eliminated first;
-the whole normal form is built only when none of them is true, and the
-clause bound applies to each normal form built.  The normal form
-numbers the distinct primes it meets, so its clauses are sets of small
-integers: a conjunction merges its single-clause arguments in one pass
-before it distributes over the others, and each distinct set is turned
-back into primes once, so equal primes come back as one object.  The
-clauses of one block share their work through two tables that die with
-the block: the merged positives and their one requantification per set
-of positives, and what each negative subtracts, one build, per pair of
-merged positives and negative.
+one of them is.  Only when none is true does the second pass build the
+whole normal form and join its clauses' eliminations.  The clause bound
+applies to each normal form built, and no block walks its matrix more
+than twice.  The normal form numbers the distinct primes it meets, so
+its clauses are sets of small integers: a conjunction merges its
+single-clause arguments in one pass before it distributes over the
+others, and each distinct set is turned back into primes once, so equal
+primes come back as one object.  The clauses of one block share their
+work through two tables that die with the block: the merged positives
+and their one requantification per set of positives, and what each
+negative subtracts, one build, per pair of merged positives and
+negative.
 
 ``decide`` names bound variables by the depth of their binder and their
 place in its block, so blocks equal up to the names of their bound
@@ -112,9 +114,8 @@ UNSATISFIABLE = "UNSATISFIABLE"
 
 class ResourceLimit(Exception):
     """Raised when a normal form a block has to build, or a clause search,
-    exceeds the clause bound.  A block with a true block-only clause
-    answers without building its whole normal form, so only the
-    block-only clauses count against the bound there."""
+    exceeds the clause bound.  A block builds its whole normal form only
+    when none of its block-only clauses, built first, is true."""
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +439,8 @@ def _prime_dnf(
     xs: Sequence[VarId],
     block: frozenset[VarId] | None = None,
 ) -> list[tuple[list[PrimeFormula], list[PrimeFormula]]]:
-    """``to_prime_dnf``, or with a ``block`` only its block-only clauses.
+    """``to_prime_dnf``, or with a ``block`` only its block-only clauses,
+    the first pass of block elimination.
 
     A literal with no variable of the block free then contributes no
     clause: a disjunction drops it and a conjunction that holds it
@@ -447,7 +449,8 @@ def _prime_dnf(
     of the whole normal form that hold no such literal, in the same
     order.  The walk meets their primes in the same relative order as
     the whole walk does, so each clause lists its primes in the same
-    order too.
+    order too.  When every literal has a block variable free, they are
+    the whole normal form.
     """
     limit = f"disjunctive normal form exceeds {max_clauses} clauses"
     if xs:
@@ -522,23 +525,6 @@ def _prime_dnf(
         del go
 
 
-def _has_block_free_literal(node: BoolComb, block: frozenset[VarId]) -> bool:
-    """Whether a prime of node has no block variable free.  It decides only
-    whether the block-only clauses are tried first, never the result."""
-    while isinstance(node, BcNot):
-        node = node.arg
-    if isinstance(node, PrimeLeaf):
-        return block.isdisjoint(node.beta.free_vars)
-    for a in node.args:
-        # most arguments are leaves: test them here, without a call
-        if isinstance(a, PrimeLeaf):
-            if block.isdisjoint(a.beta.free_vars):
-                return True
-        elif _has_block_free_literal(a, block):
-            return True
-    return False
-
-
 def _eliminate_exists(
     xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int, names: Sequence[VarId] = ()
 ) -> BoolComb:
@@ -551,21 +537,19 @@ def _eliminate_exists(
     part with no block variable free is kept as it is, a disjunction
     eliminates the block from each disjunct, and a conjunction keeps
     its arguments with no block variable outside the block.  What is
-    left is put in prime DNF, and its clauses are eliminated shortest
-    first through one memoizing clause eliminator.  The first clause
-    that eliminates to true makes the block true, and the clauses not
-    yet eliminated are skipped; when none does, the results are joined
-    in DNF order.
+    left is eliminated in two passes through one clause eliminator.
 
     Only a block-only clause, one whose literals all have a block
     variable free, can eliminate to true.  A positive literal gamma with
     none is entailed by the clause's ``exists xs beta`` and is not
     valid; a negative one is never a joker, and it clashes with no beta
     whose ``exists xs beta`` is true, since gamma is satisfiable and the
-    block can be extended.  So when some literal has no block variable
-    free, the block-only clauses are built and eliminated first, and the
-    whole DNF is built only when none of them is true.  The eliminator's
-    tables then answer the clauses already tried.
+    block can be extended.  So the first pass builds the block-only
+    clauses and eliminates them shortest first, and the first one that
+    eliminates to true makes the block true.  Only when none is true
+    does the second pass build the whole prime DNF and join its
+    clauses' results in DNF order, none of them true; the eliminator's
+    tables answer the clauses already tried.
     """
     block = frozenset(xs)
     names = names or xs
@@ -587,28 +571,15 @@ def _eliminate_exists(
         rest = inside[0] if len(inside) == 1 else type(node)(tuple(inside))
         return bc_and(*[bc_not(a) if negate else a for a in outside], go(rest, negate))
 
-    def shortest_first(clauses: list) -> list[int]:
-        # fewer literals make a weaker clause, likelier true
-        sizes = [len(pos) + len(neg) for pos, neg in clauses]
-        return sorted(range(len(clauses)), key=sizes.__getitem__)
-
     def normal_form(node: BoolComb, negate: bool) -> BoolComb:
         node = bc_not(node) if negate else node
-        if _has_block_free_literal(node, block):
-            # only a clause without a block-free literal can be true, so
-            # those are tried first; their results are dropped, so the
-            # whole normal form's clauses build their combinations in the
-            # order they always did
-            clauses = _prime_dnf(node, max_clauses, names, block)
-            if any(eliminate(*clauses[i]) is BC_TRUE for i in shortest_first(clauses)):
+        clauses = _prime_dnf(node, max_clauses, names, block)
+        # fewer literals make a weaker clause, likelier true
+        for pos, neg in sorted(clauses, key=lambda clause: len(clause[0]) + len(clause[1])):
+            if eliminate(pos, neg) is BC_TRUE:
                 return BC_TRUE
-        clauses = to_prime_dnf(node, max_clauses, names)
-        out: list[BoolComb] = [BC_FALSE] * len(clauses)
-        for i in shortest_first(clauses):
-            out[i] = eliminate(*clauses[i])
-            if out[i] is BC_TRUE:
-                return BC_TRUE
-        return bc_or(*out)
+        # none is true, so neither is any clause of the whole normal form
+        return bc_or(*[eliminate(*clause) for clause in to_prime_dnf(node, max_clauses, names)])
 
     try:
         return go(delta, False)

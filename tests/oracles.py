@@ -102,6 +102,7 @@ from featlog.qe import (
     BC_FALSE,
     BC_TRUE,
     DEFAULT_MAX_DNF_CLAUSES,
+    BcAnd,
     BcNot,
     BcOr,
     BoolComb,
@@ -629,12 +630,23 @@ def two_pass_exists_conj(xs, primes):
 
 
 def bc_quantifier_free(delta: BoolComb) -> bool:
-    """True: quantifiers occur only inside prime leaves."""
-    if isinstance(delta, PrimeLeaf):
-        return True
-    if isinstance(delta, BcNot):
-        return bc_quantifier_free(delta.arg)
-    return all(bc_quantifier_free(a) for a in delta.args)
+    """True: quantifiers occur only inside prime leaves, so every node is a
+    prime leaf or a negation, conjunction or disjunction of nodes.  Each
+    node of a shared residue is visited once, and nothing recurses."""
+    seen: set[int] = set()
+    stack = [delta]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or isinstance(node, PrimeLeaf):
+            continue
+        seen.add(id(node))
+        if isinstance(node, BcNot):
+            stack.append(node.arg)
+        elif isinstance(node, (BcAnd, BcOr)):
+            stack.extend(node.args)
+        else:
+            return False
+    return True
 
 
 def dict_prime_dnf(

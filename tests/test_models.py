@@ -25,6 +25,7 @@ from featlog import (
     SortC,
     SugarAgree,
     VarId,
+    decide,
     evaluate,
     expand_sugar,
     feature_graph,
@@ -58,6 +59,7 @@ from generators import (
     random_valuation,
 )
 from oracles import (
+    bc_quantifier_free,
     bounded_evaluate,
     holds_path_constraint,
     naive_bisimilarity,
@@ -335,7 +337,8 @@ def test_evaluate_judges_each_node_of_a_shared_residue_once(sym):
     """``decide`` returns the nested chain ``((A(x0) <-> A(x1)) <-> ...)
     <-> A(xn)`` as a DAG whose two sides share each level, so its tree
     unfolding doubles per level; at n = 30 only a walk that judges each
-    node once answers in time."""
+    node once answers in time, and so does the oracle that checks the
+    residue is quantifier-free."""
     n = 30
     A, B = sym.sort("A"), sym.sort("B")
     xs = [sym.var(f"x{i}") for i in range(n + 1)]
@@ -343,6 +346,8 @@ def test_evaluate_judges_each_node_of_a_shared_residue_once(sym):
     for i in range(1, n + 1):
         text = f"({text}) <-> A(x{i})"
     phi = parse_formula(sym, text)
+    with _wall_limit(1.0):
+        assert bc_quantifier_free(decide(expand_sugar(phi)))
     rng = random.Random(2601)
     answers = Counter()
     for _ in range(6):

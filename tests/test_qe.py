@@ -1337,6 +1337,23 @@ def test_nested_iff_chain_decides_in_polynomial_time(sym):
         assert again is delta
 
 
+def test_block_over_nested_iff_chain_exceeds_the_bound_at_once(sym):
+    """``exists x0, ..., x24.`` over the nested ``<->`` chain: every leaf
+    mentions the block, and the normal form doubles with every level, so
+    the block-only walk passes a bound of 100 clauses within a few
+    levels.  A walk of the matrix that unfolds its DAG as a tree before
+    any clause is built takes seconds."""
+    n = 24
+    text = "A(x0)"
+    for i in range(1, n + 1):
+        text = f"({text}) <-> A(x{i})"
+    block = ", ".join(f"x{i}" for i in range(n + 1))
+    phi = parse_formula(sym, f"exists {block}. ({text})")
+    with _wall_limit(1.0):
+        with pytest.raises(ResourceLimit, match="exceeds 100 clauses while eliminating x0"):
+            classify(phi, max_clauses=100)
+
+
 def test_unique_table_holds_only_live_combinations(sym):
     """10,000 classifications in one process, each of a different random
     formula, leave the unique table as the first 100 left it: it holds a
