@@ -12,7 +12,8 @@ build (``solve.solve_atoms``) solves the atoms and quantifies the bound
 variables together, garbage-collects the unreachable part of the body,
 names the bound variables q0, q1, ... by their access paths and sorts
 the atoms, so primes equal up to renaming of bound variables are equal
-values.
+values.  The ``$k`` names that bound variables get when they are
+renamed apart before a build thus never reach a prime.
 """
 
 from __future__ import annotations
@@ -118,39 +119,25 @@ def _prime_of_atoms(atoms: Sequence[Atom], bound: Iterable[VarId]) -> PrimeFormu
     return BOTTOM if isinstance(built, Bottom) else PrimeFormula(*built)
 
 
-def _renamer(taken: set[VarId]):
-    """A function from a variable to a transient name not in ``taken``,
-    which the name then joins.
-
-    Transient names contain a ``'``, which neither a parsed name nor a
-    minted ``_`` name can, and they are numbered per renamer.  They are
-    only ever given to bound variables, which the build renames, so
-    none leaves the prime it was made for.
-    """
-    numbers = count(1)
-
-    def fresh(x: VarId) -> VarId:
-        while True:
-            v = VarId(f"{x.name}'{next(numbers)}")
-            if v not in taken:
-                taken.add(v)
-                return v
-
-    return fresh
-
-
 def exists_conj(xs: Collection[VarId], primes: Sequence[PrimeFormula]) -> PrimeFormula | Bottom:
     """The canonical prime of ``exists xs`` over the conjunction of the
     primes, or ``false``: bound variables are renamed apart in one pass,
-    a bound variable getting a transient name when it occurs free in
-    another prime or is bound in an earlier one, and one build solves
-    the bodies and quantifies the bound variables and those of ``xs``."""
+    and one build solves the bodies and quantifies the bound variables
+    and those of ``xs``.
+
+    A bound variable that occurs free in another prime or is bound in
+    an earlier one is renamed ``$0``, ``$1``, ..., numbered per call.
+    These names capture nothing: no parsed, sugar (``_y1``) or
+    requantified (``qN``) name starts with ``$``; a ``$k`` name is bound
+    in the one build, which renames it, so it never leaves the call; and
+    it has no dot, so it never equals a ``$d.i`` name of ``decide``.
+    """
     taken = set().union(*(beta.free_vars for beta in primes))
     bound = [x for x in xs if x in taken]
-    fresh = _renamer(taken)
+    numbers = count()
     atoms: list[Atom] = []
     for beta in primes:
-        mapping = {v: fresh(v) for v in sorted(beta.bound & taken)}
+        mapping = {v: VarId(f"${next(numbers)}") for v in sorted(beta.bound & taken)}
         taken |= beta.bound
         bound.extend(mapping.get(v, v) for v in beta.bound)
         atoms += beta.body.normalizer
@@ -172,29 +159,15 @@ def prime_conj(*primes: PrimeFormula) -> PrimeFormula | Bottom:
 def simplify_epc(phi: Formula) -> PrimeFormula | Bottom:
     """Solve a formula built from atoms, conjunction, and ``exists``.
 
-    One walk collects the atoms and the quantified variables, and
-    rejects any other connective before anything is solved.  A
-    quantifier keeps its variable unless that variable also occurs free
-    or is bound by an earlier quantifier; only then a second walk renames
-    it to a transient name, as ``prime_conj`` does.  One build solves
-    the atoms and quantifies the quantified variables together.
+    One walk collects the atoms, renaming every quantified variable to a
+    ``$k`` name, safe for the reasons ``exists_conj`` gives, and rejects
+    any other connective before anything is solved.  One build solves
+    the atoms and quantifies the ``$k`` names together.
     """
-    walked = conjunction_atoms(phi, binder=lambda x: x)
+    walked = conjunction_atoms(phi, quantified=True)
     if isinstance(walked, Bottom):
         return BOTTOM
-    atoms, bound, free = walked
-    if len(set(bound)) < len(bound) or not free.isdisjoint(bound):
-        taken = set(free)
-        fresh = _renamer(taken)
-
-        def binder(x: VarId) -> VarId:
-            if x in taken:
-                return fresh(x)
-            taken.add(x)
-            return x
-
-        atoms, bound, _ = conjunction_atoms(phi, binder)
-    return _prime_of_atoms(atoms, bound)
+    return _prime_of_atoms(*walked)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ applies to each normal form built, and no block walks its matrix more
 than twice.  The normal form numbers the distinct primes it meets, so
 its clauses are sets of small integers: a conjunction merges its
 single-clause arguments in one pass before it distributes over the
-others, and each distinct set is turned back into primes once, so equal
-primes come back as one object.  The clauses of one block share their
-work through two tables that die with the block: the merged positives
-and their one requantification per set of positives, and what each
-negative subtracts, one build, per pair of merged positives and
-negative.
+others, and each set is turned back into primes through the one list
+of the distinct primes, so equal primes come back as one object.  The
+clauses of one block share their work through two tables that die with
+the block: the merged positives and their one requantification per set
+of positives, and what each negative subtracts, one build, per pair of
+merged positives and negative.
 
 ``decide`` names bound variables by the depth of their binder and their
 place in its block, so blocks equal up to the names of their bound
@@ -426,9 +426,9 @@ def to_prime_dnf(
     is the key that merges duplicate clauses.  A conjunction merges the
     clauses of all its single-clause arguments into one base clause in
     one pass, linear in its width, and only then crosses that clause
-    with its other arguments.  Each distinct id set is decoded once, to
-    the list of its primes in the order the walk met them, so equal
-    primes come back as one object and clauses may share their lists.
+    with its other arguments.  Each clause is decoded to the lists of
+    its primes in the order the walk met them, through the one list of
+    the distinct primes, so equal primes come back as one object.
     """
     return _prime_dnf(delta, max_clauses, xs)
 
@@ -452,11 +452,6 @@ def _prime_dnf(
     order too.  When every literal has a block variable free, they are
     the whole normal form.
     """
-    limit = f"disjunctive normal form exceeds {max_clauses} clauses"
-    if xs:
-        limit += f" while eliminating {', '.join(map(str, xs[:8]))}"
-        if len(xs) > 8:
-            limit += f" and {len(xs) - 8} more"
     ids: dict[PrimeFormula, int] = {}
     primes: list[PrimeFormula] = []
     empty: frozenset[int] = frozenset()
@@ -484,7 +479,7 @@ def _prime_dnf(
                         seen.add(clause)
                         out.append(clause)
                 if len(out) > max_clauses:
-                    raise ResourceLimit(limit)
+                    raise _dnf_limit(max_clauses, xs)
             return out
         pos: set[int] = set()
         neg: set[int] = set()
@@ -506,23 +501,26 @@ def _prime_dnf(
                     if ln.isdisjoint(rp) and lp.isdisjoint(rn):
                         out.append((lp | rp, ln | rn))
                         if len(out) > max_clauses:
-                            raise ResourceLimit(limit)
+                            raise _dnf_limit(max_clauses, xs)
             acc = out
         return acc
 
-    decoded: dict[frozenset[int], list[PrimeFormula]] = {}
-
-    def decode(s: frozenset[int]) -> list[PrimeFormula]:
-        if s not in decoded:
-            decoded[s] = [primes[i] for i in sorted(s)]
-        return decoded[s]
-
     try:
-        return [(decode(pos), decode(neg)) for pos, neg in go(delta, False)]
+        return [
+            ([primes[i] for i in sorted(pos)], [primes[i] for i in sorted(neg)])
+            for pos, neg in go(delta, False)
+        ]
     finally:
         # go refers to itself: deleting it breaks the cycle, so the id
         # table and the primes die with the call
         del go
+
+
+def _dnf_limit(max_clauses: int, xs: Sequence[VarId]) -> ResourceLimit:
+    """The ``ResourceLimit`` that ``to_prime_dnf`` raises past its bound."""
+    more = f" and {len(xs) - 8} more" if len(xs) > 8 else ""
+    block = f" while eliminating {', '.join(map(str, xs[:8]))}{more}" if xs else ""
+    return ResourceLimit(f"disjunctive normal form exceeds {max_clauses} clauses{block}")
 
 
 def _eliminate_exists(
@@ -705,17 +703,18 @@ def decide(phi: Formula, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> BoolComb
     Bound variables are named by the depth of their binder (de Bruijn
     levels): variable i of a block under d enclosing blocks is ``$d.i``,
     and an atom is renamed as it becomes a prime leaf.  No parsed name,
-    sugar name (``_y1``), transient name (``x'1``) or requantified name
-    (``qN``) starts with ``$``, so the names capture nothing, and they
-    are never interned in a ``Symbols`` session.  Blocks equal up to the
-    names of their bound variables thus meet the same matrix object, and
-    each distinct pair of block and matrix is eliminated once per call;
-    the result mentions no block variable, so the memo is exact.  The
-    blocks in the chain of negations and blocks that starts at phi keep
-    their names: no block lies beside that chain, so none can repeat one
-    of them, and a sentence in prenex form renames nothing.  A
-    ``ResourceLimit`` still names the block's variables as phi spells
-    them.
+    sugar name (``_y1``) or requantified name (``qN``) starts with
+    ``$``, and the ``$k`` names of renaming apart (``exists_conj``) have
+    no dot and never leave their build, so the names capture nothing,
+    and they are never interned in a ``Symbols`` session.  Blocks equal
+    up to the names of their bound variables thus meet the same matrix
+    object, and each distinct pair of block and matrix is eliminated
+    once per call; the result mentions no block variable, so the memo is
+    exact.  The blocks in the chain of negations and blocks that starts
+    at phi keep their names: no block lies beside that chain, so none
+    can repeat one of them, and a sentence in prenex form renames
+    nothing.  A ``ResourceLimit`` still names the block's variables as
+    phi spells them.
     """
     names: dict[VarId, VarId] = {}  # each renamed variable in scope to its name
     depth = 0

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import count, filterfalse
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .core import (
     BOTTOM,
@@ -360,21 +360,19 @@ def parameters(delta: SolvedClause) -> set[VarId]:
 
 
 def conjunction_atoms(
-    phi: Formula, binder: Callable[[VarId], VarId] | None = None
-) -> tuple[list[Atom], list[VarId], set[VarId]] | Bottom:
+    phi: Formula, quantified: bool = False
+) -> tuple[list[Atom], list[VarId]] | Bottom:
     """The atoms of a conjunction in left-to-right order, or ``false``.
 
     One iterative walk over true, false, sort, feature and equation
-    atoms and conjunction, and over ``exists`` when a ``binder`` is
-    given: ``binder(x)`` returns the variable that stands for x inside
-    the quantifier's scope.  Returns the atoms, the variables the binder
-    returned in the order the quantifiers were met, and the variables
-    that occur free (left empty without a binder).  Any other node raises ValueError, also after a
+    atoms and conjunction, and over ``exists`` when ``quantified``: each
+    variable a quantifier binds is renamed ``$0``, ``$1``, ... in the
+    order met, and so is every atom in its scope.  Returns the atoms and
+    the new names.  Any other node raises ValueError, also after a
     ``false``, so rejection does not depend on the order of conjuncts.
     """
     atoms: list[Atom] = []
     bound: list[VarId] = []
-    free: set[VarId] = set()
     scope: dict[VarId, VarId] = {}
     false = False
     # a (variable, outer binding) pair on the stack closes a scope
@@ -385,22 +383,17 @@ def conjunction_atoms(
             stack.extend(reversed(psi.args))
         elif isinstance(psi, Atomic) and not isinstance(psi.atom, Excl):
             a = psi.atom
-            if scope:
-                vs = atom_vars(a)
-                free.update(v for v in vs if v not in scope)
-                if any(scope.get(v, v) is not v for v in vs):
-                    a = rename_atom(a, scope)
-            elif binder is not None:
-                free.update(atom_vars(a))
+            if scope and not scope.keys().isdisjoint(atom_vars(a)):
+                a = rename_atom(a, scope)
             atoms.append(a)
         elif isinstance(psi, Top):
             pass
         elif isinstance(psi, Bottom):
             false = True
-        elif isinstance(psi, Exists) and binder is not None:
+        elif isinstance(psi, Exists) and quantified:
             for x in psi.vars:
                 stack.append((x, scope.get(x)))
-                scope[x] = binder(x)
+                scope[x] = VarId(f"${len(bound)}")
                 bound.append(scope[x])
             stack.append(psi.body)
         elif isinstance(psi, tuple):
@@ -409,13 +402,13 @@ def conjunction_atoms(
                 del scope[x]
             else:
                 scope[x] = outer
-        elif binder is None:
+        elif not quantified:
             raise ValueError("not a conjunction of sort, feature, and equation atoms")
         else:
             raise ValueError("only atoms, conjunction, and 'exists' are allowed here")
     if false:
         return BOTTOM
-    return atoms, bound, free
+    return atoms, bound
 
 
 def formula_to_basic(phi: Formula) -> BasicFormula | Bottom:

@@ -35,7 +35,6 @@ from featlog import (
 )
 from featlog.core import EPS, conj, exists_all, free_vars, rename_atom
 from featlog.prime import exists_conj, from_atom, prime_to_formula
-from featlog.solve import conjunction_atoms
 
 from generators import (
     pools,
@@ -55,6 +54,7 @@ from oracles import (
     two_pass_requantify,
     union_find_simplify,
 )
+from test_core import _binders
 from test_solve import _wall_limit
 
 
@@ -362,10 +362,12 @@ def _least_representatives(sym, beta):
 
 
 def _transient_names(beta):
-    """The names of a prime that contain the ``'`` of renaming apart."""
+    """The names of a prime that renaming apart gives out: ``$0``, ``$1``,
+    ... in the library, a spelling with a ``'`` in these tests."""
     if isinstance(beta, Bottom):
         return set()
-    return {v.name for v in beta.body.variables | beta.bound if "'" in v.name}
+    names = {v.name for v in beta.body.variables | beta.bound}
+    return {name for name in names if name.startswith("$") or "'" in name}
 
 
 def _clashing_epc(rng, sym):
@@ -391,8 +393,8 @@ def test_simplify_epc_agrees_with_pairwise_fold(sym):
     shadowing = reusing = 0
     for _ in range(1200):
         phi = _clashing_epc(rng, sym)
-        _, bound, free = conjunction_atoms(phi, lambda x: x)
-        shadowing += not free.isdisjoint(bound)
+        bound = _binders(phi)
+        shadowing += not free_vars(phi).isdisjoint(bound)
         reusing += len(set(bound)) < len(bound)
         got = simplify_epc(phi)
         want = fold_simplify_epc(phi)
@@ -404,7 +406,8 @@ def test_simplify_epc_agrees_with_pairwise_fold(sym):
 
 def test_conjunctions_are_solved_once(sym, monkeypatch):
     """One build, solving and quantifying together, per conjunction,
-    whatever its number of atoms, quantifiers or primes."""
+    whatever its number of atoms, quantifiers or primes, and for an
+    existential conjunction one walk, also when its binders clash."""
     import featlog.prime
 
     calls: list = []
@@ -416,6 +419,17 @@ def test_conjunctions_are_solved_once(sym, monkeypatch):
     calls.clear()
     assert isinstance(prime_conj(*primes), PrimeFormula)
     assert calls == [sum(len(beta.body.atoms) for beta in primes)]
+    # a binder that reuses a free name, and two binders of one name
+    walks: list = []
+    walk = featlog.prime.conjunction_atoms
+    monkeypatch.setattr(
+        featlog.prime, "conjunction_atoms", lambda *a, **k: walks.append(1) or walk(*a, **k)
+    )
+    calls.clear()
+    beta = epc(sym, "A(x) & (exists x. (f(y, x) & B(x))) & (exists x. g(y, x))")
+    assert walks == [1] and calls == [4]
+    assert beta == epc(sym, "A(x) & (exists u. (f(y, u) & B(u))) & (exists w. g(y, w))")
+    assert not _transient_names(beta)
 
 
 def test_prime_conj_of_none_or_one(sym):
