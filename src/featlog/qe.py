@@ -10,21 +10,12 @@ conjuncts of a conjunction that miss X move outside it.  What remains
 is put in a disjunctive normal form whose literals are primes and
 eliminated clause by clause, in two passes.  A clause that holds a
 literal with no block variable free never eliminates to true, so the
-first pass builds only the block-only clauses, those without such a
-literal, and eliminates them shortest first: a clause with fewer
-literals is weaker, so likelier true, and the block is true as soon as
-one of them is.  Only when none is true does the second pass build the
-whole normal form and join its clauses' eliminations.  The clause bound
-applies to each normal form built, and no block walks its matrix more
-than twice.  The normal form numbers the distinct primes it meets, so
-its clauses are sets of small integers: a conjunction merges its
-single-clause arguments in one pass before it distributes over the
-others, and each set is turned back into primes through the one list
-of the distinct primes, so equal primes come back as one object.  The
-clauses of one block share their work through two tables that die with
-the block: the merged positives and their one requantification per set
-of positives, and what each negative subtracts, one build, per pair of
-merged positives and negative.
+first pass builds only the other, block-only clauses and eliminates
+them shortest first, since a clause with fewer literals is weaker, so
+likelier true, and stops at a true one.  Only when none is true are
+the whole normal form's clauses joined; they are walked again only if
+the first pass dropped a literal.  The clauses of one block share
+their work through the tables of one clause eliminator.
 
 ``decide`` names bound variables by the depth of their binder and their
 place in its block, so blocks equal up to the names of their bound
@@ -65,6 +56,7 @@ existential closure.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from functools import lru_cache, reduce
 from typing import Collection, Iterable, Sequence, Union
@@ -113,9 +105,8 @@ UNSATISFIABLE = "UNSATISFIABLE"
 
 
 class ResourceLimit(Exception):
-    """Raised when a normal form a block has to build, or a clause search,
-    exceeds the clause bound.  A block builds its whole normal form only
-    when none of its block-only clauses, built first, is true."""
+    """Raised when a normal form a block builds, or a clause search,
+    exceeds the clause bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +126,7 @@ class PrimeLeaf(Record):
         return hash(self.beta)
 
 
-# Every BcNot, BcAnd and BcOr, however it is built, comes from this
+# Every BcNot, BcAnd and BcOr a constructor builds comes from this
 # table (a pickle or a copy too: ``Record`` rebuilds it through its
 # constructor), which maps its key to a weak reference.  The reference's
 # callback removes the entry when the node dies, so the table never
@@ -414,43 +405,19 @@ def to_prime_dnf(
 ) -> list[tuple[list[PrimeFormula], list[PrimeFormula]]]:
     """Disjunctive normal form with primes as literals.
 
-    Clauses containing complementary or trivially false literals are
-    dropped, duplicate literals merge, and clause growth beyond the
-    configured bound raises ResourceLimit, naming the block ``xs`` being
-    eliminated, in prefix order, when one is given: its first eight
-    variables, then how many more there are.
+    Clauses with complementary or trivially false literals are dropped,
+    duplicate literals merge, and growth past the bound raises
+    ResourceLimit, naming the block ``xs`` when one is given: its first
+    eight variables in prefix order, then how many more there are.
 
-    Each distinct prime gets a small integer id the first time the walk
+    Each distinct prime gets a small integer id where the walk first
     meets it, so a clause is a pair of frozensets of ids, positives and
-    negatives: a clash is a test for disjointness and the pair itself
-    is the key that merges duplicate clauses.  A conjunction merges the
-    clauses of all its single-clause arguments into one base clause in
-    one pass, linear in its width, and only then crosses that clause
-    with its other arguments.  Each clause is decoded to the lists of
-    its primes in the order the walk met them, through the one list of
-    the distinct primes, so equal primes come back as one object.
-    """
-    return _prime_dnf(delta, max_clauses, xs)
-
-
-def _prime_dnf(
-    delta: BoolComb,
-    max_clauses: int,
-    xs: Sequence[VarId],
-    block: frozenset[VarId] | None = None,
-) -> list[tuple[list[PrimeFormula], list[PrimeFormula]]]:
-    """``to_prime_dnf``, or with a ``block`` only its block-only clauses,
-    the first pass of block elimination.
-
-    A literal with no variable of the block free then contributes no
-    clause: a disjunction drops it and a conjunction that holds it
-    yields none, before it crosses its other arguments, so no product
-    grows past the whole walk's.  What is left are exactly the clauses
-    of the whole normal form that hold no such literal, in the same
-    order.  The walk meets their primes in the same relative order as
-    the whole walk does, so each clause lists its primes in the same
-    order too.  When every literal has a block variable free, they are
-    the whole normal form.
+    negatives: a clash is a disjointness test and the pair is the key
+    that merges duplicates.  A conjunction merges its single-clause
+    arguments into one base clause in one pass, yields no clause when an
+    argument has none, and only then crosses the others.  Each clause
+    lists its primes in the order the walk met them, from the one list
+    of distinct primes, so equal primes come back as one object.
     """
     ids: dict[PrimeFormula, int] = {}
     primes: list[PrimeFormula] = []
@@ -461,8 +428,6 @@ def _prime_dnf(
             beta = node.beta
             if beta.is_top():
                 return [] if negate else [(empty, empty)]
-            if block is not None and block.isdisjoint(beta.free_vars):
-                return []
             i = ids.get(beta)
             if i is None:
                 i = ids[beta] = len(primes)
@@ -491,7 +456,7 @@ def _prime_dnf(
                 neg.update(clauses[0][1])
             else:
                 factors.append(clauses)
-        if not pos.isdisjoint(neg) or (block is not None and [] in factors):
+        if not pos.isdisjoint(neg) or [] in factors:
             return []
         acc = [(frozenset(pos), frozenset(neg))]
         for right in factors:
@@ -523,13 +488,47 @@ def _dnf_limit(max_clauses: int, xs: Sequence[VarId]) -> ResourceLimit:
     return ResourceLimit(f"disjunctive normal form exceeds {max_clauses} clauses{block}")
 
 
+def _block_only(node: BoolComb, block: frozenset[VarId]) -> BoolComb:
+    """node with each part that has no block variable free, but a true
+    leaf, replaced by what yields no clause there: false unnegated, true
+    under a negation.  Its normal form is node's block-only clauses, in
+    the same order and with their primes in the same order.  Each node
+    is rewritten once per polarity, and comes back as itself when nothing
+    in it is replaced.  New nodes bypass the unique table, which keeps
+    one argument order per set of arguments."""
+    memo: dict[tuple[BoolComb, bool], BoolComb] = {}
+
+    def go(node: BoolComb, negate: bool) -> BoolComb:
+        if isinstance(node, BcNot):
+            arg = go(node.arg, not negate)
+            return node if arg is node.arg else BcNot(arg)
+        if block.isdisjoint(node.free_vars):
+            top = isinstance(node, PrimeLeaf) and node.beta.is_top()
+            return node if top else BC_TRUE if negate else BC_FALSE
+        if isinstance(node, PrimeLeaf):
+            return node
+        out = memo.get((node, negate))
+        if out is None:
+            args = [go(a, negate) for a in node.args]
+            out = node
+            if not all(map(operator.is_, args, node.args)):
+                out = object.__new__(type(node))
+                object.__setattr__(out, "args", tuple(args))
+            memo[node, negate] = out
+        return out
+
+    try:
+        return go(node, False)
+    finally:
+        # go refers to itself: deleting it breaks the cycle, so the memo dies
+        del go
+
+
 def _eliminate_exists(
     xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int, names: Sequence[VarId] = ()
 ) -> BoolComb:
-    """Boolean combination equivalent to ``exists xs delta``.
-
-    ``names``, when given, are the block's variables as the input spells
-    them, for a ``ResourceLimit`` message; ``xs`` is what is eliminated.
+    """Boolean combination equivalent to ``exists xs delta``; ``names``,
+    when given, spell the block as the input does, for a ``ResourceLimit``.
 
     The block is miniscoped first, in one walk with a negation flag: a
     part with no block variable free is kept as it is, a disjunction
@@ -542,12 +541,11 @@ def _eliminate_exists(
     none is entailed by the clause's ``exists xs beta`` and is not
     valid; a negative one is never a joker, and it clashes with no beta
     whose ``exists xs beta`` is true, since gamma is satisfiable and the
-    block can be extended.  So the first pass builds the block-only
-    clauses and eliminates them shortest first, and the first one that
-    eliminates to true makes the block true.  Only when none is true
-    does the second pass build the whole prime DNF and join its
-    clauses' results in DNF order, none of them true; the eliminator's
-    tables answer the clauses already tried.
+    block can be extended.  So the first pass eliminates the clauses of
+    ``_block_only`` of what is left, shortest first, and stops at a true
+    one.  Otherwise the second pass joins the whole normal form's clause
+    results in DNF order, walking again only if the rewrite replaced a
+    part; the eliminator's tables answer the clauses already tried.
     """
     block = frozenset(xs)
     names = names or xs
@@ -571,13 +569,15 @@ def _eliminate_exists(
 
     def normal_form(node: BoolComb, negate: bool) -> BoolComb:
         node = bc_not(node) if negate else node
-        clauses = _prime_dnf(node, max_clauses, names, block)
+        only = _block_only(node, block)
+        clauses = to_prime_dnf(only, max_clauses, names)
         # fewer literals make a weaker clause, likelier true
         for pos, neg in sorted(clauses, key=lambda clause: len(clause[0]) + len(clause[1])):
             if eliminate(pos, neg) is BC_TRUE:
                 return BC_TRUE
         # none is true, so neither is any clause of the whole normal form
-        return bc_or(*[eliminate(*clause) for clause in to_prime_dnf(node, max_clauses, names)])
+        whole = clauses if only is node else to_prime_dnf(node, max_clauses, names)
+        return bc_or(*[eliminate(*clause) for clause in whole])
 
     try:
         return go(delta, False)

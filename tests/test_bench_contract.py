@@ -8,11 +8,14 @@ such a change fail the test suite instead of showing up only as failed
 operations in a bench record.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,3 +65,31 @@ def test_bench_commands_run_against_this_checkout():
     for name, by_command in statuses.items():
         assert set(by_command) == {"decide", "simplify", "entail", "witness", "evaluate"}, name
         assert set(by_command.values()) == {"ok"}, (name, by_command)
+
+
+@pytest.mark.parametrize(
+    "text, walks",
+    [
+        ("exists x. (f(y, x) & (A(x) | g(x, z)))", 1),
+        ("exists x. (f(y, x) & (A(x) | B(y)))", 2),
+    ],
+)
+def test_every_normal_form_walk_is_traced(text, walks):
+    """Block elimination makes every prime-DNF walk through the name the
+    harness traces, ``qe.to_prime_dnf``: a block whose literals all
+    mention it walks once, and one with a literal that does not walks
+    twice, both traced."""
+    import featlog
+    import featlog.cli  # the tracer wraps the CLI's entry point too
+
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer(featlog)
+    phi = featlog.parse_formula(featlog.Symbols(), text)
+    tracer.install()
+    try:
+        featlog.classify(phi)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["qe.to_prime_dnf.calls"] == walks

@@ -828,14 +828,14 @@ def test_qe_mix_iff_sentence_builds_only_block_only_clauses(sym, monkeypatch):
     import featlog.qe
 
     built = []
-    dnf = featlog.qe._prime_dnf
+    dnf = featlog.qe.to_prime_dnf
 
     def counting_dnf(*args):
         clauses = dnf(*args)
         built.append(len(clauses))
         return clauses
 
-    monkeypatch.setattr(featlog.qe, "_prime_dnf", counting_dnf)
+    monkeypatch.setattr(featlog.qe, "to_prime_dnf", counting_dnf)
     op = WORKLOADS["qe_mix"](201)[534]
     assert classify(parse_formula(sym, op.text)).kind == INVALID
     assert 0 < sum(built) < 100
@@ -875,6 +875,34 @@ def test_block_only_clauses_never_trip_the_bound_first(sym):
     second = " | ".join(f"D{i}(x)" for i in range(3))
     phi = parse_formula(sym, f"exists x. (({first}) & ({second}) & ~(~B(y) | ~A(x)))")
     assert classify(phi, 4).kind == UNSATISFIABLE
+
+
+@pytest.mark.parametrize(
+    "text, walks",
+    [
+        ("exists x. (f(y, x) & (A(x) | g(x, z)))", 1),
+        ("exists x. (f(y, x) & (A(x) | B(y)))", 2),
+    ],
+)
+def test_block_builds_its_normal_form_once_when_it_drops_no_literal(sym, monkeypatch, text, walks):
+    """Neither block is true.  When every literal mentions the block,
+    its block-only clauses are its whole normal form, and they are
+    joined without a second walk.  ``B(y)`` has no x free, so the first
+    walk is of a rewritten matrix and the second of the matrix itself."""
+    import featlog.qe
+
+    walked = []
+    dnf = featlog.qe.to_prime_dnf
+
+    def counting_dnf(delta, *args):
+        walked.append(delta)
+        return dnf(delta, *args)
+
+    monkeypatch.setattr(featlog.qe, "to_prime_dnf", counting_dnf)
+    assert classify(parse_formula(sym, text)).kind == SATISFIABLE
+    assert len(walked) == walks
+    if walks == 2:
+        assert walked[0] is not walked[1]
 
 
 def _random_block(rng, sym, body):
@@ -954,6 +982,88 @@ def test_clauses_with_block_free_literals_never_eliminate_to_true(sym):
     assert checked > 800 and true_block_only > 1000
 
 
+def _prime_leaves(delta):
+    """The prime leaves of a combination, each node visited once."""
+    seen, stack, out = set(), [delta], []
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, PrimeLeaf):
+            out.append(node)
+        elif isinstance(node, BcNot):
+            stack.append(node.arg)
+        else:
+            stack.extend(node.args)
+    return out
+
+
+def test_block_only_walk_gives_exactly_the_block_only_clauses(sym):
+    """The normal form of ``_block_only(delta, block)`` is the list of
+    the clauses of delta's whole normal form whose literals all have a
+    block variable free, in the same order and with their primes in the
+    same order, and the rewrite gives delta itself exactly when every
+    prime leaf but a true one mentions the block.  Matrices are drawn as
+    in the test above.  The fixed matrix first has two disjunctions with
+    one set of block parts in two orders: rebuilt through the unique
+    table, the second would come back in the first's order and list its
+    clauses in it."""
+    import featlog.qe
+
+    def leaf(text):
+        return PrimeLeaf(from_atom(parse_formula(sym, text).atom))
+
+    a, b, c, d = (leaf(f"{s}(x)") for s in "ABCD")
+    fixed = bc_or(bc_and(bc_or(a, leaf("E(y)"), b), c), bc_and(bc_or(b, leaf("F(y)"), a), d))
+    rng = random.Random(2029)
+    matrices = [((sym.var("x"),), fixed)]
+    for _ in range(1500):
+        body = random_quantified_formula(rng, sym, max_atoms=rng.choice((6, 12, 20)))
+        phi = _random_block(rng, sym, body)
+        if phi is not None:
+            delta = decide(phi.body)
+            matrices.append((phi.vars, bc_not(delta) if isinstance(phi, Forall) else delta))
+    checked = kept = 0
+    for xs, delta in matrices:
+        block = frozenset(xs)
+        try:
+            whole = to_prime_dnf(delta, 64)
+        except ResourceLimit:
+            continue
+        only = featlog.qe._block_only(delta, block)
+        want = [
+            (pos, neg) for pos, neg in whole
+            if all(not block.isdisjoint(beta.free_vars) for beta in pos + neg)
+        ]
+        assert to_prime_dnf(only, 64) == want, (xs, delta)
+        mention = all(
+            leaf.beta.is_top() or not block.isdisjoint(leaf.free_vars)
+            for leaf in _prime_leaves(delta)
+        )
+        assert (only is delta) == mention, (xs, delta)
+        checked += 1
+        kept += mention
+    assert checked > 1000 and 200 < kept < checked - 200
+
+
+def test_block_only_rewrites_each_node_of_a_dag_once(sym):
+    """``_block_only`` on the nested ``<->`` chain of depth 24, a DAG
+    whose unfolding has 2^24 leaves, rewrites each node once per
+    polarity: with a block of x0 alone every other leaf is replaced,
+    and with the whole chain as the block the chain comes back."""
+    import featlog.qe
+
+    text = "A(x0)"
+    for i in range(1, 25):
+        text = f"({text}) <-> A(x{i})"
+    delta = decide(parse_formula(sym, text))
+    xs = frozenset(sym.var(f"x{i}") for i in range(25))
+    with _wall_limit(1.0):
+        assert featlog.qe._block_only(delta, frozenset((sym.var("x0"),))) is not delta
+        assert featlog.qe._block_only(delta, xs) is delta
+
+
 @pytest.mark.parametrize("index, size", [(10, 32), (430, 22)])
 def test_qe_mix_iff_sentence_folds_sides_equal_up_to_order(sym, index, size):
     """Two qe-mix iff sentences at seed 201, ``forall fv (phi <-> phi')``
@@ -974,9 +1084,11 @@ def test_qe_mix_iff_sentence_compares_equal_primes_once_per_leaf(sym, monkeypatc
     the ones met before it only when it gets its id, so inside the
     normal-form walk ``PrimeFormula.__eq__`` runs at most once per prime
     leaf visited, not once per pair of clauses (148,501 with clauses
-    keyed by the primes themselves).  24 leaves are visited: the inner
-    block of phi is walked twice over its 12 leaves, once for its one
-    block-only clause, which is not true, and once whole.  The inner
+    keyed by the primes themselves).  22 leaves are visited: the inner
+    block of phi is walked twice, once with its parts that have no block
+    variable free replaced by five constants (10 leaves), for its one
+    block-only clause, which is not true, and once whole over its 12
+    leaves (24 when the first walk skipped those parts itself).  The inner
     block of phi' is the same block up to the name of its bound
     variable, so ``decide`` gives it the same matrix and eliminates it
     once for both (48 leaves when each block was walked apart).  The
@@ -1002,7 +1114,7 @@ def test_qe_mix_iff_sentence_compares_equal_primes_once_per_leaf(sym, monkeypatc
         counts["eq"] += counts["inside"]
         return eq(self, other)
 
-    dnf = featlog.qe._prime_dnf
+    dnf = featlog.qe.to_prime_dnf
 
     def counting_dnf(delta, *args):
         counts["leaves"] += leaves(delta)
@@ -1013,9 +1125,9 @@ def test_qe_mix_iff_sentence_compares_equal_primes_once_per_leaf(sym, monkeypatc
             counts["inside"] = False
 
     monkeypatch.setattr(PrimeFormula, "__eq__", counting_eq)
-    monkeypatch.setattr(featlog.qe, "_prime_dnf", counting_dnf)
+    monkeypatch.setattr(featlog.qe, "to_prime_dnf", counting_dnf)
     assert classify(parse_formula(sym, op.text)).kind == VALID
-    assert counts["leaves"] == 24
+    assert counts["leaves"] == 22
     assert counts["eq"] <= counts["leaves"]
 
 
