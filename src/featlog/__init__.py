@@ -86,7 +86,6 @@ from .qe import (
     BcNot,
     BcOr,
     BoolComb,
-    PrimeLeaf,
     ResourceLimit,
     Verdict,
     boolcomb_to_formula,

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .core import FeatId, Formula, Path, Record, SortId, Symbols, VarId
 from .prime import PrimeFormula, adjacency, holds_at
-from .qe import BcAnd, BcNot, BoolComb, PrimeLeaf, ResourceLimit, decide
+from .qe import BcAnd, BcNot, BoolComb, ResourceLimit, decide
 from .textio import expand_sugar
 
 Label = Union[SortId, None]
@@ -241,30 +241,21 @@ def tree_subtree(t: FeatureTree, p: Path) -> FeatureTree | None:
 # Witness construction
 
 
-class WitnessPool:
+class WitnessPool(Record):
     """A valuation as one minimal graph plus one node per variable.
 
     ``labels`` and ``adj`` are the quotient's sorts and out-edges over
     block ids, edge rows sorted by feature name.  The pool is minimal, so
     two variables have equal tree values exactly when they sit at the
-    same node.  ``leaf`` is the node of the default one-node tree.  A
-    plain class, not a ``Record``: its tables are dictionaries, which
-    have no hash.
+    same node.  ``leaf`` is the node of the default one-node tree.
     """
 
-    __slots__ = ("labels", "adj", "node", "leaf")
+    labels: dict[int, SortId]
+    adj: dict[int, list[tuple[FeatId, int]]]
+    node: dict[VarId, int]
+    leaf: int
 
-    def __init__(
-        self,
-        labels: dict[int, SortId],
-        adj: dict[int, list[tuple[FeatId, int]]],
-        node: dict[VarId, int],
-        leaf: int,
-    ) -> None:
-        self.labels = labels
-        self.adj = adj
-        self.node = node
-        self.leaf = leaf
+    __hash__ = None  # its tables are dictionaries, which have no hash
 
 
 # the graph node of the default one-node tree; no variable is a 1-tuple
@@ -450,8 +441,8 @@ def _holds(alpha: Mapping[VarId, Value], delta: BoolComb) -> bool:
     def holds(node: BoolComb) -> bool:
         got = known.get(node)
         if got is None:
-            if isinstance(node, PrimeLeaf):
-                got = satisfies_prime(alpha, node.beta)
+            if isinstance(node, PrimeFormula):
+                got = satisfies_prime(alpha, node)
             elif isinstance(node, BcNot):
                 got = not holds(node.arg)
             elif isinstance(node, BcAnd):

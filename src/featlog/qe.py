@@ -25,10 +25,12 @@ inner block of phi' is then the same elimination as one of phi.  The
 blocks of the input's leading chain of negations and blocks, which no
 other block can repeat, keep their names.
 
-Boolean combinations are canonical up to the order of arguments: every
-negation, conjunction and disjunction is found in one unique table by
-its kind and its argument, or the set of its arguments, so combinations
-equal up to argument order are one object and equality is identity.
+The leaves of a Boolean combination are the primes themselves, and
+``TOP_PRIME`` is true.  Combinations are canonical up to the order of
+arguments: every negation, conjunction and disjunction is found in one
+unique table by its kind and its argument, or the set of its arguments,
+so combinations equal up to argument order are one object and equality
+is identity.
 The two sides of ``forall fv (phi <-> phi')``, with phi' a reordered
 phi, thus meet as one node and the equivalence folds to true before the
 outermost block is put in normal form.  The table holds its nodes
@@ -113,24 +115,13 @@ class ResourceLimit(Exception):
 # Boolean combinations of primes
 
 
-class PrimeLeaf(Record):
-    beta: PrimeFormula
-
-    @property
-    def free_vars(self) -> frozenset[VarId]:
-        return self.beta.free_vars
-
-    def __hash__(self) -> int:
-        # the prime's cached hash: leaves are hashed each time the unique
-        # table or a set of arguments looks one up
-        return hash(self.beta)
-
-
 # Every BcNot, BcAnd and BcOr a constructor builds comes from this
 # table (a pickle or a copy too: ``Record`` rebuilds it through its
 # constructor), which maps its key to a weak reference.  The reference's
 # callback removes the entry when the node dies, so the table never
-# holds a combination nothing else refers to.
+# holds a combination nothing else refers to.  The leaves are the primes
+# themselves, which stay out of the table: a key holds one by its cached
+# hash and its value equality.
 _UNIQUE: dict = {}
 
 
@@ -187,10 +178,10 @@ class BcOr(_BcNary):
     pass
 
 
-BoolComb = Union[PrimeLeaf, BcNot, BcAnd, BcOr]
+BoolComb = Union[PrimeFormula, BcNot, BcAnd, BcOr]
 
-BC_TRUE = PrimeLeaf(TOP_PRIME)
-BC_FALSE = BcNot(BC_TRUE)  # the table's entry for the negated top leaf
+BC_TRUE = TOP_PRIME
+BC_FALSE = BcNot(BC_TRUE)  # the table's entry for the negated top prime
 
 
 def bc_not(a: BoolComb) -> BoolComb:
@@ -250,8 +241,8 @@ def bc_or(*args: BoolComb) -> BoolComb:
 
 
 def boolcomb_to_formula(delta: BoolComb) -> Formula:
-    if isinstance(delta, PrimeLeaf):
-        return prime_to_formula(delta.beta)
+    if isinstance(delta, PrimeFormula):
+        return prime_to_formula(delta)
     if isinstance(delta, BcNot):
         return Not(boolcomb_to_formula(delta.arg))
     node = And if isinstance(delta, BcAnd) else Or
@@ -373,7 +364,7 @@ def _clause_eliminator(block: frozenset[VarId]):
         if key not in solved:
             beta = prime_conj(*positives)
             solved[key] = None if isinstance(beta, Bottom) else [
-                beta, PrimeLeaf(mk_prime_exists(block, beta)), None
+                beta, mk_prime_exists(block, beta), None
             ]
         entry = solved[key]
         if entry is None:
@@ -390,7 +381,7 @@ def _clause_eliminator(block: frozenset[VarId]):
                 if not _has_joker(beta, placer, beta2):
                     both = exists_conj(block, (beta, beta2))
                     if not isinstance(both, Bottom):
-                        literal = bc_not(PrimeLeaf(both))
+                        literal = bc_not(both)
                 subtracted[pair] = literal
             literals.append(literal)
         return bc_and(*literals)
@@ -417,24 +408,33 @@ def to_prime_dnf(
     arguments into one base clause in one pass, yields no clause when an
     argument has none, and only then crosses the others.  Each clause
     lists its primes in the order the walk met them, from the one list
-    of distinct primes, so equal primes come back as one object.
+    of distinct primes, so equal primes come back as one object.  The
+    clauses of each conjunction and disjunction are kept per polarity
+    for the call, so a node the combination shares is walked once.
     """
     ids: dict[PrimeFormula, int] = {}
     primes: list[PrimeFormula] = []
     empty: frozenset[int] = frozenset()
+    # read only, so a shared node's list serves every parent
+    memo: dict[tuple[BoolComb, bool], list[tuple[frozenset[int], frozenset[int]]]] = {}
 
     def go(node: BoolComb, negate: bool) -> list[tuple[frozenset[int], frozenset[int]]]:
-        if isinstance(node, PrimeLeaf):
-            beta = node.beta
-            if beta.is_top():
+        if isinstance(node, PrimeFormula):
+            if node.is_top():
                 return [] if negate else [(empty, empty)]
-            i = ids.get(beta)
+            i = ids.get(node)
             if i is None:
-                i = ids[beta] = len(primes)
-                primes.append(beta)
+                i = ids[node] = len(primes)
+                primes.append(node)
             return [(empty, frozenset((i,)))] if negate else [(frozenset((i,)), empty)]
         if isinstance(node, BcNot):
             return go(node.arg, not negate)
+        clauses = memo.get((node, negate))
+        if clauses is None:
+            clauses = memo[node, negate] = combine(node, negate)
+        return clauses
+
+    def combine(node: BoolComb, negate: bool) -> list[tuple[frozenset[int], frozenset[int]]]:
         if isinstance(node, BcOr) != negate:
             out: list[tuple[frozenset[int], frozenset[int]]] = []
             seen: set = set()
@@ -476,9 +476,9 @@ def to_prime_dnf(
             for pos, neg in go(delta, False)
         ]
     finally:
-        # go refers to itself: deleting it breaks the cycle, so the id
-        # table and the primes die with the call
-        del go
+        # go and combine refer to each other: deleting both breaks the
+        # cycle, so the id table, the primes and the memo die with the call
+        del go, combine
 
 
 def _dnf_limit(max_clauses: int, xs: Sequence[VarId]) -> ResourceLimit:
@@ -503,9 +503,9 @@ def _block_only(node: BoolComb, block: frozenset[VarId]) -> BoolComb:
             arg = go(node.arg, not negate)
             return node if arg is node.arg else BcNot(arg)
         if block.isdisjoint(node.free_vars):
-            top = isinstance(node, PrimeLeaf) and node.beta.is_top()
+            top = isinstance(node, PrimeFormula) and node.is_top()
             return node if top else BC_TRUE if negate else BC_FALSE
-        if isinstance(node, PrimeLeaf):
+        if isinstance(node, PrimeFormula):
             return node
         out = memo.get((node, negate))
         if out is None:
@@ -556,7 +556,7 @@ def _eliminate_exists(
             return bc_not(node) if negate else node
         if isinstance(node, BcNot):
             return go(node.arg, not negate)
-        if isinstance(node, PrimeLeaf):
+        if isinstance(node, PrimeFormula):
             return normal_form(node, negate)
         if isinstance(node, BcOr) != negate:
             return bc_or(*[go(a, negate) for a in node.args])
@@ -603,8 +603,8 @@ def _clause_satisfiable(
 
 
 def _is_literal(delta: BoolComb) -> bool:
-    return isinstance(delta, PrimeLeaf) or (
-        isinstance(delta, BcNot) and isinstance(delta.arg, PrimeLeaf)
+    return isinstance(delta, PrimeFormula) or (
+        isinstance(delta, BcNot) and isinstance(delta.arg, PrimeFormula)
     )
 
 
@@ -637,20 +637,19 @@ def satisfiable(delta: BoolComb, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> 
             (node, negated), pending = pending
             if isinstance(node, BcNot):
                 pending = ((node.arg, not negated), pending)
-            elif isinstance(node, PrimeLeaf):
-                beta = node.beta
-                if beta.is_top():
+            elif isinstance(node, PrimeFormula):
+                if node.is_top():
                     if negated:
                         closed = True
                         break
                     continue
                 own, other = literals[negated], literals[not negated]
-                if beta in other:
+                if node in other:
                     closed = True
                     break
-                if beta not in own:
-                    own[beta] = None
-                    trail.append((own, beta))
+                if node not in own:
+                    own[node] = None
+                    trail.append((own, node))
             elif isinstance(node, BcOr) != negated:
                 for a in reversed(node.args[1:]):
                     choices.append((((a, negated), pending), len(trail)))
@@ -659,10 +658,10 @@ def satisfiable(delta: BoolComb, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> 
                 if not all(map(_is_literal, node.args)):
                     shared = (list(literals[0]), list(literals[1]))
                     for a in node.args:
-                        if isinstance(a, PrimeLeaf):
-                            shared[negated].append(a.beta)
+                        if isinstance(a, PrimeFormula):
+                            shared[negated].append(a)
                         elif _is_literal(a):
-                            shared[not negated].append(a.arg.beta)
+                            shared[not negated].append(a.arg)
                     if not _clause_satisfiable(*shared):
                         closed = True
                         break
@@ -702,7 +701,7 @@ def decide(phi: Formula, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> BoolComb
 
     Bound variables are named by the depth of their binder (de Bruijn
     levels): variable i of a block under d enclosing blocks is ``$d.i``,
-    and an atom is renamed as it becomes a prime leaf.  No parsed name,
+    and an atom is renamed as it becomes a prime.  No parsed name,
     sugar name (``_y1``) or requantified name (``qN``) starts with
     ``$``, and the ``$k`` names of renaming apart (``exists_conj``) have
     no dot and never leave their build, so the names capture nothing,
@@ -727,7 +726,7 @@ def decide(phi: Formula, max_clauses: int = DEFAULT_MAX_DNF_CLAUSES) -> BoolComb
         if isinstance(phi, Atomic):
             if isinstance(phi.atom, Excl):
                 raise ValueError("expand sugar before deciding")
-            return PrimeLeaf(from_atom(rename_atom(phi.atom, names) if names else phi.atom))
+            return from_atom(rename_atom(phi.atom, names) if names else phi.atom)
         if isinstance(phi, (And, Or)):
             prefix = False
             combine = bc_and if isinstance(phi, And) else bc_or

@@ -106,7 +106,6 @@ from featlog.qe import (
     BcNot,
     BcOr,
     BoolComb,
-    PrimeLeaf,
     ResourceLimit,
     _clause_eliminator,
     bc_and,
@@ -637,7 +636,7 @@ def bc_quantifier_free(delta: BoolComb) -> bool:
     stack = [delta]
     while stack:
         node = stack.pop()
-        if id(node) in seen or isinstance(node, PrimeLeaf):
+        if id(node) in seen or isinstance(node, PrimeFormula):
             continue
         seen.add(id(node))
         if isinstance(node, BcNot):
@@ -702,12 +701,12 @@ def dict_prime_dnf(
         return out
 
     def go(node: BoolComb, negate: bool) -> list[tuple[dict, dict]]:
-        if isinstance(node, PrimeLeaf):
-            if node.beta.is_top():
+        if isinstance(node, PrimeFormula):
+            if node.is_top():
                 return [] if negate else [({}, {})]
             if negate:
-                return [({}, {node.beta: None})]
-            return [({node.beta: None}, {})]
+                return [({}, {node: None})]
+            return [({node: None}, {})]
         if isinstance(node, BcNot):
             return go(node.arg, not negate)
         distribute = isinstance(node, BcOr) != negate
@@ -827,7 +826,7 @@ def _eager_eliminate_exists(xs, delta: BoolComb, max_clauses: int) -> BoolComb:
             return bc_not(node) if negate else node
         if isinstance(node, BcNot):
             return go(node.arg, not negate)
-        if isinstance(node, PrimeLeaf):
+        if isinstance(node, PrimeFormula):
             return normal_form(node, negate)
         if isinstance(node, BcOr) != negate:
             return bc_or(*[go(a, negate) for a in node.args])

@@ -136,7 +136,7 @@ def test_identifiers_sort_by_spelling_within_a_kind():
 def test_cached_fields_are_computed_once_into_the_instance_dict(sym):
     from featlog.core import cached_field
     from featlog.prime import from_atom
-    from featlog.qe import PrimeLeaf, bc_and
+    from featlog.qe import bc_and
 
     class Counted:
         runs = 0
@@ -159,7 +159,7 @@ def test_cached_fields_are_computed_once_into_the_instance_dict(sym):
     assert hash(beta) == beta.__dict__["_hash"]
     body = beta.body
     assert body.edges is body.edges and "edges" in body.__dict__
-    node = bc_and(PrimeLeaf(beta), PrimeLeaf(from_atom(SortC(sym.sort("A"), sym.var("z")))))
+    node = bc_and(beta, from_atom(SortC(sym.sort("A"), sym.var("z"))))
     assert node.free_vars == {sym.var("x"), sym.var("y"), sym.var("z")}
     assert node.__dict__["free_vars"] is node.free_vars
 
@@ -358,7 +358,7 @@ def test_atom_key_orders_by_kind_then_names(sym):
 PUBLIC_NAMES = """
     Agree And Atomic BOTTOM BasicFormula BcAnd BcNot BcOr BoolComb Bottom EPS Eq
     Excl Exists FeatC FeatId FeatureGraph FeatureTree Forall Formula INVALID Iff
-    Implies Not Or ParseError Path PathConstraint PrimeFormula PrimeLeaf Reach
+    Implies Not Or ParseError Path PathConstraint PrimeFormula Reach
     ResourceLimit RootedPath SATISFIABLE SolvedClause SolvedFormula SortAt SortC
     SortId SourceSpan SugarAgree SugarSortAt Symbols TOP TOP_PRIME Top
     UNSATISFIABLE VALID VarId Verdict WitnessPool access_function basic_simplify

@@ -18,7 +18,6 @@ from featlog import (
     Not,
     Path,
     PrimeFormula,
-    PrimeLeaf,
     ResourceLimit,
     SolvedFormula,
     SortAt,
@@ -201,13 +200,13 @@ def test_clause_joker_check_agrees_with_projection_oracle(sym):
         if isinstance(beta2, Bottom):
             continue
         xs = tuple(rng.sample(vs + [outside, q0], rng.randint(1, 3)))
-        exists_beta = PrimeLeaf(mk_prime_exists(xs, beta))
+        exists_beta = mk_prime_exists(xs, beta)
         both = prime_conj(beta, beta2)
         if isinstance(both, Bottom):
             continue
         joker = projection_has_joker(beta, xs, beta2)
         want = exists_beta if joker else bc_and(
-            exists_beta, bc_not(PrimeLeaf(mk_prime_exists(xs, both)))
+            exists_beta, bc_not(mk_prime_exists(xs, both))
         )
         assert eliminate_neg(xs, beta, beta2) == want
         counts["joker" if joker else "subtracted"] += 1
@@ -265,8 +264,8 @@ def test_jokers_for_a_block(sym):
     assert is_joker(beta, (x, y), SortAt(A, y, EPS))
     beta2 = epc(sym, "A(y)")
     assert eliminate_clause((y,), [beta], [beta2]) == bc_and(
-        PrimeLeaf(epc(sym, "exists y. f(x, y)")),
-        bc_not(PrimeLeaf(epc(sym, "exists y. (f(x, y) & A(y))"))),
+        epc(sym, "exists y. f(x, y)"),
+        bc_not(epc(sym, "exists y. (f(x, y) & A(y))")),
     )
     assert eliminate_clause((x, y), [beta], [beta2]) == BC_TRUE
 
@@ -327,7 +326,7 @@ def test_eliminate_neg_no_joker_case(sym):
     beta = epc(sym, "A(y)")
     beta2 = epc(sym, "B(y)")
     got = eliminate_neg((x,), beta, beta2)
-    assert got == PrimeLeaf(canonicalize(beta))
+    assert got == canonicalize(beta)
 
 
 def test_eliminate_neg_against_top_is_false(sym):
@@ -358,27 +357,27 @@ def test_eliminate_clause_merges_positives_once(sym, monkeypatch):
     got = eliminate_clause((sym.var("y"),), positives, [])
     assert calls == [4]
     want = epc(sym, "exists y, u. (f(x, y) & A(y) & g(y, z) & h(z, u))")
-    assert got == PrimeLeaf(canonicalize(want))
+    assert got == canonicalize(want)
 
 
 def test_to_prime_dnf_examples(sym):
-    b1 = PrimeLeaf(epc(sym, "A(x)"))
-    b2 = PrimeLeaf(epc(sym, "B(x)"))
-    b3 = PrimeLeaf(epc(sym, "C(y)"))
-    assert to_prime_dnf(b1) == [([b1.beta], [])]
-    assert to_prime_dnf(BcNot((b1,)[0])) == [([], [b1.beta])]
+    b1 = epc(sym, "A(x)")
+    b2 = epc(sym, "B(x)")
+    b3 = epc(sym, "C(y)")
+    assert to_prime_dnf(b1) == [([b1], [])]
+    assert to_prime_dnf(BcNot(b1)) == [([], [b1])]
     got = to_prime_dnf(bc_and(bc_or(b1, b2), bc_not(b3)))
-    assert got == [([b1.beta], [b3.beta]), ([b2.beta], [b3.beta])]
+    assert got == [([b1], [b3]), ([b2], [b3])]
 
 
 def test_to_prime_dnf_drops_contradictory_clauses(sym):
-    b1 = PrimeLeaf(epc(sym, "A(x)"))
+    b1 = epc(sym, "A(x)")
     delta = BcAnd((b1, BcNot(b1)))
     assert to_prime_dnf(delta) == []
 
 
 def test_to_prime_dnf_resource_limit(sym):
-    leaves = [PrimeLeaf(epc(sym, f"f(x{i}, y{i})")) for i in range(8)]
+    leaves = [epc(sym, f"f(x{i}, y{i})") for i in range(8)]
     delta = bc_and(*[bc_or(l, BcNot(l2)) for l in leaves for l2 in leaves if l != l2])
     with pytest.raises(ResourceLimit):
         to_prime_dnf(delta, max_clauses=10)
@@ -392,38 +391,38 @@ def test_to_prime_dnf_is_linear_in_conjunction_width(sym):
     takes seconds."""
     A = sym.sort("A")
     for width in (20000, 160000):
-        leaves = [PrimeLeaf(from_atom(SortC(A, sym.var(f"x{i}")))) for i in range(width)]
+        leaves = [from_atom(SortC(A, sym.var(f"x{i}"))) for i in range(width)]
         delta = bc_and(*[bc_not(leaf) if i % 2 else leaf for i, leaf in enumerate(leaves)])
         with _wall_limit(2.0):
             got = to_prime_dnf(delta)
-        assert got == [([l.beta for l in leaves[0::2]], [l.beta for l in leaves[1::2]])]
+        assert got == [(leaves[0::2], leaves[1::2])]
 
 
 def test_to_prime_dnf_is_linear_in_disjunction_width(sym):
     """``B(x) & (A1(x) | ... | A40000(x))`` has 40,000 clauses: the base
     clause crossed with each disjunct is one union of small id sets."""
     x = sym.var("x")
-    base = PrimeLeaf(from_atom(SortC(sym.sort("B"), x)))
-    leaves = [PrimeLeaf(from_atom(SortC(sym.sort(f"A{i}"), x))) for i in range(1, 40001)]
+    base = from_atom(SortC(sym.sort("B"), x))
+    leaves = [from_atom(SortC(sym.sort(f"A{i}"), x)) for i in range(1, 40001)]
     delta = bc_and(base, bc_or(*leaves))
     with _wall_limit(3.0):
         got = to_prime_dnf(delta, max_clauses=50000)
-    assert got == [([base.beta, leaf.beta], []) for leaf in leaves]
+    assert got == [([base, leaf], []) for leaf in leaves]
 
 
 def test_to_prime_dnf_returns_the_first_equal_prime_met(sym):
     """Equal primes built apart come back as one object, the one the
     walk met first, in the order the walk first met them."""
     texts = ("A(x)", "f(x, y)", "exists u. g(y, u)", "B(y)")
-    one = [PrimeLeaf(epc(sym, t)) for t in texts]
-    two = [PrimeLeaf(epc(sym, t)) for t in texts]
-    assert all(a == b and a.beta is not b.beta for a, b in zip(one, two))
+    one = [epc(sym, t) for t in texts]
+    two = [epc(sym, t) for t in texts]
+    assert all(a == b and a is not b for a, b in zip(one, two))
     delta = bc_or(
         bc_and(one[0], bc_not(one[1]), bc_or(two[2], one[3])),
         bc_and(two[0], bc_not(two[3]), one[2]),
         bc_and(bc_not(two[1]), two[2], two[3]),
     )
-    first = [one[0].beta, one[1].beta, two[2].beta, one[3].beta]
+    first = [one[0], one[1], two[2], one[3]]
     got = to_prime_dnf(delta)
     assert [(set(p), set(n)) for p, n in got] == [
         (set(p), set(n)) for p, n in dict_prime_dnf(delta)
@@ -438,7 +437,7 @@ def _random_combination(rng, pool, depth):
     """A random ``bc_and``/``bc_or``/``bc_not`` tree whose leaves pick a
     random copy of a random prime of the pool."""
     if depth == 0 or rng.random() < 0.1:
-        leaf = PrimeLeaf(rng.choice(rng.choice(pool)))
+        leaf = rng.choice(rng.choice(pool))
         return bc_not(leaf) if rng.random() < 0.4 else leaf
     if rng.random() < 0.1:
         return bc_not(_random_combination(rng, pool, depth - 1))
@@ -490,7 +489,7 @@ def test_to_prime_dnf_agrees_with_dict_oracle(sym):
 
 
 def test_smart_constructors_fold(sym):
-    a = PrimeLeaf(epc(sym, "A(x)"))
+    a = epc(sym, "A(x)")
     assert bc_not(bc_not(a)) == a
     assert bc_and(a, BC_TRUE) == a
     assert bc_and(a, BC_FALSE) == BC_FALSE
@@ -500,14 +499,50 @@ def test_smart_constructors_fold(sym):
     assert bc_and(a, a) == a
 
 
+def test_leaves_are_primes(sym):
+    """The leaves of a combination are the primes themselves: an atom
+    decides to its own prime, true is ``TOP_PRIME`` and false its
+    negation, and every node of a satisfiable residue is a prime, a
+    negation, a conjunction or a disjunction."""
+    for text in ("A(x)", "f(x, y)", "x = y"):
+        phi = parse_formula(sym, text)
+        assert decide(phi) == from_atom(phi.atom)
+    assert BC_TRUE is TOP_PRIME
+    assert bc_not(TOP_PRIME) is BC_FALSE
+    rng = random.Random(3030)
+    residues = primes = 0
+    while residues < 40:
+        phi = random_quantified_formula(rng, sym, max_atoms=12)
+        if not free_vars(phi):
+            continue
+        verdict = classify(phi)
+        if verdict.kind != SATISFIABLE:
+            continue
+        residues += 1
+        seen, stack = set(), [verdict.residue]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            assert type(node) in (PrimeFormula, BcNot, BcAnd, BcOr), node
+            if isinstance(node, PrimeFormula):
+                primes += not node.is_top()
+            elif isinstance(node, BcNot):
+                stack.append(node.arg)
+            else:
+                stack.extend(node.args)
+    assert primes > 40
+
+
 def test_combinations_are_unique_up_to_argument_order(sym):
     """Nodes equal up to the order of their arguments are one object,
     which keeps the order it was first built with."""
-    a = PrimeLeaf(epc(sym, "A(x)"))
-    b = PrimeLeaf(epc(sym, "B(y)"))
-    c = PrimeLeaf(epc(sym, "C(z)"))
+    a = epc(sym, "A(x)")
+    b = epc(sym, "B(y)")
+    c = epc(sym, "C(z)")
     assert bc_not(BC_TRUE) is BC_FALSE
-    assert bc_not(PrimeLeaf(TOP_PRIME)) is BC_FALSE
+    assert bc_not(TOP_PRIME) is BC_FALSE
     ab = bc_and(a, b)
     assert bc_and(b, a) is ab
     assert BcAnd((b, a)) is ab
@@ -849,7 +884,7 @@ def test_block_elimination_stops_at_its_shortest_true_clause(sym, monkeypatch):
     import featlog.qe
 
     def leaf(text):
-        return PrimeLeaf(from_atom(parse_formula(sym, text).atom))
+        return from_atom(parse_formula(sym, text).atom)
 
     delta = bc_and(
         bc_or(bc_and(leaf("A(x)"), leaf("f(x, y)")), leaf("C(x)")),
@@ -990,7 +1025,7 @@ def _prime_leaves(delta):
         if node in seen:
             continue
         seen.add(node)
-        if isinstance(node, PrimeLeaf):
+        if isinstance(node, PrimeFormula):
             out.append(node)
         elif isinstance(node, BcNot):
             stack.append(node.arg)
@@ -1012,7 +1047,7 @@ def test_block_only_walk_gives_exactly_the_block_only_clauses(sym):
     import featlog.qe
 
     def leaf(text):
-        return PrimeLeaf(from_atom(parse_formula(sym, text).atom))
+        return from_atom(parse_formula(sym, text).atom)
 
     a, b, c, d = (leaf(f"{s}(x)") for s in "ABCD")
     fixed = bc_or(bc_and(bc_or(a, leaf("E(y)"), b), c), bc_and(bc_or(b, leaf("F(y)"), a), d))
@@ -1038,7 +1073,7 @@ def test_block_only_walk_gives_exactly_the_block_only_clauses(sym):
         ]
         assert to_prime_dnf(only, 64) == want, (xs, delta)
         mention = all(
-            leaf.beta.is_top() or not block.isdisjoint(leaf.free_vars)
+            leaf.is_top() or not block.isdisjoint(leaf.free_vars)
             for leaf in _prime_leaves(delta)
         )
         assert (only is delta) == mention, (xs, delta)
@@ -1062,6 +1097,21 @@ def test_block_only_rewrites_each_node_of_a_dag_once(sym):
     with _wall_limit(1.0):
         assert featlog.qe._block_only(delta, frozenset((sym.var("x0"),))) is not delta
         assert featlog.qe._block_only(delta, xs) is delta
+
+
+def test_prime_dnf_walks_each_node_of_a_dag_once(sym):
+    """The block-only rewrite of the nested ``<->`` chain of depth 24
+    for the block {x0} has no clause, and its normal form says so after
+    one walk per node and polarity: walked as its tree unfolding, with
+    2^24 leaves, it takes minutes."""
+    import featlog.qe
+
+    text = "A(x0)"
+    for i in range(1, 25):
+        text = f"({text}) <-> A(x{i})"
+    only = featlog.qe._block_only(decide(parse_formula(sym, text)), frozenset((sym.var("x0"),)))
+    with _wall_limit(1.0):
+        assert to_prime_dnf(only) == []
 
 
 @pytest.mark.parametrize("index, size", [(10, 32), (430, 22)])
@@ -1102,7 +1152,7 @@ def test_qe_mix_iff_sentence_compares_equal_primes_once_per_leaf(sym, monkeypatc
     counts = {"inside": False, "eq": 0, "leaves": 0}
 
     def leaves(node):
-        if isinstance(node, PrimeLeaf):
+        if isinstance(node, PrimeFormula):
             return 1
         if isinstance(node, BcNot):
             return leaves(node.arg)
