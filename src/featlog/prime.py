@@ -123,7 +123,9 @@ def exists_conj(xs: Collection[VarId], primes: Sequence[PrimeFormula]) -> PrimeF
     """The canonical prime of ``exists xs`` over the conjunction of the
     primes, or ``false``: bound variables are renamed apart in one pass,
     and one build solves the bodies and quantifies the bound variables
-    and those of ``xs``.
+    and those of ``xs``.  When no prime has a bound variable there is
+    nothing to rename, and the bodies and ``xs`` go to the build as
+    they are; the build ignores a variable of ``xs`` that no body has.
 
     A bound variable that occurs free in another prime or is bound in
     an earlier one is renamed ``$0``, ``$1``, ..., numbered per call.
@@ -132,6 +134,8 @@ def exists_conj(xs: Collection[VarId], primes: Sequence[PrimeFormula]) -> PrimeF
     in the one build, which renames it, so it never leaves the call; and
     it has no dot, so it never equals a ``$d.i`` name of ``decide``.
     """
+    if not any(beta.bound for beta in primes):
+        return _prime_of_atoms([a for beta in primes for a in beta.body.atoms], xs)
     taken = set().union(*(beta.free_vars for beta in primes))
     bound = [x for x in xs if x in taken]
     numbers = count()

@@ -6,9 +6,11 @@ structurally; a universal block becomes a negated existential one; and
 an existential block ``exists X`` is eliminated the whole block at
 once.  It is miniscoped first: a part with no variable of X free is
 left alone, ``exists X`` distributes over a disjunction, and the
-conjuncts of a conjunction that miss X move outside it.  What remains
-is put in a disjunctive normal form whose literals are primes and
-eliminated clause by clause, in two passes.  A clause that holds a
+conjuncts of a conjunction that miss X move outside it.  A literal
+or a conjunction of literals that remains is one clause and is
+eliminated as it is.  Anything else is put in a disjunctive normal form
+whose literals are primes and eliminated clause by clause, in two
+passes.  A clause that holds a
 literal with no block variable free never eliminates to true, so the
 first pass builds only the other, block-only clauses and eliminates
 them shortest first, since a clause with fewer literals is weaker, so
@@ -241,12 +243,29 @@ def bc_or(*args: BoolComb) -> BoolComb:
 
 
 def boolcomb_to_formula(delta: BoolComb) -> Formula:
-    if isinstance(delta, PrimeFormula):
-        return prime_to_formula(delta)
-    if isinstance(delta, BcNot):
-        return Not(boolcomb_to_formula(delta.arg))
-    node = And if isinstance(delta, BcAnd) else Or
-    return node(tuple(boolcomb_to_formula(a) for a in delta.args))
+    """The formula of a combination.  Each node is converted once per
+    call, through a table of the nodes visited, so a node the
+    combination shares is one shared subformula."""
+    done: dict[BoolComb, Formula] = {}
+
+    def go(node: BoolComb) -> Formula:
+        out = done.get(node)
+        if out is None:
+            if isinstance(node, PrimeFormula):
+                out = prime_to_formula(node)
+            elif isinstance(node, BcNot):
+                out = Not(go(node.arg))
+            else:
+                out = (And if isinstance(node, BcAnd) else Or)(tuple(map(go, node.args)))
+            done[node] = out
+        return out
+
+    try:
+        return go(delta)
+    finally:
+        # go refers to itself: deleting it breaks the cycle, so the table
+        # dies with the call
+        del go
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +353,11 @@ def eliminate_clause(
 ) -> BoolComb:
     """Eliminate the block ``exists xs`` from a conjunction of prime literals.
 
-    The positive literals merge into a single prime beta in one
-    conjunction (or the clause is unsatisfiable), and ``exists xs beta``
-    is built once, by one requantification.  A negated beta' whose
+    With no negative literal, ``exists xs`` over the positives is one
+    build (``exists_conj``), or the clause is unsatisfiable.  Otherwise
+    the positives merge into a single prime beta in one conjunction (or
+    the clause is unsatisfiable), and ``exists xs beta`` is built from
+    it by one requantification.  A negated beta' whose
     projection contains a joker for the block never constrains the
     choice of its variables and drops out; so does one inconsistent
     with beta.  Every other one subtracts ``exists xs (beta and beta')``,
@@ -350,11 +371,15 @@ def _clause_eliminator(block: frozenset[VarId]):
 
     Clauses of one normal form share positives and negatives, so the
     merged positives, requantification and placer are kept per set of
-    positives, the placer made when a negative first needs it, and the
-    literal each negative subtracts (true when it drops out) per pair of
-    merged positives and negative.  Sets of positives that merge to
-    equal primes find one another's pairs through the primes' cached
-    hashes.  The tables live as long as the returned function.
+    positives, and the literal each negative subtracts (true when it
+    drops out) per pair of merged positives and negative.  The placer is
+    made when a negative first needs it.  So are the merged positives of
+    a set of two or more first met with no negative: ``exists xs`` over
+    them is one build of its own, and building beta first would make it
+    two.  A set first met with negatives builds beta first, as it needs
+    it anyway.  Sets of positives that merge to equal primes find one
+    another's pairs through the primes' cached hashes.  The tables live
+    as long as the returned function.
     """
     solved: dict[frozenset, list | None] = {}
     subtracted: dict[tuple[PrimeFormula, PrimeFormula], BoolComb] = {}
@@ -362,14 +387,22 @@ def _clause_eliminator(block: frozenset[VarId]):
     def eliminate(positives: list[PrimeFormula], negatives: list[PrimeFormula]) -> BoolComb:
         key = frozenset(positives)
         if key not in solved:
-            beta = prime_conj(*positives)
-            solved[key] = None if isinstance(beta, Bottom) else [
-                beta, mk_prime_exists(block, beta), None
+            if negatives or len(positives) < 2:
+                beta = prime_conj(*positives)
+                exists_beta = beta if isinstance(beta, Bottom) else mk_prime_exists(block, beta)
+            else:
+                # one build; beta waits until a negative needs it
+                beta, exists_beta = None, exists_conj(block, positives)
+            solved[key] = None if isinstance(exists_beta, Bottom) else [
+                beta, exists_beta, None, positives
             ]
         entry = solved[key]
         if entry is None:
             return BC_FALSE
-        beta, exists_beta, placer = entry
+        beta, exists_beta, placer, first = entry
+        if negatives and beta is None:
+            # in the order first met: class representatives follow it
+            beta = entry[0] = prime_conj(*first)
         literals = [exists_beta]
         for beta2 in negatives:
             pair = (beta, beta2)
@@ -524,6 +557,21 @@ def _block_only(node: BoolComb, block: frozenset[VarId]) -> BoolComb:
         del go
 
 
+def _literal_clause(node: BoolComb) -> tuple[list[PrimeFormula], list[PrimeFormula]] | None:
+    """node's one clause when it is a literal or a conjunction of
+    literals, else None: its positives and negatives in argument order,
+    the order ``to_prime_dnf`` lists them in.  The unique table has
+    already folded equal and complementary arguments."""
+    clause: tuple[list[PrimeFormula], list[PrimeFormula]] = ([], [])
+    for a in node.args if isinstance(node, BcAnd) else (node,):
+        negated = isinstance(a, BcNot)
+        a = a.arg if negated else a
+        if not isinstance(a, PrimeFormula):
+            return None
+        clause[negated].append(a)
+    return clause
+
+
 def _eliminate_exists(
     xs: tuple[VarId, ...], delta: BoolComb, max_clauses: int, names: Sequence[VarId] = ()
 ) -> BoolComb:
@@ -534,7 +582,11 @@ def _eliminate_exists(
     part with no block variable free is kept as it is, a disjunction
     eliminates the block from each disjunct, and a conjunction keeps
     its arguments with no block variable outside the block.  What is
-    left is eliminated in two passes through one clause eliminator.
+    left, the negation flag applied, goes to one clause eliminator.  A
+    literal or a conjunction of literals is its own normal form, one
+    clause, and goes to it as it is, its literals in the order the walk
+    would list them, with no rewrite or walk.  Anything else, a negated
+    disjunction included, is eliminated in two passes.
 
     Only a block-only clause, one whose literals all have a block
     variable free, can eliminate to true.  A positive literal gamma with
@@ -569,6 +621,9 @@ def _eliminate_exists(
 
     def normal_form(node: BoolComb, negate: bool) -> BoolComb:
         node = bc_not(node) if negate else node
+        clause = _literal_clause(node)
+        if clause is not None:
+            return eliminate(*clause)
         only = _block_only(node, block)
         clauses = to_prime_dnf(only, max_clauses, names)
         # fewer literals make a weaker clause, likelier true

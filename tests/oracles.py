@@ -161,8 +161,9 @@ class NaiveClosure:
         raise TypeError(pi)
 
 
-def naive_prime_contains(beta: PrimeFormula, pi: PathConstraint, max_len: int = 8) -> bool:
-    clos = NaiveClosure(beta.body, max_len, extra_vars=_pc_vars(pi))
+def _closure_contains(beta: PrimeFormula, clos: NaiveClosure, pi: PathConstraint) -> bool:
+    """Whether the closure of beta contains pi, read off the saturated
+    closure ``clos`` of beta's body, whose nodes include pi's roots."""
     if not clos.contains(pi):
         return False
     if isinstance(pi, Reach) and not pi.path.feats and pi.src == pi.dst:
@@ -185,9 +186,42 @@ def _pc_vars(pi: PathConstraint) -> set:
     return {pi.src}
 
 
-def naive_is_free(beta: PrimeFormula, xs, rp: RootedPath) -> bool:
+def _joker_closure(beta: PrimeFormula, constraints) -> NaiveClosure:
+    """One saturated closure of beta's body that judges every constraint.
+
+    Its paths reach the body's size plus the longest constraint path
+    plus two, and every root of the constraints is one of its nodes.
+    Past the body's size a longer bound adds no pair of co-reaching
+    nodes, since a shortest path between two nodes never revisits one,
+    so one closure serves each constraint as its own would.
+    """
+    roots = set().union(*map(_pc_vars, constraints))
+    return NaiveClosure(beta.body, _joker_path_bound(beta, constraints), extra_vars=roots)
+
+
+def _joker_path_bound(beta: PrimeFormula, constraints) -> int:
+    return len(beta.body.variables) + max(map(_pc_len, constraints), default=0) + 2
+
+
+def joker_closure_walks(beta: PrimeFormula, constraints, cap: int) -> list[int]:
+    """How many walks of each length start at a variable of beta's body,
+    up to the path bound of ``_joker_closure`` of the constraints: the
+    (variable, path) pairs that closure saturates, counted without
+    building it.  Stops once their sum passes cap."""
+    bound = _joker_path_bound(beta, constraints)
+    adj = adjacency(beta.body.edges)
+    level = dict.fromkeys(beta.body.variables, 1)
+    counts = [len(level)]
+    while len(counts) <= bound and sum(counts) <= cap:
+        level = {v: sum(level[w] for _, w in adj.get(v, ())) for v in level}
+        counts.append(sum(level.values()))
+    return counts
+
+
+def naive_is_free(beta: PrimeFormula, clos: NaiveClosure, xs, rp: RootedPath) -> bool:
     """Freeness for the block xs, whose variables include the root, from
-    the saturated closure.
+    the saturated closure ``clos`` of beta's body, with the root as a
+    node and paths at least as long as the body's size plus rp's path.
 
     Complete because a shortest witness path never revisits a node: the
     bound covers every co-reaching path that can exist.
@@ -195,9 +229,6 @@ def naive_is_free(beta: PrimeFormula, xs, rp: RootedPath) -> bool:
     x = rp.root
     if x in beta.bound:
         return True
-    body = beta.body
-    max_len = len(body.variables) + len(rp.path.feats) + 2
-    clos = NaiveClosure(body, max_len, extra_vars=[x])
     for k in range(len(rp.path.feats) + 1):
         pref = tuple(rp.path.feats[:k])
         for z in clos.by_source.get((x, pref), ()):
@@ -207,23 +238,29 @@ def naive_is_free(beta: PrimeFormula, xs, rp: RootedPath) -> bool:
     return True
 
 
-def naive_is_joker(beta: PrimeFormula, xs, pi: PathConstraint) -> bool:
+def naive_is_joker(beta: PrimeFormula, xs, pi: PathConstraint, clos: NaiveClosure | None = None) -> bool:
+    """Whether pi is a joker for the block xs, judged from the saturated
+    closure ``clos`` of beta's body, ``_joker_closure`` of pi when none
+    is given."""
     if not is_proper(pi):
         raise ValueError(pi)
-    max_len = len(beta.body.variables) + _pc_len(pi) + 2
-    if naive_prime_contains(beta, pi, max_len):
+    if clos is None:
+        clos = _joker_closure(beta, [pi])
+    if _closure_contains(beta, clos, pi):
         return False
     if isinstance(pi, SortAt):
-        return pi.src in xs and naive_is_free(beta, xs, RootedPath(pi.src, pi.path))
-    if pi.lsrc in xs and naive_is_free(beta, xs, RootedPath(pi.lsrc, pi.lpath)):
+        return pi.src in xs and naive_is_free(beta, clos, xs, RootedPath(pi.src, pi.path))
+    if pi.lsrc in xs and naive_is_free(beta, clos, xs, RootedPath(pi.lsrc, pi.lpath)):
         return True
-    return pi.rsrc in xs and naive_is_free(beta, xs, RootedPath(pi.rsrc, pi.rpath))
+    return pi.rsrc in xs and naive_is_free(beta, clos, xs, RootedPath(pi.rsrc, pi.rpath))
 
 
 def projection_has_joker(beta: PrimeFormula, xs, beta2: PrimeFormula) -> bool:
     """Whether some constraint of the projection of ``beta2`` is a joker
-    for the block xs, each judged from the saturated closure."""
-    return any(naive_is_joker(beta, xs, pi) for pi in projection(beta2))
+    for the block xs, each judged from one saturated closure of beta."""
+    constraints = projection(beta2)
+    clos = _joker_closure(beta, constraints)
+    return any(naive_is_joker(beta, xs, pi, clos) for pi in constraints)
 
 
 def _pc_len(pi: PathConstraint) -> int:

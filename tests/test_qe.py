@@ -41,7 +41,7 @@ from featlog import (
     to_prime_dnf,
 )
 from featlog.core import EPS, Exists, Forall, Implies, Or, conj, exists_all
-from featlog.prime import from_atom
+from featlog.prime import from_atom, projection
 from featlog.textio import print_formula
 from featlog.qe import (
     BC_FALSE,
@@ -80,9 +80,11 @@ from oracles import (
     closure_classify,
     dict_prime_dnf,
     eager_decide,
+    joker_closure_walks,
     naive_is_joker,
     projection_has_joker,
     split_blocks,
+    two_pass_exists_conj,
     unscoped_decide,
 )
 from test_solve import _wall_limit
@@ -216,21 +218,26 @@ def test_clause_joker_check_agrees_with_projection_oracle(sym):
 
 def test_joker_walk_agrees_with_projection_oracle_on_large_primes(sym):
     """``_has_joker`` called directly against the projection oracle, on
-    positives of 50 to 100 atoms read off random acyclic graphs: the
-    oracle saturates every path of the positive, which cycles make
-    exponential.  Negatives are primes of another graph, cycles
-    allowed, and weakened positives given three random atoms, which may
-    lead off the positive to a new bound variable or name the free
-    variable outside, which is in the block; with many of them the
-    positive conjoins to false, a pair clause elimination drops before
-    it looks for a joker.  The block holds any number of the positive's
-    free variables: paths that the others reach are not free."""
+    positives of 50 to 100 atoms read off random graphs.  Negatives are
+    primes of another graph, cycles allowed, and weakened positives
+    given three random atoms, which may lead off the positive to a new
+    bound variable or name the free variable outside, which is in the
+    block; with many of them the positive conjoins to false, a pair
+    clause elimination drops before it looks for a joker.  The block
+    holds any number of the positive's free variables: paths that the
+    others reach are not free.
+
+    Positives may have cycles.  The oracle saturates every path of the
+    positive up to a bound past the longest path of the negatives'
+    projections, which cycles can make exponential, so a positive whose
+    saturation would pass 50,000 paths is skipped before the oracle
+    runs: about a quarter of them."""
     rng = random.Random(146)
     sorts, feats, _ = pools(sym)
     q0, outside, new = sym.var("q0"), sym.var("outside"), sym.var("new")
     seen = Counter()
-    for _ in range(50):
-        beta = random_model_prime(rng, sym, cycles=False)[0]
+    for _ in range(80):
+        beta = random_model_prime(rng, sym)[0]
         vs = sorted(beta.body.variables) + [new, outside]
         negatives = [random_model_prime(rng, sym)[0]]
         for _ in range(2):
@@ -243,14 +250,20 @@ def test_joker_walk_agrees_with_projection_oracle_on_large_primes(sym):
                 negatives.append(requantify(beta.bound | {new}, body))
         free = sorted(beta.free_vars)
         xs = rng.sample(free, rng.randint(0, len(free))) + [q0, outside]
+        walks = joker_closure_walks(beta, [pi for b in negatives for pi in projection(b)], 50000)
+        if sum(walks) > 50000:
+            seen["skipped"] += 1
+            continue
         placer = _placer(beta, frozenset(xs))
         for beta2 in negatives:
             got = _has_joker(beta, placer, beta2)
             assert got == projection_has_joker(beta, xs, beta2), (str(beta), xs, str(beta2))
             seen[got, isinstance(prime_conj(beta, beta2), Bottom)] += 1
         seen["large"] += 50 <= len(beta.body.atoms) <= 100
+        # a walk as long as the body has variables repeats one
+        seen["cyclic"] += walks[len(beta.body.variables)] > 0
     assert min(seen[key] for key in product((True, False), repeat=2)) > 10, seen
-    assert seen["large"] > 40, seen
+    assert seen["large"] > 40 and seen["cyclic"] > 20, seen
 
 
 def test_jokers_for_a_block(sym):
@@ -345,19 +358,99 @@ def test_eliminate_clause_examples(sym):
     assert got == BC_TRUE
 
 
-def test_eliminate_clause_merges_positives_once(sym, monkeypatch):
-    import featlog.qe
+def _counting_builds(monkeypatch) -> list:
+    """Make every prime build append its atoms to the returned list."""
+    import featlog.prime
 
-    calls = []
-    conj = featlog.qe.prime_conj
+    builds = []
+    solve = featlog.prime.solve_atoms
     monkeypatch.setattr(
-        featlog.qe, "prime_conj", lambda *ps: calls.append(len(ps)) or conj(*ps)
+        featlog.prime, "solve_atoms", lambda *args: builds.append(args[0]) or solve(*args)
     )
+    return builds
+
+
+def test_eliminate_clause_merges_positives_once(sym, monkeypatch):
+    """A clause of four positives and no negative is one build:
+    ``exists y`` over their conjunction, where conjoining them first and
+    requantifying the conjunction makes two."""
     positives = [epc(sym, t) for t in ("f(x, y)", "A(y)", "g(y, z)", "exists u. h(z, u)")]
+    builds = _counting_builds(monkeypatch)
     got = eliminate_clause((sym.var("y"),), positives, [])
-    assert calls == [4]
+    assert len(builds) == 1
     want = epc(sym, "exists y, u. (f(x, y) & A(y) & g(y, z) & h(z, u))")
     assert got == canonicalize(want)
+
+
+def test_positive_clauses_agree_with_conjoining_first(sym):
+    """``eliminate_clause`` of positives alone, one build of ``exists xs``
+    over them, equals requantifying their conjunction and the two-pass
+    oracle.  Primes with bound variables all name them q0, q1, ..., so
+    their bound names clash, and q0 is in some blocks; some clauses are
+    atoms with nothing bound, which skip renaming apart."""
+    rng = random.Random(3101)
+    sorts, feats, vs = pools(sym, n_vars=5)
+    seen = Counter()
+    for _ in range(400):
+        if rng.random() < 0.3:
+            atoms = random_basic_formula(rng, sym, max_atoms=5, n_vars=5).atoms
+            positives = [from_atom(a) for a in atoms if not isinstance(a, Eq) or a.lhs != a.rhs]
+        else:
+            positives = [random_prime(rng, sym, max_atoms=5) for _ in range(rng.randint(2, 4))]
+        if len(positives) < 2:
+            continue
+        xs = tuple(rng.sample(vs + [sym.var("q0")], rng.randint(1, 3)))
+        got = eliminate_clause(xs, positives, [])
+        both = prime_conj(*positives)
+        want = BC_FALSE if isinstance(both, Bottom) else mk_prime_exists(xs, both)
+        assert got == want
+        oracle = two_pass_exists_conj(xs, positives)
+        assert got == (BC_FALSE if isinstance(oracle, Bottom) else oracle)
+        bound = [v for beta in positives for v in beta.bound]
+        seen["false"] += got is BC_FALSE
+        seen["true"] += got is BC_TRUE
+        seen["nothing bound"] += not bound
+        seen["names clash"] += len(set(bound)) < len(bound)
+    assert min(seen.values()) > 20, seen
+
+
+def test_block_over_a_conjunction_of_literals_walks_no_normal_form(sym, monkeypatch):
+    """A literal or a conjunction of literals under a block is its own
+    normal form, one clause, so the block walks none."""
+    import featlog.qe
+
+    walked = []
+    dnf = featlog.qe.to_prime_dnf
+    monkeypatch.setattr(
+        featlog.qe, "to_prime_dnf", lambda *args: walked.append(args[0]) or dnf(*args)
+    )
+    texts = (
+        "exists x. (f(y, x) & A(x) & ~g(x, z))",
+        "exists x, u. (f(y, x) & g(x, u) & h(u, z))",
+        "exists x. ~f(y, x)",
+        "x.f.g = y.h",
+    )
+    for text in texts:
+        assert classify(parse_formula(sym, text)).kind == SATISFIABLE
+    assert walked == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 24])
+def test_simplify_builds_each_path_agreement_once(sym, monkeypatch, tmp_path, capsys, n):
+    """``featlog simplify`` of the chain ``x0.f.g = x1.h & ...`` of n
+    path agreements, as solve-scale draws them: each agreement is a
+    block over a conjunction of three atoms, one build, and the
+    satisfiability check conjoins the n primes in one more, or takes
+    the one prime as it is."""
+    from featlog.cli import main
+
+    text = " & ".join(f"x{i}.f.g = x{i + 1}.h" for i in range(n))
+    path = tmp_path / "input.fl"
+    path.write_text(text, encoding="utf-8")
+    builds = _counting_builds(monkeypatch)
+    assert main(["simplify", str(path)]) == 0
+    assert len(builds) == n + (n > 1)
+    assert capsys.readouterr().out.count("exists q0, q1.") == n
 
 
 def test_to_prime_dnf_examples(sym):
@@ -987,6 +1080,42 @@ def test_decide_agrees_with_eager_normal_forms(sym):
             assert gained > 0
 
 
+def test_decide_agrees_with_eager_normal_forms_on_literal_blocks(sym):
+    """A block over a conjunction of literals is eliminated as its one
+    clause, with no normal form built; one over a negated disjunction
+    of literals, or under ``forall``, goes through the walk.  Literals
+    are atoms or small existential conjunctions, some negated.  Either
+    way ``decide`` gives the combination the eager oracle gives."""
+    rng = random.Random(3102)
+    sorts, feats, vs = pools(sym, n_vars=4)
+
+    def literal():
+        if rng.random() < 0.3:
+            phi = random_epc_formula(rng, sym, max_atoms=3, n_vars=4)
+        else:
+            phi = Atomic(random_basic_formula(rng, sym, max_atoms=1, n_vars=4).atoms[0])
+        return Not(phi) if rng.random() < 0.4 else phi
+
+    seen = Counter()
+    for _ in range(600):
+        literals = tuple(literal() for _ in range(rng.randint(1, 5)))
+        negated = rng.random() < 0.5
+        if len(literals) == 1:
+            body = Not(literals[0]) if negated else literals[0]
+        else:
+            body = Not(Or(literals)) if negated else And(literals)
+        phi = _random_block(rng, sym, body)
+        if phi is None:
+            continue
+        got = decide(phi)
+        want = eager_decide(phi)
+        assert got == want, phi
+        assert print_formula(boolcomb_to_formula(got)) == print_formula(boolcomb_to_formula(want))
+        seen[negated, isinstance(phi, Exists)] += 1
+        seen["constant"] += got is BC_TRUE or got is BC_FALSE
+    assert min(seen.values()) > 50, seen
+
+
 def test_clauses_with_block_free_literals_never_eliminate_to_true(sym):
     """A positive literal with no block variable free is entailed by the
     requantified clause and is not valid; a negative one is never a
@@ -1112,6 +1241,30 @@ def test_prime_dnf_walks_each_node_of_a_dag_once(sym):
     only = featlog.qe._block_only(decide(parse_formula(sym, text)), frozenset((sym.var("x0"),)))
     with _wall_limit(1.0):
         assert to_prime_dnf(only) == []
+
+
+def test_residue_converts_each_shared_node_once(sym):
+    """The residue of the open nested ``<->`` chain of n atoms is a DAG
+    whose unfolding doubles with every atom.  ``boolcomb_to_formula``
+    converts each of its nodes once, so the formula shares what the
+    residue shares and n = 16 to 22 each take milliseconds; converting
+    the unfolding took seconds at n = 18."""
+    for n in (16, 18, 20, 22):
+        text = "A(x0)"
+        for i in range(1, n):
+            text = f"({text}) <-> A(x{i})"
+        delta = decide(parse_formula(sym, text))
+        with _wall_limit(0.5):
+            phi = boolcomb_to_formula(delta)
+        nodes, stack = set(), [phi]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(getattr(node, "args", ()))
+                if hasattr(node, "body"):
+                    stack.append(node.body)
+        assert len(nodes) < 10 * n
 
 
 @pytest.mark.parametrize("index, size", [(10, 32), (430, 22)])
