@@ -63,6 +63,7 @@ from __future__ import annotations
 import operator
 import weakref
 from functools import lru_cache, reduce
+from itertools import chain
 from typing import Collection, Iterable, Sequence, Union
 
 from .core import (
@@ -92,7 +93,6 @@ from .prime import (
     exists_conj,
     from_atom,
     holds_at,
-    mk_prime_exists,
     prime_conj,
     prime_entails,
     prime_to_formula,
@@ -353,14 +353,12 @@ def eliminate_clause(
 ) -> BoolComb:
     """Eliminate the block ``exists xs`` from a conjunction of prime literals.
 
-    With no negative literal, ``exists xs`` over the positives is one
-    build (``exists_conj``), or the clause is unsatisfiable.  Otherwise
-    the positives merge into a single prime beta in one conjunction (or
-    the clause is unsatisfiable), and ``exists xs beta`` is built from
-    it by one requantification.  A negated beta' whose
-    projection contains a joker for the block never constrains the
-    choice of its variables and drops out; so does one inconsistent
-    with beta.  Every other one subtracts ``exists xs (beta and beta')``,
+    ``exists xs`` over the positives is at most one build
+    (``exists_conj``), or the clause is unsatisfiable.  Only when there
+    is a negative literal do the positives also merge into a single
+    prime beta, in one conjunction.  A negated beta' whose projection
+    contains a joker for the block never constrains the choice of its
+    variables and drops out; so does one inconsistent with beta.  Every other one subtracts ``exists xs (beta and beta')``,
     which one build (``exists_conj``) conjoins and quantifies together.
     """
     return _clause_eliminator(frozenset(xs))(positives, negatives)
@@ -369,17 +367,18 @@ def eliminate_clause(
 def _clause_eliminator(block: frozenset[VarId]):
     """``eliminate_clause`` for one block, remembering what it solved.
 
-    Clauses of one normal form share positives and negatives, so the
-    merged positives, requantification and placer are kept per set of
-    positives, and the literal each negative subtracts (true when it
-    drops out) per pair of merged positives and negative.  The placer is
-    made when a negative first needs it.  So are the merged positives of
-    a set of two or more first met with no negative: ``exists xs`` over
-    them is one build of its own, and building beta first would make it
-    two.  A set first met with negatives builds beta first, as it needs
-    it anyway.  Sets of positives that merge to equal primes find one
-    another's pairs through the primes' cached hashes.  The tables live
-    as long as the returned function.
+    Clauses of one normal form share positives and negatives, so
+    ``exists xs`` over the positives, their merge beta and the placer
+    are kept per set of positives, and the literal each negative
+    subtracts (true when it drops out) per pair of merged positives and
+    negative.  The placer is made when a negative first needs it.  So
+    is beta when the block has a variable free in the positives:
+    ``exists xs`` over them is one build of its own, and building beta
+    first would make it two.  Otherwise beta is ``exists xs beta``
+    itself, no build for one positive.  Sets of positives
+    that merge to equal primes find one another's pairs through the
+    primes' cached hashes.  The tables live as long as the returned
+    function.
     """
     solved: dict[frozenset, list | None] = {}
     subtracted: dict[tuple[PrimeFormula, PrimeFormula], BoolComb] = {}
@@ -387,9 +386,9 @@ def _clause_eliminator(block: frozenset[VarId]):
     def eliminate(positives: list[PrimeFormula], negatives: list[PrimeFormula]) -> BoolComb:
         key = frozenset(positives)
         if key not in solved:
-            if negatives or len(positives) < 2:
-                beta = prime_conj(*positives)
-                exists_beta = beta if isinstance(beta, Bottom) else mk_prime_exists(block, beta)
+            if block.isdisjoint(chain.from_iterable(b.free_vars for b in positives)):
+                # the block binds nothing: exists xs beta is beta
+                beta = exists_beta = prime_conj(*positives)
             else:
                 # one build; beta waits until a negative needs it
                 beta, exists_beta = None, exists_conj(block, positives)

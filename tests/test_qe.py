@@ -382,6 +382,22 @@ def test_eliminate_clause_merges_positives_once(sym, monkeypatch):
     assert got == canonicalize(want)
 
 
+def test_clause_with_a_negative_builds_beta_only_when_the_block_binds(sym, monkeypatch):
+    """With a negative, positives the block reaches cost two builds,
+    ``exists y`` over them and their merge beta, before the subtracted
+    literal's; positives it misses are their own ``exists y beta``, one
+    build."""
+    y = sym.var("y")
+    negative = epc(sym, "exists w. f(x, w)")
+    for texts, want_builds in [(("f(x, y)", "A(y)"), 2), (("g(x, z)", "A(z)"), 1)]:
+        positives = [epc(sym, t) for t in texts]
+        builds = _counting_builds(monkeypatch)
+        got = eliminate_clause((y,), positives, [negative])
+        assert len(builds) == want_builds + 1, texts
+        merged = epc(sym, " & ".join(texts))
+        assert got == eliminate_clause((y,), [merged], [negative]), texts
+
+
 def test_positive_clauses_agree_with_conjoining_first(sym):
     """``eliminate_clause`` of positives alone, one build of ``exists xs``
     over them, equals requantifying their conjunction and the two-pass

@@ -17,8 +17,7 @@ node budget.  A wall-clock alarm cuts each operation off after
 It prints one line per operation whose exit code, stdout, stderr or
 ``evaluate`` repr differs between the trees, with the start of each
 side, then a count.  The exit status is 0 when nothing differs and 1
-otherwise.  ``--first N`` runs only the first N operations of each
-workload's pass, for a quick check.
+otherwise.
 
 ``outcomes TREE FILE`` is the subprocess's side: it writes the outcome
 of each operation in TREE as one JSON line to FILE.
@@ -86,7 +85,7 @@ def _run_evaluate(featlog, session, op) -> dict:
     return {"repr": _field(repr(result))}
 
 
-def outcomes(tree: Path, out: Path, seeds: list[int], first: int | None) -> None:
+def outcomes(tree: Path, out: Path, seeds: list[int]) -> None:
     """Write the outcome of each operation, run in the featlog of ``tree``."""
     sys.path.insert(0, str(tree / "src"))
     import featlog
@@ -99,7 +98,7 @@ def outcomes(tree: Path, out: Path, seeds: list[int], first: int | None) -> None
         for name in WORKLOADS:
             for seed in seeds:
                 session = featlog.Symbols()
-                for i, op in enumerate(WORKLOADS[name](seed)[:first]):
+                for i, op in enumerate(WORKLOADS[name](seed)):
                     signal.setitimer(signal.ITIMER_REAL, ALARM_S)
                     try:
                         try:
@@ -142,8 +141,6 @@ def identity(args) -> int:
         for tree, out in zip(trees, files):
             cmd = [sys.executable, str(Path(__file__).resolve()), "outcomes", str(tree), str(out),
                    "--seeds", args.seeds]
-            if args.first is not None:
-                cmd += ["--first", str(args.first)]
             procs.append(subprocess.Popen(cmd, cwd=tree))
         if any([proc.wait() for proc in procs]):
             print("a tree's run failed", file=sys.stderr)
@@ -169,7 +166,6 @@ def main(argv=None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
     runs = argparse.ArgumentParser(add_help=False)
     runs.add_argument("--seeds", default="1,7,201", help="comma-separated workload seeds")
-    runs.add_argument("--first", type=int, help="run only the first N operations of each pass")
     both = commands.add_parser("identity", parents=[runs], help="report operations whose output differs")
     both.add_argument("old")
     both.add_argument("new")
@@ -179,7 +175,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "identity":
         return identity(args)
-    outcomes(Path(args.tree).resolve(), Path(args.file), [int(s) for s in args.seeds.split(",")], args.first)
+    outcomes(Path(args.tree).resolve(), Path(args.file), [int(s) for s in args.seeds.split(",")])
     return 0
 
 
