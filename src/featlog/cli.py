@@ -235,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         text = _read(args.file)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     sym = Symbols()

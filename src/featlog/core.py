@@ -165,14 +165,17 @@ class Symbols:
     The session is the parser's symbol table: nothing after parsing
     reads or writes it, so one session may serve any number of
     decisions without growing beyond the spellings it has parsed.  A
-    spelling is checked once, when it enters its table; a lookup of a
-    spelling already there is one dictionary access.  The one name the
-    session mints is ``fresh_sort``'s, carrying the reserved ``_``
-    prefix, which the concrete syntax rejects and the programmatic
-    constructors refuse, so it never collides with a user-supplied
-    sort; minted sorts stay out of the table, so ``sort`` refuses their
-    spelling too.  The session is mutable; confine it to one thread or
-    synchronize access externally.
+    spelling is checked once, by the lexer or by the method that interns
+    it, when it enters its table: ``parse_formula`` enters the names of
+    its tokens directly, and ``sort``, ``feat`` and ``var`` check the
+    spellings library callers pass them.  A lookup of a spelling already
+    there is one dictionary access.  The one name the session mints is
+    ``fresh_sort``'s, carrying the reserved ``_`` prefix, which the
+    concrete syntax rejects and the programmatic constructors refuse, so
+    it never collides with a user-supplied sort; minted sorts stay out
+    of the table, so ``sort`` refuses their spelling too.  The session
+    is mutable; confine it to one thread or synchronize access
+    externally.
     """
 
     def __init__(self) -> None:

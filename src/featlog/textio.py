@@ -18,6 +18,16 @@ the right, quantifier scope extends maximally to the right)::
 Identifiers beginning with ``_`` are reserved for generated names and
 rejected on input.  Whitespace and ``#`` comments are ignored; input is
 UTF-8.
+
+The lexer is one ``findall`` of one regular expression, which yields
+every token and comment and skips whitespace between them.  A token's
+kind is its own text for punctuation and reserved words, and ``uident``
+or ``lident``, by the case of its first letter, for any other
+identifier; a leading ``_`` or any other character is an error.  So a
+name the parser takes from a ``uident`` or ``lident`` token is already a
+valid spelling of its kind, and the parser interns it straight into the
+session's table, without the check ``Symbols.sort``, ``feat`` and
+``var`` make.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from .core import (
     Path,
     Record,
     SortC,
+    SortId,
     SugarAgree,
     SugarSortAt,
     Symbols,
@@ -73,20 +84,14 @@ class ParseError(Exception):
         self.span = span
 
 
-# One alternative per lexeme class.  The matches of ``findall`` tile the
-# text: every character is whitespace or the start of a match.  Skipped
-# text is its own alternative, not a prefix of every token, which keeps
-# the scan linear; a prefix such as ``(?:\s+|#[^\n]*)*`` backtracks
-# exponentially.  Only a token is captured, so ``findall`` gives the
-# empty string for skipped text and no match carries its position.
-_LEXEME_RE = re.compile(
-    r"""\s+ | \#[^\n]*            # whitespace or a comment, skipped
-      | ( <-> | -> | [()~&|=@.,]  # punctuation, its own kind
-        | [A-Za-z_][A-Za-z0-9_]*  # identifier
-        | \S )                    # anything else, an error
-    """,
-    re.VERBOSE,
-)
+# One alternative per lexeme, and none for whitespace: the search loop of
+# ``findall`` skips it between matches, in C.  A comment is a match of its
+# own, which ``_scan`` drops.  Skipped text is never a prefix of a token,
+# which keeps the scan linear; a prefix such as ``(?:\s+|#[^\n]*)*``
+# backtracks exponentially.  The identifier comes first, so it is always
+# matched whole; punctuation and any other character are one ``\S`` each.
+# The pattern has no capture group, so ``findall`` returns whole matches.
+_LEXEME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|<->|->|#[^\n]*|\S")
 
 # the kind of a lexeme that is a kind of its own: punctuation and keywords
 _OWN_KIND = {w: w for w in ("<->", "->", *"()~&|=@.,", *RESERVED_WORDS)}
@@ -100,7 +105,9 @@ _IDENT_KIND = {
 def _scan(text: str) -> tuple[list[str], list[str]]:
     """The tokens of ``text`` as parallel lists of kind and text, ending
     with an ``eof`` token."""
-    texts = list(filter(None, _LEXEME_RE.findall(text)))
+    texts = _LEXEME_RE.findall(text)
+    if "#" in text:
+        texts = [t for t in texts if t[0] != "#"]
     kinds = [_OWN_KIND.get(t) or _IDENT_KIND.get(t[0]) for t in texts]
     if not all(kinds):
         i = kinds.index(None)
@@ -119,7 +126,7 @@ def _scan(text: str) -> tuple[list[str], list[str]]:
 def _token_start(text: str, i: int) -> int:
     """Where token ``i`` of ``text`` starts, and for the ``eof`` token the
     end of the text.  Positions are found again only for an error."""
-    starts = (m.start() for m in _LEXEME_RE.finditer(text) if m.group(1))
+    starts = (m.start() for m in _LEXEME_RE.finditer(text) if text[m.start()] != "#")
     return next(islice(starts, i, None), len(text))
 
 
@@ -138,12 +145,21 @@ _BINARY = {
 }
 
 
+def _intern(table: dict, kind, name: str):
+    """Enter ``name``, seen for the first time, into a table of the
+    session, unchecked: the lexer has made it an identifier that is not
+    reserved, has no leading ``_`` and has the case its token kind says."""
+    ident = table[name] = kind(name)
+    return ident
+
+
 class _Parser:
     """Recursive descent over the token lists; ``pos`` never passes the
-    ``eof`` token, whose kind no rule consumes."""
+    ``eof`` token, whose kind no rule consumes.  Names go straight into
+    the session's tables (``_intern``)."""
 
     def __init__(self, sym: Symbols, text: str):
-        self.sym = sym
+        self.sorts, self.feats, self.vars = sym._sorts, sym._feats, sym._vars
         self.text = text
         self.kinds, self.texts = _scan(text)
         self.pos = 0
@@ -204,11 +220,17 @@ class _Parser:
             return _block(Exists if kind == "exists" else Forall, names, body)
         return self.parse_primary()
 
+    def var(self, name: str) -> VarId:
+        return self.vars.get(name) or _intern(self.vars, VarId, name)
+
+    def feat(self, name: str) -> FeatId:
+        return self.feats.get(name) or _intern(self.feats, FeatId, name)
+
     def parse_var(self) -> VarId:
-        return self.sym.var(self.take("lident", "a variable"))
+        return self.var(self.take("lident", "a variable"))
 
     def parse_feat(self) -> FeatId:
-        return self.sym.feat(self.take("lident", "a feature"))
+        return self.feat(self.take("lident", "a feature"))
 
     def parse_path(self) -> Path:
         if self.kinds[self.pos] == "eps":
@@ -231,7 +253,8 @@ class _Parser:
             self.take(")", "')'")
             return phi
         if kind == "uident":
-            sort = self.sym.sort(self.texts[pos])
+            name = self.texts[pos]
+            sort = self.sorts.get(name) or _intern(self.sorts, SortId, name)
             nxt = self.kinds[pos + 1]
             if nxt == "(":
                 self.pos = pos + 2
@@ -250,7 +273,7 @@ class _Parser:
             nxt = self.kinds[pos + 1]
             self.pos = pos + 2
             if nxt == "(":
-                feat = self.sym.feat(name)
+                feat = self.feat(name)
                 a = self.parse_var()
                 self.take(",", "','")
                 b = self.parse_var()
@@ -263,13 +286,13 @@ class _Parser:
                         "equations relate plain variables; "
                         "write x.eps = y.p for path agreement"
                     )
-                return Atomic(Eq(self.sym.var(name), rhs))
+                return Atomic(Eq(self.var(name), rhs))
             if nxt == ".":
                 lpath = self.parse_path()
                 self.take("=", "'=' in a path agreement")
                 rhs = self.parse_var()
                 self.take(".", "'.' before the right-hand path")
-                return SugarAgree(self.sym.var(name), lpath, rhs, self.parse_path())
+                return SugarAgree(self.var(name), lpath, rhs, self.parse_path())
             self.pos = pos + 1
             raise self.fail("expected '(', '=' or '.' after an identifier")
         if kind == "true":
@@ -380,14 +403,16 @@ def expand_sugar(phi: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
+# Identifiers print by their spelling, ``.name``, which reads it in C;
+# formatting one calls ``_Ident.__str__``.
 def _atom_str(atom) -> str:
     if isinstance(atom, SortC):
-        return f"{atom.sort}({atom.var})"
+        return f"{atom.sort.name}({atom.var.name})"
     if isinstance(atom, FeatC):
-        return f"{atom.feat}({atom.src}, {atom.dst})"
+        return f"{atom.feat.name}({atom.src.name}, {atom.dst.name})"
     if isinstance(atom, Eq):
-        return f"{atom.lhs} = {atom.rhs}"
-    return f"undef({atom.var}, {atom.feat})"
+        return f"{atom.lhs.name} = {atom.rhs.name}"
+    return f"undef({atom.var.name}, {atom.feat.name})"
 
 
 def _render(phi: Formula) -> tuple[str, int]:
@@ -398,9 +423,9 @@ def _render(phi: Formula) -> tuple[str, int]:
     if isinstance(phi, Atomic):
         return _atom_str(phi.atom), _PREC_ATOM
     if isinstance(phi, SugarAgree):
-        return f"{phi.lhs}.{phi.lpath} = {phi.rhs}.{phi.rpath}", _PREC_ATOM
+        return f"{phi.lhs.name}.{phi.lpath} = {phi.rhs.name}.{phi.rpath}", _PREC_ATOM
     if isinstance(phi, SugarSortAt):
-        return f"{phi.sort}@{phi.var}.{phi.path}", _PREC_ATOM
+        return f"{phi.sort.name}@{phi.var.name}.{phi.path}", _PREC_ATOM
     if isinstance(phi, Not):
         return "~" + _child(phi.body, _PREC_NOT), _PREC_NOT
     if isinstance(phi, (And, Or)):

@@ -441,6 +441,30 @@ def test_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_input_that_is_not_utf8_exits_2(tmp_path):
+    """A file that does not decode is an input error, not a crash; stdin
+    with the same bytes is one too, whatever its decoding: a read error
+    or a parse error at the undecodable character."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    data = b"A(x) \xff & B(x)\n"
+    path = tmp_path / "latin.fl"
+    path.write_bytes(data)
+    done = subprocess.run(
+        [sys.executable, "-m", "featlog", "decide", str(path)], capture_output=True, env=env
+    )
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr.decode() == (
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 5: "
+        "invalid start byte\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "featlog", "decide", "-"], input=data, capture_output=True, env=env
+    )
+    assert done.returncode == 2 and done.stdout == b""
+    assert b"Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize(
     "text, atoms",
     [

@@ -1,5 +1,7 @@
-"""``tools/compare.py identity``: the output of two checkouts, op by op."""
+"""``tools/compare.py``: the output of two checkouts, op by op, and their
+end-to-end metrics in pairs of benchmark runs."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -56,3 +58,35 @@ def test_identity_reports_a_planted_residue_change(tmp_path):
     # one stdout line under each, showing both sides
     assert all(line.startswith("  stdout: ") for line in lines[1:-1:2])
     assert lines[-1] == "23 of 1046 operations differ"
+
+
+def test_bench_pairs_print_every_end_to_end_metric(tmp_path):
+    """``tools/compare.py bench`` on one A/A pair of short runs, in a copy
+    of this checkout so that the runs' records stay out of it: a line
+    per end-to-end metric of ``BENCHMARK.json``, then the pair as JSON.
+    One pair of half-second runs is noisy, so a verdict may read
+    ``worse`` and the exit status be 1."""
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
+    done = subprocess.run(
+        [sys.executable, str(COMPARE), "bench", str(tmp_path), str(tmp_path),
+         "--workload", "models", "--seed", "1", "--pairs", "1", "--seconds", "0.5"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode in (0, 1), done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    rows = [line.split() for line in lines[2:-1]]
+    assert [row[0] for row in rows] == [m["name"] for m in metrics]
+    for row, metric in zip(rows, metrics):
+        # the last three columns: wins, bound and verdict
+        assert row[-3] in ("0/1", "1/1"), row
+        assert row[-2] == f"{metric['bound']:.0%}", row
+        assert row[-1] in ("same", "gain", "worse", "unresolved"), row
+    (pair,) = json.loads(lines[-1])["pairs"]
+    for side in ("old", "new"):
+        assert list(pair[side]) == [m["name"] for m in metrics]

@@ -26,6 +26,7 @@ from featlog import (
     print_formula,
 )
 from featlog.core import EPS
+from featlog.textio import _scan
 
 from generators import random_quantified_formula
 from oracles import canonical_formula, reference_parse
@@ -175,6 +176,57 @@ def test_parser_agrees_with_the_reference_parser(sym):
     assert outcomes["parsed"] >= 700
     assert outcomes["unexpected character"] >= 50
     assert outcomes["identifiers starting with '_' are reserved"] >= 50
+
+
+def _reference_corpus(sym) -> list[str]:
+    """The texts of ``test_parser_agrees_with_the_reference_parser``."""
+    rng = random.Random(15)
+    texts = list(_SUGAR_TEXTS)
+    while len(texts) < 500:
+        texts.append(print_formula(random_quantified_formula(rng, sym)))
+    return texts + [_mutate(rng, text) for text in texts for _ in range(4)]
+
+
+def test_lexed_names_need_no_second_check(sym):
+    """The parser interns the names of its tokens unchecked, because the
+    lexer already guarantees what ``Symbols._check`` checks: every
+    ``uident`` and ``lident`` token passes it with its case, and the
+    tables a parse leaves are those the checked methods build."""
+    checker = Symbols()
+    names = parsed = 0
+    for text in _reference_corpus(sym):
+        try:
+            kinds, texts = _scan(text)
+        except ParseError:
+            kinds, texts = [], []
+        for kind, name in zip(kinds, texts):
+            if kind in ("uident", "lident"):
+                checker._check(name, upper=kind == "uident")
+                names += 1
+        session = Symbols()
+        try:
+            parse_formula(session, text)
+        except ParseError:
+            pass
+        checked = Symbols()
+        tables = [(session._sorts, checked.sort), (session._feats, checked.feat),
+                  (session._vars, checked.var)]
+        for table, intern in tables:
+            assert [intern(name) for name in table] == list(table.values()), text
+        assert (checked._sorts, checked._feats, checked._vars) == (
+            session._sorts, session._feats, session._vars), text
+        try:
+            reference_parse(reference := Symbols(), text)
+        except ParseError:
+            continue
+        parsed += 1
+        for mine, theirs in zip(tables, (reference._sorts, reference._feats, reference._vars)):
+            assert list(mine[0].items()) == list(theirs.items()), text
+    assert names >= 10_000 and parsed >= 700
+    for method, name in [("var", "_x"), ("sort", "a"), ("var", "exists"), ("feat", "A"),
+                         ("sort", "A-B"), ("var", "")]:
+        with pytest.raises(ValueError):
+            getattr(Symbols(), method)(name)
 
 
 def test_expand_exclusion(sym):

@@ -1,8 +1,10 @@
-"""Compare the output of two featlog checkouts on the benchmark's operations.
+"""Compare two featlog checkouts on the benchmark's operations: their
+output, and their end-to-end metrics.
 
 Usage, from the root of a featlog checkout:
 
     python3 tools/compare.py identity OLD NEW --seeds 1,7,201
+    python3 tools/compare.py bench OLD NEW --workload W --seed K --pairs N --seconds S
 
 OLD and NEW are checkout roots; each holds ``src/featlog``.  ``identity``
 runs every operation of the benchmark's workloads (``bench/workloads.py``
@@ -19,8 +21,29 @@ It prints one line per operation whose exit code, stdout, stderr or
 side, then a count.  The exit status is 0 when nothing differs and 1
 otherwise.
 
-``outcomes TREE FILE`` is the subprocess's side: it writes the outcome
-of each operation in TREE as one JSON line to FILE.
+``bench`` runs ``bench/run.py --workload W --seed K --seconds S`` of each
+tree, in that tree and in a subprocess of its own, N times each, in
+alternating order: OLD first in odd pairs, NEW first in even ones.  It
+reads each run's last line of JSON.  For each end-to-end metric of this
+checkout's ``BENCHMARK.json`` it prints OLD's median and quartiles, NEW's
+median and its change, how many pairs NEW won (strictly better than OLD
+in the same pair), and a verdict, the first that holds of:
+
+- ``worse``: NEW's median is worse than OLD's by more than the metric's
+  bound;
+- ``unresolved``: OLD's interquartile range is wider than the bound,
+  and some run of NEW is no better than some run of OLD;
+- ``gain``: there are at least ten pairs, NEW won at least nine in
+  ten of them, and its median is better than OLD's by more than OLD's
+  interquartile range;
+- ``same``.
+
+Its last line is one JSON object with these summaries and every pair's
+metrics.  The exit status is 0, 1 when a verdict is ``worse`` or
+``unresolved``, and 2 when a run fails or answers wrongly.
+
+``outcomes TREE FILE`` is the subprocess's side of ``identity``: it
+writes the outcome of each operation in TREE as one JSON line to FILE.
 """
 
 from __future__ import annotations
@@ -31,6 +54,7 @@ import hashlib
 import io
 import json
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -47,6 +71,10 @@ from workloads import WORKLOADS  # noqa: E402
 ALARM_S = 10.0
 # characters of each differing field shown per side
 SHOWN = 160
+# pairs a gain needs: an A/A run of 3 pairs of 20 s on solve-scale (one
+# tree against itself, CPython 3.11.7, 2 CPUs) read 3 of 3 wins, by more
+# than the quartile range, on 7 of 14 metrics
+MIN_GAIN_PAIRS = 10
 
 
 class OpTimeout(BaseException):
@@ -161,6 +189,86 @@ def identity(args) -> int:
     return 1 if differ else 0
 
 
+def _run_bench(tree: Path, args) -> dict:
+    """The end-to-end metrics of one ``bench/run.py`` run in ``tree``, from
+    its last line of JSON."""
+    cmd = [sys.executable, str(tree / "bench" / "run.py"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=args.seconds + 600)
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if done.returncode != 0 or not result.get("correct"):
+        sys.stderr.write(done.stderr)
+        print(f"{tree}: bench/run.py exited {done.returncode}, correct={result.get('correct')}",
+              file=sys.stderr)
+        raise SystemExit(2)
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def _summary(metric: dict, pairs: list[dict]) -> dict:
+    """One end-to-end metric over the pairs: OLD's median and quartiles,
+    NEW's median, NEW's wins, and the verdict."""
+    name, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
+    old = [p["old"][name] for p in pairs]
+    new = [p["new"][name] for p in pairs]
+    old_med, new_med = statistics.median(old), statistics.median(new)
+    q1, q3 = _quartiles(old)
+    better = (lambda a, b: a < b) if lower else (lambda a, b: a > b)
+    wins = sum(map(better, new, old))
+    gain = old_med - new_med if lower else new_med - old_med
+    if -gain > bound * abs(old_med):
+        verdict = "worse"
+    elif q3 - q1 > bound * abs(old_med) and not all(better(b, a) for a in old for b in new):
+        verdict = "unresolved"
+    elif len(pairs) >= MIN_GAIN_PAIRS and wins >= 0.9 * len(pairs) and gain > q3 - q1:
+        verdict = "gain"
+    else:
+        verdict = "same"
+    return {"old_median": old_med, "old_quartiles": [q1, q3], "new_median": new_med,
+            "change": (new_med - old_med) / old_med if old_med else 0.0,
+            "wins": wins, "bound": bound, "verdict": verdict}
+
+
+def bench(args) -> int:
+    """Alternating pairs of benchmark runs, and a verdict per metric."""
+    trees = [Path(args.old).resolve(), Path(args.new).resolve()]
+    for tree in trees:
+        if not (tree / "bench" / "run.py").is_file():
+            print(f"no bench/run.py under {tree}", file=sys.stderr)
+            return 2
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    pairs = []
+    for i in range(args.pairs):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        runs = {}
+        for side in order:
+            runs[side] = _run_bench(trees[side], args)
+        pairs.append({"old": runs[0], "new": runs[1]})
+    summaries = {m["name"]: _summary(m, pairs) for m in metrics}
+    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {args.seconds:g} s, "
+          f"old first in odd pairs")
+    print(f"{'metric':18s} {'old median [quartiles]':>30s} {'new median':>12s} "
+          f"{'change':>8s} {'wins':>7s} {'bound':>6s}  verdict")
+    for name, m in summaries.items():
+        q1, q3 = m["old_quartiles"]
+        spread = f"{m['old_median']:.4g} [{q1:.4g}, {q3:.4g}]"
+        wins = f"{m['wins']}/{len(pairs)}"
+        print(f"{name:18s} {spread:>30s} {m['new_median']:>12.4g} {m['change']:>+8.1%} "
+              f"{wins:>7s} {m['bound']:>6.0%}  {m['verdict']}")
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                      "metrics": summaries, "pairs": pairs}))
+    bad = any(m["verdict"] in ("worse", "unresolved") for m in summaries.values())
+    return 1 if bad else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -172,9 +280,18 @@ def main(argv=None) -> int:
     one = commands.add_parser("outcomes", parents=[runs], help="write one tree's outcomes as JSON lines")
     one.add_argument("tree")
     one.add_argument("file")
+    timed = commands.add_parser("bench", help="compare end-to-end metrics in alternating pairs of runs")
+    timed.add_argument("old")
+    timed.add_argument("new")
+    timed.add_argument("--workload", required=True, choices=list(WORKLOADS))
+    timed.add_argument("--seed", type=int, default=1)
+    timed.add_argument("--pairs", type=int, default=10)
+    timed.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
     if args.command == "identity":
         return identity(args)
+    if args.command == "bench":
+        return bench(args)
     outcomes(Path(args.tree).resolve(), Path(args.file), [int(s) for s in args.seeds.split(",")])
     return 0
 
