@@ -415,6 +415,44 @@ def _atom_str(atom) -> str:
     return f"undef({atom.var.name}, {atom.feat.name})"
 
 
+def _conj_text(atoms) -> tuple[str, int]:
+    """The text and precedence of ``conj(Atomic(a) for a in atoms)``: no
+    atom is parenthesised, since an atom binds tighter than ``&``."""
+    texts = list(map(_atom_str, atoms))
+    if len(texts) < 2:
+        return (texts[0] if texts else "true"), _PREC_ATOM
+    return " & ".join(texts), _PREC_AND
+
+
+def _operand(part: tuple[str, int], min_prec: int) -> str:
+    """The text of an operand, parenthesised when it binds looser than
+    ``min_prec``."""
+    text, prec = part
+    return text if prec >= min_prec else f"({text})"
+
+
+_NARY_OP = {_PREC_AND: " & ", _PREC_OR: " | "}
+
+
+def _nary_text(prec: int, parts: list[tuple[str, int]]) -> tuple[str, int]:
+    """A conjunction (``prec`` is ``_PREC_AND``) or disjunction of the
+    rendered operands: the first at the connective's own precedence, the
+    rest one level higher, so a left-nested chain prints unparenthesised."""
+    first, *rest = parts
+    return _NARY_OP[prec].join(
+        [_operand(first, prec)] + [_operand(part, prec + 1) for part in rest]
+    ), prec
+
+
+def _quantified_text(word: str, names, body: tuple[str, int]) -> tuple[str, int]:
+    """A quantifier block over the variable spellings ``names``; a binary
+    connective as its body is parenthesised."""
+    text, prec = body
+    if _PREC_IFF <= prec <= _PREC_AND:
+        text = f"({text})"
+    return f"{word} {', '.join(names)}. {text}", 0
+
+
 def _render(phi: Formula) -> tuple[str, int]:
     if isinstance(phi, Top):
         return "true", _PREC_ATOM
@@ -427,31 +465,20 @@ def _render(phi: Formula) -> tuple[str, int]:
     if isinstance(phi, SugarSortAt):
         return f"{phi.sort.name}@{phi.var.name}.{phi.path}", _PREC_ATOM
     if isinstance(phi, Not):
-        return "~" + _child(phi.body, _PREC_NOT), _PREC_NOT
+        return "~" + _operand(_render(phi.body), _PREC_NOT), _PREC_NOT
     if isinstance(phi, (And, Or)):
-        # the first argument at the connective's own precedence, the rest
-        # one level higher, so a left-nested chain prints unparenthesised
-        op, prec = (" & ", _PREC_AND) if isinstance(phi, And) else (" | ", _PREC_OR)
-        first, *rest = phi.args
-        return op.join([_child(first, prec)] + [_child(arg, prec + 1) for arg in rest]), prec
+        prec = _PREC_AND if isinstance(phi, And) else _PREC_OR
+        return _nary_text(prec, list(map(_render, phi.args)))
     if isinstance(phi, Implies):
-        return _child(phi.lhs, _PREC_IMPLIES + 1) + " -> " + _child(phi.rhs, _PREC_IMPLIES), _PREC_IMPLIES
+        lhs = _operand(_render(phi.lhs), _PREC_IMPLIES + 1)
+        return lhs + " -> " + _operand(_render(phi.rhs), _PREC_IMPLIES), _PREC_IMPLIES
     if isinstance(phi, Iff):
-        return _child(phi.lhs, _PREC_IFF + 1) + " <-> " + _child(phi.rhs, _PREC_IFF), _PREC_IFF
+        lhs = _operand(_render(phi.lhs), _PREC_IFF + 1)
+        return lhs + " <-> " + _operand(_render(phi.rhs), _PREC_IFF), _PREC_IFF
     if isinstance(phi, (Exists, Forall)):
         word = "exists" if isinstance(phi, Exists) else "forall"
-        body_str, _ = _render(phi.body)
-        if isinstance(phi.body, (And, Or, Implies, Iff)):
-            body_str = f"({body_str})"
-        return f"{word} {', '.join(v.name for v in phi.vars)}. {body_str}", 0
+        return _quantified_text(word, [v.name for v in phi.vars], _render(phi.body))
     raise ValueError(f"unknown formula node {phi!r}")
-
-
-def _child(phi: Formula, min_prec: int) -> str:
-    s, prec = _render(phi)
-    if prec < min_prec:
-        return f"({s})"
-    return s
 
 
 def print_formula(phi: Formula) -> str:

@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,8 +11,16 @@ from pathlib import Path
 import pytest
 
 from featlog import (
+    And,
+    Iff,
+    Not,
+    Or,
+    PrimeFormula,
+    SolvedFormula,
     Symbols,
+    boolcomb_to_formula,
     classify,
+    decide,
     enumerate_values,
     evaluate,
     expand_sugar,
@@ -18,14 +28,18 @@ from featlog import (
     parse_formula,
     prime_conj,
     prime_entails,
+    print_formula,
     simplify_epc,
     single_node_tree,
+    solved_to_formula,
     valuation_to_json,
     witness_prime,
 )
-from featlog.cli import build_parser, main
+from featlog.cli import _print_text, build_parser, main
 from featlog.core import free_vars
+from featlog.qe import BcAnd, BcNot, BcOr
 
+from generators import random_epc_formula, random_quantified_formula, random_solved_formula
 from test_solve import _wall_limit
 
 
@@ -348,6 +362,102 @@ def test_shared_clash_closes_a_nested_branch(tmp_path, capsys, n):
         assert run(capsys, "decide", path) == (0, "UNSATISFIABLE\n", "")
 
 
+def _shape_counts(delta) -> dict:
+    """How many nodes of the combination ``delta`` are shared (reached
+    from two parents, or twice from one), negated primes with a bound
+    variable, and conjunctions or disjunctions under the other kind."""
+    parents: dict = {}
+    counts = {"shared": 0, "negated bound prime": 0, "nested and/or": 0}
+    stack = [delta]
+    while stack:
+        node = stack.pop()
+        args = (node.arg,) if isinstance(node, BcNot) else getattr(node, "args", ())
+        if isinstance(node, BcNot) and isinstance(node.arg, PrimeFormula) and node.arg.bound:
+            counts["negated bound prime"] += 1
+        for arg in args:
+            if isinstance(node, (BcAnd, BcOr)) and isinstance(arg, (BcAnd, BcOr)):
+                counts["nested and/or"] += 1
+            parents[arg] = parents.get(arg, 0) + 1
+            if parents[arg] == 1:
+                stack.append(arg)
+    counts["shared"] = sum(n > 1 for n in parents.values())
+    return counts
+
+
+def test_printing_from_the_dag_matches_the_formula_printer(sym):
+    """The CLI prints residues straight from the combination, and solved
+    forms as primes with nothing bound; the text equals what the
+    library's conversions and ``print_formula`` give.  Residues come
+    from random open formulae, each built over two subformulae that it
+    uses more than once, one of them at times an existential
+    conjunction, so that residues share nodes, negate primes with bound
+    variables and nest conjunctions in disjunctions."""
+    rng = random.Random(3301)
+    seen = dict.fromkeys(("shared", "negated bound prime", "nested and/or"), 0)
+    for _ in range(400):
+        phi = random_quantified_formula(rng, sym, max_atoms=8)
+        if rng.random() < 0.5:
+            psi = random_quantified_formula(rng, sym, max_atoms=8)
+        else:
+            psi = random_epc_formula(rng, sym, max_atoms=4)
+        shape = rng.choice(
+            (
+                Iff(phi, psi),
+                Or((And((phi, psi)), Not(phi))),
+                And((Or((phi, Not(psi))), Or((Not(phi), psi, phi)))),
+                Or((phi, And((Not(psi), Or((psi, phi)))))),
+            )
+        )
+        delta = decide(shape)
+        assert _print_text(delta) == print_formula(boolcomb_to_formula(delta)), shape
+        for name, n in _shape_counts(delta).items():
+            seen[name] += n > 0
+    assert min(seen.values()) > 10, seen
+    for _ in range(300):
+        gamma = random_solved_formula(rng, sym)
+        # as given, and with its atoms out of order, as a caller may build one
+        shuffled = SolvedFormula(
+            tuple(rng.sample(gamma.normalizer, len(gamma.normalizer))),
+            tuple(rng.sample(gamma.graph, len(gamma.graph))),
+        )
+        for g in (gamma, shuffled):
+            assert _print_text(PrimeFormula(frozenset(), g)) == print_formula(solved_to_formula(g))
+
+
+def _nested_chain(n: int) -> str:
+    """``(…(A(x0) <-> A(x1)) … <-> A(x{n-1}))``: its residue is a DAG
+    of about 4n nodes whose tree unfolding doubles with every atom."""
+    text = "A(x0)"
+    for i in range(1, n):
+        text = f"({text}) <-> A(x{i})"
+    return text
+
+
+# length and SHA-256 of what `featlog decide` and `simplify` printed on the
+# nested chain at n = 12 when they printed through boolcomb_to_formula
+NESTED_CHAIN_12 = {
+    "decide": (57338, "f1bc00e5f9c0aa6cd3c261df6ad367a3275216a60ba7ae9a0caf02a3fc50344a"),
+    "simplify": (57326, "511b20809fcf1d5195ea6d8f715d4132f49ff6b25bb061af71232b1a27f9ce0f"),
+}
+
+
+@pytest.mark.parametrize("command", ["decide", "simplify"])
+def test_nested_chain_prints_or_exits_3_at_the_print_bound(tmp_path, capsys, command):
+    """At n = 12 the residue prints the bytes it printed as a formula
+    tree.  From n = 18 on, its text passes the print bound, and the CLI
+    exits 3 at once instead of writing megabytes (at n = 20 it wrote
+    14.7 MB in 35 s, and at n = 100 did not finish)."""
+    code, out, err = run(capsys, command, write(tmp_path, _nested_chain(12)))
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == NESTED_CHAIN_12[command]
+    for n in (20, 100, 200):
+        with _wall_limit(5.0):
+            code, out, err = run(capsys, command, write(tmp_path, _nested_chain(n)))
+        assert (code, out) == (3, ""), n
+        assert err == "resource limit: printing builds more than 10000000 characters\n"
+
+
 def test_json_format(tmp_path, capsys):
     """One object per answer, laid out as ``json.dumps`` with ``indent=2``
     and sorted keys lays it out."""
@@ -442,27 +552,39 @@ def test_missing_file(capsys):
 
 
 def test_input_that_is_not_utf8_exits_2(tmp_path):
-    """A file that does not decode is an input error, not a crash; stdin
-    with the same bytes is one too, whatever its decoding: a read error
-    or a parse error at the undecodable character."""
+    """A file that does not decode is an input error, not a crash, and
+    stdin with the same bytes is the same error, whatever the locale.
+    Both read universal newlines, so an error span counts the same
+    characters on either."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = {k: v for k, v in os.environ.items() if k != "LANG" and not k.startswith("LC_")}
+    env = dict(env, PYTHONPATH=src)
     data = b"A(x) \xff & B(x)\n"
     path = tmp_path / "latin.fl"
     path.write_bytes(data)
-    done = subprocess.run(
-        [sys.executable, "-m", "featlog", "decide", str(path)], capture_output=True, env=env
-    )
-    assert done.returncode == 2 and done.stdout == b""
-    assert done.stderr.decode() == (
-        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 5: "
-        "invalid start byte\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-m", "featlog", "decide", "-"], input=data, capture_output=True, env=env
-    )
-    assert done.returncode == 2 and done.stdout == b""
-    assert b"Traceback" not in done.stderr
+    for source, stdin in ((str(path), None), ("-", data)):
+        done = subprocess.run(
+            [sys.executable, "-m", "featlog", "decide", source],
+            input=stdin,
+            capture_output=True,
+            env=env,
+        )
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr.decode() == (
+            f"cannot read {source}: 'utf-8' codec can't decode byte 0xff in position 5: "
+            "invalid start byte\n"
+        )
+    path.write_bytes(b"A(x) &\r\n\r\n")
+    errors = [
+        subprocess.run(
+            [sys.executable, "-m", "featlog", "decide", source],
+            input=stdin,
+            capture_output=True,
+            env=env,
+        ).stderr
+        for source, stdin in ((str(path), None), ("-", path.read_bytes()))
+    ]
+    assert errors == [b"parse error: expected a formula at 8..8\n"] * 2
 
 
 @pytest.mark.parametrize(
@@ -766,6 +888,7 @@ def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
             expect=3,
         ),
         "decide parse error": cli("decide", "A(x) &", expect=2),
+        "decide print limit": cli("decide", _nested_chain(18), expect=3),
         "simplify solved": cli("simplify", "x.f = y.g"),
         "simplify residue": cli("simplify", "A(x) | exists y. f(x, y)"),
         "entail": cli("entail", "exists y. (f(x, y) & A(y)) ; exists z. f(x, z)"),
