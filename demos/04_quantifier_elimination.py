@@ -8,7 +8,6 @@ theory of feature trees is decided completely.
 
 from featlog import (
     Symbols,
-    boolcomb_to_formula,
     classify,
     parse_formula,
     print_formula,
@@ -21,7 +20,7 @@ def show(text: str) -> None:
     verdict = classify(parse_formula(sym, text))
     line = f"{text:68} : {verdict.kind}"
     if verdict.residue is not None and verdict.kind == "SATISFIABLE":
-        line += f"   residue: {print_formula(boolcomb_to_formula(verdict.residue))}"
+        line += f"   residue: {print_formula(verdict.residue)}"
     print(line)
 
 

@@ -6,24 +6,25 @@ separated by a ``;`` outside ``#`` comments.  Verdicts are printed as
 fixed upper-case tokens so scripts can match on them.  Exit codes: 0
 verdict produced, 2 parse or validation error, 3 resource limit: a
 normal form or search past ``--max-dnf-clauses``, or a residue or solved
-form whose text passes ``MAX_PRINT_CHARS`` characters ("resource limit:
-printing builds more than 10000000 characters").
+form whose text passes ``textio.MAX_PRINT_CHARS`` characters ("resource
+limit: printing builds more than 10000000 characters").
 
-A residue is a hash-consed DAG whose tree unfolding can be exponential
-in its size.  It is printed straight from the DAG, each node's text
-built once from its operands' texts, so printing takes time linear in
-the characters it builds, which the bound caps.
+Residues and solved forms (the latter as primes with nothing bound) are
+printed by ``print_formula`` straight from the hash-consed DAG, each
+node's text built once, so printing takes time linear in the characters
+it builds, which the bound caps.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import re
 import sys
 
-from .core import Bottom, Formula, Symbols, atom_key, free_vars
+from .core import Bottom, Formula, Symbols, free_vars
 from .models import pool_satisfies, witness_pool, witness_to_json, witness_to_json_text
 from .prime import PrimeFormula, prime_entails, simplify_epc
 from .qe import (
@@ -32,87 +33,26 @@ from .qe import (
     SATISFIABLE,
     UNSATISFIABLE,
     VALID,
-    BcAnd,
-    BcNot,
-    BoolComb,
     ResourceLimit,
     classify,
 )
 from .solve import basic_simplify, formula_to_basic
-from .textio import (
-    _PREC_AND,
-    _PREC_NOT,
-    _PREC_OR,
-    ParseError,
-    _conj_text,
-    _nary_text,
-    _operand,
-    _quantified_text,
-    expand_sugar,
-    parse_formula,
-)
-
-# Characters of text printing may build: past it, exit 3.  A residue of
-# n atoms can unfold to 2**n; the bound leaves room for solved forms and
-# residues of input far wider than any the tests and the benchmark use.
-MAX_PRINT_CHARS = 10_000_000
+from .textio import ParseError, expand_sugar, parse_formula, print_formula
 
 
 def _read(source: str) -> str:
     if source == "-":
         stream = sys.stdin
         # strict UTF-8 with universal newlines, as a file is read; a
-        # stream without reconfigure (an io.StringIO) is read as it is
-        if hasattr(stream, "reconfigure"):
+        # stream without reconfigure (an io.StringIO), or one the host
+        # process has already read from, is read as it is
+        try:
             stream.reconfigure(encoding="utf-8", errors="strict", newline=None)
+        except (AttributeError, io.UnsupportedOperation):
+            pass
         return stream.read()
     with open(source, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _prime_text(beta: PrimeFormula) -> tuple[str, int]:
-    """The text and precedence of ``prime_to_formula(beta)``: its atoms
-    in ``atom_key`` order under ``exists`` of its sorted bound variables."""
-    # the normalizer's equations come first in atom_key order
-    atoms = beta.body.normalizer + beta.body.graph
-    part = _conj_text(sorted(atoms, key=atom_key) if len(atoms) > 1 else atoms)
-    if beta.bound:
-        return _quantified_text("exists", [v.name for v in sorted(beta.bound)], part)
-    return part
-
-
-def _print_text(delta: BoolComb) -> str:
-    """``print_formula(boolcomb_to_formula(delta))``, built from the DAG:
-    each node's text once, through a table of the nodes visited, so a
-    shared node costs its text once.  The characters built are counted
-    node by node; past ``MAX_PRINT_CHARS`` it raises ``ResourceLimit``.
-    Each node's text holds its operands', so the count bounds the text
-    printed as well as the time and memory spent building it."""
-    done: dict[BoolComb, tuple[str, int]] = {}
-    built = 0
-
-    def go(node: BoolComb) -> tuple[str, int]:
-        nonlocal built
-        out = done.get(node)
-        if out is None:
-            if isinstance(node, PrimeFormula):
-                out = _prime_text(node)
-            elif isinstance(node, BcNot):
-                out = "~" + _operand(go(node.arg), _PREC_NOT), _PREC_NOT
-            else:
-                prec = _PREC_AND if isinstance(node, BcAnd) else _PREC_OR
-                out = _nary_text(prec, [go(arg) for arg in node.args])
-            built += len(out[0])
-            if built > MAX_PRINT_CHARS:
-                raise ResourceLimit(f"printing builds more than {MAX_PRINT_CHARS} characters")
-            done[node] = out
-        return out
-
-    try:
-        return go(delta)[0]
-    finally:
-        # go refers to itself: deleting it breaks the cycle
-        del go
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -147,7 +87,7 @@ def _cmd_decide(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     payload: dict = {"command": "decide", "verdict": verdict.kind}
     lines = [verdict.kind]
     if verdict.kind == SATISFIABLE and verdict.residue is not None:
-        residue = _print_text(verdict.residue)
+        residue = print_formula(verdict.residue)
         payload["residue"] = residue
         lines.append(residue)
     _emit(cfg, payload, lines)
@@ -167,7 +107,7 @@ def _cmd_simplify(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
             out = "false"
         else:
             # a solved formula prints as a prime with nothing bound
-            out = _print_text(PrimeFormula(frozenset(), solved))
+            out = print_formula(PrimeFormula(frozenset(), solved))
         _emit(cfg, {"command": "simplify", "result": out}, [out])
         return 0
     verdict = classify(phi, cfg.max_dnf_clauses)
@@ -177,7 +117,7 @@ def _cmd_simplify(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
         out = "false"
     else:
         assert verdict.residue is not None
-        out = _print_text(verdict.residue)
+        out = print_formula(verdict.residue)
     _emit(cfg, {"command": "simplify", "result": out}, [out])
     return 0
 

@@ -73,7 +73,7 @@ class PrimeFormula(Record):
     def __str__(self) -> str:
         from .textio import print_formula
 
-        return print_formula(prime_to_formula(self))
+        return print_formula(self)
 
 
 TOP_PRIME = PrimeFormula(frozenset(), SolvedFormula((), ()))

@@ -28,13 +28,20 @@ name the parser takes from a ``uident`` or ``lident`` token is already a
 valid spelling of its kind, and the parser interns it straight into the
 session's table, without the check ``Symbols.sort``, ``feat`` and
 ``var`` make.
+
+``print_formula`` is the one printer, of formulae and of the Boolean
+combinations of primes that decisions leave as residues: one walk that
+builds each node's text once and stops past ``MAX_PRINT_CHARS``
+characters built.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import count, islice
 from operator import is_
+from typing import TYPE_CHECKING
 
 from .core import (
     BOTTOM,
@@ -64,9 +71,13 @@ from .core import (
     Symbols,
     Top,
     VarId,
+    atom_key,
     conj,
     exists_all,
 )
+
+if TYPE_CHECKING:
+    from .qe import BoolComb
 
 
 class SourceSpan(Record):
@@ -403,6 +414,12 @@ def expand_sugar(phi: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
+# Characters printing may build: past it, ``ResourceLimit``.  A residue of
+# n atoms can unfold to 2**n; the bound leaves room for solved forms and
+# residues of input far wider than any the tests and the benchmark use.
+MAX_PRINT_CHARS = 10_000_000
+
+
 # Identifiers print by their spelling, ``.name``, which reads it in C;
 # formatting one calls ``_Ident.__str__``.
 def _atom_str(atom) -> str:
@@ -415,33 +432,11 @@ def _atom_str(atom) -> str:
     return f"undef({atom.var.name}, {atom.feat.name})"
 
 
-def _conj_text(atoms) -> tuple[str, int]:
-    """The text and precedence of ``conj(Atomic(a) for a in atoms)``: no
-    atom is parenthesised, since an atom binds tighter than ``&``."""
-    texts = list(map(_atom_str, atoms))
-    if len(texts) < 2:
-        return (texts[0] if texts else "true"), _PREC_ATOM
-    return " & ".join(texts), _PREC_AND
-
-
 def _operand(part: tuple[str, int], min_prec: int) -> str:
     """The text of an operand, parenthesised when it binds looser than
     ``min_prec``."""
     text, prec = part
     return text if prec >= min_prec else f"({text})"
-
-
-_NARY_OP = {_PREC_AND: " & ", _PREC_OR: " | "}
-
-
-def _nary_text(prec: int, parts: list[tuple[str, int]]) -> tuple[str, int]:
-    """A conjunction (``prec`` is ``_PREC_AND``) or disjunction of the
-    rendered operands: the first at the connective's own precedence, the
-    rest one level higher, so a left-nested chain prints unparenthesised."""
-    first, *rest = parts
-    return _NARY_OP[prec].join(
-        [_operand(first, prec)] + [_operand(part, prec + 1) for part in rest]
-    ), prec
 
 
 def _quantified_text(word: str, names, body: tuple[str, int]) -> tuple[str, int]:
@@ -453,36 +448,23 @@ def _quantified_text(word: str, names, body: tuple[str, int]) -> tuple[str, int]
     return f"{word} {', '.join(names)}. {text}", 0
 
 
-def _render(phi: Formula) -> tuple[str, int]:
-    if isinstance(phi, Top):
-        return "true", _PREC_ATOM
-    if isinstance(phi, Bottom):
-        return "false", _PREC_ATOM
-    if isinstance(phi, Atomic):
-        return _atom_str(phi.atom), _PREC_ATOM
-    if isinstance(phi, SugarAgree):
-        return f"{phi.lhs.name}.{phi.lpath} = {phi.rhs.name}.{phi.rpath}", _PREC_ATOM
-    if isinstance(phi, SugarSortAt):
-        return f"{phi.sort.name}@{phi.var.name}.{phi.path}", _PREC_ATOM
-    if isinstance(phi, Not):
-        return "~" + _operand(_render(phi.body), _PREC_NOT), _PREC_NOT
-    if isinstance(phi, (And, Or)):
-        prec = _PREC_AND if isinstance(phi, And) else _PREC_OR
-        return _nary_text(prec, list(map(_render, phi.args)))
-    if isinstance(phi, Implies):
-        lhs = _operand(_render(phi.lhs), _PREC_IMPLIES + 1)
-        return lhs + " -> " + _operand(_render(phi.rhs), _PREC_IMPLIES), _PREC_IMPLIES
-    if isinstance(phi, Iff):
-        lhs = _operand(_render(phi.lhs), _PREC_IFF + 1)
-        return lhs + " <-> " + _operand(_render(phi.rhs), _PREC_IFF), _PREC_IFF
-    if isinstance(phi, (Exists, Forall)):
-        word = "exists" if isinstance(phi, Exists) else "forall"
-        return _quantified_text(word, [v.name for v in phi.vars], _render(phi.body))
-    raise ValueError(f"unknown formula node {phi!r}")
+@cache
+def _bool_comb_names() -> tuple:
+    """``PrimeFormula``, ``BcNot``, ``BcAnd``, ``BcOr`` and
+    ``ResourceLimit``, imported on the first call, since prime and qe
+    import this module; importing them on every call would add a third
+    to a small residue's printing time."""
+    from .prime import PrimeFormula
+    from .qe import BcAnd, BcNot, BcOr, ResourceLimit
+
+    return PrimeFormula, BcNot, BcAnd, BcOr, ResourceLimit
 
 
-def print_formula(phi: Formula) -> str:
-    """Deterministic text form.
+def print_formula(phi: Formula | BoolComb) -> str:
+    """Deterministic text form of a formula, or of a Boolean combination
+    of primes, which prints as its ``boolcomb_to_formula`` does: a prime
+    as its atoms in ``atom_key`` order under ``exists`` of its sorted
+    bound variables.
 
     Reparsing yields the same tree, except that a first argument of the
     same connective joins its parent: ``And((And((a, b)), c))`` prints
@@ -490,6 +472,72 @@ def print_formula(phi: Formula) -> str:
     quantifier block prints its own variables and a block of the same
     kind as its body joins it: ``Exists((x,), Exists((y,), b))`` prints
     as ``exists x. exists y. b``, which parses as ``Exists((x, y), b)``.
-    """
-    return _render(phi)[0]
 
+    A residue is a hash-consed DAG whose tree unfolding can be
+    exponential in its size.  The walk builds each node's text once,
+    through a table keyed by node identity (a formula's hash walks its
+    subtree), and counts the characters it builds; past
+    ``MAX_PRINT_CHARS`` it raises ``ResourceLimit``.  Each node's text
+    holds its operands', so the count bounds the text printed as well as
+    the time and memory spent building it.
+    """
+    PrimeFormula, BcNot, BcAnd, BcOr, ResourceLimit = _bool_comb_names()
+    done: dict[int, tuple[str, int]] = {}
+    built = 0
+
+    def go(node) -> tuple[str, int]:
+        nonlocal built
+        key = id(node)
+        out = done.get(key)
+        if out is not None:
+            return out
+        # no node class has subclasses: its exact class is cheaper to test
+        kind = type(node)
+        if kind is Atomic:
+            out = _atom_str(node.atom), _PREC_ATOM
+        elif kind is And or kind is Or or kind is BcAnd or kind is BcOr:
+            # the first operand at the connective's own precedence, the
+            # rest one level higher, so a left-nested chain prints
+            # unparenthesised
+            prec = _PREC_AND if kind is And or kind is BcAnd else _PREC_OR
+            first, *rest = map(go, node.args)
+            texts = [_operand(first, prec)] + [_operand(part, prec + 1) for part in rest]
+            out = (" & " if prec == _PREC_AND else " | ").join(texts), prec
+        elif kind is PrimeFormula:
+            atoms = node.body.normalizer + node.body.graph
+            if len(atoms) > 1:
+                # sorted together, as prime_to_formula sorts them apart: the
+                # normalizer's equations come first in atom_key order
+                out = " & ".join(map(_atom_str, sorted(atoms, key=atom_key))), _PREC_AND
+            else:
+                out = (_atom_str(atoms[0]) if atoms else "true"), _PREC_ATOM
+            if node.bound:
+                out = _quantified_text("exists", [v.name for v in sorted(node.bound)], out)
+        elif kind is Not or kind is BcNot:
+            arg = node.body if kind is Not else node.arg
+            out = "~" + _operand(go(arg), _PREC_NOT), _PREC_NOT
+        elif kind is Exists or kind is Forall:
+            word = "exists" if kind is Exists else "forall"
+            out = _quantified_text(word, [v.name for v in node.vars], go(node.body))
+        elif kind is Implies or kind is Iff:
+            prec, op = (_PREC_IMPLIES, " -> ") if kind is Implies else (_PREC_IFF, " <-> ")
+            out = _operand(go(node.lhs), prec + 1) + op + _operand(go(node.rhs), prec), prec
+        elif kind is Top or kind is Bottom:
+            out = ("true" if kind is Top else "false"), _PREC_ATOM
+        elif kind is SugarAgree:
+            out = f"{node.lhs.name}.{node.lpath} = {node.rhs.name}.{node.rpath}", _PREC_ATOM
+        elif kind is SugarSortAt:
+            out = f"{node.sort.name}@{node.var.name}.{node.path}", _PREC_ATOM
+        else:
+            raise ValueError(f"unknown formula node {node!r}")
+        built += len(out[0])
+        if built > MAX_PRINT_CHARS:
+            raise ResourceLimit(f"printing builds more than {MAX_PRINT_CHARS} characters")
+        done[key] = out
+        return out
+
+    try:
+        return go(phi)[0]
+    finally:
+        # go refers to itself: deleting it breaks the cycle
+        del go

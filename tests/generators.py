@@ -6,6 +6,8 @@ import random
 from itertools import count
 
 from featlog import (
+    BOTTOM,
+    TOP,
     And,
     Atomic,
     BasicFormula,
@@ -27,6 +29,8 @@ from featlog import (
     SolvedClause,
     SolvedFormula,
     SortC,
+    SugarAgree,
+    SugarSortAt,
     Symbols,
     basic_simplify,
     canonicalize,
@@ -244,6 +248,54 @@ def random_quantified_formula(
             node = Exists if rng.random() < 0.6 else Forall
             return node((rng.choice(vs),), go(depth + 1))
         return atom()
+
+    return go(0)
+
+
+def random_sugared_formula(rng: random.Random, sym: Symbols) -> Formula:
+    """A formula over everything the concrete syntax has: exclusion and
+    path sugar, true and false, ``->`` and ``<->``, blocks of one to
+    three variables, at times right under a block of the same or the
+    other kind, and subformulae reached twice, as one object."""
+    sorts, feats, vs = pools(sym, 3, 3, 5)
+    made: list[Formula] = []
+
+    def path() -> Path:
+        return Path(tuple(rng.choices(feats, k=rng.randint(0, 2))))
+
+    def leaf() -> Formula:
+        r = rng.random()
+        if r < 0.15:
+            return Atomic(Excl(rng.choice(vs), rng.choice(feats)))
+        if r < 0.3:
+            return SugarSortAt(rng.choice(sorts), rng.choice(vs), path())
+        if r < 0.45:
+            return SugarAgree(rng.choice(vs), path(), rng.choice(vs), path())
+        if r < 0.55:
+            return rng.choice((TOP, BOTTOM))
+        if r < 0.7 and made:
+            return rng.choice(made)
+        return random_quantified_formula(rng, sym, max_atoms=3, n_vars=5)
+
+    def go(depth: int) -> Formula:
+        r = rng.random()
+        if depth > 3 or r < 0.2:
+            phi = leaf()
+        elif r < 0.35:
+            phi = And(tuple(go(depth + 1) for _ in range(rng.randint(2, 3))))
+        elif r < 0.5:
+            phi = Or(tuple(go(depth + 1) for _ in range(rng.randint(2, 3))))
+        elif r < 0.6:
+            phi = Not(go(depth + 1))
+        elif r < 0.7:
+            phi = Implies(go(depth + 1), go(depth + 1))
+        elif r < 0.8:
+            phi = Iff(go(depth + 1), go(depth + 1))
+        else:
+            node = Exists if rng.random() < 0.5 else Forall
+            phi = node(tuple(rng.sample(vs, rng.randint(1, 3))), go(depth + 1))
+        made.append(phi)
+        return phi
 
     return go(0)
 

@@ -30,7 +30,10 @@ build on the library's search, tree builder and printer.  The
 reference parser matches one token at a time, whitespace and comments
 as separate matches, into token records, and builds its formulae with
 the library's constructors and interns its names in the library's
-``Symbols``.
+``Symbols``.  The reference printer walks the tree unfolding
+recursively, building a node's text again each time it is reached,
+where the library's printer builds it once through a table of the
+nodes visited.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from featlog import (
     FeatC,
     FeatId,
     Forall,
+    Formula,
     Iff,
     Implies,
     Not,
@@ -1314,3 +1318,100 @@ def canonical_formula(phi):
     if isinstance(phi, (Exists, Forall)):
         return _reference_block(type(phi), phi.vars, canonical_formula(phi.body))
     return phi
+
+
+# ---------------------------------------------------------------------------
+# Reference printer: the recursive walk ``print_formula`` was, which
+# walks the tree unfolding and builds every node's text anew each time
+# the node is reached.
+
+_PREC_IFF = 1
+_PREC_IMPLIES = 2
+_PREC_OR = 3
+_PREC_AND = 4
+_PREC_NOT = 5
+_PREC_ATOM = 6
+
+
+# Identifiers print by their spelling, ``.name``, which reads it in C;
+# formatting one calls ``_Ident.__str__``.
+def _atom_str(atom) -> str:
+    if isinstance(atom, SortC):
+        return f"{atom.sort.name}({atom.var.name})"
+    if isinstance(atom, FeatC):
+        return f"{atom.feat.name}({atom.src.name}, {atom.dst.name})"
+    if isinstance(atom, Eq):
+        return f"{atom.lhs.name} = {atom.rhs.name}"
+    return f"undef({atom.var.name}, {atom.feat.name})"
+
+
+def _operand(part: tuple[str, int], min_prec: int) -> str:
+    """The text of an operand, parenthesised when it binds looser than
+    ``min_prec``."""
+    text, prec = part
+    return text if prec >= min_prec else f"({text})"
+
+
+_NARY_OP = {_PREC_AND: " & ", _PREC_OR: " | "}
+
+
+def _nary_text(prec: int, parts: list[tuple[str, int]]) -> tuple[str, int]:
+    """A conjunction (``prec`` is ``_PREC_AND``) or disjunction of the
+    rendered operands: the first at the connective's own precedence, the
+    rest one level higher, so a left-nested chain prints unparenthesised."""
+    first, *rest = parts
+    return _NARY_OP[prec].join(
+        [_operand(first, prec)] + [_operand(part, prec + 1) for part in rest]
+    ), prec
+
+
+def _quantified_text(word: str, names, body: tuple[str, int]) -> tuple[str, int]:
+    """A quantifier block over the variable spellings ``names``; a binary
+    connective as its body is parenthesised."""
+    text, prec = body
+    if _PREC_IFF <= prec <= _PREC_AND:
+        text = f"({text})"
+    return f"{word} {', '.join(names)}. {text}", 0
+
+
+def _render(phi: Formula) -> tuple[str, int]:
+    if isinstance(phi, Top):
+        return "true", _PREC_ATOM
+    if isinstance(phi, Bottom):
+        return "false", _PREC_ATOM
+    if isinstance(phi, Atomic):
+        return _atom_str(phi.atom), _PREC_ATOM
+    if isinstance(phi, SugarAgree):
+        return f"{phi.lhs.name}.{phi.lpath} = {phi.rhs.name}.{phi.rpath}", _PREC_ATOM
+    if isinstance(phi, SugarSortAt):
+        return f"{phi.sort.name}@{phi.var.name}.{phi.path}", _PREC_ATOM
+    if isinstance(phi, Not):
+        return "~" + _operand(_render(phi.body), _PREC_NOT), _PREC_NOT
+    if isinstance(phi, (And, Or)):
+        prec = _PREC_AND if isinstance(phi, And) else _PREC_OR
+        return _nary_text(prec, list(map(_render, phi.args)))
+    if isinstance(phi, Implies):
+        lhs = _operand(_render(phi.lhs), _PREC_IMPLIES + 1)
+        return lhs + " -> " + _operand(_render(phi.rhs), _PREC_IMPLIES), _PREC_IMPLIES
+    if isinstance(phi, Iff):
+        lhs = _operand(_render(phi.lhs), _PREC_IFF + 1)
+        return lhs + " <-> " + _operand(_render(phi.rhs), _PREC_IFF), _PREC_IFF
+    if isinstance(phi, (Exists, Forall)):
+        word = "exists" if isinstance(phi, Exists) else "forall"
+        return _quantified_text(word, [v.name for v in phi.vars], _render(phi.body))
+    raise ValueError(f"unknown formula node {phi!r}")
+
+
+def reference_print(phi) -> str:
+    """``print_formula`` as the recursive walk of the tree unfolding
+    that builds each node's text from its operands', with no table of
+    the nodes visited and no bound on the characters built.
+
+    Reparsing yields the same tree, except that a first argument of the
+    same connective joins its parent: ``And((And((a, b)), c))`` prints
+    as ``a & b & c``, which parses as ``And((a, b, c))``.  Likewise a
+    quantifier block prints its own variables and a block of the same
+    kind as its body joins it: ``Exists((x,), Exists((y,), b))`` prints
+    as ``exists x. exists y. b``, which parses as ``Exists((x, y), b)``.
+    """
+    return _render(phi)[0]

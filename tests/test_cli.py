@@ -35,11 +35,12 @@ from featlog import (
     valuation_to_json,
     witness_prime,
 )
-from featlog.cli import _print_text, build_parser, main
+from featlog.cli import build_parser, main
 from featlog.core import free_vars
-from featlog.qe import BcAnd, BcNot, BcOr
+from featlog.qe import BcAnd, BcNot, BcOr, ResourceLimit
 
 from generators import random_epc_formula, random_quantified_formula, random_solved_formula
+from oracles import reference_print
 from test_solve import _wall_limit
 
 
@@ -385,9 +386,10 @@ def _shape_counts(delta) -> dict:
 
 
 def test_printing_from_the_dag_matches_the_formula_printer(sym):
-    """The CLI prints residues straight from the combination, and solved
-    forms as primes with nothing bound; the text equals what the
-    library's conversions and ``print_formula`` give.  Residues come
+    """``print_formula`` prints residues straight from the combination,
+    and solved forms as primes with nothing bound, as the CLI does; the
+    text equals what the library's conversions and the recursive
+    reference printer give.  Residues come
     from random open formulae, each built over two subformulae that it
     uses more than once, one of them at times an existential
     conjunction, so that residues share nodes, negate primes with bound
@@ -409,7 +411,7 @@ def test_printing_from_the_dag_matches_the_formula_printer(sym):
             )
         )
         delta = decide(shape)
-        assert _print_text(delta) == print_formula(boolcomb_to_formula(delta)), shape
+        assert print_formula(delta) == reference_print(boolcomb_to_formula(delta)), shape
         for name, n in _shape_counts(delta).items():
             seen[name] += n > 0
     assert min(seen.values()) > 10, seen
@@ -421,7 +423,8 @@ def test_printing_from_the_dag_matches_the_formula_printer(sym):
             tuple(rng.sample(gamma.graph, len(gamma.graph))),
         )
         for g in (gamma, shuffled):
-            assert _print_text(PrimeFormula(frozenset(), g)) == print_formula(solved_to_formula(g))
+            want = reference_print(solved_to_formula(g))
+            assert print_formula(PrimeFormula(frozenset(), g)) == want
 
 
 def _nested_chain(n: int) -> str:
@@ -456,6 +459,31 @@ def test_nested_chain_prints_or_exits_3_at_the_print_bound(tmp_path, capsys, com
             code, out, err = run(capsys, command, write(tmp_path, _nested_chain(n)))
         assert (code, out) == (3, ""), n
         assert err == "resource limit: printing builds more than 10000000 characters\n"
+
+
+def test_library_prints_the_nested_chain_under_the_print_bound():
+    """``print_formula`` of the residue, and of its formula from
+    ``boolcomb_to_formula``, builds each node's text once: the CLI's
+    bytes at n = 12, the whole text at n = 17, and from n = 18 on it
+    stops at the print bound at once (walking the unfolding, it took
+    4.7 s and built 14.7 M characters at n = 20)."""
+    for n in (12, 17, 18, 20, 100):
+        with _wall_limit(2.0):
+            delta = decide(parse_formula(Symbols(), _nested_chain(n)))
+            shown = (delta, boolcomb_to_formula(delta))
+            if n > 17:
+                for phi in shown:
+                    with pytest.raises(ResourceLimit, match="more than 10000000 characters"):
+                        print_formula(phi)
+                continue
+            texts = [print_formula(phi) for phi in shown]
+        assert texts[0] == texts[1], n
+        if n == 12:
+            outs = {"decide": f"SATISFIABLE\n{texts[0]}\n", "simplify": f"{texts[0]}\n"}
+            for command, out in outs.items():
+                data = out.encode()
+                pinned = NESTED_CHAIN_12[command]
+                assert (len(data), hashlib.sha256(data).hexdigest()) == pinned
 
 
 def test_json_format(tmp_path, capsys):
@@ -549,6 +577,22 @@ def test_residue_is_byte_identical_across_hash_seeds(tmp_path):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "decide", "/nonexistent/path.fl")
     assert code == 2 and "cannot read" in err
+
+
+def test_standard_input_is_read_after_the_host_process_has_read_it():
+    """A stream already read from can no longer be reconfigured, so
+    ``main`` reads it as it is, from where the host process left it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, featlog.cli as c; sys.stdin.readline(); print(c.main(['decide', '-']))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        input="first\nA(x) & B(x)\n",
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "UNSATISFIABLE\n0\n", "")
 
 
 def test_input_that_is_not_utf8_exits_2(tmp_path):
@@ -872,6 +916,12 @@ def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
     beta = simplify_epc(formula("exists y. (f(x, y) & A(y))"))
     beta2 = simplify_epc(formula("exists z. f(x, z)"))
     loop = simplify_epc(formula("f(x, x)"))
+    over_bound = decide(formula(_nested_chain(18)))
+
+    def print_over_bound():
+        with pytest.raises(ResourceLimit):
+            print_formula(over_bound)
+
     calls = {
         "decide closed": cli(
             "decide", "forall x. ((exists y. (f(x, y) & A(y))) -> (exists z. (A(z) & f(x, z))))"
@@ -903,6 +953,7 @@ def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
             sym, "tree", {x: single_node_tree(A)}, formula("(exists y. f(x, y)) | A(x)")
         ),
         "witness_prime": lambda: witness_prime(beta, A),
+        "print_formula print limit": print_over_bound,
         "enumerate_values": lambda: list(enumerate_values("tree", [A], [f], 2)),
     }
     for call in calls.values():

@@ -12,6 +12,7 @@ from featlog import (
     Exists,
     FeatC,
     Forall,
+    Iff,
     Implies,
     Not,
     ParseError,
@@ -28,8 +29,8 @@ from featlog import (
 from featlog.core import EPS
 from featlog.textio import _scan
 
-from generators import random_quantified_formula
-from oracles import canonical_formula, reference_parse
+from generators import random_quantified_formula, random_sugared_formula
+from oracles import canonical_formula, reference_parse, reference_print
 from test_solve import _wall_limit
 
 
@@ -321,6 +322,45 @@ def test_round_trip_on_random_formulae(sym):
         phi = random_quantified_formula(rng, sym)
         back = parse_formula(sym, print_formula(phi))
         assert canonical_formula(back) == canonical_formula(phi)
+
+
+def _shapes(phi) -> set[str]:
+    """The kinds of node in ``phi``, the blocks of more than one
+    variable, the blocks right under a block, and whether a node is
+    reached twice."""
+    shapes, reached = set(), set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) in reached:
+            shapes.add("shared")
+        reached.add(id(node))
+        shapes.add(type(node.atom if isinstance(node, Atomic) else node).__name__)
+        if isinstance(node, (Exists, Forall)):
+            if len(node.vars) > 1:
+                shapes.add("block of two or more")
+            if isinstance(node.body, (Exists, Forall)):
+                shapes.add("block under a block")
+        if isinstance(node, (And, Or)):
+            stack.extend(node.args)
+        elif isinstance(node, (Not, Exists, Forall)):
+            stack.append(node.body)
+        elif isinstance(node, (Implies, Iff)):
+            stack += [node.lhs, node.rhs]
+    return shapes
+
+
+def test_printer_agrees_with_the_recursive_reference_printer(sym):
+    """The same text as the recursive walk of the tree unfolding, on
+    random formulae with sugar, exclusions, ``->``, ``<->``, blocks of
+    several variables, blocks under blocks and shared subformulae."""
+    rng = random.Random(34)
+    seen: Counter = Counter()
+    for _ in range(500):
+        phi = random_sugared_formula(rng, sym)
+        assert print_formula(phi) == reference_print(phi)
+        seen.update(_shapes(phi))
+    assert len(seen) == 18 and min(seen.values()) >= 50, seen
 
 
 def test_round_trip_of_sugar_nodes(sym):
