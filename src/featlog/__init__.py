@@ -73,7 +73,6 @@ from .prime import (
     mk_prime_exists,
     prime_conj,
     prime_entails,
-    prime_to_formula,
     projection,
     simplify_epc,
 )
@@ -88,7 +87,6 @@ from .qe import (
     BoolComb,
     ResourceLimit,
     Verdict,
-    boolcomb_to_formula,
     classify,
     decide,
     eliminate_clause,

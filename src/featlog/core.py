@@ -1,4 +1,5 @@
-"""Identifiers, formula syntax, and shared structural operations.
+"""Identifiers, formula syntax, sugar expansion, and shared structural
+operations.
 
 The signature has two alphabets of predicate symbols: sorts (unary,
 spelled with a leading upper-case letter) and features (binary, spelled
@@ -7,13 +8,20 @@ namespaces are disjoint, so the same spelling may serve as both a
 feature and a variable without clash.  Both alphabets are unbounded:
 there is always a sort and a feature that a given formula does not
 mention, which the decision procedure relies on.
+
+This is the bottom layer.  The modules import one another in one order,
+core, solve, paths, prime, qe, models, textio, cli, each only from those
+before it, so sugar expansion lives here, where ``qe`` and ``models``
+reach it.  Only ``Formula.__str__`` and ``PrimeFormula.__str__`` import
+a later module, the printer, when called.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import count
 from keyword import iskeyword
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Iterable, Union
 
 NAME_PATTERN = re.compile(r"\A[A-Za-z][A-Za-z0-9_]*\Z")
@@ -453,6 +461,81 @@ def free_vars(phi: Formula) -> set[VarId]:
         # go refers to itself: deleting it breaks the cycle
         del go
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sugar expansion
+
+
+def expand_sugar(phi: Formula) -> Formula:
+    """Rewrite exclusion and path sugar into core atoms and quantifiers.
+
+    The result contains only true/false, sort, feature and equation
+    atoms, connectives, and quantifiers.  The variables a sugar node
+    introduces are bound by its own expansion and spelled with the
+    reserved ``_`` prefix, numbered per call (``_y1``, ``_z2``, ...),
+    skipping a spelling the node itself mentions.  Such a binder may
+    shadow an unrelated outer variable of the same spelling, which is
+    harmless: the expansion's body mentions only the node's own
+    variables and binders.
+    """
+    numbers = count(1)
+
+    def fresh(hint: str, mentioned: tuple[VarId, ...]) -> VarId:
+        while True:
+            v = VarId(f"_{hint}{next(numbers)}")
+            if v not in mentioned:
+                return v
+
+    def chain(x: VarId, p: Path, z: VarId, mentioned) -> tuple[list[VarId], list[Formula]]:
+        # atoms stating that p leads from x to z, with fresh inner nodes;
+        # the empty path degenerates to the equation x = z
+        if not p.feats:
+            return [], [Atomic(Eq(x, z))]
+        inner = [fresh("z", mentioned) for _ in p.feats[:-1]]
+        nodes = [x] + inner + [z]
+        atoms = [Atomic(FeatC(nodes[i], f, nodes[i + 1])) for i, f in enumerate(p.feats)]
+        return inner, atoms
+
+    def go(phi: Formula) -> Formula:
+        if isinstance(phi, (Top, Bottom)):
+            return phi
+        if isinstance(phi, Atomic):
+            if isinstance(phi.atom, Excl):
+                x = phi.atom.var
+                w = fresh("y", (x,))
+                return Not(Exists((w,), Atomic(FeatC(x, phi.atom.feat, w))))
+            return phi
+        if isinstance(phi, SugarSortAt):
+            mentioned = (phi.var,)
+            w = fresh("y", mentioned)
+            inner, atoms = chain(phi.var, phi.path, w, mentioned)
+            return exists_all(inner + [w], conj(atoms + [Atomic(SortC(phi.sort, w))]))
+        if isinstance(phi, SugarAgree):
+            mentioned = (phi.lhs, phi.rhs)
+            z = fresh("z", mentioned)
+            linner, latoms = chain(phi.lhs, phi.lpath, z, mentioned)
+            rinner, ratoms = chain(phi.rhs, phi.rpath, z, mentioned)
+            return exists_all([z] + linner + rinner, conj(latoms + ratoms))
+        # a node with no sugar below it is returned as it is
+        if isinstance(phi, (Not, Exists, Forall)):
+            body = go(phi.body)
+            if body is phi.body:
+                return phi
+            return Not(body) if isinstance(phi, Not) else type(phi)(phi.vars, body)
+        if isinstance(phi, (And, Or)):
+            args = tuple(map(go, phi.args))
+            return phi if all(map(is_, args, phi.args)) else type(phi)(args)
+        if isinstance(phi, (Implies, Iff)):
+            lhs, rhs = go(phi.lhs), go(phi.rhs)
+            return phi if lhs is phi.lhs and rhs is phi.rhs else type(phi)(lhs, rhs)
+        raise ValueError(f"unknown formula node {phi!r}")
+
+    try:
+        return go(phi)
+    finally:
+        # go refers to itself: deleting it breaks the cycle
+        del go
 
 
 # ---------------------------------------------------------------------------

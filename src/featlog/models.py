@@ -32,10 +32,9 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
-from .core import FeatId, Formula, Path, Record, SortId, Symbols, VarId
+from .core import FeatId, Formula, Path, Record, SortId, Symbols, VarId, expand_sugar
 from .prime import PrimeFormula, adjacency, holds_at
 from .qe import BcAnd, BcNot, BoolComb, ResourceLimit, decide
-from .textio import expand_sugar
 
 Label = Union[SortId, None]
 EdgeRow = tuple[tuple[FeatId, int], ...]

@@ -27,7 +27,6 @@ from .core import (
     BOTTOM,
     EPS,
     Atom,
-    Atomic,
     Bottom,
     Eq,
     Excl,
@@ -40,8 +39,6 @@ from .core import (
     VarId,
     atom_key,
     cached_field,
-    conj,
-    exists_all,
     rename_atom,
 )
 from .paths import Agree, PathConstraint, RootedPath, SortAt
@@ -326,11 +323,3 @@ def canonicalize(beta: PrimeFormula) -> PrimeFormula:
     identity on them.
     """
     return _prime_of_atoms(beta.body.atoms, beta.bound)
-
-
-def prime_to_formula(beta: PrimeFormula) -> Formula:
-    """Existentially quantified conjunction in canonical atom order."""
-    atoms = sorted(beta.body.normalizer, key=atom_key) + sorted(
-        beta.body.graph, key=atom_key
-    )
-    return exists_all(sorted(beta.bound), conj(Atomic(a) for a in atoms))

@@ -37,6 +37,8 @@ The two sides of ``forall fv (phi <-> phi')``, with phi' a reordered
 phi, thus meet as one node and the equivalence folds to true before the
 outermost block is put in normal form.  The table holds its nodes
 weakly, so it keeps only the combinations something still refers to.
+A combination is never turned back into a formula: a later layer,
+``textio.print_formula``, prints it straight from the DAG.
 
 The elimination of ``exists X`` from a clause ``beta and not beta'``
 hinges on X-jokers: proper path constraints outside the closure of beta
@@ -82,6 +84,7 @@ from .core import (
     Top,
     VarId,
     cached_field,
+    expand_sugar,
     free_vars,
     rename_atom,
 )
@@ -95,10 +98,8 @@ from .prime import (
     holds_at,
     prime_conj,
     prime_entails,
-    prime_to_formula,
 )
 from .solve import search_tree
-from .textio import expand_sugar
 
 DEFAULT_MAX_DNF_CLAUSES = 10000
 
@@ -240,32 +241,6 @@ def bc_and(*args: BoolComb) -> BoolComb:
 
 def bc_or(*args: BoolComb) -> BoolComb:
     return _bc_nary(BcOr, args, BC_FALSE, BC_TRUE)
-
-
-def boolcomb_to_formula(delta: BoolComb) -> Formula:
-    """The formula of a combination.  Each node is converted once per
-    call, through a table of the nodes visited, so a node the
-    combination shares is one shared subformula."""
-    done: dict[BoolComb, Formula] = {}
-
-    def go(node: BoolComb) -> Formula:
-        out = done.get(node)
-        if out is None:
-            if isinstance(node, PrimeFormula):
-                out = prime_to_formula(node)
-            elif isinstance(node, BcNot):
-                out = Not(go(node.arg))
-            else:
-                out = (And if isinstance(node, BcAnd) else Or)(tuple(map(go, node.args)))
-            done[node] = out
-        return out
-
-    try:
-        return go(delta)
-    finally:
-        # go refers to itself: deleting it breaks the cycle, so the table
-        # dies with the call
-        del go
 
 
 # ---------------------------------------------------------------------------

@@ -32,16 +32,17 @@ session's table, without the check ``Symbols.sort``, ``feat`` and
 ``print_formula`` is the one printer, of formulae and of the Boolean
 combinations of primes that decisions leave as residues: one walk that
 builds each node's text once and stops past ``MAX_PRINT_CHARS``
-characters built.
+characters built.  This module sits above ``prime`` and ``qe`` and
+imports the node classes it prints from them.  Sugar expansion lives in
+``core``, where ``qe`` and ``models`` import it from; this module
+re-exports ``expand_sugar``, so the concrete syntax is parse, expand and
+print in one place.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cache
-from itertools import count, islice
-from operator import is_
-from typing import TYPE_CHECKING
+from itertools import islice
 
 from .core import (
     BOTTOM,
@@ -72,12 +73,10 @@ from .core import (
     Top,
     VarId,
     atom_key,
-    conj,
-    exists_all,
+    expand_sugar,
 )
-
-if TYPE_CHECKING:
-    from .qe import BoolComb
+from .prime import PrimeFormula
+from .qe import BcAnd, BcNot, BcOr, BoolComb, ResourceLimit
 
 
 class SourceSpan(Record):
@@ -337,81 +336,6 @@ def parse_formula(sym: Symbols, text: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Sugar expansion
-
-
-def expand_sugar(phi: Formula) -> Formula:
-    """Rewrite exclusion and path sugar into core atoms and quantifiers.
-
-    The result contains only true/false, sort, feature and equation
-    atoms, connectives, and quantifiers.  The variables a sugar node
-    introduces are bound by its own expansion and spelled with the
-    reserved ``_`` prefix, numbered per call (``_y1``, ``_z2``, ...),
-    skipping a spelling the node itself mentions.  Such a binder may
-    shadow an unrelated outer variable of the same spelling, which is
-    harmless: the expansion's body mentions only the node's own
-    variables and binders.
-    """
-    numbers = count(1)
-
-    def fresh(hint: str, mentioned: tuple[VarId, ...]) -> VarId:
-        while True:
-            v = VarId(f"_{hint}{next(numbers)}")
-            if v not in mentioned:
-                return v
-
-    def chain(x: VarId, p: Path, z: VarId, mentioned) -> tuple[list[VarId], list[Formula]]:
-        # atoms stating that p leads from x to z, with fresh inner nodes;
-        # the empty path degenerates to the equation x = z
-        if not p.feats:
-            return [], [Atomic(Eq(x, z))]
-        inner = [fresh("z", mentioned) for _ in p.feats[:-1]]
-        nodes = [x] + inner + [z]
-        atoms = [Atomic(FeatC(nodes[i], f, nodes[i + 1])) for i, f in enumerate(p.feats)]
-        return inner, atoms
-
-    def go(phi: Formula) -> Formula:
-        if isinstance(phi, (Top, Bottom)):
-            return phi
-        if isinstance(phi, Atomic):
-            if isinstance(phi.atom, Excl):
-                x = phi.atom.var
-                w = fresh("y", (x,))
-                return Not(Exists((w,), Atomic(FeatC(x, phi.atom.feat, w))))
-            return phi
-        if isinstance(phi, SugarSortAt):
-            mentioned = (phi.var,)
-            w = fresh("y", mentioned)
-            inner, atoms = chain(phi.var, phi.path, w, mentioned)
-            return exists_all(inner + [w], conj(atoms + [Atomic(SortC(phi.sort, w))]))
-        if isinstance(phi, SugarAgree):
-            mentioned = (phi.lhs, phi.rhs)
-            z = fresh("z", mentioned)
-            linner, latoms = chain(phi.lhs, phi.lpath, z, mentioned)
-            rinner, ratoms = chain(phi.rhs, phi.rpath, z, mentioned)
-            return exists_all([z] + linner + rinner, conj(latoms + ratoms))
-        # a node with no sugar below it is returned as it is
-        if isinstance(phi, (Not, Exists, Forall)):
-            body = go(phi.body)
-            if body is phi.body:
-                return phi
-            return Not(body) if isinstance(phi, Not) else type(phi)(phi.vars, body)
-        if isinstance(phi, (And, Or)):
-            args = tuple(map(go, phi.args))
-            return phi if all(map(is_, args, phi.args)) else type(phi)(args)
-        if isinstance(phi, (Implies, Iff)):
-            lhs, rhs = go(phi.lhs), go(phi.rhs)
-            return phi if lhs is phi.lhs and rhs is phi.rhs else type(phi)(lhs, rhs)
-        raise ValueError(f"unknown formula node {phi!r}")
-
-    try:
-        return go(phi)
-    finally:
-        # go refers to itself: deleting it breaks the cycle
-        del go
-
-
-# ---------------------------------------------------------------------------
 # Printing
 
 # Characters printing may build: past it, ``ResourceLimit``.  A residue of
@@ -448,23 +372,12 @@ def _quantified_text(word: str, names, body: tuple[str, int]) -> tuple[str, int]
     return f"{word} {', '.join(names)}. {text}", 0
 
 
-@cache
-def _bool_comb_names() -> tuple:
-    """``PrimeFormula``, ``BcNot``, ``BcAnd``, ``BcOr`` and
-    ``ResourceLimit``, imported on the first call, since prime and qe
-    import this module; importing them on every call would add a third
-    to a small residue's printing time."""
-    from .prime import PrimeFormula
-    from .qe import BcAnd, BcNot, BcOr, ResourceLimit
-
-    return PrimeFormula, BcNot, BcAnd, BcOr, ResourceLimit
-
-
 def print_formula(phi: Formula | BoolComb) -> str:
     """Deterministic text form of a formula, or of a Boolean combination
-    of primes, which prints as its ``boolcomb_to_formula`` does: a prime
-    as its atoms in ``atom_key`` order under ``exists`` of its sorted
-    bound variables.
+    of primes, which prints as the formula it stands for: a prime as its
+    atoms in ``atom_key`` order under ``exists`` of its sorted bound
+    variables, and the negations, conjunctions and disjunctions of primes
+    as the connectives they are.
 
     Reparsing yields the same tree, except that a first argument of the
     same connective joins its parent: ``And((And((a, b)), c))`` prints
@@ -481,7 +394,6 @@ def print_formula(phi: Formula | BoolComb) -> str:
     holds its operands', so the count bounds the text printed as well as
     the time and memory spent building it.
     """
-    PrimeFormula, BcNot, BcAnd, BcOr, ResourceLimit = _bool_comb_names()
     done: dict[int, tuple[str, int]] = {}
     built = 0
 
@@ -506,8 +418,8 @@ def print_formula(phi: Formula | BoolComb) -> str:
         elif kind is PrimeFormula:
             atoms = node.body.normalizer + node.body.graph
             if len(atoms) > 1:
-                # sorted together, as prime_to_formula sorts them apart: the
-                # normalizer's equations come first in atom_key order
+                # sorted together: the normalizer holds only equations,
+                # which come first in atom_key order
                 out = " & ".join(map(_atom_str, sorted(atoms, key=atom_key))), _PREC_AND
             else:
                 out = (_atom_str(atoms[0]) if atoms else "true"), _PREC_ATOM

@@ -33,7 +33,10 @@ the library's constructors and interns its names in the library's
 ``Symbols``.  The reference printer walks the tree unfolding
 recursively, building a node's text again each time it is reached,
 where the library's printer builds it once through a table of the
-nodes visited.
+nodes visited.  ``prime_to_formula`` and ``boolcomb_to_formula`` turn a
+prime and a Boolean combination of primes into a ``Formula`` built with
+the library's constructors, which the tests compare, print and decide;
+the library itself prints a residue straight from the combination.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ from featlog import (
     Symbols,
     Top,
     VarId,
+    conj,
     constrained_vars,
     decide,
     eliminate_clause,
@@ -97,7 +101,7 @@ from featlog import (
     projection,
     to_prime_dnf,
 )
-from featlog.core import EPS, RESERVED_WORDS, atom_key, atom_vars, rename_atom
+from featlog.core import EPS, RESERVED_WORDS, atom_key, atom_vars, exists_all, rename_atom
 from featlog.models import _same_subvalue, _walk, enumerate_values, walk_value
 from featlog.prime import adjacency, from_atom
 from featlog.paths import PathConstraint, is_proper
@@ -667,6 +671,40 @@ def two_pass_exists_conj(xs, primes):
         atoms.extend(rename_atom(a, apart) for a in beta.body.atoms)
     free = set().union(*(beta.free_vars for beta in primes))
     return two_pass_prime(atoms, bound + [x for x in xs if x in free])
+
+
+def prime_to_formula(beta: PrimeFormula) -> Formula:
+    """Existentially quantified conjunction in canonical atom order."""
+    atoms = sorted(beta.body.normalizer, key=atom_key) + sorted(
+        beta.body.graph, key=atom_key
+    )
+    return exists_all(sorted(beta.bound), conj(Atomic(a) for a in atoms))
+
+
+def boolcomb_to_formula(delta: BoolComb) -> Formula:
+    """The formula of a combination.  Each node is converted once per
+    call, through a table of the nodes visited, so a node the
+    combination shares is one shared subformula."""
+    done: dict[BoolComb, Formula] = {}
+
+    def go(node: BoolComb) -> Formula:
+        out = done.get(node)
+        if out is None:
+            if isinstance(node, PrimeFormula):
+                out = prime_to_formula(node)
+            elif isinstance(node, BcNot):
+                out = Not(go(node.arg))
+            else:
+                out = (And if isinstance(node, BcAnd) else Or)(tuple(map(go, node.args)))
+            done[node] = out
+        return out
+
+    try:
+        return go(delta)
+    finally:
+        # go refers to itself: deleting it breaks the cycle, so the table
+        # dies with the call
+        del go
 
 
 def bc_quantifier_free(delta: BoolComb) -> bool:

@@ -19,7 +19,6 @@ from featlog import (
     PrimeFormula,
     SortAt,
     basic_simplify,
-    boolcomb_to_formula,
     canonicalize,
     classify,
     closure_contains,
@@ -56,6 +55,7 @@ from generators import (
 from oracles import (
     NaiveClosure,
     bc_quantifier_free,
+    boolcomb_to_formula,
     bounded_evaluate,
     simplification_rule_applies,
 )

@@ -67,6 +67,14 @@ def test_bench_commands_run_against_this_checkout():
         assert set(by_command.values()) == {"ok"}, (name, by_command)
 
 
+def _tracer(featlog):
+    """The harness's span tracer over ``featlog``, not yet installed."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.Tracer(featlog)
+
+
 @pytest.mark.parametrize(
     "text, walks",
     [
@@ -82,10 +90,7 @@ def test_every_normal_form_walk_is_traced(text, walks):
     import featlog
     import featlog.cli  # the tracer wraps the CLI's entry point too
 
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    tracer = spans.Tracer(featlog)
+    tracer = _tracer(featlog)
     phi = featlog.parse_formula(featlog.Symbols(), text)
     tracer.install()
     try:
@@ -93,3 +98,25 @@ def test_every_normal_form_walk_is_traced(text, walks):
     finally:
         tracer.uninstall()
     assert tracer.counts["qe.to_prime_dnf.calls"] == walks
+
+
+def test_text_spans_count_a_cli_call(capsys, monkeypatch):
+    """``expand_sugar`` lives in ``core`` and ``textio`` re-exports it,
+    yet the harness's ``textio.expand_sugar`` and ``textio.print_formula``
+    spans each count the one call a ``featlog decide`` on sugared open
+    input makes."""
+    import io
+
+    import featlog
+    import featlog.cli
+
+    tracer = _tracer(featlog)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("A@x.f & B(y)"))
+    tracer.install()
+    try:
+        code = featlog.cli.main(["decide", "-"])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr()
+    assert tracer.counts["textio.expand_sugar.calls"] == 1
+    assert tracer.counts["textio.print_formula.calls"] == 1

@@ -18,7 +18,6 @@ from featlog import (
     PrimeFormula,
     SolvedFormula,
     Symbols,
-    boolcomb_to_formula,
     classify,
     decide,
     enumerate_values,
@@ -40,7 +39,7 @@ from featlog.core import free_vars
 from featlog.qe import BcAnd, BcNot, BcOr, ResourceLimit
 
 from generators import random_epc_formula, random_quantified_formula, random_solved_formula
-from oracles import reference_print
+from oracles import boolcomb_to_formula, reference_print
 from test_solve import _wall_limit
 
 

@@ -362,12 +362,12 @@ PUBLIC_NAMES = """
     ResourceLimit RootedPath SATISFIABLE SolvedClause SolvedFormula SortAt SortC
     SortId SourceSpan SugarAgree SugarSortAt Symbols TOP TOP_PRIME Top
     UNSATISFIABLE VALID VarId Verdict WitnessPool access_function basic_simplify
-    boolcomb_to_formula canonicalize classify clause_to_formula closure_contains
+    canonicalize classify clause_to_formula closure_contains
     conj constrained_vars decide eliminate_clause eliminate_neg enumerate_values
     evaluate expand_sugar feature_graph feature_tree formula_to_basic free_vars
     is_joker is_solved_clause is_solved_formula mk_prime_exists parameters
     parse_formula pool_satisfies prime_closure_contains prime_conj prime_entails
-    prime_to_formula print_formula projection satisfies_prime simplify_epc
+    print_formula projection satisfies_prime simplify_epc
     single_node_tree solved_to_formula targets to_prime_dnf tree_subtree
     valuation_to_json value_to_json walk_path witness_pool witness_prime
     witness_to_json
@@ -389,35 +389,101 @@ def test_public_names():
     assert sorted(got) == sorted(PUBLIC_NAMES)
 
 
+# Exports that nothing in the library, demos, tools or bench uses, kept
+# for library callers, each with its reason.
+KEPT_FOR_CALLERS = {
+    # the JSON of witness_prime's valuations, which moves with it once
+    # witness_prime leaves src (ROADMAP item 6)
+    "models.valuation_to_json",
+}
+
+
 def test_library_functions_have_a_use_outside_tests():
     """Every module-level function of ``src/featlog`` is referenced in the
-    library outside its own body (as a name, an attribute or an import;
-    an import in ``__init__.py`` is an export), or the bench traces it.
-    A function that only tests or demos reach belongs in ``tests/``."""
+    library outside its own body and outside ``__init__.py`` (as a name,
+    an attribute or an import), or in ``demos/``, ``tools/`` or
+    ``bench/``, or the bench traces it, or ``KEPT_FOR_CALLERS`` names
+    it.  An export alone is no use: a function that only tests reach
+    belongs in ``tests/``."""
     import ast
     import pathlib
 
     import featlog
 
-    spans = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    root = pathlib.Path(__file__).resolve().parents[1]
     traced = set()
-    for node in ast.parse(spans.read_text()).body:
+    for node in ast.parse((root / "bench" / "spans.py").read_text()).body:
         if isinstance(node, ast.Assign) and node.targets[0].id in ("TRACED", "COUNTED_GENERATORS"):
             traced.update(f"{m}.{f}" for m, f in ast.literal_eval(node.value))
+
+    def names(tree, own=None):
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name and name != own:
+                yield name
+
     defined, used = [], set()
     for path in sorted(pathlib.Path(featlog.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
         for top in ast.parse(path.read_text()).body:
             own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
             if own:
                 defined.append(f"{path.stem}.{own}")
-            for node in ast.walk(top):
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if isinstance(node, ast.alias):
-                    name = node.name
-                if name and name != own:
-                    used.add(name)
-    unused = [d for d in defined if d.split(".")[1] not in used and d not in traced]
-    assert not unused, f"nothing in src/featlog uses: {', '.join(unused)}"
+            used.update(names(top, own))
+    for folder in ("demos", "tools", "bench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            used.update(names(ast.parse(path.read_text())))
+    unused = [
+        d
+        for d in defined
+        if d.split(".")[1] not in used and d not in traced and d not in KEPT_FOR_CALLERS
+    ]
+    assert not unused, f"nothing outside tests uses: {', '.join(unused)}"
+    kept_in_use = [d for d in KEPT_FOR_CALLERS if d.split(".")[1] in used or d in traced]
+    assert not kept_in_use, f"in use, so no longer kept for callers: {', '.join(kept_in_use)}"
+
+
+# The layers of src/featlog, lowest first: a module imports only from
+# the modules before it.
+LAYERS = ("core", "solve", "paths", "prime", "qe", "models", "textio", "cli")
+
+
+def test_modules_import_in_one_layer_order():
+    """Each unconditional module-level ``from .x import`` of a module of
+    ``src/featlog`` names a module earlier in ``LAYERS`` (an
+    ``if TYPE_CHECKING:`` block is exempt), and the only imports of a
+    featlog module inside a function are the printer's, in
+    ``Formula.__str__`` and ``PrimeFormula.__str__``."""
+    import ast
+    import pathlib
+
+    import featlog
+
+    upward, at_call_time = [], []
+    for path in sorted(pathlib.Path(featlog.__file__).parent.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        rank = LAYERS.index(path.stem)
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                target = node.module or node.names[0].name
+                if LAYERS.index(target) >= rank:
+                    upward.append(f"{path.stem} imports {target}")
+        functions = [
+            (f"{top.name}.{fn.name}" if isinstance(top, ast.ClassDef) else fn.name, fn)
+            for top in tree.body
+            for fn in (top.body if isinstance(top, ast.ClassDef) else [top])
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for name, fn in functions:
+            if any(isinstance(n, ast.ImportFrom) and n.level for n in ast.walk(fn)):
+                at_call_time.append(f"{path.stem}.{name}")
+    assert not upward, upward
+    assert sorted(at_call_time) == ["core.Formula.__str__", "prime.PrimeFormula.__str__"]
 
 
 def test_import_loads_no_dataclasses():

@@ -34,7 +34,7 @@ from featlog import (
     witness_prime,
 )
 from featlog.core import EPS, conj, exists_all, free_vars, rename_atom
-from featlog.prime import exists_conj, from_atom, prime_to_formula
+from featlog.prime import exists_conj, from_atom
 
 from generators import (
     pools,
@@ -48,6 +48,7 @@ from generators import (
 from oracles import (
     fold_simplify_epc,
     is_prime_formula,
+    prime_to_formula,
     projection_entails,
     two_pass_exists_conj,
     two_pass_prime,

@@ -24,7 +24,6 @@ from featlog import (
     SortC,
     TOP_PRIME,
     basic_simplify,
-    boolcomb_to_formula,
     canonicalize,
     classify,
     decide,
@@ -76,6 +75,7 @@ from generators import (
 )
 from oracles import (
     bc_quantifier_free,
+    boolcomb_to_formula,
     bounded_evaluate,
     closure_classify,
     dict_prime_dnf,
