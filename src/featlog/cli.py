@@ -132,7 +132,10 @@ def _solve_epc(
     try:
         return phi, simplify_epc(phi)
     except ValueError:
-        print(f"{command} inputs must use only atoms, '&', and 'exists'", file=sys.stderr)
+        print(
+            f"{command} inputs must use only atoms other than undef, '&', and 'exists'",
+            file=sys.stderr,
+        )
         return None
 
 

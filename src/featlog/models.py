@@ -13,8 +13,10 @@ their nodes may lack sort labels.
 A witness is one minimal graph with a node per variable
 (``witness_pool``): equal values share a node.  ``pool_satisfies``
 checks a prime on the pool and ``witness_to_json`` writes its JSON
-straight from it, so no standalone tree is numbered; ``witness_prime``
-numbers one tree per variable, quadratically many nodes on a chain.
+straight from it: ``_number``, which numbers every value, numbers its
+rows from each variable's node, and no standalone tree is built;
+``witness_prime`` builds one tree per variable, quadratically many
+nodes on a chain.
 
 Both kinds of value support exact evaluation of every formula:
 quantifier elimination reduces it to a Boolean combination of prime
@@ -261,17 +263,6 @@ class WitnessPool(Record):
 _LEAF = ("leaf",)
 
 
-def _trees(labels: Mapping, adj: Mapping, node: Mapping) -> dict:
-    """The standalone tree at each variable's node, one per node."""
-    trees: dict = {}
-    out: dict = {}
-    for v, b in node.items():
-        if b not in trees:
-            trees[b] = _tree(b, labels, adj)
-        out[v] = trees[b]
-    return out
-
-
 def witness_pool(beta: PrimeFormula, default_sort: SortId) -> WitnessPool:
     """One minimal pool satisfying a prime formula.
 
@@ -304,7 +295,8 @@ def witness_prime(beta: PrimeFormula, default_sort: SortId) -> Valuation:
     checks a prime on it and ``witness_to_json`` writes it.
     """
     pool = witness_pool(beta, default_sort)
-    return _trees(pool.labels, pool.adj, pool.node)
+    trees = {b: _tree(b, pool.labels, pool.adj) for b in set(pool.node.values())}
+    return {v: trees[b] for v, b in pool.node.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +468,9 @@ def evaluate(
     that sugar expansion and elimination introduce are bound where they
     are made, so they capture no variable of phi or alpha.  ``sym``,
     ``node_bound`` and ``budget`` are not read; they stay for callers
-    that pass them.
+    that pass them.  A free variable of the residue that alpha gives no
+    value is a ``ValueError``, even where the answer would not read it;
+    one the residue drops, as in ``x = x``, needs no value.
     """
     if kind not in ("tree", "graph"):
         raise ValueError("kind must be 'tree' or 'graph'")
@@ -484,6 +478,9 @@ def evaluate(
         delta = decide(expand_sugar(phi))
     except ResourceLimit:
         return None
+    missing = delta.free_vars.difference(alpha)
+    if missing:
+        raise ValueError(f"no value for {', '.join(v.name for v in sorted(missing))}")
     return _holds(alpha, delta)
 
 
@@ -495,78 +492,59 @@ def evaluate(
 # (src, feature, dst) in that order, and the node of each variable.
 
 
-def _json_pool(values: Iterable[Value]) -> tuple[list, list, dict]:
-    """The rows of the values in turn; equal values share a block."""
-    blocks: dict[Value, int] = {}
+def _json_pool(rows: Iterable[tuple]) -> tuple[list, list, dict]:
+    """Pool ``(name, key, labels, edges)`` rows given in name order: a
+    new key opens a block and each name maps to its key's offset.
+    Blocks come in turn and rows are sorted by feature, so the edges
+    are in (src, feature, dst) order."""
+    offsets: dict = {}
     sorts: list[Label] = []
     edges: list[tuple[int, FeatId, int]] = []
-    for value in values:
-        if value in blocks:
-            continue
-        offset = blocks[value] = len(sorts)
-        sorts.extend(value.labels)
-        edges.extend(
-            (offset + i, f, offset + j) for i, row in enumerate(value.edges) for f, j in row
-        )
-    edges.sort()
-    return sorts, edges, blocks
+    where: dict = {}
+    for name, key, labels, out in rows:
+        offset = offsets.get(key)
+        if offset is None:
+            offset = offsets[key] = len(sorts)
+            sorts.extend(labels)
+            edges.extend((offset + i, f, offset + j) for i, row in enumerate(out) for f, j in row)
+        where[name] = offset
+    return sorts, edges, where
 
 
-def _json_rows(sorts: list[Label], edges: list) -> tuple[list, list]:
-    """The ``nodes`` and ``edges`` documents of two rows."""
-    nodes = [
-        {"id": i} if lab is None else {"id": i, "sort": lab.name} for i, lab in enumerate(sorts)
-    ]
-    return nodes, [{"src": s, "feature": f.name, "dst": d} for s, f, d in edges]
+def _json_doc(sorts: list[Label], edges: list, where: dict) -> dict:
+    """The ``nodes``, ``edges`` and ``vars`` document of a pool's rows."""
+    return {
+        "nodes": [{"id": i, "sort": s.name} if s else {"id": i} for i, s in enumerate(sorts)],
+        "edges": [{"src": s, "feature": f.name, "dst": d} for s, f, d in edges],
+        "vars": where,
+    }
 
 
 def value_to_json(v: Value) -> dict:
-    nodes, edges = _json_rows(*_json_pool([v])[:2])
-    return {"root": 0, "nodes": nodes, "edges": edges}
+    """The document of one value, its root in front in place of ``vars``."""
+    doc = _json_doc(*_json_pool([("root", v, v.labels, v.edges)]))
+    return {"root": doc.pop("vars")["root"], **doc}
 
 
 def valuation_to_json(alpha: Mapping[VarId, Value]) -> dict:
     """One shared node pool; equal values share their block of nodes."""
-    names = sorted(alpha)
-    sorts, edges, blocks = _json_pool(alpha[v] for v in names)
-    nodes, edge_docs = _json_rows(sorts, edges)
-    return {"nodes": nodes, "edges": edge_docs, "vars": {v.name: blocks[alpha[v]] for v in names}}
+    rows = ((v.name, value, value.labels, value.edges) for v, value in sorted(alpha.items()))
+    return _json_doc(*_json_pool(rows))
 
 
 def _witness_rows(pool: WitnessPool, roots: Mapping[VarId, int]) -> tuple[list, list, dict]:
-    """The rows ``valuation_to_json`` gives the trees at the roots.
-
-    For each variable in name order, a node not seen before opens a
-    block, numbered in the depth-first preorder of ``_number``; equal
-    nodes are equal trees and share the block.  Edges come out in
-    (src, feature, dst) order, because sources are numbered in turn and
-    each row is sorted by feature.
-    """
-    labels, adj = pool.labels, pool.adj
-    offsets: dict[int, int] = {}
-    sorts: list[SortId] = []
-    edges: list[tuple[int, FeatId, int]] = []
-    where: dict[str, int] = {}
-    for v in sorted(roots):
-        root = roots[v]
-        if root not in offsets:
-            offset = offsets[root] = len(sorts)
-            order = _preorder(root, adj)
-            index = {u: offset + i for i, u in enumerate(order)}
-            for u in order:
-                sorts.append(labels[u])
-                src = index[u]
-                edges.extend((src, f, index[w]) for f, w in adj.get(u, ()))
-        where[v.name] = offsets[root]
-    return sorts, edges, where
+    """The rows ``valuation_to_json`` gives the trees at the roots: each
+    distinct root is numbered once by ``_number``, as a standalone tree
+    is, and pooled under the root, so equal nodes (equal trees) share a
+    block."""
+    rows = {b: _number(b, pool.labels, pool.adj) for b in set(roots.values())}
+    return _json_pool((v.name, roots[v], *rows[roots[v]]) for v in sorted(roots))
 
 
 def witness_to_json(pool: WitnessPool, roots: Mapping[VarId, int]) -> dict:
     """``valuation_to_json`` of the trees at the given pool nodes, built
     without a standalone tree."""
-    sorts, edges, where = _witness_rows(pool, roots)
-    nodes, edge_docs = _json_rows(sorts, edges)
-    return {"nodes": nodes, "edges": edge_docs, "vars": where}
+    return _json_doc(*_witness_rows(pool, roots))
 
 
 def _json_items(items: list[str], brackets: str) -> str:

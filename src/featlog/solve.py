@@ -27,6 +27,7 @@ two merged edges the later one in the input stays.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import count, filterfalse
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
@@ -270,16 +271,22 @@ def _name_classes(var, node, root, hidden, name, out_edges, sorts) -> list[VarId
         if up is not None:
             children.setdefault(up[0], []).append(w)
 
+    mentioned: set[int] | None = None
+
     def taken(q: VarId) -> bool:
         # whether the result mentions a free variable spelled q: in an
         # equation, when its class has two free members, or naming a
-        # class with a sort or a kept edge
+        # class with a sort or a kept edge; the classes it mentions are
+        # found once, on the first spelling of an input variable
+        nonlocal mentioned
         i = node.get(q)
         if i is None or i in hidden:
             return False
-        r, kept = root[i], (w for u in tree for _, w in adj.get(u, ()))
-        members = sum(root[j] == r and j not in hidden for j in range(len(var)))
-        return members > 1 or r in sorts or r in out_edges or r in kept
+        if mentioned is None:
+            members = Counter(r for j, r in enumerate(root) if j not in hidden)
+            mentioned = {r for r, k in members.items() if k > 1}
+            mentioned.update(sorts, out_edges, (w for u in tree for _, w in adj.get(u, ())))
+        return root[i] in mentioned
 
     spell = filterfalse(taken, map(VarId, map("q{}".format, count())))
     names: list[VarId] = []

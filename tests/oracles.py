@@ -37,6 +37,9 @@ nodes visited.  ``prime_to_formula`` and ``boolcomb_to_formula`` turn a
 prime and a Boolean combination of primes into a ``Formula`` built with
 the library's constructors, which the tests compare, print and decide;
 the library itself prints a residue straight from the combination.
+The reference JSON documents of values and valuations concatenate each
+distinct value's rows and sort the edges afterwards, where the library
+relies on its rows already coming out in order.
 """
 
 from __future__ import annotations
@@ -1453,3 +1456,38 @@ def reference_print(phi) -> str:
     as ``exists x. exists y. b``, which parses as ``Exists((x, y), b)``.
     """
     return _render(phi)[0]
+
+
+def reference_valuation_json(alpha) -> dict:
+    """``valuation_to_json`` from the values' rows: for each variable in
+    name order, a value not met before appends its nodes and edges, and
+    the edges are sorted once all are in."""
+    offset: dict = {}
+    sorts: list = []
+    edges: list = []
+    for v in sorted(alpha):
+        value = alpha[v]
+        if value not in offset:
+            at = offset[value] = len(sorts)
+            sorts += value.labels
+            for i, row in enumerate(value.edges):
+                edges += [(at + i, f.name, at + j) for f, j in row]
+    edges.sort()
+    nodes = []
+    for i, lab in enumerate(sorts):
+        node = {"id": i}
+        if lab is not None:
+            node["sort"] = lab.name
+        nodes.append(node)
+    return {
+        "nodes": nodes,
+        "edges": [{"src": s, "feature": f, "dst": d} for s, f, d in edges],
+        "vars": {v.name: offset[alpha[v]] for v in sorted(alpha)},
+    }
+
+
+def reference_value_json(value) -> dict:
+    """``value_to_json``: the document of a one-variable valuation with
+    ``root`` in front of ``nodes`` and ``edges`` in place of ``vars``."""
+    doc = reference_valuation_json({VarId("root"): value})
+    return {"root": 0, "nodes": doc["nodes"], "edges": doc["edges"]}

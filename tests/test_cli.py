@@ -151,6 +151,20 @@ def test_disjunction_is_rejected_in_any_order(tmp_path, capsys, command, text):
     assert code == 2 and out == "" and "only atoms" in err
 
 
+@pytest.mark.parametrize("command", ["witness", "entail"])
+def test_undef_is_named_where_it_is_rejected(tmp_path, capsys, command):
+    """``undef`` is an atom of the grammar, but it expands to a negation,
+    so the message that rejects it names it."""
+    text = "exists x. undef(x, f)"
+    if command == "entail":
+        text = f"{text} ; A(y)"
+    assert run(capsys, command, write(tmp_path, text)) == (
+        2,
+        "",
+        f"{command} inputs must use only atoms other than undef, '&', and 'exists'\n",
+    )
+
+
 def test_witness_respects_default_sort(tmp_path, capsys):
     path = write(tmp_path, "exists y. f(x, y)")
     code, out, _ = run(capsys, "witness", path, "--default-sort", "Dflt")

@@ -65,6 +65,8 @@ from oracles import (
     naive_bisimilarity,
     naive_reachable,
     projection_satisfies,
+    reference_valuation_json,
+    reference_value_json,
     witness_solved_clause,
 )
 from test_solve import _wall_limit, fig2_clause
@@ -215,6 +217,26 @@ def test_evaluate_atoms(sym):
     assert evaluate(sym, "tree", {x: t}, Atomic(Excl(x, f))) is True
     bare = feature_graph(0, {0: None}, {})
     assert evaluate(sym, "graph", {x: bare}, Atomic(SortC(A, x))) is False
+
+
+def test_evaluate_names_the_variables_the_valuation_leaves_out(sym):
+    """A free variable of the residue without a value is a ValueError
+    that names it, also where the short-circuit would not read it; one
+    the residue drops needs no value."""
+    leaf = single_node_tree(sym.sort("A"))
+    x = sym.var("x")
+    cases = {
+        ("A(x) & f(x, y)", "tree", ()): "no value for x, y",
+        ("A(x) | B(y)", "tree", (x,)): "no value for y",
+        ("exists z. (f(x, z) & g(w, z))", "graph", ()): "no value for w, x",
+    }
+    for (text, kind, given), message in cases.items():
+        phi = parse_formula(sym, text)
+        with pytest.raises(ValueError) as err:
+            evaluate(sym, kind, {v: leaf for v in given}, phi)
+        assert str(err.value) == message
+    assert evaluate(sym, "tree", {}, parse_formula(sym, "x = x")) is True
+    assert evaluate(sym, "tree", {x: leaf}, parse_formula(sym, "A(x) | y = y")) is True
 
 
 def test_evaluate_leaves_the_session_unchanged(sym):
@@ -603,6 +625,30 @@ def test_json_serialization(sym):
     val2 = {x: t, y: t}
     vd2 = valuation_to_json(val2)
     assert vd2["vars"]["x"] == vd2["vars"]["y"]
+
+
+def test_value_documents_agree_with_the_reference(sym):
+    """``value_to_json`` and ``valuation_to_json`` write tree and graph
+    values, unlabeled graph nodes and shared values among them, as the
+    reference does, which sorts the edges: the library's rows are in
+    (src, feature, dst) order as they are built.  Compared as
+    ``json.dumps`` text, so the key order counts too."""
+    rng = random.Random(3601)
+    _, _, vs = pools(sym, n_sorts=2, n_feats=3, n_vars=4)
+    shared = unlabeled = 0
+    for _ in range(300):
+        kind = rng.choice(["tree", "graph"])
+        alpha = random_valuation(rng, sym, vs, kind, max_nodes=5)
+        if rng.random() < 0.5:
+            x, y = rng.sample(vs, 2)
+            alpha[x] = alpha[y]
+        for value in alpha.values():
+            assert json.dumps(value_to_json(value)) == json.dumps(reference_value_json(value))
+        got = valuation_to_json(alpha)
+        assert json.dumps(got) == json.dumps(reference_valuation_json(alpha))
+        shared += len(set(got["vars"].values())) < len(vs)
+        unlabeled += any("sort" not in node for node in got["nodes"])
+    assert shared > 100 and unlabeled > 50, (shared, unlabeled)
 
 
 def _chain_value(sym, build, n):

@@ -184,6 +184,21 @@ def test_bound_names_skip_free_spellings_of_the_result(sym):
         assert str(epc(sym, text)) == want
 
 
+def test_bound_names_are_linear_when_free_variables_are_spelled_q(sym):
+    """With n free variables spelled q0, ..., q{n-1}, each in an edge of
+    the result, the n bound classes skip all of them, and finding which
+    spellings are taken costs one pass over the build, not one per
+    spelling: 10 s at n = 8,000 when each spelling scanned every
+    variable."""
+    n = 8000
+    xs = ", ".join(f"x{i}" for i in range(n))
+    text = f"exists {xs}. (" + " & ".join(f"f(q{i}, x{i})" for i in range(n)) + ")"
+    phi = expand_sugar(parse_formula(sym, text))
+    with _wall_limit(2.0):
+        got = simplify_epc(phi)
+    assert got.bound == {VarId(f"q{i}") for i in range(n, 2 * n)}
+
+
 def test_one_build_agrees_with_the_two_passes(sym):
     """Every prime operation builds what solving and then requantifying
     built: ``basic_simplify`` equals the union-find pass of the oracles;
