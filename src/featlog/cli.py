@@ -23,10 +23,11 @@ import io
 import json
 import re
 import sys
+from typing import Callable
 
-from .core import Bottom, Formula, Symbols, free_vars
+from .core import Bottom, Formula, Symbols, atom_vars
 from .models import pool_satisfies, witness_pool, witness_to_json, witness_to_json_text
-from .prime import PrimeFormula, prime_entails, simplify_epc
+from .prime import PrimeFormula, _prime_of_atoms, prime_entails, simplify_epc
 from .qe import (
     DEFAULT_MAX_DNF_CLAUSES,
     INVALID,
@@ -36,22 +37,23 @@ from .qe import (
     ResourceLimit,
     classify,
 )
-from .solve import basic_simplify, formula_to_basic
+from .solve import basic_simplify, conjunction_atoms, formula_to_basic
 from .textio import ParseError, expand_sugar, parse_formula, print_formula
 
 
 def _read(source: str) -> str:
     if source == "-":
         stream = sys.stdin
-        # strict UTF-8 with universal newlines, as a file is read; a
-        # stream without reconfigure (an io.StringIO), or one the host
-        # process has already read from, is read as it is
+        # strict UTF-8 with universal newlines and a leading byte-order
+        # mark skipped, as a file is read; a stream without reconfigure
+        # (an io.StringIO), or one the host process has already read
+        # from, is read as it is
         try:
-            stream.reconfigure(encoding="utf-8", errors="strict", newline=None)
+            stream.reconfigure(encoding="utf-8-sig", errors="strict", newline=None)
         except (AttributeError, io.UnsupportedOperation):
             pass
         return stream.read()
-    with open(source, "r", encoding="utf-8") as fh:
+    with open(source, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -122,15 +124,13 @@ def _cmd_simplify(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     return 0
 
 
-def _solve_epc(
-    command: str, sym: Symbols, text: str
-) -> tuple[Formula, PrimeFormula | Bottom] | None:
-    """Parse, expand and solve one existential conjunction: the expanded
-    formula and its prime, or false; None once the input is reported as
-    not being one."""
+def _read_epc(command: str, sym: Symbols, text: str, walk: Callable[[Formula], object]):
+    """Parse and expand one existential conjunction and pass it to
+    ``walk``: what it returns, or None once the input is reported as not
+    being one."""
     phi = expand_sugar(parse_formula(sym, text))
     try:
-        return phi, simplify_epc(phi)
+        return walk(phi)
     except ValueError:
         print(
             f"{command} inputs must use only atoms other than undef, '&', and 'exists'",
@@ -159,10 +159,10 @@ def _cmd_entail(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
         return 2
     primes = []
     for part in parts:
-        solved = _solve_epc("entail", sym, part)
+        solved = _read_epc("entail", sym, part, simplify_epc)
         if solved is None:
             return 2
-        primes.append(solved[1])
+        primes.append(solved)
     lhs, rhs = primes
     if isinstance(lhs, Bottom):
         entailed = True
@@ -176,13 +176,16 @@ def _cmd_entail(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
 
 
 def _cmd_witness(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
-    solved = _solve_epc("witness", sym, text)
-    if solved is None:
+    # simplify_epc's walk, its atoms kept: their variables but the
+    # quantified ones are the input's free variables
+    walked = _read_epc("witness", sym, text, lambda phi: conjunction_atoms(phi, True))
+    if walked is None:
         return 2
-    phi, beta = solved
+    beta = walked if isinstance(walked, Bottom) else _prime_of_atoms(*walked)
     if isinstance(beta, Bottom):
         _emit(cfg, {"command": "witness", "verdict": UNSATISFIABLE}, [UNSATISFIABLE])
         return 0
+    atoms, bound = walked
     default_sort = (
         sym.sort(cfg.default_sort) if cfg.default_sort else sym.fresh_sort("Default")
     )
@@ -190,7 +193,8 @@ def _cmd_witness(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     if not pool_satisfies(pool, beta):
         raise AssertionError("the witness does not satisfy its prime")
     # a free variable the prime dropped is unconstrained: any tree will do
-    roots = {v: pool.node[v] if v in beta.free_vars else pool.leaf for v in free_vars(phi)}
+    free = {v for a in atoms for v in atom_vars(a)}.difference(bound)
+    roots = {v: pool.node[v] if v in beta.free_vars else pool.leaf for v in free}
     if cfg.format == "json":
         witness = witness_to_json(pool, roots)
         _emit(cfg, {"command": "witness", "verdict": SATISFIABLE, "witness": witness}, [])

@@ -11,12 +11,13 @@ implemented by the same canonical numbering without minimization, and
 their nodes may lack sort labels.
 
 A witness is one minimal graph with a node per variable
-(``witness_pool``): equal values share a node.  ``pool_satisfies``
-checks a prime on the pool and ``witness_to_json`` writes its JSON
-straight from it: ``_number``, which numbers every value, numbers its
-rows from each variable's node, and no standalone tree is built;
-``witness_prime`` builds one tree per variable, quadratically many
-nodes on a chain.
+(``witness_pool``, over the body's shared ``adjacency``): equal values
+share a node.  ``pool_satisfies`` checks a prime on the pool and
+``witness_to_json`` writes its JSON straight from it: ``_preorder``,
+which ``_number`` numbers every value by, numbers the nodes of each
+variable's block, which are offset as they come, and no standalone
+tree or per-node row is built; ``witness_prime`` builds one tree per
+variable, quadratically many nodes on a chain.
 
 Both kinds of value support exact evaluation of every formula:
 quantifier elimination reduces it to a Boolean combination of prime
@@ -32,11 +33,12 @@ import operator
 from bisect import bisect_left
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 from .core import FeatId, Formula, Path, Record, SortId, Symbols, VarId, expand_sugar
-from .prime import PrimeFormula, adjacency, holds_at
+from .prime import PrimeFormula, holds_at
 from .qe import BcAnd, BcNot, BoolComb, ResourceLimit, decide
+from .solve import adjacency
 
 Label = Union[SortId, None]
 EdgeRow = tuple[tuple[FeatId, int], ...]
@@ -75,16 +77,16 @@ Value = Union[FeatureTree, FeatureGraph]
 Valuation = dict[VarId, Value]
 
 
-def _preorder(root, adj: Mapping) -> list:
-    """Nodes reachable from the root, depth-first, features in name order."""
-    order = [root]
-    seen = {root}
+def _preorder(root, adj: Mapping) -> dict:
+    """Nodes reachable from the root, depth-first, features in name
+    order: the canonical numbering, each node keyed to its number in
+    that order."""
+    order = {root: 0}
     stack = [iter(adj.get(root, ()))]
     while stack:
         for _f, w in stack[-1]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
+            if w not in order:
+                order[w] = len(order)
                 stack.append(iter(adj.get(w, ())))
                 break
         else:
@@ -93,15 +95,14 @@ def _preorder(root, adj: Mapping) -> list:
 
 
 def _number(root, labels: Mapping, adj: Mapping) -> tuple[tuple, tuple]:
-    """Canonical rows: nodes numbered in depth-first preorder."""
-    order = _preorder(root, adj)
-    index = {u: i for i, u in enumerate(order)}
-    out_labels = tuple(labels.get(u) for u in order)
-    out_edges = tuple(tuple((f, index[w]) for f, w in adj.get(u, ())) for u in order)
+    """Canonical rows: nodes numbered by ``_preorder``."""
+    index = _preorder(root, adj)
+    out_labels = tuple(labels.get(u) for u in index)
+    out_edges = tuple(tuple((f, index[w]) for f, w in adj.get(u, ())) for u in index)
     return out_labels, out_edges
 
 
-def _quotient(nodes: list, labels: Mapping, adj: Mapping) -> tuple[dict, dict, dict]:
+def _quotient(nodes: Collection, labels: Mapping, adj: Mapping) -> tuple[dict, dict, dict]:
     """Quotient by bisimilarity via partition refinement.
 
     Blocks are integer ids, first one per label and features, then
@@ -277,7 +278,7 @@ def witness_pool(beta: PrimeFormula, default_sort: SortId) -> WitnessPool:
     body = beta.body
     labels = {x: body.sorts.get(x, default_sort) for x in body.variables if x not in body.binding}
     labels[_LEAF] = default_sort
-    q_labels, q_adj, node = _quotient(list(labels), labels, adjacency(body.edges))
+    q_labels, q_adj, node = _quotient(list(labels), labels, body.adjacency)
     leaf = node.pop(_LEAF)
     for eq in body.normalizer:
         node[eq.lhs] = node[eq.rhs]
@@ -493,20 +494,25 @@ def evaluate(
 
 
 def _json_pool(rows: Iterable[tuple]) -> tuple[list, list, dict]:
-    """Pool ``(name, key, labels, edges)`` rows given in name order: a
-    new key opens a block and each name maps to its key's offset.
-    Blocks come in turn and rows are sorted by feature, so the edges
-    are in (src, feature, dst) order."""
+    """Pool ``(name, key, index, labels, adj)`` rows given in name order:
+    ``index`` numbers a block's nodes, its keys in number order (a range
+    for a value, whose nodes are numbered already).  A new key opens a
+    block, numbered from its offset, and each name maps to its key's
+    offset.  Blocks come in turn, in each the nodes in order and their
+    edge rows sorted by feature, so the edges are in (src, feature, dst)
+    order."""
     offsets: dict = {}
     sorts: list[Label] = []
     edges: list[tuple[int, FeatId, int]] = []
     where: dict = {}
-    for name, key, labels, out in rows:
+    for name, key, index, labels, adj in rows:
         offset = offsets.get(key)
         if offset is None:
             offset = offsets[key] = len(sorts)
-            sorts.extend(labels)
-            edges.extend((offset + i, f, offset + j) for i, row in enumerate(out) for f, j in row)
+            sorts += [labels[u] for u in index]
+            edges += [
+                (offset + i, f, offset + index[w]) for i, u in enumerate(index) for f, w in adj[u]
+            ]
         where[name] = offset
     return sorts, edges, where
 
@@ -522,23 +528,24 @@ def _json_doc(sorts: list[Label], edges: list, where: dict) -> dict:
 
 def value_to_json(v: Value) -> dict:
     """The document of one value, its root in front in place of ``vars``."""
-    doc = _json_doc(*_json_pool([("root", v, v.labels, v.edges)]))
+    doc = _json_doc(*_json_pool([("root", v, range(len(v.labels)), v.labels, v.edges)]))
     return {"root": doc.pop("vars")["root"], **doc}
 
 
 def valuation_to_json(alpha: Mapping[VarId, Value]) -> dict:
     """One shared node pool; equal values share their block of nodes."""
-    rows = ((v.name, value, value.labels, value.edges) for v, value in sorted(alpha.items()))
+    rows = ((v.name, a, range(len(a.labels)), a.labels, a.edges) for v, a in sorted(alpha.items()))
     return _json_doc(*_json_pool(rows))
 
 
 def _witness_rows(pool: WitnessPool, roots: Mapping[VarId, int]) -> tuple[list, list, dict]:
     """The rows ``valuation_to_json`` gives the trees at the roots: each
-    distinct root is numbered once by ``_number``, as a standalone tree
-    is, and pooled under the root, so equal nodes (equal trees) share a
-    block."""
-    rows = {b: _number(b, pool.labels, pool.adj) for b in set(roots.values())}
-    return _json_pool((v.name, roots[v], *rows[roots[v]]) for v in sorted(roots))
+    distinct root's nodes are numbered once by ``_preorder``, as a
+    standalone tree's are, and pooled under the root, so equal nodes
+    (equal trees) share a block."""
+    labels, adj = pool.labels, pool.adj
+    index = {b: _preorder(b, adj) for b in set(roots.values())}
+    return _json_pool((v.name, roots[v], index[roots[v]], labels, adj) for v in sorted(roots))
 
 
 def witness_to_json(pool: WitnessPool, roots: Mapping[VarId, int]) -> dict:
@@ -559,9 +566,11 @@ def witness_to_json_text(pool: WitnessPool, roots: Mapping[VarId, int]) -> str:
     """``json.dumps(witness_to_json(pool, roots), indent=2, sort_keys=True)``,
     written straight from the rows in that fixed layout.
 
-    Names go through ``json.dumps``, so they are escaped as there.
+    Names go through the encoder ``json.dumps`` calls on a string, so
+    they are escaped as there.
     """
-    from json import dumps  # not on import: ``import featlog`` does not load json
+    # not on import: ``import featlog`` does not load json
+    from json.encoder import encode_basestring_ascii as dumps
 
     sorts, edges, where = _witness_rows(pool, roots)
     feat = {f: dumps(f.name) for f in {e[1] for e in edges}}

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import operator
 from itertools import count
-from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 from .core import (
     BOTTOM,
@@ -85,16 +84,6 @@ def from_atom(atom: Atom) -> PrimeFormula:
             return TOP_PRIME
         return PrimeFormula(frozenset(), SolvedFormula((atom,), ()))
     return PrimeFormula(frozenset(), SolvedFormula((), (atom,)))
-
-
-def adjacency(edges: Mapping) -> dict:
-    """Per-node out-edges ``(feature, target)`` sorted by feature name."""
-    adj: dict = {}
-    for (src, feat), dst in edges.items():
-        adj.setdefault(src, []).append((feat, dst))
-    for row in adj.values():
-        row.sort(key=itemgetter(0))
-    return adj
 
 
 def mk_prime_exists(xs: Collection[VarId], beta: PrimeFormula) -> PrimeFormula:
@@ -193,7 +182,7 @@ def positions(
     of the access paths is walked once.  None as soon as either gives
     None, which stands for a position that does not exist.
     """
-    tree = search_tree(adjacency(beta.body.edges), sorted(beta.free_vars))
+    tree = search_tree(beta.body.adjacency, sorted(beta.free_vars))
     if not beta.bound <= tree.keys():
         raise ValueError("bound variable unreachable; not a prime formula")
     pos: dict[VarId, Position] = {}

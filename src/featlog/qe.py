@@ -92,7 +92,6 @@ from .paths import PathConstraint, SortAt, is_proper
 from .prime import (
     PrimeFormula,
     TOP_PRIME,
-    adjacency,
     exists_conj,
     from_atom,
     holds_at,
@@ -260,7 +259,7 @@ def _placer(beta: PrimeFormula, block: frozenset[VarId]):
     body = beta.body
     binding, edges = body.binding, body.edges
     roots = {binding.get(y, y) for y in body.variables - block - beta.bound}
-    pinned = search_tree(adjacency(edges), roots).keys()
+    pinned = search_tree(body.adjacency, roots).keys()
 
     def start(v: VarId) -> tuple:
         node = (v,) if v in beta.bound or v not in body.variables else binding.get(v, v)

@@ -22,14 +22,16 @@ solved forms and primes, implements them by congruence closure over a
 union-find of variables (Ait-Kaci & Nasr 1986; Ait-Kaci, Podelski &
 Smolka 1994), whose fixed point is unique up to the variable that
 represents each class: after x = y the class of y represents x, and of
-two merged edges the later one in the input stays.
+two merged edges the later one in the input stays.  One breadth-first
+search finds and names the bound classes a build keeps, and a solved
+formula sorts its out-edges once (``SolvedFormula.adjacency``) for
+every later walk of it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count, filterfalse
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .core import (
@@ -114,6 +116,11 @@ class SolvedFormula(Record):
     @cached_field
     def sorts(self) -> dict[VarId, SortId]:
         return {a.var: a.sort for a in self.graph if isinstance(a, SortC)}
+
+    @cached_field
+    def adjacency(self) -> dict[VarId, list[tuple[FeatId, VarId]]]:
+        # computed once and shared by every walk of the body, which only reads it
+        return adjacency(self.edges)
 
     @cached_field
     def variables(self) -> frozenset[VarId]:
@@ -248,12 +255,17 @@ def _name_classes(var, node, root, hidden, name, out_edges, sorts) -> list[VarId
     ``hidden``) represents, into ``name``; return the bound names.
 
     Such a class is named by its least free member.  A class without one
-    stays bound if the search from the free classes (``search_tree``, in
-    name order) reaches it, and is dropped (None) with its sorts and
-    edges otherwise: solved-clause satisfiability guarantees they never
-    exclude a solution.  The reached ones are named q0, q1, ... in the
-    preorder of the search tree, which is access-path order, skipping
-    any spelling of a free variable of the result.
+    stays bound if the breadth-first search from the free classes, in
+    name order and along features in name order, reaches it, and is
+    dropped (None) with its sorts and edges otherwise: solved-clause
+    satisfiability guarantees they never exclude a solution.  The
+    reached ones are named q0, q1, ... in the preorder of the search
+    tree, which is access-path order, skipping any spelling of a free
+    variable of the result.
+
+    The search is its own loop, not ``search_tree``: it sorts, and maps
+    through ``root``, only the solver's rows it visits, and its queue
+    gives each node's children as one range for the preorder.
     """
     if not any(root[i] == i for i in hidden):
         return []
@@ -264,12 +276,19 @@ def _name_classes(var, node, root, hidden, name, out_edges, sorts) -> list[VarId
     if not closed:
         return []
     starts = sorted((name[i], i) for i, r in enumerate(root) if r == i and i not in closed)
-    adj = {r: [(f, root[row[f][1]]) for f in sorted(row)] for r, row in out_edges.items()}
-    tree = search_tree(adj, [r for _, r in starts])
-    children: dict[int, list[int]] = {}
-    for w, up in tree.items():
-        if up is not None:
-            children.setdefault(up[0], []).append(w)
+    queue = [r for _, r in starts]
+    # the search tree's children of queue[k] are queue[ends[k]:ends[k + 1]]
+    ends = [len(queue)]
+    seen = set(queue)
+    for u in queue:  # the queue grows while it is read
+        row = out_edges.get(u)
+        if row:
+            for f in sorted(row):
+                w = root[row[f][1]]
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        ends.append(len(queue))
 
     mentioned: set[int] | None = None
 
@@ -285,21 +304,39 @@ def _name_classes(var, node, root, hidden, name, out_edges, sorts) -> list[VarId
         if mentioned is None:
             members = Counter(r for j, r in enumerate(root) if j not in hidden)
             mentioned = {r for r, k in members.items() if k > 1}
-            mentioned.update(sorts, out_edges, (w for u in tree for _, w in adj.get(u, ())))
+            mentioned.update(sorts, out_edges)
+            reached = (out_edges.get(u, {}).values() for u in queue)
+            mentioned.update(root[t] for row in reached for _pos, t, _a in row)
         return root[i] in mentioned
 
-    spell = filterfalse(taken, map(VarId, map("q{}".format, count())))
     names: list[VarId] = []
-    stack = [r for _, r in reversed(starts)]
+    spelled = 0
+    stack = list(range(ends[0] - 1, -1, -1))
     while stack:
-        u = stack.pop()
-        if u in closed:
-            name[u] = next(spell)
-            names.append(name[u])
-        stack.extend(reversed(children.get(u, ())))
-    for r in closed - tree.keys():
+        k = stack.pop()
+        if queue[k] in closed:
+            while True:
+                q = VarId(f"q{spelled}")
+                spelled += 1
+                if not taken(q):
+                    break
+            name[queue[k]] = q
+            names.append(q)
+        stack.extend(range(ends[k + 1] - 1, ends[k] - 1, -1))
+    for r in closed.difference(seen):
         name[r] = None
     return names
+
+
+def adjacency(edges: Mapping) -> dict:
+    """Per-node out-edges ``(feature, target)`` sorted by feature name,
+    whatever order ``edges`` lists them in."""
+    adj: dict = {}
+    for (src, feat), dst in edges.items():
+        adj.setdefault(src, []).append((feat, dst))
+    for row in adj.values():
+        row.sort(key=itemgetter(0))
+    return adj
 
 
 def search_tree(adj: Mapping, roots: Iterable) -> dict:

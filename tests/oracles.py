@@ -19,11 +19,14 @@ normal form before eliminating any clause, the bounded evaluator,
 which reads values through the library's walks but judges quantifiers
 by trying small candidate values instead of eliminating them, the
 dict-keyed normal form, which builds the library's prime DNF with
-clauses keyed by the primes themselves instead of by integer ids, and
-the projection checks, which decide entailment and satisfaction of
-primes by walking every constraint of a projection from its root
-through the library's closure membership and value walks, instead of
-walking the body once.  The prime validator, the witness of a solved
+clauses keyed by the primes themselves instead of by integer ids, the
+projection checks, which decide entailment and satisfaction of primes
+by walking every constraint of a projection from its root through the
+library's closure membership and value walks, instead of walking the
+body once, and the class namer, which names a build's bound classes
+through the library's ``search_tree``, a children table and a lazy
+chain of spellings, where the library reads its preorder off its own
+search queue.  The prime validator, the witness of a solved
 clause with parameter trees grafted on, the quantifier-free check on
 Boolean combinations and the canonical order of ``&`` and ``|`` chains
 build on the library's search, tree builder and printer.  The
@@ -106,9 +109,9 @@ from featlog import (
 )
 from featlog.core import EPS, RESERVED_WORDS, atom_key, atom_vars, exists_all, rename_atom
 from featlog.models import _same_subvalue, _walk, enumerate_values, walk_value
-from featlog.prime import adjacency, from_atom
+from featlog.prime import from_atom
 from featlog.paths import PathConstraint, is_proper
-from featlog.solve import search_tree
+from featlog.solve import adjacency, search_tree
 from featlog.qe import (
     BC_FALSE,
     BC_TRUE,
@@ -674,6 +677,56 @@ def two_pass_exists_conj(xs, primes):
         atoms.extend(rename_atom(a, apart) for a in beta.body.atoms)
     free = set().union(*(beta.free_vars for beta in primes))
     return two_pass_prime(atoms, bound + [x for x in xs if x in free])
+
+
+def reference_name_classes(var, node, root, hidden, name, out_edges, sorts) -> list:
+    """``solve._name_classes`` as it was written before it searched and
+    numbered in one pass, its reference: a sorted copy of every
+    adjacency row, one ``search_tree``, a children table for the
+    preorder, and a lazy chain of ``q{k}`` spellings with the ones the
+    result mentions filtered out.  Same arguments, same effect on
+    ``name``, same bound names."""
+    if not any(root[i] == i for i in hidden):
+        return []
+    for i, r in enumerate(root):
+        if r in hidden and i not in hidden and (name[r] is var[r] or var[i] < name[r]):
+            name[r] = var[i]
+    closed = {r for r in hidden if root[r] == r and name[r] is var[r]}
+    if not closed:
+        return []
+    starts = sorted((name[i], i) for i, r in enumerate(root) if r == i and i not in closed)
+    adj = {r: [(f, root[row[f][1]]) for f in sorted(row)] for r, row in out_edges.items()}
+    tree = search_tree(adj, [r for _, r in starts])
+    children: dict[int, list[int]] = {}
+    for w, up in tree.items():
+        if up is not None:
+            children.setdefault(up[0], []).append(w)
+
+    mentioned: set[int] | None = None
+
+    def taken(q: VarId) -> bool:
+        nonlocal mentioned
+        i = node.get(q)
+        if i is None or i in hidden:
+            return False
+        if mentioned is None:
+            members = Counter(r for j, r in enumerate(root) if j not in hidden)
+            mentioned = {r for r, k in members.items() if k > 1}
+            mentioned.update(sorts, out_edges, (w for u in tree for _, w in adj.get(u, ())))
+        return root[i] in mentioned
+
+    spell = itertools.filterfalse(taken, map(VarId, map("q{}".format, itertools.count())))
+    names: list = []
+    stack = [r for _, r in reversed(starts)]
+    while stack:
+        u = stack.pop()
+        if u in closed:
+            name[u] = next(spell)
+            names.append(name[u])
+        stack.extend(reversed(children.get(u, ())))
+    for r in closed - tree.keys():
+        name[r] = None
+    return names
 
 
 def prime_to_formula(beta: PrimeFormula) -> Formula:

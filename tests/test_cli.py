@@ -135,6 +135,50 @@ def test_witness_shows_variables_the_prime_drops(tmp_path, capsys):
     assert doc["vars"] == {"y": 0}
 
 
+_FREE_VARIABLE_CASES = [
+    "x = x",
+    "exists y. x = y",
+    "exists y. (f(x, y) & f(x, z))",
+    "x.f = y.g & A@z.h",
+]
+
+
+def test_witness_vars_are_the_free_variables_of_the_input(tmp_path, capsys):
+    """``vars`` names exactly the free variables of the expanded input,
+    also those the prime drops or merges away, on the inputs above and
+    on random conjunctions under a prefix."""
+    rng = random.Random(3702)
+    drawn = [print_formula(random_epc_formula(rng, Symbols())) for _ in range(200)]
+    texts = _FREE_VARIABLE_CASES + drawn
+    shown = 0
+    for text in texts:
+        code, out, _ = run(capsys, "witness", write(tmp_path, text))
+        assert code == 0
+        if out != "UNSATISFIABLE\n":
+            free = free_vars(expand_sugar(parse_formula(Symbols(), text)))
+            assert set(json.loads(out)["vars"]) == {v.name for v in free}, text
+            shown += 1
+    assert shown > 150, shown
+
+
+def test_witness_does_not_walk_the_input_for_free_variables(tmp_path, capsys, monkeypatch):
+    """The free variables come from the walk that collects the input's
+    atoms: every binding of ``core.free_vars`` raises, and ``witness``
+    still answers."""
+
+    def refuse(phi):
+        raise AssertionError("free_vars called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "featlog":
+            for attr, value in list(vars(module).items()):
+                if value is free_vars:
+                    monkeypatch.setattr(module, attr, refuse)
+    for text in _FREE_VARIABLE_CASES:
+        code, out, err = run(capsys, "witness", write(tmp_path, text))
+        assert (code, err) == (0, "") and "vars" in json.loads(out)
+
+
 def test_witness_unsat(tmp_path, capsys):
     code, out, _ = run(capsys, "witness", write(tmp_path, "A(x) & B(x)"))
     assert code == 0 and out == "UNSATISFIABLE\n"
@@ -642,6 +686,34 @@ def test_input_that_is_not_utf8_exits_2(tmp_path):
         for source, stdin in ((str(path), None), ("-", path.read_bytes()))
     ]
     assert errors == [b"parse error: expected a formula at 8..8\n"] * 2
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, source):
+    """A UTF-8 byte-order mark at the start of a file or of stdin, as
+    some editors write one, is not part of the input: the formula
+    decides as it does without one, and spans count from after it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "LANG" and not k.startswith("LC_")}
+    env = dict(env, PYTHONPATH=src)
+    outcomes = []
+    for text in ("A(x) & B(x)\n", "A(x) &"):
+        data = b"\xef\xbb\xbf" + text.encode()
+        path = tmp_path / "bom.fl"
+        path.write_bytes(data)
+        stdin = data if source == "stdin" else None
+        done = subprocess.run(
+            [sys.executable, "-m", "featlog", "decide", "-" if source == "stdin" else str(path)],
+            input=stdin,
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        outcomes.append((done.returncode, done.stdout, done.stderr))
+    assert outcomes == [
+        (0, b"UNSATISFIABLE\n", b""),
+        (2, b"", b"parse error: expected a formula at 6..6\n"),
+    ]
 
 
 @pytest.mark.parametrize(

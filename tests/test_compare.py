@@ -25,7 +25,7 @@ def _identity(old: Path, new: Path) -> subprocess.CompletedProcess:
 def test_identity_of_a_checkout_with_itself_reports_nothing():
     done = _identity(ROOT, ROOT)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout == "0 of 1046 operations differ\n"
+    assert done.stdout == "0 of 1263 operations differ\n"
 
 
 def test_identity_reports_a_planted_residue_change(tmp_path):
@@ -57,7 +57,7 @@ def test_identity_reports_a_planted_residue_change(tmp_path):
     ]
     # one stdout line under each, showing both sides
     assert all(line.startswith("  stdout: ") for line in lines[1:-1:2])
-    assert lines[-1] == "23 of 1046 operations differ"
+    assert lines[-1] == "23 of 1263 operations differ"
 
 
 def test_bench_pairs_print_every_end_to_end_metric(tmp_path):

@@ -14,6 +14,7 @@ from featlog import (
     Eq,
     Excl,
     FeatC,
+    FeatId,
     FeatureGraph,
     FeatureTree,
     Path,
@@ -23,6 +24,7 @@ from featlog import (
     SolvedFormula,
     SortAt,
     SortC,
+    SortId,
     SugarAgree,
     VarId,
     decide,
@@ -532,6 +534,25 @@ def test_witness_text_is_json_dumps_of_the_trees(sym):
         assert witness_to_json_text(pool, roots) == json.dumps(doc, indent=2, sort_keys=True)
         shared += len(set(roots.values())) < len(roots)
     assert shared > 30, shared
+
+
+def test_witness_text_escapes_names_as_json_dumps_does():
+    """Names built with the library's identifiers, which the parser
+    would reject, are written into the witness text as ``json.dumps``
+    writes them: a quote, a backslash, non-ASCII letters and ``$0``, in
+    variable, feature and sort names and in the default sort."""
+    x, y, z, dropped = VarId('a"b'), VarId("c\\d"), VarId("$0"), VarId("\u00fcber")
+    f, g = FeatId('f"\\'), FeatId("\u011d")
+    sort, default = SortId("\u00c4\u20ac"), SortId('D"\\\u00e9')
+    atoms = [FeatC(x, f, y), FeatC(y, g, z), SortC(sort, z), FeatC(z, f, x)]
+    beta = simplify_epc(conj(Atomic(a) for a in atoms))
+    pool = witness_pool(beta, default)
+    roots = {v: pool.node[v] for v in beta.free_vars}
+    roots[dropped] = pool.leaf
+    text = witness_to_json_text(pool, roots)
+    assert text == json.dumps(witness_to_json(pool, roots), indent=2, sort_keys=True)
+    for ident in (x, y, z, dropped, f, g, sort, default):
+        assert json.dumps(ident.name) in text, ident
 
 
 def test_path_constraints_agree_with_walked_subvalues(sym):

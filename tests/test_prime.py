@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -28,11 +29,13 @@ from featlog import (
     prime_closure_contains,
     prime_conj,
     prime_entails,
+    print_formula,
     projection,
     satisfies_prime,
     simplify_epc,
     witness_prime,
 )
+from featlog import solve
 from featlog.core import EPS, conj, exists_all, free_vars, rename_atom
 from featlog.prime import exists_conj, from_atom
 
@@ -50,6 +53,7 @@ from oracles import (
     is_prime_formula,
     prime_to_formula,
     projection_entails,
+    reference_name_classes,
     two_pass_exists_conj,
     two_pass_prime,
     two_pass_requantify,
@@ -197,6 +201,43 @@ def test_bound_names_are_linear_when_free_variables_are_spelled_q(sym):
     with _wall_limit(2.0):
         got = simplify_epc(phi)
     assert got.bound == {VarId(f"q{i}") for i in range(n, 2 * n)}
+
+
+def test_bound_classes_are_named_as_the_reference_names_them(sym, monkeypatch):
+    """Every build names its classes as ``oracles.reference_name_classes``
+    does, given the same union-find: the same bound names and the same
+    name, or None, for every class.  The builds are ``simplify_epc`` of
+    random conjunctions under a prefix, with x0, x1 and x2 respelled q0,
+    q1 and q2, free or bound, so that a bound name often skips the
+    spelling of a free variable the result mentions, then
+    ``canonicalize`` of each prime and ``prime_conj`` of neighbours,
+    whose bound variables are named qN already."""
+    real = solve._name_classes
+    named = skipped = 0
+
+    def both(var, node, root, hidden, name, out_edges, sorts):
+        nonlocal named, skipped
+        expected = list(name)
+        want = reference_name_classes(var, node, root, hidden, expected, out_edges, sorts)
+        got = real(var, node, root, hidden, name, out_edges, sorts)
+        assert (got, name) == (want, expected)
+        named += bool(got)
+        skipped += got != [VarId(f"q{k}") for k in range(len(got))]
+        return got
+
+    monkeypatch.setattr(solve, "_name_classes", both)
+    rng = random.Random(3701)
+    primes = []
+    for _ in range(400):
+        phi = random_epc_formula(rng, sym, max_atoms=rng.randint(2, 12), n_vars=rng.randint(2, 7))
+        text = re.sub(r"\bx([0-2])\b", r"q\1", print_formula(phi))
+        beta = simplify_epc(expand_sugar(parse_formula(sym, text)))
+        if not isinstance(beta, Bottom):
+            assert canonicalize(beta) == beta
+            primes.append(beta)
+    for beta, beta2 in zip(primes, primes[1:]):
+        prime_conj(beta, beta2)
+    assert named > 200 and skipped > 100, (named, skipped)
 
 
 def test_one_build_agrees_with_the_two_passes(sym):

@@ -128,6 +128,18 @@ def test_solved_formula_conditions(sym):
     assert not is_solved_formula(BasicFormula((Eq(x, y), Eq(x, z))))
 
 
+def test_adjacency_is_sorted_by_feature_whatever_the_graph_order(sym):
+    """``SolvedFormula.adjacency``, which access positions, the joker
+    placer and the witness pool share, lists each variable's out-edges
+    by feature also when a caller built the graph in another order, and
+    is computed once per body."""
+    x, y, z = (sym.var(s) for s in "xyz")
+    f, g, h = (sym.feat(s) for s in "fgh")
+    body = SolvedFormula((), (FeatC(x, h, y), FeatC(y, f, z), FeatC(x, g, z), FeatC(x, f, x)))
+    assert body.adjacency == {x: [(f, x), (g, z), (h, y)], y: [(f, z)]}
+    assert body.adjacency is body.adjacency
+
+
 def test_formula_to_basic(sym):
     basic = formula_to_basic(parse_formula(sym, "A(x) & f(x, y)"))
     assert isinstance(basic, BasicFormula) and len(basic.atoms) == 2

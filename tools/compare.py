@@ -11,10 +11,12 @@ runs every operation of the benchmark's workloads (``bench/workloads.py``
 of this checkout, so both trees get the same operations) at each seed,
 with each tree in its own subprocess that imports featlog from that
 tree's ``src``.  CLI commands run in-process through ``featlog.cli.main``
-with the input on stdin, as the benchmark runs them; ``evaluate`` runs
-with one long-lived ``Symbols`` per workload and seed, and the benchmark's
-node budget.  A wall-clock alarm cuts each operation off after
-``ALARM_S`` seconds, and a cut operation's outcome is ``timeout``.
+with the input on stdin, as the benchmark runs them, and each ``witness``
+runs a second time with ``--format json``, whose writer reads the same
+rows as the default text; ``evaluate`` runs with one long-lived
+``Symbols`` per workload and seed, and the benchmark's node budget.  A
+wall-clock alarm cuts each operation off after ``ALARM_S`` seconds, and
+a cut operation's outcome is ``timeout``.
 
 It prints one line per operation whose exit code, stdout, stderr or
 ``evaluate`` repr differs between the trees, with the start of each
@@ -91,14 +93,14 @@ def _field(text: str) -> dict:
     return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "head": text[:SHOWN]}
 
 
-def _run_cli(featlog, op) -> dict:
+def _run_cli(featlog, op, *flags) -> dict:
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(op.text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = featlog.cli.main([op.command, "-"])
+                code = featlog.cli.main([op.command, "-", *flags])
             except SystemExit as exc:  # argparse's own exit
                 code = exc.code
     finally:
@@ -127,21 +129,29 @@ def outcomes(tree: Path, out: Path, seeds: list[int]) -> None:
             for seed in seeds:
                 session = featlog.Symbols()
                 for i, op in enumerate(WORKLOADS[name](seed)):
-                    signal.setitimer(signal.ITIMER_REAL, ALARM_S)
-                    try:
-                        try:
-                            if op.command == "evaluate":
-                                got = _run_evaluate(featlog, session, op)
-                            else:
-                                got = _run_cli(featlog, op)
-                        finally:
-                            signal.setitimer(signal.ITIMER_REAL, 0)
-                    except OpTimeout:
-                        got = {"outcome": "timeout"}
-                    except Exception as exc:  # an uncaught exception is an outcome too
-                        got = {"outcome": f"{type(exc).__name__}: {exc}"}
                     op_id = f"{name} seed={seed} op={i} {op.command} {op.family} {op.size}"
-                    sink.write(json.dumps({"op": op_id, **got}) + "\n")
+                    runs = [(op_id, ())]
+                    if op.command == "witness":
+                        runs.append((f"{op_id} --format json", ("--format", "json")))
+                    for run_id, flags in runs:
+                        got = _outcome(featlog, session, op, flags)
+                        sink.write(json.dumps({"op": run_id, **got}) + "\n")
+
+
+def _outcome(featlog, session, op, flags) -> dict:
+    """One operation's outcome, cut off after ``ALARM_S`` seconds."""
+    signal.setitimer(signal.ITIMER_REAL, ALARM_S)
+    try:
+        try:
+            if op.command == "evaluate":
+                return _run_evaluate(featlog, session, op)
+            return _run_cli(featlog, op, *flags)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    except OpTimeout:
+        return {"outcome": "timeout"}
+    except Exception as exc:  # an uncaught exception is an outcome too
+        return {"outcome": f"{type(exc).__name__}: {exc}"}
 
 
 def _differences(old: dict, new: dict) -> list[str]:
