@@ -48,7 +48,6 @@ from .models import (
     satisfies_prime,
     single_node_tree,
     tree_subtree,
-    valuation_to_json,
     value_to_json,
     witness_pool,
     witness_prime,

@@ -13,6 +13,15 @@ Residues and solved forms (the latter as primes with nothing bound) are
 printed by ``print_formula`` straight from the hash-consed DAG, each
 node's text built once, so printing takes time linear in the characters
 it builds, which the bound caps.
+
+Every command prints through ``_emit``: its text lines, or with
+``--format json`` one object in the layout of ``json.dumps(indent=2,
+sort_keys=True)``, written member by member as JSON text.  Scalars go
+through ``json.dumps``; the ``witness`` member is the text
+``witness_to_json_text`` writes for the default format, indented one
+level, and its names are ASCII-escaped, so no string in it holds a raw
+newline.  No indenting encoder runs, so a call leaves no reference
+cycle behind.
 """
 
 from __future__ import annotations
@@ -26,77 +35,58 @@ import sys
 from typing import Callable
 
 from .core import Bottom, Formula, Symbols, atom_vars
-from .models import pool_satisfies, witness_pool, witness_to_json, witness_to_json_text
+from .models import pool_satisfies, witness_pool, witness_to_json_text
 from .prime import PrimeFormula, _prime_of_atoms, prime_entails, simplify_epc
-from .qe import (
-    DEFAULT_MAX_DNF_CLAUSES,
-    INVALID,
-    SATISFIABLE,
-    UNSATISFIABLE,
-    VALID,
-    ResourceLimit,
-    classify,
-)
+from .qe import DEFAULT_MAX_DNF_CLAUSES, SATISFIABLE, UNSATISFIABLE, VALID, ResourceLimit, classify
 from .solve import basic_simplify, conjunction_atoms, formula_to_basic
 from .textio import ParseError, expand_sugar, parse_formula, print_formula
 
 
 def _read(source: str) -> str:
+    """The input, strict UTF-8 with universal newlines, without one
+    leading byte-order mark, whatever its source."""
     if source == "-":
         stream = sys.stdin
-        # strict UTF-8 with universal newlines and a leading byte-order
-        # mark skipped, as a file is read; a stream without reconfigure
-        # (an io.StringIO), or one the host process has already read
-        # from, is read as it is
+        # a stream without reconfigure (an io.StringIO), or one the host
+        # process has already read from, is read as it is
         try:
-            stream.reconfigure(encoding="utf-8-sig", errors="strict", newline=None)
+            stream.reconfigure(encoding="utf-8", errors="strict", newline=None)
         except (AttributeError, io.UnsupportedOperation):
             pass
-        return stream.read()
-    with open(source, "r", encoding="utf-8-sig") as fh:
-        return fh.read()
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` of a payload built
-    from maps with string keys, lists and scalars.
-
-    The standard library indents through closures that call each other,
-    a reference cycle on every call; this recursion is a plain function.
-    """
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = [f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
-    elif isinstance(value, list) and value:
-        items = [_json_text(v, inner) for v in value]
+        text = stream.read()
     else:
-        return json.dumps(value)
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    return brackets[0] + inner + f",{inner}".join(items) + indent + brackets[1]
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return text.removeprefix("\ufeff")
 
 
-def _emit(cfg: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
-    if cfg.format == "json":
-        print(_json_text(payload))
-    else:
-        for line in text_lines:
-            print(line)
+def _emit(cfg: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    """Print ``lines``, or with ``--format json`` the command's name and
+    the payload as one object, as the module docstring says."""
+    if cfg.format != "json":
+        print("\n".join(lines))
+        return
+    payload["command"] = cfg.command
+    items = [
+        f'  "{key}": ' + (value.replace("\n", "\n  ") if key == "witness" else json.dumps(value))
+        for key, value in sorted(payload.items())
+    ]
+    print("{\n" + ",\n".join(items) + "\n}")
 
 
 def _cmd_decide(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
-    phi = parse_formula(sym, text)
-    verdict = classify(phi, cfg.max_dnf_clauses)
-    payload: dict = {"command": "decide", "verdict": verdict.kind}
-    lines = [verdict.kind]
-    if verdict.kind == SATISFIABLE and verdict.residue is not None:
-        residue = print_formula(verdict.residue)
-        payload["residue"] = residue
-        lines.append(residue)
-    _emit(cfg, payload, lines)
+    """classify a formula (validity / satisfiability)"""
+    verdict = classify(parse_formula(sym, text), cfg.max_dnf_clauses)
+    payload = {"verdict": verdict.kind}
+    # only a satisfiable verdict carries a residue
+    if verdict.residue is not None:
+        payload["residue"] = print_formula(verdict.residue)
+    _emit(cfg, payload, list(payload.values()))
     return 0
 
 
 def _cmd_simplify(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
+    """solve a conjunctive formula or print the decision residue"""
     # a conjunction of atoms holds no sugar; anything else classify expands
     phi = parse_formula(sym, text)
     try:
@@ -110,17 +100,13 @@ def _cmd_simplify(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
         else:
             # a solved formula prints as a prime with nothing bound
             out = print_formula(PrimeFormula(frozenset(), solved))
-        _emit(cfg, {"command": "simplify", "result": out}, [out])
-        return 0
-    verdict = classify(phi, cfg.max_dnf_clauses)
-    if verdict.kind in (VALID, INVALID):
-        out = "true" if verdict.kind == VALID else "false"
-    elif verdict.kind == UNSATISFIABLE:
-        out = "false"
     else:
-        assert verdict.residue is not None
-        out = print_formula(verdict.residue)
-    _emit(cfg, {"command": "simplify", "result": out}, [out])
+        verdict = classify(phi, cfg.max_dnf_clauses)
+        if verdict.residue is not None:
+            out = print_formula(verdict.residue)
+        else:
+            out = "true" if verdict.kind == VALID else "false"
+    _emit(cfg, {"result": out}, [out])
     return 0
 
 
@@ -153,6 +139,7 @@ def _split_formulae(text: str) -> list[str]:
 
 
 def _cmd_entail(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
+    """decide entailment between two existential conjunctions"""
     parts = _split_formulae(text)
     if len(parts) != 2:
         print("entail needs exactly two formulae separated by ';'", file=sys.stderr)
@@ -170,12 +157,12 @@ def _cmd_entail(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
         entailed = False
     else:
         entailed = prime_entails(lhs, rhs)
-    token = "ENTAILED" if entailed else "NOT-ENTAILED"
-    _emit(cfg, {"command": "entail", "entailed": entailed}, [token])
+    _emit(cfg, {"entailed": entailed}, ["ENTAILED" if entailed else "NOT-ENTAILED"])
     return 0
 
 
 def _cmd_witness(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
+    """print a JSON witness for a satisfiable existential conjunction"""
     # simplify_epc's walk, its atoms kept: their variables but the
     # quantified ones are the input's free variables
     walked = _read_epc("witness", sym, text, lambda phi: conjunction_atoms(phi, True))
@@ -183,7 +170,7 @@ def _cmd_witness(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
         return 2
     beta = walked if isinstance(walked, Bottom) else _prime_of_atoms(*walked)
     if isinstance(beta, Bottom):
-        _emit(cfg, {"command": "witness", "verdict": UNSATISFIABLE}, [UNSATISFIABLE])
+        _emit(cfg, {"verdict": UNSATISFIABLE}, [UNSATISFIABLE])
         return 0
     atoms, bound = walked
     default_sort = (
@@ -195,14 +182,12 @@ def _cmd_witness(cfg: argparse.Namespace, sym: Symbols, text: str) -> int:
     # a free variable the prime dropped is unconstrained: any tree will do
     free = {v for a in atoms for v in atom_vars(a)}.difference(bound)
     roots = {v: pool.node[v] if v in beta.free_vars else pool.leaf for v in free}
-    if cfg.format == "json":
-        witness = witness_to_json(pool, roots)
-        _emit(cfg, {"command": "witness", "verdict": SATISFIABLE, "witness": witness}, [])
-    else:
-        print(witness_to_json_text(pool, roots))
+    witness = witness_to_json_text(pool, roots)
+    _emit(cfg, {"verdict": SATISFIABLE, "witness": witness}, [witness])
     return 0
 
 
+# each command's handler, whose docstring is the command's help
 _COMMANDS = {
     "decide": _cmd_decide,
     "simplify": _cmd_simplify,
@@ -217,14 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide feature descriptions over sorts and features.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "decide": "classify a formula (validity / satisfiability)",
-        "simplify": "solve a conjunctive formula or print the decision residue",
-        "entail": "decide entailment between two existential conjunctions",
-        "witness": "print a JSON witness for a satisfiable existential conjunction",
-    }
-    for name, help_text in helps.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, handler in _COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("file", help="input file, or - for standard input")
         p.add_argument(
             "--format",

@@ -12,12 +12,13 @@ their nodes may lack sort labels.
 
 A witness is one minimal graph with a node per variable
 (``witness_pool``, over the body's shared ``adjacency``): equal values
-share a node.  ``pool_satisfies`` checks a prime on the pool and
-``witness_to_json`` writes its JSON straight from it: ``_preorder``,
-which ``_number`` numbers every value by, numbers the nodes of each
-variable's block, which are offset as they come, and no standalone
-tree or per-node row is built; ``witness_prime`` builds one tree per
-variable, quadratically many nodes on a chain.
+share a node.  ``pool_satisfies`` checks a prime on the pool, and
+``witness_to_json`` and ``witness_to_json_text`` write its JSON
+straight from it, as a document and as the text the CLI prints:
+``_preorder``, which ``_number`` numbers every value by, numbers the
+nodes of each variable's block, which are offset as they come, and no
+standalone tree or per-node row is built; ``witness_prime`` builds one
+tree per variable, quadratically many nodes on a chain.
 
 Both kinds of value support exact evaluation of every formula:
 quantifier elimination reduces it to a Boolean combination of prime
@@ -293,7 +294,7 @@ def witness_prime(beta: PrimeFormula, default_sort: SortId) -> Valuation:
     need them.  Each tree is numbered on its own, so on a chain the
     trees hold quadratically many nodes in all.  The linear witness is
     the pool itself: ``witness_pool`` builds it, ``pool_satisfies``
-    checks a prime on it and ``witness_to_json`` writes it.
+    checks a prime on it and ``witness_to_json_text`` writes it.
     """
     pool = witness_pool(beta, default_sort)
     trees = {b: _tree(b, pool.labels, pool.adj) for b in set(pool.node.values())}
@@ -532,14 +533,8 @@ def value_to_json(v: Value) -> dict:
     return {"root": doc.pop("vars")["root"], **doc}
 
 
-def valuation_to_json(alpha: Mapping[VarId, Value]) -> dict:
-    """One shared node pool; equal values share their block of nodes."""
-    rows = ((v.name, a, range(len(a.labels)), a.labels, a.edges) for v, a in sorted(alpha.items()))
-    return _json_doc(*_json_pool(rows))
-
-
 def _witness_rows(pool: WitnessPool, roots: Mapping[VarId, int]) -> tuple[list, list, dict]:
-    """The rows ``valuation_to_json`` gives the trees at the roots: each
+    """The rows of the trees at the roots, one shared node pool: each
     distinct root's nodes are numbered once by ``_preorder``, as a
     standalone tree's are, and pooled under the root, so equal nodes
     (equal trees) share a block."""
@@ -549,8 +544,8 @@ def _witness_rows(pool: WitnessPool, roots: Mapping[VarId, int]) -> tuple[list, 
 
 
 def witness_to_json(pool: WitnessPool, roots: Mapping[VarId, int]) -> dict:
-    """``valuation_to_json`` of the trees at the given pool nodes, built
-    without a standalone tree."""
+    """The document of the trees at the given pool nodes, each variable
+    at its tree's block, built without a standalone tree."""
     return _json_doc(*_witness_rows(pool, roots))
 
 

@@ -1512,9 +1512,10 @@ def reference_print(phi) -> str:
 
 
 def reference_valuation_json(alpha) -> dict:
-    """``valuation_to_json`` from the values' rows: for each variable in
-    name order, a value not met before appends its nodes and edges, and
-    the edges are sorted once all are in."""
+    """The document of a valuation, one shared node pool, built from the
+    values' rows: for each variable in name order, a value not met
+    before appends its nodes and edges, and the edges are sorted once
+    all are in.  ``witness_to_json`` writes the trees of a pool so."""
     offset: dict = {}
     sorts: list = []
     edges: list = []

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import os
 import random
@@ -31,7 +32,6 @@ from featlog import (
     simplify_epc,
     single_node_tree,
     solved_to_formula,
-    valuation_to_json,
     witness_prime,
 )
 from featlog.cli import build_parser, main
@@ -39,7 +39,7 @@ from featlog.core import free_vars
 from featlog.qe import BcAnd, BcNot, BcOr, ResourceLimit
 
 from generators import random_epc_formula, random_quantified_formula, random_solved_formula
-from oracles import boolcomb_to_formula, reference_print
+from oracles import boolcomb_to_formula, reference_print, reference_valuation_json
 from test_solve import _wall_limit
 
 
@@ -219,7 +219,8 @@ def test_witness_respects_default_sort(tmp_path, capsys):
 
 def _trees_witness(text, default_sort=None):
     """What ``witness`` prints when every free variable gets a standalone
-    tree from ``witness_prime``, written by ``json.dumps``."""
+    tree from ``witness_prime``, written by ``json.dumps`` from the
+    reference document."""
     sym = Symbols()
     phi = expand_sugar(parse_formula(sym, text))
     beta = simplify_epc(phi)
@@ -228,7 +229,7 @@ def _trees_witness(text, default_sort=None):
     shown = {
         v: val[v] if v in beta.free_vars else single_node_tree(default) for v in free_vars(phi)
     }
-    return json.dumps(valuation_to_json(shown), indent=2, sort_keys=True)
+    return json.dumps(reference_valuation_json(shown), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -562,6 +563,54 @@ def test_json_format(tmp_path, capsys):
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+def _payload_of_text(command: str, text: str) -> dict:
+    """The members, but ``command``, of the JSON object whose text
+    output is ``text``: the witness document read back by
+    ``json.loads``."""
+    assert text.endswith("\n"), text
+    if command == "decide":
+        lines = text[:-1].split("\n")
+        assert len(lines) <= 2, text
+        return dict(zip(("verdict", "residue"), lines))
+    if command == "simplify":
+        (result,) = text[:-1].split("\n")
+        return {"result": result}
+    if command == "entail":
+        return {"entailed": {"ENTAILED\n": True, "NOT-ENTAILED\n": False}[text]}
+    if text == "UNSATISFIABLE\n":
+        return {"verdict": "UNSATISFIABLE"}
+    return {"verdict": "SATISFIABLE", "witness": json.loads(text)}
+
+
+def test_json_output_is_json_dumps_of_the_text_output(capsys, monkeypatch):
+    """Every CLI op of the benchmark's three workloads at seed 1, run in
+    process on stdin: with ``--format json`` it exits and writes stderr
+    as in text, and its stdout is byte for byte ``json.dumps(payload,
+    indent=2, sort_keys=True)`` of the payload its text output gives."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import WORKLOADS
+
+    def call(op, *flags):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(op.text))
+        return run(capsys, op.command, "-", *flags)
+
+    answered = {"decide": 0, "simplify": 0, "entail": 0, "witness": 0}
+    for make in WORKLOADS.values():
+        for op in make(1):
+            if op.command == "evaluate":
+                continue
+            code, text, err = call(op)
+            json_code, out, json_err = call(op, "--format", "json")
+            assert (json_code, json_err) == (code, err), op
+            if code != 0:
+                assert out == text == "", op
+                continue
+            payload = {"command": op.command, **_payload_of_text(op.command, text)}
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n", op
+            answered[op.command] += 1
+    assert min(answered.values()) > 20, answered
+
+
 def test_output_is_deterministic(tmp_path, capsys):
     path = write(tmp_path, "exists y. (f(x, y) & A(y) & g(y, z))")
     outs = set()
@@ -688,17 +737,23 @@ def test_input_that_is_not_utf8_exits_2(tmp_path):
     assert errors == [b"parse error: expected a formula at 8..8\n"] * 2
 
 
-@pytest.mark.parametrize("source", ["file", "stdin"])
-def test_a_leading_byte_order_mark_is_skipped(tmp_path, source):
-    """A UTF-8 byte-order mark at the start of a file or of stdin, as
-    some editors write one, is not part of the input: the formula
-    decides as it does without one, and spans count from after it."""
+@pytest.mark.parametrize("source", ["file", "stdin", "stream"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, monkeypatch, source):
+    """A UTF-8 byte-order mark at the start of a file, of stdin, or of
+    an in-process text stream put in place of stdin, as some editors
+    write one, is not part of the input: the formula decides as it does
+    without one, and spans count from after it."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {k: v for k, v in os.environ.items() if k != "LANG" and not k.startswith("LC_")}
     env = dict(env, PYTHONPATH=src)
     outcomes = []
     for text in ("A(x) & B(x)\n", "A(x) &"):
         data = b"\xef\xbb\xbf" + text.encode()
+        if source == "stream":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(data.decode()))
+            code, out, err = run(capsys, "decide", "-")
+            outcomes.append((code, out.encode(), err.encode()))
+            continue
         path = tmp_path / "bom.fl"
         path.write_bytes(data)
         stdin = data if source == "stdin" else None
@@ -985,7 +1040,9 @@ def test_wide_input_at_default_recursion_limit(tmp_path, capsys, command, text, 
 def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
     """Everything a call allocates is freed by reference counting when it
     returns: a recursive inner function deletes itself first, so with the
-    collector off a collection after each call finds nothing."""
+    collector off a collection after each call finds nothing.  The CLI
+    writes ``--format json`` without the standard library's indenting
+    encoder, whose closures refer to each other on every call."""
     sym = Symbols()
 
     def formula(text):
@@ -1029,6 +1086,11 @@ def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
         "entail": cli("entail", "exists y. (f(x, y) & A(y)) ; exists z. f(x, z)"),
         "witness": cli("witness", "exists y. (f(x, y) & A(y))"),
         "witness json": cli("witness", "exists y. (f(x, y) & A(y))", "--format", "json"),
+        "decide json": cli("decide", "(exists y. (f(x, y) & A(y))) | B(x)", "--format", "json"),
+        "simplify json": cli("simplify", "A(x) | exists y. f(x, y)", "--format", "json"),
+        "entail json": cli(
+            "entail", "exists y. (f(x, y) & A(y)) ; exists z. f(x, z)", "--format", "json"
+        ),
         "classify": lambda: classify(formula("forall x. exists y. (f(x, y) | A(x))")),
         "simplify_epc": lambda: simplify_epc(formula("exists y, z. (f(x, y) & f(x, z))")),
         "prime_conj": lambda: prime_conj(beta, beta2, loop),

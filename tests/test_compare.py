@@ -25,13 +25,14 @@ def _identity(old: Path, new: Path) -> subprocess.CompletedProcess:
 def test_identity_of_a_checkout_with_itself_reports_nothing():
     done = _identity(ROOT, ROOT)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout == "0 of 1263 operations differ\n"
+    assert done.stdout == "0 of 1964 operations differ\n"
 
 
 def test_identity_reports_a_planted_residue_change(tmp_path):
     """A copy of ``src`` whose satisfiable residues are negated: every
     open ``decide`` and non-conjunctive ``simplify`` among the ops
-    prints another residue, and nothing else changes."""
+    prints another residue, in text and in its ``--format json`` run,
+    and nothing else changes."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     qe = tmp_path / "src" / "featlog" / "qe.py"
     text = qe.read_text()
@@ -43,7 +44,7 @@ def test_identity_reports_a_planted_residue_change(tmp_path):
     lines = done.stdout.splitlines()
     reported = [line for line in lines[:-1] if not line.startswith("  ")]
     assert reported == [
-        f"solve-scale seed=1 op={i} {family}"
+        f"solve-scale seed=1 op={i} {family}{flags}"
         for i, family in [
             (5, "simplify agree 12"), (17, "decide flat 50"), (24, "decide flat 50"),
             (34, "decide flat 50"), (42, "decide flat 100"), (44, "simplify agree 24"),
@@ -54,10 +55,11 @@ def test_identity_reports_a_planted_residue_change(tmp_path):
             (130, "decide flat 100"), (131, "decide flat 50"), (150, "decide flat 50"),
             (159, "decide flat 190"), (166, "decide flat 190"),
         ]
+        for flags in ("", " --format json")
     ]
     # one stdout line under each, showing both sides
     assert all(line.startswith("  stdout: ") for line in lines[1:-1:2])
-    assert lines[-1] == "23 of 1263 operations differ"
+    assert lines[-1] == "46 of 1964 operations differ"
 
 
 def test_bench_pairs_print_every_end_to_end_metric(tmp_path):

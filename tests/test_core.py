@@ -369,8 +369,7 @@ PUBLIC_NAMES = """
     parse_formula pool_satisfies prime_closure_contains prime_conj prime_entails
     print_formula projection satisfies_prime simplify_epc
     single_node_tree solved_to_formula targets to_prime_dnf tree_subtree
-    valuation_to_json value_to_json walk_path witness_pool witness_prime
-    witness_to_json
+    value_to_json walk_path witness_pool witness_prime witness_to_json
 """.split()
 
 
@@ -391,11 +390,7 @@ def test_public_names():
 
 # Exports that nothing in the library, demos, tools or bench uses, kept
 # for library callers, each with its reason.
-KEPT_FOR_CALLERS = {
-    # the JSON of witness_prime's valuations, which moves with it once
-    # witness_prime leaves src (ROADMAP item 6)
-    "models.valuation_to_json",
-}
+KEPT_FOR_CALLERS: set[str] = set()
 
 
 def test_library_functions_have_a_use_outside_tests():

@@ -37,7 +37,6 @@ from featlog import (
     simplify_epc,
     single_node_tree,
     tree_subtree,
-    valuation_to_json,
     value_to_json,
     witness_prime,
 )
@@ -514,9 +513,10 @@ def test_pool_walk_agrees_with_the_tree_walk(sym):
 
 def test_witness_text_is_json_dumps_of_the_trees(sym):
     """Written straight from the pool, a witness is byte for byte
-    ``json.dumps(valuation_to_json(trees), indent=2, sort_keys=True)``
-    of standalone trees from ``witness_prime``, also when a shown
-    variable is one the prime drops and when values are equal."""
+    ``json.dumps(reference_valuation_json(trees), indent=2,
+    sort_keys=True)`` of standalone trees from ``witness_prime``, also
+    when a shown variable is one the prime drops and when values are
+    equal."""
     rng = random.Random(144)
     default = sym.fresh_sort("D")
     dropped = sym.var("y")
@@ -529,7 +529,7 @@ def test_witness_text_is_json_dumps_of_the_trees(sym):
         roots = {v: pool.node[v] if v in beta.free_vars else pool.leaf for v in shown}
         leaf = single_node_tree(default)
         values = {v: trees[v] if v in beta.free_vars else leaf for v in shown}
-        doc = valuation_to_json(values)
+        doc = reference_valuation_json(values)
         assert witness_to_json(pool, roots) == doc
         assert witness_to_json_text(pool, roots) == json.dumps(doc, indent=2, sort_keys=True)
         shared += len(set(roots.values())) < len(roots)
@@ -632,44 +632,29 @@ def test_enumerate_values_small_alphabet(sym):
 def test_json_serialization(sym):
     A = sym.sort("A")
     f = sym.feat("f")
-    x, y = sym.var("x"), sym.var("y")
     t = feature_tree(0, {0: A, 1: A}, {(0, f): 1})
     doc = value_to_json(t)
     assert doc["root"] == 0
     assert {n["id"] for n in doc["nodes"]} == {0, 1}
     assert doc["edges"] == [{"src": 0, "feature": "f", "dst": 1}]
-    val = {x: t, y: single_node_tree(A)}
-    vd = valuation_to_json(val)
-    assert set(vd["vars"]) == {"x", "y"}
-    json.dumps(vd)  # serializable
-    # shared values share node blocks
-    val2 = {x: t, y: t}
-    vd2 = valuation_to_json(val2)
-    assert vd2["vars"]["x"] == vd2["vars"]["y"]
+    json.dumps(doc)  # serializable
 
 
 def test_value_documents_agree_with_the_reference(sym):
-    """``value_to_json`` and ``valuation_to_json`` write tree and graph
-    values, unlabeled graph nodes and shared values among them, as the
-    reference does, which sorts the edges: the library's rows are in
-    (src, feature, dst) order as they are built.  Compared as
-    ``json.dumps`` text, so the key order counts too."""
+    """``value_to_json`` writes tree and graph values, unlabeled graph
+    nodes among them, as the reference does, which sorts the edges: the
+    library's rows are in (src, feature, dst) order as they are built.
+    Compared as ``json.dumps`` text, so the key order counts too."""
     rng = random.Random(3601)
     _, _, vs = pools(sym, n_sorts=2, n_feats=3, n_vars=4)
-    shared = unlabeled = 0
+    unlabeled = 0
     for _ in range(300):
         kind = rng.choice(["tree", "graph"])
-        alpha = random_valuation(rng, sym, vs, kind, max_nodes=5)
-        if rng.random() < 0.5:
-            x, y = rng.sample(vs, 2)
-            alpha[x] = alpha[y]
-        for value in alpha.values():
-            assert json.dumps(value_to_json(value)) == json.dumps(reference_value_json(value))
-        got = valuation_to_json(alpha)
-        assert json.dumps(got) == json.dumps(reference_valuation_json(alpha))
-        shared += len(set(got["vars"].values())) < len(vs)
-        unlabeled += any("sort" not in node for node in got["nodes"])
-    assert shared > 100 and unlabeled > 50, (shared, unlabeled)
+        for value in random_valuation(rng, sym, vs, kind, max_nodes=5).values():
+            got = value_to_json(value)
+            assert json.dumps(got) == json.dumps(reference_value_json(value))
+            unlabeled += any("sort" not in node for node in got["nodes"])
+    assert unlabeled > 200, unlabeled
 
 
 def _chain_value(sym, build, n):
@@ -740,13 +725,14 @@ def test_seeded_valuation_is_the_same_in_every_process():
     """A valuation drawn from a seed does not depend on string hashing."""
     code = (
         "import json, random\n"
-        "from featlog import Symbols, valuation_to_json\n"
+        "from featlog import Symbols\n"
         "from generators import random_valuation\n"
+        "from oracles import reference_valuation_json\n"
         "sym = Symbols()\n"
         "variables = {sym.var(f'x{i}') for i in range(8)}\n"
         "for kind in ('tree', 'graph'):\n"
         "    alpha = random_valuation(random.Random(7), sym, variables, kind)\n"
-        "    print(json.dumps(valuation_to_json(alpha), sort_keys=True))\n"
+        "    print(json.dumps(reference_valuation_json(alpha), sort_keys=True))\n"
     )
     outputs = []
     for seed in ("1", "2"):

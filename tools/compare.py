@@ -11,12 +11,12 @@ runs every operation of the benchmark's workloads (``bench/workloads.py``
 of this checkout, so both trees get the same operations) at each seed,
 with each tree in its own subprocess that imports featlog from that
 tree's ``src``.  CLI commands run in-process through ``featlog.cli.main``
-with the input on stdin, as the benchmark runs them, and each ``witness``
-runs a second time with ``--format json``, whose writer reads the same
-rows as the default text; ``evaluate`` runs with one long-lived
-``Symbols`` per workload and seed, and the benchmark's node budget.  A
-wall-clock alarm cuts each operation off after ``ALARM_S`` seconds, and
-a cut operation's outcome is ``timeout``.
+with the input on stdin, as the benchmark runs them, and each runs a
+second time with ``--format json`` (its id suffixed ``--format json``),
+so the JSON writer is checked on every command.  ``evaluate`` runs with
+one long-lived ``Symbols`` per workload and seed, and the benchmark's
+node budget.  A wall-clock alarm cuts each operation off after
+``ALARM_S`` seconds, and a cut operation's outcome is ``timeout``.
 
 It prints one line per operation whose exit code, stdout, stderr or
 ``evaluate`` repr differs between the trees, with the start of each
@@ -131,7 +131,7 @@ def outcomes(tree: Path, out: Path, seeds: list[int]) -> None:
                 for i, op in enumerate(WORKLOADS[name](seed)):
                     op_id = f"{name} seed={seed} op={i} {op.command} {op.family} {op.size}"
                     runs = [(op_id, ())]
-                    if op.command == "witness":
+                    if op.command != "evaluate":
                         runs.append((f"{op_id} --format json", ("--format", "json")))
                     for run_id, flags in runs:
                         got = _outcome(featlog, session, op, flags)
