@@ -8,11 +8,16 @@ the right-hand projection against the left-hand closure.
 """
 
 from featlog import (
+    Forall,
+    Iff,
     Symbols,
     access_function,
+    classify,
+    conj,
     expand_sugar,
     parse_formula,
     prime_entails,
+    print_formula,
     projection,
     simplify_epc,
 )
@@ -24,7 +29,8 @@ def prime_of(text: str):
     return simplify_epc(expand_sugar(parse_formula(sym, text)))
 
 
-beta = prime_of("exists u. (f(x, u) & A(u) & g(u, y))")
+text = "exists u. (f(x, u) & A(u) & g(u, y))"
+beta = prime_of(text)
 print("prime:", beta)
 
 # The prime is canonical, so u is bound as q0.  Each body variable is
@@ -36,6 +42,14 @@ for var, rooted in sorted(access_function(beta).items(), key=lambda kv: kv[0].na
 print("projection:")
 for pi in projection(beta):
     print("  ", str(pi))
+
+# Each path constraint is a formula, so the projection is one as well,
+# and the equivalence of the prime and its projection can be decided.
+proj = conj(projection(beta))
+print("projection as one formula:", print_formula(proj))
+phi = parse_formula(sym, text)
+equivalence = Forall(tuple(sorted(beta.free_vars)), Iff(phi, proj))
+print(f"{print_formula(equivalence)} : {classify(equivalence).kind}")
 
 # Entailment is decided through projections.
 cases = [

@@ -10,6 +10,7 @@ from .core import (
     BOTTOM,
     EPS,
     TOP,
+    Agree,
     And,
     Atomic,
     BasicFormula,
@@ -26,10 +27,9 @@ from .core import (
     Not,
     Or,
     Path,
+    SortAt,
     SortC,
     SortId,
-    SugarAgree,
-    SugarSortAt,
     Symbols,
     Top,
     VarId,
@@ -54,11 +54,9 @@ from .models import (
     witness_to_json,
 )
 from .paths import (
-    Agree,
     PathConstraint,
     Reach,
     RootedPath,
-    SortAt,
     closure_contains,
     prime_closure_contains,
     targets,

@@ -237,7 +237,7 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.max_dnf_clauses <= 0:
-        print("counts must be positive", file=sys.stderr)
+        print("--max-dnf-clauses must be positive", file=sys.stderr)
         return 2
     try:
         text = _read(args.file)

@@ -9,6 +9,9 @@ feature and a variable without clash.  Both alphabets are unbounded:
 there is always a sort and a feature that a given formula does not
 mention, which the decision procedure relies on.
 
+The path constraints ``Agree`` and ``SortAt`` are formulae: the input
+sugar, which ``expand_sugar`` rewrites, and the members of a projection.
+
 This is the bottom layer.  The modules import one another in one order,
 core, solve, paths, prime, qe, models, textio, cli, each only from those
 before it, so sugar expansion lives here, where ``qe`` and ``models``
@@ -393,8 +396,8 @@ class Forall(Formula):
     body: Formula
 
 
-class SugarAgree(Formula):
-    """Path agreement sugar: the paths from two roots meet in one value."""
+class Agree(Formula):
+    """x.p = y.q: the path p from x and the path q from y meet in one value."""
 
     lhs: VarId
     lpath: Path
@@ -402,8 +405,8 @@ class SugarAgree(Formula):
     rpath: Path
 
 
-class SugarSortAt(Formula):
-    """Sort-at-path sugar: the value reached along ``path`` has ``sort``."""
+class SortAt(Formula):
+    """A@x.p: the path p from x reaches a value of sort A."""
 
     sort: SortId
     var: VarId
@@ -449,9 +452,9 @@ def free_vars(phi: Formula) -> set[VarId]:
             go(psi.rhs, bound)
         elif isinstance(psi, _QUANT):
             go(psi.body, bound.union(psi.vars))
-        elif isinstance(psi, SugarAgree):
+        elif isinstance(psi, Agree):
             out.update(v for v in (psi.lhs, psi.rhs) if v not in bound)
-        elif isinstance(psi, SugarSortAt):
+        elif isinstance(psi, SortAt):
             if psi.var not in bound:
                 out.add(psi.var)
 
@@ -506,12 +509,12 @@ def expand_sugar(phi: Formula) -> Formula:
                 w = fresh("y", (x,))
                 return Not(Exists((w,), Atomic(FeatC(x, phi.atom.feat, w))))
             return phi
-        if isinstance(phi, SugarSortAt):
+        if isinstance(phi, SortAt):
             mentioned = (phi.var,)
             w = fresh("y", mentioned)
             inner, atoms = chain(phi.var, phi.path, w, mentioned)
             return exists_all(inner + [w], conj(atoms + [Atomic(SortC(phi.sort, w))]))
-        if isinstance(phi, SugarAgree):
+        if isinstance(phi, Agree):
             mentioned = (phi.lhs, phi.rhs)
             z = fresh("z", mentioned)
             linner, latoms = chain(phi.lhs, phi.lpath, z, mentioned)

@@ -6,18 +6,20 @@ by the five deduction rules
     |- x eps x          x = y |- x eps y        x p y,  y f z |- x pf z
     x p z,  y q z |- x p # y q                  A y,  x p y   |- A x p
 
-(written ``#`` for agreement).  The closure is infinite as soon as the
-graph has a cycle, so it is never materialized; membership is decided by
-walking the graph.  In a solved formula an eliminated variable occurs
-nowhere but its own equation, so a walk dereferences at most one binding
-at the start and then follows feature edges.
+(written ``#`` for agreement).  The reach ``x p y`` is defined here; the
+proper constraints ``Agree`` and ``SortAt`` are formulae of ``core``.
+The closure is infinite as soon as the graph has a cycle, so it is never
+materialized; membership is decided by walking the graph.  In a solved
+formula an eliminated variable occurs nowhere but its own equation, so
+a walk dereferences at most one binding at the start and then follows
+feature edges.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
 
-from .core import Path, Record, SortId, VarId
+from .core import Agree, Path, Record, SortAt, VarId
 from .solve import SolvedClause, SolvedFormula
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,29 +49,6 @@ class Reach(Record):
         return f"{self.src}.{self.path} -> {self.dst}"
 
 
-class Agree(Record):
-    """x p # y q: the two paths are defined and meet in the same value."""
-
-    lsrc: VarId
-    lpath: Path
-    rsrc: VarId
-    rpath: Path
-
-    def __str__(self) -> str:
-        return f"{self.lsrc}.{self.lpath} = {self.rsrc}.{self.rpath}"
-
-
-class SortAt(Record):
-    """A x p: the path p is defined on x and its target has sort A."""
-
-    sort: SortId
-    src: VarId
-    path: Path
-
-    def __str__(self) -> str:
-        return f"{self.sort}@{self.src}.{self.path}"
-
-
 PathConstraint = Union[Reach, Agree, SortAt]
 
 
@@ -81,8 +60,8 @@ def constraint_vars(pi: PathConstraint) -> set[VarId]:
     if isinstance(pi, Reach):
         return {pi.src, pi.dst}
     if isinstance(pi, Agree):
-        return {pi.lsrc, pi.rsrc}
-    return {pi.src}
+        return {pi.lhs, pi.rhs}
+    return {pi.var}
 
 
 def _binding(gamma: Gamma, x: VarId) -> VarId | None:
@@ -139,12 +118,12 @@ def closure_contains(gamma: Gamma, pi: PathConstraint) -> bool:
         return walk_path(gamma, pi.src, pi.path) == pi.dst
     if isinstance(pi, Agree):
         return bool(
-            targets(gamma, pi.lsrc, pi.lpath) & targets(gamma, pi.rsrc, pi.rpath)
+            targets(gamma, pi.lhs, pi.lpath) & targets(gamma, pi.rhs, pi.rpath)
         )
     if isinstance(pi, SortAt):
         sorts = gamma.sorts
         return any(
-            sorts.get(z) == pi.sort for z in targets(gamma, pi.src, pi.path)
+            sorts.get(z) == pi.sort for z in targets(gamma, pi.var, pi.path)
         )
     raise TypeError(f"not a path constraint: {pi!r}")
 
@@ -154,11 +133,7 @@ def _is_trivial_shape(pi: PathConstraint) -> bool:
     if isinstance(pi, Reach):
         return not pi.path.feats and pi.src == pi.dst
     if isinstance(pi, Agree):
-        return (
-            not pi.lpath.feats
-            and not pi.rpath.feats
-            and pi.lsrc == pi.rsrc
-        )
+        return not pi.lpath.feats and not pi.rpath.feats and pi.lhs == pi.rhs
     return False
 
 

@@ -25,6 +25,7 @@ from typing import Callable, Collection, Iterable, Sequence, TypeVar
 from .core import (
     BOTTOM,
     EPS,
+    Agree,
     Atom,
     Bottom,
     Eq,
@@ -33,6 +34,7 @@ from .core import (
     FeatId,
     Formula,
     Record,
+    SortAt,
     SortC,
     SortId,
     VarId,
@@ -40,7 +42,7 @@ from .core import (
     cached_field,
     rename_atom,
 )
-from .paths import Agree, PathConstraint, RootedPath, SortAt
+from .paths import PathConstraint, RootedPath
 from .solve import SolvedFormula, conjunction_atoms, search_tree, solve_atoms
 
 

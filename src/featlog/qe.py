@@ -81,6 +81,7 @@ from .core import (
     Not,
     Or,
     Record,
+    SortAt,
     Top,
     VarId,
     cached_field,
@@ -88,7 +89,7 @@ from .core import (
     free_vars,
     rename_atom,
 )
-from .paths import PathConstraint, SortAt, is_proper
+from .paths import PathConstraint, is_proper
 from .prime import (
     PrimeFormula,
     TOP_PRIME,
@@ -304,10 +305,10 @@ def is_joker(beta: PrimeFormula, xs: Collection[VarId], pi: PathConstraint) -> b
         raise ValueError("jokers are defined for proper path constraints")
     start, step = _placer(beta, frozenset(xs))
     if isinstance(pi, SortAt):
-        node, free = reduce(step, pi.path.feats, start(pi.src))
+        node, free = reduce(step, pi.path.feats, start(pi.var))
         return free and beta.body.sorts.get(node) != pi.sort
-    lhs = reduce(step, pi.lpath.feats, start(pi.lsrc))
-    return _agree_joker(lhs, reduce(step, pi.rpath.feats, start(pi.rsrc)))
+    lhs = reduce(step, pi.lpath.feats, start(pi.lhs))
+    return _agree_joker(lhs, reduce(step, pi.rpath.feats, start(pi.rhs)))
 
 
 # ---------------------------------------------------------------------------

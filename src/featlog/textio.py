@@ -49,6 +49,7 @@ from .core import (
     RESERVED_WORDS,
     EPS,
     TOP,
+    Agree,
     And,
     Atomic,
     Bottom,
@@ -65,10 +66,9 @@ from .core import (
     Or,
     Path,
     Record,
+    SortAt,
     SortC,
     SortId,
-    SugarAgree,
-    SugarSortAt,
     Symbols,
     Top,
     VarId,
@@ -275,7 +275,7 @@ class _Parser:
                 self.pos = pos + 2
                 v = self.parse_var()
                 self.take(".", "'.' before the path")
-                return SugarSortAt(sort, v, self.parse_path())
+                return SortAt(sort, v, self.parse_path())
             self.pos = pos + 1
             raise self.fail("expected '(' or '@' after a sort name")
         if kind == "lident":
@@ -302,7 +302,7 @@ class _Parser:
                 self.take("=", "'=' in a path agreement")
                 rhs = self.parse_var()
                 self.take(".", "'.' before the right-hand path")
-                return SugarAgree(self.var(name), lpath, rhs, self.parse_path())
+                return Agree(self.var(name), lpath, rhs, self.parse_path())
             self.pos = pos + 1
             raise self.fail("expected '(', '=' or '.' after an identifier")
         if kind == "true":
@@ -436,9 +436,9 @@ def print_formula(phi: Formula | BoolComb) -> str:
             out = _operand(go(node.lhs), prec + 1) + op + _operand(go(node.rhs), prec), prec
         elif kind is Top or kind is Bottom:
             out = ("true" if kind is Top else "false"), _PREC_ATOM
-        elif kind is SugarAgree:
+        elif kind is Agree:
             out = f"{node.lhs.name}.{node.lpath} = {node.rhs.name}.{node.rpath}", _PREC_ATOM
-        elif kind is SugarSortAt:
+        elif kind is SortAt:
             out = f"{node.sort.name}@{node.var.name}.{node.path}", _PREC_ATOM
         else:
             raise ValueError(f"unknown formula node {node!r}")

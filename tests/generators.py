@@ -8,6 +8,7 @@ from itertools import count
 from featlog import (
     BOTTOM,
     TOP,
+    Agree,
     And,
     Atomic,
     BasicFormula,
@@ -28,9 +29,8 @@ from featlog import (
     VarId,
     SolvedClause,
     SolvedFormula,
+    SortAt,
     SortC,
-    SugarAgree,
-    SugarSortAt,
     Symbols,
     basic_simplify,
     canonicalize,
@@ -268,9 +268,9 @@ def random_sugared_formula(rng: random.Random, sym: Symbols) -> Formula:
         if r < 0.15:
             return Atomic(Excl(rng.choice(vs), rng.choice(feats)))
         if r < 0.3:
-            return SugarSortAt(rng.choice(sorts), rng.choice(vs), path())
+            return SortAt(rng.choice(sorts), rng.choice(vs), path())
         if r < 0.45:
-            return SugarAgree(rng.choice(vs), path(), rng.choice(vs), path())
+            return Agree(rng.choice(vs), path(), rng.choice(vs), path())
         if r < 0.55:
             return rng.choice((TOP, BOTTOM))
         if r < 0.7 and made:

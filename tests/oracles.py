@@ -87,8 +87,6 @@ from featlog import (
     SortC,
     SortId,
     SourceSpan,
-    SugarAgree,
-    SugarSortAt,
     Symbols,
     Top,
     VarId,
@@ -169,9 +167,9 @@ class NaiveClosure:
         if isinstance(pi, Reach):
             return (pi.src, tuple(pi.path.feats), pi.dst) in self.reach
         if isinstance(pi, Agree):
-            return bool(self.targets(pi.lsrc, pi.lpath) & self.targets(pi.rsrc, pi.rpath))
+            return bool(self.targets(pi.lhs, pi.lpath) & self.targets(pi.rhs, pi.rpath))
         if isinstance(pi, SortAt):
-            return any(self.sorts.get(z) == pi.sort for z in self.targets(pi.src, pi.path))
+            return any(self.sorts.get(z) == pi.sort for z in self.targets(pi.var, pi.path))
         raise TypeError(pi)
 
 
@@ -186,7 +184,7 @@ def _closure_contains(beta: PrimeFormula, clos: NaiveClosure, pi: PathConstraint
         isinstance(pi, Agree)
         and not pi.lpath.feats
         and not pi.rpath.feats
-        and pi.lsrc == pi.rsrc
+        and pi.lhs == pi.rhs
     ):
         return True
     return not (_pc_vars(pi) & beta.bound)
@@ -196,8 +194,8 @@ def _pc_vars(pi: PathConstraint) -> set:
     if isinstance(pi, Reach):
         return {pi.src, pi.dst}
     if isinstance(pi, Agree):
-        return {pi.lsrc, pi.rsrc}
-    return {pi.src}
+        return {pi.lhs, pi.rhs}
+    return {pi.var}
 
 
 def _joker_closure(beta: PrimeFormula, constraints) -> NaiveClosure:
@@ -263,10 +261,10 @@ def naive_is_joker(beta: PrimeFormula, xs, pi: PathConstraint, clos: NaiveClosur
     if _closure_contains(beta, clos, pi):
         return False
     if isinstance(pi, SortAt):
-        return pi.src in xs and naive_is_free(beta, clos, xs, RootedPath(pi.src, pi.path))
-    if pi.lsrc in xs and naive_is_free(beta, clos, xs, RootedPath(pi.lsrc, pi.lpath)):
+        return pi.var in xs and naive_is_free(beta, clos, xs, RootedPath(pi.var, pi.path))
+    if pi.lhs in xs and naive_is_free(beta, clos, xs, RootedPath(pi.lhs, pi.lpath)):
         return True
-    return pi.rsrc in xs and naive_is_free(beta, clos, xs, RootedPath(pi.rsrc, pi.rpath))
+    return pi.rhs in xs and naive_is_free(beta, clos, xs, RootedPath(pi.rhs, pi.rpath))
 
 
 def projection_has_joker(beta: PrimeFormula, xs, beta2: PrimeFormula) -> bool:
@@ -303,11 +301,11 @@ def holds_path_constraint(alpha, pi: PathConstraint) -> bool:
         node = _walk(v, pi.path)
         return node is not None and _same_subvalue(v, node, alpha[pi.dst], 0)
     if isinstance(pi, Agree):
-        a, b = alpha[pi.lsrc], alpha[pi.rsrc]
+        a, b = alpha[pi.lhs], alpha[pi.rhs]
         i, j = _walk(a, pi.lpath), _walk(b, pi.rpath)
         return i is not None and j is not None and _same_subvalue(a, i, b, j)
     if isinstance(pi, SortAt):
-        v = alpha[pi.src]
+        v = alpha[pi.var]
         node = _walk(v, pi.path)
         return node is not None and v.labels[node] == pi.sort
     raise TypeError(f"not a path constraint: {pi!r}")
@@ -1035,10 +1033,10 @@ def _collect_symbols(phi, alpha) -> tuple[set, set]:
             go(psi.rhs)
         elif isinstance(psi, (Exists, Forall)):
             go(psi.body)
-        elif isinstance(psi, SugarSortAt):
+        elif isinstance(psi, SortAt):
             sorts.add(psi.sort)
             feats.update(psi.path.feats)
-        elif isinstance(psi, SugarAgree):
+        elif isinstance(psi, Agree):
             feats.update(psi.lpath.feats)
             feats.update(psi.rpath.feats)
 
@@ -1085,10 +1083,8 @@ def bounded_evaluate(sym, kind, alpha, phi, node_bound=4, budget=20000):
             return False
         if isinstance(psi, Atomic):
             return _eval_atom(env, psi.atom)
-        if isinstance(psi, SugarAgree):
-            return holds_path_constraint(env, Agree(psi.lhs, psi.lpath, psi.rhs, psi.rpath))
-        if isinstance(psi, SugarSortAt):
-            return holds_path_constraint(env, SortAt(psi.sort, psi.var, psi.path))
+        if isinstance(psi, (Agree, SortAt)):
+            return holds_path_constraint(env, psi)
         if isinstance(psi, Not):
             r = ev(psi.body, env)
             return None if r is None else not r
@@ -1348,7 +1344,7 @@ class _ReferenceParser:
                 v = self.parse_var()
                 self.expect(".", "'.' before the path")
                 p = self.parse_path()
-                return SugarSortAt(sort, v, p)
+                return SortAt(sort, v, p)
             raise self.fail("expected '(' or '@' after a sort name")
         if tok.kind == "lident":
             self.next()
@@ -1377,7 +1373,7 @@ class _ReferenceParser:
                 rhs = self.parse_var()
                 self.expect(".", "'.' before the right-hand path")
                 rpath = self.parse_path()
-                return SugarAgree(self.sym.var(tok.text), lpath, rhs, rpath)
+                return Agree(self.sym.var(tok.text), lpath, rhs, rpath)
             raise self.fail("expected '(', '=' or '.' after an identifier")
         raise self.fail("expected a formula")
 
@@ -1475,9 +1471,9 @@ def _render(phi: Formula) -> tuple[str, int]:
         return "false", _PREC_ATOM
     if isinstance(phi, Atomic):
         return _atom_str(phi.atom), _PREC_ATOM
-    if isinstance(phi, SugarAgree):
+    if isinstance(phi, Agree):
         return f"{phi.lhs.name}.{phi.lpath} = {phi.rhs.name}.{phi.rpath}", _PREC_ATOM
-    if isinstance(phi, SugarSortAt):
+    if isinstance(phi, SortAt):
         return f"{phi.sort.name}@{phi.var.name}.{phi.path}", _PREC_ATOM
     if isinstance(phi, Not):
         return "~" + _operand(_render(phi.body), _PREC_NOT), _PREC_NOT

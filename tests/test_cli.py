@@ -902,6 +902,16 @@ def test_a_bad_argument_after_a_good_call_is_a_usage_error(tmp_path, capsys):
     assert "invalid int value: 'many'" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_a_bound_below_one_is_a_usage_error(tmp_path, capsys, bound):
+    path = write(tmp_path, "A(x)")
+    assert run(capsys, "decide", path, "--max-dnf-clauses", bound) == (
+        2,
+        "",
+        "--max-dnf-clauses must be positive\n",
+    )
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["witness", "--help"]], ids=["top", "witness"])
 def test_help_matches_a_freshly_built_parser(capsys, argv):
     outputs = []

@@ -5,6 +5,7 @@ import pytest
 from featlog import (
     EPS,
     TOP,
+    Agree,
     And,
     Atomic,
     BasicFormula,
@@ -18,7 +19,6 @@ from featlog import (
     Or,
     Path,
     SortC,
-    SugarAgree,
     Symbols,
     VarId,
     expand_sugar,
@@ -239,7 +239,7 @@ def test_minted_names_skip_the_variables_of_their_sugar():
     assert expand_sugar(Atomic(Excl(y1, f))) == Not(Exists((y2,), Atomic(FeatC(y1, f, y2))))
     # the meet skips both roots, and the inner node of the path takes
     # the next number
-    got = expand_sugar(SugarAgree(z2, Path((f, g)), z1, EPS))
+    got = expand_sugar(Agree(z2, Path((f, g)), z1, EPS))
     assert _binders(got) == [VarId("_z3"), VarId("_z4")]
     assert free_vars(got) == {z1, z2}
 
@@ -360,7 +360,7 @@ PUBLIC_NAMES = """
     Excl Exists FeatC FeatId FeatureGraph FeatureTree Forall Formula INVALID Iff
     Implies Not Or ParseError Path PathConstraint PrimeFormula Reach
     ResourceLimit RootedPath SATISFIABLE SolvedClause SolvedFormula SortAt SortC
-    SortId SourceSpan SugarAgree SugarSortAt Symbols TOP TOP_PRIME Top
+    SortId SourceSpan Symbols TOP TOP_PRIME Top
     UNSATISFIABLE VALID VarId Verdict WitnessPool access_function basic_simplify
     canonicalize classify clause_to_formula closure_contains
     conj constrained_vars decide eliminate_clause eliminate_neg enumerate_values
@@ -394,12 +394,12 @@ KEPT_FOR_CALLERS: set[str] = set()
 
 
 def test_library_functions_have_a_use_outside_tests():
-    """Every module-level function of ``src/featlog`` is referenced in the
-    library outside its own body and outside ``__init__.py`` (as a name,
-    an attribute or an import), or in ``demos/``, ``tools/`` or
-    ``bench/``, or the bench traces it, or ``KEPT_FOR_CALLERS`` names
-    it.  An export alone is no use: a function that only tests reach
-    belongs in ``tests/``."""
+    """Every module-level function and class of ``src/featlog`` is
+    referenced in the library outside its own body and outside
+    ``__init__.py`` (as a name, an attribute or an import), or in
+    ``demos/``, ``tools/`` or ``bench/``, or the bench traces it, or
+    ``KEPT_FOR_CALLERS`` names it.  An export alone is no use: a
+    function or class that only tests reach belongs in ``tests/``."""
     import ast
     import pathlib
 
@@ -419,12 +419,13 @@ def test_library_functions_have_a_use_outside_tests():
             if name and name != own:
                 yield name
 
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined, used = [], set()
     for path in sorted(pathlib.Path(featlog.__file__).parent.glob("*.py")):
         if path.stem == "__init__":
             continue
         for top in ast.parse(path.read_text()).body:
-            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            own = top.name if isinstance(top, definitions) else None
             if own:
                 defined.append(f"{path.stem}.{own}")
             used.update(names(top, own))

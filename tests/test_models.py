@@ -25,7 +25,6 @@ from featlog import (
     SortAt,
     SortC,
     SortId,
-    SugarAgree,
     VarId,
     decide,
     evaluate,
@@ -268,7 +267,7 @@ def test_evaluate_does_not_capture_minted_names(sym):
     # own binder is _y1 again, shadowing the free _y1 it does not mention
     bound = Exists((y2,), conj([Atomic(FeatC(y1, f, y2)), Atomic(Excl(y2, f))]))
     # the right-hand root is spelled like the meet would be: x.f = _z1
-    agree = SugarAgree(x, Path((f,)), z1, EPS)
+    agree = Agree(x, Path((f,)), z1, EPS)
     cases = [
         ({y1: leaf}, excl, True),
         ({y1: loop}, excl, False),

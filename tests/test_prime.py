@@ -12,16 +12,20 @@ from featlog import (
     Eq,
     Exists,
     FeatC,
+    Forall,
+    Iff,
     Path,
     PrimeFormula,
     SolvedFormula,
     SortAt,
     SortC,
     TOP_PRIME,
+    VALID,
     VarId,
     access_function,
     basic_simplify,
     canonicalize,
+    classify,
     expand_sugar,
     feature_tree,
     mk_prime_exists,
@@ -354,6 +358,25 @@ def test_projections_are_duplicate_free(sym):
     for _ in range(500):
         lam = projection(random_prime(rng, sym))
         assert len(set(lam)) == len(lam)
+
+
+def test_a_prime_is_equivalent_to_its_projection(sym):
+    """Each path constraint is a formula that prints and parses back to
+    itself, and the universal closure of a prime's equivalence with the
+    conjunction of its projection is valid.  A ``ResourceLimit`` fails
+    the test."""
+    rng = random.Random(39)
+    with_bound = 0
+    with _wall_limit(20.0):
+        for _ in range(400):
+            beta = random_prime(rng, sym, max_atoms=rng.randint(4, 16), n_vars=rng.randint(2, 8))
+            lam = projection(beta)
+            for pi in lam:
+                assert parse_formula(sym, print_formula(pi)) == pi
+            phi = Forall(tuple(sorted(beta.free_vars)), Iff(prime_to_formula(beta), conj(lam)))
+            assert classify(phi).kind == VALID, print_formula(phi)
+            with_bound += bool(beta.bound)
+    assert with_bound > 80
 
 
 def test_projection_members_are_in_the_closure(sym):

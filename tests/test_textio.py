@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from featlog import (
+    Agree,
     And,
     Atomic,
     Or,
@@ -17,9 +18,8 @@ from featlog import (
     Not,
     ParseError,
     Path,
+    SortAt,
     SortC,
-    SugarAgree,
-    SugarSortAt,
     Symbols,
     expand_sugar,
     free_vars,
@@ -65,9 +65,9 @@ def test_parse_comma_quantifier_lists(sym):
 def test_parse_path_sugar(sym):
     got = parse_formula(sym, "A@x.f.g")
     f, g = sym.feat("f"), sym.feat("g")
-    assert got == SugarSortAt(sym.sort("A"), sym.var("x"), Path((f, g)))
+    assert got == SortAt(sym.sort("A"), sym.var("x"), Path((f, g)))
     got = parse_formula(sym, "x.eps = y.eps")
-    assert got == SugarAgree(sym.var("x"), EPS, sym.var("y"), EPS)
+    assert got == Agree(sym.var("x"), EPS, sym.var("y"), EPS)
 
 
 def test_parse_errors_carry_spans(sym):
